@@ -239,34 +239,3 @@ def test_feature_extract(benchmark, loaded):
     ratio = extract_s / probe_s
     benchmark.extra_info["probe_ratio"] = round(ratio, 5)
     assert ratio < 0.02
-
-
-def test_shard_key_memoized(benchmark, steady_state):
-    """The memoized ``Footprint.shard_key`` hit path, with the fresh
-    compute cost attached for comparison (the memo makes the repeated
-    lookups the sharded prefilter performs effectively free)."""
-    import time as _time
-
-    from repro.network.footprint import Footprint
-
-    _provider, network, _events = steady_state
-    links = frozenset(network.switch_links()[:12])
-    footprint = Footprint(links=links, nodes=frozenset())
-    footprint.shard_key(4)  # warm the memo
-    benchmark(lambda: footprint.shard_key(4))
-
-    # Hit-vs-fresh comparison measured directly so it also runs under
-    # --benchmark-disable in the CI smoke.
-    reps = 2000
-    t0 = _time.perf_counter()
-    for _ in range(reps):
-        footprint.shard_key(4)
-    hit_s = (_time.perf_counter() - t0) / reps
-    reps = 200
-    t0 = _time.perf_counter()
-    for _ in range(reps):
-        Footprint(links=links, nodes=frozenset()).shard_key(4)
-    fresh_s = (_time.perf_counter() - t0) / reps
-    benchmark.extra_info["fresh_ns"] = round(fresh_s * 1e9)
-    benchmark.extra_info["hit_ns"] = round(hit_s * 1e9)
-    assert hit_s < fresh_s

@@ -50,7 +50,6 @@ REPO = Path(__file__).resolve().parent.parent
 #: scheduler label -> extra serve flags selecting it.
 SCHEDULERS = {
     "plmtf": ["--scheduler", "plmtf"],
-    "sharded4": ["--scheduler", "plmtf", "--shards", "4"],
     "l-lmtf": ["--scheduler", "l-lmtf"],
 }
 

@@ -10,7 +10,6 @@ Examples::
     repro report --out results/ --quick
     repro serve --stream synthetic --rate 0.5 --events 200
     repro serve --compile-mode staged --scheduler staged-plmtf
-    repro scale-bench --depths 100000 --shards 1,4 --out BENCH_7.json
     repro learned-bench --rounds 120 --out BENCH_8.json
     repro consistency-grid --epsilons 0.05,0.2 --out BENCH_10.json
     python -m repro.cli fig9 --utilization 0.7
@@ -39,8 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("figure",
                         help="figure id (fig1..fig9, ablation-*, "
                              "robustness-*), 'list', 'report', 'serve', "
-                             "'scale-bench', 'learned-bench' or "
-                             "'consistency-grid'")
+                             "'learned-bench' or 'consistency-grid'")
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
     parser.add_argument("--events", type=int, default=None,
@@ -93,10 +91,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="scheduling policy (default plmtf; l-lmtf is "
                              "the learned candidate ranking; staged-* "
                              "tie-break on compiled schedule length)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="route the policy through the sharded "
-                             "admission pipeline with N shards "
-                             "(byte-identical schedules by contract)")
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
     parser.add_argument("--alpha", type=int, default=4,
@@ -165,83 +159,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "heartbeat shows no round progress for S "
                              "wall seconds (default 120)")
     return parser
-
-
-def build_scale_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro scale-bench",
-        description="Measure steady-state scheduling throughput "
-                    "(rounds/sec) at deep queue depths, unsharded "
-                    "baseline vs the sharded admission pipeline (see "
-                    "repro.experiments.scalebench).")
-    parser.add_argument("--depths", default="100000", metavar="N1,N2,...",
-                        help="queue depths to bench (default 100000; the "
-                             "grid supports 10^5-10^6)")
-    parser.add_argument("--shards", default="1,4", metavar="S1,S2,...",
-                        help="shard counts per depth; 1 is the unsharded "
-                             "baseline (default 1,4)")
-    parser.add_argument("--policy", default="plmtf",
-                        choices=("fifo", "lmtf", "plmtf"),
-                        help="scheduling policy under test (default plmtf)")
-    parser.add_argument("--alpha", type=int, default=None,
-                        help="LMTF/P-LMTF sample size (default 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master random seed (default 0)")
-    parser.add_argument("--utilization", type=float, default=0.3,
-                        help="background fabric utilization (default 0.3)")
-    parser.add_argument("--k", type=int, default=4,
-                        help="Fat-Tree arity (default 4)")
-    parser.add_argument("--rounds", type=int, default=30,
-                        help="timed rounds per cell (default 30)")
-    parser.add_argument("--warmup", type=int, default=5,
-                        help="untimed warmup rounds per cell (default 5)")
-    parser.add_argument("--min-flows", type=int, default=1,
-                        help="minimum flows per event (default 1)")
-    parser.add_argument("--max-flows", type=int, default=2,
-                        help="maximum flows per event (default 2)")
-    parser.add_argument("--executor", default="serial",
-                        choices=("serial", "thread"),
-                        help="sharded probe executor (default serial; "
-                             "thread exercises the concurrent per-shard "
-                             "path, GIL-bound on CPU-bound probes)")
-    parser.add_argument("--audit", action="store_true",
-                        help="attach the lifecycle auditor to every bench "
-                             "simulator (slower; CI smoke uses this)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="fan bench cells out to N worker processes")
-    parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="JSONL cell checkpoint (enables --resume)")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse completed cells from --checkpoint")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="merge measurements into this JSON snapshot "
-                             "under the 'scale_bench' key (e.g. "
-                             "BENCH_7.json)")
-    return parser
-
-
-def _scale_bench(argv: list[str]) -> int:
-    from repro.experiments.runner import PrintProgress
-    from repro.experiments.scalebench import merge_snapshot, run_scale_bench
-
-    args = build_scale_bench_parser().parse_args(argv)
-    depths = tuple(int(d) for d in args.depths.split(",") if d.strip())
-    shard_counts = tuple(int(s) for s in args.shards.split(",") if s.strip())
-    started = time.time()
-    result = run_scale_bench(
-        depths=depths, shard_counts=shard_counts, policy=args.policy,
-        alpha=args.alpha, seed=args.seed, utilization=args.utilization,
-        k=args.k, rounds=args.rounds, warmup=args.warmup,
-        min_flows=args.min_flows, max_flows=args.max_flows,
-        audit=args.audit, executor=args.executor, jobs=args.jobs,
-        checkpoint=args.checkpoint, resume=args.resume,
-        listener=PrintProgress())
-    print(result.to_table())
-    print(f"\n[scale-bench completed in {time.time() - started:.1f}s]")
-    if args.out is not None:
-        path = merge_snapshot(args.out, result)
-        print(f"scale_bench section merged into {path}")
-    return 0
 
 
 def build_learned_bench_parser() -> argparse.ArgumentParser:
@@ -423,10 +340,6 @@ def serve_scheduler_spec(args) -> dict:
                 "seed": args.seed + 9}
     else:
         spec = {"kind": args.scheduler}
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-        spec = {"kind": "sharded", "shards": args.shards, "inner": spec}
     return spec
 
 
@@ -567,8 +480,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "serve":
         return _serve(argv[1:])
-    if argv and argv[0] == "scale-bench":
-        return _scale_bench(argv[1:])
     if argv and argv[0] == "learned-bench":
         return _learned_bench(argv[1:])
     if argv and argv[0] == "consistency-grid":

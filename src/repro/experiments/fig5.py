@@ -12,7 +12,6 @@ from repro.analysis.normalize import speedup
 from repro.experiments.common import Scenario
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import GridRow, run_scheduler_grid
-from repro.sched import wrap_scheduler_specs
 from repro.traces.events import heterogeneous_config
 
 EVENT_COUNTS = (10, 20, 30, 40, 50)
@@ -21,7 +20,7 @@ EVENT_COUNTS = (10, 20, 30, 40, 50)
 def run(seed: int = 0, utilization: float = 0.7,
         event_counts=EVENT_COUNTS, jobs: int | None = None,
         checkpoint=None, resume: bool = False,
-        listener=None, shards: int | None = None) -> ExperimentResult:
+        listener=None) -> ExperimentResult:
     result = ExperimentResult(
         name="fig5",
         title="avg/tail ECT of flow-level vs event-level scheduling vs "
@@ -30,8 +29,7 @@ def run(seed: int = 0, utilization: float = 0.7,
                  "flow_tail_ect", "event_tail_ect",
                  "avg_speedup", "tail_speedup"],
         params={"seed": seed, "utilization": utilization})
-    specs = wrap_scheduler_specs(
-        ({"kind": "fifo"}, {"kind": "flow-level"}), shards)
+    specs = ({"kind": "fifo"}, {"kind": "flow-level"})
     rows = [
         GridRow(key=f"events={count}",
                 scenario=Scenario(utilization=utilization,

@@ -16,7 +16,7 @@ from repro.analysis.normalize import percent_reduction
 from repro.experiments.common import DEFAULTS, Scenario
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import GridRow, run_scheduler_grid
-from repro.sched import standard_scheduler_specs, wrap_scheduler_specs
+from repro.sched import standard_scheduler_specs
 from repro.traces.events import heterogeneous_config
 
 EVENT_COUNTS = (10, 20, 30, 40, 50)
@@ -25,7 +25,7 @@ EVENT_COUNTS = (10, 20, 30, 40, 50)
 def run(seed: int = 0, utilization: float = 0.7, alpha: int | None = None,
         event_counts=EVENT_COUNTS, jobs: int | None = None,
         checkpoint=None, resume: bool = False,
-        listener=None, shards: int | None = None) -> ExperimentResult:
+        listener=None) -> ExperimentResult:
     alpha = alpha if alpha is not None else DEFAULTS.alpha
     result = ExperimentResult(
         name="fig6",
@@ -43,8 +43,7 @@ def run(seed: int = 0, utilization: float = 0.7, alpha: int | None = None,
                                   seed=seed + count, events=count,
                                   churn=True,
                                   event_config=heterogeneous_config()),
-                schedulers=wrap_scheduler_specs(
-                    standard_scheduler_specs(seed, alpha=alpha), shards))
+                schedulers=standard_scheduler_specs(seed, alpha=alpha))
         for count in event_counts
     ]
     grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,

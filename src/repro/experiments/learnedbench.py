@@ -61,21 +61,16 @@ DEFAULT_WARMUP = 64
 def scheduler_spec(policy: str, alpha: int = 4, seed: int = 0,
                    budget: int = DEFAULT_BUDGET,
                    warmup: int = DEFAULT_WARMUP,
-                   error_threshold: float = DEFAULT_THRESHOLD,
-                   shards: int = 1) -> dict:
-    """The scheduler spec one bench cell runs (optionally sharded)."""
+                   error_threshold: float = DEFAULT_THRESHOLD) -> dict:
+    """The scheduler spec one bench cell runs."""
     if policy == "lmtf":
-        inner: dict = {"kind": "lmtf", "alpha": alpha, "seed": seed + 9}
-    elif policy == "learned":
-        inner = {"kind": "learned", "alpha": alpha, "seed": seed + 9,
-                 "budget": budget, "warmup": warmup,
-                 "error_threshold": error_threshold}
-    else:
-        raise ValueError(f"unsupported bench policy {policy!r}; "
-                         f"pick lmtf or learned")
-    if shards <= 1:
-        return inner
-    return {"kind": "sharded", "shards": shards, "inner": inner}
+        return {"kind": "lmtf", "alpha": alpha, "seed": seed + 9}
+    if policy == "learned":
+        return {"kind": "learned", "alpha": alpha, "seed": seed + 9,
+                "budget": budget, "warmup": warmup,
+                "error_threshold": error_threshold}
+    raise ValueError(f"unsupported bench policy {policy!r}; "
+                     f"pick lmtf or learned")
 
 
 def schedule_digest(metrics) -> str:
@@ -87,7 +82,7 @@ def schedule_digest(metrics) -> str:
     of the same seeded workload must collide iff they admitted the same
     events at the same simulated times. Used by the determinism
     acceptance test (same seed + model => identical digest across
-    ``--jobs`` counts and shard counts).
+    ``--jobs`` counts).
     """
     payload = {
         "scheduler": metrics.scheduler,

@@ -17,7 +17,7 @@ class ExperimentResult:
         rows: one dict per table row (keys = columns).
         notes: caveats and context recorded by the experiment.
         params: the parameters the experiment ran with.
-        extras: in-memory side-channel payloads (e.g. the scale bench's
+        extras: in-memory side-channel payloads (e.g. a bench grid's
             raw per-cell measurements); not serialized by :meth:`to_json`.
     """
 

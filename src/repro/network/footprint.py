@@ -28,28 +28,12 @@ Two pieces make that proof sound:
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.flow import Flow, Placement
 from repro.network.link import LinkId, path_links
 from repro.network.state import NetworkState
-
-
-def stable_shard_key(parts: Iterable[str], shards: int) -> int:
-    """A shard index in ``[0, shards)`` from a stable hash of ``parts``.
-
-    Uses CRC-32 over the sorted parts rather than :func:`hash` so the key
-    is identical across processes (``PYTHONHASHSEED`` randomizes ``str``
-    hashes, which would break the parallel runner's determinism contract).
-    Order-insensitive: callers pass link endpoints or event endpoints in
-    whatever order they hold them.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    digest = zlib.crc32("\x00".join(sorted(parts)).encode())
-    return digest % shards
 
 
 @dataclass(frozen=True)
@@ -68,12 +52,6 @@ class Footprint:
     links: frozenset[LinkId]
     nodes: frozenset[str]
     link_idx: frozenset[int] | None = field(default=None, compare=False)
-    #: shards -> shard index memo. The link-derived key is a pure function
-    #: of the immutable ``links`` set, yet costs a sort + CRC-32 per call —
-    #: and the sharded scheduler re-asks every replayed round. Excluded
-    #: from equality/repr like ``link_idx``.
-    _shard_memo: dict[int, int] = field(default_factory=dict, compare=False,
-                                        repr=False)
 
     def link_versions(self, state: NetworkState) -> dict[LinkId, int]:
         """Snapshot the current versions of every footprint link."""
@@ -88,34 +66,6 @@ class Footprint:
 
     def node_versions(self, state: NetworkState) -> dict[str, int]:
         return {node: state.node_version(node) for node in self.nodes}
-
-    def shard_key(self, shards: int,
-                  state: NetworkState | None = None) -> int:
-        """Shard index derived from the links this footprint touched.
-
-        Prefers the recorded integer link indices (resolved back to link
-        ids through ``state``'s link table when given) so index- and
-        string-recorded footprints of the same probe shard identically;
-        the key is a stable content hash, never :func:`hash`.
-        """
-        if self.links:
-            # Pure function of the frozen links set: memoize per shard
-            # count. (The idx-resolution branch below depends on ``state``
-            # and stays unmemoized — it only runs for footprints recorded
-            # with indices but no ids, which the recorder never produces.)
-            memoized = self._shard_memo.get(shards)
-            if memoized is None:
-                memoized = stable_shard_key(
-                    (f"{u}>{v}" for u, v in self.links), shards)
-                self._shard_memo[shards] = memoized
-            return memoized
-        links: Iterable[LinkId] = self.links
-        if self.link_idx is not None and state is not None:
-            table = state.link_table()
-            if table is not None:
-                links = (table.ids[i] for i in self.link_idx)
-        return stable_shard_key(
-            (f"{u}>{v}" for u, v in links), shards)
 
 
 class DrawCountingRandom(random.Random):

@@ -61,21 +61,6 @@ class Topology(abc.ABC):
         :class:`TopologyError` when either endpoint is not a host.
         """
 
-    def region_of(self, node: str) -> int | None:
-        """The topology region ``node`` belongs to, or ``None``.
-
-        Regions are the topology's natural locality unit — the pod of a
-        fat-tree, the leaf group of a leaf-spine fabric — and are the shard
-        key of :class:`~repro.sched.shard.ShardedScheduler`: two events
-        whose endpoints sit in different regions can be cost-probed
-        independently because structured-topology paths only share the
-        (stateless-at-probe-time) core tier. Unstructured topologies
-        (jellyfish, custom graphs) have no such unit and return ``None``
-        for every node; the sharder then falls back to a stable hash of
-        the event's endpoints.
-        """
-        return None
-
     # --------------------------------------------------------------- helpers
 
     def _require_host(self, node: str) -> None:

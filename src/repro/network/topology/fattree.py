@@ -116,21 +116,6 @@ class FatTreeTopology(Topology):
                                self.core_name(j, index))
         return graph
 
-    def region_of(self, node: str) -> int | None:
-        """The pod index for pod-local nodes; ``None`` for core switches.
-
-        Hosts (``h{pod}_{edge}_{i}``), edge switches (``e{pod}_{j}``) and
-        aggregation switches (``a{pod}_{j}``) all carry their pod as the
-        first name component; core switches span pods and have no region.
-        """
-        if not node or node[0] not in "hea":
-            return None
-        try:
-            pod = int(node[1:].split("_", 1)[0])
-        except ValueError:
-            return None
-        return pod if 0 <= pod < self.k else None
-
     # --------------------------------------------------------------- counts
 
     @property

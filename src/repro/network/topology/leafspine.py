@@ -65,25 +65,6 @@ class LeafSpineTopology(Topology):
             raise TopologyError(f"{host!r} is outside {self.name}")
         return leaf, index
 
-    def region_of(self, node: str) -> int | None:
-        """The leaf-group index; ``None`` for spine switches.
-
-        Hosts (``h{leaf}_{i}``) and leaf switches (``l{j}``) map to their
-        leaf; spines interconnect every leaf and have no region.
-        """
-        if not node:
-            return None
-        try:
-            if node[0] == "h":
-                leaf = int(node[1:].split("_", 1)[0])
-            elif node[0] == "l":
-                leaf = int(node[1:])
-            else:
-                return None
-        except ValueError:
-            return None
-        return leaf if 0 <= leaf < self.leaves else None
-
     def _build(self) -> nx.DiGraph:
         graph = nx.DiGraph()
         cap = self.link_capacity

@@ -29,19 +29,16 @@ from repro.sched.learned import LearnedLMTFScheduler
 from repro.sched.lmtf import LMTFScheduler
 from repro.sched.oracle import OracleSJFScheduler
 from repro.sched.plmtf import PLMTFScheduler
-from repro.sched.shard import ShardedScheduler
 from repro.sched.staged import StagedLMTFScheduler, StagedPLMTFScheduler
 
 #: Spec ``kind`` -> scheduler class. The kind is the constructor's identity,
-#: not necessarily the instance's ``name`` (oracles embed their signal; the
-#: sharded wrapper reports its inner policy's name).
+#: not necessarily the instance's ``name`` (oracles embed their signal).
 SCHEDULER_KINDS: dict[str, type[Scheduler]] = {
     "fifo": FIFOScheduler,
     "lmtf": LMTFScheduler,
     "plmtf": PLMTFScheduler,
     "flow-level": FlowLevelScheduler,
     "oracle-sjf": OracleSJFScheduler,
-    "sharded": ShardedScheduler,
     "learned": LearnedLMTFScheduler,
     "staged-lmtf": StagedLMTFScheduler,
     "staged-plmtf": StagedPLMTFScheduler,
@@ -101,22 +98,6 @@ def scheduler_name(spec: dict) -> str:
     return build_scheduler(spec).name
 
 
-def wrap_scheduler_specs(specs: tuple[dict, ...],
-                         shards: int | None) -> tuple[dict, ...]:
-    """Wrap each spec in a sharded-scheduler spec when ``shards`` is set.
-
-    ``None`` returns the specs untouched (the unsharded path); any shard
-    count — including 1 — routes the policies through
-    :class:`~repro.sched.shard.ShardedScheduler`, which is byte-identical
-    by contract (the schedule pins run figures through this wrapper at
-    shard counts 1/2/4/8 against the unsharded baselines).
-    """
-    if shards is None:
-        return specs
-    return tuple({"kind": "sharded", "shards": shards, "inner": dict(spec)}
-                 for spec in specs)
-
-
 def standard_scheduler_specs(seed: int, alpha: int = 4) -> tuple[dict, ...]:
     """The paper's three-way comparison as spec dicts: FIFO, LMTF, P-LMTF.
 
@@ -137,7 +118,6 @@ __all__ = [
     "SCHEDULER_KINDS",
     "LearnedLMTFScheduler",
     "Scheduler",
-    "ShardedScheduler",
     "StagedLMTFScheduler",
     "StagedPLMTFScheduler",
     "build_scheduler",
@@ -145,5 +125,4 @@ __all__ = [
     "register_scheduler",
     "scheduler_name",
     "standard_scheduler_specs",
-    "wrap_scheduler_specs",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.core.event import UpdateEvent
 from repro.core.flow import Flow
@@ -25,9 +25,6 @@ from repro.core.plan import EventPlan
 from repro.core.planner import EventPlanner
 from repro.network.state import NetworkState
 from repro.sim.lifecycle import TransitionRecord
-
-if TYPE_CHECKING:
-    from repro.sched.shard import ShardInfo
 
 
 @dataclass
@@ -108,6 +105,14 @@ class RoundDecision:
     length the scheduler *predicted* when it tie-broke on short schedules
     (:mod:`repro.sched.staged`); schedulers that never compile leave it
     empty. Purely diagnostic — the executor recompiles authoritatively.
+
+    ``probed`` names the queued events the scheduler actually cost-probed
+    this round — the ``α+1`` sample for the LMTF family (paper §IV-B/C:
+    "checks only the sampled candidates, not the whole queue"). The
+    pipeline moves exactly these through the PROBED lifecycle state, so a
+    round's bookkeeping is O(α), not O(queue). ``None`` means "the whole
+    queue": policies that walk the queue (FIFO, flow-level, the oracle)
+    leave it unset.
     """
 
     admissions: list[Admission] = field(default_factory=list)
@@ -121,6 +126,7 @@ class RoundDecision:
     fallback: bool = False
     transitions: list[TransitionRecord] = field(default_factory=list)
     predicted_stages: dict[str, int] = field(default_factory=dict)
+    probed: Sequence[QueuedEvent] | None = None
 
     @property
     def empty(self) -> bool:
@@ -131,12 +137,9 @@ class RoundDecision:
 class SchedulingContext:
     """Everything a scheduler may consult when making a round decision.
 
-    ``queue`` is any sequence of waiting events in arrival order — a list
-    snapshot in the default pipeline, the live indexed queue when
-    ``SimulationConfig.queue_snapshots`` is off (scale mode). ``shard``
-    is populated only on the per-shard sub-contexts that
-    :class:`~repro.sched.shard.ShardedScheduler` hands its probe executor;
-    round-level contexts carry ``None``.
+    ``queue`` is the waiting events in arrival order: the pipeline's live
+    :class:`~repro.sim.queue.IndexedQueue`, passed by reference. No stage
+    mutates it between collect and admit, and schedulers must not either.
     """
 
     now: float
@@ -144,7 +147,6 @@ class SchedulingContext:
     planner: EventPlanner
     network: NetworkState
     rng: random.Random
-    shard: "ShardInfo | None" = None
 
 
 class Scheduler(abc.ABC):
@@ -181,50 +183,6 @@ class Scheduler(abc.ABC):
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Restore from :meth:`export_state` output."""
-
-    # ---------------------------------------------- probe/decide decomposition
-    #
-    # A policy that can name its probe candidates *before* planning them
-    # decomposes select() into probe_targets() → plan each → decide().
-    # The sharded wrapper (repro.sched.shard) exploits this split: it plans
-    # the targets shard-by-shard (speculatively, against a cloned RNG) and
-    # feeds the results to decide(), which therefore remains the single
-    # authority on admission order — byte-identical to the serial select().
-
-    def probe_targets(self,
-                      ctx: SchedulingContext) -> list[QueuedEvent] | None:
-        """The candidates this round's ``select`` would cost-probe, in the
-        global ``(time, seq)`` order it probes them — or ``None`` when the
-        policy does not decompose (its probing and deciding interleave).
-
-        Implementations must consume exactly the same private-RNG draws
-        ``select`` would (sampling happens here), and must be called at
-        most once per round.
-        """
-        return None
-
-    def decide(self, ctx: SchedulingContext,
-               probes: list[tuple[QueuedEvent, EventPlan]],
-               ops: int) -> RoundDecision:
-        """Turn probe results (in ``probe_targets`` order) into a decision.
-
-        ``ops`` is the planning work already charged for the probes. Only
-        meaningful on policies whose :meth:`probe_targets` returns a list.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not decompose into probe/decide")
-
-    def probe_scope(self, ctx: SchedulingContext) -> Sequence[QueuedEvent]:
-        """The queued events the pipeline should move QUEUED→PROBED for
-        this round's consultation.
-
-        The default — the whole queue — matches the historical lifecycle
-        trace. The sharded wrapper narrows this to the actual probe
-        candidates so a round's lifecycle cost is O(α), not O(queue);
-        the narrowing is trace-visible only through ``StateTransition``
-        hooks, which no serialized metric consumes.
-        """
-        return ctx.queue
 
     # --------------------------------------------------------------- helpers
 

@@ -117,26 +117,6 @@ class ProbeCache:
         self._count("hits")
         return entry.plan
 
-    def peek(self, key: ProbeKey, state: NetworkState) -> EventPlan | None:
-        """Like :meth:`lookup` but counter-free and eviction-free.
-
-        The sharded scheduler's speculative phase uses this to predict
-        which candidates need planner work at all; the serial replay then
-        performs the real :meth:`lookup` (with its counters and stale-entry
-        eviction) in global candidate order, so the observable cache
-        protocol is untouched by peeking.
-        """
-        entry = self._entries.get(key)
-        if entry is None or entry.state is not state \
-                or not self._fresh(entry, state):
-            return None
-        return entry.plan
-
-    def would_record(self, key: ProbeKey) -> bool:
-        """:meth:`should_record`'s answer without consuming a backoff
-        credit (prediction for the speculative phase)."""
-        return self._skip.get(key, 0) <= 0
-
     def store(self, key: ProbeKey, state: NetworkState, plan: EventPlan,
               footprint: Footprint) -> None:
         """Memoize ``plan`` against the current versions of its footprint."""

@@ -9,10 +9,8 @@ occupies the network while many small later events wait.
 
 from __future__ import annotations
 
-from repro.core.plan import EventPlan
 from repro.sched.base import (
     Admission,
-    QueuedEvent,
     RoundDecision,
     Scheduler,
     SchedulingContext,
@@ -29,21 +27,8 @@ class FIFOScheduler(Scheduler):
             return RoundDecision()
         head = ctx.queue[0]
         plan = self.plan_whole_event(ctx, head)
-        return self.decide(ctx, [(head, plan)], plan.planning_ops)
-
-    def probe_targets(self,
-                      ctx: SchedulingContext) -> list[QueuedEvent] | None:
-        """FIFO only ever probes the head."""
-        return [ctx.queue[0]] if ctx.queue else []
-
-    def decide(self, ctx: SchedulingContext,
-               probes: list[tuple[QueuedEvent, EventPlan]],
-               ops: int) -> RoundDecision:
-        if not probes:
-            return RoundDecision()
-        head, plan = probes[0]
         if not plan.feasible:
             # Strict FIFO never jumps the queue; wait for state to change.
-            return RoundDecision(planning_ops=ops)
+            return RoundDecision(planning_ops=plan.planning_ops)
         return RoundDecision(admissions=[Admission(queued=head, plan=plan)],
-                             planning_ops=ops)
+                             planning_ops=plan.planning_ops)

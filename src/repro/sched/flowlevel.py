@@ -15,6 +15,8 @@ does. Two orderings are provided:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.sched.base import (
     Admission,
     QueuedEvent,
@@ -64,10 +66,12 @@ class FlowLevelScheduler(Scheduler):
                 return RoundDecision(planning_ops=ops)
         return RoundDecision(planning_ops=ops)
 
-    def _candidates(self, queue: list[QueuedEvent]) -> list[QueuedEvent]:
+    def _candidates(self,
+                    queue: Sequence[QueuedEvent]) -> list[QueuedEvent]:
         """Queue rotated to the round-robin cursor (or as-is for arrival)."""
+        ordered = list(queue)
         if self.order == "arrival":
-            return list(queue)
-        start = self._rr_next % len(queue)
+            return ordered
+        start = self._rr_next % len(ordered)
         self._rr_next = start + 1
-        return queue[start:] + queue[:start]
+        return ordered[start:] + ordered[:start]

@@ -37,7 +37,7 @@ link — run fresh each extraction. This is what keeps feature extraction
 
 Extraction is read-only and consumes no randomness, so it can run at any
 point of a round without perturbing the planner RNG stream — the property
-L-LMTF's cross-shard determinism relies on.
+L-LMTF's run-to-run determinism relies on.
 """
 
 from __future__ import annotations

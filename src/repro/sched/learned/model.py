@@ -6,7 +6,7 @@ predictor that is (a) cheap enough to evaluate for every sampled candidate
 (b) trainable *online* from the probes the scheduler performs anyway, and
 (c) bit-deterministic: the same feature/label stream must always produce
 the same weights, because L-LMTF's schedule is pinned seed-deterministic
-across worker processes and shard counts.
+across repeat runs and worker processes.
 
 :class:`OnlineRidge` is an SGD-trained linear model with L2 shrinkage over
 *standardized* features (running per-feature mean/variance via Welford's

@@ -33,13 +33,12 @@ floor of LMTF survives arbitrary model error: the head is admitted
 whenever it is the cheapest feasible *probed* candidate, and a wrong
 ranking can only delay a non-head bargain, never starve the head.
 
-Composition: the class only overrides ``probe_targets``/``decide``, so it
-plugs into the PR-7 decomposition unchanged — wrap it in
-``{"kind": "sharded", "inner": {"kind": "learned", ...}}`` and the
-sharded pipeline speculatively probes exactly the top-B targets per shard
-and replays them through the inherited cache protocol. Ranking reads no
-RNG and model updates happen only in the serial ``decide``, so the
-schedule is identical across shard counts and worker processes.
+Composition: the class only overrides ``probe_targets``/``decide``; the
+inherited ``select`` probes exactly the returned shortlist through the
+inherited cache protocol and reports it as ``RoundDecision.probed``, so
+only the shortlist enters the PROBED lifecycle state. Ranking reads no RNG
+and model updates happen only in ``decide``, so the schedule is identical
+across repeat runs and worker processes.
 
 Labels are trained on ``log1p(cost)``: costs span orders of magnitude and
 the ranking only needs relative order, which the log scale preserves while
@@ -185,16 +184,13 @@ class LearnedLMTFScheduler(LMTFScheduler):
 
     # ------------------------------------------------------------------ API
 
-    def probe_targets(self,
-                      ctx: SchedulingContext) -> list[QueuedEvent] | None:
+    def probe_targets(self, ctx: SchedulingContext) -> list[QueuedEvent]:
         """Sample ``α+1`` candidates, rank them, return the probe set.
 
         Confident rounds return the ``budget`` best-predicted candidates
         (head forced in), in queue (``seq``) order; fallback rounds return
         all of them — byte-identical to exact LMTF's probe set.
         """
-        if not ctx.queue:
-            return []
         candidates = self.sample_candidates(ctx.queue)
         extractor = self._bind_extractor(ctx)
         self._round_features = {}

@@ -90,13 +90,17 @@ class LMTFScheduler(Scheduler):
             plan = self.probe_event(ctx, queued)
             ops += plan.planning_ops
             plans.append((queued, plan))
-        return self.decide(ctx, plans, ops)
+        decision = self.decide(ctx, plans, ops)
+        decision.probed = candidates
+        return decision
 
-    def probe_targets(self,
-                      ctx: SchedulingContext) -> list[QueuedEvent] | None:
-        """The ``α+1`` sampled candidates (consumes this round's sample)."""
-        if not ctx.queue:
-            return []
+    def probe_targets(self, ctx: SchedulingContext) -> list[QueuedEvent]:
+        """The candidates this round cost-probes, in queue order.
+
+        The ``α+1`` sample here; subclasses may narrow it (the learned
+        ranker probes a shortlist). Consumes this round's sampling draws,
+        so ``select`` calls it exactly once per round.
+        """
         return self.sample_candidates(ctx.queue)
 
     def decide(self, ctx: SchedulingContext,

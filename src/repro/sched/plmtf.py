@@ -83,10 +83,9 @@ class PLMTFScheduler(LMTFScheduler):
         """The two P-LMTF steps over already-computed probes.
 
         Step 1 — the LMTF step: pick the cheapest feasible probe as the
-        round's head. (The probes themselves were planned by ``select`` —
-        or, under the sharded wrapper, shard-by-shard — and went through
-        the footprint cache; step-2 replans run on the transient batch
-        view and are never cached.)
+        round's head. (The probes themselves were planned by ``select``
+        and went through the footprint cache; step-2 replans run on the
+        transient batch view and are never cached.)
         """
         best = self.pick_cheapest(probes)
         if best is None:
@@ -101,10 +100,8 @@ class PLMTFScheduler(LMTFScheduler):
         global ``(time, seq)`` order and admit those that can run alongside
         the batch.
 
-        This walk is also the deterministic *cross-shard merge*: probes
-        arrive in global arrival order regardless of which shard planned
-        them, the batch view accumulates admitted plans, and a candidate
-        whose footprint conflicts with the batch (bandwidth contention or a
+        The batch view accumulates admitted plans, and a candidate whose
+        footprint conflicts with the batch (bandwidth contention or a
         migration touching a batch-pinned flow) is demoted — left queued
         for a later round — rather than reordered. When the simulator
         replays the admissions in admission order against the live network,

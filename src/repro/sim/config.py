@@ -69,15 +69,6 @@ class SimulationConfig:
             ``compile_epsilon · capacity``).
         compile_epsilon: the augmentation knob; must be 0 unless
             ``compile_mode`` is ``augmented``.
-        queue_snapshots: when True (default), each round snapshots the
-            queue into a list for the scheduling context and reports the
-            full waiting set in ``PostRound`` — the historical contract.
-            False is *scale mode*: the context carries the live indexed
-            queue by reference and ``PostRound.waiting`` is ``None``,
-            removing two O(queue) walks per round at 10^5+ queue depths.
-            The only observable casualty is the per-event
-            ``rounds_waited`` diagnostic (never serialized); admissions,
-            timings and all serialized metrics are identical.
     """
 
     seed: int = 0
@@ -92,7 +83,6 @@ class SimulationConfig:
     exec_deadline_s: float = math.inf
     max_deferrals: int | None = None
     repair_flow_duration: float = 30.0
-    queue_snapshots: bool = True
     compile_mode: str = "atomic"
     compile_epsilon: float = 0.0
 

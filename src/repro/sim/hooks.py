@@ -156,16 +156,14 @@ class PreRound(Hook):
 class PostRound(Hook):
     """An executing round settled; ``waiting`` are the still-queued events.
 
-    ``waiting`` is ``None`` when the pipeline runs with
-    ``queue_snapshots=False`` (scale mode): the full waiting set costs
-    O(queue) per round, so deep-queue runs omit it. Subscribers that
-    charge per-wait accounting must treat ``None`` as "not reported", not
-    as "empty".
+    ``waiting`` is the one O(queue) payload a round still carries: it
+    feeds ``EventRecord.rounds_waited`` (which checkpoints serialize) and
+    the auditor's ``hook_waiting_vs_queue`` check, so it is always present.
     """
 
     now: float
     index: int
-    waiting: tuple[str, ...] | None
+    waiting: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)

@@ -529,8 +529,6 @@ class MetricsSubscriber:
                                  hook.prediction_error_sum, hook.fallback)
 
     def _on_post_round(self, hook: "_hooks.PostRound") -> None:
-        if hook.waiting is None:
-            return  # scale mode: waits unreported, not empty
         for event_id in hook.waiting:
             self._collector.on_wait(event_id)
 

@@ -3,10 +3,10 @@
 One scheduling round runs through six ordered stages::
 
     collect ──► schedule ──► admit ──► execute ──► settle ──► account
-    snapshot    consult       assert     apply       queue      verify
-    the queue   scheduler,    lifecycle  plans,      waits,     network
-    into a      fall back     moves,     schedule    round      invariants
-    context     on stalls     announce   flow        log,
+    build the   consult       assert     apply       queue      verify
+    round's     scheduler,    lifecycle  plans,      waits,     network
+    context     fall back     moves,     schedule    round      invariants
+                on stalls     announce   flow        log,
                               the round  finishes    barrier
 
 The pipeline owns all round state (queue, round counters, deferral
@@ -26,8 +26,8 @@ records. The schedule-pin tests enforce this.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.exceptions import (
     ControlPlaneError,
@@ -41,7 +41,6 @@ from repro.sched.base import (
     Scheduler,
     SchedulingContext,
 )
-from repro.sched.shard import IndexedQueue
 from repro.sim.config import SimulationConfig
 from repro.sim.hooks import (
     EventAdmitted,
@@ -57,6 +56,7 @@ from repro.sim.hooks import (
     StateTransition,
 )
 from repro.sim.lifecycle import EventLifecycle, EventState, TransitionRecord
+from repro.sim.queue import IndexedQueue
 
 if TYPE_CHECKING:
     from repro.core.event import UpdateEvent
@@ -128,9 +128,7 @@ class RoundPipeline:
         self._rng = rng
         self._hooks = hooks
         self._lifecycle = lifecycle
-        # Fenwick-indexed: O(log n) removal/indexing instead of list.remove's
-        # O(n) scan — iteration order is identical to the list it replaced.
-        self._queue: IndexedQueue = IndexedQueue()
+        self._queue = IndexedQueue()
         self._round_active = False
         self._round_outstanding = 0
         self._round_index = 0
@@ -195,9 +193,9 @@ class RoundPipeline:
         simulator-generated repair events (``origin="repair"``). The round
         check is deferred to an engine event at the current time so that
         simultaneous arrivals (a batch queued at t=0) are all visible to
-        the first scheduling decision. Bulk loaders (the scale bench)
-        pass ``kick=False`` and call :meth:`schedule_round` once after the
-        batch, avoiding one engine event per enqueued event.
+        the first scheduling decision. Bulk loaders pass ``kick=False``
+        and call :meth:`schedule_round` once after the batch, avoiding one
+        engine event per enqueued event.
         """
         record = self._lifecycle.register(event.event_id, self._engine.now,
                                           origin=origin)
@@ -226,10 +224,9 @@ class RoundPipeline:
             return
         self._round_active = True
         ctx = self._collect()
-        scope = self._scheduler.probe_scope(ctx)
-        decision = self._schedule(ctx, scope)
+        decision = self._schedule(ctx)
         plan_time = self._timing.plan_time(decision.planning_ops)
-        if not self._admit(ctx, decision, plan_time, scope):
+        if not self._admit(decision, plan_time):
             return
         admitted, total_cost, round_end, stages, overload = \
             self._execute(decision, plan_time)
@@ -238,42 +235,38 @@ class RoundPipeline:
         self._account()
 
     def _collect(self) -> SchedulingContext:
-        """Stage 1 — snapshot the queue into a scheduling context.
+        """Stage 1 — build the round's scheduling context.
 
-        With ``queue_snapshots`` off (scale mode) the context carries the
-        live indexed queue by reference instead of an O(n) list copy; no
-        stage mutates the queue between collect and admit, so schedulers
-        observe the same sequence either way.
+        The context carries the live queue by reference; no stage mutates
+        it between collect and admit.
         """
-        queue: "list[QueuedEvent] | IndexedQueue" = self._queue
-        if self._config.queue_snapshots:
-            queue = list(self._queue)
-        return SchedulingContext(now=self._engine.now, queue=queue,
+        return SchedulingContext(now=self._engine.now, queue=self._queue,
                                  planner=self._planner,
                                  network=self._network, rng=self._rng)
 
-    def _schedule(self, ctx: SchedulingContext,
-                  scope: "list[QueuedEvent] | IndexedQueue",
-                  ) -> RoundDecision:
+    def _schedule(self, ctx: SchedulingContext) -> RoundDecision:
         """Stage 2 — consult the scheduler; fall back on terminal stalls.
 
-        Every event in the scheduler's probe scope moves QUEUED→PROBED for
-        the consultation; the admit stage settles each into ADMITTED or
-        back to QUEUED. The scope is the whole queue for classic policies
-        and only the probe candidates under the sharded wrapper (O(α)
-        lifecycle traffic per round instead of O(queue)).
+        The scheduler decides first and reports what it probed
+        (``decision.probed``; ``None`` means the whole queue). Those events
+        then move QUEUED→PROBED — the planner emits no hooks, so the
+        round's transition order is unchanged — and the admit stage
+        settles each into ADMITTED or back to QUEUED. A sampling policy's
+        round therefore costs O(α) lifecycle traffic, not O(queue).
         """
-        now = self._engine.now
-        for queued in scope:
-            self._advance(queued.event.event_id, EventState.PROBED, now)
         decision = self._scheduler.select(ctx)
         if decision.empty and self.should_fallback():
             decision = self.fallback_decision(ctx, decision)
+        now = self._engine.now
+        for queued in self._probed(decision):
+            self._advance(queued.event.event_id, EventState.PROBED, now)
         return decision
 
-    def _admit(self, ctx: SchedulingContext, decision: RoundDecision,
-               plan_time: float,
-               scope: "list[QueuedEvent] | IndexedQueue") -> bool:
+    def _probed(self, decision: RoundDecision) -> Iterable[QueuedEvent]:
+        """The events ``decision`` probed (the live queue when unreported)."""
+        return self._queue if decision.probed is None else decision.probed
+
+    def _admit(self, decision: RoundDecision, plan_time: float) -> bool:
         """Stage 3 — commit lifecycle moves and announce the round.
 
         Returns False when the decision is empty: the round is abandoned
@@ -284,14 +277,14 @@ class RoundPipeline:
         for admission in decision.admissions:
             event_id = admission.queued.event.event_id
             if self._lifecycle.state(event_id) is EventState.QUEUED:
-                # The stall fallback may admit an event outside the probe
-                # scope (narrowed scopes only); route it through PROBED so
-                # the lifecycle assertion holds.
+                # The stall fallback may admit an event the scheduler
+                # never probed; route it through PROBED so the lifecycle
+                # assertion holds.
                 self._advance(event_id, EventState.PROBED, now)
             decision.transitions.append(
                 self._advance(event_id, EventState.ADMITTED, now))
             admitted_ids.add(event_id)
-        for queued in scope:
+        for queued in self._probed(decision):
             event_id = queued.event.event_id
             if event_id not in admitted_ids:
                 self._advance(event_id, EventState.QUEUED, now)
@@ -324,7 +317,7 @@ class RoundPipeline:
                             total_cost=0.0)
             self._hooks.emit(PostRound(
                 now=now, index=self._round_index,
-                waiting=self._waiting_snapshot()))
+                waiting=self.queued_event_ids()))
             self._round_active = False
             self._check_deadlock()
             return False
@@ -425,7 +418,7 @@ class RoundPipeline:
                         max_transient_overload=max_transient_overload)
         self._hooks.emit(PostRound(
             now=self._engine.now, index=self._round_index,
-            waiting=self._waiting_snapshot()))
+            waiting=self.queued_event_ids()))
         if setup_barrier:
             self._engine.schedule_callback(round_end, self._end_round,
                                            tag="end-round")
@@ -458,17 +451,6 @@ class RoundPipeline:
             total_stages=total_stages,
             max_transient_overload=max_transient_overload))
 
-    def _waiting_snapshot(self) -> tuple[str, ...] | None:
-        """PostRound's ``waiting`` payload: the queued event ids, or None.
-
-        ``queue_snapshots=False`` (scale mode) skips the O(queue) tuple —
-        the per-event ``rounds_waited`` diagnostic then stays zero, which
-        no serialized metric consumes.
-        """
-        if not self._config.queue_snapshots:
-            return None
-        return tuple(q.event.event_id for q in self._queue)
-
     def _account(self) -> None:
         """Stage 6 — verify network bookkeeping when configured."""
         if self._config.verify_invariants:
@@ -491,26 +473,21 @@ class RoundPipeline:
                           prior: RoundDecision) -> RoundDecision:
         """Admit the first feasible queued event in arrival order.
 
-        ``prior`` is the scheduler's empty decision; its planning ops and
-        probe-cache counters carry over into the fallback decision.
+        ``prior`` is the scheduler's empty decision; everything it reports
+        (probe-cache and learned-ranking counters, the probed set) carries
+        over, with the fallback's own planning ops added.
         """
         ops = prior.planning_ops
+        admissions: list[Admission] = []
         for queued in ctx.queue:
             plan = self._planner.plan_event(
                 self._network, queued.subevent(queued.remaining), self._rng,
                 commit=False)
             ops += plan.planning_ops
             if plan.feasible:
-                return RoundDecision(
-                    admissions=[Admission(queued=queued, plan=plan)],
-                    planning_ops=ops,
-                    cache_hits=prior.cache_hits,
-                    cache_misses=prior.cache_misses,
-                    cache_invalidations=prior.cache_invalidations)
-        return RoundDecision(planning_ops=ops,
-                             cache_hits=prior.cache_hits,
-                             cache_misses=prior.cache_misses,
-                             cache_invalidations=prior.cache_invalidations)
+                admissions.append(Admission(queued=queued, plan=plan))
+                break
+        return replace(prior, admissions=admissions, planning_ops=ops)
 
     def _check_deadlock(self) -> None:
         if self._round_outstanding != 0 or self._engine.pending != 0:
@@ -752,8 +729,7 @@ class RoundPipeline:
         memo — both key by event id, and a completed/dropped id can never
         recur, so lingering entries would only crowd out live ones on
         long service-mode runs. Duck-typed: schedulers without either
-        attribute (or the sharded wrapper delegating to an inner without
-        them) are no-ops.
+        attribute are no-ops.
         """
         cache = getattr(self._scheduler, "cache", None)
         if cache is not None:

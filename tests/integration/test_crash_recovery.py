@@ -44,11 +44,11 @@ def serve_args(state_dir, *extra):
 class TestServeParser:
     def test_recovery_flags(self):
         args = build_serve_parser().parse_args(
-            ["--state-dir", "s", "--resume", "--shards", "4",
+            ["--state-dir", "s", "--resume",
              "--scheduler", "l-lmtf", "--supervise", "2",
              "--stall-timeout", "30"])
         assert args.state_dir == "s"
-        assert args.resume and args.shards == 4
+        assert args.resume
         assert args.scheduler == "l-lmtf"
         assert args.supervise == 2 and args.stall_timeout == 30.0
 

@@ -2,22 +2,16 @@
 
 The acceptance claim: with the same seed (and, where used, the same
 trained model file), L-LMTF produces an identical schedule hash across
-repeat runs, across ``--jobs`` fan-out of bench cells, and across shard
-counts of the sharded admission pipeline. This holds because candidate
-ranking is RNG-free, the sample draws match exact LMTF's stream, and all
-model mutation happens in the serial ``decide`` step.
+repeat runs and across ``--jobs`` fan-out of bench cells. This holds
+because candidate ranking is RNG-free, the sample draws match exact LMTF's
+stream, and all model mutation happens in the ``decide`` step.
 """
 
 from dataclasses import replace
 
 from repro.experiments.common import DEFAULTS, Scenario
-from repro.experiments.learnedbench import (
-    quality_cell,
-    schedule_digest,
-    scheduler_spec,
-)
+from repro.experiments.learnedbench import quality_cell, schedule_digest
 from repro.experiments.runner import Cell, hermetic_ids, run_cells
-from repro.sched import build_scheduler
 from repro.traces.events import EventGeneratorConfig
 
 QUALITY_PARAMS = {"style": "fig5", "events": 10, "k": 4, "seed": 3,
@@ -52,15 +46,6 @@ class TestLearnedDeterminism:
         second = _hermetic_quality_cell(**QUALITY_PARAMS)
         assert first["digest_learned"] == second["digest_learned"]
         assert first["digest_lmtf"] == second["digest_lmtf"]
-
-    def test_shard_counts_hash_identically(self):
-        digests = {
-            shards: schedule_digest(_run(build_scheduler(
-                scheduler_spec("learned", seed=3, warmup=8,
-                               shards=shards))))
-            for shards in (1, 2, 4)
-        }
-        assert len(set(digests.values())) == 1, digests
 
     def test_jobs_fanout_hashes_identically(self):
         cells = [Cell(key=f"cell{i}",

@@ -4,6 +4,8 @@ Scheduler safety properties that must hold for *any* queue contents:
 
 * a P-LMTF round's admissions always replay cleanly in order against the
   live network (no intra-batch bandwidth conflicts);
+* a P-LMTF batch admits its non-head candidates in ``(time, seq)`` order,
+  all of them drawn from the probed sample;
 * LMTF admits exactly the cheapest feasible candidate;
 * schedulers never mutate the network while deciding;
 * a full simulation conserves events — every submitted event completes
@@ -92,6 +94,26 @@ class TestSchedulerProperties:
         for admission in decision.admissions:
             apply_plan(network, admission.plan)  # must never raise
         network.check_invariants()
+
+    @given(spec=event_spec,
+           bg=st.tuples(st.floats(min_value=0, max_value=45),
+                        st.floats(min_value=0, max_value=45)),
+           alpha=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_merged_batch_admits_in_time_seq_order(self, spec, bg, alpha):
+        events = build_events(spec)
+        _network, ctx = make_context(events, *bg)
+        decision = PLMTFScheduler(alpha=alpha, seed=3).select(ctx)
+        # head = cheapest probe; the batch walk then follows enqueue
+        # order, so everything after the head must be (time, seq)-
+        # ascending — a footprint conflict demotes a candidate, it never
+        # reorders one
+        keys = [(a.queued.arrival_time, a.queued.seq)
+                for a in decision.admissions[1:]]
+        assert keys == sorted(keys)
+        probed = {id(q) for q in decision.probed}
+        assert len(probed) == min(alpha + 1, len(events))
+        assert all(id(a.queued) in probed for a in decision.admissions)
 
     @given(spec=event_spec,
            bg=st.tuples(st.floats(min_value=0, max_value=45),

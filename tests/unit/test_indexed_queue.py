@@ -1,4 +1,4 @@
-"""IndexedQueue: the Fenwick-indexed drop-in for the pipeline's list.
+"""IndexedQueue: the pipeline's Fenwick-indexed event queue.
 
 The queue's contract is exact ``list`` equivalence for the operations the
 pipeline uses — iteration order, ``[k]`` / slices, ``in``, ``remove`` by
@@ -14,7 +14,7 @@ import pytest
 from repro.core.event import make_event
 from repro.core.flow import Flow
 from repro.sched.base import QueuedEvent
-from repro.sched.shard import IndexedQueue
+from repro.sim.queue import IndexedQueue
 
 
 def queued(i):

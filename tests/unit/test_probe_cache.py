@@ -575,23 +575,6 @@ class TestLearnedSchedulerPurges:
             # before completion — len 0 already asserts no leak.
             assert len(cache) == 0
 
-    def test_sharded_learned_purges_through_wrapper(self, fattree_workload):
-        from repro.sched import build_scheduler
-        _topo, provider, network, events = fattree_workload
-        scheduler = build_scheduler({
-            "kind": "sharded", "shards": 2,
-            "inner": {"kind": "learned", "alpha": 4, "seed": 0,
-                      "budget": 2, "warmup": 10, "error_threshold": 1e9}})
-        sim = UpdateSimulator(network.copy(), provider, scheduler,
-                              timing=TimingModel(),
-                              config=SimulationConfig(verify_invariants=True))
-        sim.submit(events)
-        metrics = sim.run()
-        assert metrics.event_count == len(events)
-        assert scheduler.cache is not None and len(scheduler.cache) == 0
-        assert scheduler.extractor is not None
-        assert len(scheduler.extractor) == 0
-
     def test_forget_event_counts_purges(self):
         net, _provider = diamond_setup()
         cache = ProbeCache()
