@@ -162,9 +162,9 @@ class Placement:
     def links(self) -> tuple[tuple[str, str], ...]:
         """The directed links traversed by the path.
 
-        Interned candidate paths carry their links precomputed; for plain
-        node tuples the zip is computed once and cached on the instance —
-        placements are read far more often than they are created.
+        Interned candidate paths derive their links once and keep them;
+        for plain node tuples the zip is computed once and cached on the
+        instance — placements are read far more often than they are created.
         """
         links = getattr(self.path, "links", None)
         if links is not None:

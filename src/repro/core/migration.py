@@ -202,7 +202,7 @@ class MigrationPlanner:
         for path in self._provider.paths(placement.flow.src,
                                          placement.flow.dst):
             # Provider paths are interned CandidatePaths: membership tests
-            # run on the precomputed link frozenset.
+            # run on the link frozenset the path keeps after its first read.
             if link in path.link_set:
                 continue
             if state.path_feasible(path, placement.flow.demand, ignore=own):

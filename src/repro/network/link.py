@@ -66,8 +66,8 @@ def path_links(path: Sequence[str]) -> tuple[LinkId, ...]:
     """Return the directed links traversed by ``path`` in order.
 
     Interned candidate paths (:class:`repro.network.routing.candidate.
-    CandidatePath`) carry their links precomputed; those are returned as-is
-    instead of re-zipping the node tuple.
+    CandidatePath`) derive their links once and keep them; those are
+    returned as-is instead of re-zipping the node tuple.
     """
     links = getattr(path, "links", None)
     if links is not None:

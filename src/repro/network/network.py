@@ -106,6 +106,12 @@ class Network(NetworkState):
         # Probe memoization (sched.cache) uses them to prove a cached plan's
         # footprint is unchanged.
         self._node_ver_col: list[int] = [0] * len(rule_caps)
+        # Indices of the switch-switch links, in table order: the column
+        # the utilization statistics sum over.
+        kinds: Mapping[str, str] = nx.get_node_attributes(graph, "kind")
+        self._switch_idx: list[int] = [
+            i for i, (u, v) in enumerate(self._table.ids)
+            if kinds.get(u) != "host" and kinds.get(v) != "host"]
 
     # ------------------------------------------------------------- structure
 
@@ -133,9 +139,8 @@ class Network(NetworkState):
     def switch_links(self) -> list[LinkId]:
         """Links between switches (excludes host access links); utilization
         statistics in the paper's sense are computed over these."""
-        kinds: Mapping[str, str] = nx.get_node_attributes(self._graph, "kind")
-        return [(u, v) for (u, v) in self._table.ids
-                if kinds.get(u) != "host" and kinds.get(v) != "host"]
+        ids = self._table.ids
+        return [ids[i] for i in self._switch_idx]
 
     # ------------------------------------------------------- indexed kernel
     #
@@ -390,16 +395,21 @@ class Network(NetworkState):
 
     def average_utilization(self, links: Iterable[LinkId] | None = None) -> float:
         """Mean utilization over ``links`` (default: switch-switch links)."""
-        pool = list(links) if links is not None else self.switch_links()
-        if not pool:
-            return 0.0
-        return sum(self.utilization(u, v) for u, v in pool) / len(pool)
+        terms = self._utilizations(links)
+        return sum(terms) / len(terms) if terms else 0.0
 
     def max_utilization(self, links: Iterable[LinkId] | None = None) -> float:
-        pool = list(links) if links is not None else self.switch_links()
-        if not pool:
-            return 0.0
-        return max(self.utilization(u, v) for u, v in pool)
+        return max(self._utilizations(links), default=0.0)
+
+    def _utilizations(self, links: Iterable[LinkId] | None) -> list[float]:
+        """Per-link utilization of ``links``, or of the switch-link column
+        when ``None`` — same order and arithmetic as :meth:`utilization`
+        over :meth:`switch_links`, without the string-keyed lookups."""
+        if links is not None:
+            return [self.utilization(u, v) for u, v in links]
+        cap, used = self._cap_col, self._used_col
+        return [used[i] / cap[i] if cap[i] > 0 else 0.0
+                for i in self._switch_idx]
 
     def total_capacity(self) -> float:
         return sum(self._cap_col)
@@ -522,6 +532,7 @@ class Network(NetworkState):
         clone._flows_col = [set(flows) for flows in self._flows_col]
         clone._placements = dict(self._placements)
         clone._node_index = self._node_index
+        clone._switch_idx = self._switch_idx
         clone._rule_cap_col = list(self._rule_cap_col)
         clone._rules_used_col = list(self._rules_used_col)
         clone._node_ver_col = list(self._node_ver_col)

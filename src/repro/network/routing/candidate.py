@@ -1,17 +1,20 @@
-"""Interned candidate paths with precomputed link data.
+"""Interned candidate paths over the link index.
 
 Every LMTF/P-LMTF round probes the same ``(src, dst)`` candidate sets over
-and over, and each probe used to re-derive the path's links (``zip`` of the
-node tuple), re-hash string-pair link ids, and re-build frozensets for
-overlap tests. A :class:`CandidatePath` is produced **once** per candidate
-by :class:`~repro.network.routing.provider.PathProvider` and carries all of
-that precomputed:
+and over, and background churn scans them once per respawned flow. A
+:class:`CandidatePath` is produced **once** per candidate by
+:class:`~repro.network.routing.provider.PathProvider` and carries:
 
-* ``links`` — the directed links, in order (what :func:`path_links` returns),
-* ``link_set`` — the same links as a frozenset, for overlap/membership tests,
 * ``link_idx`` — the links as dense integer indices into the topology
   graph's :class:`~repro.network.link.LinkTable`, the representation the
-  integer-indexed state kernel iterates.
+  integer-indexed state kernel iterates. Baked eagerly: it is what every
+  hot loop (residual scans, place/remove) reads.
+* ``links`` — the directed links, in order (what :func:`path_links`
+  returns). Derived on first read from the table's own link ids, then kept.
+* ``link_set`` — the same links as a frozenset, for overlap/membership
+  tests. Derived on first read, then kept; its only readers are the
+  migration planner's overlap tests on event flows, so the hundreds of
+  thousands of paths churn touches never build one.
 
 A :class:`CandidatePath` *is* a tuple of node names, so every existing call
 site — ``path[0]``, ``len(path)``, equality against plain node tuples,
@@ -21,17 +24,16 @@ activate by recognizing the extra attributes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from repro.network.link import LinkId, LinkTable, is_simple_path
 
 
-class CandidatePath(tuple):
-    """A node tuple with precomputed ``links``/``link_set``/``link_idx``.
+class CandidatePath(tuple[str, ...]):
+    """A node tuple with baked ``link_idx`` and lazy ``links``/``link_set``.
 
     Attributes:
-        links: directed links traversed, in order.
-        link_set: ``frozenset(links)`` for membership tests.
         link_idx: integer link indices into ``table``, or ``None`` when the
             path was built without a table (the kernel then falls back to
             string-keyed reads).
@@ -41,8 +43,6 @@ class CandidatePath(tuple):
             network from a different graph.
     """
 
-    links: tuple[LinkId, ...]
-    link_set: frozenset[LinkId]
     link_idx: tuple[int, ...] | None
     table: LinkTable | None
 
@@ -60,19 +60,29 @@ class CandidatePath(tuple):
         if not is_simple_path(path):
             raise ValueError(f"candidate path {tuple(nodes)!r} is not a "
                              f"simple path")
-        links = tuple(zip(path[:-1], path[1:]))
-        path.links = links
-        path.link_set = frozenset(links)
         if table is None:
             path.link_idx = None
-            path.table = None
         else:
-            index = table.index
             try:
-                path.link_idx = tuple(index[link] for link in links)
+                path.link_idx = tuple(map(table.index.__getitem__,
+                                          zip(path, path[1:])))
             except KeyError as exc:
                 raise ValueError(f"candidate path {tuple(nodes)!r} uses "
                                  f"link {exc.args[0]!r} absent from the "
                                  f"link table") from None
-            path.table = table
+        path.table = table
         return path
+
+    @cached_property
+    def links(self) -> tuple[LinkId, ...]:
+        """Directed links traversed, in order — the table's own link ids
+        when there is a table, so every path shares the same 2-tuples."""
+        table, link_idx = self.table, self.link_idx
+        if table is None or link_idx is None:
+            return tuple(zip(self[:-1], self[1:]))
+        return tuple(map(table.ids.__getitem__, link_idx))
+
+    @cached_property
+    def link_set(self) -> frozenset[LinkId]:
+        """``frozenset(links)`` for membership tests."""
+        return frozenset(self.links)

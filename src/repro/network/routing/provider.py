@@ -6,12 +6,13 @@ pair are computed once from the topology and cached — they depend only on the
 graph, never on current utilization.
 
 Cached paths are interned :class:`~repro.network.routing.candidate.
-CandidatePath` objects: node tuples carrying their directed links, a link
-frozenset, and the links' dense integer indices into the topology graph's
-:class:`~repro.network.link.LinkTable`, all precomputed once. Every consumer
-of :meth:`PathProvider.paths` therefore feeds the integer-indexed state
-kernel for free, and identity tests (``path is desired``) are sound because
-each candidate exists exactly once per provider.
+CandidatePath` objects: node tuples carrying their links' dense integer
+indices into the topology graph's :class:`~repro.network.link.LinkTable`,
+baked once; the directed links and the link frozenset are derived from the
+indices the first time a consumer reads them. Every consumer of
+:meth:`PathProvider.paths` therefore feeds the integer-indexed state kernel
+for free, and identity tests (``path is desired``) are sound because each
+candidate exists exactly once per provider.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class PathProvider:
 
     def candidates(self, src: str, dst: str) -> tuple[CandidatePath, ...]:
         """Alias of :meth:`paths`, named for what it returns: the interned
-        :class:`CandidatePath` objects with precomputed ``links``/
-        ``link_set``/``link_idx`` — call sites should iterate these instead
-        of re-deriving ``path_links``."""
+        :class:`CandidatePath` objects with baked ``link_idx`` and
+        derive-once ``links``/``link_set`` — call sites should iterate
+        these instead of re-deriving ``path_links``."""
         return self.paths(src, dst)
 
     def shuffled_paths(self, src: str, dst: str,

@@ -105,14 +105,13 @@ class ChurnDriver:
         # Churn exists to perturb queued events' costs; once every event
         # has completed, respawning would only keep the engine alive
         # forever.
-        before = self._deficit
+        respawned = 0
         if (sim.events_remaining > 0
                 and sim.config.churn_respawn
                 and self._trace is not None):
-            self._respawn_background(sim)
+            respawned = self._respawn_background(sim)
         sim.hooks.emit(ChurnTick(
-            now=sim.now, flow_id=flow_id,
-            respawned=max(0, before + 1 - self._deficit)))
+            now=sim.now, flow_id=flow_id, respawned=respawned))
         sim.maybe_round()
 
     # -------------------------------------------------------- checkpointing
@@ -155,8 +154,9 @@ class ChurnDriver:
             raise SimulationError(f"malformed churn tag {tag!r}")
         return lambda f=flow_id: self._on_background_finish(f)
 
-    def _respawn_background(self, sim: SimulatorPort) -> None:
-        """Replace a completed background flow, keeping utilization level.
+    def _respawn_background(self, sim: SimulatorPort) -> int:
+        """Replace a completed background flow, keeping utilization level;
+        returns how many replacement flows this tick placed.
 
         When the network is momentarily too hot to place a replacement, the
         shortfall is remembered (``deficit``) and repaid at later churn
@@ -179,3 +179,4 @@ class ChurnDriver:
             self._schedule_finish(sim, replacement)
             self._deficit -= 1
             spawned += 1
+        return spawned

@@ -150,11 +150,19 @@ class BackgroundLoader:
         rejected even when raw capacity remains (see :attr:`host_link_cap`).
         """
         feasible = []
+        # The host-cap answer depends only on a path's access links, which
+        # on a Fat-Tree are the same two for every candidate of a pair.
+        capped: dict[tuple[str, str, str, str], bool] = {}
         for path in self._provider.paths(flow.src, flow.dst):
             residual = self._network.path_residual(path)
             if residual + EPS < flow.demand:
                 continue
-            if self._exceeds_host_cap(path, flow.demand):
+            access = (path[0], path[1], path[-2], path[-1])
+            over = capped.get(access)
+            if over is None:
+                over = capped[access] = self._exceeds_host_cap(
+                    path, flow.demand)
+            if over:
                 continue
             feasible.append((residual, path))
         if not feasible:

@@ -41,6 +41,11 @@ from repro.network.view import NetworkView
 TOPO = diamond_topology()
 PROVIDER = PathProvider(TOPO)
 HOST_PAIRS = [("a", "b"), ("c", "d"), ("e", "f"), ("a", "d"), ("c", "b")]
+#: Switch-to-switch links in edge order, derived from the graph's node
+#: kinds rather than from the network under test.
+_KINDS = dict(TOPO.graph().nodes(data="kind"))
+SWITCH_LINKS = [(u, v) for u, v in TOPO.graph().edges()
+                if _KINDS.get(u) != "host" and _KINDS.get(v) != "host"]
 
 #: Every operation either succeeds on both implementations or raises the
 #: same exception type on both.
@@ -474,6 +479,21 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
                 assert tuple(kernel_top.placement(fid).path) == \
                     tuple(ref_top.placement(fid).path)
         assert sorted(kernel_top.flow_ids()) == sorted(ref_top.flow_ids())
+
+    @invariant()
+    def utilization_agrees(self):
+        """The switch-link index column reproduces the per-link reference
+        sum bit for bit (same links, same order, same arithmetic) — on the
+        live network and on a copy, which shares the column."""
+        terms = [self.ref.utilization(u, v) for u, v in SWITCH_LINKS]
+        for network in (self.kernel, self.kernel.copy()):
+            assert network.switch_links() == SWITCH_LINKS
+            assert network.average_utilization() == sum(terms) / len(terms)
+            assert network.max_utilization() == max(terms)
+            assert network.average_utilization(SWITCH_LINKS) == \
+                network.average_utilization()
+            assert network.max_utilization(SWITCH_LINKS) == \
+                network.max_utilization()
 
     def teardown(self):
         while self.stack:

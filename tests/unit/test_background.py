@@ -3,9 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.flow import Flow
+from repro.network.link import EPS
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.fattree import FatTreeTopology
+from repro.network.topology.jellyfish import JellyfishTopology
+from repro.network.topology.leafspine import LeafSpineTopology
 from repro.traces.background import BackgroundLoader
 from repro.traces.yahoo import YahooLikeTrace
 
@@ -112,3 +118,132 @@ class TestWouldFit:
         flow = trace.sample_flow()
         assert loader.would_fit(flow)
         assert net.flow_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# best_path against the per-path loop it replaced
+# ---------------------------------------------------------------------------
+
+TOPOLOGIES = {
+    "fat-tree": FatTreeTopology(k=4),
+    "leaf-spine": LeafSpineTopology(leaves=4, spines=3, hosts_per_leaf=3),
+    "jellyfish": JellyfishTopology(switches=10, degree=3,
+                                   hosts_per_switch=2, seed=2),
+}
+PROVIDERS = {name: PathProvider(topo) for name, topo in TOPOLOGIES.items()}
+
+
+def reference_best_path(network, provider, flow, rng, host_link_cap,
+                        path_policy):
+    """``BackgroundLoader.best_path`` as it stood before the host-cap
+    answer was shared between candidates: one string-keyed cap check per
+    path. Returns the path and how many candidates the cap rejected."""
+    def exceeds_host_cap(path):
+        for u, v in (path[0], path[1]), (path[-2], path[-1]):
+            cap = network.capacity(u, v)
+            if network.used(u, v) + flow.demand > host_link_cap * cap:
+                return True
+        return False
+
+    feasible, capped = [], 0
+    for path in provider.paths(flow.src, flow.dst):
+        residual = network.path_residual(path)
+        if residual + EPS < flow.demand:
+            continue
+        if exceeds_host_cap(path):
+            capped += 1
+            continue
+        feasible.append((residual, path))
+    if not feasible:
+        return None, capped
+    if path_policy == "random":
+        return rng.choice(feasible)[1], capped
+    best_residual = max(r for r, __ in feasible)
+    choices = [p for r, p in feasible if r >= best_residual - EPS]
+    return rng.choice(choices), capped
+
+
+def check_best_path(topology, policy, cap, load_seed, target, probes):
+    """Load a network, then compare ``best_path`` with the reference on
+    every probe: same path object, same RNG state afterwards. Returns how
+    many candidate paths the host cap rejected over all probes."""
+    topo, provider = TOPOLOGIES[topology], PROVIDERS[topology]
+    network = topo.network()
+    loader = BackgroundLoader(
+        network, provider, YahooLikeTrace(topo.hosts(), seed=load_seed),
+        random.Random(load_seed + 10), host_link_cap=cap, path_policy=policy)
+    loader.load_to_utilization(target, max_rejects=50)
+    hosts = topo.hosts()
+    capped_total = 0
+    for number, (src, dst, demand) in enumerate(probes):
+        src, dst = hosts[src % len(hosts)], hosts[dst % len(hosts)]
+        if src == dst:
+            continue
+        flow = Flow(flow_id=f"probe{number}", src=src, dst=dst,
+                    demand=demand)
+        reference_rng = random.Random()
+        reference_rng.setstate(loader.rng.getstate())
+        expected, capped = reference_best_path(
+            network, provider, flow, reference_rng, cap, policy)
+        assert loader.best_path(flow) is expected
+        assert loader.rng.getstate() == reference_rng.getstate()
+        capped_total += capped
+    return capped_total
+
+
+PROBES = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(0, 63),
+              st.floats(min_value=1.0, max_value=600.0)),
+    min_size=1, max_size=12)
+
+
+class TestBestPathDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(topology=st.sampled_from(sorted(TOPOLOGIES)),
+           policy=st.sampled_from(BackgroundLoader.PATH_POLICIES),
+           cap=st.sampled_from([0.3, 0.6, 0.9]),
+           load_seed=st.integers(0, 1000),
+           target=st.floats(min_value=0.05, max_value=0.6),
+           probes=PROBES)
+    def test_matches_per_path_reference(self, topology, policy, cap,
+                                        load_seed, target, probes):
+        check_best_path(topology, policy, cap, load_seed, target, probes)
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("policy", BackgroundLoader.PATH_POLICIES)
+    def test_flows_that_trip_the_host_cap(self, topology, policy):
+        """Demands above the access headroom the cap leaves but below raw
+        residual: the cap, not bandwidth, is what rejects the paths."""
+        probes = [(i, i + 5, 450.0) for i in range(24)]
+        capped = check_best_path(topology, policy, cap=0.4, load_seed=7,
+                                 target=0.2, probes=probes)
+        assert capped > 0
+
+    def test_candidates_with_different_access_links(self):
+        """A multi-homed host and a provider handing out plain tuples: the
+        cap answer is per access-link pair, not per host pair."""
+        import networkx as nx
+        from repro.network.network import Network
+
+        graph = nx.DiGraph()
+        for node in "ab":
+            graph.add_node(node, kind="host")
+        for u, v in ("a", "s1"), ("a", "s2"), ("s1", "b"), ("s2", "b"):
+            graph.add_edge(u, v, capacity=1000.0)
+        network = Network(graph)
+        network.place(Flow(flow_id="bg", src="a", dst="b", demand=300.0),
+                      ("a", "s1", "b"))
+
+        class TwoPaths:
+            def paths(self, src, dst):
+                return (("a", "s1", "b"), ("a", "s2", "b"))
+
+        loader = BackgroundLoader(network, TwoPaths(), trace=None,
+                                  rng=random.Random(3), host_link_cap=0.5)
+        flow = Flow(flow_id="probe", src="a", dst="b", demand=400.0)
+        reference_rng = random.Random(3)
+        expected, capped = reference_best_path(
+            network, TwoPaths(), flow, reference_rng, 0.5, "random")
+        assert capped == 1 and expected == ("a", "s2", "b")
+        assert loader.best_path(flow) == expected
+        assert loader.rng.getstate() == reference_rng.getstate()

@@ -1,11 +1,17 @@
 """Unit tests for routing utilities and the PathProvider cache."""
 
+import copy
+import gc
+import pickle
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
 
 from repro.core.exceptions import TopologyError
+from repro.network.link import link_table_for
+from repro.network.routing.candidate import CandidatePath
 from repro.network.routing.paths import (
     k_shortest_paths,
     path_hops,
@@ -109,3 +115,76 @@ class TestPathProvider:
         provider = PathProvider(topo)
         provider.warm([("h0_0_0", "h1_0_0"), ("h0_0_0", "h2_0_0")])
         assert provider.cache_size() == 2
+
+
+class TestCandidatePath:
+    """What is baked at interning time and what is derived on first read."""
+
+    NODES = ("h0_0_0", "e0_0", "a0_0", "c0_0", "a1_0", "e1_0", "h1_0_0")
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return link_table_for(FatTreeTopology(k=4).graph())
+
+    @pytest.mark.parametrize("with_table", [True, False])
+    def test_links_and_link_set_derive_lazily(self, table, with_table):
+        path = CandidatePath.make(self.NODES, table if with_table else None)
+        assert "links" not in vars(path) and "link_set" not in vars(path)
+        expected = tuple(zip(self.NODES[:-1], self.NODES[1:]))
+        for __ in range(2):  # first read derives, second reads the kept one
+            assert path.links == expected
+            assert path.link_set == frozenset(expected)
+        assert path.links is path.links
+        assert path.link_set is path.link_set
+        assert (path.link_idx is None) == (not with_table)
+
+    def test_links_are_the_tables_own_ids(self, table):
+        path = CandidatePath.make(self.NODES, table)
+        assert len(path.links) == len(path.link_idx) == len(self.NODES) - 1
+        for link, index in zip(path.links, path.link_idx):
+            assert link is table.ids[index]
+
+    def test_make_rejects_non_simple_path(self, table):
+        with pytest.raises(ValueError, match="not a simple path"):
+            CandidatePath.make(("h0_0_0", "e0_0", "h0_0_0"), table)
+        with pytest.raises(ValueError, match="not a simple path"):
+            CandidatePath.make(("h0_0_0",))
+
+    def test_make_rejects_link_absent_from_table(self, table):
+        with pytest.raises(ValueError, match="absent from the link table"):
+            CandidatePath.make(("h0_0_0", "c0_0", "h1_0_0"), table)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("clone", [
+        copy.copy, lambda path: pickle.loads(pickle.dumps(path))])
+    def test_round_trips_keep_indices_and_links(self, table, clone,
+                                                read_first):
+        path = CandidatePath.make(self.NODES, table)
+        if read_first:
+            assert path.links and path.link_set
+        twin = clone(path)
+        assert type(twin) is CandidatePath and twin == path
+        assert twin.link_idx == path.link_idx
+        assert twin.links == path.links
+        assert twin.link_set == path.link_set
+
+    def test_interned_paths_stay_lean(self):
+        """Interning retains the node tuple, the index tuple and the
+        instance dict — no per-path link tuples or frozenset. (1 635 B per
+        path when ``links``/``link_set`` were built eagerly.)"""
+        topo = FatTreeTopology(k=8)
+        hosts = topo.hosts()
+        provider = PathProvider(topo)
+        provider.paths(hosts[0], hosts[-1])  # link table, topology caches
+        pairs = [(a, b) for a in hosts[:32] for b in hosts[-16:]]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            paths = sum(len(provider.paths(a, b)) for a, b in pairs)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 512 and paths == 512 * 16
+        assert retained / paths <= 600

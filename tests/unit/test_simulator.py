@@ -1,6 +1,7 @@
 """Unit tests for the update simulator on the small diamond network."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,13 @@ from helpers import BG_TOP  # noqa: E402
 
 from repro.core.event import make_event
 from repro.core.exceptions import SimulationError
+from repro.core.flow import FlowKind
+from repro.experiments.common import DEFAULTS, Scenario
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.flowlevel import FlowLevelScheduler
 from repro.sched.lmtf import LMTFScheduler
 from repro.sched.plmtf import PLMTFScheduler
+from repro.sim.hooks import ChurnTick
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.timing import TimingModel
 from repro.traces.yahoo import YahooLikeTrace
@@ -411,6 +415,31 @@ class TestChurn:
         assert metrics.event_count == 2
         # the original background flow was replaced/completed
         assert not net.has_flow("bg1")
+
+    def test_tick_reports_flows_actually_placed(self):
+        """``ChurnTick.respawned`` counts the tick's placements; ticks
+        that skip respawn (every event already done) report 0. Every
+        background flow that ever existed is either one of the initial
+        ones or a respawn, and each finished in exactly one tick unless it
+        is still placed, so the sum is pinned by the flow table alone."""
+        scenario = Scenario(utilization=0.5, seed=0, events=3,
+                            defaults=replace(DEFAULTS, k=4))
+        sim = scenario.simulator(FIFOScheduler())
+        ticks = []
+        sim.hooks.subscribe(ChurnTick, ticks.append)
+        net = sim.network
+
+        def background_flows():
+            return sum(net.placement(fid).flow.kind is FlowKind.BACKGROUND
+                       for fid in net.flow_ids())
+
+        initial_flows = background_flows()
+        sim.submit(scenario.generate_events())
+        sim.run()
+        final_flows = background_flows()
+        assert len(ticks) > initial_flows  # some respawns finished too
+        assert sum(t.respawned for t in ticks) \
+            == len(ticks) - initial_flows + final_flows
 
 
 class HoldUntilScheduler(FIFOScheduler):
