@@ -7,8 +7,9 @@ For every (scheduler x kill point) cell in the grid the harness:
    chained schedule digest out of its final checkpoint,
 2. re-runs the identical spec with ``REPRO_CRASH_AT=<label>:<n>`` armed —
    the service SIGKILLs *itself* at a deterministic point (mid-round,
-   mid-checkpoint-write, or halfway through a journal append, leaving a
-   real torn frame on disk),
+   mid-checkpoint-write — after the ``history.wal`` append, before the
+   ``checkpoint.json`` replace — or halfway through a journal append,
+   leaving a real torn frame on disk),
 3. restarts it with ``--resume`` (and ``REPRO_AUDIT=1``, so the restore
    audit and the per-round ledger audits both run) and lets it finish,
 4. asserts the resumed run's digest is **byte-identical** to the
@@ -54,8 +55,14 @@ SCHEDULERS = {
 }
 
 #: kill points: (label, fatal visit) — mid-round, mid-journal-append
-#: (leaves a flushed torn half-frame), mid-checkpoint-write.
-KILL_POINTS = [("post-round", 5), ("journal-append", 7), ("snapshot", 2)]
+#: (leaves a flushed torn half-frame), mid-checkpoint-write. A ``snapshot``
+#: kill lands between the history-log append and the checkpoint replace;
+#: visit 4 does so with three covered frames already in ``history.wal``
+#: and a fourth no checkpoint covers (the 20 default events arrive over
+#: 40 simulated seconds, so the 10 s cadence below puts four ticks inside
+#: the busy part of the run; the cadence does not enter the digest).
+KILL_POINTS = [("post-round", 5), ("journal-append", 7), ("snapshot", 2),
+               ("snapshot", 4)]
 
 
 def serve_argv(state_dir: Path, sched_flags: list[str], events: int,
@@ -65,7 +72,7 @@ def serve_argv(state_dir: Path, sched_flags: list[str], events: int,
             "--events", str(events), "--rate", "0.5", "--k", "4",
             "--min-flows", "2", "--max-flows", "4",
             "--queue-cap", "16", "--resume-depth", "8",
-            "--snapshot-every", "40", "--snapshot-dir", str(state_dir),
+            "--snapshot-every", "10", "--snapshot-dir", str(state_dir),
             "--stats-every", "0", "--state-dir", str(state_dir),
             *sched_flags]
     if resume:
@@ -127,7 +134,7 @@ def main() -> int:
 
         for label, n in KILL_POINTS:
             cell = f"{sched}/{label}:{n}"
-            state = work / f"{sched}-{label}"
+            state = work / f"{sched}-{label}-{n}"
             shutil.rmtree(state, ignore_errors=True)
             killed = run(serve_argv(state, flags, args.events),
                          extra_env={"REPRO_CRASH_AT": f"{label}:{n}"},

@@ -21,20 +21,44 @@ from pathlib import Path
 from typing import Any
 
 
+def _canonical_json(payload: Any) -> str:
+    """The one encoding fingerprints are taken over: sorted keys, ``str()``
+    for stray non-JSON leaves."""
+    return json.dumps(payload, sort_keys=True, default=str)
+
+
+def _digest(blob: str, length: int = 16) -> str:
+    if length < 4 or length > 64:
+        raise ValueError(f"fingerprint length must be in [4, 64], "
+                         f"got {length}")
+    return sha256(blob.encode("utf-8")).hexdigest()[:length]
+
+
 def payload_fingerprint(payload: Any, length: int = 16) -> str:
     """Stable short hash of a JSON-serializable ``payload``.
 
     Canonicalizes with sorted keys (and ``str()`` for stray non-JSON
     leaves), so the fingerprint depends only on content, not dict insertion
     order. Used by the sweep checkpoint loader to guard cell reuse and by
-    the service's periodic snapshots to make each snapshot line
-    self-validating.
+    the service's snapshot and checkpoint loaders to verify what
+    :func:`fingerprinted_json` wrote.
     """
-    if length < 4 or length > 64:
-        raise ValueError(f"fingerprint length must be in [4, 64], "
-                         f"got {length}")
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return sha256(blob.encode("utf-8")).hexdigest()[:length]
+    return _digest(_canonical_json(payload), length)
+
+
+def fingerprinted_json(payload: dict[str, Any]) -> str:
+    """``payload`` as one JSON object carrying its own fingerprint.
+
+    The payload is encoded once; the ``"fingerprint"`` member appended to
+    that text is the hash of the very bytes it is appended to, and equals
+    ``payload_fingerprint(payload)``. A reader verifies by parsing, popping
+    ``"fingerprint"`` and fingerprinting the rest.
+    """
+    if not payload or "fingerprint" in payload:
+        raise ValueError("fingerprinted_json needs a non-empty payload "
+                         "without a 'fingerprint' member")
+    blob = _canonical_json(payload)
+    return f'{blob[:-1]}, "fingerprint": "{_digest(blob)}"}}'
 
 
 def rng_state_payload(rng: random.Random) -> list:

@@ -57,6 +57,20 @@ class AuditError(SimulationError):
         self.diff = diff
 
 
+def _first_difference(observed: list, expected: list) -> tuple[Any, Any]:
+    """``(None, None)`` for equal sequences, else the first position where
+    they part as ``((index, observed item), (index, expected item))`` — an
+    item is ``None`` past the end of the shorter one. Keeps the diff of two
+    run-long sequences one entry long."""
+    if observed == expected:
+        return None, None
+    index = next((i for i, pair in enumerate(zip(observed, expected))
+                  if pair[0] != pair[1]),
+                 min(len(observed), len(expected)))
+    return ((index, observed[index] if index < len(observed) else None),
+            (index, expected[index] if index < len(expected) else None))
+
+
 class LifecycleAuditor:
     """Hook-bus subscriber cross-checking the simulator's ledgers.
 
@@ -192,20 +206,25 @@ class LifecycleAuditor:
                 f"drain audit failed (t={sim.now:.6f}): {detail}",
                 diff=failed)
 
-    def assert_restored(self, journal_records: list[dict]) -> None:
-        """Cross-check a checkpoint-restored simulator against the journal.
+    def assert_restored(self, journal_records: list[dict],
+                        history_events: list[dict]) -> None:
+        """Cross-check a checkpoint-restored simulator against its logs.
 
         ``journal_records`` must be the journal *prefix* the checkpoint
         covers (every record appended up to the checkpoint's recorded
-        offset). The journal and the checkpoint were written by
-        independent code paths — the journal per-record at commit time,
-        the checkpoint wholesale at the tick — so agreement here means a
-        torn/stale/mixed state dir could not have slipped through:
+        offset), ``history_events`` the terminal events of the history
+        frames it covers, in log order. Journal, history log and
+        checkpoint were written by independent code paths — the journal
+        per-record at commit time, the other two at the tick, from
+        different ledgers — so agreement here means a torn/stale/mixed
+        state dir could not have slipped through:
 
         * ``ingest`` records match the restored lifecycle's registered
           population (every journaled arrival is known, none invented),
         * ``complete``/``drop`` records match both the lifecycle's
           terminal counts and the metrics collector's counters,
+        * the journal's ``complete``/``drop`` sequence equals the history
+          log's ``(event, terminal state)`` sequence, in order,
         * the standard ad-hoc ledger audit passes on the restored state.
 
         Raises :class:`AuditError` with the usual machine-readable diff.
@@ -217,7 +236,13 @@ class LifecycleAuditor:
         for record in journal_records:
             kind = str(record.get("kind"))
             by_kind[kind] = by_kind.get(kind, 0) + 1
+        outcome_of = {"complete": EventState.COMPLETED.value,
+                      "drop": EventState.DROPPED.value}
         checks: dict[str, tuple[Any, Any]] = {
+            "journal_outcomes_vs_history": _first_difference(
+                [(r["event"], outcome_of[r["kind"]])
+                 for r in journal_records if r.get("kind") in outcome_of],
+                [(e["event"], e["state"]) for e in history_events]),
             "journal_ingests_vs_lifecycle_registered": (
                 by_kind.get("ingest", 0), len(sim.lifecycle)),
             "journal_completes_vs_lifecycle": (

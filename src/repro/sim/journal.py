@@ -1,12 +1,22 @@
-"""Write-ahead event journal for the crash-tolerant service.
+"""Append-only framed logs for the crash-tolerant service.
 
-The service journals every externally visible commitment — an ingested
-arrival entering the queue, a terminal completion/drop — *before* it is
-acknowledged to the rest of the pipeline. Together with the periodic
-full-state checkpoint (:mod:`repro.sim.snapshot`) the journal makes
+The service keeps two logs in this format, through the same
+:class:`JournalWriter`:
+
+* the **write-ahead journal** (``journal.wal``) — every externally visible
+  commitment (an ingested arrival entering the queue, a terminal
+  completion/drop) is journaled *before* it is acknowledged to the rest of
+  the pipeline;
+* the **history log** (``history.wal``) — at each checkpoint, one frame
+  holding what settled since the previous one (terminal events' records
+  and lifecycle entries, closed round logs), so the checkpoint itself
+  carries live state only.
+
+Together with the periodic checkpoint (:mod:`repro.sim.snapshot`) they make
 ``repro serve`` exactly resumable: restore = load the latest valid
-checkpoint, then re-drive the deterministic simulator while cross-checking
-each re-produced record against the journal suffix.
+checkpoint and the history prefix it names, then re-drive the
+deterministic simulator while cross-checking each re-produced journal
+record against the journal suffix.
 
 Frame format (little-endian), one frame per record::
 
@@ -127,19 +137,24 @@ def encode_record(record: dict) -> bytes:
 
 
 class JournalWriter:
-    """Append-only, fsync-per-record journal writer.
+    """Append-only, fsync-per-record log writer.
 
     Opening scans the existing file (if any): corruption raises, a torn
     tail is truncated away, and appends continue after the last valid
     frame. The file and its directory entry are fsynced on creation, and
     every :meth:`append` is flushed + fsynced before returning — a record
-    handed to the journal is durable before the caller acknowledges the
+    handed to the log is durable before the caller acknowledges the
     event it describes.
+
+    ``crash_label`` names the crash point :meth:`append` hosts, so each
+    log's appends are counted on their own (``REPRO_CRASH_AT=<label>:<n>``).
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: str | Path, fsync: bool = True,
+                 crash_label: str = "journal-append"):
         self._path = Path(path)
         self._fsync = fsync
+        self._crash_label = crash_label
         self._handle: BinaryIO | None = None
         self._size = 0
         self.records_written = 0
@@ -163,18 +178,14 @@ class JournalWriter:
             scan = scan_journal(self._path)
         else:
             scan = JournalScan()
-        handle = open(self._path, "ab")
-        try:
-            if existed and scan.torn_bytes:
-                handle.truncate(scan.valid_size)
-                handle.flush()
-                if self._fsync:
-                    os.fsync(handle.fileno())
-        except BaseException:
-            handle.close()
-            raise
-        self._handle = handle
+        self._handle = open(self._path, "ab")
         self._size = scan.valid_size
+        if scan.torn_bytes:
+            try:
+                self.truncate(scan.valid_size)
+            except BaseException:
+                self.close()
+                raise
         if not existed and self._fsync:
             fsync_dir(self._path.parent)
         return scan
@@ -182,15 +193,16 @@ class JournalWriter:
     def append(self, record: dict) -> int:
         """Durably append one record; returns the offset past the frame.
 
-        Hosts the ``journal-append`` crash point: when armed for its fatal
-        visit, only a prefix of the frame reaches the file (flushed so the
-        bytes are really on disk) before the process dies — producing the
-        torn tail the recovery path must tolerate.
+        Hosts this writer's crash point (``journal-append`` by default):
+        when armed for its fatal visit, only a prefix of the frame reaches
+        the file (flushed so the bytes are really on disk) before the
+        process dies — producing the torn tail the recovery path must
+        tolerate.
         """
         if self._handle is None:
             raise RuntimeError("journal is not open")
         frame = encode_record(record)
-        if crash_imminent("journal-append"):
+        if crash_imminent(self._crash_label):
             # Stage the realistic torn state *before* dying: half a frame,
             # flushed so the bytes truly reach the file.
             torn = frame[:max(1, len(frame) // 2)]
@@ -199,7 +211,7 @@ class JournalWriter:
             os.fsync(self._handle.fileno())
         # Counts every visit; does not return on the fatal one (SIGKILL
         # mode) or raises (REPRO_CRASH_MODE=raise).
-        crash_point("journal-append")
+        crash_point(self._crash_label)
         self._handle.write(frame)
         self._handle.flush()
         if self._fsync:
@@ -207,6 +219,17 @@ class JournalWriter:
         self._size += len(frame)
         self.records_written += 1
         return self._size
+
+    def truncate(self, size: int) -> None:
+        """Durably cut the open log back to ``size`` bytes (a frame
+        boundary the caller has verified); appends continue from there."""
+        if self._handle is None:
+            raise RuntimeError("journal is not open")
+        self._handle.truncate(size)
+        self._handle.flush()
+        if self._fsync:
+            os.fsync(self._handle.fileno())
+        self._size = size
 
     def close(self) -> None:
         if self._handle is not None:

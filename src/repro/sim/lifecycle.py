@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, TypeVar
 
 from repro.core.exceptions import SimulationError
 
@@ -82,6 +82,35 @@ TERMINAL_STATES: frozenset[EventState] = frozenset(
     if not successors)
 
 
+_T = TypeVar("_T")
+
+
+def in_registration_order(settled: Iterable[tuple[int, _T]],
+                          live: Iterable[_T]) -> list[_T]:
+    """Rebuild a registration-ordered population from its two halves.
+
+    A checkpoint stores the live events in registration order; the history
+    log stores the terminal ones in *settlement* order, each with the
+    registration index it had. The terminal events take their recorded
+    slots and the live ones fill the gaps in the order they come.
+
+    Raises:
+        ValueError: the halves do not tile one sequence (an index out of
+            range or taken twice) — they come from different runs.
+    """
+    settled = list(settled)
+    placed = dict(settled)
+    rest = list(live)
+    total = len(settled) + len(rest)
+    if (len(placed) != len(settled)
+            or any(not 0 <= index < total for index in placed)):
+        raise ValueError(
+            f"settled registration indices do not tile {total} events")
+    gaps = iter(rest)
+    return [placed[index] if index in placed else next(gaps)
+            for index in range(total)]
+
+
 class IllegalTransitionError(SimulationError):
     """An event attempted a move the lifecycle does not allow."""
 
@@ -120,6 +149,12 @@ class EventLifecycle:
         self._history: dict[str, list[TransitionRecord]] = {}
         self._history_limit = history_limit
         self._transitions = 0
+        # Non-terminal events -> registration index, and the terminal ones
+        # as (event_id, registration index) in settlement order. Together
+        # they let a checkpoint export the live entries in O(live) and the
+        # newly settled ones in O(new), whatever the age of the registry.
+        self._live: dict[str, int] = {}
+        self._settled: list[tuple[str, int]] = []
         # State populations maintained incrementally so counts() stays O(1)
         # in the number of registered events — the lifecycle auditor reads
         # it on every round of an unbounded service run.
@@ -145,6 +180,7 @@ class EventLifecycle:
                 f"event {event_id} registered twice (currently "
                 f"{self._states[event_id].value})")
         self._origins[event_id] = origin
+        self._live[event_id] = len(self._states)
         return self._apply(event_id, None, EventState.QUEUED, at)
 
     def advance(self, event_id: str, to: EventState,
@@ -175,6 +211,8 @@ class EventLifecycle:
             self._counts[frm] -= 1
         self._counts[to] += 1
         self._states[event_id] = to
+        if to in TERMINAL_STATES:
+            self._settled.append((event_id, self._live.pop(event_id)))
         history = self._history.setdefault(event_id, [])
         history.append(record)
         if len(history) > self._history_limit:
@@ -185,40 +223,55 @@ class EventLifecycle:
     # -------------------------------------------------------- checkpointing
 
     def export_state(self) -> dict[str, Any]:
-        """JSON-ready encoding of the registry for a checkpoint.
+        """JSON-ready encoding of the *live* part of the registry.
 
-        Per-event transition histories are exported only for events still
-        in a non-terminal state: histories are bounded diagnostics, and
-        carrying them for every terminal event ever seen would grow the
-        checkpoint without bound on a long-running service.
+        Carries the non-terminal events (state, origin, bounded transition
+        history), the per-state populations and the transition counter.
+        Terminal entries never change again; :meth:`export_settled` hands
+        them to the history log once, so a checkpoint costs O(live events)
+        however long the service has run.
         """
-        histories: dict[str, list[dict[str, Any]]] = {}
-        for event_id, state in self._states.items():
-            if state in TERMINAL_STATES:
-                continue
-            histories[event_id] = [
-                {"frm": r.frm.value if r.frm is not None else None,
-                 "to": r.to.value, "at": r.at}
-                for r in self._history.get(event_id, ())]
         return {
-            "states": {eid: s.value for eid, s in self._states.items()},
-            "origins": dict(self._origins),
+            "states": {eid: self._states[eid].value for eid in self._live},
+            "origins": {eid: self._origins[eid] for eid in self._live},
+            "counts": {s.value: n for s, n in self._counts.items()},
             "transitions": self._transitions,
-            "histories": histories,
+            "histories": {
+                eid: [{"frm": r.frm.value if r.frm is not None else None,
+                       "to": r.to.value, "at": r.at}
+                      for r in self._history.get(eid, ())]
+                for eid in self._live},
         }
 
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Overwrite this registry from :meth:`export_state` output."""
+    def export_settled(self, start: int) -> list[dict[str, Any]]:
+        """The terminal entries from the ``start``-th settlement on, in
+        settlement order: event id, registration index, terminal state,
+        origin. Per-event transition histories are diagnostics of live
+        events and are not carried."""
+        return [{"event": eid, "index": index,
+                 "state": self._states[eid].value,
+                 "origin": self._origins[eid]}
+                for eid, index in self._settled[start:]]
+
+    def restore_state(self, state: dict[str, Any],
+                      settled: list[dict[str, Any]]) -> None:
+        """Overwrite this registry from :meth:`export_state` output plus
+        every :meth:`export_settled` entry written before it."""
         if self._states:
             raise IllegalTransitionError(
                 "restore_state requires an empty lifecycle registry")
-        self._states = {eid: EventState(v)
-                        for eid, v in state["states"].items()}
-        self._origins = dict(state["origins"])
+        entries = in_registration_order(
+            ((e["index"], (e["event"], e["state"], e["origin"]))
+             for e in settled),
+            ((eid, value, state["origins"][eid])
+             for eid, value in state["states"].items()))
+        self._states = {eid: EventState(value) for eid, value, _ in entries}
+        self._origins = {eid: origin for eid, _, origin in entries}
+        self._settled = [(e["event"], e["index"]) for e in settled]
+        self._live = {eid: index for index, (eid, _, _) in enumerate(entries)
+                      if eid in state["states"]}
         self._transitions = int(state["transitions"])
-        self._counts = {s: 0 for s in EventState}
-        for value in self._states.values():
-            self._counts[value] += 1
+        self._counts = {s: int(state["counts"][s.value]) for s in EventState}
         self._history = {
             eid: [TransitionRecord(
                 event_id=eid,

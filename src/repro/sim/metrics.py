@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from repro.sim import hooks as _hooks
+from repro.sim.lifecycle import in_registration_order
 
 
 @dataclass
@@ -208,6 +209,9 @@ class MetricsCollector:
     def __init__(self, scheduler_name: str):
         self._scheduler = scheduler_name
         self._records: dict[str, EventRecord] = {}
+        # The records no completion or drop has closed yet: what a
+        # checkpoint still has to carry (registration order, like _records).
+        self._open: dict[str, EventRecord] = {}
         self._completed = 0
         self._dropped = 0
         self._plan_time = 0.0
@@ -236,7 +240,7 @@ class MetricsCollector:
                    flow_count: int) -> None:
         if event_id in self._records:
             raise ValueError(f"event {event_id} enqueued twice")
-        self._records[event_id] = EventRecord(
+        self._records[event_id] = self._open[event_id] = EventRecord(
             event_id=event_id, arrival_time=arrival_time,
             flow_count=flow_count)
 
@@ -294,6 +298,7 @@ class MetricsCollector:
         if record.completion_time is None:
             self._completed += 1
         record.completion_time = time
+        self._open.pop(event_id, None)
         self._makespan = max(self._makespan, time)
 
     # -------------------------------------------------------- fault pipeline
@@ -320,6 +325,7 @@ class MetricsCollector:
         if record.dropped:
             raise ValueError(f"event {event_id} dropped twice")
         record.dropped = True
+        self._open.pop(event_id, None)
         self._dropped += 1
         self._stranded_traffic += stranded_demand
         self._makespan = max(self._makespan, time)
@@ -339,10 +345,14 @@ class MetricsCollector:
     # -------------------------------------------------------- checkpointing
 
     def export_state(self) -> dict:
-        """JSON-ready encoding of all records and counters."""
-        from dataclasses import asdict
+        """JSON-ready encoding of the open records and all counters.
+
+        A completed or dropped record never changes again;
+        :meth:`export_record` hands it to the history log once, so a
+        checkpoint costs O(open events) however long the service has run.
+        """
         return {
-            "records": [asdict(r) for r in self._records.values()],
+            "records": [dict(vars(r)) for r in self._open.values()],
             "completed": self._completed,
             "dropped": self._dropped,
             "plan_time": self._plan_time,
@@ -366,12 +376,22 @@ class MetricsCollector:
             "compile_epsilon": self._compile_epsilon,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Overwrite this collector from :meth:`export_state` output."""
+    def export_record(self, event_id: str) -> dict:
+        """The record fields of one event (a closed one, on its way to the
+        history log)."""
+        return dict(vars(self._record(event_id)))
+
+    def restore_state(self, state: dict, settled: list[dict]) -> None:
+        """Overwrite this collector from :meth:`export_state` output plus
+        the history log's entries (``{"index": registration index,
+        "record": fields}``) for every record closed before it."""
         if self._records:
             raise ValueError("restore_state requires an empty collector")
-        for payload in state["records"]:
-            record = EventRecord(**payload)
+        self._open = {payload["event_id"]: EventRecord(**payload)
+                      for payload in state["records"]}
+        for record in in_registration_order(
+                ((e["index"], EventRecord(**e["record"])) for e in settled),
+                self._open.values()):
             self._records[record.event_id] = record
         self._completed = int(state["completed"])
         self._dropped = int(state["dropped"])
@@ -390,12 +410,10 @@ class MetricsCollector:
         self._prediction_samples = int(state["prediction_samples"])
         self._prediction_error_sum = state["prediction_error_sum"]
         self._fallback_rounds = int(state["fallback_rounds"])
-        # .get(): checkpoints written before plan compilation lack these.
-        self._total_stages = int(state.get("total_stages", 0))
-        self._max_stage_count = int(state.get("max_stage_count", 0))
-        self._max_transient_overload = state.get(
-            "max_transient_overload", 0.0)
-        self._compile_epsilon = state.get("compile_epsilon", 0.0)
+        self._total_stages = int(state["total_stages"])
+        self._max_stage_count = int(state["max_stage_count"])
+        self._max_transient_overload = state["max_transient_overload"]
+        self._compile_epsilon = state["compile_epsilon"]
 
     # ------------------------------------------------------------- finalize
 
@@ -440,8 +458,7 @@ class MetricsCollector:
     def incomplete_events(self) -> list[str]:
         """Events neither completed nor dropped — a drained run must have
         none; dropped events are accounted, not incomplete."""
-        return [eid for eid, r in self._records.items()
-                if not r.completed and not r.dropped]
+        return list(self._open)
 
     def finalize(self) -> RunMetrics:
         """Build the aggregate metrics; every event must have completed or

@@ -650,11 +650,10 @@ class RoundPipeline:
 
         Queue entries carry the full event payload plus the *ids* of the
         remaining flows (rebuilt by filtering ``event.flows``, preserving
-        order) and the enqueue seq. The round log is exported whole: it
-        already lives unbounded in memory for the run's lifetime, and the
-        auditor cross-checks its length against the round index.
+        order) and the enqueue seq. The round log is not part of it: a
+        closed :class:`RoundLog` never changes again, and
+        :meth:`export_rounds` hands it to the history log once.
         """
-        from dataclasses import asdict
         return {
             "queue": [{"event": q.event.to_payload(),
                        "remaining": [f.flow_id for f in q.remaining],
@@ -665,14 +664,19 @@ class RoundPipeline:
             "round_index": self._round_index,
             "event_outstanding": dict(self._event_outstanding),
             "event_done_queueing": sorted(self._event_done_queueing),
-            "rounds": [asdict(r) for r in self._rounds],
             "events_remaining": self._events_remaining,
             "enqueue_seq": self._enqueue_seq,
             "deferral_counts": dict(self._deferral_counts),
         }
 
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Overwrite this pipeline's state from :meth:`export_state`.
+    def export_rounds(self, start: int) -> list[dict[str, Any]]:
+        """The round logs from the ``start``-th round on, JSON-ready."""
+        return [dict(vars(r)) for r in self._rounds[start:]]
+
+    def restore_state(self, state: dict[str, Any],
+                      rounds: list[dict[str, Any]]) -> None:
+        """Overwrite this pipeline's state from :meth:`export_state` plus
+        every :meth:`export_rounds` entry written before it.
 
         Lifecycle registration and hook emission are *not* replayed — the
         lifecycle registry restores separately and the events were already
@@ -696,7 +700,7 @@ class RoundPipeline:
         self._rounds = [RoundLog(**{**payload,
                                     "admitted_events":
                                         tuple(payload["admitted_events"])})
-                        for payload in state["rounds"]]
+                        for payload in rounds]
         self._events_remaining = int(state["events_remaining"])
         self._enqueue_seq = int(state["enqueue_seq"])
         self._deferral_counts = {

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.core.exceptions import SimulationError
 from repro.core.ioutil import (
     atomic_write_text,
-    payload_fingerprint,
+    fingerprinted_json,
     set_rng_state,
 )
 from repro.sim.crashpoint import crash_point
@@ -48,9 +48,12 @@ from repro.sim.metrics import RunMetrics
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
     HEARTBEAT_FILE,
+    HISTORY_FILE,
     JOURNAL_FILE,
     RecoveryError,
     build_checkpoint,
+    build_history_frame,
+    checked_prefix,
     load_checkpoint,
 )
 
@@ -95,7 +98,8 @@ class ServiceConfig:
             for unbounded streams.
         state_dir: directory for the crash-recovery state — the
             write-ahead journal (``journal.wal``), the restorable
-            checkpoint (``checkpoint.json``) and the supervisor heartbeat
+            live-state checkpoint (``checkpoint.json``), the settled
+            history log (``history.wal``) and the supervisor heartbeat
             (``heartbeat.json``). ``None`` disables crash recovery.
         resume: continue the run recorded in ``state_dir`` instead of
             starting fresh. The caller must rebuild the *identical*
@@ -237,6 +241,11 @@ class SimulationService:
         self._journal: JournalWriter | None = None
         self._journal_records = 0
         self._journal_offset = 0
+        # The settled-history log and how much of the run it holds.
+        self._history: JournalWriter | None = None
+        self._history_records = 0
+        self._history_events = 0
+        self._history_rounds = 0
         self._digest = _DIGEST_SEED
         self._replay: deque[bytes] = deque()
         self._replayed = 0
@@ -363,8 +372,9 @@ class SimulationService:
                 self._write_snapshot(final=True)
             self._write_checkpoint("final")
         finally:
-            if self._journal is not None:
-                self._journal.close()
+            for log in (self._journal, self._history):
+                if log is not None:
+                    log.close()
         collector = sim.metrics_collector
         return ServiceReport(
             stopped=self._stopped or "stream",
@@ -512,8 +522,7 @@ class SimulationService:
         directory.mkdir(parents=True, exist_ok=True)
         payload = self.snapshot_payload()
         payload["final"] = final
-        payload["fingerprint"] = payload_fingerprint(payload)
-        line = json.dumps(payload, sort_keys=True)
+        line = fingerprinted_json(payload)
         with open(directory / "snapshots.jsonl", "a",
                   encoding="utf-8") as handle:
             handle.write(line + "\n")
@@ -531,10 +540,9 @@ class SimulationService:
         any divergence — different event, different time, different order
         — fails immediately instead of silently forking the schedule.
         """
-        frame = encode_record(record)
         if self._replay:
             expected = self._replay.popleft()
-            if frame != expected:
+            if encode_record(record) != expected:
                 raise RecoveryError(
                     f"recovery replay diverged from the journal: "
                     f"re-execution produced {record!r} where the journal "
@@ -556,21 +564,34 @@ class SimulationService:
         self._exporter.set_counter("journal_records", self._journal_records)
 
     def _write_checkpoint(self, origin: str) -> None:
-        """Write the restorable full-state checkpoint (atomic replace).
+        """Make what settled durable, then write the restorable live-state
+        checkpoint (atomic replace).
 
+        The history frame goes first: once the checkpoint that stops
+        carrying those events is on disk, the log must already hold them.
         Hosts the ``snapshot`` crash point: a kill here leaves the
         *previous* checkpoint intact (the new one never replaces it), so
-        recovery restores the older state and replays a longer journal
-        suffix.
+        recovery restores the older state, cuts the history log back to
+        what that checkpoint covers, and replays a longer journal suffix.
         """
-        if self._state_dir is None or self._journal is None:
+        if (self._state_dir is None or self._journal is None
+                or self._history is None):
             return
+        frame = build_history_frame(self._sim, self._history_events,
+                                    self._history_rounds)
+        if frame is not None:
+            self._history.append(frame)
+            self._history_records += 1
+            self._history_events += len(frame["events"])
+            self._history_rounds += len(frame["rounds"])
         payload = build_checkpoint(
             self, origin, journal_offset=self._journal_offset,
-            journal_records=self._journal_records)
+            journal_records=self._journal_records,
+            history_offset=self._history.size,
+            history_records=self._history_records)
         crash_point("snapshot")
         atomic_write_text(self._state_dir / CHECKPOINT_FILE,
-                          json.dumps(payload, sort_keys=True) + "\n")
+                          fingerprinted_json(payload) + "\n")
 
     def _service_state(self) -> dict[str, Any]:
         """The service's own slice of the checkpoint payload."""
@@ -592,52 +613,65 @@ class SimulationService:
         }
 
     def _open_state(self) -> None:
-        """Open the state dir: journal, and (on resume) the checkpoint.
+        """Open the state dir: both logs, and (on resume) the checkpoint.
 
         Raises:
             RecoveryError: a fresh start would clobber an existing run, or
                 a resume has nothing usable to resume from.
-            JournalCorruptionError: the journal holds a complete frame
-                that fails its CRC (bit-rot or tampering — torn tails are
-                tolerated and truncated).
+            JournalCorruptionError: the journal or the history log holds a
+                complete frame that fails its CRC (bit-rot or tampering —
+                torn tails are tolerated and truncated).
         """
         if self._state_dir is None:
             return
         self._state_dir.mkdir(parents=True, exist_ok=True)
-        journal_path = self._state_dir / JOURNAL_FILE
         checkpoint_path = self._state_dir / CHECKPOINT_FILE
-        has_journal = (journal_path.exists()
-                       and journal_path.stat().st_size > 0)
         has_checkpoint = checkpoint_path.exists()
-        if not self._config.resume and (has_journal or has_checkpoint):
-            present = CHECKPOINT_FILE if has_checkpoint else JOURNAL_FILE
+        present = [CHECKPOINT_FILE] if has_checkpoint else []
+        for name in (JOURNAL_FILE, HISTORY_FILE):
+            path = self._state_dir / name
+            if path.exists() and path.stat().st_size > 0:
+                present.append(name)
+        if not self._config.resume and present:
             raise RecoveryError(
                 f"state dir {self._state_dir} already holds a run "
-                f"({present} present); pass --resume to continue it or "
+                f"({present[0]} present); pass --resume to continue it or "
                 f"--fresh to discard it")
-        if self._config.resume and not (has_journal or has_checkpoint):
+        if self._config.resume and not (
+                has_checkpoint or JOURNAL_FILE in present):
             raise RecoveryError(
                 f"--resume requested but state dir {self._state_dir} "
                 f"holds no {CHECKPOINT_FILE} or {JOURNAL_FILE}; remove "
                 f"--resume to start fresh")
-        self._journal = JournalWriter(journal_path)
-        scan = self._journal.open()
+        self._journal = JournalWriter(self._state_dir / JOURNAL_FILE)
+        journal_scan = self._journal.open()
+        history = self._history = JournalWriter(
+            self._state_dir / HISTORY_FILE, crash_label="history-append")
+        history_scan = history.open()
         if self._config.resume:
             checkpoint = (load_checkpoint(checkpoint_path)
                           if has_checkpoint else None)
-            self._restore(checkpoint, scan)
+            self._restore(checkpoint, journal_scan, history_scan)
+            # Frames past the restored checkpoint belong to a tick that
+            # died before its checkpoint landed (all of them, when no
+            # checkpoint ever did); the re-executed tick appends them
+            # again, byte for byte.
+            history.truncate(int(checkpoint["history"]["offset"])
+                             if checkpoint is not None else 0)
 
     def _restore(self, checkpoint: dict[str, Any] | None,
-                 scan: JournalScan) -> None:
+                 scan: JournalScan, history_scan: JournalScan) -> None:
         """Apply a checkpoint (or a bare journal) to the fresh simulator.
 
         With no checkpoint — the original run died before its first tick —
         the resume is a fresh deterministic re-run that treats the whole
         journal as its verification suffix. With a checkpoint, every
-        component restores its serialized state, the engine heap is
-        re-bound through the tag resolver, the arrival stream skips its
-        consumed prefix, and the journal records past the checkpoint
-        become replay expectations.
+        component restores its live state from the checkpoint and its
+        settled state from the history frames the checkpoint covers
+        (``history_scan`` may hold more; the caller cuts them off), the
+        engine heap is re-bound through the tag resolver, the arrival
+        stream skips its consumed prefix, and the journal records past the
+        checkpoint become replay expectations.
         """
         from repro.core.event import UpdateEvent, set_event_id_state
         from repro.core.flow import set_flow_id_state
@@ -653,35 +687,22 @@ class SimulationService:
                 f"checkpoint was written by scheduler "
                 f"{checkpoint['scheduler']!r} but this service runs "
                 f"{sim.scheduler.name!r}; resume with the original spec")
-        # Tolerant read: checkpoints written before plan compilation
-        # existed carry no "compile" key and imply the atomic default.
-        compiled = checkpoint.get("compile") or {"mode": "atomic",
-                                                 "epsilon": 0.0}
         ours = {"mode": sim.config.compile_mode,
                 "epsilon": sim.config.compile_epsilon}
-        if compiled != ours:
+        if checkpoint["compile"] != ours:
             raise RecoveryError(
-                f"checkpoint was written under compile config {compiled!r} "
-                f"but this service runs {ours!r}; staged execution changes "
-                f"the schedule — resume with the original spec")
-        prefix_count = int(checkpoint["journal"]["records"])
-        offset = int(checkpoint["journal"]["offset"])
-        if scan.valid_size < offset or len(scan.records) < prefix_count:
-            raise RecoveryError(
-                f"journal at {self._journal.path if self._journal else '?'} "
-                f"is truncated below the checkpoint (valid "
-                f"{scan.valid_size} bytes / {len(scan.records)} records, "
-                f"checkpoint expects {offset} bytes / {prefix_count} "
-                f"records); the state dir is damaged — restore it from a "
-                f"backup or start fresh with --fresh")
-        prefix_bytes = sum(len(encode_record(r))
-                           for r in scan.records[:prefix_count])
-        if prefix_bytes != offset:
-            raise RecoveryError(
-                f"journal content does not line up with the checkpoint "
-                f"({prefix_count} records span {prefix_bytes} bytes, "
-                f"checkpoint recorded {offset}); journal and checkpoint "
-                f"come from different runs — start fresh with --fresh")
+                f"checkpoint was written under compile config "
+                f"{checkpoint['compile']!r} but this service runs {ours!r}; "
+                f"staged execution changes the schedule — resume with the "
+                f"original spec")
+        prefix = checked_prefix(scan, JOURNAL_FILE, checkpoint["journal"])
+        frames = checked_prefix(history_scan, HISTORY_FILE,
+                                checkpoint["history"])
+        settled = [entry for frame in frames for entry in frame["events"]]
+        rounds = [entry for frame in frames for entry in frame["rounds"]]
+        self._history_records = len(frames)
+        self._history_events = len(settled)
+        self._history_rounds = len(rounds)
         svc = checkpoint["service"]
         # Service bookkeeping first: the engine tag resolver needs the
         # pending-arrival payload to re-bind its callback.
@@ -699,14 +720,14 @@ class SimulationService:
         self._digest = str(svc["digest"])
         self._replayed = int(svc["replayed"])
         self._restarts = int(svc["restarts"]) + 1
-        self._journal_records = prefix_count
-        self._journal_offset = offset
+        self._journal_records = len(prefix)
+        self._journal_offset = int(checkpoint["journal"]["offset"])
         self._resume_origin = str(checkpoint["origin"])
         # Component state.
         sim.network.restore_state(checkpoint["network"])
-        sim.lifecycle.restore_state(checkpoint["lifecycle"])
-        sim.metrics_collector.restore_state(checkpoint["metrics"])
-        sim.pipeline.restore_state(checkpoint["pipeline"])
+        sim.lifecycle.restore_state(checkpoint["lifecycle"], settled)
+        sim.metrics_collector.restore_state(checkpoint["metrics"], settled)
+        sim.pipeline.restore_state(checkpoint["pipeline"], rounds)
         if sim.churn is not None and checkpoint["churn"] is not None:
             sim.churn.restore_state(checkpoint["churn"])
         sim.scheduler.restore_state(checkpoint["sched"])
@@ -736,9 +757,9 @@ class SimulationService:
         self._exporter.restore_state(checkpoint["counters"])
         self._exporter.set_counter("restarts", self._restarts)
         self._replay = deque(encode_record(r)
-                             for r in scan.records[prefix_count:])
+                             for r in scan.records[len(prefix):])
         if self._auditor is not None:
-            self._auditor.assert_restored(scan.records[:prefix_count])
+            self._auditor.assert_restored(prefix, settled)
         self._restored = True
 
     def _resolve_tag(self, tag: str) -> Callable[[], None]:

@@ -150,3 +150,35 @@ class TestWriter:
                 journal.open()
         finally:
             journal.close()
+
+    def test_truncate_cuts_back_to_a_frame_boundary(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with JournalWriter(path) as journal:
+            keep = journal.append({"n": 1})
+            journal.append({"n": 2})
+            journal.truncate(keep)
+            assert journal.size == keep
+            journal.append({"n": 3})
+        assert [r["n"] for r in scan_journal(path).records] == [1, 3]
+
+    def test_crash_label_counts_each_log_on_its_own(self, tmp_path,
+                                                    monkeypatch):
+        """Appends to a writer with its own label never consume visits of
+        ``journal-append`` (the chaos grid arms it by visit count)."""
+        from repro.sim import crashpoint
+        monkeypatch.setenv(crashpoint.ENV_VAR, "journal-append:2")
+        monkeypatch.setenv(crashpoint.MODE_VAR, "raise")
+        crashpoint.reset_counts()
+        try:
+            with JournalWriter(tmp_path / "h.wal",
+                               crash_label="history-append") as history, \
+                    JournalWriter(tmp_path / "j.wal") as journal:
+                journal.append({"n": 1})
+                for n in range(3):
+                    history.append({"n": n})
+                with pytest.raises(crashpoint.CrashInjected):
+                    journal.append({"n": 2})
+        finally:
+            crashpoint.reset_counts()
+        assert len(scan_journal(tmp_path / "h.wal").records) == 3
+        assert scan_journal(tmp_path / "j.wal").torn_bytes > 0

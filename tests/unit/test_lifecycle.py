@@ -9,6 +9,7 @@ from repro.sim.lifecycle import (
     EventState,
     IllegalTransitionError,
     TransitionRecord,
+    in_registration_order,
 )
 
 
@@ -167,3 +168,71 @@ class TestQueriesAndHistory:
     def test_history_limit_validation(self):
         with pytest.raises(ValueError):
             EventLifecycle(history_limit=0)
+
+
+def settle(lc, event_id, to=EventState.COMPLETED):
+    for state in (EventState.PROBED, EventState.ADMITTED,
+                  EventState.EXECUTING):
+        lc.advance(event_id, state, 1.0)
+    if to is EventState.DROPPED:
+        lc.advance(event_id, EventState.DEFERRED, 2.0)
+    lc.advance(event_id, to, 2.0)
+
+
+class TestCheckpointing:
+    def test_in_registration_order_fills_the_gaps(self):
+        assert in_registration_order([(2, "c"), (0, "a")], ["b", "d"]) \
+            == ["a", "b", "c", "d"]
+        assert in_registration_order([], ["x"]) == ["x"]
+
+    @pytest.mark.parametrize("settled", [[(2, "c")], [(0, "a"), (0, "b")],
+                                         [(-1, "a")]])
+    def test_in_registration_order_rejects_halves_that_do_not_tile(
+            self, settled):
+        with pytest.raises(ValueError, match="do not tile"):
+            in_registration_order(settled, ["x"])
+
+    def build(self):
+        lc = EventLifecycle()
+        for event_id, origin in (("U1", "stream"), ("U2", "repair"),
+                                 ("U3", "stream"), ("U4", "stream")):
+            lc.register(event_id, at=0.0, origin=origin)
+        settle(lc, "U3")
+        settle(lc, "U1", to=EventState.DROPPED)
+        lc.advance("U4", EventState.PROBED, 3.0)
+        return lc
+
+    def test_export_splits_live_from_settled(self):
+        lc = self.build()
+        state = lc.export_state()
+        assert list(state["states"]) == ["U2", "U4"]
+        assert list(state["origins"]) == ["U2", "U4"]
+        assert list(state["histories"]) == ["U2", "U4"]
+        assert state["counts"]["completed"] == 1
+        assert lc.export_settled(0) == [
+            {"event": "U3", "index": 2, "state": "completed",
+             "origin": "stream"},
+            {"event": "U1", "index": 0, "state": "dropped",
+             "origin": "stream"}]
+        assert lc.export_settled(1) == lc.export_settled(0)[1:]
+        assert lc.export_settled(2) == []
+
+    def test_restore_round_trips_order_counts_and_cursors(self):
+        lc = self.build()
+        restored = EventLifecycle()
+        restored.restore_state(lc.export_state(), lc.export_settled(0))
+        assert restored.in_state(EventState.QUEUED) == ("U2",)
+        assert [restored.state(e) for e in ("U1", "U2", "U3", "U4")] == \
+            [lc.state(e) for e in ("U1", "U2", "U3", "U4")]
+        assert restored.origin("U2") == "repair"
+        assert restored.counts() == lc.counts()
+        assert restored.transition_count == lc.transition_count
+        assert restored.history("U4") == lc.history("U4")
+        # The restored registry keeps exporting where the original would.
+        for registry in (lc, restored):
+            registry.register("U5", at=4.0)
+            settle(registry, "U2")
+        assert restored.export_state() == lc.export_state()
+        assert restored.export_settled(2) == lc.export_settled(2) == [
+            {"event": "U2", "index": 1, "state": "completed",
+             "origin": "repair"}]

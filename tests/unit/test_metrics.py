@@ -126,6 +126,46 @@ class TestCollector:
         assert metrics.per_event_ect[1] == pytest.approx(3.0)
 
 
+class TestCollectorCheckpointing:
+    def build(self):
+        collector = MetricsCollector("s")
+        for eid in ("U1", "U2", "U3", "U4"):
+            collector.on_enqueue(eid, 1.0, 2)   # equal arrivals: order ties
+        collector.on_round(0.5)
+        collector.on_exec_start("U3", 1.5)
+        collector.on_admission("U3", 7.0, 1)
+        collector.on_completion("U3", 4.0)
+        collector.on_deferral("U1")
+        collector.on_drop("U1", 5.0, stranded_demand=3.0)
+        collector.on_wait("U4")
+        return collector
+
+    def test_export_carries_open_records_only(self):
+        collector = self.build()
+        state = collector.export_state()
+        assert [r["event_id"] for r in state["records"]] == ["U2", "U4"]
+        assert state["records"][1]["rounds_waited"] == 1
+        assert state["completed"] == 1 and state["dropped"] == 1
+        assert collector.incomplete_events() == ["U2", "U4"]
+        assert collector.export_record("U3")["cost"] == 7.0
+        assert collector.export_record("U1")["dropped"] is True
+
+    def test_restore_rebuilds_registration_order(self):
+        collector = self.build()
+        settled = [{"index": index, "record": collector.export_record(eid)}
+                   for index, eid in ((2, "U3"), (0, "U1"))]
+        restored = MetricsCollector("s")
+        restored.restore_state(collector.export_state(), settled)
+        assert (list(restored.records.items())
+                == list(collector.records.items()))
+        assert restored.incomplete_events() == ["U2", "U4"]
+        for each in (collector, restored):
+            for eid in ("U2", "U4"):
+                each.on_exec_start(eid, 2.0)
+                each.on_completion(eid, 6.0)
+        assert restored.finalize() == collector.finalize()
+
+
 class TestRunMetricsSerialization:
     def _metrics(self):
         collector = MetricsCollector("test-sched")

@@ -10,7 +10,9 @@ Runs on the small diamond network like the rest of the service suite.
 """
 
 import json
+import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,12 +25,20 @@ from repro.core.flow import flow_id_state, set_flow_id_state
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.lmtf import LMTFScheduler
 from repro.sim import crashpoint
+from repro.sim import service as service_mod
+from repro.sim.audit import AuditError
 from repro.sim.crashpoint import CrashInjected
-from repro.sim.journal import JournalCorruptionError, scan_journal
+from repro.sim.journal import (
+    JournalCorruptionError,
+    encode_record,
+    scan_journal,
+)
+from repro.sim.lifecycle import TERMINAL_STATES
 from repro.sim.service import ServiceConfig, SimulationService
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
+    HISTORY_FILE,
     JOURNAL_FILE,
     RecoveryError,
     discard_state,
@@ -89,26 +99,82 @@ def disarm(monkeypatch):
     crashpoint.reset_counts()
 
 
-def run_baseline(tmp_path):
+def serve_fresh(state_dir, **kwargs):
+    """One run from zeroed id counters; returns ``(service, report)``."""
     set_flow_id_state(0)
     set_event_id_state(0)
-    return build_service(tmp_path / "baseline").serve()
+    service = build_service(state_dir, **kwargs)
+    return service, service.serve()
 
 
-def crash_and_resume(tmp_path, monkeypatch, label, n, **kwargs):
-    """Crash at ``label:n``, resume, return (baseline, resumed) reports."""
-    baseline = run_baseline(tmp_path)
+def run_baseline(tmp_path):
+    return serve_fresh(tmp_path / "baseline")[1]
+
+
+def lmtf():
+    return LMTFScheduler(alpha=2, seed=5)
+
+
+def without_cache_telemetry(metrics, rounds):
+    """``RunMetrics.to_dict()`` and the round log minus the probe-cache
+    counters. The cache restarts cold after a resume by design
+    (``LMTFScheduler.export_state``: entries never change decisions, only
+    wall-clock), so a resumed run may count a would-be hit or invalidation
+    as a plain miss. They are the one part of either ledger a resume does
+    not reproduce — at the parent commit as well."""
+    summary = {key: value for key, value in metrics.to_dict().items()
+               if not key.startswith("probe_cache_")}
+    return summary, [replace(r, cache_hits=0, cache_misses=0,
+                             cache_invalidations=0) for r in rounds]
+
+
+def assert_same_run(baseline, resumed):
+    """Everything a restore touches, not only the digest: a checkpoint that
+    restored the wrong ledger still chains the right digest from then on.
+
+    Record *order* is part of the contract: ``finalize()`` stable-sorts by
+    arrival time and backpressure re-stamps held arrivals to equal times,
+    so registration order breaks ties and fixes float summation order.
+    """
+    (base_service, base), (res_service, res) = baseline, resumed
+    base_sim, res_sim = base_service._sim, res_service._sim
+    assert res.digest == base.digest
+    assert (without_cache_telemetry(res.metrics, res_sim.rounds)
+            == without_cache_telemetry(base.metrics, base_sim.rounds))
+    assert (list(res_sim.metrics_collector.records.items())
+            == list(base_sim.metrics_collector.records.items()))
+    assert res_sim.lifecycle.counts() == base_sim.lifecycle.counts()
+
+
+def crash_state(tmp_path, monkeypatch, label="post-round", n=3, **kwargs):
+    """Run into the crash at ``label:n``; returns the state dir it left."""
     state = tmp_path / "crashed"
     crash_at(monkeypatch, label, n)
-    set_flow_id_state(0)
-    set_event_id_state(0)
     with pytest.raises(CrashInjected):
-        build_service(state, **kwargs).serve()
+        serve_fresh(state, **kwargs)
     disarm(monkeypatch)
-    set_flow_id_state(0)
-    set_event_id_state(0)
-    resumed = build_service(state, resume=True, **kwargs).serve()
-    return baseline, resumed
+    return state
+
+
+def crash_and_resume(tmp_path, monkeypatch, label, n, scheduler=None,
+                     audit=False, **kwargs):
+    """Crash at ``label:n``, resume, require the resumed run to equal the
+    uninterrupted one (:func:`assert_same_run`), and return the
+    (baseline, resumed) reports. ``scheduler`` is a factory: every build
+    needs its own instance."""
+    make = scheduler or FIFOScheduler
+    baseline = serve_fresh(tmp_path / "baseline", scheduler=make(), **kwargs)
+    state = crash_state(tmp_path, monkeypatch, label, n, scheduler=make(),
+                        **kwargs)
+    if audit:
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+    resumed = serve_fresh(state, resume=True, scheduler=make(), **kwargs)
+    assert_same_run(baseline, resumed)
+    return baseline[1], resumed[1]
+
+
+def history_frames(state):
+    return scan_journal(state / HISTORY_FILE).records
 
 
 class TestExactResume:
@@ -193,28 +259,51 @@ class TestExactResume:
         assert resumed.audits > 0
 
     def test_lmtf_scheduler_state_round_trips(self, tmp_path, monkeypatch):
-        kwargs = {"scheduler": LMTFScheduler(alpha=2, seed=5)}
-        baseline = run_lmtf_baseline(tmp_path)
-        state = tmp_path / "crashed"
-        crash_at(monkeypatch, "post-round", 3)
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        with pytest.raises(CrashInjected):
-            build_service(state, **kwargs).serve()
-        disarm(monkeypatch)
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        resumed = build_service(
-            state, resume=True,
-            scheduler=LMTFScheduler(alpha=2, seed=5)).serve()
+        baseline, resumed = crash_and_resume(tmp_path, monkeypatch,
+                                             "post-round", 3, scheduler=lmtf)
         assert resumed.digest == baseline.digest
 
+    @pytest.mark.parametrize("scheduler", [FIFOScheduler, lmtf],
+                             ids=["fifo", "lmtf"])
+    @pytest.mark.parametrize("label, n, frames_on_disk, frames_covered", [
+        # Died before the first checkpoint landed: its history frame is on
+        # disk, nothing covers it, the resume re-runs from the journal.
+        ("snapshot", 1, 1, 0),
+        # Died between the third history append and the third checkpoint
+        # replace: two covered frames plus an uncovered tail.
+        ("snapshot", 3, 3, 2),
+        # Late in the run: several covered frames, and outcomes since the
+        # last tick that only the journal suffix knows about.
+        ("post-round", 10, 5, 5),
+    ])
+    def test_resume_equals_uninterrupted_run(
+            self, tmp_path, monkeypatch, scheduler, label, n,
+            frames_on_disk, frames_covered):
+        baseline = serve_fresh(tmp_path / "baseline", scheduler=scheduler())
+        state = crash_state(tmp_path, monkeypatch, label, n,
+                            scheduler=scheduler())
+        frames = history_frames(state)
+        assert len(frames) == frames_on_disk
+        if frames_covered:
+            checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
+            assert checkpoint["history"]["records"] == frames_covered
+        else:
+            assert not (state / CHECKPOINT_FILE).exists()
+        if label == "post-round":
+            journaled = [r for r in scan_journal(state / JOURNAL_FILE).records
+                         if r["kind"] != "ingest"]
+            assert len(journaled) > sum(len(f["events"]) for f in frames)
+        resumed = serve_fresh(state, resume=True, scheduler=scheduler())
+        assert_same_run(baseline, resumed)
+        assert resumed[1].restarts == 1
 
-def run_lmtf_baseline(tmp_path):
-    set_flow_id_state(0)
-    set_event_id_state(0)
-    return build_service(tmp_path / "baseline",
-                         scheduler=LMTFScheduler(alpha=2, seed=5)).serve()
+    def test_resume_equals_uninterrupted_run_audited(self, tmp_path,
+                                                     monkeypatch):
+        """Same equalities with REPRO_AUDIT=1, so ``assert_restored``
+        cross-checks the journal's outcomes against the history log's."""
+        _, resumed = crash_and_resume(tmp_path, monkeypatch, "post-round",
+                                      10, audit=True)
+        assert resumed.audits > 0
 
 
 class TestSignalStop:
@@ -286,13 +375,7 @@ class TestSignalStop:
 
 
 class TestTampering:
-    def crash_state(self, tmp_path, monkeypatch, label="post-round", n=3):
-        state = tmp_path / "crashed"
-        crash_at(monkeypatch, label, n)
-        with pytest.raises(CrashInjected):
-            build_service(state).serve()
-        disarm(monkeypatch)
-        return state
+    crash_state = staticmethod(crash_state)
 
     def test_truncated_journal_below_checkpoint_rejected(self, tmp_path,
                                                          monkeypatch):
@@ -343,6 +426,103 @@ class TestTampering:
         with pytest.raises(RecoveryError, match="version"):
             build_service(state, resume=True).serve()
 
+    def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
+        """Version 1 carried settled history inline; no reader is kept, the
+        version error tells the operator what to do."""
+        state = self.crash_state(tmp_path, monkeypatch)
+        path = state / CHECKPOINT_FILE
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 1
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RecoveryError, match="version 1.*--fresh"):
+            serve_fresh(state, resume=True)
+
+    def test_undecodable_checkpoint_rejected(self, tmp_path, monkeypatch):
+        """A flipped byte that breaks UTF-8 is a damaged checkpoint like
+        any other, not a UnicodeDecodeError traceback."""
+        state = self.crash_state(tmp_path, monkeypatch)
+        path = state / CHECKPOINT_FILE
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(RecoveryError, match="unreadable.*--fresh"):
+            serve_fresh(state, resume=True)
+
+    def test_truncated_history_below_checkpoint_rejected(self, tmp_path,
+                                                         monkeypatch):
+        state = self.crash_state(tmp_path, monkeypatch, "post-round", 4)
+        history = state / HISTORY_FILE
+        offset = load_checkpoint(state / CHECKPOINT_FILE)["history"]["offset"]
+        assert offset > 0
+        history.write_bytes(history.read_bytes()[:offset - 1])
+        with pytest.raises(RecoveryError,
+                           match=f"{HISTORY_FILE} is truncated below"):
+            serve_fresh(state, resume=True)
+
+    def test_history_of_another_run_rejected(self, tmp_path, monkeypatch):
+        """Whole valid frames, enough of them, but not the ones the
+        checkpoint was written over."""
+        state = self.crash_state(tmp_path, monkeypatch, "post-round", 10)
+        frames = history_frames(state)
+        assert len(frames) >= 3
+        (state / HISTORY_FILE).write_bytes(
+            b"".join(encode_record(f) for f in frames[1:] + frames[1:]))
+        with pytest.raises(RecoveryError,
+                           match=f"{HISTORY_FILE} does not line up"):
+            serve_fresh(state, resume=True)
+
+    def test_reordered_history_fails_the_restore_audit(self, tmp_path,
+                                                       monkeypatch):
+        """Same frames, same bytes in total, different order: every size
+        check passes, and the auditor's journal-vs-history cross-check is
+        what notices."""
+        state = self.crash_state(tmp_path, monkeypatch, "post-round", 10)
+        frames = history_frames(state)
+        (state / HISTORY_FILE).write_bytes(
+            b"".join(encode_record(f) for f in reversed(frames)))
+        with pytest.raises(AuditError) as raised:
+            serve_fresh(state, resume=True)
+        assert "journal_outcomes_vs_history" in raised.value.diff
+
+    def test_hostile_history_log(self, tmp_path, monkeypatch):
+        """Cut ``history.wal`` at every offset and flip one byte in every
+        frame: a resume either equals the uninterrupted run (the damage
+        sat in the tail no checkpoint covers) or refuses with an
+        actionable error — never a third outcome."""
+        # Six events: ~a thousand of the attempts below run to the end.
+        baseline = serve_fresh(tmp_path / "baseline", max_events=6)
+        crashed = crash_state(tmp_path, monkeypatch, "snapshot", 3,
+                              max_events=6)
+        files = {path.name: path.read_bytes() for path in crashed.iterdir()}
+        log = files[HISTORY_FILE]
+        covered = load_checkpoint(crashed / CHECKPOINT_FILE)["history"]
+        assert covered["records"] == 2 and covered["offset"] < len(log)
+        ends, offset = [], 0
+        for frame in history_frames(crashed):
+            offset += len(encode_record(frame))
+            ends.append(offset)
+        flips = [bytes(log[:end - 5]) + bytes([log[end - 5] ^ 0x01])
+                 + bytes(log[end - 4:]) for end in ends]
+        outcomes = {"resumed": 0, "refused": 0}
+        for damaged in [log[:cut] for cut in range(len(log))] + flips:
+            state = tmp_path / "attempt"
+            shutil.rmtree(state, ignore_errors=True)
+            state.mkdir()
+            for name, data in files.items():
+                (state / name).write_bytes(data)
+            (state / HISTORY_FILE).write_bytes(damaged)
+            try:
+                resumed = serve_fresh(state, resume=True, max_events=6)
+            except (RecoveryError, JournalCorruptionError):
+                outcomes["refused"] += 1
+                continue
+            assert len(damaged) >= covered["offset"]
+            assert_same_run(baseline, resumed)
+            outcomes["resumed"] += 1
+        assert outcomes["refused"] == covered["offset"] + len(flips)
+        assert outcomes["resumed"] == len(log) - covered["offset"]
+
     def test_scheduler_mismatch_rejected(self, tmp_path, monkeypatch):
         state = self.crash_state(tmp_path, monkeypatch)
         set_flow_id_state(0)
@@ -385,11 +565,20 @@ class TestStateDirGuards:
             build_service(state).serve()
         disarm(monkeypatch)
         removed = discard_state(state)
-        assert CHECKPOINT_FILE in removed and JOURNAL_FILE in removed
+        assert {CHECKPOINT_FILE, JOURNAL_FILE, HISTORY_FILE} <= set(removed)
         set_flow_id_state(0)
         set_event_id_state(0)
         report = build_service(state).serve()
         assert report.restarts == 0
+
+    def test_fresh_start_refuses_a_leftover_history_log(self, tmp_path,
+                                                        monkeypatch):
+        state = crash_state(tmp_path, monkeypatch, "post-round", 3)
+        (state / CHECKPOINT_FILE).unlink()
+        (state / JOURNAL_FILE).unlink()
+        with pytest.raises(RecoveryError,
+                           match=f"already holds a run .{HISTORY_FILE}"):
+            serve_fresh(state)
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="resume requires"):
@@ -409,8 +598,44 @@ class TestCheckpointPayload:
         assert checkpoint["origin"] == "snapshot-tick"
         for key in ("engine", "pipeline", "lifecycle", "metrics", "network",
                     "sched", "sim_rng", "counters", "ids", "journal",
-                    "service", "fingerprint"):
+                    "history", "service", "fingerprint"):
             assert key in checkpoint
+
+    def test_checkpoint_size_does_not_grow_with_service_age(
+            self, tmp_path, monkeypatch):
+        """A checkpoint carries live state only, so four times the events
+        through the same queue cap leaves its size where it was."""
+        def largest_tick_checkpoint(events):
+            service = build_service(tmp_path / f"run-{events}",
+                                    max_events=events)
+            lifecycle = service._sim.lifecycle
+            sizes = []
+
+            def recording(path, text, **kwargs):
+                if Path(path).name == CHECKPOINT_FILE:
+                    checkpoint = json.loads(text)
+                    carried = ([r["event_id"] for r
+                                in checkpoint["metrics"]["records"]]
+                               + list(checkpoint["lifecycle"]["states"]))
+                    assert not [eid for eid in carried
+                                if lifecycle.state(eid) in TERMINAL_STATES]
+                    assert "rounds" not in checkpoint["pipeline"]
+                    if checkpoint["origin"] == "snapshot-tick":
+                        sizes.append(len(text))
+                atomic_write_text(path, text, **kwargs)
+
+            monkeypatch.setattr(service_mod, "atomic_write_text", recording)
+            set_flow_id_state(0)
+            set_event_id_state(0)
+            report = service.serve()
+            assert report.completed + report.dropped == events
+            assert len(sizes) >= events // 4
+            return max(sizes)
+
+        atomic_write_text = service_mod.atomic_write_text
+        short, long = (largest_tick_checkpoint(40),
+                       largest_tick_checkpoint(160))
+        assert long <= 1.5 * short
 
     def test_completed_run_leaves_final_checkpoint(self, tmp_path):
         report = run_baseline(tmp_path)

@@ -17,7 +17,7 @@ from helpers import ab_flow, diamond_setup  # noqa: E402
 from repro.core.event import event_id_state, make_event, set_event_id_state
 from repro.core.exceptions import SimulationError
 from repro.core.flow import flow_id_state, set_flow_id_state
-from repro.core.ioutil import payload_fingerprint
+from repro.core.ioutil import fingerprinted_json, payload_fingerprint
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.export import CounterExporter, StatsLine
 from repro.sim.service import (
@@ -401,3 +401,18 @@ class TestPayloadFingerprint:
         with pytest.raises(ValueError, match="length"):
             payload_fingerprint({}, length=2)
         assert len(payload_fingerprint({}, length=8)) == 8
+
+
+class TestFingerprintedJson:
+    def test_one_object_carrying_the_hash_of_the_rest(self):
+        payload = {"b": [1, 2.5, None], "a": {"z": "é", "y": True}}
+        parsed = json.loads(fingerprinted_json(payload))
+        claimed = parsed.pop("fingerprint")
+        assert parsed == payload
+        assert claimed == payload_fingerprint(payload)
+        assert claimed == payload_fingerprint(parsed)
+
+    def test_refuses_a_payload_it_cannot_sign(self):
+        for payload in ({}, {"fingerprint": "x", "a": 1}):
+            with pytest.raises(ValueError, match="fingerprint"):
+                fingerprinted_json(payload)
