@@ -1,21 +1,22 @@
-"""Live observability subscribers: counter export and periodic stats.
+"""Live observability plugins: counter export and periodic stats.
 
-Both classes are plain hook-bus plugins (``sim.attach(...)``) with no
-simulator support code — the same extension surface fault injection and
-churn use. :class:`CounterExporter` accumulates monotonic counters from
-hook emissions and renders them in the Prometheus text exposition format
-(write the file where a node-exporter textfile collector looks, or serve
-it verbatim). :class:`StatsLine` prints a one-line digest every N settled
+Both classes are plain plugins (``sim.attach(...)``) with no simulator
+support code — the same extension surface fault injection and churn use.
+:class:`CounterExporter` renders the run ledger's totals
+(:data:`repro.sim.metrics.RUN_COUNTERS`) and a few live gauges in the
+Prometheus text exposition format (write the file where a node-exporter
+textfile collector looks, or serve it verbatim); it keeps no count of
+its own. :class:`StatsLine` prints a one-line digest every N settled
 rounds so an operator can eyeball a long service run without attaching a
 trace log.
 
-Neither subscriber mutates simulator state, so attaching them never
+Neither plugin mutates simulator state, so attaching them never
 changes a schedule.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.ioutil import atomic_write_text
 from repro.sim import hooks as _hooks
@@ -25,82 +26,110 @@ if TYPE_CHECKING:
 
     from repro.sim.hooks import SimulatorPort
 
+    _Source = str | Callable[[SimulatorPort], int] | None
+
 __all__ = ["CounterExporter", "StatsLine"]
 
-#: (counter name, help text) in render order.
-_COUNTERS = (
-    ("events_arrived", "Update events that entered the queue."),
-    ("events_completed", "Update events that finished."),
-    ("events_dropped", "Update events evicted past their deferral budget."),
-    ("events_deferred", "Deferrals charged (an event can defer repeatedly)."),
-    ("rounds", "Scheduling rounds settled (empty rounds included)."),
-    ("admissions", "Admissions that executed successfully."),
-    ("plan_stages",
-     "Compiled-plan stages applied across admissions (1 per atomic "
-     "admission; staged/augmented plans contribute their stage count)."),
-    ("flows_finished", "Admitted flows that completed transmission."),
-    ("exec_retries", "Failed execution attempts that were retried."),
-    ("exec_failures", "Admissions whose execution failed terminally."),
-    ("faults_injected", "Link/switch failures fired mid-run."),
-    ("faults_healed", "Failures that healed."),
-    ("churn_ticks", "Background flow completions."),
-    # Probe-loop health (PreRound deltas; zero for schedulers without a
-    # probe cache / learned ranking).
-    ("probe_cache_hits", "Cost probes served from the probe cache."),
-    ("probe_cache_misses", "Cost probes that required a fresh plan."),
-    ("probe_cache_invalidations",
-     "Cached probes evicted on footprint version drift."),
-    ("probes_skipped",
-     "Sampled candidates never exactly probed (learned ranking budget)."),
-    ("prediction_samples",
-     "Online training pairs the learned scheduler consumed."),
-    ("fallback_rounds",
-     "Rounds the learned scheduler degraded to full probing."),
-    # Crash-recovery health (set by the service / supervisor, not by
-    # hooks; zero on runs without a state dir).
-    ("restarts", "Times this service resumed from a checkpoint."),
-    ("journal_records", "Records appended to the write-ahead journal."),
-    ("recovery_replayed_events",
-     "Journal-suffix records verified by re-execution after a restore."),
-)
 
-
-def _scheduler_of(sim: "SimulatorPort"):
+def _scheduler_of(sim: SimulatorPort) -> Any:
     return sim.pipeline.scheduler
 
 
-def _probe_cache_of(sim: "SimulatorPort"):
+def _probe_cache_of(sim: SimulatorPort) -> Any:
     return getattr(_scheduler_of(sim), "cache", None)
 
 
-def _probe_cache_purges(sim: "SimulatorPort") -> int:
+def _probe_cache_purges(sim: SimulatorPort) -> int:
     cache = _probe_cache_of(sim)
     return getattr(cache, "purges", 0) if cache is not None else 0
 
 
-def _probe_cache_entries(sim: "SimulatorPort") -> int:
+def _probe_cache_entries(sim: SimulatorPort) -> int:
     cache = _probe_cache_of(sim)
     return len(cache) if cache is not None else 0
 
 
-def _prediction_error_ewma(sim: "SimulatorPort") -> float:
+def _prediction_error_ewma(sim: SimulatorPort) -> float:
     return float(getattr(_scheduler_of(sim), "prediction_error_ewma", 0.0))
 
 
-def _fallback_active(sim: "SimulatorPort") -> int:
+def _fallback_active(sim: SimulatorPort) -> int:
     return int(bool(getattr(_scheduler_of(sim), "fallback_active", False)))
 
 
-#: (counter name, help text, live reader) — monotonic values kept by the
-#: scheduler itself rather than accumulated from hook deltas.
-_LIVE_COUNTERS = (
+def _max_transient_overload(sim: SimulatorPort) -> float:
+    return float(sim.metrics_collector.totals["max_transient_overload"])
+
+
+#: (counter name, help text, source) in render order. A ``str`` source is
+#: a run-ledger key (``MetricsCollector.totals``); a callable reads the
+#: simulator for a value another component already keeps; ``None`` marks
+#: a series owned by whoever built the exporter (the service hands in
+#: readers for its crash-recovery counts; zero without one).
+_COUNTERS: tuple[tuple[str, str, _Source], ...] = (
+    ("events_arrived", "Update events that entered the queue.",
+     lambda sim: sim.metrics_collector.record_count),
+    ("events_completed", "Update events that finished.",
+     lambda sim: sim.metrics_collector.completed_count),
+    ("events_dropped", "Update events evicted past their deferral budget.",
+     lambda sim: sim.metrics_collector.dropped_count),
+    ("events_deferred", "Deferrals charged (an event can defer repeatedly).",
+     "deferrals"),
+    ("rounds", "Scheduling rounds settled (empty rounds included).",
+     "rounds_settled"),
+    ("admissions", "Admissions that executed successfully.", "admissions"),
+    ("plan_stages",
+     "Compiled-plan stages applied across admissions (1 per atomic "
+     "admission; staged/augmented plans contribute their stage count).",
+     "total_stages"),
+    ("flows_finished", "Admitted flows that completed transmission.",
+     "flows_finished"),
+    ("exec_retries", "Failed execution attempts that were retried.",
+     "retries"),
+    ("exec_failures", "Admissions whose execution failed terminally.",
+     "exec_failures"),
+    ("faults_injected", "Link/switch failures fired mid-run.",
+     "faults_injected"),
+    ("faults_healed", "Failures that healed.", "faults_healed"),
+    ("churn_ticks", "Background flow completions.", "churn_ticks"),
+    # Probe-loop health (PreRound deltas; zero for schedulers without a
+    # probe cache / learned ranking).
+    ("probe_cache_hits", "Cost probes served from the probe cache.",
+     "probe_cache_hits"),
+    ("probe_cache_misses", "Cost probes that required a fresh plan.",
+     "probe_cache_misses"),
+    ("probe_cache_invalidations",
+     "Cached probes evicted on footprint version drift.",
+     "probe_cache_invalidations"),
+    ("probes_skipped",
+     "Sampled candidates never exactly probed (learned ranking budget).",
+     "probes_skipped"),
+    ("prediction_samples",
+     "Online training pairs the learned scheduler consumed.",
+     "prediction_samples"),
+    ("fallback_rounds",
+     "Rounds the learned scheduler degraded to full probing.",
+     "fallback_rounds"),
+    # Crash-recovery health (zero on runs without a state dir).
+    ("restarts", "Times this service resumed from a checkpoint.", None),
+    ("journal_records", "Records appended to the write-ahead journal.",
+     None),
+    ("recovery_replayed_events",
+     "Journal-suffix records verified by re-execution after a restore.",
+     None),
     ("probe_cache_purges",
      "Probe-cache entries dropped by completion/drop purges.",
      _probe_cache_purges),
 )
 
+#: Rendered, but left out of :attr:`CounterExporter.counters` (and so of
+#: snapshots and ``ServiceReport``): the probe cache restarts cold on a
+#: resume, so its own purge count does not describe the run.
+_RENDER_ONLY = frozenset({"probe_cache_purges"})
+
 #: (gauge name, help text, reader) in render order.
-_GAUGES = (
+_GAUGES: tuple[tuple[str, str, Callable[[SimulatorPort], int | float]],
+               ...] = (
     ("queue_depth", "Events waiting in the scheduler queue.",
      lambda sim: sim.pipeline.queue_depth),
     ("events_remaining", "Events enqueued but not yet terminal.",
@@ -125,7 +154,7 @@ _GAUGES = (
     ("max_transient_overload",
      "Worst fractional transient capacity overshoot any compiled stage "
      "allowed so far (0 under atomic/staged modes).",
-     lambda sim: float(sim.metrics_collector.max_transient_overload)),
+     _max_transient_overload),
 )
 
 
@@ -143,97 +172,60 @@ def _escape_help(text: str) -> str:
 
 
 class CounterExporter:
-    """Accumulates hook-driven counters; renders Prometheus text format.
+    """Renders the run's counters and gauges in Prometheus text format.
 
     Args:
         namespace: metric-name prefix (``<namespace>_<counter>_total``).
+        readers: one zero-argument reader per externally owned counter
+            (the :data:`_COUNTERS` rows whose source is ``None``).
     """
 
-    def __init__(self, namespace: str = "repro") -> None:
+    def __init__(self, namespace: str = "repro",
+                 readers: Mapping[str, Callable[[], int]] | None = None,
+                 ) -> None:
         if not namespace.isidentifier():
             raise ValueError(f"namespace must be an identifier, "
                              f"got {namespace!r}")
         self._namespace = namespace
+        self._readers = dict(readers or {})
+        unknown = set(self._readers) - {
+            name for name, _, source in _COUNTERS if source is None}
+        if unknown:
+            raise ValueError(f"no externally owned counter named "
+                             f"{sorted(unknown)}")
         self._sim: SimulatorPort | None = None
-        self._counts: dict[str, int] = {name: 0 for name, _ in _COUNTERS}
 
     def attach(self, sim: SimulatorPort) -> None:
         self._sim = sim
-        bus = sim.hooks
-        bus.subscribe(_hooks.EventArrived, self._count("events_arrived"))
-        bus.subscribe(_hooks.EventCompleted,
-                      self._count("events_completed"))
-        bus.subscribe(_hooks.EventDropped, self._count("events_dropped"))
-        bus.subscribe(_hooks.EventDeferred, self._count("events_deferred"))
-        bus.subscribe(_hooks.PostRound, self._count("rounds"))
-        bus.subscribe(_hooks.PreRound, self._on_pre_round)
-        bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
-        bus.subscribe(_hooks.FlowFinished, self._count("flows_finished"))
-        bus.subscribe(_hooks.ExecutionFailed, self._count("exec_failures"))
-        bus.subscribe(_hooks.ExecutionRetried, self._on_retried)
-        bus.subscribe(_hooks.FaultInjected, self._count("faults_injected"))
-        bus.subscribe(_hooks.FaultHealed, self._count("faults_healed"))
-        bus.subscribe(_hooks.ChurnTick, self._count("churn_ticks"))
 
-    def _count(self, name: str) -> Callable[[_hooks.Hook], None]:
-        def bump(_hook: _hooks.Hook) -> None:
-            self._counts[name] += 1
-        return bump
-
-    def _on_admitted(self, hook: _hooks.EventAdmitted) -> None:
-        self._counts["admissions"] += 1
-        self._counts["plan_stages"] += hook.stage_count
-
-    def _on_retried(self, hook: _hooks.ExecutionRetried) -> None:
-        self._counts["exec_retries"] += hook.retries
-
-    def _on_pre_round(self, hook: _hooks.PreRound) -> None:
-        self._counts["probe_cache_hits"] += hook.cache_hits
-        self._counts["probe_cache_misses"] += hook.cache_misses
-        self._counts["probe_cache_invalidations"] += hook.cache_invalidations
-        self._counts["probes_skipped"] += hook.probes_skipped
-        self._counts["prediction_samples"] += hook.prediction_samples
-        if hook.fallback:
-            self._counts["fallback_rounds"] += 1
+    def _read(self, name: str, source: _Source) -> int:
+        if source is None:
+            reader = self._readers.get(name)
+            return reader() if reader is not None else 0
+        sim = self._sim
+        if sim is None:
+            return 0
+        if callable(source):
+            return source(sim)
+        return int(sim.metrics_collector.totals[source])
 
     @property
     def counters(self) -> dict[str, int]:
-        """Current counter values (a copy)."""
-        return dict(self._counts)
-
-    def set_counter(self, name: str, value: int) -> None:
-        """Overwrite one declared counter (service-maintained counters
-        such as ``journal_records`` are pushed, not hook-accumulated)."""
-        if name not in self._counts:
-            raise KeyError(f"unknown counter {name!r}")
-        self._counts[name] = value
-
-    def export_state(self) -> dict[str, int]:
-        """Checkpoint the accumulated counts (crash recovery)."""
-        return dict(self._counts)
-
-    def restore_state(self, state: dict[str, int]) -> None:
-        """Restore counts from :meth:`export_state` output; counters
-        added since the checkpoint keep their zero default."""
-        for name, value in state.items():
-            if name in self._counts:
-                self._counts[name] = int(value)
+        """Current counter values (a fresh dict)."""
+        return {name: self._read(name, source)
+                for name, _, source in _COUNTERS
+                if name not in _RENDER_ONLY}
 
     def render(self) -> str:
         """The Prometheus text exposition (counters, then gauges)."""
         ns = self._namespace
         lines: list[str] = []
-        for name, help_text in _COUNTERS:
+        for name, help_text, source in _COUNTERS:
             metric = f"{ns}_{name}_total"
             lines.append(f"# HELP {metric} {_escape_help(help_text)}")
             lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {self._counts[name]}")
+            lines.append(f"{metric} {self._read(name, source)}")
         if self._sim is not None:
-            for name, help_text, read_live in _LIVE_COUNTERS:
-                metric = f"{ns}_{name}_total"
-                lines.append(f"# HELP {metric} {_escape_help(help_text)}")
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {read_live(self._sim)}")
             for name, help_text, read in _GAUGES:
                 metric = f"{ns}_{name}"
                 lines.append(f"# HELP {metric} {_escape_help(help_text)}")
@@ -250,7 +242,7 @@ class CounterExporter:
         atomic_write_text(path, self.render())
 
     def __repr__(self) -> str:
-        alive = {k: v for k, v in self._counts.items() if v}
+        alive = {k: v for k, v in self.counters.items() if v}
         return f"<CounterExporter {self._namespace} {alive}>"
 
 
@@ -295,5 +287,5 @@ class StatsLine:
             f"{sim.pipeline.events_remaining - sim.pipeline.queue_depth} "
             f"completed={collector.completed_count} "
             f"dropped={collector.dropped_count} "
-            f"stages={collector.total_stages} "
+            f"stages={collector.totals['total_stages']} "
             f"pending={sim.engine.pending}")

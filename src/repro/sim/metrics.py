@@ -14,7 +14,9 @@ them are exactly what the paper plots:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable
 
 from repro.sim import hooks as _hooks
 from repro.sim.lifecycle import in_registration_order
@@ -152,9 +154,8 @@ class RunMetrics:
             return 0.0
         return self.prediction_error_sum / self.prediction_samples
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         """JSON-serializable representation (tuples become lists)."""
-        from dataclasses import asdict
         data = asdict(self)
         for key in ("per_event_ect", "per_event_delay", "per_event_cost",
                     "per_event_stages"):
@@ -164,7 +165,7 @@ class RunMetrics:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunMetrics":
+    def from_dict(cls, data: dict[str, Any]) -> RunMetrics:
         """Rebuild from a :meth:`to_dict` payload, exactly.
 
         Floats survive a JSON round-trip bit-for-bit (``json`` serializes
@@ -203,10 +204,77 @@ class RunMetrics:
         return line
 
 
-class MetricsCollector:
-    """Accumulates per-event records during a run and finalizes them."""
+@dataclass(frozen=True)
+class RunCounter:
+    """One run-level total: which hook feeds it, and how.
 
-    def __init__(self, scheduler_name: str):
+    ``read`` names the payload attribute folded in (``None`` counts
+    emissions); ``fold`` combines the total with that value (``max`` for
+    a high-water mark); ``zero`` is the starting value, and its type is
+    the total's type — ``0`` and ``0.0`` are spelled differently in every
+    JSON encoding of the ledger.
+    """
+
+    name: str
+    hook: type[_hooks.Hook]
+    read: str | None = None
+    fold: Callable[[Any, Any], Any] = operator.add
+    zero: int | float = 0
+
+
+#: Every run-level total, declared once. :class:`MetricsCollector` folds
+#: them, checkpoints them and hands :class:`RunMetrics` the ones that are
+#: fields of it; the Prometheus exporter (:mod:`repro.sim.export`) reads
+#: the same totals. ``rounds`` counts decided rounds (``RunMetrics.rounds``)
+#: and ``rounds_settled`` settled ones (``repro_rounds_total``): a
+#: snapshot tick can land between a round's ``PreRound`` and ``PostRound``.
+RUN_COUNTERS: tuple[RunCounter, ...] = (
+    RunCounter("rounds", _hooks.PreRound),
+    RunCounter("total_plan_time", _hooks.PreRound, "plan_time", zero=0.0),
+    RunCounter("probe_cache_hits", _hooks.PreRound, "cache_hits"),
+    RunCounter("probe_cache_misses", _hooks.PreRound, "cache_misses"),
+    RunCounter("probe_cache_invalidations", _hooks.PreRound,
+               "cache_invalidations"),
+    RunCounter("probes_skipped", _hooks.PreRound, "probes_skipped"),
+    RunCounter("prediction_samples", _hooks.PreRound, "prediction_samples"),
+    RunCounter("prediction_error_sum", _hooks.PreRound,
+               "prediction_error_sum", zero=0.0),
+    RunCounter("fallback_rounds", _hooks.PreRound, "fallback"),
+    RunCounter("total_stages", _hooks.EventAdmitted, "stage_count"),
+    RunCounter("max_stage_count", _hooks.EventAdmitted, "stage_count",
+               fold=max),
+    RunCounter("max_transient_overload", _hooks.EventAdmitted,
+               "max_transient_overload", fold=max, zero=0.0),
+    RunCounter("compile_epsilon", _hooks.EventAdmitted, "epsilon",
+               fold=max, zero=0.0),
+    RunCounter("retries", _hooks.ExecutionRetried, "retries"),
+    RunCounter("deferrals", _hooks.EventDeferred),
+    RunCounter("stranded_traffic", _hooks.EventDropped, "stranded_demand",
+               zero=0.0),
+    RunCounter("faults_injected", _hooks.FaultInjected),
+    RunCounter("faults_healed", _hooks.FaultHealed),
+    # Live-only: scraped, never part of the run summary.
+    RunCounter("admissions", _hooks.EventAdmitted),
+    RunCounter("rounds_settled", _hooks.PostRound),
+    RunCounter("flows_finished", _hooks.FlowFinished),
+    RunCounter("exec_failures", _hooks.ExecutionFailed),
+    RunCounter("churn_ticks", _hooks.ChurnTick),
+)
+
+_SUMMARY_FIELDS = frozenset(f.name for f in fields(RunMetrics))
+
+
+class MetricsCollector:
+    """The run ledger: per-event records plus the :data:`RUN_COUNTERS`
+    totals, fed by the hook bus and finalized into :class:`RunMetrics`.
+
+    Subscribes its own handlers on ``bus``. The simulator builds it
+    *before* the trace-log adapter, so for every shared hook type the
+    ledger is charged first and the listener sees it second (the record
+    order the schedule pins hash).
+    """
+
+    def __init__(self, scheduler_name: str, bus: _hooks.HookBus):
         self._scheduler = scheduler_name
         self._records: dict[str, EventRecord] = {}
         # The records no completion or drop has closed yet: what a
@@ -214,127 +282,86 @@ class MetricsCollector:
         self._open: dict[str, EventRecord] = {}
         self._completed = 0
         self._dropped = 0
-        self._plan_time = 0.0
-        self._rounds = 0
         self._makespan = 0.0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_invalidations = 0
-        self._retries = 0
-        self._deferrals = 0
-        self._stranded_traffic = 0.0
-        self._faults_injected = 0
-        self._faults_healed = 0
-        self._probes_skipped = 0
-        self._prediction_samples = 0
-        self._prediction_error_sum = 0.0
-        self._fallback_rounds = 0
-        self._total_stages = 0
-        self._max_stage_count = 0
-        self._max_transient_overload = 0.0
-        self._compile_epsilon = 0.0
+        #: Current value of every declared run counter, by name.
+        self.totals: dict[str, int | float] = {
+            counter.name: counter.zero for counter in RUN_COUNTERS}
+        bus.subscribe(_hooks.EventArrived, self._on_arrived)
+        bus.subscribe(_hooks.PostRound, self._on_post_round)
+        bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
+        bus.subscribe(_hooks.EventCompleted, self._on_completed)
+        bus.subscribe(_hooks.EventDeferred, self._on_deferred)
+        bus.subscribe(_hooks.EventDropped, self._on_dropped)
+        for counter in RUN_COUNTERS:
+            bus.subscribe(counter.hook, self._folder(counter))
+
+    def _folder(self, counter: RunCounter) -> Callable[[_hooks.Hook], None]:
+        totals, name, fold = self.totals, counter.name, counter.fold
+        if counter.read is None:
+            def handle(hook: _hooks.Hook) -> None:
+                totals[name] += 1
+        else:
+            read = counter.read
+
+            def handle(hook: _hooks.Hook) -> None:
+                totals[name] = fold(totals[name], getattr(hook, read))
+        return handle
 
     # --------------------------------------------------------------- record
 
-    def on_enqueue(self, event_id: str, arrival_time: float,
-                   flow_count: int) -> None:
-        if event_id in self._records:
-            raise ValueError(f"event {event_id} enqueued twice")
-        self._records[event_id] = self._open[event_id] = EventRecord(
-            event_id=event_id, arrival_time=arrival_time,
-            flow_count=flow_count)
+    def _on_arrived(self, hook: _hooks.EventArrived) -> None:
+        if hook.event_id in self._records:
+            raise ValueError(f"event {hook.event_id} enqueued twice")
+        self._records[hook.event_id] = self._open[hook.event_id] = (
+            EventRecord(event_id=hook.event_id, arrival_time=hook.now,
+                        flow_count=hook.flow_count))
 
-    def on_round(self, plan_time: float, cache_hits: int = 0,
-                 cache_misses: int = 0, cache_invalidations: int = 0,
-                 probes_skipped: int = 0, prediction_samples: int = 0,
-                 prediction_error_sum: float = 0.0,
-                 fallback: bool = False) -> None:
-        self._rounds += 1
-        self._plan_time += plan_time
-        self._cache_hits += cache_hits
-        self._cache_misses += cache_misses
-        self._cache_invalidations += cache_invalidations
-        self._probes_skipped += probes_skipped
-        self._prediction_samples += prediction_samples
-        self._prediction_error_sum += prediction_error_sum
-        if fallback:
-            self._fallback_rounds += 1
+    def _on_post_round(self, hook: _hooks.PostRound) -> None:
+        for event_id in hook.waiting:
+            self._record(event_id).rounds_waited += 1
 
-    def on_wait(self, event_id: str) -> None:
-        self._record(event_id).rounds_waited += 1
+    def _on_admitted(self, hook: _hooks.EventAdmitted) -> None:
+        """Accumulate one admission's realized plan cost.
 
-    def on_exec_start(self, event_id: str, time: float) -> None:
-        """Record when the event's update first began executing.
-
-        Idempotent: for the flow-level baseline an event executes across
-        many rounds and only the first one defines its queuing delay.
+        Only the first admission defines the queuing delay: for the
+        flow-level baseline an event executes across many rounds.
         """
-        record = self._record(event_id)
+        record = self._record(hook.event_id)
         if record.exec_start_time is None:
-            record.exec_start_time = time
-
-    def on_admission(self, event_id: str, cost: float, migrations: int,
-                     stage_count: int = 1,
-                     max_transient_overload: float = 0.0,
-                     epsilon: float = 0.0) -> None:
-        """Accumulate realized plan cost; called once per admission."""
-        record = self._record(event_id)
-        record.cost += cost
-        record.migrations += migrations
-        record.stage_count += stage_count
+            record.exec_start_time = hook.exec_start
+        record.cost += hook.cost
+        record.migrations += hook.migrations
+        record.stage_count += hook.stage_count
         record.max_transient_overload = max(record.max_transient_overload,
-                                            max_transient_overload)
-        self._total_stages += stage_count
-        self._max_stage_count = max(self._max_stage_count, stage_count)
-        self._max_transient_overload = max(self._max_transient_overload,
-                                           max_transient_overload)
-        self._compile_epsilon = max(self._compile_epsilon, epsilon)
+                                            hook.max_transient_overload)
+        record.setup_done_time = hook.setup_done_time
 
-    def on_setup_done(self, event_id: str, time: float) -> None:
-        self._record(event_id).setup_done_time = time
-
-    def on_completion(self, event_id: str, time: float) -> None:
-        record = self._record(event_id)
+    def _on_completed(self, hook: _hooks.EventCompleted) -> None:
+        record = self._record(hook.event_id)
         if record.completion_time is None:
             self._completed += 1
-        record.completion_time = time
-        self._open.pop(event_id, None)
-        self._makespan = max(self._makespan, time)
+        record.completion_time = hook.now
+        self._open.pop(hook.event_id, None)
+        self._makespan = max(self._makespan, hook.now)
 
-    # -------------------------------------------------------- fault pipeline
-
-    def on_retries(self, count: int) -> None:
-        """Account ``count`` failed execution attempts (control plane)."""
-        self._retries += count
-
-    def on_deferral(self, event_id: str) -> None:
+    def _on_deferred(self, hook: _hooks.EventDeferred) -> None:
         """The event was requeued (execution failure or placement stall)."""
-        self._record(event_id).deferrals += 1
-        self._deferrals += 1
+        self._record(hook.event_id).deferrals += 1
 
-    def on_drop(self, event_id: str, time: float,
-                stranded_demand: float) -> None:
+    def _on_dropped(self, hook: _hooks.EventDropped) -> None:
         """The event was evicted after exhausting its deferrals.
 
-        ``stranded_demand`` is the total demand of its never-placed flows;
-        it accumulates into ``RunMetrics.stranded_traffic``. Dropped events
-        are excluded from completion aggregates but keep any cost they
-        realized before stalling.
+        Dropped events are excluded from completion aggregates but keep
+        any cost they realized before stalling; the demand of their
+        never-placed flows is the ``stranded_traffic`` total.
         """
-        record = self._record(event_id)
+        record = self._record(hook.event_id)
         if record.dropped:
-            raise ValueError(f"event {event_id} dropped twice")
+            raise ValueError(f"event {hook.event_id} dropped twice")
         record.dropped = True
-        self._open.pop(event_id, None)
+        self._open.pop(hook.event_id, None)
         self._dropped += 1
-        self._stranded_traffic += stranded_demand
-        self._makespan = max(self._makespan, time)
-
-    def on_fault(self) -> None:
-        self._faults_injected += 1
-
-    def on_heal(self) -> None:
-        self._faults_healed += 1
+        self._makespan = max(self._makespan, hook.now)
 
     def _record(self, event_id: str) -> EventRecord:
         try:
@@ -344,7 +371,7 @@ class MetricsCollector:
 
     # -------------------------------------------------------- checkpointing
 
-    def export_state(self) -> dict:
+    def export_state(self) -> dict[str, Any]:
         """JSON-ready encoding of the open records and all counters.
 
         A completed or dropped record never changes again;
@@ -355,36 +382,24 @@ class MetricsCollector:
             "records": [dict(vars(r)) for r in self._open.values()],
             "completed": self._completed,
             "dropped": self._dropped,
-            "plan_time": self._plan_time,
-            "rounds": self._rounds,
             "makespan": self._makespan,
-            "cache_hits": self._cache_hits,
-            "cache_misses": self._cache_misses,
-            "cache_invalidations": self._cache_invalidations,
-            "retries": self._retries,
-            "deferrals": self._deferrals,
-            "stranded_traffic": self._stranded_traffic,
-            "faults_injected": self._faults_injected,
-            "faults_healed": self._faults_healed,
-            "probes_skipped": self._probes_skipped,
-            "prediction_samples": self._prediction_samples,
-            "prediction_error_sum": self._prediction_error_sum,
-            "fallback_rounds": self._fallback_rounds,
-            "total_stages": self._total_stages,
-            "max_stage_count": self._max_stage_count,
-            "max_transient_overload": self._max_transient_overload,
-            "compile_epsilon": self._compile_epsilon,
+            "totals": dict(self.totals),
         }
 
-    def export_record(self, event_id: str) -> dict:
+    def export_record(self, event_id: str) -> dict[str, Any]:
         """The record fields of one event (a closed one, on its way to the
         history log)."""
         return dict(vars(self._record(event_id)))
 
-    def restore_state(self, state: dict, settled: list[dict]) -> None:
+    def restore_state(self, state: dict[str, Any],
+                      settled: list[dict[str, Any]]) -> None:
         """Overwrite this collector from :meth:`export_state` output plus
         the history log's entries (``{"index": registration index,
-        "record": fields}``) for every record closed before it."""
+        "record": fields}``) for every record closed before it.
+
+        ``state["totals"]`` must hold exactly the declared counters (the
+        service checks that and refuses the checkpoint otherwise).
+        """
         if self._records:
             raise ValueError("restore_state requires an empty collector")
         self._open = {payload["event_id"]: EventRecord(**payload)
@@ -395,25 +410,9 @@ class MetricsCollector:
             self._records[record.event_id] = record
         self._completed = int(state["completed"])
         self._dropped = int(state["dropped"])
-        self._plan_time = state["plan_time"]
-        self._rounds = int(state["rounds"])
         self._makespan = state["makespan"]
-        self._cache_hits = int(state["cache_hits"])
-        self._cache_misses = int(state["cache_misses"])
-        self._cache_invalidations = int(state["cache_invalidations"])
-        self._retries = int(state["retries"])
-        self._deferrals = int(state["deferrals"])
-        self._stranded_traffic = state["stranded_traffic"]
-        self._faults_injected = int(state["faults_injected"])
-        self._faults_healed = int(state["faults_healed"])
-        self._probes_skipped = int(state["probes_skipped"])
-        self._prediction_samples = int(state["prediction_samples"])
-        self._prediction_error_sum = state["prediction_error_sum"]
-        self._fallback_rounds = int(state["fallback_rounds"])
-        self._total_stages = int(state["total_stages"])
-        self._max_stage_count = int(state["max_stage_count"])
-        self._max_transient_overload = state["max_transient_overload"]
-        self._compile_epsilon = state["compile_epsilon"]
+        for name, initial in self.totals.items():
+            self.totals[name] = type(initial)(state["totals"][name])
 
     # ------------------------------------------------------------- finalize
 
@@ -443,17 +442,7 @@ class MetricsCollector:
     @property
     def round_count(self) -> int:
         """Rounds accounted so far (empty rounds included)."""
-        return self._rounds
-
-    @property
-    def total_stages(self) -> int:
-        """Compiled stages applied so far (exporter gauge)."""
-        return self._total_stages
-
-    @property
-    def max_transient_overload(self) -> float:
-        """Worst fractional transient overshoot seen (exporter gauge)."""
-        return self._max_transient_overload
+        return int(self.totals["rounds"])
 
     def incomplete_events(self) -> list[str]:
         """Events neither completed nor dropped — a drained run must have
@@ -477,6 +466,9 @@ class MetricsCollector:
         delays = [r.queuing_delay for r in records]
         costs = [r.cost for r in records]
         count = len(records)
+        summary: dict[str, Any] = {
+            name: total for name, total in self.totals.items()
+            if name in _SUMMARY_FIELDS}
         return RunMetrics(
             scheduler=self._scheduler,
             event_count=count,
@@ -488,91 +480,11 @@ class MetricsCollector:
             p99_ect=percentile(ects, 99) if ects else 0.0,
             average_queuing_delay=sum(delays) / count if count else 0.0,
             worst_queuing_delay=max(delays) if delays else 0.0,
-            total_plan_time=self._plan_time,
             makespan=self._makespan,
-            rounds=self._rounds,
             per_event_ect=tuple(ects),
             per_event_delay=tuple(delays),
             per_event_cost=tuple(costs),
-            probe_cache_hits=self._cache_hits,
-            probe_cache_misses=self._cache_misses,
-            probe_cache_invalidations=self._cache_invalidations,
-            retries=self._retries,
-            deferrals=self._deferrals,
             dropped_events=len(dropped),
-            stranded_traffic=self._stranded_traffic,
-            faults_injected=self._faults_injected,
-            faults_healed=self._faults_healed,
-            probes_skipped=self._probes_skipped,
-            prediction_samples=self._prediction_samples,
-            prediction_error_sum=self._prediction_error_sum,
-            fallback_rounds=self._fallback_rounds,
-            total_stages=self._total_stages,
-            max_stage_count=self._max_stage_count,
-            max_transient_overload=self._max_transient_overload,
-            compile_epsilon=self._compile_epsilon,
             per_event_stages=tuple(r.stage_count for r in records),
+            **summary,
         )
-
-
-class MetricsSubscriber:
-    """Feeds a :class:`MetricsCollector` from hook-bus emissions.
-
-    The simulator subscribes this adapter *before* the trace-log adapter,
-    which preserves the pre-refactor call order (metrics first, listener
-    second) for every shared hook type.
-    """
-
-    def __init__(self, collector: MetricsCollector, bus: "_hooks.HookBus"):
-        self._collector = collector
-        bus.subscribe(_hooks.EventArrived, self._on_arrived)
-        bus.subscribe(_hooks.PreRound, self._on_pre_round)
-        bus.subscribe(_hooks.PostRound, self._on_post_round)
-        bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
-        bus.subscribe(_hooks.EventCompleted, self._on_completed)
-        bus.subscribe(_hooks.ExecutionRetried, self._on_retried)
-        bus.subscribe(_hooks.EventDeferred, self._on_deferred)
-        bus.subscribe(_hooks.EventDropped, self._on_dropped)
-        bus.subscribe(_hooks.FaultInjected, self._on_fault)
-        bus.subscribe(_hooks.FaultHealed, self._on_heal)
-
-    def _on_arrived(self, hook: "_hooks.EventArrived") -> None:
-        self._collector.on_enqueue(hook.event_id, hook.now, hook.flow_count)
-
-    def _on_pre_round(self, hook: "_hooks.PreRound") -> None:
-        self._collector.on_round(hook.plan_time, hook.cache_hits,
-                                 hook.cache_misses, hook.cache_invalidations,
-                                 hook.probes_skipped, hook.prediction_samples,
-                                 hook.prediction_error_sum, hook.fallback)
-
-    def _on_post_round(self, hook: "_hooks.PostRound") -> None:
-        for event_id in hook.waiting:
-            self._collector.on_wait(event_id)
-
-    def _on_admitted(self, hook: "_hooks.EventAdmitted") -> None:
-        self._collector.on_exec_start(hook.event_id, hook.exec_start)
-        self._collector.on_admission(
-            hook.event_id, hook.cost, hook.migrations,
-            stage_count=hook.stage_count,
-            max_transient_overload=hook.max_transient_overload,
-            epsilon=hook.epsilon)
-        self._collector.on_setup_done(hook.event_id, hook.setup_done_time)
-
-    def _on_completed(self, hook: "_hooks.EventCompleted") -> None:
-        self._collector.on_completion(hook.event_id, hook.now)
-
-    def _on_retried(self, hook: "_hooks.ExecutionRetried") -> None:
-        self._collector.on_retries(hook.retries)
-
-    def _on_deferred(self, hook: "_hooks.EventDeferred") -> None:
-        self._collector.on_deferral(hook.event_id)
-
-    def _on_dropped(self, hook: "_hooks.EventDropped") -> None:
-        self._collector.on_drop(hook.event_id, hook.now,
-                                hook.stranded_demand)
-
-    def _on_fault(self, hook: "_hooks.FaultInjected") -> None:
-        self._collector.on_fault()
-
-    def _on_heal(self, hook: "_hooks.FaultHealed") -> None:
-        self._collector.on_heal()

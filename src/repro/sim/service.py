@@ -212,7 +212,10 @@ class SimulationService:
                 f"need 0 <= resume_depth < queue_cap, got "
                 f"resume_depth={self._config.resume_depth} with "
                 f"queue_cap={self._config.queue_cap}")
-        self._exporter = CounterExporter()
+        self._exporter = CounterExporter(readers={
+            "restarts": lambda: self._restarts,
+            "journal_records": lambda: self._journal_records,
+            "recovery_replayed_events": lambda: self._replayed})
         sim.attach(self._exporter)
         if self._config.stats_every:
             sim.attach(StatsLine(every=self._config.stats_every))
@@ -551,17 +554,12 @@ class SimulationService:
             self._replayed += 1
             self._journal_records += 1
             self._journal_offset += len(expected)
-            self._exporter.set_counter("recovery_replayed_events",
-                                       self._replayed)
-            self._exporter.set_counter("journal_records",
-                                       self._journal_records)
             return
         if self._journal is None:
             return
         self._journal.append(record)
         self._journal_records += 1
         self._journal_offset = self._journal.size
-        self._exporter.set_counter("journal_records", self._journal_records)
 
     def _write_checkpoint(self, origin: str) -> None:
         """Make what settled durable, then write the restorable live-state
@@ -679,7 +677,6 @@ class SimulationService:
         if checkpoint is None:
             self._replay = deque(encode_record(r) for r in scan.records)
             self._restarts = 1
-            self._exporter.set_counter("restarts", 1)
             return
         sim = self._sim
         if checkpoint["scheduler"] != sim.scheduler.name:
@@ -695,6 +692,14 @@ class SimulationService:
                 f"{checkpoint['compile']!r} but this service runs {ours!r}; "
                 f"staged execution changes the schedule — resume with the "
                 f"original spec")
+        written = set(checkpoint["metrics"]["totals"])
+        declared = set(sim.metrics_collector.totals)
+        if written != declared:
+            raise RecoveryError(
+                f"checkpoint was written by a build with a different "
+                f"counter set (missing {sorted(declared - written)}, "
+                f"unknown {sorted(written - declared)}); resume with that "
+                f"build or start fresh with --fresh")
         prefix = checked_prefix(scan, JOURNAL_FILE, checkpoint["journal"])
         frames = checked_prefix(history_scan, HISTORY_FILE,
                                 checkpoint["history"])
@@ -754,8 +759,6 @@ class SimulationService:
                 break
         set_flow_id_state(int(checkpoint["ids"]["flow"]))
         set_event_id_state(int(checkpoint["ids"]["event"]))
-        self._exporter.restore_state(checkpoint["counters"])
-        self._exporter.set_counter("restarts", self._restarts)
         self._replay = deque(encode_record(r)
                              for r in scan.records[len(prefix):])
         if self._auditor is not None:

@@ -38,14 +38,14 @@ from repro.core.executor import PlanExecutor, RetryPolicy
 from repro.core.planner import EventPlanner
 from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
-from repro.sched.base import RoundDecision, Scheduler, SchedulingContext
+from repro.sched.base import Scheduler
 from repro.sim.audit import LifecycleAuditor
 from repro.sim.churn import ChurnDriver
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.hooks import HookBus, RunStarted
 from repro.sim.lifecycle import EventLifecycle
-from repro.sim.metrics import MetricsCollector, MetricsSubscriber, RunMetrics
+from repro.sim.metrics import MetricsCollector, RunMetrics
 from repro.sim.pipeline import RoundLog, RoundPipeline
 from repro.sim.timing import TimingModel
 from repro.sim.tracelog import ListenerSubscriber, SimulationListener
@@ -127,7 +127,6 @@ class UpdateSimulator:
                              "a churn_trace generator")
         self._rng = random.Random(self._config.seed)
         self._engine = SimulationEngine()
-        self._metrics = MetricsCollector(scheduler.name)
         self._pipeline = RoundPipeline(
             engine=self._engine, scheduler=scheduler, planner=self._planner,
             timing=self._timing, executor=self._executor, network=network,
@@ -136,7 +135,7 @@ class UpdateSimulator:
         # Subscription order is the observable record order: metrics first,
         # listener second (matching the monolith's call order), plugins
         # last (they only consume RunStarted).
-        MetricsSubscriber(self._metrics, self._hooks)
+        self._metrics = MetricsCollector(scheduler.name, self._hooks)
         if listener is not None:
             ListenerSubscriber(listener, self._hooks)
         if faults is not None:
@@ -154,7 +153,7 @@ class UpdateSimulator:
             audit = os.environ.get("REPRO_AUDIT", "0") not in ("", "0")
         if audit:
             # Attached last: the auditor must observe PostRound *after*
-            # the metrics subscriber charged its waits and rounds.
+            # the metrics collector charged its waits and rounds.
             self._auditor = LifecycleAuditor()
             self.attach(self._auditor)
         self._submitted: list[UpdateEvent] = []
@@ -316,25 +315,3 @@ class UpdateSimulator:
         if self._config.verify_invariants:
             self._network.check_invariants()
         return self._metrics.finalize()
-
-    # --------------------------------------------------- compatibility shims
-    # Tests (and downstream notebooks) poke these pre-refactor private
-    # names; they delegate to the pipeline, which owns the round state.
-
-    @property
-    def _round_outstanding(self) -> int:
-        return self._pipeline.round_outstanding
-
-    @_round_outstanding.setter
-    def _round_outstanding(self, value: int) -> None:
-        self._pipeline.round_outstanding = value
-
-    def _should_fallback(self) -> bool:
-        return self._pipeline.should_fallback()
-
-    def _fallback_decision(self, ctx: SchedulingContext,
-                           prior: RoundDecision) -> RoundDecision:
-        return self._pipeline.fallback_decision(ctx, prior)
-
-    def _maybe_round(self) -> None:
-        self._pipeline.maybe_round()

@@ -63,9 +63,10 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: Version 2 moved settled history out of the checkpoint into
-#: ``history.wal``; version 1 documents carried it inline.
-CHECKPOINT_VERSION = 2
+#: Version 3 keeps every run counter once, under ``metrics.totals``;
+#: version 2 moved settled history out of the checkpoint into
+#: ``history.wal``.
+CHECKPOINT_VERSION = 3
 
 #: Fixed state-dir layout. ``snapshots.jsonl``/``latest.json``/
 #: ``metrics.prom`` (the observability artifacts) may share the directory.
@@ -145,7 +146,6 @@ def build_checkpoint(service: "SimulationService", origin: str,
         "churn": churn.export_state() if churn is not None else None,
         "sched": sim.scheduler.export_state(),
         "sim_rng": rng_state_payload(sim.rng),
-        "counters": service._exporter.export_state(),
         "ids": {"flow": flow_id_state(), "event": event_id_state()},
         "journal": {"offset": journal_offset, "records": journal_records},
         "history": {"offset": history_offset, "records": history_records},

@@ -5,6 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationEngine
+from repro.sim.hooks import (
+    EventAdmitted,
+    EventArrived,
+    EventCompleted,
+    HookBus,
+)
 from repro.sim.metrics import MetricsCollector, percentile
 
 
@@ -62,12 +68,14 @@ class TestCollectorProperties:
                          min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_aggregates_bound_each_other(self, ects):
-        collector = MetricsCollector("prop")
+        bus = HookBus()
+        collector = MetricsCollector("prop", bus)
         for index, ect in enumerate(ects):
             eid = f"E{index}"
-            collector.on_enqueue(eid, 0.0, flow_count=1)
-            collector.on_exec_start(eid, 0.0)
-            collector.on_completion(eid, ect)
+            bus.emit(EventArrived(0.0, eid, 1, "submitted"))
+            bus.emit(EventAdmitted(0.0, eid, cost=0.0, migrations=0,
+                                   flows=1, setup_done_time=0.0))
+            bus.emit(EventCompleted(ect, eid))
         metrics = collector.finalize()
         assert metrics.average_ect <= metrics.tail_ect + 1e-9
         assert metrics.p95_ect <= metrics.p99_ect + 1e-9

@@ -169,15 +169,14 @@ class TestDesyncDetection:
         assert "metrics_records_vs_lifecycle_registered" in err.diff
 
     def test_round_count_drift(self):
-        err = run_tampered(lambda sim: setattr(
-            sim.metrics_collector, "_rounds",
-            sim.metrics_collector.round_count + 1))
+        err = run_tampered(lambda sim: sim.metrics_collector.totals.update(
+            rounds=sim.metrics_collector.round_count + 1))
         assert "metrics_rounds_vs_round_index" in err.diff
 
     def test_error_message_names_all_failures(self):
         def corrupt(sim):
             sim.pipeline._events_remaining += 1
-            sim.metrics_collector._rounds += 1
+            sim.metrics_collector.totals["rounds"] += 1
         err = run_tampered(corrupt)
         assert set(err.diff) == {"events_remaining_vs_lifecycle_live",
                                  "metrics_rounds_vs_round_index"}

@@ -22,12 +22,15 @@ from helpers import diamond_setup  # noqa: E402
 
 from repro.core.event import event_id_state, set_event_id_state
 from repro.core.flow import flow_id_state, set_flow_id_state
+from repro.core.ioutil import fingerprinted_json
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.lmtf import LMTFScheduler
 from repro.sim import crashpoint
+from repro.sim import metrics as metrics_mod
 from repro.sim import service as service_mod
 from repro.sim.audit import AuditError
 from repro.sim.crashpoint import CrashInjected
+from repro.sim.hooks import PreRound
 from repro.sim.journal import (
     JournalCorruptionError,
     encode_record,
@@ -144,6 +147,28 @@ def assert_same_run(baseline, resumed):
     assert (list(res_sim.metrics_collector.records.items())
             == list(base_sim.metrics_collector.records.items()))
     assert res_sim.lifecycle.counts() == base_sim.lifecycle.counts()
+    assert scrapeable(res.counters) == scrapeable(base.counters)
+
+
+#: What only a resumed run counts, plus the cold-cache telemetry
+#: :func:`without_cache_telemetry` masks.
+RESUME_ONLY = ("restarts", "recovery_replayed_events", "probe_cache_hits",
+               "probe_cache_misses", "probe_cache_invalidations")
+
+
+def scrapeable(counters):
+    """The exporter's counters a resume has to carry over exactly."""
+    return {name: value for name, value in counters.items()
+            if name not in RESUME_ONLY}
+
+
+def resign(path, edit):
+    """Apply ``edit`` to the checkpoint at ``path`` and fingerprint the
+    result, as a build with a different payload shape would have."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["fingerprint"]
+    edit(payload)
+    path.write_text(fingerprinted_json(payload) + "\n", encoding="utf-8")
 
 
 def crash_state(tmp_path, monkeypatch, label="post-round", n=3, **kwargs):
@@ -427,16 +452,38 @@ class TestTampering:
             build_service(state, resume=True).serve()
 
     def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
-        """Version 1 carried settled history inline; no reader is kept, the
-        version error tells the operator what to do."""
+        """Version 1 carried settled history inline and version 2 a second
+        copy of the counters; no reader is kept for either, the version
+        error tells the operator what to do."""
         state = self.crash_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["version"] = 1
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        with pytest.raises(RecoveryError, match="version 1.*--fresh"):
+        for version in (1, 2):
+            payload["version"] = version
+            path.write_text(json.dumps(payload, sort_keys=True) + "\n",
+                            encoding="utf-8")
+            with pytest.raises(RecoveryError,
+                               match=f"version {version}.*--fresh"):
+                serve_fresh(state, resume=True)
+
+    def test_different_counter_set_rejected_by_name(self, tmp_path,
+                                                    monkeypatch):
+        """What a build with one counter more or fewer would meet: the
+        operator gets the key names, not a KeyError or a zeroed series."""
+        state = self.crash_state(tmp_path, monkeypatch)
+
+        def edit(payload):
+            totals = payload["metrics"]["totals"]
+            del totals["fallback_rounds"]
+            totals["spans_recorded"] = 0
+
+        resign(state / CHECKPOINT_FILE, edit)
+        with pytest.raises(RecoveryError) as excinfo:
             serve_fresh(state, resume=True)
+        message = str(excinfo.value)
+        assert "missing ['fallback_rounds']" in message
+        assert "unknown ['spans_recorded']" in message
+        assert "--fresh" in message
 
     def test_undecodable_checkpoint_rejected(self, tmp_path, monkeypatch):
         """A flipped byte that breaks UTF-8 is a damaged checkpoint like
@@ -597,9 +644,32 @@ class TestCheckpointPayload:
         checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
         assert checkpoint["origin"] == "snapshot-tick"
         for key in ("engine", "pipeline", "lifecycle", "metrics", "network",
-                    "sched", "sim_rng", "counters", "ids", "journal",
+                    "sched", "sim_rng", "ids", "journal",
                     "history", "service", "fingerprint"):
             assert key in checkpoint
+        # Every run counter is checkpointed once, in the metrics ledger.
+        assert "counters" not in checkpoint
+        assert set(checkpoint["metrics"]["totals"]) == {
+            counter.name for counter in metrics_mod.RUN_COUNTERS}
+
+    def test_a_new_counter_is_one_declaration(self, tmp_path, monkeypatch):
+        """Appending to ``RUN_COUNTERS`` is the whole edit: the total is
+        folded, checkpointed and restored with no other change."""
+        monkeypatch.setattr(
+            metrics_mod, "RUN_COUNTERS",
+            (*metrics_mod.RUN_COUNTERS,
+             metrics_mod.RunCounter("planning_ops", PreRound,
+                                    "planning_ops")))
+        base_service, _ = serve_fresh(tmp_path / "baseline")
+        base_sim = base_service._sim
+        total = base_sim.metrics_collector.totals["planning_ops"]
+        assert total == sum(r.planning_ops for r in base_sim.rounds) > 0
+        state = crash_state(tmp_path, monkeypatch)
+        carried = load_checkpoint(state / CHECKPOINT_FILE)["metrics"]
+        assert 0 < carried["totals"]["planning_ops"] < total
+        resumed_service, _ = serve_fresh(state, resume=True)
+        assert (resumed_service._sim.metrics_collector.totals
+                ["planning_ops"]) == total
 
     def test_checkpoint_size_does_not_grow_with_service_age(
             self, tmp_path, monkeypatch):

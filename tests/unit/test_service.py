@@ -7,6 +7,7 @@ whole suite stays fast; the integration smoke test exercises the full
 
 import json
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.exceptions import SimulationError
 from repro.core.flow import flow_id_state, set_flow_id_state
 from repro.core.ioutil import fingerprinted_json, payload_fingerprint
 from repro.sched.fifo import FIFOScheduler
+from repro.sched.lmtf import LMTFScheduler
 from repro.sim.export import CounterExporter, StatsLine
 from repro.sim.service import (
     ServiceConfig,
@@ -309,6 +311,30 @@ class TestExporter:
         # Single-flow diamond events never over-subscribe a link.
         assert "repro_max_transient_overload 0.0" in rendered
 
+    def test_exposition_and_summary_bytes_are_pinned(self):
+        """``metrics.prom`` and the ``RunMetrics`` JSON of one small LMTF
+        run, byte for byte. Both hashes were taken at the commit before
+        the exporter became a reader of the run ledger."""
+        net, provider = diamond_setup()
+        sim = UpdateSimulator(
+            net, provider, LMTFScheduler(alpha=2, seed=5),
+            config=SimulationConfig(verify_invariants=True))
+        exporter = CounterExporter()
+        sim.attach(exporter)
+        sim.submit([make_event([ab_flow(f"p{i}", 5.0, 1.0)],
+                               label=f"p{i}") for i in range(6)])
+        summary = json.dumps(sim.run().to_dict())
+        assert sha256(exporter.render().encode()).hexdigest() == (
+            "5f1ca158b7181a6f83a016ca063c656d"
+            "3ad1113125f24dc8c81b3bead8198987")
+        assert sha256(summary.encode()).hexdigest() == (
+            "048931c4ffa2a268dcbdf03f9191ac5e"
+            "10def60b1aa1d756b75547e134d7eb6c")
+
+    def test_unknown_external_reader_rejected(self):
+        with pytest.raises(ValueError, match="externally owned"):
+            CounterExporter(readers={"restart": lambda: 1})
+
     def test_help_text_escaped_per_exposition_format(self, monkeypatch):
         """``# HELP`` lines must escape ``\\`` and newlines, not write
         them verbatim — a raw newline tears the line-oriented exposition
@@ -317,7 +343,8 @@ class TestExporter:
 
         monkeypatch.setattr(
             export_mod, "_COUNTERS",
-            (("events_arrived", "line one\nline two \\ backslash"),))
+            (("events_arrived", "line one\nline two \\ backslash",
+              "admissions"),))
         exporter = CounterExporter()
         rendered = exporter.render()
         help_lines = [line for line in rendered.splitlines()

@@ -175,7 +175,8 @@ class TestQueueBehaviour:
 
 
 class TestStallFallbackUnit:
-    """Direct tests of ``_should_fallback`` / ``_fallback_decision``."""
+    """Direct tests of the pipeline's ``should_fallback`` /
+    ``fallback_decision``."""
 
     def _stalled_sim(self, stall_fallback=True):
         """A simulator whose queue head is permanently infeasible: a
@@ -200,28 +201,28 @@ class TestStallFallbackUnit:
     def test_should_fallback_only_when_waiting_cannot_help(self):
         sim = self._stalled_sim()
         # idle: nothing outstanding, empty engine queue -> fall back
-        assert sim._should_fallback()
+        assert sim.pipeline.should_fallback()
 
     def test_no_fallback_while_engine_has_pending_events(self):
         sim = self._stalled_sim()
         # a future arrival/churn event could unblock the head: keep waiting
         sim._engine.schedule_at(1.0, lambda: None)
-        assert not sim._should_fallback()
+        assert not sim.pipeline.should_fallback()
 
     def test_no_fallback_while_round_outstanding(self):
         sim = self._stalled_sim()
-        sim._round_outstanding = 1
-        assert not sim._should_fallback()
+        sim.pipeline.round_outstanding = 1
+        assert not sim.pipeline.should_fallback()
 
     def test_no_fallback_when_disabled(self):
         sim = self._stalled_sim(stall_fallback=False)
-        assert not sim._should_fallback()
+        assert not sim.pipeline.should_fallback()
 
     def test_fallback_admits_first_feasible_in_arrival_order(self):
         from repro.sched.base import RoundDecision
         sim = self._stalled_sim()
         ctx = self._stalled_context(sim)
-        decision = sim._fallback_decision(ctx, RoundDecision())
+        decision = sim.pipeline.fallback_decision(ctx, RoundDecision())
         assert [a.queued.event.label for a in decision.admissions] \
             == ["small"]
         assert decision.admissions[0].plan.feasible
@@ -232,8 +233,8 @@ class TestStallFallbackUnit:
         ctx = self._stalled_context(sim)
         prior = RoundDecision(planning_ops=7, cache_hits=3,
                               cache_misses=2, cache_invalidations=1)
-        decision = sim._fallback_decision(ctx, prior)
-        baseline = sim._fallback_decision(ctx, RoundDecision())
+        decision = sim.pipeline.fallback_decision(ctx, prior)
+        baseline = sim.pipeline.fallback_decision(ctx, RoundDecision())
         # the scheduler's (empty) decision already cost planning work; the
         # fallback's own probes add on top of it
         assert decision.planning_ops == baseline.planning_ops + 7
@@ -253,7 +254,7 @@ class TestStallFallbackUnit:
             planner=sim._planner, network=sim._network, rng=sim._rng)
         prior = RoundDecision(planning_ops=4, cache_hits=1,
                               cache_misses=1, cache_invalidations=0)
-        decision = sim._fallback_decision(ctx, prior)
+        decision = sim.pipeline.fallback_decision(ctx, prior)
         assert decision.empty
         # every queued event was probed, each adding ops beyond the prior's
         assert decision.planning_ops > 4
