@@ -10,8 +10,7 @@ Examples::
     repro report --out results/ --quick
     repro serve --stream synthetic --rate 0.5 --events 200
     repro serve --compile-mode staged --scheduler staged-plmtf
-    repro learned-bench --rounds 120 --out BENCH_8.json
-    repro consistency-grid --epsilons 0.05,0.2 --out BENCH_10.json
+    repro ablation-compile --jobs 2
     python -m repro.cli fig9 --utilization 0.7
 
 Each figure command prints the figure's series as an aligned ASCII table;
@@ -37,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Update' (ICDCS 2017)")
     parser.add_argument("figure",
                         help="figure id (fig1..fig9, ablation-*, "
-                             "robustness-*), 'list', 'report', 'serve', "
-                             "'learned-bench' or 'consistency-grid'")
+                             "robustness-*), 'list', 'report' or 'serve'")
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
     parser.add_argument("--events", type=int, default=None,
@@ -161,180 +159,20 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_learned_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro learned-bench",
-        description="Benchmark L-LMTF learned candidate ranking against "
-                    "exact LMTF: probe-round throughput, fig5/fig6-style "
-                    "cost parity, adversarial drift fallback, and a "
-                    "(budget x threshold) ablation grid (see "
-                    "repro.experiments.learnedbench).")
-    parser.add_argument("--budgets", default="1,2,3", metavar="B1,B2,...",
-                        help="ablation probe budgets (default 1,2,3)")
-    parser.add_argument("--thresholds", default="0.5,2.0",
-                        metavar="T1,T2,...",
-                        help="ablation confidence thresholds "
-                             "(default 0.5,2.0)")
-    parser.add_argument("--budget", type=int, default=2,
-                        help="headline probe budget (default 2)")
-    parser.add_argument("--error-threshold", type=float, default=2.0,
-                        help="headline confidence threshold (default 2.0)")
-    parser.add_argument("--alpha", type=int, default=None,
-                        help="LMTF sample size (default 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master random seed (default 0)")
-    parser.add_argument("--events", type=int, default=24,
-                        help="queue depth of the throughput cells "
-                             "(default 24)")
-    parser.add_argument("--quality-events", type=int, default=24,
-                        help="events per quality cell (default 24)")
-    parser.add_argument("--rounds", type=int, default=120,
-                        help="timed probe rounds per throughput cell "
-                             "(default 120)")
-    parser.add_argument("--warmup-rounds", type=int, default=30,
-                        help="untimed warmup/training rounds per "
-                             "throughput cell (default 30)")
-    parser.add_argument("--no-ablation", action="store_true",
-                        help="skip the (budget x threshold) grid")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="fan bench cells out to N worker processes")
-    parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="JSONL cell checkpoint (enables --resume)")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse completed cells from --checkpoint")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="merge measurements into this JSON snapshot "
-                             "under the 'learned_bench' key (e.g. "
-                             "BENCH_8.json)")
-    return parser
-
-
-def _learned_bench(argv: list[str]) -> int:
-    from repro.experiments.learnedbench import (
-        merge_snapshot,
-        run_learned_bench,
-    )
-    from repro.experiments.runner import PrintProgress
-
-    args = build_learned_bench_parser().parse_args(argv)
-    budgets = tuple(int(b) for b in args.budgets.split(",") if b.strip())
-    thresholds = tuple(float(t) for t in args.thresholds.split(",")
-                       if t.strip())
-    started = time.time()
-    result = run_learned_bench(
-        budgets=budgets, thresholds=thresholds, alpha=args.alpha,
-        seed=args.seed, events=args.events, rounds=args.rounds,
-        warmup_rounds=args.warmup_rounds, budget=args.budget,
-        error_threshold=args.error_threshold,
-        quality_events=args.quality_events, ablation=not args.no_ablation,
-        jobs=args.jobs, checkpoint=args.checkpoint, resume=args.resume,
-        listener=PrintProgress())
-    print(result.to_table())
-    print(f"\n[learned-bench completed in {time.time() - started:.1f}s]")
-    if args.out is not None:
-        path = merge_snapshot(args.out, result)
-        print(f"learned_bench section merged into {path}")
-    return 0
-
-
-def build_consistency_grid_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro consistency-grid",
-        description="Sweep the plan-compilation modes (atomic / staged / "
-                    "augmented-epsilon) across schedulers on one frozen "
-                    "workload: cost parity, stage-count distribution, "
-                    "one-shot-safe fraction (see "
-                    "repro.experiments.consistencygrid).")
-    parser.add_argument("--modes", default="atomic,staged,augmented",
-                        metavar="M1,M2,...",
-                        help="compile modes to sweep (default all three)")
-    parser.add_argument("--epsilons", default="0.1", metavar="E1,E2,...",
-                        help="augmentation knobs for the augmented cells "
-                             "(default 0.1)")
-    parser.add_argument("--schedulers", default="lmtf,plmtf",
-                        metavar="S1,S2,...",
-                        help="scheduler kinds per grid point (default "
-                             "lmtf,plmtf; staged-lmtf/staged-plmtf add "
-                             "schedule-length tie-breaking)")
-    parser.add_argument("--events", type=int, default=20,
-                        help="queued events per cell (default 20)")
-    parser.add_argument("--utilization", type=float, default=0.85,
-                        help="background fabric utilization (default 0.85; "
-                             "high load makes schedules long)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master random seed (default 0)")
-    parser.add_argument("--alpha", type=int, default=None,
-                        help="LMTF/P-LMTF sample size (default 4)")
-    parser.add_argument("--k", type=int, default=4,
-                        help="Fat-Tree arity (default 4)")
-    parser.add_argument("--min-flows", type=int, default=3,
-                        help="minimum flows per event (default 3)")
-    parser.add_argument("--max-flows", type=int, default=8,
-                        help="maximum flows per event (default 8)")
-    parser.add_argument("--audit", action="store_true",
-                        help="attach the lifecycle auditor to every cell "
-                             "(slower; CI smoke uses this)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="fan grid cells out to N worker processes")
-    parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="JSONL cell checkpoint (enables --resume)")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse completed cells from --checkpoint")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="merge measurements into this JSON snapshot "
-                             "under the 'consistency_grid' key (e.g. "
-                             "BENCH_10.json)")
-    return parser
-
-
-def _consistency_grid(argv: list[str]) -> int:
-    from repro.experiments.consistencygrid import (
-        merge_snapshot,
-        run_consistency_grid,
-    )
-    from repro.experiments.runner import PrintProgress
-
-    args = build_consistency_grid_parser().parse_args(argv)
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    epsilons = tuple(float(e) for e in args.epsilons.split(",")
-                     if e.strip())
-    schedulers = tuple(s.strip() for s in args.schedulers.split(",")
-                       if s.strip())
-    started = time.time()
-    result = run_consistency_grid(
-        modes=modes, epsilons=epsilons, schedulers=schedulers,
-        events=args.events, utilization=args.utilization, seed=args.seed,
-        alpha=args.alpha, k=args.k, min_flows=args.min_flows,
-        max_flows=args.max_flows, audit=args.audit, jobs=args.jobs,
-        checkpoint=args.checkpoint, resume=args.resume,
-        listener=PrintProgress())
-    print(result.to_table())
-    print(f"\n[consistency-grid completed in {time.time() - started:.1f}s]")
-    if args.out is not None:
-        path = merge_snapshot(args.out, result)
-        print(f"consistency_grid section merged into {path}")
-    return 0
-
-
 def serve_scheduler_spec(args) -> dict:
     """The scheduler spec dict a ``repro serve`` invocation describes.
 
     A plain data mapping of the flags, so the fresh run, a ``--resume`` of
     it, and the supervisor's restarts all build byte-identical schedulers.
     """
+    from repro.sched import staged_scheduler_spec
+
     if args.scheduler in ("lmtf", "plmtf"):
         spec = {"kind": args.scheduler, "alpha": args.alpha,
                 "seed": args.seed + 9}
     elif args.scheduler in ("staged-lmtf", "staged-plmtf"):
-        # The staged policies predict schedule lengths under the serve
-        # run's own compile mode; under atomic they predict strict staged
-        # schedules (atomic compilation carries no tie-break signal).
-        spec = {"kind": args.scheduler, "alpha": args.alpha,
-                "seed": args.seed + 9}
-        if args.compile_mode == "augmented":
-            spec.update(mode="augmented", epsilon=args.epsilon)
-        else:
-            spec.update(mode="staged")
+        spec = staged_scheduler_spec(args.scheduler, args.seed, args.alpha,
+                                     args.compile_mode, args.epsilon)
     elif args.scheduler == "l-lmtf":
         spec = {"kind": "learned", "alpha": args.alpha,
                 "seed": args.seed + 9}
@@ -480,17 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "serve":
         return _serve(argv[1:])
-    if argv and argv[0] == "learned-bench":
-        return _learned_bench(argv[1:])
-    if argv and argv[0] == "consistency-grid":
-        return _consistency_grid(argv[1:])
     args = build_parser().parse_args(argv)
     if args.figure == "list":
         print("available figures:")
         for name, runner in FIGURES.items():
-            doc = (inspect.getdoc(sys.modules[runner.__module__]) or "")
-            first = doc.splitlines()[0] if doc else ""
-            print(f"  {name:20s} {first}")
+            print(f"  {name:20s} {_describe(runner)}")
         return 0
     if args.figure == "report":
         return _report(args)
@@ -514,6 +346,15 @@ def main(argv: list[str] | None = None) -> int:
     print(result.to_table())
     print(f"\n[{args.figure} completed in {time.time() - started:.1f}s]")
     return 0
+
+
+def _describe(runner) -> str:
+    """One line for ``repro list``: a figure module's ``run`` speaks for
+    its module; any other runner shares a module and describes itself."""
+    owner = (sys.modules[runner.__module__] if runner.__name__ == "run"
+             else runner)
+    doc = inspect.getdoc(owner) or ""
+    return doc.splitlines()[0] if doc else ""
 
 
 def _parallel_kwargs(args, figure: str, accepted) -> dict:

@@ -40,6 +40,8 @@ FIGURES = {
     "ablation-barrier": ablations.barrier_sweep,
     "ablation-consistency": ablations.consistency_rate,
     "ablation-rules": ablations.rule_budget_sweep,
+    "ablation-compile": ablations.compile_sweep,
+    "ablation-learned": ablations.learned_sweep,
     "robustness-topology": robustness.topology_sweep,
     "robustness-oracle": robustness.oracle_comparison,
     "robustness-failures": robustness.failure_sweep,

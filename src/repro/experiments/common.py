@@ -171,7 +171,9 @@ class Scenario:
 def run_schedulers(scenario: Scenario,
                    schedulers: list[Scheduler],
                    events: list[UpdateEvent] | None = None,
-                   round_barrier: str = "completion") -> dict[str, RunMetrics]:
+                   round_barrier: str = "completion",
+                   compile_mode: str = "atomic",
+                   compile_epsilon: float = 0.0) -> dict[str, RunMetrics]:
     """Run the same event queue through each scheduler.
 
     Every scheduler sees an identical copy of the loaded network and the
@@ -182,7 +184,9 @@ def run_schedulers(scenario: Scenario,
     results: dict[str, RunMetrics] = {}
     for scheduler in schedulers:
         simulator = scenario.simulator(scheduler,
-                                       round_barrier=round_barrier)
+                                       round_barrier=round_barrier,
+                                       compile_mode=compile_mode,
+                                       compile_epsilon=compile_epsilon)
         simulator.submit(queue)
         results[scheduler.name] = simulator.run()
     return results

@@ -17,8 +17,6 @@ class ExperimentResult:
         rows: one dict per table row (keys = columns).
         notes: caveats and context recorded by the experiment.
         params: the parameters the experiment ran with.
-        extras: in-memory side-channel payloads (e.g. a bench grid's
-            raw per-cell measurements); not serialized by :meth:`to_json`.
     """
 
     name: str
@@ -27,7 +25,6 @@ class ExperimentResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     params: dict[str, Any] = field(default_factory=dict)
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)

@@ -528,7 +528,9 @@ def scenario_spec(scenario) -> dict:
 
 
 def simulate_cell(scenario: dict, scheduler: dict,
-                  round_barrier: str = "completion") -> dict:
+                  round_barrier: str = "completion",
+                  compile_mode: str = "atomic",
+                  compile_epsilon: float = 0.0) -> dict:
     """Worker: one scheduler over one scenario, from spec to metrics.
 
     Rebuilds the scenario (topology, background load, event queue) and the
@@ -551,7 +553,9 @@ def simulate_cell(scenario: dict, scheduler: dict,
     built = Scenario(**spec)
     queue = built.generate_events()
     simulator = built.simulator(build_scheduler(scheduler),
-                                round_barrier=round_barrier)
+                                round_barrier=round_barrier,
+                                compile_mode=compile_mode,
+                                compile_epsilon=compile_epsilon)
     simulator.submit(queue)
     metrics = simulator.run()
     return {"metrics": metrics.to_dict(),
@@ -582,6 +586,8 @@ class GridRow:
         schedulers: scheduler spec dicts (see
             :func:`repro.sched.build_scheduler`).
         round_barrier: simulator round-barrier semantics for the row.
+        compile_mode, compile_epsilon: plan-compilation mode for the row
+            (:mod:`repro.core.compile`).
         events: optional pre-generated queue, used only by the legacy
             sequential path to preserve its historical id-allocation order;
             runner cells always regenerate the queue hermetically.
@@ -591,6 +597,8 @@ class GridRow:
     scenario: Any
     schedulers: tuple[dict, ...]
     round_barrier: str = "completion"
+    compile_mode: str = "atomic"
+    compile_epsilon: float = 0.0
     events: Any = None
 
 
@@ -622,7 +630,9 @@ def run_scheduler_grid(rows: list[GridRow], jobs: int | None = None,
         for row in rows:
             metrics = run_schedulers(
                 row.scenario, [build_scheduler(s) for s in row.schedulers],
-                events=row.events, round_barrier=row.round_barrier)
+                events=row.events, round_barrier=row.round_barrier,
+                compile_mode=row.compile_mode,
+                compile_epsilon=row.compile_epsilon)
             merged[row.key] = RowResult(
                 metrics=metrics,
                 achieved_utilization=row.scenario.achieved_utilization)
@@ -632,13 +642,19 @@ def run_scheduler_grid(rows: list[GridRow], jobs: int | None = None,
     labels: list[tuple[str, str]] = []  # (row key, scheduler name)
     for row in rows:
         spec = scenario_spec(row.scenario)
+        # Atomic rows omit the compile keys, so their cell fingerprints —
+        # and the checkpoints keyed by them — are those of a plain row.
+        compile_params = ({} if row.compile_mode == "atomic" else
+                          {"compile_mode": row.compile_mode,
+                           "compile_epsilon": row.compile_epsilon})
         for sched in row.schedulers:
             name = scheduler_name(sched)
             cells.append(Cell(
                 key=f"{row.key}/{name}",
                 fn="repro.experiments.runner:simulate_cell",
                 params={"scenario": spec, "scheduler": dict(sched),
-                        "round_barrier": row.round_barrier}))
+                        "round_barrier": row.round_barrier,
+                        **compile_params}))
             labels.append((row.key, name))
     outcomes = run_cells(cells, jobs=jobs or 1, checkpoint=checkpoint,
                          resume=resume, timeout=timeout, retries=retries,

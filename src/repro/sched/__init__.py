@@ -114,6 +114,23 @@ def standard_scheduler_specs(seed: int, alpha: int = 4) -> tuple[dict, ...]:
     )
 
 
+def staged_scheduler_spec(kind: str, seed: int, alpha: int = 4,
+                          compile_mode: str = "atomic",
+                          epsilon: float = 0.0) -> dict:
+    """Spec of a ``staged-*`` policy for a run under ``compile_mode``.
+
+    The staged policies predict schedule lengths under the run's own
+    compile mode; under ``atomic`` they predict strict ``staged``
+    schedules (atomic compilation carries no tie-break signal).
+    """
+    spec = {"kind": kind, "alpha": alpha, "seed": seed + 9}
+    if compile_mode == "augmented":
+        spec.update(mode="augmented", epsilon=epsilon)
+    else:
+        spec.update(mode="staged")
+    return spec
+
+
 __all__ = [
     "SCHEDULER_KINDS",
     "LearnedLMTFScheduler",
@@ -124,5 +141,6 @@ __all__ = [
     "make_scheduler",
     "register_scheduler",
     "scheduler_name",
+    "staged_scheduler_spec",
     "standard_scheduler_specs",
 ]

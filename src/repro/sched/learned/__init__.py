@@ -12,7 +12,8 @@ The package splits into the three stages of the rank-then-verify pattern:
 
 Registered as scheduler spec ``{"kind": "learned", ...}``; see
 ``docs/architecture.md`` for the pipeline description and
-``repro learned-bench`` for the accuracy/quality/throughput ablation.
+``repro ablation-learned`` for the budget/threshold ablation against exact
+LMTF's schedule.
 """
 
 from repro.sched.learned.features import FEATURE_NAMES, FeatureExtractor

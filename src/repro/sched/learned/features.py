@@ -1,7 +1,8 @@
 """Cheap candidate features for learned probe-cost ranking.
 
 An exact ``Cost(U)`` probe plans every remaining flow of a candidate —
-migration search included — at ~ms per miss (BENCH_7). The features here
+migration search included — at ~ms per miss (``planner.plan_self_ms`` over
+``planner.plan_calls`` in ``bench/``). The features here
 are the *readable* fraction of that work: what the indexed kernel answers
 in O(flows × path-length) flat-column reads with no planning, no view
 stack, and no RNG draw. Per candidate:
@@ -33,7 +34,9 @@ The per-flow desired paths and demands never change for a given
 probe-cache entries (bounded, evicted oldest-first, purged by
 ``forget_event``); only the residual reads — three flat-column reads per
 link — run fresh each extraction. This is what keeps feature extraction
-<2% of a single exact probe (see ``benchmarks/test_core_microbench.py``).
+a small fraction of the exact probe it stands in for
+(``sched.learned_rank_ms`` next to ``planner.plan_self_ms`` at
+``serve_faulted`` in ``bench/``).
 
 Extraction is read-only and consumes no randomness, so it can run at any
 point of a round without perturbing the planner RNG stream — the property

@@ -2,9 +2,9 @@
 
 Exact LMTF probes all ``α+1`` sampled candidates with full ``Cost(U)``
 planning every round; at ~ms per cache miss that probe loop dominates
-per-round wall clock (BENCH_7). L-LMTF keeps LMTF's sampling, admission
-rule, and probe-cache protocol **bit-for-bit** but inserts a ranking stage
-between them:
+per-round wall clock (``planner.plan_self_ms`` in ``bench/``). L-LMTF
+keeps LMTF's sampling, admission rule, and probe-cache protocol
+**bit-for-bit** but inserts a ranking stage between them:
 
 1. ``probe_targets`` samples the usual ``α+1`` candidates (consuming the
    identical private-RNG draws, so sampling stays comparable with exact
@@ -76,8 +76,8 @@ class LearnedLMTFScheduler(LMTFScheduler):
         error_threshold: max ``ewma_error`` (log1p-cost scale) before the
             scheduler falls back to full probing.
         model_path: optional JSON model (``OnlineRidge.save``) to start
-            from — e.g. one trained by ``repro learned-bench --save-model``.
-            Training continues online on top of it.
+            from — e.g. one written by :meth:`save_model` after an earlier
+            run. Training continues online on top of it.
         lr / l2: optimizer hyper-parameters for a fresh model (ignored
             when ``model_path`` is given).
     """

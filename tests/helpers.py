@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import networkx as nx
 
 from repro.core.flow import Flow
@@ -54,3 +57,25 @@ def ef_flow(fid: str, demand: float, duration: float | None = None) -> Flow:
     """An e->f flow (second background pair, independent host links)."""
     return Flow(flow_id=fid, src="e", dst="f", demand=demand,
                 duration=duration)
+
+
+def schedule_digest(metrics) -> str:
+    """A stable fingerprint of one run's realized schedule.
+
+    Hashes the deterministic outcome fields of a ``RunMetrics`` (per-event
+    completion times, delays and costs, plus the aggregate cost and round
+    count); wall-clock fields are excluded, so two runs of the same seeded
+    workload collide iff they admitted the same events at the same
+    simulated times.
+    """
+    payload = {
+        "scheduler": metrics.scheduler,
+        "event_count": metrics.event_count,
+        "total_cost": metrics.total_cost,
+        "rounds": metrics.rounds,
+        "per_event_ect": list(metrics.per_event_ect),
+        "per_event_delay": list(metrics.per_event_delay),
+        "per_event_cost": list(metrics.per_event_cost),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()

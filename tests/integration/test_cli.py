@@ -1,7 +1,5 @@
 """Integration: the command-line interface."""
 
-import pytest
-
 from repro.cli import build_parser, main
 
 
@@ -27,7 +25,13 @@ class TestMain:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig6" in out
-        assert "ablation-alpha" in out
+        # one line per figure: "  <name>  <description>"; runners sharing
+        # a module are described by their own docstring, not the module's
+        described = dict(line.split(maxsplit=1)
+                         for line in out.splitlines()[1:])
+        texts = [described[name] for name in
+                 ("ablation-alpha", "ablation-compile", "ablation-learned")]
+        assert all(texts) and len(set(texts)) == 3
 
     def test_unknown_figure(self, capsys):
         assert main(["fig99"]) == 2

@@ -1,14 +1,14 @@
 """Integration: the example scripts run end-to-end.
 
-The heavyweight k=8 comparison (`scheduler_comparison.py`) is exercised by
-the benchmark harness instead; these cover the k=4 walk-throughs.
+The heavyweight k=8 comparison (`scheduler_comparison.py`) is not run here:
+it is the fig6 comparison `test_paper_shapes.py` already makes. These cover
+the k=4 walk-throughs.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 

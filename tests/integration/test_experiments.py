@@ -1,8 +1,10 @@
 """Integration: every figure module runs end-to-end at reduced scale.
 
-The full paper-scale parameters live in the benchmark harness; here each
-experiment runs with shrunken sweeps so the suite stays fast while proving
-the figure code paths work and produce well-formed tables.
+The paper-scale parameters and shape assertions live in
+``test_paper_shapes.py``; here each experiment runs with shrunken sweeps
+to prove the figure code paths work and produce well-formed tables, and
+the two ablations that carry a contract (``ablation-compile``,
+``ablation-learned``) have it asserted.
 """
 
 import pytest
@@ -106,6 +108,59 @@ class TestAblationsSmoke:
         unlimited, tight = result.rows
         assert tight["bg_flows_placed"] <= unlimited["bg_flows_placed"]
         assert tight["probe_success%"] <= unlimited["probe_success%"]
+
+
+class TestCompileContract:
+    """What plan compilation promises, on a small audited
+    ``ablation-compile`` grid with one worker process per cell."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_AUDIT", "1")
+            result = ablations.compile_sweep(
+                events=10, utilization=0.85, epsilons=(0.1,),
+                schedulers=("lmtf", "staged-lmtf"), jobs=2)
+        assert len(result.rows) == 6  # 3 modes x 2 schedulers
+        return result.rows
+
+    def test_atomic_plans_are_single_stage(self, rows):
+        for row in rows:
+            if row["mode"] == "atomic":
+                assert row["max_stage"] == 1, row
+
+    def test_staged_never_overloads(self, rows):
+        for row in rows:
+            if row["mode"] == "staged":
+                assert row["overload"] == 0.0, row
+
+    def test_augmented_overload_within_epsilon(self, rows):
+        for row in rows:
+            if row["mode"] == "augmented":
+                assert row["overload"] <= row["epsilon"] + 1e-9, row
+
+    def test_exact_scheduler_cost_equals_its_atomic_cost(self, rows):
+        for row in rows:
+            if row["scheduler"] == "lmtf":
+                assert row["cost_delta"] == pytest.approx(
+                    0.0, abs=1e-6 * max(1.0, row["total_cost"])), row
+
+    def test_augmented_no_longer_than_staged(self, rows):
+        stages = {(row["mode"], row["scheduler"]): row["stages"]
+                  for row in rows}
+        for name in ("lmtf", "staged-lmtf"):
+            assert stages["augmented", name] <= stages["staged", name]
+
+
+class TestLearnedContract:
+    def test_trimmed_probing_keeps_cost_within_five_percent(self):
+        result = ablations.learned_sweep(events=12, budgets=(1, 2),
+                                         thresholds=(2.0,))
+        headline = [row for row in result.rows if row["budget"] == 2]
+        assert [row["queue"] for row in headline] == ["static", "churning"]
+        for row in headline:
+            assert row["cost_delta_pct"] <= 5.0, row
+            assert row["probes_skipped"] > 0, row
 
 
 class TestRegistry:

@@ -432,6 +432,8 @@ def test_cached_rounds_identical_to_uncached(fattree_workload, make_sched,
     assert [_signature(d) for d in cached] == \
         [_signature(d) for d in uncached]
     assert cached_sched.cache.totals.hits > 0  # the cache actually engaged
+    # steady-state rounds over an unchanged network mostly hit
+    assert cached_sched.cache.totals.hit_rate > 0.5
     assert sum(d.cache_hits for d in cached) == \
         cached_sched.cache.totals.hits
 
