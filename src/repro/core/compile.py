@@ -8,9 +8,10 @@ intermediate state oversubscribes a link, and optionally trade a bounded ε
 of transient over-subscription for a shorter schedule. This module is that
 compilation stage, sitting between planning and execution:
 
-* ``atomic`` (the default) — the whole plan is one stage, exactly today's
-  one-shot behavior. The stage's recorded ``transient_overload`` is the
-  worst one-shot flip overshoot from
+* ``atomic`` (the default) — the whole plan is the one stage
+  :func:`~repro.core.ordering.plan_steps`; the executor builds that stage
+  itself without calling this module. Compiled here, the stage's recorded
+  ``transient_overload`` is the worst one-shot flip overshoot from
   :func:`repro.core.consistency.transient_overloads` (0.0 when the plan is
   one-shot safe), so the mode doubles as the one-shot-safety probe.
 * ``staged`` — strict congestion-freedom: steps are ordered by
@@ -40,7 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.consistency import transient_overloads
-from repro.core.ordering import Step, StepKind, find_safe_order, plan_steps
+from repro.core.ordering import (
+    Step,
+    StepKind,
+    find_safe_order,
+    plan_steps,
+    transient_additions,
+)
 from repro.core.plan import EventPlan, Migration
 from repro.network.link import EPS, LinkId, path_links
 from repro.network.state import NetworkState
@@ -54,10 +61,10 @@ class PlanCompilerConfig:
     """How plans are compiled into staged schedules.
 
     Attributes:
-        mode: one of :data:`COMPILE_MODES` — ``atomic`` (one-shot, the
-            byte-identical default), ``staged`` (strict congestion-free
-            stages), ``augmented`` (stages may transiently oversubscribe
-            any link by ``≤ epsilon · capacity``).
+        mode: one of :data:`COMPILE_MODES` — ``atomic`` (one stage, the
+            default), ``staged`` (strict congestion-free stages),
+            ``augmented`` (stages may transiently oversubscribe any link
+            by ``≤ epsilon · capacity``).
         epsilon: the augmentation knob; must be 0 unless ``mode`` is
             ``augmented``.
     """
@@ -150,26 +157,6 @@ def compile_plan(state: NetworkState, plan: EventPlan,
 # ----------------------------------------------------------------- internals
 
 
-def _transient_additions(step: Step) -> dict[LinkId, float]:
-    """Per-link load a step adds *while its stage is in flight*.
-
-    A migrated flow occupies both paths until the stage commits, so only
-    links new to its path gain load; a placed flow loads its whole path.
-    """
-    added: dict[LinkId, float] = {}
-    if step.kind is StepKind.MIGRATE:
-        migration = step.payload
-        assert isinstance(migration, Migration)
-        old = frozenset(path_links(migration.old_path))
-        for link in path_links(step.path):
-            if link not in old:
-                added[link] = added.get(link, 0.0) + step.demand
-    else:
-        for link in path_links(step.path):
-            added[link] = added.get(link, 0.0) + step.demand
-    return added
-
-
 def _settle(step: Step, delta: dict[LinkId, float]) -> None:
     """Fold a committed step's steady-state load shift into ``delta``."""
     if step.kind is StepKind.MIGRATE:
@@ -225,7 +212,7 @@ def _batch_stages(state: NetworkState, sequence: list[Step],
         batch_added.clear()
 
     for step in sequence:
-        additions = _transient_additions(step)
+        additions = transient_additions(step)
         fits = all(batch_added.get(link, 0.0) + add <= headroom(link)
                    for link, add in additions.items())
         if not fits and batch:

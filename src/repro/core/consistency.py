@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.exceptions import InsufficientBandwidthError, PlanningError
+from repro.core.ordering import plan_steps, transient_additions, try_step
 from repro.core.plan import EventPlan
-from repro.network.link import EPS, LinkId, path_links
+from repro.network.link import EPS, LinkId
 from repro.network.state import NetworkState
 from repro.network.view import NetworkView
 
@@ -58,15 +58,9 @@ def transient_overloads(state: NetworkState,
     flip completes, so their usage still counts.
     """
     added: dict[LinkId, float] = {}
-    for flow_plan in plan.flow_plans:
-        for migration in flow_plan.migrations:
-            old_links = frozenset(path_links(migration.old_path))
-            for link in path_links(migration.new_path):
-                if link not in old_links:
-                    added[link] = added.get(link, 0.0) \
-                        + migration.flow.demand
-        for link in path_links(flow_plan.path):
-            added[link] = added.get(link, 0.0) + flow_plan.flow.demand
+    for step in plan_steps(plan):
+        for link, extra in transient_additions(step).items():
+            added[link] = added.get(link, 0.0) + extra
     overloads: list[TransientOverload] = []
     for link, extra in sorted(added.items()):
         transient = state.used(*link) + extra
@@ -86,25 +80,19 @@ def is_one_shot_safe(state: NetworkState, plan: EventPlan) -> bool:
 def sequential_order_is_safe(state: NetworkState, plan: EventPlan) -> bool:
     """Independently verify the plan's own step order never oversubscribes.
 
-    Replays each migration and placement in plan order on a throwaway view
-    (whose ``place`` rejects oversubscription); the view is discarded, so
-    ``state`` is untouched.
+    Replays :func:`~repro.core.ordering.plan_steps` in order on a throwaway
+    view (whose ``place`` rejects oversubscription); the view is discarded,
+    so ``state`` is untouched.
 
-    Returns False for infeasible plans or if any intermediate step fails —
-    the latter would indicate a planner bug, and the test suite asserts it
-    never happens.
+    Returns False for infeasible plans or if any intermediate step fails:
+    against the planned-on state that would indicate a planner bug (the
+    test suite asserts it never happens); against a drifted state it means
+    the room is gone or a migrated flow has left the network.
     """
     if not plan.feasible:
         return False
     view = NetworkView(state)
-    try:
-        for flow_plan in plan.flow_plans:
-            for migration in flow_plan.migrations:
-                view.reroute(migration.flow.flow_id, migration.new_path)
-            view.place(flow_plan.flow, flow_plan.path)
-    except (InsufficientBandwidthError, PlanningError):
-        return False
-    return True
+    return all(try_step(view, step) for step in plan_steps(plan))
 
 
 def one_shot_safety_rate(state: NetworkState,

@@ -18,9 +18,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.core.exceptions import InsufficientBandwidthError
+from repro.core.exceptions import (
+    InsufficientBandwidthError,
+    UnknownFlowError,
+)
 from repro.core.plan import EventPlan, FlowPlan, Migration
+from repro.network.link import LinkId, path_links
 from repro.network.state import NetworkState
 from repro.network.view import NetworkView
 
@@ -30,9 +35,12 @@ class StepKind(enum.Enum):
     PLACE = "place"
 
 
-@dataclass(frozen=True)
-class Step:
-    """One primitive update step of a plan."""
+class Step(NamedTuple):
+    """One primitive update step of a plan.
+
+    A named tuple, not a dataclass: every execution builds one per
+    operation, and a tuple costs a quarter of a frozen dataclass to make.
+    """
 
     kind: StepKind
     flow_id: str
@@ -58,36 +66,61 @@ class OrderingResult:
 
 
 def plan_steps(plan: EventPlan) -> list[Step]:
-    """Decompose a plan into its primitive steps, in plan order."""
+    """Decompose a plan into its primitive steps, in plan order.
+
+    The one place that knows what operations a plan consists of and in
+    what order: per flow, its migrations (make-before-break) and then its
+    placement. Execution, compilation and the consistency analysis all
+    walk this list.
+    """
     steps: list[Step] = []
     for flow_plan in plan.flow_plans:
         for migration in flow_plan.migrations:
-            steps.append(Step(kind=StepKind.MIGRATE,
-                              flow_id=migration.flow.flow_id,
-                              path=migration.new_path,
-                              demand=migration.flow.demand,
-                              payload=migration))
-        steps.append(Step(kind=StepKind.PLACE,
-                          flow_id=flow_plan.flow.flow_id,
-                          path=flow_plan.path,
-                          demand=flow_plan.flow.demand,
-                          payload=flow_plan))
+            flow = migration.flow
+            steps.append(Step(StepKind.MIGRATE, flow.flow_id,
+                              migration.new_path, flow.demand, migration))
+        flow = flow_plan.flow
+        steps.append(Step(StepKind.PLACE, flow.flow_id, flow_plan.path,
+                          flow.demand, flow_plan))
     return steps
 
 
-def _try_step(view: NetworkView, step: Step) -> bool:
-    """Apply one step to the view if it fits; False when it does not."""
+def apply_step(state: NetworkState, step: Step) -> tuple[str, ...] | None:
+    """Apply one step to ``state``; any refusal propagates.
+
+    Returns what undoes it: the path a migrated flow left, ``None`` for a
+    placement (undone by removing the flow).
+    """
+    if step.kind is StepKind.MIGRATE:
+        old_path = state.placement(step.flow_id).path
+        state.reroute(step.flow_id, step.path)
+        return old_path
+    state.place(step.payload.flow, step.path)
+    return None
+
+
+def try_step(view: NetworkView, step: Step) -> bool:
+    """Apply one step to the view if it fits; False when it does not —
+    no room, or the flow it migrates has left the network."""
     try:
-        if step.kind is StepKind.MIGRATE:
-            if not view.has_flow(step.flow_id):
-                return False  # its flow left the network; nothing to move
-            view.reroute(step.flow_id, step.path)
-        else:
-            flow = step.payload.flow
-            view.place(flow, step.path)
-    except InsufficientBandwidthError:
+        apply_step(view, step)
+    except (InsufficientBandwidthError, UnknownFlowError):
         return False
     return True
+
+
+def transient_additions(step: Step) -> dict[LinkId, float]:
+    """Per-link load a step adds *while it is in flight*.
+
+    A migrated flow occupies both paths until its stage commits, so only
+    links new to its path gain load; a placed flow loads its whole path.
+    """
+    links = path_links(step.path)
+    if step.kind is StepKind.MIGRATE:
+        assert isinstance(step.payload, Migration)
+        old = frozenset(path_links(step.payload.old_path))
+        links = tuple(link for link in links if link not in old)
+    return dict.fromkeys(links, step.demand)
 
 
 def find_safe_order(state: NetworkState, steps: list[Step],
@@ -123,7 +156,7 @@ def find_safe_order(state: NetworkState, steps: list[Step],
         progressed = False
         remaining: list[Step] = []
         for step in pending:
-            if _try_step(view, step):
+            if try_step(view, step):
                 order.append(step)
                 progressed = True
             else:

@@ -111,9 +111,8 @@ class CellOutcome:
 
 
 class SweepListener:
-    """Progress callbacks, in the style of
-    :class:`~repro.sim.tracelog.SimulationListener`: every hook defaults to
-    a no-op so implementations override only what they need."""
+    """Progress callbacks: every hook defaults to a no-op so
+    implementations override only what they need."""
 
     def on_sweep_start(self, total: int, resumed: int, jobs: int) -> None:
         """The sweep is about to run ``total - resumed`` cells."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.compile import PlanCompilerConfig
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -63,8 +65,8 @@ class SimulationConfig:
             replacement flows of auto-generated repair events (stranded
             permanent background flows have none of their own).
         compile_mode: plan-compilation mode handed to the executor —
-            ``atomic`` (default, the historical one-shot path bit for
-            bit), ``staged`` (congestion-free stages), or ``augmented``
+            ``atomic`` (default: each plan is one stage), ``staged``
+            (congestion-free stages), or ``augmented``
             (stages may transiently oversubscribe links by
             ``compile_epsilon · capacity``).
         compile_epsilon: the augmentation knob; must be 0 unless
@@ -95,12 +97,6 @@ class SimulationConfig:
             raise ValueError("max_deferrals must be >= 0 or None")
         if self.repair_flow_duration <= 0:
             raise ValueError("repair_flow_duration must be positive")
-        if self.compile_mode not in ("atomic", "staged", "augmented"):
-            raise ValueError(f"unknown compile_mode "
-                             f"{self.compile_mode!r}; pick 'atomic', "
-                             f"'staged' or 'augmented'")
-        if self.compile_epsilon < 0:
-            raise ValueError("compile_epsilon must be >= 0")
-        if self.compile_epsilon > 0 and self.compile_mode != "augmented":
-            raise ValueError("compile_epsilon > 0 requires "
-                             "compile_mode='augmented'")
+        # The (mode, ε) rule lives in PlanCompilerConfig alone.
+        PlanCompilerConfig(mode=self.compile_mode,
+                           epsilon=self.compile_epsilon)

@@ -48,7 +48,7 @@ from repro.sim.lifecycle import EventLifecycle
 from repro.sim.metrics import MetricsCollector, RunMetrics
 from repro.sim.pipeline import RoundLog, RoundPipeline
 from repro.sim.timing import TimingModel
-from repro.sim.tracelog import ListenerSubscriber, SimulationListener
+from repro.sim.tracelog import TraceLog
 from repro.traces.base import TraceGenerator
 
 __all__ = ["RoundLog", "SimulationConfig", "UpdateSimulator"]
@@ -67,10 +67,10 @@ class UpdateSimulator:
         config: simulator knobs.
         churn_trace: generator for respawned background flows (required when
             ``config.background_churn and config.churn_respawn``).
-        listener: optional :class:`~repro.sim.tracelog.SimulationListener`
-            notified of rounds, admissions, completions and churn — pass a
-            :class:`~repro.sim.tracelog.TraceLog` to capture a structured
-            run log.
+        listener: optional :class:`~repro.sim.tracelog.TraceLog` (or any
+            object with ``subscribe(bus)``) subscribed to the hook bus
+            right after the metrics collector, capturing rounds,
+            admissions, completions and churn as a structured run log.
         control_plane: optional control-plane model (an object exposing
             ``reliable`` / ``migration_ok()`` / ``install_ok()`` /
             ``attempt_jitter_s()``, see :mod:`repro.sim.controlplane`)
@@ -99,7 +99,7 @@ class UpdateSimulator:
                  timing: TimingModel | None = None,
                  config: SimulationConfig | None = None,
                  churn_trace: TraceGenerator | None = None,
-                 listener: "SimulationListener | None" = None,
+                 listener: "TraceLog | None" = None,
                  control_plane=None, faults=None,
                  audit: bool | None = None):
         self._network = network
@@ -110,17 +110,14 @@ class UpdateSimulator:
         self._config = config or SimulationConfig()
         self._hooks = HookBus()
         self._lifecycle = EventLifecycle()
-        compiler = None
-        if self._config.compile_mode != "atomic":
-            compiler = PlanCompilerConfig(
-                mode=self._config.compile_mode,
-                epsilon=self._config.compile_epsilon)
         self._executor = PlanExecutor(
             self._timing, control_plane=control_plane,
             retry=RetryPolicy(max_retries=self._config.exec_max_retries,
                               backoff_s=self._config.exec_backoff_s,
                               deadline_s=self._config.exec_deadline_s),
-            hooks=self._hooks, compiler=compiler)
+            hooks=self._hooks, compiler=PlanCompilerConfig(
+                mode=self._config.compile_mode,
+                epsilon=self._config.compile_epsilon))
         if (self._config.background_churn and self._config.churn_respawn
                 and churn_trace is None):
             raise ValueError("background_churn with churn_respawn requires "
@@ -137,7 +134,7 @@ class UpdateSimulator:
         # last (they only consume RunStarted).
         self._metrics = MetricsCollector(scheduler.name, self._hooks)
         if listener is not None:
-            ListenerSubscriber(listener, self._hooks)
+            listener.subscribe(self._hooks)
         if faults is not None:
             self.attach(faults)
         self._churn: "ChurnDriver | None" = None

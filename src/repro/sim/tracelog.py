@@ -1,11 +1,14 @@
-"""Simulation observability: listeners and a structured trace log.
+"""Simulation observability: a structured trace log.
 
-A :class:`SimulationListener` receives a callback for every significant
-simulator transition (round decided, event admitted, flow finished,
-background churned). :class:`TraceLog` is the bundled implementation — it
-accumulates structured records and can dump them as JSON Lines, which makes
-scheduler behaviour diffable across runs ("why did LMTF defer U7 in round
-3?") without attaching a debugger to a discrete-event simulation.
+:class:`TraceLog` subscribes to the simulator's
+:class:`~repro.sim.hooks.HookBus` and turns every significant transition
+(round decided, event admitted, flow finished, background churned, fault
+injected, execution failed, ...) into a structured record. The log dumps as
+JSON Lines, which makes scheduler behaviour diffable across runs ("why did
+LMTF defer U7 in round 3?") without attaching a debugger to a discrete-event
+simulation. Anything else that wants to observe a run subscribes to
+``UpdateSimulator.hooks`` the same way; there is no second observer
+interface.
 """
 
 from __future__ import annotations
@@ -16,50 +19,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.sim import hooks as _hooks
-
-
-class SimulationListener:
-    """Callback interface the simulator notifies; all hooks default to
-    no-ops so implementations override only what they need."""
-
-    def on_round(self, time: float, round_index: int, admitted: list[str],
-                 planning_ops: int, plan_time: float,
-                 queue_depth: int) -> None:
-        """A scheduling round was decided (possibly admitting nothing)."""
-
-    def on_admission(self, time: float, event_id: str, cost: float,
-                     migrations: int, flows: int) -> None:
-        """One event (or event fragment) was admitted for execution."""
-
-    def on_event_complete(self, time: float, event_id: str) -> None:
-        """An update event finished."""
-
-    def on_flow_finish(self, time: float, flow_id: str,
-                       event_id: str | None) -> None:
-        """A flow completed its transmission and left the network."""
-
-    def on_churn(self, time: float, finished_flow_id: str,
-                 respawned: int) -> None:
-        """A background flow completed (and may have been replaced)."""
-
-    def on_fault(self, time: float, description: str, stranded_flows: int,
-                 stranded_demand: float) -> None:
-        """A mid-run failure was injected, stranding the given traffic."""
-
-    def on_heal(self, time: float, description: str) -> None:
-        """A previously injected failure healed (capacity restored)."""
-
-    def on_exec_failure(self, time: float, event_id: str, attempts: int,
-                        reason: str) -> None:
-        """An admitted event's execution failed (after ``attempts`` tries)
-        and its state changes were rolled back."""
-
-    def on_deferral(self, time: float, event_id: str, count: int) -> None:
-        """An event was requeued; ``count`` is its total deferrals so far."""
-
-    def on_drop(self, time: float, event_id: str,
-                stranded_demand: float) -> None:
-        """An event was dropped after exhausting its requeue deferrals."""
 
 
 @dataclass
@@ -76,8 +35,12 @@ class TraceRecord:
 
 
 @dataclass
-class TraceLog(SimulationListener):
+class TraceLog:
     """Accumulates simulator transitions as structured records.
+
+    Pass it as ``UpdateSimulator(listener=log)``; the simulator calls
+    :meth:`subscribe` right after the metrics collector subscribed, so
+    each record lands after the ledger was charged for the same hook.
 
     Args:
         capture_flows: record per-flow completions too (high volume —
@@ -90,48 +53,64 @@ class TraceLog(SimulationListener):
     def _add(self, time: float, kind: str, **data: Any) -> None:
         self.records.append(TraceRecord(time=time, kind=kind, data=data))
 
-    # ------------------------------------------------------------- listener
+    # ---------------------------------------------------------------- hooks
 
-    def on_round(self, time, round_index, admitted, planning_ops,
-                 plan_time, queue_depth):
-        self._add(time, "round", index=round_index, admitted=admitted,
-                  ops=planning_ops, plan_time=round(plan_time, 6),
-                  queue=queue_depth)
+    def subscribe(self, bus: "_hooks.HookBus") -> None:
+        """Start recording ``bus``'s emissions."""
+        bus.subscribe(_hooks.PreRound, self._on_pre_round)
+        bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
+        bus.subscribe(_hooks.EventCompleted, self._on_completed)
+        bus.subscribe(_hooks.FlowFinished, self._on_flow_finished)
+        bus.subscribe(_hooks.ChurnTick, self._on_churn)
+        bus.subscribe(_hooks.FaultInjected, self._on_fault)
+        bus.subscribe(_hooks.FaultHealed, self._on_heal)
+        bus.subscribe(_hooks.ExecutionFailed, self._on_exec_failed)
+        bus.subscribe(_hooks.EventDeferred, self._on_deferred)
+        bus.subscribe(_hooks.EventDropped, self._on_dropped)
 
-    def on_admission(self, time, event_id, cost, migrations, flows):
-        self._add(time, "admission", event=event_id, cost=round(cost, 3),
-                  migrations=migrations, flows=flows)
+    def _on_pre_round(self, hook: "_hooks.PreRound") -> None:
+        self._add(hook.now, "round", index=hook.index,
+                  admitted=list(hook.admitted), ops=hook.planning_ops,
+                  plan_time=round(hook.plan_time, 6),
+                  queue=hook.queue_depth)
 
-    def on_event_complete(self, time, event_id):
-        self._add(time, "complete", event=event_id)
+    def _on_admitted(self, hook: "_hooks.EventAdmitted") -> None:
+        self._add(hook.exec_start, "admission", event=hook.event_id,
+                  cost=round(hook.cost, 3), migrations=hook.migrations,
+                  flows=hook.flows)
 
-    def on_flow_finish(self, time, flow_id, event_id):
+    def _on_completed(self, hook: "_hooks.EventCompleted") -> None:
+        self._add(hook.now, "complete", event=hook.event_id)
+
+    def _on_flow_finished(self, hook: "_hooks.FlowFinished") -> None:
         if self.capture_flows:
-            self._add(time, "flow_finish", flow=flow_id, event=event_id)
+            self._add(hook.now, "flow_finish", flow=hook.flow_id,
+                      event=hook.event_id)
 
-    def on_churn(self, time, finished_flow_id, respawned):
+    def _on_churn(self, hook: "_hooks.ChurnTick") -> None:
         if self.capture_flows:
-            self._add(time, "churn", flow=finished_flow_id,
-                      respawned=respawned)
+            self._add(hook.now, "churn", flow=hook.flow_id,
+                      respawned=hook.respawned)
 
-    def on_fault(self, time, description, stranded_flows, stranded_demand):
-        self._add(time, "fault", what=description,
-                  stranded_flows=stranded_flows,
-                  stranded_demand=round(stranded_demand, 3))
+    def _on_fault(self, hook: "_hooks.FaultInjected") -> None:
+        self._add(hook.now, "fault", what=hook.description,
+                  stranded_flows=hook.stranded_flows,
+                  stranded_demand=round(hook.stranded_demand, 3))
 
-    def on_heal(self, time, description):
-        self._add(time, "heal", what=description)
+    def _on_heal(self, hook: "_hooks.FaultHealed") -> None:
+        self._add(hook.now, "heal", what=hook.description)
 
-    def on_exec_failure(self, time, event_id, attempts, reason):
-        self._add(time, "exec_failure", event=event_id, attempts=attempts,
-                  reason=reason)
+    def _on_exec_failed(self, hook: "_hooks.ExecutionFailed") -> None:
+        self._add(hook.now, "exec_failure", event=hook.event_id,
+                  attempts=hook.attempts, reason=hook.reason)
 
-    def on_deferral(self, time, event_id, count):
-        self._add(time, "deferral", event=event_id, count=count)
+    def _on_deferred(self, hook: "_hooks.EventDeferred") -> None:
+        self._add(hook.now, "deferral", event=hook.event_id,
+                  count=hook.count)
 
-    def on_drop(self, time, event_id, stranded_demand):
-        self._add(time, "drop", event=event_id,
-                  stranded_demand=round(stranded_demand, 3))
+    def _on_dropped(self, hook: "_hooks.EventDropped") -> None:
+        self._add(hook.now, "drop", event=hook.event_id,
+                  stranded_demand=round(hook.stranded_demand, 3))
 
     # --------------------------------------------------------------- export
 
@@ -154,61 +133,3 @@ class TraceLog(SimulationListener):
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-class ListenerSubscriber:
-    """Feeds a :class:`SimulationListener` from hook-bus emissions.
-
-    The simulator subscribes this adapter *after* the metrics adapter, so
-    the listener observes each transition exactly where the pre-refactor
-    monolith called it — trace-record order is byte-identical.
-    """
-
-    def __init__(self, listener: SimulationListener, bus: "_hooks.HookBus"):
-        self._listener = listener
-        bus.subscribe(_hooks.PreRound, self._on_pre_round)
-        bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
-        bus.subscribe(_hooks.EventCompleted, self._on_completed)
-        bus.subscribe(_hooks.FlowFinished, self._on_flow_finished)
-        bus.subscribe(_hooks.ChurnTick, self._on_churn)
-        bus.subscribe(_hooks.FaultInjected, self._on_fault)
-        bus.subscribe(_hooks.FaultHealed, self._on_heal)
-        bus.subscribe(_hooks.ExecutionFailed, self._on_exec_failed)
-        bus.subscribe(_hooks.EventDeferred, self._on_deferred)
-        bus.subscribe(_hooks.EventDropped, self._on_dropped)
-
-    def _on_pre_round(self, hook: "_hooks.PreRound") -> None:
-        self._listener.on_round(hook.now, hook.index, list(hook.admitted),
-                                hook.planning_ops, hook.plan_time,
-                                hook.queue_depth)
-
-    def _on_admitted(self, hook: "_hooks.EventAdmitted") -> None:
-        self._listener.on_admission(hook.exec_start, hook.event_id,
-                                    hook.cost, hook.migrations, hook.flows)
-
-    def _on_completed(self, hook: "_hooks.EventCompleted") -> None:
-        self._listener.on_event_complete(hook.now, hook.event_id)
-
-    def _on_flow_finished(self, hook: "_hooks.FlowFinished") -> None:
-        self._listener.on_flow_finish(hook.now, hook.flow_id, hook.event_id)
-
-    def _on_churn(self, hook: "_hooks.ChurnTick") -> None:
-        self._listener.on_churn(hook.now, hook.flow_id, hook.respawned)
-
-    def _on_fault(self, hook: "_hooks.FaultInjected") -> None:
-        self._listener.on_fault(hook.now, hook.description,
-                                hook.stranded_flows, hook.stranded_demand)
-
-    def _on_heal(self, hook: "_hooks.FaultHealed") -> None:
-        self._listener.on_heal(hook.now, hook.description)
-
-    def _on_exec_failed(self, hook: "_hooks.ExecutionFailed") -> None:
-        self._listener.on_exec_failure(hook.now, hook.event_id,
-                                       hook.attempts, hook.reason)
-
-    def _on_deferred(self, hook: "_hooks.EventDeferred") -> None:
-        self._listener.on_deferral(hook.now, hook.event_id, hook.count)
-
-    def _on_dropped(self, hook: "_hooks.EventDropped") -> None:
-        self._listener.on_drop(hook.now, hook.event_id,
-                               hook.stranded_demand)

@@ -54,6 +54,20 @@ def planned():
 
 
 class TestConfigValidation:
+    def test_simulation_config_shares_the_rule(self):
+        # SimulationConfig validates (mode, ε) by building the
+        # PlanCompilerConfig: same ValueError for the same input.
+        from repro.sim.config import SimulationConfig
+        for mode, epsilon in (("bogus", 0.0), ("staged", 0.1),
+                              ("augmented", -0.1)):
+            with pytest.raises(ValueError) as direct:
+                PlanCompilerConfig(mode=mode, epsilon=epsilon)
+            with pytest.raises(ValueError) as via_sim:
+                SimulationConfig(compile_mode=mode, compile_epsilon=epsilon)
+            assert str(via_sim.value) == str(direct.value)
+        assert SimulationConfig(compile_mode="augmented",
+                                compile_epsilon=0.2).compile_epsilon == 0.2
+
     def test_defaults_are_atomic(self):
         config = PlanCompilerConfig()
         assert config.mode == "atomic" and config.epsilon == 0.0
@@ -162,9 +176,22 @@ class TestApplyStages:
 
 
 class TestExecutorCompiled:
-    def test_atomic_compiler_normalized_away(self):
-        executor = PlanExecutor(compiler=PlanCompilerConfig())
-        assert executor.compiler is None
+    def test_atomic_is_one_stage_without_compiling(self, planned,
+                                                   monkeypatch):
+        from repro.core import executor as executor_mod
+        net, _, plan = planned
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("atomic mode must not call compile_plan")
+
+        monkeypatch.setattr(executor_mod, "compile_plan", no_compile)
+        for compiler in (None, PlanCompilerConfig()):
+            executor = PlanExecutor(compiler=compiler)
+            assert executor.compiler == PlanCompilerConfig()
+            record = executor.execute(net.copy(), plan, start_time=0.0)
+            assert record.stage_count == 1
+            assert record.max_transient_overload == 0.0
+            assert record.epsilon == 0.0
 
     def test_record_carries_stage_telemetry(self, planned):
         net, _, plan = planned
@@ -248,6 +275,20 @@ class TestStagedSchedulers:
 
 
 class TestStagedVsAtomicParity:
+    def test_apply_plan_is_the_one_atomic_stage(self, planned):
+        net, _, plan = planned
+        twin = net.copy()
+        compiled = compile_plan(twin, plan, PlanCompilerConfig())
+        assert [stage.steps for stage in compiled.stages] \
+            == [tuple(plan_steps(plan))]
+        assert apply_plan(net, plan) == apply_stages(twin, compiled)
+        assert ({fid: net.placement(fid).path for fid in net.flow_ids()}
+                == {fid: twin.placement(fid).path
+                    for fid in twin.flow_ids()})
+        assert ({lk: net.used(*lk) for lk in net.links()}
+                == {lk: twin.used(*lk) for lk in twin.links()})
+        assert net.version_snapshot() == twin.version_snapshot()
+
     def test_settled_loads_identical(self, planned):
         net, _, plan = planned
         twin, _ = diamond_setup()

@@ -86,6 +86,21 @@ class TestMigrationPlans:
         assert not sequential_order_is_safe(net, plan)
 
 
+class TestStepOrderUnderChurn:
+    def test_departed_migrated_flow_is_unsafe_not_a_traceback(self):
+        # Regression: sequential_order_is_safe promises False when any
+        # intermediate step fails, but a migrated flow that left the
+        # network since planning (churn) raised UnknownFlowError instead.
+        net, provider = diamond_setup()
+        net.place(cd_flow("bg", 45.0), BG_TOP)
+        net.place(ef_flow("bg2", 45.0), ("e", "s1", "bot", "s2", "f"))
+        plan = plan_one(net, provider, [ab_flow("new", 60.0)])
+        assert plan.feasible and len(plan.migrations) == 1
+        assert sequential_order_is_safe(net, plan)
+        net.remove(plan.migrations[0].flow.flow_id)
+        assert sequential_order_is_safe(net, plan) is False
+
+
 class TestSafetyRate:
     def test_rate_over_mixed_plans(self):
         net, provider = diamond_setup()

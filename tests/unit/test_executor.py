@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.core.compile import PlanCompilerConfig, compile_plan
 from repro.core.event import make_event
 from repro.core.exceptions import (
     ControlPlaneError,
@@ -17,7 +18,10 @@ from repro.core.plan import EventPlan
 from repro.core.planner import EventPlanner
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.custom import CustomTopology
-from repro.sim.controlplane import ScriptedControlPlane
+from repro.sim.controlplane import (
+    ScriptedControlPlane,
+    UnreliableControlPlane,
+)
 from repro.sim.timing import TimingModel
 
 
@@ -38,8 +42,7 @@ def update_flow(fid, demand, duration=1.0):
                 duration=duration)
 
 
-@pytest.fixture()
-def planned():
+def _planned():
     """(network, plan-with-migration) pair computed on identical state."""
     topo = diamond_topology()
     net = topo.network()
@@ -52,6 +55,11 @@ def planned():
     plan = planner.plan_event(net, event, random.Random(1), commit=False)
     assert plan.feasible and plan.cost > 0
     return net, plan
+
+
+@pytest.fixture()
+def planned():
+    return _planned()
 
 
 class TestApplyPlan:
@@ -174,11 +182,27 @@ class TestRetryPolicy:
             RetryPolicy(deadline_s=0.0)
 
 
+STAGED = PlanCompilerConfig(mode="staged")
+AUGMENTED = PlanCompilerConfig(mode="augmented", epsilon=0.1)
+
+
 class TestUnreliableExecution:
+    """Retry / rollback behaviour, once per compile mode.
+
+    Parametrised by subclassing (``compiler`` is the parameter) rather
+    than ``pytest.mark.parametrize`` so the atomic ids stay what they
+    were; the staged plan has two stages, the augmented one merges them.
+    """
+
+    compiler: PlanCompilerConfig | None = None
+
+    def executor(self, timing=None, **kwargs):
+        return PlanExecutor(timing, compiler=self.compiler, **kwargs)
+
     def test_reliable_control_plane_takes_fast_path(self, planned):
         net, plan = planned
         from repro.sim.controlplane import ReliableControlPlane
-        record = PlanExecutor(control_plane=ReliableControlPlane()) \
+        record = self.executor(control_plane=ReliableControlPlane()) \
             .execute(net, plan, 0.0)
         assert record.attempts == 1 and record.retry_time == 0.0
 
@@ -186,8 +210,8 @@ class TestUnreliableExecution:
         net, plan = planned
         before = state_fingerprint(net)
         cp = ScriptedControlPlane([False, False, False])  # every attempt
-        executor = PlanExecutor(control_plane=cp,
-                                retry=RetryPolicy(max_retries=2))
+        executor = self.executor(control_plane=cp,
+                                 retry=RetryPolicy(max_retries=2))
         with pytest.raises(ControlPlaneError) as exc:
             executor.execute(net, plan, start_time=0.0)
         assert exc.value.attempts == 3
@@ -200,10 +224,11 @@ class TestUnreliableExecution:
         assert plan.migrations, "fixture must exercise the migration path"
         before = state_fingerprint(net)
         # First attempt: migrations succeed, the install fails — exactly
-        # the partial application the rollback must undo.
+        # the partial application the rollback must undo (under staged
+        # compilation the failure lands in the second stage).
         script = [True] * len(plan.migrations) + [False]
-        executor = PlanExecutor(control_plane=ScriptedControlPlane(script),
-                                retry=RetryPolicy(max_retries=0))
+        executor = self.executor(control_plane=ScriptedControlPlane(script),
+                                 retry=RetryPolicy(max_retries=0))
         with pytest.raises(ControlPlaneError):
             executor.execute(net, plan, 0.0)
         assert state_fingerprint(net) == before
@@ -212,14 +237,15 @@ class TestUnreliableExecution:
         net, plan = planned
         timing = TimingModel(rule_install_s=0.5, migration_rule_s=0.25,
                              drain_s_per_mbps=0.1)
-        base = (sum(0.25 + 0.1 * m.migrated_traffic
-                    for m in plan.migrations) + 0.5)
         cp = ScriptedControlPlane([False], jitter_s=0.01)
-        executor = PlanExecutor(
+        executor = self.executor(
             timing, control_plane=cp,
             retry=RetryPolicy(max_retries=2, backoff_s=0.1))
         record = executor.execute(net, plan, start_time=10.0)
         assert record.attempts == 2
+        base = (sum(0.25 + 0.1 * m.migrated_traffic
+                    for m in plan.migrations)
+                + 0.5 * record.stage_count)  # one install round per stage
         # Two full attempt windows + both jitters + the first backoff.
         assert record.finish_setup_time == pytest.approx(
             10.0 + 2 * (base + 0.01) + 0.1)
@@ -231,7 +257,7 @@ class TestUnreliableExecution:
     def test_deadline_aborts_before_retries_exhausted(self, planned):
         net, plan = planned
         cp = ScriptedControlPlane([False] * 50)
-        executor = PlanExecutor(
+        executor = self.executor(
             control_plane=cp,
             retry=RetryPolicy(max_retries=10, backoff_s=0.5,
                               deadline_s=1.0))
@@ -247,11 +273,74 @@ class TestUnreliableExecution:
                        demand=thief_demand), path)
         before = state_fingerprint(net)
         cp = ScriptedControlPlane([True] * 50)
-        executor = PlanExecutor(control_plane=cp,
-                                retry=RetryPolicy(max_retries=5))
+        executor = self.executor(control_plane=cp,
+                                 retry=RetryPolicy(max_retries=5))
         with pytest.raises(InsufficientBandwidthError):
             executor.execute(net, plan, 0.0)
         # One attempt only: the same state would reject the same plan.
         assert cp.consumed <= len(plan.migrations) + len(plan.flow_plans)
         assert state_fingerprint(net) == before
         net.check_invariants()
+
+
+class TestUnreliableExecutionStaged(TestUnreliableExecution):
+    compiler = STAGED
+
+    def test_failure_in_second_stage_restores_version_counters(
+            self, planned):
+        net, plan = planned
+        compiled = compile_plan(net, plan, STAGED)
+        assert compiled.stage_count == 2
+        first_stage_ops = len(compiled.stages[0].steps)
+        before = state_fingerprint(net)
+        versions = net.version_snapshot()
+        # The whole first stage lands, then stage two's first op fails.
+        cp = ScriptedControlPlane([True] * first_stage_ops + [False])
+        executor = self.executor(control_plane=cp,
+                                 retry=RetryPolicy(max_retries=0))
+        with pytest.raises(ControlPlaneError):
+            executor.execute(net, plan, 0.0)
+        assert cp.consumed == first_stage_ops + 1
+        assert state_fingerprint(net) == before
+        assert net.version_snapshot() == versions
+        net.check_invariants()
+
+
+class TestUnreliableExecutionAugmented(TestUnreliableExecution):
+    compiler = AUGMENTED
+
+
+class TestStagedMatchesAtomicOnTheControlPlane:
+    """Without drift the compiled step order is the plan order, so a
+    same-seed control plane is consulted identically in both modes."""
+
+    @pytest.mark.parametrize("failure_prob", [0.0, 0.4])
+    def test_same_seed_same_draws(self, failure_prob):
+        records, rng_states = {}, {}
+        timing = TimingModel()
+        for name, compiler in (("atomic", None), ("staged", STAGED)):
+            net, plan = _planned()
+            cp = UnreliableControlPlane(
+                install_failure_prob=failure_prob,
+                migration_failure_prob=failure_prob, jitter_s=0.01, seed=3)
+            executor = PlanExecutor(
+                timing, control_plane=cp, compiler=compiler,
+                retry=RetryPolicy(max_retries=20, backoff_s=0.05))
+            records[name] = executor.execute(net, plan, start_time=1.0)
+            rng_states[name] = cp._rng.getstate()
+        atomic, staged = records["atomic"], records["staged"]
+        assert (atomic.stage_count, staged.stage_count) == (1, 2)
+        assert staged.attempts == atomic.attempts
+        assert (atomic.attempts > 1) == (failure_prob > 0.0)
+        assert staged.rerouted_flow_ids == atomic.rerouted_flow_ids
+        assert rng_states["staged"] == rng_states["atomic"]
+        flows = len(atomic.plan.flow_plans)
+        assert atomic.install_time == timing.install_time(flows)
+        assert staged.install_time == timing.install_time(flows, stages=2)
+        extra = timing.rule_install_s * (staged.stage_count - 1)
+        assert staged.install_time - atomic.install_time \
+            == pytest.approx(extra)
+        # Jitter and backoff are the same draws; only the failed
+        # attempts' longer staged windows separate the two.
+        assert staged.retry_time - atomic.retry_time == pytest.approx(
+            extra * (atomic.attempts - 1))

@@ -13,7 +13,7 @@ from repro.core.event import make_event
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.plmtf import PLMTFScheduler
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
-from repro.sim.tracelog import SimulationListener, TraceLog, TraceRecord
+from repro.sim.tracelog import TraceLog, TraceRecord
 
 
 def run_with_log(scheduler=None, capture_flows=False, events=3):
@@ -80,15 +80,6 @@ class TestTraceLog:
 
 
 class TestListenerInterface:
-    def test_noop_listener_is_safe(self):
-        net, provider = diamond_setup()
-        sim = UpdateSimulator(net, provider, FIFOScheduler(),
-                              config=SimulationConfig(seed=1),
-                              listener=SimulationListener())
-        sim.submit([make_event([ab_flow("f", 5.0, 1.0)])])
-        metrics = sim.run()
-        assert metrics.event_count == 1
-
     def test_record_json(self):
         record = TraceRecord(time=1.234567891, kind="x", data={"a": 1})
         payload = json.loads(record.to_json())
