@@ -169,6 +169,22 @@ class Network(NetworkState):
         """The live flow set of link ``i`` — callers must not mutate it."""
         return self._flows_col[i]
 
+    def row_residuals(self,
+                      rows: Iterable[Sequence[int]]) -> list[float]:
+        """The bottleneck residual of each row of link indices (``inf`` for
+        an empty row): :meth:`path_residual` for callers that hold a pair's
+        candidates as index rows instead of path objects."""
+        cap, used, inf = self._cap_col, self._used_col, float("inf")
+        residuals = []
+        for row in rows:
+            best = inf
+            for i in row:
+                res = cap[i] - used[i]
+                if res < best:
+                    best = res
+            residuals.append(best)
+        return residuals
+
     def _link_index(self, u: str, v: str) -> int:
         i = self._table.index.get((u, v))
         if i is None:

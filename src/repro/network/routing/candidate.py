@@ -1,9 +1,12 @@
 """Interned candidate paths over the link index.
 
 Every LMTF/P-LMTF round probes the same ``(src, dst)`` candidate sets over
-and over, and background churn scans them once per respawned flow. A
-:class:`CandidatePath` is produced **once** per candidate by
-:class:`~repro.network.routing.provider.PathProvider` and carries:
+and over, and background churn places one candidate per respawned flow. A
+:class:`CandidatePath` exists **once** per candidate of a host pair, built
+by :class:`~repro.network.routing.provider.PathProvider` the first time it
+is asked for — :meth:`CandidatePath.make` validates what the topology
+enumerates (once per switch pair), :meth:`CandidatePath.prevalidated` joins
+a validated middle to a host pair's access links — and carries:
 
 * ``link_idx`` — the links as dense integer indices into the topology
   graph's :class:`~repro.network.link.LinkTable`, the representation the
@@ -13,8 +16,8 @@ and over, and background churn scans them once per respawned flow. A
   returns). Derived on first read from the table's own link ids, then kept.
 * ``link_set`` — the same links as a frozenset, for overlap/membership
   tests. Derived on first read, then kept; its only readers are the
-  migration planner's overlap tests on event flows, so the hundreds of
-  thousands of paths churn touches never build one.
+  migration planner's overlap tests on event flows, so the tens of
+  thousands of paths churn places never build one.
 
 A :class:`CandidatePath` *is* a tuple of node names, so every existing call
 site — ``path[0]``, ``len(path)``, equality against plain node tuples,
@@ -70,6 +73,17 @@ class CandidatePath(tuple[str, ...]):
                 raise ValueError(f"candidate path {tuple(nodes)!r} uses "
                                  f"link {exc.args[0]!r} absent from the "
                                  f"link table") from None
+        path.table = table
+        return path
+
+    @classmethod
+    def prevalidated(cls, nodes: Sequence[str], link_idx: tuple[int, ...],
+                     table: LinkTable) -> "CandidatePath":
+        """A path put together from parts :meth:`make` already checked —
+        a template's middle between two hosts' access links — so nothing
+        is checked again."""
+        path = cls(nodes)
+        path.link_idx = link_idx
         path.table = table
         return path
 

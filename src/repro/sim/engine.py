@@ -17,7 +17,7 @@ change simulation results, only keep the heap small.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.exceptions import SimulationError
@@ -26,16 +26,24 @@ from repro.core.exceptions import SimulationError
 _COMPACT_MIN_SIZE = 64
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _ScheduledEvent:
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
     #: Set once the entry has been popped off the heap (executed or
     #: discarded as a tombstone). A handle kept past that point must not
     #: be able to touch the engine's tombstone accounting.
-    popped: bool = field(default=False, compare=False)
+    popped: bool = False
+
+    def __lt__(self, other: "_ScheduledEvent") -> bool:
+        """Heap order: by ``time``, then ``seq`` (unique, so the order is
+        total). Written out because the generated comparison builds two
+        tuples per call and the heap makes ~14 calls per push/pop pair."""
+        if self.time != other.time:
+            return self.time < other.time
+        return self.seq < other.seq
 
 
 class TaggedCallback:

@@ -5,12 +5,22 @@ as background traffic, so that the network utilization grows up to 70%". The
 loader draws flows from a trace generator and greedily places each on its
 best feasible path, stopping when the average switch-link utilization reaches
 the target (or no more flows fit).
+
+The same :meth:`BackgroundLoader.best_path` serves every churn respawn of a
+run, so it reads a host pair's candidates the cheapest way the provider
+offers: as rows of link indices (the two access links once, then each
+candidate's middle row) with only the chosen candidate built as a path
+object, or — for a provider that offers only ``paths()``, a pair it cannot
+put in rows, or a network over another link table — one path object at a
+time. Both readings keep candidate order, the feasibility comparison, the
+host-cap arithmetic and the RNG draws identical.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro.core.exceptions import InsufficientBandwidthError
 from repro.core.flow import Flow, FlowKind
@@ -18,6 +28,8 @@ from repro.network.link import EPS
 from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
 from repro.traces.base import TraceGenerator
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -64,6 +76,13 @@ class BackgroundLoader:
         self._rng = rng or random.Random(0)
         self._host_link_cap = host_link_cap
         self._path_policy = path_policy
+        # Index rows are only meaningful against the table they were baked
+        # for; a provider without them, or over another graph's table, is
+        # read path by path.
+        self._link_rows = (
+            getattr(provider, "link_rows", None)
+            if getattr(provider, "table", None) is network.link_table()
+            else None)
 
     @property
     def rng(self) -> random.Random:
@@ -149,9 +168,58 @@ class BackgroundLoader:
         Paths whose host access links would exceed ``host_link_cap`` are
         rejected even when raw capacity remains (see :attr:`host_link_cap`).
         """
+        rows = (self._link_rows(flow.src, flow.dst)
+                if self._link_rows is not None else None)
+        if rows is None:
+            return self._choose(self._feasible_paths(flow))
+        chosen = self._choose(self._feasible_rows(flow.demand, *rows))
+        if chosen is None:
+            return None
+        return self._provider.candidate(flow.src, flow.dst, chosen)
+
+    def _choose(self, feasible: list[tuple[float, _T]]) -> _T | None:
+        """One of the ``(residual, candidate)`` entries by the path policy;
+        the draw depends only on how many there are and their residuals."""
+        if not feasible:
+            return None
+        if self._path_policy == "random":
+            return self._rng.choice(feasible)[1]
+        best_residual = max(r for r, __ in feasible)
+        choices = [c for r, c in feasible if r >= best_residual - EPS]
+        return self._rng.choice(choices)
+
+    def _feasible_rows(self, demand: float, up: int, down: int,
+                       rows: tuple[tuple[int, ...], ...]
+                       ) -> list[tuple[float, int]]:
+        """``(residual, index)`` of a templated pair's feasible candidates.
+
+        Every candidate shares the two access links, so their residual and
+        the host cap are asked once for the pair; a candidate then adds
+        only its row of middle links.
+        """
+        network, limit = self._network, self._host_link_cap
+        cap_up, used_up = network.capacity_idx(up), network.used_idx(up)
+        cap_down = network.capacity_idx(down)
+        used_down = network.used_idx(down)
+        access = min(cap_up - used_up, cap_down - used_down)
+        if (access + EPS < demand or used_up + demand > limit * cap_up
+                or used_down + demand > limit * cap_down):
+            return []
+        feasible = []
+        for i, middle in enumerate(network.row_residuals(rows)):
+            residual = middle if middle < access else access
+            if residual + EPS < demand:
+                continue
+            feasible.append((residual, i))
+        return feasible
+
+    def _feasible_paths(self, flow: Flow
+                        ) -> list[tuple[float, tuple[str, ...]]]:
+        """``(residual, path)`` of the pair's feasible candidates, one path
+        object at a time: what any provider's ``paths()`` supports."""
         feasible = []
         # The host-cap answer depends only on a path's access links, which
-        # on a Fat-Tree are the same two for every candidate of a pair.
+        # can differ between candidates only for a multi-homed host.
         capped: dict[tuple[str, str, str, str], bool] = {}
         for path in self._provider.paths(flow.src, flow.dst):
             residual = self._network.path_residual(path)
@@ -165,13 +233,7 @@ class BackgroundLoader:
             if over:
                 continue
             feasible.append((residual, path))
-        if not feasible:
-            return None
-        if self._path_policy == "random":
-            return self._rng.choice(feasible)[1]
-        best_residual = max(r for r, __ in feasible)
-        choices = [p for r, p in feasible if r >= best_residual - EPS]
-        return self._rng.choice(choices)
+        return feasible
 
     def _exceeds_host_cap(self, path: tuple[str, ...],
                           demand: float) -> bool:

@@ -126,6 +126,7 @@ class TestWouldFit:
 
 TOPOLOGIES = {
     "fat-tree": FatTreeTopology(k=4),
+    "fat-tree-8": FatTreeTopology(k=8),
     "leaf-spine": LeafSpineTopology(leaves=4, spines=3, hosts_per_leaf=3),
     "jellyfish": JellyfishTopology(switches=10, degree=3,
                                    hosts_per_switch=2, seed=2),
@@ -136,8 +137,10 @@ PROVIDERS = {name: PathProvider(topo) for name, topo in TOPOLOGIES.items()}
 def reference_best_path(network, provider, flow, rng, host_link_cap,
                         path_policy):
     """``BackgroundLoader.best_path`` as it stood before the host-cap
-    answer was shared between candidates: one string-keyed cap check per
-    path. Returns the path and how many candidates the cap rejected."""
+    answer was shared between candidates and before candidates were
+    scanned as index rows: every candidate a path object, one string-keyed
+    cap check per path. Returns the path and how many candidates the cap
+    rejected."""
     def exceeds_host_cap(path):
         for u, v in (path[0], path[1]), (path[-2], path[-1]):
             cap = network.capacity(u, v)
@@ -163,12 +166,14 @@ def reference_best_path(network, provider, flow, rng, host_link_cap,
     return rng.choice(choices), capped
 
 
-def check_best_path(topology, policy, cap, load_seed, target, probes):
+def check_best_path(topology, policy, cap, load_seed, target, probes,
+                    network=None, provider=None):
     """Load a network, then compare ``best_path`` with the reference on
     every probe: same path object, same RNG state afterwards. Returns how
     many candidate paths the host cap rejected over all probes."""
-    topo, provider = TOPOLOGIES[topology], PROVIDERS[topology]
-    network = topo.network()
+    topo = TOPOLOGIES[topology]
+    provider = provider or PROVIDERS[topology]
+    network = network or topo.network()
     loader = BackgroundLoader(
         network, provider, YahooLikeTrace(topo.hosts(), seed=load_seed),
         random.Random(load_seed + 10), host_link_cap=cap, path_policy=policy)
@@ -218,6 +223,35 @@ class TestBestPathDifferential:
         capped = check_best_path(topology, policy, cap=0.4, load_seed=7,
                                  target=0.2, probes=probes)
         assert capped > 0
+
+    def test_network_on_another_graph_is_read_path_by_path(self):
+        """The provider's index rows belong to its own graph's link table.
+        A network built on an equal graph whose links were added in
+        another order numbers them differently: the loader must read it
+        through path objects (whose ``table`` mismatch sends the kernel to
+        the string-keyed reads), never through the rows."""
+        import networkx as nx
+        from repro.network.network import Network
+
+        topo = TOPOLOGIES["fat-tree"]
+        graph = nx.DiGraph()
+        graph.add_nodes_from(topo.graph().nodes(data=True))
+        graph.add_edges_from(reversed(list(topo.graph().edges(data=True))))
+        network = Network(graph)
+        assert network.link_table() is not PROVIDERS["fat-tree"].table
+        assert network.link_table().ids != PROVIDERS["fat-tree"].table.ids
+
+        class NoRows(PathProvider):
+            def link_rows(self, src, dst):
+                raise AssertionError("index rows read against a foreign "
+                                     "link table")
+
+        probes = [(i, i + 5, 450.0) for i in range(24)]
+        capped = check_best_path("fat-tree", "random", cap=0.4, load_seed=7,
+                                 target=0.2, probes=probes, network=network,
+                                 provider=NoRows(topo))
+        assert capped > 0
+        network.check_invariants()
 
     def test_candidates_with_different_access_links(self):
         """A multi-homed host and a provider handing out plain tuples: the
