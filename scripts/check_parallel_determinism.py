@@ -2,13 +2,15 @@
 """CI gate for the parallel experiment runner's two contracts.
 
 1. **Determinism** — a ``--jobs 2`` sweep merges to bytes identical to the
-   sequential ``jobs=1`` sweep.
+   bare call, the one-process run ``repro figN`` makes.
 2. **Resume** — a sweep SIGKILLed mid-flight, restarted with ``resume``,
    finishes from its checkpoint (recomputing only unfinished cells) and
    still merges to the identical bytes.
 
-Both contracts are checked twice: on a small fault-free
-``fig6_with_spread`` grid (2 trials x 3 schedulers), and on a *faulted*
+Both contracts are checked on three grids: a small fault-free
+``fig6_with_spread`` grid (2 trials x 3 schedulers); a two-row ``fig5``
+grid, whose second row must not depend on the first (an in-process path
+sharing id counters across rows fails here); and a *faulted*
 ``failure_sweep`` grid whose cells inject mid-run link failures and an
 unreliable control plane — the chaos path must be exactly as deterministic
 as the clean one. Exits non-zero with a diagnostic on any violation.
@@ -58,6 +60,10 @@ PHASES = (
           module="repro.experiments.multiseed:fig6_with_spread",
           params={"seed": 1, "events": 4, "seeds": 2},
           total_cells=2 * 3),
+    Phase(name="fig5 (two rows)",
+          module="repro.experiments.fig5:run",
+          params={"seed": 0, "utilization": 0.6, "event_counts": (6, 8)},
+          total_cells=2 * 2),
     Phase(name="failure sweep (chaos)",
           module="repro.experiments.robustness:failure_sweep",
           params={"seed": 1, "events": 4, "utilization": 0.5,
@@ -122,16 +128,16 @@ def check_phase(phase: Phase) -> None:
     from repro.experiments.runner import SweepListener
 
     print(f"== {phase.name} ==")
-    print("1) sequential reference (jobs=1)...")
-    reference = phase.run(jobs=1)
+    print("1) reference: the bare call (one process)...")
+    reference = phase.run()
 
     print("2) parallel sweep (jobs=2) in a fresh process...")
     with tempfile.TemporaryDirectory() as tmp:
         parallel = run_sweep_subprocess(phase, Path(tmp) / "full.jsonl")
         if parallel != reference:
             fail(f"{phase.name}: jobs=2 result differs from the "
-                 f"sequential jobs=1 result")
-        print("  byte-identical to sequential")
+                 f"bare call's result")
+        print("  byte-identical to the bare call")
 
         print("3) kill a jobs=2 sweep mid-flight, then resume...")
         checkpoint = Path(tmp) / "killed.jsonl"
@@ -170,7 +176,7 @@ def main() -> None:
     for phase in PHASES:
         check_phase(phase)
     print("OK: parallel determinism and checkpoint/resume verified "
-          "(fault-free and chaos)")
+          "(fault-free, two-row and chaos)")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "fault rates (faults/s) to sweep")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="run simulation cells in N worker processes "
-                             "(results are identical to a sequential "
-                             "--jobs 1 run)")
+                             "(results are identical to the default "
+                             "one-process run)")
     parser.add_argument("--resume", action="store_true",
                         help="reuse completed cells from this figure's "
                              "checkpoint instead of recomputing them")
@@ -362,8 +362,7 @@ def _parallel_kwargs(args, figure: str, accepted) -> dict:
 
     Checkpoints land in ``<checkpoint-dir>/<figure>-seed<seed>.jsonl`` so a
     killed sweep resumes with the exact same command plus ``--resume``.
-    Figures whose runner predates the cell runner get a warning and run
-    sequentially.
+    Figures that are not cell grids get a warning and run in-process.
     """
     from pathlib import Path
 

@@ -32,13 +32,11 @@ from dataclasses import replace
 from repro.analysis.normalize import percent_reduction
 from repro.core.migration import MigrationConfig
 from repro.core.planner import EventPlanner, PlannerConfig
-from repro.experiments.common import DEFAULTS, Scenario, run_schedulers
+from repro.experiments.common import DEFAULTS, Scenario
 from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import GridRow, run_scheduler_grid, use_runner
-from repro.sched import staged_scheduler_spec
-from repro.sched.fifo import FIFOScheduler
-from repro.sched.lmtf import LMTFScheduler
-from repro.sched.plmtf import ADMIT_MODES, PLMTFScheduler
+from repro.experiments.runner import GridRow, run_scheduler_grid
+from repro.sched import staged_scheduler_spec, standard_scheduler_specs
+from repro.sched.plmtf import ADMIT_MODES
 from repro.traces.events import EventGeneratorConfig, heterogeneous_config
 
 
@@ -56,18 +54,14 @@ def alpha_sweep(seed: int = 0, events: int = 30, utilization: float = 0.7,
         params={"seed": seed, "events": events})
     scenario = Scenario(utilization=utilization, seed=seed, events=events,
                         churn=True, event_config=heterogeneous_config())
-    # The legacy path shares one pre-generated queue across rows (the
-    # historical id-allocation order); runner cells regenerate hermetically.
-    queue = (None if use_runner(jobs, checkpoint, resume)
-             else scenario.generate_events())
     rows = [GridRow(key="fifo", scenario=scenario,
-                    schedulers=({"kind": "fifo"},), events=queue)]
+                    schedulers=({"kind": "fifo"},))]
     rows += [
         GridRow(key=f"alpha={alpha}", scenario=scenario,
                 schedulers=(
                     {"kind": "lmtf", "alpha": alpha, "seed": seed + 9},
                     {"kind": "plmtf", "alpha": alpha, "seed": seed + 9},
-                ), events=queue)
+                ))
         for alpha in alphas
     ]
     grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
@@ -101,14 +95,12 @@ def admission_sweep(seed: int = 0, events: int = 30,
         params={"seed": seed, "events": events})
     scenario = Scenario(utilization=utilization, seed=seed, events=events,
                         churn=True, event_config=heterogeneous_config())
-    queue = (None if use_runner(jobs, checkpoint, resume)
-             else scenario.generate_events())
     rows = [GridRow(key="fifo", scenario=scenario,
-                    schedulers=({"kind": "fifo"},), events=queue)]
+                    schedulers=({"kind": "fifo"},))]
     rows += [
         GridRow(key=f"admit={mode}", scenario=scenario,
                 schedulers=({"kind": "plmtf", "alpha": 4, "seed": seed + 9,
-                             "admit": mode},), events=queue)
+                             "admit": mode},))
         for mode in modes
     ]
     grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
@@ -291,7 +283,9 @@ def _placeable(network, provider, flow) -> bool:
 
 
 def barrier_sweep(seed: int = 0, events: int = 30,
-                  utilization: float = 0.7) -> ExperimentResult:
+                  utilization: float = 0.7, jobs: int | None = None,
+                  checkpoint=None, resume: bool = False,
+                  listener=None) -> ExperimentResult:
     """Completion-barrier vs setup-barrier round semantics."""
     result = ExperimentResult(
         name="ablation-barrier",
@@ -302,13 +296,15 @@ def barrier_sweep(seed: int = 0, events: int = 30,
         params={"seed": seed, "events": events})
     scenario = Scenario(utilization=utilization, seed=seed, events=events,
                         churn=True, event_config=heterogeneous_config())
-    queue = scenario.generate_events()
-    for barrier in ("completion", "setup"):
-        metrics = run_schedulers(scenario, [
-            FIFOScheduler(),
-            LMTFScheduler(alpha=4, seed=seed + 9),
-            PLMTFScheduler(alpha=4, seed=seed + 9),
-        ], events=queue, round_barrier=barrier)
+    barriers = ("completion", "setup")
+    grid = run_scheduler_grid(
+        [GridRow(key=f"barrier={barrier}", scenario=scenario,
+                 schedulers=standard_scheduler_specs(seed),
+                 round_barrier=barrier)
+         for barrier in barriers],
+        jobs=jobs, checkpoint=checkpoint, resume=resume, listener=listener)
+    for barrier in barriers:
+        metrics = grid[f"barrier={barrier}"]
         for name in ("fifo", "lmtf", "plmtf"):
             m = metrics[name]
             result.add_row(barrier=barrier, scheduler=name,
@@ -331,8 +327,7 @@ def compile_sweep(seed: int = 0, events: int = 20,
     staged and augmented(ε) plan compilation. Churn is off, so nothing
     drifts between planning and execution: the compiled step order is the
     plan order and each run's cost is comparable to the same scheduler's
-    atomic run. Cells always go through the cell runner, so a bare run,
-    ``--jobs N`` and ``--resume`` produce the same bytes.
+    atomic run.
     """
     result = ExperimentResult(
         name="ablation-compile",
@@ -360,7 +355,7 @@ def compile_sweep(seed: int = 0, events: int = 20,
                     for kind in schedulers))
         for mode, eps in points
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs or 1, checkpoint=checkpoint,
+    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
                               resume=resume, listener=listener)
     atomic = grid[rows[0].key]
     for row, (mode, eps) in zip(rows, points):
@@ -399,8 +394,7 @@ def learned_sweep(seed: int = 0, events: int = 24, utilization: float = 0.7,
     falls back to probing all of them otherwise. Each (budget, threshold)
     point runs the same queue as exact LMTF on a static background and on
     a churning one (the fig5 and fig6 regimes), so the cost delta is due
-    to the trimmed probing alone. Cells always go through the cell runner,
-    so a bare run, ``--jobs N`` and ``--resume`` produce the same bytes.
+    to the trimmed probing alone.
     """
     result = ExperimentResult(
         name="ablation-learned",
@@ -432,7 +426,7 @@ def learned_sweep(seed: int = 0, events: int = 24, utilization: float = 0.7,
                                  "warmup": 32, "error_threshold": t},))
             for b, t in points
         ]
-    grid = run_scheduler_grid(rows, jobs=jobs or 1, checkpoint=checkpoint,
+    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
                               resume=resume, listener=listener)
     for queue in ("static", "churning"):
         exact = grid[f"{queue}/exact"]["lmtf"].total_cost

@@ -3,8 +3,8 @@
 Every figure module builds on :class:`Scenario`, which freezes the paper's
 evaluation setup — an 8-pod Fat-Tree with 1 Gbps links, Yahoo!-like
 background traffic loaded to a target utilization, Benson-style update-event
-flows — and :func:`run_schedulers`, which runs the *same* event queue through
-each scheduler on identical copies of the loaded network.
+flows. Figures run their (scenario, scheduler) pairs as hermetic cells
+(:func:`repro.experiments.runner.run_scheduler_grid`).
 
 The frozen workload/timing constants live in :data:`DEFAULTS`; they were
 calibrated so that the simulator operates in the paper's regime (migration
@@ -168,25 +168,22 @@ class Scenario:
         return replace(self, **changes)
 
 
-def run_schedulers(scenario: Scenario,
-                   schedulers: list[Scheduler],
+def run_schedulers(scenario: Scenario, schedulers: list[Scheduler],
                    events: list[UpdateEvent] | None = None,
-                   round_barrier: str = "completion",
-                   compile_mode: str = "atomic",
-                   compile_epsilon: float = 0.0) -> dict[str, RunMetrics]:
-    """Run the same event queue through each scheduler.
+                   ) -> dict[str, RunMetrics]:
+    """Run the same event queue through each scheduler, in this process.
 
     Every scheduler sees an identical copy of the loaded network and the
     identical event list, so metric differences are attributable to the
-    policy alone.
+    policy alone. A library convenience for scheduler objects built by
+    hand; flow ids come from the process-global counters, so the numbers
+    depend on what ran before in the process (figures use
+    :func:`~repro.experiments.runner.run_scheduler_grid` instead).
     """
     queue = events if events is not None else scenario.generate_events()
     results: dict[str, RunMetrics] = {}
     for scheduler in schedulers:
-        simulator = scenario.simulator(scheduler,
-                                       round_barrier=round_barrier,
-                                       compile_mode=compile_mode,
-                                       compile_epsilon=compile_epsilon)
+        simulator = scenario.simulator(scheduler)
         simulator.submit(queue)
         results[scheduler.name] = simulator.run()
     return results

@@ -10,17 +10,18 @@ tail ECT.
 from __future__ import annotations
 
 from repro.analysis.normalize import normalize_by_max, speedup
-from repro.experiments.common import Scenario, run_schedulers
+from repro.experiments.common import Scenario
 from repro.experiments.results import ExperimentResult
-from repro.sched.fifo import FIFOScheduler
-from repro.sched.flowlevel import FlowLevelScheduler
+from repro.experiments.runner import GridRow, run_scheduler_grid
 from repro.traces.events import mean_flows_config
 
 MEAN_FLOWS = (15, 30, 45, 60, 75)
 
 
 def run(seed: int = 0, events: int = 10, utilization: float = 0.7,
-        mean_flows=MEAN_FLOWS) -> ExperimentResult:
+        mean_flows=MEAN_FLOWS, jobs: int | None = None,
+        checkpoint=None, resume: bool = False,
+        listener=None) -> ExperimentResult:
     result = ExperimentResult(
         name="fig4",
         title="avg/tail ECT of flow-level vs event-level scheduling, "
@@ -31,14 +32,18 @@ def run(seed: int = 0, events: int = 10, utilization: float = 0.7,
                  "flow_avg_norm", "event_avg_norm",
                  "flow_tail_norm", "event_tail_norm"],
         params={"seed": seed, "events": events, "utilization": utilization})
-    raw = []
-    for mean in mean_flows:
-        scenario = Scenario(utilization=utilization, seed=seed + mean,
-                            events=events,
-                            event_config=mean_flows_config(mean))
-        metrics = run_schedulers(
-            scenario, [FIFOScheduler(), FlowLevelScheduler()])
-        raw.append((mean, metrics["flow-level"], metrics["fifo"]))
+    rows = [
+        GridRow(key=f"mean_flows={mean}",
+                scenario=Scenario(utilization=utilization, seed=seed + mean,
+                                  events=events,
+                                  event_config=mean_flows_config(mean)),
+                schedulers=({"kind": "fifo"}, {"kind": "flow-level"}))
+        for mean in mean_flows
+    ]
+    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
+                              resume=resume, listener=listener)
+    raw = [(mean, grid[row.key]["flow-level"], grid[row.key]["fifo"])
+           for mean, row in zip(mean_flows, rows)]
 
     flow_avg_max = [m.average_ect for __, m, _e in raw]
     flow_tail_max = [m.tail_ect for __, m, _e in raw]

@@ -7,11 +7,11 @@ background, events, churn and sampling) and reports each reduction as
 ``mean ± stdev`` with a 95% interval, using
 :mod:`repro.analysis.stats`.
 
-Trials are seed-isolated and embarrassingly parallel: with ``jobs=N`` the
-(trial, scheduler) cells fan out through
-:mod:`repro.experiments.runner`, checkpointing each completed cell so a
-killed sweep resumes with ``resume=True`` instead of recomputing. Merged
-results are byte-identical whatever ``jobs`` is.
+Trials are seed-isolated and embarrassingly parallel: the (trial,
+scheduler) cells run through :mod:`repro.experiments.runner`, in ``jobs``
+worker processes, checkpointing each completed cell so a killed sweep
+resumes with ``resume=True`` instead of recomputing. Merged results are
+byte-identical whatever ``jobs`` is.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def fig6_with_spread(seed: int = 0, events: int = 30,
         seed: base seed; trial *i* uses :func:`trial_seed`.
         seeds: number of independent trials (>= 1).
         jobs: fan (trial, scheduler) cells out to this many worker
-            processes; ``None`` keeps the historical in-process path.
+            processes; ``None`` runs them all in this process.
         checkpoint: JSONL path persisting completed cells.
         resume: reuse completed cells from ``checkpoint``.
         listener: :class:`~repro.experiments.runner.SweepListener` hooks.

@@ -20,21 +20,17 @@ from repro.experiments.runner import (
     GridRow,
     run_cells,
     run_scheduler_grid,
-    use_runner,
 )
+from repro.network.routing.provider import PathProvider
+from repro.network.topology.jellyfish import JellyfishTopology
+from repro.network.topology.leafspine import LeafSpineTopology
 from repro.sched import (
     build_scheduler,
     scheduler_name,
     standard_scheduler_specs,
 )
-from repro.network.routing.provider import PathProvider
-from repro.network.topology.base import Topology
-from repro.network.topology.jellyfish import JellyfishTopology
-from repro.network.topology.leafspine import LeafSpineTopology
-from repro.sched.fifo import FIFOScheduler
-from repro.sched.lmtf import LMTFScheduler
-from repro.sched.oracle import SIGNALS, OracleSJFScheduler
-from repro.sched.plmtf import PLMTFScheduler
+from repro.sched.oracle import SIGNALS
+from repro.sim.metrics import RunMetrics
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.timing import TimingModel
 from repro.traces.background import BackgroundLoader
@@ -51,60 +47,41 @@ TOPOLOGY_BUILDERS = {
 }
 
 
-def _run_all(topology: Topology, seed: int, events: int,
-             utilization: float, schedulers) -> dict:
-    provider = PathProvider(topology)
-    network = topology.network()
-    trace = YahooLikeTrace(topology.hosts(), seed=seed,
-                           duration_median=80.0)
+def topology_cell(topology: str, seed: int, events: int,
+                  utilization: float, scheduler: dict) -> dict:
+    """Worker: one scheduler on one named fabric of
+    :data:`TOPOLOGY_BUILDERS`, from spec to metrics."""
+    try:
+        built = TOPOLOGY_BUILDERS[topology]()
+    except KeyError:
+        raise ValueError(f"unknown topology {topology!r}; pick one of "
+                         f"{sorted(TOPOLOGY_BUILDERS)}") from None
+    provider = PathProvider(built)
+    network = built.network()
+    trace = YahooLikeTrace(built.hosts(), seed=seed, duration_median=80.0)
     loader = BackgroundLoader(network, provider, trace,
                               random.Random(seed + 100))
     loader.load_to_utilization(utilization, permanent=False)
     generator = EventGenerator(
-        BensonLikeTrace(topology.hosts(), seed=seed + 1,
-                        duration_median=1.0),
+        BensonLikeTrace(built.hosts(), seed=seed + 1, duration_median=1.0),
         config=heterogeneous_config(), seed=seed + 2)
     queue = generator.generate(events)
-    timing = TimingModel(migration_rule_s=0.02, drain_s_per_mbps=0.05)
-    results = {}
-    for scheduler in schedulers:
-        churn = YahooLikeTrace(topology.hosts(), seed=seed + 50,
-                               duration_median=80.0)
-        simulator = UpdateSimulator(
-            network.copy(), provider, scheduler, timing=timing,
-            config=SimulationConfig(seed=seed + 5, background_churn=True),
-            churn_trace=churn)
-        simulator.submit(queue)
-        results[scheduler.name] = simulator.run()
-    return results
-
-
-def topology_cell(topology: str, seed: int, events: int,
-                  utilization: float, scheduler: dict) -> dict:
-    """Worker: one scheduler on one named alternative fabric.
-
-    ``topology`` must name an entry of :data:`TOPOLOGY_BUILDERS` — builder
-    callables cannot cross a process boundary, so custom topologies only
-    run on the in-process path.
-    """
-    try:
-        build = TOPOLOGY_BUILDERS[topology]
-    except KeyError:
-        raise ValueError(f"unknown topology {topology!r}; workers only "
-                         f"know {sorted(TOPOLOGY_BUILDERS)}") from None
-    metrics = _run_all(build(), seed, events, utilization,
-                       [build_scheduler(scheduler)])
-    (run,) = metrics.values()
-    return {"metrics": run.to_dict()}
+    churn = YahooLikeTrace(built.hosts(), seed=seed + 50,
+                           duration_median=80.0)
+    simulator = UpdateSimulator(
+        network.copy(), provider, build_scheduler(scheduler),
+        timing=TimingModel(migration_rule_s=0.02, drain_s_per_mbps=0.05),
+        config=SimulationConfig(seed=seed + 5, background_churn=True),
+        churn_trace=churn)
+    simulator.submit(queue)
+    return {"metrics": simulator.run().to_dict()}
 
 
 def topology_sweep(seed: int = 0, events: int = 20,
-                   utilization: float = 0.6,
-                   topologies=None, jobs: int | None = None,
+                   utilization: float = 0.6, jobs: int | None = None,
                    checkpoint=None, resume: bool = False,
                    listener=None) -> ExperimentResult:
     """LMTF/P-LMTF vs FIFO on non-Fat-Tree fabrics."""
-    builders = topologies if topologies is not None else TOPOLOGY_BUILDERS
     result = ExperimentResult(
         name="robustness-topology",
         title=f"scheduler gains on alternative fabrics ({events} events, "
@@ -112,23 +89,24 @@ def topology_sweep(seed: int = 0, events: int = 20,
         columns=["topology", "lmtf_avg_ect_red%", "plmtf_avg_ect_red%",
                  "plmtf_tail_ect_red%", "plmtf_qd_red%"],
         params={"seed": seed, "events": events})
-    if use_runner(jobs, checkpoint, resume):
-        if topologies is not None:
-            raise ValueError(
-                "custom topology builders cannot be shipped to worker "
-                "processes; drop jobs/checkpoint/resume or use the "
-                "built-in TOPOLOGY_BUILDERS")
-        rows = _topology_grid(seed, events, utilization, jobs=jobs,
-                              checkpoint=checkpoint, resume=resume,
-                              listener=listener)
-    else:
-        rows = {}
-        for name, build in builders.items():
-            rows[name] = _run_all(build(), seed, events, utilization, [
-                FIFOScheduler(),
-                LMTFScheduler(alpha=4, seed=seed + 9),
-                PLMTFScheduler(alpha=4, seed=seed + 9),
-            ])
+    cells = []
+    labels = []
+    for name in TOPOLOGY_BUILDERS:
+        for sched in standard_scheduler_specs(seed):
+            sname = scheduler_name(sched)
+            cells.append(Cell(
+                key=f"{name}/{sname}",
+                fn="repro.experiments.robustness:topology_cell",
+                params={"topology": name, "seed": seed, "events": events,
+                        "utilization": utilization,
+                        "scheduler": dict(sched)}))
+            labels.append((name, sname))
+    outcomes = run_cells(cells, jobs=jobs or 1, checkpoint=checkpoint,
+                         resume=resume, listener=listener)
+    rows: dict[str, dict] = {}
+    for cell, (name, sname) in zip(cells, labels):
+        rows.setdefault(name, {})[sname] = RunMetrics.from_dict(
+            outcomes[cell.key].value["metrics"])
     for name, metrics in rows.items():
         fifo = metrics["fifo"]
         result.add_row(
@@ -145,32 +123,6 @@ def topology_sweep(seed: int = 0, events: int = 20,
     result.notes.append("the event-level abstraction and both schedulers "
                         "are topology-agnostic; gains persist off Fat-Tree")
     return result
-
-
-def _topology_grid(seed: int, events: int, utilization: float, jobs,
-                   checkpoint, resume, listener) -> dict:
-    """Fan the (topology, scheduler) grid out through the cell runner."""
-    from repro.sim.metrics import RunMetrics
-    schedulers = standard_scheduler_specs(seed)
-    cells = []
-    labels = []
-    for name in TOPOLOGY_BUILDERS:
-        for sched in schedulers:
-            sname = scheduler_name(sched)
-            cells.append(Cell(
-                key=f"{name}/{sname}",
-                fn="repro.experiments.robustness:topology_cell",
-                params={"topology": name, "seed": seed, "events": events,
-                        "utilization": utilization,
-                        "scheduler": dict(sched)}))
-            labels.append((name, sname))
-    outcomes = run_cells(cells, jobs=jobs or 1, checkpoint=checkpoint,
-                         resume=resume, listener=listener)
-    merged: dict[str, dict] = {}
-    for cell, (name, sname) in zip(cells, labels):
-        merged.setdefault(name, {})[sname] = RunMetrics.from_dict(
-            outcomes[cell.key].value["metrics"])
-    return merged
 
 
 #: Control-plane unreliability used by the failure sweep: a few percent of
@@ -226,7 +178,6 @@ def failure_sweep(seed: int = 0, events: int = 20,
     through the cell runner, so results are invariant to ``jobs`` and to
     interruption/resume.
     """
-    from repro.sim.metrics import RunMetrics
     schedulers = standard_scheduler_specs(seed)
     cells = []
     labels = []
@@ -274,14 +225,11 @@ def oracle_comparison(seed: int = 0, events: int = 30,
     from repro.experiments.common import Scenario
     scenario = Scenario(utilization=utilization, seed=seed, events=events,
                         churn=True, event_config=heterogeneous_config())
-    queue = (None if use_runner(jobs, checkpoint, resume)
-             else scenario.generate_events())
     specs = [{"kind": "fifo"},
              {"kind": "lmtf", "alpha": 4, "seed": seed + 9}]
     specs += [{"kind": "oracle-sjf", "signal": s} for s in SIGNALS]
     grid = run_scheduler_grid(
-        [GridRow(key="run", scenario=scenario, schedulers=tuple(specs),
-                 events=queue)],
+        [GridRow(key="run", scenario=scenario, schedulers=tuple(specs))],
         jobs=jobs, checkpoint=checkpoint, resume=resume, listener=listener)
     metrics = grid["run"].metrics
     fifo = metrics["fifo"]

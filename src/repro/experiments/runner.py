@@ -1,11 +1,10 @@
 """Parallel multi-cell experiment runner with checkpoint/resume.
 
 Every figure reproduction is a grid of independent *cells* — one
-(scenario, scheduler) simulation each — that the historical code ran
-strictly sequentially in one process. This module fans cells out to worker
-processes, merges the results back in a canonical order, and persists each
-completed cell to a JSONL checkpoint so an interrupted sweep resumes
-instead of recomputing.
+(scenario, scheduler) simulation each. This module runs them in one
+process or fans them out to worker processes, merges the results back in a
+canonical order, and persists each completed cell to a JSONL checkpoint so
+an interrupted sweep resumes instead of recomputing.
 
 Determinism guarantee
 ---------------------
@@ -587,9 +586,6 @@ class GridRow:
         round_barrier: simulator round-barrier semantics for the row.
         compile_mode, compile_epsilon: plan-compilation mode for the row
             (:mod:`repro.core.compile`).
-        events: optional pre-generated queue, used only by the legacy
-            sequential path to preserve its historical id-allocation order;
-            runner cells always regenerate the queue hermetically.
     """
 
     key: str
@@ -598,13 +594,6 @@ class GridRow:
     round_barrier: str = "completion"
     compile_mode: str = "atomic"
     compile_epsilon: float = 0.0
-    events: Any = None
-
-
-def use_runner(jobs, checkpoint, resume) -> bool:
-    """Whether grid arguments ask for the cell runner (vs the legacy
-    in-process path, kept byte-identical to the historical figures)."""
-    return jobs is not None or checkpoint is not None or bool(resume)
 
 
 def run_scheduler_grid(rows: list[GridRow], jobs: int | None = None,
@@ -613,29 +602,15 @@ def run_scheduler_grid(rows: list[GridRow], jobs: int | None = None,
                        timeout: float | None = None, retries: int = 1,
                        listener: SweepListener | None = None,
                        ) -> dict[str, RowResult]:
-    """Run a (scenario row x scheduler) grid, parallel or legacy.
+    """Run a (scenario row x scheduler) grid through :func:`run_cells`.
 
-    With ``jobs``/``checkpoint``/``resume`` unset this reproduces the
-    historical sequential figures bit-for-bit (shared scenario caches,
-    in-order id allocation). Otherwise every (row, scheduler) pair becomes
-    a hermetic :class:`Cell` and runs through :func:`run_cells` — the path
-    whose results are invariant to ``jobs`` and to interruption/resume.
+    Every (row, scheduler) pair is a hermetic :class:`Cell` that rebuilds
+    its scenario from the row's spec, so a row's metrics depend on that row
+    alone — not on the rows or schedulers before it — and the merged result
+    is the same bytes for any ``jobs`` (``None`` means one process) and
+    after an interruption plus ``resume``.
     """
-    from repro.experiments.common import run_schedulers
-    from repro.sched import build_scheduler, scheduler_name
-
-    if not use_runner(jobs, checkpoint, resume):
-        merged: dict[str, RowResult] = {}
-        for row in rows:
-            metrics = run_schedulers(
-                row.scenario, [build_scheduler(s) for s in row.schedulers],
-                events=row.events, round_barrier=row.round_barrier,
-                compile_mode=row.compile_mode,
-                compile_epsilon=row.compile_epsilon)
-            merged[row.key] = RowResult(
-                metrics=metrics,
-                achieved_utilization=row.scenario.achieved_utilization)
-        return merged
+    from repro.sched import scheduler_name
 
     cells = []
     labels: list[tuple[str, str]] = []  # (row key, scheduler name)
@@ -658,7 +633,7 @@ def run_scheduler_grid(rows: list[GridRow], jobs: int | None = None,
     outcomes = run_cells(cells, jobs=jobs or 1, checkpoint=checkpoint,
                          resume=resume, timeout=timeout, retries=retries,
                          listener=listener)
-    merged = {}
+    merged: dict[str, RowResult] = {}
     for cell, (row_key, name) in zip(cells, labels):
         payload = outcomes[cell.key].value
         result = merged.setdefault(row_key, RowResult(metrics={}))

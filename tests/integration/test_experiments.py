@@ -43,45 +43,48 @@ class TestSimFiguresSmoke:
         assert sum(lows) / len(lows) >= sum(highs) / len(highs)
 
     def test_fig4_small(self):
-        result = fig4.run(seed=1, events=4, mean_flows=(10,))
+        result = fig4.run(seed=1, events=4, mean_flows=(10,), jobs=2)
         row = result.rows[0]
         assert row["avg_speedup"] > 1.0
         assert row["flow_avg_norm"] == pytest.approx(1.0)
 
     def test_fig5_small(self):
-        result = fig5.run(seed=1, event_counts=(5,))
+        result = fig5.run(seed=1, event_counts=(5,), jobs=2)
         assert result.rows[0]["avg_speedup"] > 1.0
 
     def test_fig6_small(self):
-        result = fig6.run(seed=1, event_counts=(8,))
+        result = fig6.run(seed=1, event_counts=(8,), jobs=2)
         row = result.rows[0]
         assert row["fifo_plan_s"] < row["lmtf_plan_s"]
         assert row["plmtf_avg_ect_red%"] > 0
 
     def test_fig7_small(self):
-        result = fig7.run(seed=1, events=8, utilizations=(0.6,))
+        result = fig7.run(seed=1, events=8, utilizations=(0.6,),
+                          jobs=2)
         assert len(result.rows) == 2  # heterogeneous + synchronous
         for row in result.rows:
             assert row["avg_ect_red%"] > 0
 
     def test_fig8_small(self):
-        result = fig8.run(seed=1, event_counts=(8,))
+        result = fig8.run(seed=1, event_counts=(8,), jobs=2)
         assert result.rows[0]["plmtf_avg_qd_red%"] > 0
 
     def test_fig9_small(self):
-        result = fig9.run(seed=1, events=8)
+        result = fig9.run(seed=1, events=8, jobs=2)
         assert len(result.rows) == 8
         assert result.notes
 
 
 class TestAblationsSmoke:
     def test_alpha_sweep(self):
-        result = ablations.alpha_sweep(seed=1, events=8, alphas=(1, 2))
+        result = ablations.alpha_sweep(seed=1, events=8, alphas=(1, 2),
+                                       jobs=2)
         assert [row["alpha"] for row in result.rows] == [1, 2]
 
     def test_admission_sweep(self):
         result = ablations.admission_sweep(seed=1, events=8,
-                                           modes=("shared", "feasible"))
+                                           modes=("shared", "feasible"),
+                                           jobs=2)
         assert len(result.rows) == 2
 
     def test_migration_strategies(self):
@@ -90,7 +93,7 @@ class TestAblationsSmoke:
             {"best_fit", "smallest_first", "largest_first"}
 
     def test_barrier_sweep(self):
-        result = ablations.barrier_sweep(seed=1, events=6)
+        result = ablations.barrier_sweep(seed=1, events=6, jobs=2)
         assert len(result.rows) == 6  # 2 barriers x 3 schedulers
 
     def test_consistency_rate(self):

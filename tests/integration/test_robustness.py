@@ -16,21 +16,12 @@ from repro import (
     repair_event,
 )
 from repro.experiments import robustness
-from repro.network.topology.jellyfish import JellyfishTopology
-from repro.network.topology.leafspine import LeafSpineTopology
 
 
 class TestTopologySweep:
     def test_small_sweep_runs(self):
-        builders = {
-            "leaf-spine": lambda: LeafSpineTopology(
-                leaves=4, spines=3, hosts_per_leaf=4),
-            "jellyfish": lambda: JellyfishTopology(
-                switches=12, degree=4, hosts_per_switch=2, seed=7),
-        }
         result = robustness.topology_sweep(seed=1, events=6,
-                                           utilization=0.5,
-                                           topologies=builders)
+                                           utilization=0.5, jobs=2)
         assert {row["topology"] for row in result.rows} == \
             {"leaf-spine", "jellyfish"}
         for row in result.rows:
@@ -42,7 +33,7 @@ class TestTopologySweep:
 class TestOracleComparison:
     def test_small_comparison_runs(self):
         result = robustness.oracle_comparison(seed=1, events=8,
-                                              utilization=0.6)
+                                              utilization=0.6, jobs=2)
         names = {row["scheduler"] for row in result.rows}
         assert "lmtf" in names
         assert "oracle-sjf-duration" in names

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.experiments import fig5, fig6
 from repro.experiments.multiseed import fig6_with_spread
 from repro.experiments.runner import SweepListener
 
@@ -41,6 +42,18 @@ class TestParallelDeterminism:
         first = fig6_with_spread(**SWEEP, jobs=1)
         second = fig6_with_spread(**SWEEP, jobs=1)
         assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize("figure", [fig5, fig6], ids=["fig5", "fig6"])
+def test_rows_depend_on_their_own_spec_only(figure):
+    """The bare call equals ``jobs=2``, and a row equals the same row run
+    alone: no row depends on ``jobs`` or on the rows before it."""
+    grid = dict(seed=0, utilization=0.6)
+    bare = figure.run(**grid, event_counts=(6, 8))
+    parallel = figure.run(**grid, event_counts=(6, 8), jobs=2)
+    alone = figure.run(**grid, event_counts=(8,), jobs=2)
+    assert bare.to_json() == parallel.to_json()
+    assert bare.rows[1] == alone.rows[0]
 
 
 class TestCheckpointResume:

@@ -21,7 +21,6 @@ import hashlib
 
 import pytest
 
-from repro.core.flow import flow_id_state, set_flow_id_state
 from repro.experiments import fig5, fig6
 from repro.experiments.robustness import failure_sweep
 
@@ -48,20 +47,14 @@ FAULTED_GRID_SHA256 = \
 
 
 def _pinned_digest(run):
-    """Digest of ``run()``'s JSON from a pinned flow-id counter state.
+    """Digest of ``run()``'s JSON.
 
-    Flow ids feed the ECMP desired-path hash, so a run is a pure function
-    of its spec only from a pinned counter state (0 = fresh process, how
-    the baselines were captured). The counter is restored afterwards so
-    flows minted by other tests cannot collide.
+    Flow ids feed the ECMP desired-path hash; every pinned run is a grid
+    of hermetic cells, each starting its id counters from 0 (how the
+    baselines were captured), so the digest is a pure function of the
+    run's spec whatever ran earlier in the process.
     """
-    saved = flow_id_state()
-    set_flow_id_state(0)
-    try:
-        result = run()
-    finally:
-        set_flow_id_state(saved)
-    return hashlib.sha256(result.to_json().encode()).hexdigest()
+    return hashlib.sha256(run().to_json().encode()).hexdigest()
 
 
 def _fig5_digest():

@@ -37,6 +37,15 @@ class TestRunFigures:
         results = run_figures(["fig2", "fig9"], seed=1, events=5)
         assert len(results["fig9"].rows) == 5
 
+    def test_figure_does_not_depend_on_figures_before_it(self):
+        # fig1 runs in-process and draws flow ids; ablation-migration
+        # before it must not shift them
+        params = dict(seed=0, probes=40, events=4, utilization=0.5,
+                      utilizations=(0.6,))
+        after = run_figures(["ablation-migration", "fig1"], **params)
+        alone = run_figures(["fig1"], **params)
+        assert after["fig1"].to_json() == alone["fig1"].to_json()
+
     def test_progress_callback(self):
         lines = []
         run_figures(["fig2"], progress=lines.append)
