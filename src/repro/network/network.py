@@ -112,6 +112,9 @@ class Network(NetworkState):
         self._switch_idx: list[int] = [
             i for i, (u, v) in enumerate(self._table.ids)
             if kinds.get(u) != "host" and kinds.get(v) != "host"]
+        # Each switch link's position in that column.
+        self._switch_pos: dict[int, int] = {
+            i: p for p, i in enumerate(self._switch_idx)}
 
     # ------------------------------------------------------------- structure
 
@@ -423,9 +426,25 @@ class Network(NetworkState):
         over :meth:`switch_links`, without the string-keyed lookups."""
         if links is not None:
             return [self.utilization(u, v) for u, v in links]
+        return self.switch_utilizations()
+
+    def switch_utilizations(self) -> list[float]:
+        """Utilization of each switch link, in :meth:`switch_links` order:
+        the terms :meth:`average_utilization` sums."""
+        return self._switch_terms(self._switch_idx)
+
+    def switch_utilizations_of(self, placement: Placement
+                               ) -> list[tuple[int, float]]:
+        """``(position, utilization)`` of each switch link on
+        ``placement``'s path, positions into :meth:`switch_utilizations`'
+        list: the only entries placing or removing it can change."""
+        pos = self._switch_pos
+        idx = [i for i in self._path_indices(placement) if i in pos]
+        return list(zip([pos[i] for i in idx], self._switch_terms(idx)))
+
+    def _switch_terms(self, idx: Iterable[int]) -> list[float]:
         cap, used = self._cap_col, self._used_col
-        return [used[i] / cap[i] if cap[i] > 0 else 0.0
-                for i in self._switch_idx]
+        return [used[i] / cap[i] if cap[i] > 0 else 0.0 for i in idx]
 
     def total_capacity(self) -> float:
         return sum(self._cap_col)
@@ -549,6 +568,7 @@ class Network(NetworkState):
         clone._placements = dict(self._placements)
         clone._node_index = self._node_index
         clone._switch_idx = self._switch_idx
+        clone._switch_pos = self._switch_pos
         clone._rule_cap_col = list(self._rule_cap_col)
         clone._rules_used_col = list(self._rules_used_col)
         clone._node_ver_col = list(self._node_ver_col)

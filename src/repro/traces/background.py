@@ -38,15 +38,21 @@ class LoadReport:
 
     Attributes:
         placed: flows successfully placed, in placement order.
-        rejected: how many sampled flows found no feasible path and were
-            dropped (rises sharply near high utilization — this is exactly
-            the effect the paper's Fig. 1 measures).
+        rejected: how many sampled flows found no feasible path, or were
+            refused by a full switch rule table, and were dropped (rises
+            sharply near high utilization — this is exactly the effect the
+            paper's Fig. 1 measures).
         utilization: average switch-link utilization reached.
     """
 
     placed: list[Flow]
     rejected: int
     utilization: float
+
+
+def _mean(terms: list[float]) -> float:
+    """:meth:`Network.average_utilization`'s arithmetic over ``terms``."""
+    return sum(terms) / len(terms) if terms else 0.0
 
 
 class BackgroundLoader:
@@ -110,6 +116,14 @@ class BackgroundLoader:
                             max_flows: int = 100000) -> LoadReport:
         """Place flows until average switch-link utilization >= ``target``.
 
+        Stop rule: the mean of the per-switch-link terms
+        :meth:`Network.average_utilization` sums reaches ``target``. It is
+        asked before the first sample and after each placed flow, never
+        after a rejected sample, which changes nothing. A placed flow
+        rewrites only its own switch links' terms, so the test is the same
+        ``sum`` over the same values in the same order as a full re-scan
+        and stops at the same flow.
+
         Args:
             target: desired average utilization in ``[0, 1)``.
             permanent: when True the placed flows have no duration (static
@@ -126,11 +140,13 @@ class BackgroundLoader:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target utilization must be in [0, 1), "
                              f"got {target}")
+        network = self._network
+        terms = network.switch_utilizations()
         placed: list[Flow] = []
         rejected = 0
         consecutive_rejects = 0
-        while (len(placed) < max_flows
-               and self._network.average_utilization() < target):
+        below = _mean(terms) < target
+        while below and len(placed) < max_flows:
             flow = self._trace.sample_flow(kind=FlowKind.BACKGROUND,
                                            permanent=permanent)
             path = self.best_path(flow)
@@ -141,7 +157,7 @@ class BackgroundLoader:
                     break
                 continue
             try:
-                self._network.place(flow, path)
+                placement = network.place(flow, path)
             except InsufficientBandwidthError:
                 # best_path checks bandwidth; a switch rule table may still
                 # reject the placement on rule-limited networks.
@@ -150,10 +166,13 @@ class BackgroundLoader:
                 if consecutive_rejects >= max_rejects:
                     break
                 continue
+            for position, term in network.switch_utilizations_of(placement):
+                terms[position] = term
             consecutive_rejects = 0
             placed.append(flow)
+            below = _mean(terms) < target
         return LoadReport(placed=placed, rejected=rejected,
-                          utilization=self._network.average_utilization())
+                          utilization=network.average_utilization())
 
     def best_path(self, flow: Flow) -> tuple[str, ...] | None:
         """A feasible path for ``flow``, or None.

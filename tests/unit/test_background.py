@@ -2,17 +2,20 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flow import Flow
+from repro.core.exceptions import InsufficientBandwidthError
+from repro.core.flow import Flow, FlowKind
 from repro.network.link import EPS
+from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.fattree import FatTreeTopology
 from repro.network.topology.jellyfish import JellyfishTopology
 from repro.network.topology.leafspine import LeafSpineTopology
-from repro.traces.background import BackgroundLoader
+from repro.traces.background import BackgroundLoader, LoadReport
 from repro.traces.yahoo import YahooLikeTrace
 
 
@@ -57,13 +60,16 @@ class TestValidation:
             loader.load_to_utilization(-0.1)
 
 
+def flow_keys(report):
+    return [(f.src, f.dst, f.demand) for f in report.placed]
+
+
 class TestLoading:
     def test_reaches_target_utilization(self, topo, provider):
         net, loader = make_loader(topo, provider)
         report = loader.load_to_utilization(0.4)
         assert report.utilization >= 0.4
-        assert report.utilization == pytest.approx(
-            net.average_utilization())
+        assert report.utilization == net.average_utilization()
         assert len(report.placed) > 0
         net.check_invariants()
 
@@ -95,9 +101,12 @@ class TestLoading:
         net2, loader2 = make_loader(topo, provider, seed=5)
         r1 = loader1.load_to_utilization(0.3)
         r2 = loader2.load_to_utilization(0.3)
-        assert [f.flow_id[-3:] for f in r1.placed] != []  # ids differ but
-        assert len(r1.placed) == len(r2.placed)           # structure matches
-        assert r1.utilization == pytest.approx(r2.utilization)
+        # Flow ids come from process-global counters and differ; the flows
+        # themselves do not.
+        assert r1.placed != []
+        assert flow_keys(r1) == flow_keys(r2)
+        assert r1.rejected == r2.rejected
+        assert r1.utilization == r2.utilization
 
     def test_best_policy_balances_better(self, topo, provider):
         net_r, loader_r = make_loader(topo, provider, seed=5)
@@ -196,6 +205,20 @@ def check_best_path(topology, policy, cap, load_seed, target, probes,
     return capped_total
 
 
+def foreign_network(topo):
+    """A network on a graph equal to ``topo``'s whose links were added in
+    reverse order, so its link table numbers them differently."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(topo.graph().nodes(data=True))
+    graph.add_edges_from(reversed(list(topo.graph().edges(data=True))))
+    return Network(graph)
+
+
+class NoRows(PathProvider):
+    def link_rows(self, src, dst):
+        raise AssertionError("index rows read against a foreign link table")
+
+
 PROBES = st.lists(
     st.tuples(st.integers(0, 63), st.integers(0, 63),
               st.floats(min_value=1.0, max_value=600.0)),
@@ -230,21 +253,10 @@ class TestBestPathDifferential:
         another order numbers them differently: the loader must read it
         through path objects (whose ``table`` mismatch sends the kernel to
         the string-keyed reads), never through the rows."""
-        import networkx as nx
-        from repro.network.network import Network
-
         topo = TOPOLOGIES["fat-tree"]
-        graph = nx.DiGraph()
-        graph.add_nodes_from(topo.graph().nodes(data=True))
-        graph.add_edges_from(reversed(list(topo.graph().edges(data=True))))
-        network = Network(graph)
+        network = foreign_network(topo)
         assert network.link_table() is not PROVIDERS["fat-tree"].table
         assert network.link_table().ids != PROVIDERS["fat-tree"].table.ids
-
-        class NoRows(PathProvider):
-            def link_rows(self, src, dst):
-                raise AssertionError("index rows read against a foreign "
-                                     "link table")
 
         probes = [(i, i + 5, 450.0) for i in range(24)]
         capped = check_best_path("fat-tree", "random", cap=0.4, load_seed=7,
@@ -256,9 +268,6 @@ class TestBestPathDifferential:
     def test_candidates_with_different_access_links(self):
         """A multi-homed host and a provider handing out plain tuples: the
         cap answer is per access-link pair, not per host pair."""
-        import networkx as nx
-        from repro.network.network import Network
-
         graph = nx.DiGraph()
         for node in "ab":
             graph.add_node(node, kind="host")
@@ -281,3 +290,125 @@ class TestBestPathDifferential:
         assert capped == 1 and expected == ("a", "s2", "b")
         assert loader.best_path(flow) == expected
         assert loader.rng.getstate() == reference_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# load_to_utilization against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_load(loader, network, trace, target, permanent=True,
+                   max_rejects=2000, max_flows=100000):
+    """``load_to_utilization`` as it stood before the stop test kept its
+    per-link terms: ``average_utilization()`` re-run before every sample,
+    placed or rejected."""
+    placed = []
+    rejected = 0
+    consecutive_rejects = 0
+    while (len(placed) < max_flows
+           and network.average_utilization() < target):
+        flow = trace.sample_flow(kind=FlowKind.BACKGROUND,
+                                 permanent=permanent)
+        path = loader.best_path(flow)
+        if path is None:
+            rejected += 1
+            consecutive_rejects += 1
+            if consecutive_rejects >= max_rejects:
+                break
+            continue
+        try:
+            network.place(flow, path)
+        except InsufficientBandwidthError:
+            rejected += 1
+            consecutive_rejects += 1
+            if consecutive_rejects >= max_rejects:
+                break
+            continue
+        consecutive_rejects = 0
+        placed.append(flow)
+    return LoadReport(placed=placed, rejected=rejected,
+                      utilization=network.average_utilization())
+
+
+def load_outcome(topology, target, policy, permanent, reference,
+                 make_network=None, provider=None, seed=3):
+    """Load a fresh network with the loader or the reference loop and
+    return everything the loop decides: the report, the final ``used``
+    column, the placement paths and the loader's RNG state."""
+    topo = TOPOLOGIES[topology]
+    network = make_network() if make_network else topo.network()
+    trace = YahooLikeTrace(topo.hosts(), seed=seed)
+    loader = BackgroundLoader(network, provider or PROVIDERS[topology],
+                              trace, random.Random(seed + 10),
+                              path_policy=policy)
+    if reference:
+        report = reference_load(loader, network, trace, target, permanent)
+    else:
+        report = loader.load_to_utilization(target, permanent)
+    return (flow_keys(report), report.rejected, report.utilization,
+            [network.used_idx(i) for i in range(len(network.link_table()))],
+            [tuple(network.placement(f.flow_id).path) for f in report.placed],
+            loader.rng.getstate())
+
+
+def assert_same_load(*args, **kwargs):
+    ours = load_outcome(*args, reference=False, **kwargs)
+    assert ours == load_outcome(*args, reference=True, **kwargs)
+    return ours
+
+
+LOAD_CASES = [
+    (topology, target)
+    for topology in ("fat-tree", "leaf-spine", "jellyfish")
+    for target in (0.3, 0.7, 0.9)
+] + [("fat-tree-8", 0.7)]
+
+
+class TestLoadDifferential:
+    """The loader's stop decision, placements and RNG stream equal the
+    re-scanning loop's, down to the last bit of ``utilization``."""
+
+    @pytest.mark.parametrize("topology,target", LOAD_CASES)
+    @pytest.mark.parametrize("policy", BackgroundLoader.PATH_POLICIES)
+    @pytest.mark.parametrize("permanent", [True, False])
+    def test_matches_rescanning_loop(self, topology, target, policy,
+                                     permanent):
+        keys, *__ = assert_same_load(topology, target, policy, permanent)
+        assert keys
+
+    def test_rule_limited_network(self):
+        """Full rule tables refuse placements ``best_path`` found: the
+        ``RuleSpaceError`` branch must leave the terms as it found them."""
+        topo = TOPOLOGIES["fat-tree"]
+        keys, rejected, utilization, *__ = assert_same_load(
+            "fat-tree", 0.5, "random", True,
+            make_network=lambda: topo.network(default_rule_capacity=40))
+        # The tables, not bandwidth, end the load well short of the target.
+        assert keys and rejected > 0 and utilization < 0.4
+
+    def test_network_on_another_graph(self):
+        topo = TOPOLOGIES["fat-tree"]
+        keys, *__ = assert_same_load(
+            "fat-tree", 0.7, "random", True,
+            make_network=lambda: foreign_network(topo),
+            provider=NoRows(topo))
+        assert keys
+
+
+def test_load_scans_the_fabric_at_most_twice(monkeypatch):
+    """However many samples are placed or rejected, one call reads every
+    switch link at most twice: the term list it starts from and the
+    report's exact utilization."""
+    scans = []
+    terms = Network._switch_terms
+
+    def counting(self, idx):
+        result = terms(self, idx)
+        if len(result) == len(self.switch_links()):
+            scans.append(len(result))
+        return result
+
+    monkeypatch.setattr(Network, "_switch_terms", counting)
+    net, loader = make_loader(FatTreeTopology(k=4), PROVIDERS["fat-tree"])
+    report = loader.load_to_utilization(0.9)
+    assert len(report.placed) > 100 and report.rejected > 5000
+    assert len(scans) <= 2
