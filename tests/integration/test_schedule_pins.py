@@ -18,11 +18,17 @@ would surface here as an ``AuditError`` instead of a hash mismatch.
 """
 
 import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import fig5, fig6
+from repro.experiments.common import DEFAULTS, Scenario
 from repro.experiments.robustness import failure_sweep
+from repro.experiments.runner import GridRow, run_scheduler_grid
+from repro.sched import staged_scheduler_spec
+from repro.traces.events import EventGeneratorConfig
 
 #: fig5.run(seed=0, utilization=0.6, event_counts=(6,)) on the pre-kernel
 #: tree (planning-ops accounting fixes included).
@@ -44,6 +50,16 @@ FIG6_MINI_SHA256 = \
 #: on identical simulated timestamps and counters.
 FAULTED_GRID_SHA256 = \
     "dafdd2d76ac406aaff795e88470ef1e98649b3541940e4d9919c403e7c2dad16"
+
+#: staged-lmtf and staged-plmtf under ``compile_mode="staged"`` plus one
+#: augmented ε=0.1 staged-plmtf cell, on a churning k=4 fat-tree (seed 0,
+#: 24 events of 3–8 flows, utilization 0.85) — captured before the
+#: compiler learned to certify one-stage plans without ordering them and
+#: the staged pick stopped compiling probes that cannot tie. Every stage
+#: boundary, per-stage install charge and transient overload lands in the
+#: metrics hashed here.
+STAGED_MINI_SHA256 = \
+    "dba9c50587b7f692cb00ed828ab8e4e0726fe96b4f9e8319fbe54a02a0e1ea85"
 
 
 def _pinned_digest(run):
@@ -80,6 +96,28 @@ def _faulted_grid_digest():
                               fault_rates=(0.0, 0.05), horizon=40.0))
 
 
+def _staged_digest():
+    scenario = Scenario(
+        utilization=0.85, seed=0, events=24, churn=True,
+        event_config=EventGeneratorConfig(min_flows=3, max_flows=8),
+        defaults=replace(DEFAULTS, k=4))
+    rows = [
+        GridRow(key="staged", scenario=scenario, compile_mode="staged",
+                schedulers=tuple(
+                    staged_scheduler_spec(kind, 0, 4, "staged")
+                    for kind in ("staged-lmtf", "staged-plmtf"))),
+        GridRow(key="augmented", scenario=scenario,
+                compile_mode="augmented", compile_epsilon=0.1,
+                schedulers=(staged_scheduler_spec(
+                    "staged-plmtf", 0, 4, "augmented", 0.1),)),
+    ]
+    payload = {key: {name: metrics.to_dict()
+                     for name, metrics in row.metrics.items()}
+               for key, row in run_scheduler_grid(rows).items()}
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.fixture(params=["plain", "audited"])
 def audit_mode(request, monkeypatch):
     """Run each pin twice: bare, and with the lifecycle auditor attached."""
@@ -108,3 +146,9 @@ class TestSchedulePins:
         assert digest == FAULTED_GRID_SHA256, (
             f"faulted+churn+flaky-control-plane grid JSON ({audit_mode}) "
             f"diverged from the pinned pre-pipeline schedule: {digest}")
+
+    def test_staged_compile_mini_run_is_byte_identical(self, audit_mode):
+        digest = _staged_digest()
+        assert digest == STAGED_MINI_SHA256, (
+            f"staged/augmented compile mini-run JSON ({audit_mode}) "
+            f"diverged from the pinned schedule: {digest}")
