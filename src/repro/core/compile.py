@@ -18,7 +18,9 @@ compilation stage, sitting between planning and execution:
   :func:`repro.core.ordering.find_safe_order` and greedily batched into the
   longest prefixes whose *transient* load (a migrated flow occupies both
   its old and new path until the stage commits; a placed flow sends
-  immediately) stays within every link's capacity.
+  immediately) stays within every link's capacity. Most plans fit in one
+  stage; when a single pass over the plan certifies that (see
+  :func:`_one_stage`), that stage is returned without ordering anything.
 * ``augmented`` — like ``staged`` but any link may transiently carry up to
   ``(1 + ε) · capacity`` inside a stage, which merges stages and shortens
   the schedule; the settled state after every stage is back to
@@ -49,11 +51,24 @@ from repro.core.ordering import (
     transient_additions,
 )
 from repro.core.plan import EventPlan, Migration
-from repro.network.link import EPS, LinkId, path_links
+from repro.network.link import EPS, LinkId, is_simple_path, path_links
 from repro.network.state import NetworkState
 
 #: Recognized compilation modes.
 COMPILE_MODES = ("atomic", "staged", "augmented")
+
+#: How far below ``capacity + EPS`` the one-stage certificate keeps every
+#: link's transient load. The certificate's ``used + Σ additions`` takes
+#: at most ``n + 1`` roundings over an ``n``-step plan; the view
+#: :func:`~repro.core.ordering.find_safe_order` probes reaches each
+#: intermediate load in at most ``2n`` (a reroute's remove and place);
+#: the two capacity tests add four more, and ``_batch_stages`` compares
+#: the certificate's own partial sums. Each rounding is at most
+#: ``2⁻⁵³ · M`` for loads below ``M``, so the sides differ by at most
+#: ``(3n + 5) · 2⁻⁵³ · M``: 1.7e-8 Mbit/s for ``n = 500`` steps at
+#: ``M = 1e5`` Mbit/s, a sixth of the margin (demands here are
+#: O(1)–O(1000) Mbit/s, see ``EPS``).
+ONE_STAGE_MARGIN = EPS / 10
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,11 @@ def compile_plan(state: NetworkState, plan: EventPlan,
             plan=plan, mode=config.mode, epsilon=0.0,
             stages=(Stage(steps=tuple(steps),
                           transient_overload=overload),))
+    # Most plans are one stage; certify that in one pass before ordering.
+    stage = _one_stage(state, steps)
+    if stage is not None:
+        return CompiledPlan(plan=plan, mode=config.mode,
+                            epsilon=config.epsilon, stages=(stage,))
     ordering = find_safe_order(state, steps)
     # A safe order exists in plan order against the planned-on state; under
     # drift, stuck steps (swap deadlocks) are appended so execution still
@@ -155,6 +175,64 @@ def compile_plan(state: NetworkState, plan: EventPlan,
 
 
 # ----------------------------------------------------------------- internals
+
+
+def _one_stage(state: NetworkState, steps: list[Step]) -> Stage | None:
+    """The one stage ordering and batching would produce, when a single
+    pass over ``steps`` proves it; ``None`` when it cannot.
+
+    The proof: no rule table can refuse a step, every migrated flow sits
+    on exactly its migration's old path with its demand, no placed flow
+    is there yet, no flow is stepped twice, every path is simple, and on
+    every link a step's path crosses ``used + Σ transient additions``
+    stays ``ONE_STAGE_MARGIN`` below ``capacity + EPS`` — links a
+    migration shares with its old path included, where it adds 0. Every
+    step then applies in plan order (sequential loads never exceed the
+    transient sum), so :func:`find_safe_order` returns the plan order
+    with nothing stuck, and every prefix fits ``_batch_stages``'s first
+    batch, which closes once. The stage's overload is that close's own
+    expression (``used + 0.0 + add`` against capacity, in the same link
+    order), so it is bit-identical.
+    """
+    if state.tracks_rules:
+        return None
+    seen: set[str] = set()
+    added: dict[LinkId, float] = {}
+    shared: list[LinkId] = []
+    for step in steps:
+        flow_id = step.flow_id
+        if flow_id in seen or not is_simple_path(step.path):
+            return None
+        seen.add(flow_id)
+        additions = transient_additions(step)
+        if step.kind is StepKind.MIGRATE:
+            if not state.has_flow(flow_id):
+                return None
+            migration = step.payload
+            assert isinstance(migration, Migration)
+            placement = state.placement(flow_id)
+            if (placement.path != migration.old_path
+                    or placement.flow.demand != step.demand):
+                return None
+            shared.extend(link for link in path_links(step.path)
+                          if link not in additions)
+        elif state.has_flow(flow_id):
+            return None
+        for link, add in additions.items():
+            added[link] = added.get(link, 0.0) + add
+    for link in shared:
+        if (state.used(*link) + added.get(link, 0.0)
+                > state.capacity(*link) + EPS - ONE_STAGE_MARGIN):
+            return None
+    overload = 0.0
+    for link, add in added.items():
+        capacity = state.capacity(*link)
+        used = state.used(*link)
+        if used + add > capacity + EPS - ONE_STAGE_MARGIN:
+            return None
+        if capacity > 0:
+            overload = max(overload, (used + 0.0 + add - capacity) / capacity)
+    return Stage(steps=tuple(steps), transient_overload=max(0.0, overload))
 
 
 def _settle(step: Step, delta: dict[LinkId, float]) -> None:

@@ -20,10 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.core.exceptions import (
-    InsufficientBandwidthError,
-    UnknownFlowError,
-)
+from repro.core.exceptions import PlacementError
 from repro.core.plan import EventPlan, FlowPlan, Migration
 from repro.network.link import LinkId, path_links
 from repro.network.state import NetworkState
@@ -100,11 +97,13 @@ def apply_step(state: NetworkState, step: Step) -> tuple[str, ...] | None:
 
 
 def try_step(view: NetworkView, step: Step) -> bool:
-    """Apply one step to the view if it fits; False when it does not —
-    no room, or the flow it migrates has left the network."""
+    """Apply one step to the view if it fits; False when the view refuses
+    it in any way — no room, a full rule table, the flow it migrates has
+    left the network, the flow it places is already there, or an invalid
+    path."""
     try:
         apply_step(view, step)
-    except (InsufficientBandwidthError, UnknownFlowError):
+    except PlacementError:
         return False
     return True
 

@@ -101,10 +101,13 @@ class RoundDecision:
     round fell back to full probing. Exact schedulers leave them at their
     zero defaults.
 
-    ``predicted_stages`` maps admitted event ids to the compiled schedule
-    length the scheduler *predicted* when it tie-broke on short schedules
-    (:mod:`repro.sched.staged`); schedulers that never compile leave it
-    empty. Purely diagnostic — the executor recompiles authoritatively.
+    ``predicted_stages`` maps the head admission's event id to the
+    compiled schedule length the scheduler *predicted* when it tie-broke
+    on short schedules (:mod:`repro.sched.staged`); batch-mates merged
+    after the head and schedulers that never compile leave no entry.
+    Purely diagnostic — the executor compiles every admission itself, and
+    ``ExecutionRecord.stage_count`` / ``EventAdmitted`` carry the real
+    count.
 
     ``probed`` names the queued events the scheduler actually cost-probed
     this round — the ``α+1`` sample for the LMTF family (paper §IV-B/C:

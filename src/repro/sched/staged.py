@@ -8,19 +8,19 @@ line of work: with consistency enforced stage by stage, an event's real
 completion time grows with its schedule length, so among equal-cost
 candidates the short schedule is the fair pick.
 
-Compilation here is a read-only probe against the round's network state;
-the executor recompiles authoritatively at execute time (the states agree
-in the default pipeline, so the prediction is normally exact). Predicted
-lengths are reported in :attr:`RoundDecision.predicted_stages` for
-telemetry either way.
+The stage count only breaks cost ties, so only the feasible probes at the
+round's minimum cost are compiled — a read-only probe against the round's
+network state; most of them are one-stage plans the compiler certifies
+in a single pass. The head pick's predicted length is reported in
+:attr:`RoundDecision.predicted_stages`. The executor compiles every
+admission itself at execute time, under the run's compile mode, and its
+:class:`~repro.core.executor.ExecutionRecord` carries the count that ran.
 """
 
 from __future__ import annotations
 
 from repro.core.compile import PlanCompilerConfig, compile_plan
-from repro.core.executor import apply_plan
 from repro.core.plan import EventPlan
-from repro.network.view import NetworkView
 from repro.sched.base import (
     Admission,
     QueuedEvent,
@@ -56,37 +56,19 @@ class StagedCompileMixin:
 
         Identical to :meth:`LMTFScheduler.pick_cheapest` except that the
         compiled schedule length outranks arrival order on cost ties.
-        Returns the winning probe with its predicted stage count.
+        Only probes at the minimum cost are compiled: the stage count
+        never decides between different costs. Returns the winning probe
+        with its predicted stage count.
         """
-        best = None
-        best_key = None
-        best_stages = 0
-        for queued, plan in probes:
-            if not plan.feasible:
-                continue
-            stages = self.predict_stages(ctx.network, plan)
-            key = (plan.cost, stages, queued.arrival_time, queued.seq)
-            if best_key is None or key < best_key:
-                best, best_key, best_stages = (queued, plan), key, stages
-        if best is None:
+        feasible = [probe for probe in probes if probe[1].feasible]
+        if not feasible:
             return None
-        return best, best_stages
-
-    def predict_batch(self, ctx: SchedulingContext,
-                      decision: RoundDecision) -> None:
-        """Fill ``decision.predicted_stages`` for every admission.
-
-        Admissions execute in order against the live network, so each
-        plan's schedule is predicted against a view holding its
-        predecessors' settled state — the same state the executor will
-        compile against.
-        """
-        view = NetworkView(ctx.network)
-        for admission in decision.admissions:
-            event_id = admission.queued.event.event_id
-            decision.predicted_stages[event_id] = \
-                self.predict_stages(view, admission.plan)
-            apply_plan(view, admission.plan)
+        cost = min(plan.cost for _, plan in feasible)
+        tied = [probe for probe in feasible if probe[1].cost == cost]
+        stages = [self.predict_stages(ctx.network, plan) for _, plan in tied]
+        best = min(range(len(tied)), key=lambda i: (
+            stages[i], tied[i][0].arrival_time, tied[i][0].seq))
+        return tied[best], stages[best]
 
 
 class StagedLMTFScheduler(StagedCompileMixin, LMTFScheduler):
@@ -129,8 +111,8 @@ class StagedPLMTFScheduler(StagedCompileMixin, PLMTFScheduler):
 
     Step 1 (the LMTF pick) uses the staged tie-break; step 2's
     opportunistic batch merge is inherited unchanged — parallel admissions
-    are a strict win regardless of their schedule lengths, which are still
-    predicted and reported per admission.
+    are a strict win regardless of their schedule lengths, so only the
+    head's predicted length is reported.
 
     Args:
         alpha: number of random non-head candidates per round (> 0).
@@ -158,6 +140,7 @@ class StagedPLMTFScheduler(StagedCompileMixin, PLMTFScheduler):
         picked = self.pick_staged(ctx, probes)
         if picked is None:
             return self._finish(RoundDecision(planning_ops=ops))
-        decision = self.merge_batch(ctx, probes, picked[0], ops)
-        self.predict_batch(ctx, decision)
+        head, stages = picked
+        decision = self.merge_batch(ctx, probes, head, ops)
+        decision.predicted_stages[head[0].event.event_id] = stages
         return self._finish(decision)

@@ -3,33 +3,57 @@
 The hypothesis suite (``tests/property/test_compile_properties.py``) covers
 the compiler's invariants over random workloads; these tests pin the exact
 behavior on one hand-built scenario — config validation, stage boundaries,
-the augmented merge, whole-plan rollback, per-stage timing charges, and the
-staged schedulers' cost-tie stage-count preference.
+the augmented merge, the one-stage certificate, whole-plan rollback,
+per-stage timing charges, and the staged schedulers' cost-tie stage-count
+preference and how many compiles it costs.
 """
 
 import random
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from helpers import BG_BOT, BG_TOP, TOP, ab_flow, cd_flow, diamond_setup  # noqa: E402
+from helpers import (  # noqa: E402
+    BG_BOT,
+    BG_TOP,
+    BOT,
+    EF_BOT,
+    TOP,
+    ab_flow,
+    cd_flow,
+    diamond_setup,
+    diamond_topology,
+    ef_flow,
+)
 
+from repro.core import compile as compile_mod
+from repro.core import executor as executor_mod
 from repro.core.compile import (
     COMPILE_MODES,
+    ONE_STAGE_MARGIN,
     PlanCompilerConfig,
     compile_plan,
 )
+from repro.core.consistency import sequential_order_is_safe
 from repro.core.event import make_event
 from repro.core.exceptions import PlacementError
 from repro.core.executor import PlanExecutor, apply_plan, apply_stages
+from repro.core.flow import Flow
 from repro.core.ordering import plan_steps
-from repro.core.plan import EventPlan, FlowPlan
+from repro.core.plan import EventPlan, FlowPlan, Migration
 from repro.core.planner import EventPlanner
+from repro.network.link import EPS
+from repro.sched import staged as staged_mod
 from repro.sched.base import QueuedEvent
-from repro.sched.staged import StagedLMTFScheduler, StagedPLMTFScheduler
+from repro.sched.staged import (
+    StagedCompileMixin,
+    StagedLMTFScheduler,
+    StagedPLMTFScheduler,
+)
 from repro.sim.timing import TimingModel
 
 
@@ -148,6 +172,194 @@ class TestCompile:
         net.check_invariants()
 
 
+def tiny_plan(net, provider):
+    """A 10-unit a->b event's plan: no migration, one step."""
+    event = make_event([ab_flow("tiny", 10.0)])
+    return EventPlanner(provider).plan_event(net, event, random.Random(1),
+                                             commit=False)
+
+
+def count_safe_orders(monkeypatch):
+    """Record every ``find_safe_order`` call the compiler makes."""
+    calls = []
+    real = compile_mod.find_safe_order
+
+    def counting(state, steps):
+        calls.append(steps)
+        return real(state, steps)
+
+    monkeypatch.setattr(compile_mod, "find_safe_order", counting)
+    return calls
+
+
+class TestOneStageCertificate:
+    def test_one_stage_plan_is_certified_without_ordering(self, planned,
+                                                          monkeypatch):
+        net, provider, _ = planned
+        plan = tiny_plan(net, provider)
+        calls = count_safe_orders(monkeypatch)
+        compiled = compile_plan(net, plan, PlanCompilerConfig(mode="staged"))
+        assert calls == []
+        assert [stage.steps for stage in compiled.stages] \
+            == [tuple(plan_steps(plan))]
+        assert compiled.max_transient_overload == 0.0
+
+    @pytest.mark.parametrize("below, certified", [
+        (0.0, False), (0.5, False), (0.9, False), (1.5, True)])
+    def test_margin_band_falls_through_to_ordering(self, planned, monkeypatch,
+                                                   below, certified):
+        # Load one of the plan's links to ``below`` margins under
+        # capacity + EPS: inside the band the certificate declines and
+        # ordering gives the same single stage.
+        net, provider, _ = planned
+        plan = tiny_plan(net, provider)
+        path = plan.flow_plans[0].path
+        link = path[1], path[2]
+        fill = (net.capacity(*link) + EPS - below * ONE_STAGE_MARGIN
+                - 10.0 - net.used(*link))
+        net.place(Flow(flow_id="fill", src="a", dst="b", demand=fill,
+                       duration=None), path)
+        calls = count_safe_orders(monkeypatch)
+        compiled = compile_plan(net, plan, PlanCompilerConfig(mode="staged"))
+        assert len(calls) == (0 if certified else 1)
+        assert [stage.steps for stage in compiled.stages] \
+            == [tuple(plan_steps(plan))]
+
+    def test_two_stage_plan_takes_the_full_path(self, planned, monkeypatch):
+        net, _, plan = planned
+        calls = count_safe_orders(monkeypatch)
+        compiled = compile_plan(net, plan, PlanCompilerConfig(mode="staged"))
+        assert len(calls) == 1
+        assert compiled.stage_count == 2
+
+    def test_augmented_overshoot_is_not_certified(self, planned,
+                                                  monkeypatch):
+        # One stage, but only because ε absorbs a transient overshoot:
+        # the certificate never looks past capacity, so ordering runs.
+        net, _, plan = planned
+        calls = count_safe_orders(monkeypatch)
+        compiled = compile_plan(
+            net, plan, PlanCompilerConfig(mode="augmented", epsilon=0.1))
+        assert len(calls) == 1
+        assert compiled.stage_count == 1
+
+
+def hand_plan(*flow_plans):
+    """An event plan made of the given flow plans, in order."""
+    event = make_event([fp.flow for fp in flow_plans])
+    return EventPlan(event=event, flow_plans=flow_plans)
+
+
+def step_order(compiled):
+    return [[step.flow_id for step in stage.steps]
+            for stage in compiled.stages]
+
+
+class TestCertificateDeclines:
+    """Each precondition of the one-stage certificate, broken on its own:
+    the plan order would be wrong, and ordering puts the refused step
+    last."""
+
+    STAGED = PlanCompilerConfig(mode="staged")
+
+    def test_overloaded_link_a_migration_keeps(self):
+        # The migration adds nothing on c->s1, but a cut left that link
+        # below the load it already carries, so the reroute is refused.
+        net, _ = diamond_setup()
+        bgt = cd_flow("bgt", 45.0)
+        net.place(bgt, BG_TOP)
+        net._set_capacity("c", "s1", 40.0)
+        plan = hand_plan(FlowPlan(flow=ab_flow("g", 5.0), path=TOP,
+                                  migrations=(Migration(bgt, BG_TOP,
+                                                        BG_BOT),)))
+        assert step_order(compile_plan(net, plan, self.STAGED)) \
+            == [["g", "bgt"]]
+
+    @pytest.mark.parametrize("placed_demand, old_path, bottom_load", [
+        (45.0, BG_BOT, 60.0),   # the migrated flow is not on the old path
+        (50.0, BG_TOP, 55.0),   # it is, with more demand than the plan moves
+    ])
+    def test_migrated_flow_not_as_planned(self, placed_demand, old_path,
+                                          bottom_load):
+        net, _ = diamond_setup()
+        net.place(cd_flow("bgt", placed_demand), BG_TOP)
+        net.place(ef_flow("efb", bottom_load), EF_BOT)
+        plan = hand_plan(FlowPlan(
+            flow=ab_flow("g", 5.0), path=TOP,
+            migrations=(Migration(cd_flow("bgt", 45.0), old_path,
+                                  BG_BOT),)))
+        assert step_order(compile_plan(net, plan, self.STAGED)) \
+            == [["g", "bgt"]]
+
+    def test_event_flow_already_placed(self):
+        net, _ = diamond_setup()
+        f = ab_flow("f", 5.0)
+        net.place(f, BOT)
+        plan = hand_plan(FlowPlan(flow=f, path=TOP),
+                         FlowPlan(flow=ab_flow("g", 5.0), path=TOP))
+        assert step_order(compile_plan(net, plan, self.STAGED)) \
+            == [["g", "f"]]
+
+    def test_path_visiting_a_node_twice(self):
+        net, _ = diamond_setup()
+        loop = ("a", "s1", "top", "s1", "bot", "s2", "b")
+        plan = hand_plan(FlowPlan(flow=ab_flow("f", 5.0), path=loop),
+                         FlowPlan(flow=ab_flow("g", 5.0), path=TOP))
+        assert step_order(compile_plan(net, plan, self.STAGED)) \
+            == [["g", "f"]]
+
+    def test_flow_stepped_twice(self):
+        net, _ = diamond_setup()
+        f = ab_flow("f", 5.0)
+        plan = hand_plan(FlowPlan(flow=f, path=TOP),
+                         FlowPlan(flow=f, path=TOP),
+                         FlowPlan(flow=ab_flow("g", 5.0), path=TOP))
+        assert step_order(compile_plan(net, plan, self.STAGED)) \
+            == [["f", "g", "f"]]
+
+    def test_full_rule_table(self):
+        # "top" holds one rule, bgt's: g fits only after bgt moves off.
+        topo = diamond_topology()
+        topo.graph().nodes["top"]["rule_capacity"] = 1
+        net = topo.network()
+        bgt = cd_flow("bgt", 45.0)
+        net.place(bgt, BG_TOP)
+        plan = hand_plan(
+            FlowPlan(flow=ab_flow("g", 5.0), path=TOP),
+            FlowPlan(flow=ab_flow("h", 5.0), path=BOT,
+                     migrations=(Migration(bgt, BG_TOP, BG_BOT),)))
+        assert step_order(compile_plan(net, plan, self.STAGED)) \
+            == [["bgt", "h", "g"]]
+
+
+class TestDriftedStateStaysTotal:
+    """Every refusal the view can raise is "does not fit", never a
+    traceback out of the ordering probe."""
+
+    def drifted(self, planned):
+        # The migrated flow left and the event flow was placed by hand:
+        # the plan's steps now raise UnknownFlowError and DuplicateFlowError.
+        net, _, plan = planned
+        net.remove("bgt")
+        net.place(plan.flow_plans[0].flow, plan.flow_plans[0].path)
+        return net, plan
+
+    def test_compile_plan_orders_around_a_placed_flow(self, planned):
+        net, plan = self.drifted(planned)
+        compiled = compile_plan(net, plan, PlanCompilerConfig(mode="staged"))
+        assert sorted((s.kind.value, s.flow_id) for s in compiled.steps) \
+            == sorted((s.kind.value, s.flow_id) for s in plan_steps(plan))
+
+    def test_sequential_order_is_unsafe_not_a_traceback(self, planned):
+        # A one-step plan whose flow is already there: the only refusal
+        # is DuplicateFlowError.
+        net, provider, _ = planned
+        plan = tiny_plan(net, provider)
+        assert sequential_order_is_safe(net, plan)
+        net.place(plan.flow_plans[0].flow, plan.flow_plans[0].path)
+        assert sequential_order_is_safe(net, plan) is False
+
+
 class TestApplyStages:
     def test_staged_final_state_matches_atomic(self, planned):
         net, _, plan = planned
@@ -178,7 +390,6 @@ class TestApplyStages:
 class TestExecutorCompiled:
     def test_atomic_is_one_stage_without_compiling(self, planned,
                                                    monkeypatch):
-        from repro.core import executor as executor_mod
         net, _, plan = planned
 
         def no_compile(*args, **kwargs):
@@ -299,3 +510,94 @@ class TestStagedVsAtomicParity:
             twin, plan, PlanCompilerConfig(mode="staged")))
         assert ({lk: net.used(*lk) for lk in net.links()}
                 == {lk: twin.used(*lk) for lk in twin.links()})
+
+
+class TestStagedCompileCounts:
+    """The staged path compiles only what its answer depends on."""
+
+    def test_compiles_only_tied_probes_and_admissions(self, monkeypatch):
+        from repro.experiments.common import DEFAULTS, Scenario
+        from repro.experiments.runner import (
+            hermetic_ids,
+            scenario_spec,
+            simulate_cell,
+        )
+        from repro.sched import staged_scheduler_spec
+        from repro.traces.events import EventGeneratorConfig
+
+        counts = dict(compiles=0, ties=0, executes=0, refused=0,
+                      certified=0, orders=0)
+        inside: list[str] = []
+        pending_refusal: list[bool] = []
+
+        real_pick = StagedCompileMixin.pick_staged
+
+        def pick(self, ctx, probes):
+            feasible = [plan for _, plan in probes if plan.feasible]
+            if feasible:
+                cost = min(plan.cost for plan in feasible)
+                counts["ties"] += sum(1 for plan in feasible
+                                      if plan.cost == cost)
+            inside.append("pick_staged")
+            try:
+                return real_pick(self, ctx, probes)
+            finally:
+                inside.pop()
+
+        real_execute = PlanExecutor.execute
+
+        def execute(self, state, plan, start_time):
+            counts["executes"] += 1
+            inside.append("execute")
+            try:
+                return real_execute(self, state, plan, start_time)
+            finally:
+                inside.pop()
+
+        real_compile = compile_mod.compile_plan
+
+        def compile_counted(state, plan, config=None):
+            counts["compiles"] += 1
+            return real_compile(state, plan, config)
+
+        real_one_stage = compile_mod._one_stage
+
+        def one_stage(state, steps):
+            # Every staged/augmented compile, whichever binding called it.
+            assert inside, "compiled outside pick_staged / execute"
+            stage = real_one_stage(state, steps)
+            counts["certified" if stage is not None else "refused"] += 1
+            pending_refusal.append(stage is None)
+            return stage
+
+        real_order = compile_mod.find_safe_order
+
+        def order(state, steps):
+            assert pending_refusal and pending_refusal.pop(), \
+                "ordered a plan the certificate accepted"
+            counts["orders"] += 1
+            return real_order(state, steps)
+
+        monkeypatch.setattr(StagedCompileMixin, "pick_staged", pick)
+        monkeypatch.setattr(PlanExecutor, "execute", execute)
+        monkeypatch.setattr(staged_mod, "compile_plan", compile_counted)
+        monkeypatch.setattr(executor_mod, "compile_plan", compile_counted)
+        monkeypatch.setattr(compile_mod, "_one_stage", one_stage)
+        monkeypatch.setattr(compile_mod, "find_safe_order", order)
+
+        scenario = Scenario(
+            utilization=0.85, seed=0, events=24, churn=True,
+            event_config=EventGeneratorConfig(min_flows=3, max_flows=8),
+            defaults=replace(DEFAULTS, k=4))
+        with hermetic_ids():
+            result = simulate_cell(
+                scenario_spec(scenario),
+                staged_scheduler_spec("staged-plmtf", 0, 4, "staged"),
+                compile_mode="staged")
+        stages = result["metrics"]["per_event_stages"]
+        assert counts["executes"] == len(stages) == 24
+        assert counts["compiles"] <= counts["ties"] + counts["executes"]
+        assert counts["compiles"] == counts["certified"] + counts["refused"]
+        assert counts["orders"] == counts["refused"]
+        # The scenario exercises both paths: multi-stage plans are ordered.
+        assert counts["certified"] > 0 and max(stages) > 1
