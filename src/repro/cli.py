@@ -54,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run simulation cells in N worker processes "
                              "(results are identical to the default "
                              "one-process run)")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse completed cells from this figure's "
-                             "checkpoint instead of recomputing them")
-    parser.add_argument("--checkpoint-dir", default="checkpoints",
-                        help="directory for per-figure JSONL checkpoints "
-                             "(default: checkpoints/)")
     parser.add_argument("--out", default="results",
                         help="report only: output directory")
     parser.add_argument("--quick", action="store_true",
@@ -340,7 +334,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.fault_rates is not None and "fault_rates" in accepted:
         kwargs["fault_rates"] = tuple(
             float(r) for r in args.fault_rates.split(",") if r.strip())
-    kwargs.update(_parallel_kwargs(args, args.figure, accepted))
+    if args.jobs is not None:
+        if "jobs" in accepted:
+            kwargs["jobs"] = args.jobs
+        else:
+            print(f"warning: {args.figure} does not support --jobs; "
+                  f"running sequentially", file=sys.stderr)
     started = time.time()
     result = runner(**kwargs)
     print(result.to_table())
@@ -355,30 +354,6 @@ def _describe(runner) -> str:
              else runner)
     doc = inspect.getdoc(owner) or ""
     return doc.splitlines()[0] if doc else ""
-
-
-def _parallel_kwargs(args, figure: str, accepted) -> dict:
-    """kwargs implementing ``--jobs``/``--resume`` for one figure runner.
-
-    Checkpoints land in ``<checkpoint-dir>/<figure>-seed<seed>.jsonl`` so a
-    killed sweep resumes with the exact same command plus ``--resume``.
-    Figures that are not cell grids get a warning and run in-process.
-    """
-    from pathlib import Path
-
-    if args.jobs is None and not args.resume:
-        return {}
-    if "jobs" not in accepted:
-        print(f"warning: {figure} does not support --jobs/--resume; "
-              f"running sequentially", file=sys.stderr)
-        return {}
-    from repro.experiments.runner import PrintProgress
-    checkpoint_dir = Path(args.checkpoint_dir)
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    return {"jobs": args.jobs if args.jobs is not None else 1,
-            "resume": args.resume,
-            "checkpoint": checkpoint_dir / f"{figure}-seed{args.seed}.jsonl",
-            "listener": PrintProgress()}
 
 
 def _report(args) -> int:
@@ -402,8 +377,6 @@ def _report(args) -> int:
         names = list(FIGURES)
     overrides = {"seed": args.seed}
     if args.jobs is not None:
-        # Per-figure checkpoints don't compose with a multi-figure report;
-        # forward the worker-pool fan-out alone.
         overrides["jobs"] = args.jobs
     results = run_figures(names, progress=print, **overrides)
     path = write_report(results, args.out)

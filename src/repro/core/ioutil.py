@@ -1,7 +1,7 @@
 """Small filesystem and artifact-identity utilities shared across the
 library.
 
-Result artifacts (trace logs, experiment JSON, sweep checkpoints, service
+Result artifacts (trace logs, experiment JSON, service checkpoints and
 snapshots) are what resume logic and downstream tooling trust, so they must
 never be observable half-written. :func:`atomic_write_text` provides the
 standard write-to-temp-then-rename pattern: a crash or interrupt mid-write
@@ -39,9 +39,8 @@ def payload_fingerprint(payload: Any, length: int = 16) -> str:
 
     Canonicalizes with sorted keys (and ``str()`` for stray non-JSON
     leaves), so the fingerprint depends only on content, not dict insertion
-    order. Used by the sweep checkpoint loader to guard cell reuse and by
-    the service's snapshot and checkpoint loaders to verify what
-    :func:`fingerprinted_json` wrote.
+    order. The service's snapshot and checkpoint loaders use it to verify
+    what :func:`fingerprinted_json` wrote.
     """
     return _digest(_canonical_json(payload), length)
 

@@ -41,9 +41,8 @@ from repro.traces.events import EventGeneratorConfig, heterogeneous_config
 
 
 def alpha_sweep(seed: int = 0, events: int = 30, utilization: float = 0.7,
-                alphas=(1, 2, 4, 8), jobs: int | None = None,
-                checkpoint=None, resume: bool = False,
-                listener=None) -> ExperimentResult:
+                alphas=(1, 2, 4, 8),
+                jobs: int | None = None) -> ExperimentResult:
     """How much of LMTF/P-LMTF's benefit α=2 already captures."""
     result = ExperimentResult(
         name="ablation-alpha",
@@ -64,8 +63,7 @@ def alpha_sweep(seed: int = 0, events: int = 30, utilization: float = 0.7,
                 ))
         for alpha in alphas
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     fifo = grid["fifo"]["fifo"]
     for alpha in alphas:
         metrics = grid[f"alpha={alpha}"]
@@ -82,9 +80,8 @@ def alpha_sweep(seed: int = 0, events: int = 30, utilization: float = 0.7,
 
 def admission_sweep(seed: int = 0, events: int = 30,
                     utilization: float = 0.7,
-                    modes=ADMIT_MODES, jobs: int | None = None,
-                    checkpoint=None, resume: bool = False,
-                    listener=None) -> ExperimentResult:
+                    modes=ADMIT_MODES,
+                    jobs: int | None = None) -> ExperimentResult:
     """The efficiency/cost tradeoff of P-LMTF admission policies."""
     result = ExperimentResult(
         name="ablation-admission",
@@ -103,8 +100,7 @@ def admission_sweep(seed: int = 0, events: int = 30,
                              "admit": mode},))
         for mode in modes
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     fifo = grid["fifo"]["fifo"]
     for mode in modes:
         metrics = grid[f"admit={mode}"]["plmtf"]
@@ -283,9 +279,8 @@ def _placeable(network, provider, flow) -> bool:
 
 
 def barrier_sweep(seed: int = 0, events: int = 30,
-                  utilization: float = 0.7, jobs: int | None = None,
-                  checkpoint=None, resume: bool = False,
-                  listener=None) -> ExperimentResult:
+                  utilization: float = 0.7,
+                  jobs: int | None = None) -> ExperimentResult:
     """Completion-barrier vs setup-barrier round semantics."""
     result = ExperimentResult(
         name="ablation-barrier",
@@ -302,7 +297,7 @@ def barrier_sweep(seed: int = 0, events: int = 30,
                  schedulers=standard_scheduler_specs(seed),
                  round_barrier=barrier)
          for barrier in barriers],
-        jobs=jobs, checkpoint=checkpoint, resume=resume, listener=listener)
+        jobs=jobs)
     for barrier in barriers:
         metrics = grid[f"barrier={barrier}"]
         for name in ("fifo", "lmtf", "plmtf"):
@@ -319,8 +314,7 @@ def compile_sweep(seed: int = 0, events: int = 20,
                   epsilons=(0.05, 0.1, 0.2),
                   schedulers=("lmtf", "plmtf", "staged-lmtf",
                               "staged-plmtf"),
-                  jobs: int | None = None, checkpoint=None,
-                  resume: bool = False, listener=None) -> ExperimentResult:
+                  jobs: int | None = None) -> ExperimentResult:
     """What congestion-free staged schedules cost, and what ε buys back.
 
     Every scheduler runs one frozen k=4 workload under atomic, strict
@@ -355,8 +349,7 @@ def compile_sweep(seed: int = 0, events: int = 20,
                     for kind in schedulers))
         for mode, eps in points
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     atomic = grid[rows[0].key]
     for row, (mode, eps) in zip(rows, points):
         for name, m in grid[row.key].metrics.items():
@@ -385,8 +378,7 @@ def compile_sweep(seed: int = 0, events: int = 20,
 
 def learned_sweep(seed: int = 0, events: int = 24, utilization: float = 0.7,
                   alpha: int = 4, budgets=(1, 2, 3), thresholds=(0.5, 2.0),
-                  jobs: int | None = None, checkpoint=None,
-                  resume: bool = False, listener=None) -> ExperimentResult:
+                  jobs: int | None = None) -> ExperimentResult:
     """L-LMTF's probe budget and drift threshold vs exact LMTF's schedule.
 
     L-LMTF exactly probes only the top-``budget`` of the α+1 sampled
@@ -426,8 +418,7 @@ def learned_sweep(seed: int = 0, events: int = 24, utilization: float = 0.7,
                                  "warmup": 32, "error_threshold": t},))
             for b, t in points
         ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     for queue in ("static", "churning"):
         exact = grid[f"{queue}/exact"]["lmtf"].total_cost
         for b, t in points:

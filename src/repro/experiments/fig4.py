@@ -19,9 +19,7 @@ MEAN_FLOWS = (15, 30, 45, 60, 75)
 
 
 def run(seed: int = 0, events: int = 10, utilization: float = 0.7,
-        mean_flows=MEAN_FLOWS, jobs: int | None = None,
-        checkpoint=None, resume: bool = False,
-        listener=None) -> ExperimentResult:
+        mean_flows=MEAN_FLOWS, jobs: int | None = None) -> ExperimentResult:
     result = ExperimentResult(
         name="fig4",
         title="avg/tail ECT of flow-level vs event-level scheduling, "
@@ -40,8 +38,7 @@ def run(seed: int = 0, events: int = 10, utilization: float = 0.7,
                 schedulers=({"kind": "fifo"}, {"kind": "flow-level"}))
         for mean in mean_flows
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     raw = [(mean, grid[row.key]["flow-level"], grid[row.key]["fifo"])
            for mean, row in zip(mean_flows, rows)]
 

@@ -18,9 +18,8 @@ EVENT_COUNTS = (10, 20, 30, 40, 50)
 
 
 def run(seed: int = 0, utilization: float = 0.7,
-        event_counts=EVENT_COUNTS, jobs: int | None = None,
-        checkpoint=None, resume: bool = False,
-        listener=None) -> ExperimentResult:
+        event_counts=EVENT_COUNTS,
+        jobs: int | None = None) -> ExperimentResult:
     result = ExperimentResult(
         name="fig5",
         title="avg/tail ECT of flow-level vs event-level scheduling vs "
@@ -38,8 +37,7 @@ def run(seed: int = 0, utilization: float = 0.7,
                 schedulers=specs)
         for count in event_counts
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     for count in event_counts:
         metrics = grid[f"events={count}"]
         flow, event = metrics["flow-level"], metrics["fifo"]

@@ -19,9 +19,8 @@ UTILIZATIONS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def run(seed: int = 0, events: int = 30, alpha: int | None = None,
-        utilizations=UTILIZATIONS, jobs: int | None = None,
-        checkpoint=None, resume: bool = False,
-        listener=None) -> ExperimentResult:
+        utilizations=UTILIZATIONS,
+        jobs: int | None = None) -> ExperimentResult:
     alpha = alpha if alpha is not None else DEFAULTS.alpha
     result = ExperimentResult(
         name="fig7",
@@ -45,8 +44,7 @@ def run(seed: int = 0, events: int = 30, alpha: int | None = None,
         for util in utilizations
         for type_name, config in types
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     for util in utilizations:
         for type_name, __config in types:
             row = grid[f"util={util}/{type_name}"]

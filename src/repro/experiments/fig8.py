@@ -18,9 +18,8 @@ EVENT_COUNTS = (10, 20, 30, 40, 50)
 
 
 def run(seed: int = 0, utilization: float = 0.7, alpha: int | None = None,
-        event_counts=EVENT_COUNTS, jobs: int | None = None,
-        checkpoint=None, resume: bool = False,
-        listener=None) -> ExperimentResult:
+        event_counts=EVENT_COUNTS,
+        jobs: int | None = None) -> ExperimentResult:
     alpha = alpha if alpha is not None else DEFAULTS.alpha
     result = ExperimentResult(
         name="fig8",
@@ -39,8 +38,7 @@ def run(seed: int = 0, utilization: float = 0.7, alpha: int | None = None,
                 schedulers=standard_scheduler_specs(seed, alpha=alpha))
         for count in event_counts
     ]
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     for count in event_counts:
         metrics = grid[f"events={count}"]
         fifo, lmtf, plmtf = (metrics[n] for n in ("fifo", "lmtf", "plmtf"))

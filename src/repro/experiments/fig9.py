@@ -16,16 +16,14 @@ from repro.traces.events import heterogeneous_config
 
 
 def run(seed: int = 0, events: int = 30, utilization: float = 0.7,
-        alpha: int | None = None, jobs: int | None = None,
-        checkpoint=None, resume: bool = False,
-        listener=None) -> ExperimentResult:
+        alpha: int | None = None, jobs: int | None = None) -> ExperimentResult:
     alpha = alpha if alpha is not None else DEFAULTS.alpha
     scenario = Scenario(utilization=utilization, seed=seed, events=events,
                         churn=True, event_config=heterogeneous_config())
     grid = run_scheduler_grid([
         GridRow(key="run", scenario=scenario,
                 schedulers=standard_scheduler_specs(seed, alpha=alpha)),
-    ], jobs=jobs, checkpoint=checkpoint, resume=resume, listener=listener)
+    ], jobs=jobs)
     metrics = grid["run"]
     fifo, lmtf, plmtf = (metrics[n] for n in ("fifo", "lmtf", "plmtf"))
     result = ExperimentResult(

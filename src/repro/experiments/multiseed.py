@@ -9,9 +9,7 @@ background, events, churn and sampling) and reports each reduction as
 
 Trials are seed-isolated and embarrassingly parallel: the (trial,
 scheduler) cells run through :mod:`repro.experiments.runner`, in ``jobs``
-worker processes, checkpointing each completed cell so a killed sweep
-resumes with ``resume=True`` instead of recomputing. Merged results are
-byte-identical whatever ``jobs`` is.
+worker processes. Merged results are byte-identical whatever ``jobs`` is.
 """
 
 from __future__ import annotations
@@ -42,9 +40,8 @@ def trial_seed(seed: int, trial: int) -> int:
 
 def fig6_with_spread(seed: int = 0, events: int = 30,
                      utilization: float = 0.7, alpha: int | None = None,
-                     seeds: int = 3, jobs: int | None = None,
-                     checkpoint=None, resume: bool = False,
-                     listener=None) -> ExperimentResult:
+                     seeds: int = 3,
+                     jobs: int | None = None) -> ExperimentResult:
     """The Fig. 6 30-event comparison across ``seeds`` independent trials.
 
     Args:
@@ -52,9 +49,6 @@ def fig6_with_spread(seed: int = 0, events: int = 30,
         seeds: number of independent trials (>= 1).
         jobs: fan (trial, scheduler) cells out to this many worker
             processes; ``None`` runs them all in this process.
-        checkpoint: JSONL path persisting completed cells.
-        resume: reuse completed cells from ``checkpoint``.
-        listener: :class:`~repro.experiments.runner.SweepListener` hooks.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -68,8 +62,7 @@ def fig6_with_spread(seed: int = 0, events: int = 30,
                               events=events, churn=True,
                               event_config=heterogeneous_config()),
             schedulers=standard_scheduler_specs(tseed, alpha=alpha)))
-    grid = run_scheduler_grid(rows, jobs=jobs, checkpoint=checkpoint,
-                              resume=resume, listener=listener)
+    grid = run_scheduler_grid(rows, jobs=jobs)
     runs: dict[str, list] = {"fifo": [], "lmtf": [], "plmtf": []}
     for trial in range(seeds):
         metrics = grid[f"trial={trial}"]

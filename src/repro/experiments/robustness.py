@@ -78,9 +78,8 @@ def topology_cell(topology: str, seed: int, events: int,
 
 
 def topology_sweep(seed: int = 0, events: int = 20,
-                   utilization: float = 0.6, jobs: int | None = None,
-                   checkpoint=None, resume: bool = False,
-                   listener=None) -> ExperimentResult:
+                   utilization: float = 0.6,
+                   jobs: int | None = None) -> ExperimentResult:
     """LMTF/P-LMTF vs FIFO on non-Fat-Tree fabrics."""
     result = ExperimentResult(
         name="robustness-topology",
@@ -101,12 +100,11 @@ def topology_sweep(seed: int = 0, events: int = 20,
                         "utilization": utilization,
                         "scheduler": dict(sched)}))
             labels.append((name, sname))
-    outcomes = run_cells(cells, jobs=jobs or 1, checkpoint=checkpoint,
-                         resume=resume, listener=listener)
+    values = run_cells(cells, jobs=jobs or 1)
     rows: dict[str, dict] = {}
     for cell, (name, sname) in zip(cells, labels):
         rows.setdefault(name, {})[sname] = RunMetrics.from_dict(
-            outcomes[cell.key].value["metrics"])
+            values[cell.key]["metrics"])
     for name, metrics in rows.items():
         fifo = metrics["fifo"]
         result.add_row(
@@ -167,16 +165,14 @@ def failure_sweep(seed: int = 0, events: int = 20,
                   utilization: float = 0.6,
                   fault_rates=(0.0, 0.02, 0.05, 0.1),
                   horizon: float = 120.0, max_deferrals: int = 5,
-                  jobs: int | None = None, checkpoint=None,
-                  resume: bool = False, listener=None) -> ExperimentResult:
+                  jobs: int | None = None) -> ExperimentResult:
     """FIFO/LMTF/P-LMTF under rising mid-run fault rates.
 
     Every cell runs with the same mildly unreliable control plane
     (:data:`FAILURE_SWEEP_CONTROL_PLANE`) and a seeded link-fault process
     at its row's rate; stranded traffic is re-homed through auto-generated
     repair events competing in the ordinary update queue. Always routed
-    through the cell runner, so results are invariant to ``jobs`` and to
-    interruption/resume.
+    through the cell runner, so results are invariant to ``jobs``.
     """
     schedulers = standard_scheduler_specs(seed)
     cells = []
@@ -193,8 +189,7 @@ def failure_sweep(seed: int = 0, events: int = 20,
                         "control_plane": dict(FAILURE_SWEEP_CONTROL_PLANE),
                         "max_deferrals": max_deferrals}))
             labels.append((rate, sname))
-    outcomes = run_cells(cells, jobs=jobs or 1, checkpoint=checkpoint,
-                         resume=resume, listener=listener)
+    values = run_cells(cells, jobs=jobs or 1)
     result = ExperimentResult(
         name="robustness-failures",
         title=f"schedulers under mid-run failures ({events} events, "
@@ -205,7 +200,7 @@ def failure_sweep(seed: int = 0, events: int = 20,
                 "control_plane": dict(FAILURE_SWEEP_CONTROL_PLANE),
                 "max_deferrals": max_deferrals})
     for cell, (rate, sname) in zip(cells, labels):
-        run = RunMetrics.from_dict(outcomes[cell.key].value["metrics"])
+        run = RunMetrics.from_dict(values[cell.key]["metrics"])
         result.add_row(fault_rate=rate, scheduler=sname,
                        avg_ect=run.average_ect,
                        faults=run.faults_injected, retries=run.retries,
@@ -218,9 +213,8 @@ def failure_sweep(seed: int = 0, events: int = 20,
 
 
 def oracle_comparison(seed: int = 0, events: int = 30,
-                      utilization: float = 0.7, jobs: int | None = None,
-                      checkpoint=None, resume: bool = False,
-                      listener=None) -> ExperimentResult:
+                      utilization: float = 0.7,
+                      jobs: int | None = None) -> ExperimentResult:
     """LMTF vs perfect-knowledge shortest-event-first baselines."""
     from repro.experiments.common import Scenario
     scenario = Scenario(utilization=utilization, seed=seed, events=events,
@@ -230,7 +224,7 @@ def oracle_comparison(seed: int = 0, events: int = 30,
     specs += [{"kind": "oracle-sjf", "signal": s} for s in SIGNALS]
     grid = run_scheduler_grid(
         [GridRow(key="run", scenario=scenario, schedulers=tuple(specs))],
-        jobs=jobs, checkpoint=checkpoint, resume=resume, listener=listener)
+        jobs=jobs)
     metrics = grid["run"].metrics
     fifo = metrics["fifo"]
     result = ExperimentResult(

@@ -1,5 +1,7 @@
 """Integration: the command-line interface."""
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -51,3 +53,36 @@ class TestMain:
     def test_extraneous_override_ignored(self, capsys):
         # fig2.run() takes no parameters; overrides must not crash it
         assert main(["fig2", "--events", "5"]) == 0
+
+    def test_resume_is_not_a_figure_flag(self, capsys):
+        # figure sweeps are re-run, not resumed; only `repro serve` resumes
+        with pytest.raises(SystemExit) as caught:
+            main(["fig6", "--resume"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
+def table(out: str) -> str:
+    """A figure command's stdout minus its trailing wall-time line."""
+    return out[:out.index("\n[")]
+
+
+class TestJobs:
+    def test_jobs_prints_the_bare_table_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["fig9", "--events", "3", "--utilization", "0.5"]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert main([*argv, "--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert "plmtf_qd_s" in bare
+        assert table(parallel) == table(bare)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_grid_figure_warns_and_runs(self, capsys):
+        assert main(["fig2", "--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert ("warning: fig2 does not support --jobs; running "
+                "sequentially") in captured.err
+        assert "event_level_ect" in captured.out

@@ -107,14 +107,3 @@ class TestFailureSweep:
         sequential = robustness.failure_sweep(**self.SWEEP, jobs=1)
         parallel = robustness.failure_sweep(**self.SWEEP, jobs=2)
         assert parallel.to_json() == sequential.to_json()
-
-    def test_resume_after_partial_checkpoint(self, tmp_path):
-        ck = tmp_path / "failures.jsonl"
-        reference = robustness.failure_sweep(**self.SWEEP, jobs=2,
-                                             checkpoint=ck)
-        lines = ck.read_text().splitlines()
-        assert len(lines) == 6
-        ck.write_text("\n".join(lines[:3]) + "\n")  # lose half the cells
-        resumed = robustness.failure_sweep(**self.SWEEP, jobs=1,
-                                           checkpoint=ck, resume=True)
-        assert resumed.to_json() == reference.to_json()

@@ -8,8 +8,6 @@ workers inherit it) instead of inline in the test files.
 from __future__ import annotations
 
 import os
-import time
-from pathlib import Path
 
 
 def echo(value):
@@ -22,21 +20,21 @@ def boom(message: str = "kaboom"):
     raise RuntimeError(message)
 
 
-def flaky(scratch: str, succeed_on: int = 2):
-    """Fail until attempt ``succeed_on``, using a scratch dir as the
-    cross-process attempt counter."""
-    marker = Path(scratch) / "attempts"
-    attempts = int(marker.read_text()) + 1 if marker.exists() else 1
-    marker.write_text(str(attempts))
-    if attempts < succeed_on:
-        raise RuntimeError(f"flaky attempt {attempts}")
-    return {"attempts": attempts}
+def bail(code: int):
+    """Raise SystemExit, as a cell calling ``sys.exit`` would."""
+    raise SystemExit(code)
 
 
-def nap(seconds: float):
-    """Sleep longer than any reasonable test timeout."""
-    time.sleep(seconds)
-    return "overslept"
+def die(code: int):
+    """Exit the worker process without reporting a result."""
+    os._exit(code)
+
+
+def touch(path: str):
+    """Create ``path`` as evidence that the cell ran; return it."""
+    with open(path, "w"):
+        pass
+    return path
 
 
 def record_pid():

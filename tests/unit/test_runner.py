@@ -4,7 +4,7 @@ Cheap cell functions live in ``tests/runner_cells.py`` so forked workers
 can resolve them by ``"runner_cells:<name>"`` reference.
 """
 
-import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,9 +17,7 @@ from repro.core.flow import flow_id_state, next_flow_id
 from repro.experiments.runner import (
     Cell,
     SweepError,
-    SweepListener,
     hermetic_ids,
-    load_checkpoint,
     resolve_cell_fn,
     run_cells,
 )
@@ -29,30 +27,10 @@ def echo_cell(key, value):
     return Cell(key=key, fn="runner_cells:echo", params={"value": value})
 
 
-class Recorder(SweepListener):
-    def __init__(self):
-        self.events = []
-
-    def on_sweep_start(self, total, resumed, jobs):
-        self.events.append(("start", total, resumed))
-
-    def on_cell_start(self, key, attempt):
-        self.events.append(("cell", key, attempt))
-
-    def on_cell_done(self, key, elapsed, done, total):
-        self.events.append(("done", key))
-
-    def on_cell_failed(self, key, error, attempt, will_retry):
-        self.events.append(("failed", key, attempt, will_retry))
-
-    def on_cell_resumed(self, key):
-        self.events.append(("resumed", key))
-
-    def on_sweep_end(self, completed, failed, elapsed):
-        self.events.append(("end", completed, failed))
-
-    def count(self, kind):
-        return sum(1 for e in self.events if e[0] == kind)
+def touch_cell(key, directory):
+    """A cell that leaves ``directory/key`` behind when it runs."""
+    return Cell(key=key, fn="runner_cells:touch",
+                params={"path": str(directory / key)})
 
 
 class TestCellBasics:
@@ -62,12 +40,6 @@ class TestCellBasics:
     def test_resolve_rejects_bad_refs(self):
         with pytest.raises(ValueError, match="pkg.module:function"):
             resolve_cell_fn("no_colon_here")
-
-    def test_fingerprint_tracks_params(self):
-        a = echo_cell("k", 1)
-        b = echo_cell("k", 2)
-        assert a.fingerprint() == echo_cell("k", 1).fingerprint()
-        assert a.fingerprint() != b.fingerprint()
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -89,34 +61,34 @@ class TestCellBasics:
 class TestSerial:
     def test_results_in_cell_order(self):
         cells = [echo_cell(f"c{i}", i) for i in range(5)]
-        outcomes = run_cells(cells)
-        assert list(outcomes) == [f"c{i}" for i in range(5)]
-        assert [o.value["value"] for o in outcomes.values()] == list(range(5))
+        values = run_cells(cells)
+        assert list(values) == [f"c{i}" for i in range(5)]
+        assert [v["value"] for v in values.values()] == list(range(5))
 
-    def test_strict_failure_raises_sweep_error(self):
-        cells = [echo_cell("good", 1),
-                 Cell(key="bad", fn="runner_cells:boom",
+    def test_strict_failure_raises_sweep_error(self, tmp_path):
+        cells = [Cell(key="bad", fn="runner_cells:boom", params={}),
+                 touch_cell("good", tmp_path),
+                 Cell(key="worse", fn="runner_cells:boom",
                       params={"message": "nope"}),
-                 echo_cell("also-good", 2)]
-        with pytest.raises(SweepError, match="bad"):
-            run_cells(cells, retries=0)
+                 touch_cell("also-good", tmp_path)]
+        with pytest.raises(SweepError, match="bad, worse") as caught:
+            run_cells(cells)
+        assert list(caught.value.failures) == ["bad", "worse"]
+        # the good cells after a failure still ran
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "also-good", "good"]
 
     def test_non_strict_records_traceback(self):
-        outcomes = run_cells(
-            [Cell(key="bad", fn="runner_cells:boom", params={})],
-            retries=0, strict=False)
-        assert not outcomes["bad"].ok
-        assert "kaboom" in outcomes["bad"].error
-
-    def test_retry_recovers_flaky_cell(self, tmp_path):
-        listener = Recorder()
-        outcomes = run_cells(
-            [Cell(key="flaky", fn="runner_cells:flaky",
-                  params={"scratch": str(tmp_path)})],
-            retries=1, listener=listener)
-        assert outcomes["flaky"].value == {"attempts": 2}
-        assert outcomes["flaky"].attempts == 2
-        assert listener.count("failed") == 1
+        # every failure's traceback travels on the SweepError
+        cells = [Cell(key="bad", fn="runner_cells:boom", params={}),
+                 Cell(key="worse", fn="runner_cells:boom",
+                      params={"message": "nope"})]
+        with pytest.raises(SweepError) as caught:
+            run_cells(cells)
+        failures = caught.value.failures
+        assert "Traceback" in failures["bad"]
+        assert "RuntimeError: kaboom" in failures["bad"]
+        assert "RuntimeError: nope" in failures["worse"]
 
 
 class TestPool:
@@ -125,109 +97,44 @@ class TestPool:
         serial = run_cells(cells, jobs=1)
         parallel = run_cells(cells, jobs=3)
         assert list(parallel) == list(serial)
-        assert ([o.value["value"] for o in parallel.values()]
-                == [o.value["value"] for o in serial.values()])
+        assert ([v["value"] for v in parallel.values()]
+                == [v["value"] for v in serial.values()])
 
     def test_cells_run_in_other_processes(self):
-        import os
         cells = [Cell(key=f"p{i}", fn="runner_cells:record_pid", params={})
                  for i in range(4)]
-        outcomes = run_cells(cells, jobs=2)
-        assert all(o.value != os.getpid() for o in outcomes.values())
+        values = run_cells(cells, jobs=2)
+        assert all(pid != os.getpid() for pid in values.values())
 
-    def test_worker_exception_reported_with_retry(self):
-        listener = Recorder()
-        outcomes = run_cells(
-            [Cell(key="bad", fn="runner_cells:boom", params={})],
-            jobs=2, retries=1, strict=False, listener=listener)
-        assert not outcomes["bad"].ok
-        assert "kaboom" in outcomes["bad"].error
-        assert outcomes["bad"].attempts == 2
-        assert listener.count("failed") == 2
+    def test_worker_exception_reported(self):
+        cells = [Cell(key="bad", fn="runner_cells:boom", params={}),
+                 echo_cell("good", 1)]
+        with pytest.raises(SweepError) as caught:
+            run_cells(cells, jobs=2)
+        assert list(caught.value.failures) == ["bad"]
+        assert "RuntimeError: kaboom" in caught.value.failures["bad"]
 
-    def test_timeout_kills_hung_worker(self):
-        cells = [Cell(key="hang", fn="runner_cells:nap",
-                      params={"seconds": 60.0}),
-                 echo_cell("quick", 1)]
-        outcomes = run_cells(cells, jobs=2, timeout=1.0, retries=0,
-                             strict=False)
-        assert not outcomes["hang"].ok
-        assert "killed" in outcomes["hang"].error
-        assert outcomes["quick"].ok
+    def test_worker_crash_names_key_and_exit_code(self, tmp_path):
+        cells = [Cell(key="dead", fn="runner_cells:die", params={"code": 3}),
+                 *(touch_cell(f"c{i}", tmp_path) for i in range(3))]
+        with pytest.raises(SweepError, match="dead") as caught:
+            run_cells(cells, jobs=2)
+        assert list(caught.value.failures) == ["dead"]
+        assert "exit code 3" in caught.value.failures["dead"]
+        # its siblings still ran to completion
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c0", "c1", "c2"]
+
+    def test_worker_system_exit_reported_with_traceback(self):
+        cells = [Cell(key="bail", fn="runner_cells:bail", params={"code": 0}),
+                 echo_cell("good", 1)]
+        with pytest.raises(SweepError) as caught:
+            run_cells(cells, jobs=2)
+        assert list(caught.value.failures) == ["bail"]
+        assert "SystemExit: 0" in caught.value.failures["bail"]
 
     def test_pool_needs_at_least_two_pending(self):
         # one runnable cell short-circuits to the in-process path
-        outcomes = run_cells([echo_cell("only", 7)], jobs=8)
-        assert outcomes["only"].value["value"] == 7
-
-
-class TestCheckpoint:
-    def test_checkpoint_roundtrip_and_resume(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        cells = [echo_cell(f"c{i}", i) for i in range(3)]
-        first = run_cells(cells, checkpoint=ck)
-        listener = Recorder()
-        second = run_cells(cells, checkpoint=ck, resume=True,
-                           listener=listener)
-        assert listener.count("resumed") == 3
-        assert listener.count("cell") == 0  # nothing recomputed
-        assert ([o.value for o in second.values()]
-                == [o.value for o in first.values()])
-        assert all(o.cached for o in second.values())
-
-    def test_fingerprint_mismatch_forces_recompute(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        run_cells([echo_cell("c0", 1)], checkpoint=ck)
-        listener = Recorder()
-        outcomes = run_cells([echo_cell("c0", 999)], checkpoint=ck,
-                             resume=True, listener=listener)
-        assert listener.count("resumed") == 0
-        assert outcomes["c0"].value["value"] == 999
-
-    def test_malformed_trailing_line_warns_and_recomputes(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        cells = [echo_cell(f"c{i}", i) for i in range(3)]
-        run_cells(cells, checkpoint=ck)
-        lines = ck.read_text().splitlines()
-        ck.write_text("\n".join(lines[:-1]) + '\n{"key": "c2", "status\n')
-        with pytest.warns(RuntimeWarning, match="trailing line"):
-            entries = load_checkpoint(ck)
-        assert set(entries) == {"c0", "c1"}
-        listener = Recorder()
-        with pytest.warns(RuntimeWarning):
-            outcomes = run_cells(cells, checkpoint=ck, resume=True,
-                                 listener=listener)
-        assert listener.count("resumed") == 2
-        assert listener.count("cell") == 1
-        assert outcomes["c2"].value["value"] == 2
-
-    def test_failed_entries_are_retried_on_resume(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        run_cells([Cell(key="flaky", fn="runner_cells:flaky",
-                        params={"scratch": str(tmp_path)})],
-                  checkpoint=ck, retries=0, strict=False)
-        outcomes = run_cells(
-            [Cell(key="flaky", fn="runner_cells:flaky",
-                  params={"scratch": str(tmp_path)})],
-            checkpoint=ck, resume=True, retries=0)
-        assert outcomes["flaky"].ok
-        # the checkpoint now ends with the successful entry
-        entries = load_checkpoint(ck)
-        assert entries["flaky"]["status"] == "ok"
-
-    def test_without_resume_checkpoint_starts_fresh(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        run_cells([echo_cell("old", 1)], checkpoint=ck)
-        run_cells([echo_cell("new", 2)], checkpoint=ck)
-        entries = load_checkpoint(ck)
-        assert set(entries) == {"new"}
-
-    def test_checkpoint_lines_are_valid_json_records(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        run_cells([echo_cell("c0", 5)], checkpoint=ck)
-        (line,) = ck.read_text().splitlines()
-        entry = json.loads(line)
-        assert entry["key"] == "c0"
-        assert entry["status"] == "ok"
-        assert len(entry["fingerprint"]) == 16
-        assert entry["value"]["value"] == 5
+        values = run_cells([echo_cell("only", 7)], jobs=8)
+        assert values["only"]["value"] == 7
+        assert values["only"]["pid"] == os.getpid()
