@@ -79,7 +79,8 @@ class LifecycleAuditor:
     * no event occupies a mid-round state (``PROBED``/``ADMITTED``/
       ``DEFERRED`` populations are zero),
     * the pipeline queue mirrors the lifecycle's ``QUEUED`` population and
-      the hook's ``waiting`` snapshot,
+      the metrics collector's waiting ledger (the events it has an open
+      queue stay for, which ``rounds_waited`` is charged from),
     * ``events_remaining`` equals the live lifecycle population
       (``QUEUED`` + ``EXECUTING``),
     * the metrics collector has a record per registered event and its
@@ -116,18 +117,16 @@ class LifecycleAuditor:
 
     def _on_post_round(self, hook: PostRound) -> None:
         if hook.index % self._every == 0:
-            self.audit(round_index=hook.index, waiting=hook.waiting)
+            self.audit(round_index=hook.index)
 
     # -------------------------------------------------------------- checks
 
-    def audit(self, round_index: int | None = None,
-              waiting: tuple[str, ...] | None = None) -> None:
+    def audit(self, round_index: int | None = None) -> None:
         """Run every cross-check now; raise :class:`AuditError` on drift.
 
         Args:
             round_index: the settled round's 1-based index, when invoked
                 from ``PostRound`` (enables the round-counting checks).
-            waiting: the hook's queue snapshot, when available.
         """
         sim = self._require_sim()
         counts = sim.lifecycle.counts()
@@ -153,10 +152,10 @@ class LifecycleAuditor:
                 collector.completed_count, counts[EventState.COMPLETED]),
             "metrics_dropped_vs_lifecycle": (
                 collector.dropped_count, counts[EventState.DROPPED]),
+            "waiting_ledger_vs_queue": _first_difference(
+                sorted(collector.waiting_ids),
+                sorted(pipeline.queued_event_ids())),
         }
-        if waiting is not None:
-            checks["hook_waiting_vs_queue"] = (
-                sorted(waiting), sorted(pipeline.queued_event_ids()))
         if round_index is not None:
             checks["metrics_rounds_vs_round_index"] = (
                 collector.round_count, round_index)

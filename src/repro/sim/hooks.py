@@ -20,7 +20,7 @@ StateTransition     every :class:`~repro.sim.lifecycle.EventLifecycle` move
 EventArrived        an event enters the queue (arrival or repair)
 PreRound            a round was decided, before its admissions execute
                     (fires for empty rounds too)
-PostRound           an executing round finished its queue bookkeeping
+PostRound           a round settled (fires for empty rounds too)
 EventAdmitted       one admission executed successfully
 ExecutionRetried    the executor burned failed attempts (success or not)
 ExecutionFailed     an admission's execution failed terminally
@@ -154,16 +154,15 @@ class PreRound(Hook):
 
 @dataclass(frozen=True, slots=True)
 class PostRound(Hook):
-    """An executing round settled; ``waiting`` are the still-queued events.
+    """Round ``index`` settled (empty rounds included).
 
-    ``waiting`` is the one O(queue) payload a round still carries: it
-    feeds ``EventRecord.rounds_waited`` (which checkpoints serialize) and
-    the auditor's ``hook_waiting_vs_queue`` check, so it is always present.
+    The payload is O(1): the metrics collector charges
+    ``EventRecord.rounds_waited`` per queue stay from ``StateTransition``
+    moves, counting the ``PostRound`` emissions that fell inside it.
     """
 
     now: float
     index: int
-    waiting: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, KeysView
 
 from repro.sim import hooks as _hooks
-from repro.sim.lifecycle import in_registration_order
+from repro.sim.lifecycle import EventState, in_registration_order
+
+#: The lifecycle states of an event that sits in the scheduler queue.
+_QUEUE_STATES = frozenset({EventState.QUEUED, EventState.PROBED})
 
 
 @dataclass
@@ -228,6 +231,8 @@ class RunCounter:
 #: the same totals. ``rounds`` counts decided rounds (``RunMetrics.rounds``)
 #: and ``rounds_settled`` settled ones (``repro_rounds_total``): a
 #: snapshot tick can land between a round's ``PreRound`` and ``PostRound``.
+#: ``rounds_settled`` is also the clock ``EventRecord.rounds_waited`` is
+#: charged by: a stay in the queue costs the rounds settled during it.
 RUN_COUNTERS: tuple[RunCounter, ...] = (
     RunCounter("rounds", _hooks.PreRound),
     RunCounter("total_plan_time", _hooks.PreRound, "plan_time", zero=0.0),
@@ -280,14 +285,18 @@ class MetricsCollector:
         # The records no completion or drop has closed yet: what a
         # checkpoint still has to carry (registration order, like _records).
         self._open: dict[str, EventRecord] = {}
+        # Queued events -> ``rounds_settled`` when their current stay in
+        # the queue began (or was last settled); the stay is charged to
+        # ``rounds_waited`` when the event leaves the queue.
+        self._waiting_since: dict[str, int] = {}
         self._completed = 0
         self._dropped = 0
         self._makespan = 0.0
         #: Current value of every declared run counter, by name.
         self.totals: dict[str, int | float] = {
             counter.name: counter.zero for counter in RUN_COUNTERS}
+        bus.subscribe(_hooks.StateTransition, self._on_transition)
         bus.subscribe(_hooks.EventArrived, self._on_arrived)
-        bus.subscribe(_hooks.PostRound, self._on_post_round)
         bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
         bus.subscribe(_hooks.EventCompleted, self._on_completed)
         bus.subscribe(_hooks.EventDeferred, self._on_deferred)
@@ -316,9 +325,31 @@ class MetricsCollector:
             EventRecord(event_id=hook.event_id, arrival_time=hook.now,
                         flow_count=hook.flow_count))
 
-    def _on_post_round(self, hook: _hooks.PostRound) -> None:
-        for event_id in hook.waiting:
-            self._record(event_id).rounds_waited += 1
+    def _on_transition(self, hook: _hooks.StateTransition) -> None:
+        """Open a queue stay on entry, charge it on exit.
+
+        A round settled while an event sits in the queue costs it one
+        ``rounds_waited``; charging the whole stay when it ends keeps a
+        settled round O(1) in the queue depth.
+        """
+        move = hook.record
+        queued = move.to in _QUEUE_STATES
+        if queued == (move.frm in _QUEUE_STATES):
+            return
+        if queued:
+            self._waiting_since[move.event_id] = int(
+                self.totals["rounds_settled"])
+        else:
+            since = self._waiting_since.pop(move.event_id)
+            self._record(move.event_id).rounds_waited += int(
+                self.totals["rounds_settled"]) - since
+
+    def _settle_waiting(self) -> None:
+        """Charge every open queue stay up to now (before a read)."""
+        now = int(self.totals["rounds_settled"])
+        for event_id, since in self._waiting_since.items():
+            self._records[event_id].rounds_waited += now - since
+            self._waiting_since[event_id] = now
 
     def _on_admitted(self, hook: _hooks.EventAdmitted) -> None:
         """Accumulate one admission's realized plan cost.
@@ -377,7 +408,10 @@ class MetricsCollector:
         A completed or dropped record never changes again;
         :meth:`export_record` hands it to the history log once, so a
         checkpoint costs O(open events) however long the service has run.
+        Open queue stays are settled first, so ``rounds_waited`` counts
+        every round settled so far.
         """
+        self._settle_waiting()
         return {
             "records": [dict(vars(r)) for r in self._open.values()],
             "completed": self._completed,
@@ -414,10 +448,17 @@ class MetricsCollector:
         for name, initial in self.totals.items():
             self.totals[name] = type(initial)(state["totals"][name])
 
+    def restamp_waiting(self, event_ids: Iterable[str]) -> None:
+        """Open a queue stay for each of ``event_ids`` now — the queue of a
+        checkpoint-restored run, whose stays were settled at export."""
+        now = int(self.totals["rounds_settled"])
+        self._waiting_since = dict.fromkeys(event_ids, now)
+
     # ------------------------------------------------------------- finalize
 
     @property
     def records(self) -> dict[str, EventRecord]:
+        self._settle_waiting()
         return dict(self._records)
 
     # O(1) counters the lifecycle auditor cross-checks on every PostRound;
@@ -438,6 +479,12 @@ class MetricsCollector:
     def dropped_count(self) -> int:
         """Events evicted after exhausting their deferrals."""
         return self._dropped
+
+    @property
+    def waiting_ids(self) -> KeysView[str]:
+        """The events with an open queue stay (the auditor checks them
+        against the pipeline queue)."""
+        return self._waiting_since.keys()
 
     @property
     def round_count(self) -> int:

@@ -3,10 +3,10 @@
 One scheduling round runs through six ordered stages::
 
     collect ──► schedule ──► admit ──► execute ──► settle ──► account
-    build the   consult       assert     apply       queue      verify
-    round's     scheduler,    lifecycle  plans,      waits,     network
-    context     fall back     moves,     schedule    round      invariants
-                on stalls     announce   flow        log,
+    build the   consult       assert     apply       log and    verify
+    round's     scheduler,    lifecycle  plans,      announce   network
+    context     fall back     moves,     schedule    the round, invariants
+                on stalls     announce   flow        arm the
                               the round  finishes    barrier
 
 The pipeline owns all round state (queue, round counters, deferral
@@ -315,9 +315,7 @@ class RoundPipeline:
             # auditor turns into a hard failure).
             self._log_round(decision, plan_time, admitted_ids=(),
                             total_cost=0.0)
-            self._hooks.emit(PostRound(
-                now=now, index=self._round_index,
-                waiting=self.queued_event_ids()))
+            self._hooks.emit(PostRound(now=now, index=self._round_index))
             self._round_active = False
             self._check_deadlock()
             return False
@@ -405,7 +403,7 @@ class RoundPipeline:
                 admitted_ids: list[str], total_cost: float,
                 round_end: float, total_stages: int = 0,
                 max_transient_overload: float = 0.0) -> None:
-        """Stage 5 — log the round, charge queue waits, arm the barrier.
+        """Stage 5 — log the round, announce it, arm the barrier.
 
         The round log is appended *before* PostRound goes out so that
         PostRound subscribers (the lifecycle auditor above all) observe
@@ -416,9 +414,8 @@ class RoundPipeline:
         self._log_round(decision, plan_time, admitted_ids=admitted_ids,
                         total_cost=total_cost, total_stages=total_stages,
                         max_transient_overload=max_transient_overload)
-        self._hooks.emit(PostRound(
-            now=self._engine.now, index=self._round_index,
-            waiting=self.queued_event_ids()))
+        self._hooks.emit(PostRound(now=self._engine.now,
+                                   index=self._round_index))
         if setup_barrier:
             self._engine.schedule_callback(round_end, self._end_round,
                                            tag="end-round")

@@ -733,6 +733,10 @@ class SimulationService:
         sim.lifecycle.restore_state(checkpoint["lifecycle"], settled)
         sim.metrics_collector.restore_state(checkpoint["metrics"], settled)
         sim.pipeline.restore_state(checkpoint["pipeline"], rounds)
+        # The checkpoint settled every queue stay at export; the restored
+        # queue's stays reopen at the restored round count.
+        sim.metrics_collector.restamp_waiting(
+            sim.pipeline.queued_event_ids())
         if sim.churn is not None and checkpoint["churn"] is not None:
             sim.churn.restore_state(checkpoint["churn"])
         sim.scheduler.restore_state(checkpoint["sched"])

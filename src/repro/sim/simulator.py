@@ -150,7 +150,7 @@ class UpdateSimulator:
             audit = os.environ.get("REPRO_AUDIT", "0") not in ("", "0")
         if audit:
             # Attached last: the auditor must observe PostRound *after*
-            # the metrics collector charged its waits and rounds.
+            # the metrics collector counted the round.
             self._auditor = LifecycleAuditor()
             self.attach(self._auditor)
         self._submitted: list[UpdateEvent] = []

@@ -41,30 +41,30 @@ def build_simulator(events=None, audit=None, config=None):
 
 
 class _Tamper:
-    """Hook plugin corrupting one ledger on the first PostRound.
+    """Hook plugin corrupting one ledger on the ``at_round``-th PostRound.
 
     Attached *before* the auditor so the corruption is visible to the
     audit of the same round.
     """
 
-    def __init__(self, corrupt):
+    def __init__(self, corrupt, at_round=1):
         self._corrupt = corrupt
-        self._done = False
+        self._at_round = at_round
 
     def attach(self, sim):
         self._sim = sim
         sim.hooks.subscribe(PostRound, self._on_post_round)
 
     def _on_post_round(self, hook):
-        if not self._done:
-            self._done = True
+        if hook.index == self._at_round:
             self._corrupt(self._sim)
 
 
-def run_tampered(corrupt):
-    """Run a sim with ``corrupt`` applied just before the first audit."""
+def run_tampered(corrupt, at_round=1):
+    """Run a sim with ``corrupt`` applied just before the ``at_round``-th
+    audit."""
     sim = build_simulator()
-    sim.attach(_Tamper(corrupt))
+    sim.attach(_Tamper(corrupt, at_round))
     auditor = LifecycleAuditor()
     sim.attach(auditor)
     with pytest.raises(AuditError) as excinfo:
@@ -167,6 +167,33 @@ class TestDesyncDetection:
             lambda sim: sim.metrics_collector._records.pop(
                 next(iter(sim.metrics_collector._records))))
         assert "metrics_records_vs_lifecycle_registered" in err.diff
+
+    def test_waiting_ledger_missing_a_queued_event(self):
+        dropped = []
+
+        def corrupt(sim):
+            queued = sim.pipeline.queued_event_ids()
+            assert len(queued) == 2
+            dropped.append(queued[-1])
+            del sim.metrics_collector._waiting_since[queued[-1]]
+        err = run_tampered(corrupt)
+        assert set(err.diff) == {"waiting_ledger_vs_queue"}
+        (_, observed), (_, expected) = err.diff["waiting_ledger_vs_queue"]
+        assert expected == dropped[0] and observed != expected
+
+    def test_waiting_ledger_holding_a_completed_event(self):
+        added = []
+
+        def corrupt(sim):
+            (done,) = sim.lifecycle.in_state(EventState.COMPLETED)
+            added.append(done)
+            collector = sim.metrics_collector
+            collector._waiting_since[done] = collector.totals[
+                "rounds_settled"]
+        err = run_tampered(corrupt, at_round=2)
+        assert set(err.diff) == {"waiting_ledger_vs_queue"}
+        (_, observed), (_, expected) = err.diff["waiting_ledger_vs_queue"]
+        assert observed == added[0] and observed != expected
 
     def test_round_count_drift(self):
         err = run_tampered(lambda sim: sim.metrics_collector.totals.update(

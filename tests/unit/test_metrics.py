@@ -15,7 +15,9 @@ from repro.sim.hooks import (
     HookBus,
     PostRound,
     PreRound,
+    StateTransition,
 )
+from repro.sim.lifecycle import EventState, TransitionRecord
 from repro.sim.metrics import (
     EventRecord,
     RUN_COUNTERS,
@@ -86,6 +88,18 @@ def admit(bus, event_id, exec_start, cost=0.0, migrations=0,
 
 def complete(bus, event_id, now):
     bus.emit(EventCompleted(now, event_id))
+
+
+def moves(bus, event_id, *path, at=0.0):
+    """Announce ``event_id``'s lifecycle moves along ``path`` (``None``
+    first for the registration), as the pipeline does."""
+    for frm, to in zip(path, path[1:]):
+        bus.emit(StateTransition(TransitionRecord(event_id, frm, to, at)))
+
+
+QUEUED, PROBED, ADMITTED, EXECUTING = (
+    EventState.QUEUED, EventState.PROBED, EventState.ADMITTED,
+    EventState.EXECUTING)
 
 
 class TestCollector:
@@ -168,15 +182,23 @@ class TestCollector:
 
 class TestCollectorCheckpointing:
     def build(self):
+        """U1 dropped, U2 executing, U3 completed and U4 still queued when
+        the one round settles."""
         bus, collector = feed()
         for eid in ("U1", "U2", "U3", "U4"):
+            moves(bus, eid, None, QUEUED)
             arrive(bus, eid, 1.0, 2)   # equal arrivals: order ties
         round_(bus, 0.5)
+        moves(bus, "U2", QUEUED, PROBED, ADMITTED, EXECUTING)
+        moves(bus, "U3", QUEUED, PROBED, ADMITTED, EXECUTING)
         admit(bus, "U3", 1.5, cost=7.0, migrations=1)
+        moves(bus, "U3", EXECUTING, EventState.COMPLETED)
         complete(bus, "U3", 4.0)
+        moves(bus, "U1", QUEUED, EventState.DEFERRED)
         bus.emit(EventDeferred(4.5, "U1", 1))
+        moves(bus, "U1", EventState.DEFERRED, EventState.DROPPED)
         bus.emit(EventDropped(5.0, "U1", stranded_demand=3.0))
-        bus.emit(PostRound(5.0, 0, ("U4",)))
+        bus.emit(PostRound(5.0, 1))
         return bus, collector
 
     def test_export_carries_open_records_only(self):
@@ -198,6 +220,21 @@ class TestCollectorCheckpointing:
         assert (list(restored.records.items())
                 == list(collector.records.items()))
         assert restored.incomplete_events() == ["U2", "U4"]
+
+    def test_restamped_queue_keeps_charging(self):
+        bus, collector = self.build()
+        restored_bus, restored = feed()
+        restored.restore_state(collector.export_state(), [
+            {"index": index, "record": collector.export_record(eid)}
+            for index, eid in ((2, "U3"), (0, "U1"))])
+        restored.restamp_waiting(["U4"])
+        for tap, ledger in ((bus, collector), (restored_bus, restored)):
+            tap.emit(PostRound(6.0, 2))
+            moves(tap, "U4", QUEUED, PROBED, ADMITTED)
+            tap.emit(PostRound(7.0, 3))
+        assert list(restored.waiting_ids) == list(collector.waiting_ids) == []
+        assert (restored.records["U4"].rounds_waited
+                == collector.records["U4"].rounds_waited == 2)
         for each in (bus, restored_bus):
             for eid in ("U2", "U4"):
                 admit(each, eid, 2.0)

@@ -214,6 +214,25 @@ class TestExactResume:
         assert resumed.restarts == 1
         assert baseline.restarts == 0
 
+    def test_restored_queue_keeps_its_waits(self, tmp_path, monkeypatch):
+        """The checkpoint holds queued events that have already waited
+        rounds; the resume reopens their queue stays at the restored round
+        count, so the records :func:`assert_same_run` compares still count
+        the rounds waited on both sides of the crash."""
+        baseline = serve_fresh(tmp_path / "baseline")
+        state = crash_state(tmp_path, monkeypatch, "post-round", 6)
+        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
+        queued = {entry["event"]["event_id"]
+                  for entry in checkpoint["pipeline"]["queue"]}
+        waited = {r["event_id"]: r["rounds_waited"]
+                  for r in checkpoint["metrics"]["records"]
+                  if r["event_id"] in queued}
+        assert waited and min(waited.values()) > 0
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        resumed = serve_fresh(state, resume=True)
+        assert_same_run(baseline, resumed)
+        assert resumed[0]._sim.auditor.audits > 0
+
     def test_crash_mid_journal_append_leaves_torn_tail(self, tmp_path,
                                                        monkeypatch):
         """The armed append flushes half a frame before dying; the resume
