@@ -162,7 +162,7 @@ class Placement:
     def links(self) -> tuple[tuple[str, str], ...]:
         """The directed links traversed by the path.
 
-        Interned candidate paths derive their links once and keep them;
+        Candidate paths derive their links once and keep them;
         for plain node tuples the zip is computed once and cached on the
         instance — placements are read far more often than they are created.
         """

@@ -201,8 +201,8 @@ class MigrationPlanner:
         own = frozenset((placement.flow.flow_id,))
         for path in self._provider.paths(placement.flow.src,
                                          placement.flow.dst):
-            # Provider paths are interned CandidatePaths: membership tests
-            # run on the link frozenset the path keeps after its first read.
+            # The pair's cached CandidatePaths: membership tests run on
+            # the link frozenset each path keeps after its first read.
             if link in path.link_set:
                 continue
             if state.path_feasible(path, placement.flow.demand, ignore=own):

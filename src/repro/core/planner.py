@@ -193,12 +193,20 @@ class EventPlanner:
     def _plan_flow(self, state: NetworkView, flow: Flow,
                    protected: frozenset[str],
                    rng: random.Random) -> tuple[FlowPlan | None, int]:
-        """Place one flow, migrating existing flows if necessary."""
-        paths: Sequence[CandidatePath] = \
-            self._provider.paths(flow.src, flow.dst)
+        """Place one flow, migrating existing flows if necessary.
+
+        Under ``desired`` selection only the desired candidate is built
+        until it fails even with migration; the pair's full candidate
+        tuple is asked for only then.
+        """
+        provider, src, dst = self._provider, flow.src, flow.dst
         ops = 0
-        if self._config.path_selection == "desired":
-            desired = self.desired_path(flow, paths)
+        if self._config.path_selection != "desired":
+            paths: Sequence[CandidatePath] = provider.paths(src, dst)
+        else:
+            index = self.desired_index(flow,
+                                       provider.candidate_count(src, dst))
+            desired = provider.candidate(src, dst, index)
             ops += 1
             if state.path_feasible(desired, flow.demand):
                 try:
@@ -219,7 +227,8 @@ class EventPlanner:
             # alternate-path search below. The desired path is excluded — it
             # was just proven infeasible (and its migration attempt failed),
             # so re-probing it could only repeat that result.
-            paths = [p for p in paths if p is not desired]
+            paths = [p for i, p in enumerate(provider.paths(src, dst))
+                     if i != index]
 
         ops += len(paths)
         remaining = list(paths)
@@ -252,11 +261,16 @@ class EventPlanner:
         return None, ops
 
     @staticmethod
+    def desired_index(flow: Flow, count: int) -> int:
+        """Position of the flow's hash-designated (ECMP-style) desired
+        path among its pair's ``count`` candidates."""
+        return zlib.crc32(flow.flow_id.encode("utf-8")) % count
+
+    @staticmethod
     def desired_path(flow: Flow,
                      paths: Sequence[CandidatePath]) -> CandidatePath:
         """The flow's hash-designated (ECMP-style) desired path."""
-        digest = zlib.crc32(flow.flow_id.encode("utf-8"))
-        return paths[digest % len(paths)]
+        return paths[EventPlanner.desired_index(flow, len(paths))]
 
     def _try_migration(self, state: NetworkView, flow: Flow,
                        path: Sequence[str], protected: frozenset[str],

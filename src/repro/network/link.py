@@ -31,7 +31,7 @@ class LinkTable:
     Tables are interned per graph object (see :func:`link_table_for`): every
     :class:`~repro.network.network.Network` built on the same graph — and
     every copy, which shares the graph — shares one table, which is what
-    lets an interned candidate path's baked indices be valid across all of
+    lets a candidate path's baked indices be valid across all of
     them. The table is immutable after construction.
     """
 
@@ -65,7 +65,7 @@ def link_table_for(graph) -> LinkTable:
 def path_links(path: Sequence[str]) -> tuple[LinkId, ...]:
     """Return the directed links traversed by ``path`` in order.
 
-    Interned candidate paths (:class:`repro.network.routing.candidate.
+    Candidate paths (:class:`repro.network.routing.candidate.
     CandidatePath`) derive their links once and keep them; those are
     returned as-is instead of re-zipping the node tuple.
     """

@@ -10,7 +10,7 @@ simulator to assert the substrate never drifts.
 Link state lives in flat columns indexed by the graph's interned
 :class:`~repro.network.link.LinkTable`: ``capacity``/``used`` in
 ``array('d')`` and versions in a ``list[int]``, one slot per directed link.
-The string-keyed API is a thin shim over the columns; interned
+The string-keyed API is a thin shim over the columns;
 :class:`~repro.network.routing.candidate.CandidatePath` objects carry their
 link indices precomputed, so the hot loops (feasibility checks, placement,
 residual scans) iterate int tuples over the columns with no per-call tuple
@@ -254,7 +254,7 @@ class Network(NetworkState):
     def _path_indices(self, placement: Placement) -> Sequence[int]:
         """The link indices of a placement's path.
 
-        Interned candidate paths carry them baked; anything else (a plain
+        Candidate paths carry them baked; anything else (a plain
         node tuple from a test or trace) is mapped through the table. The
         path was validated at ``place`` time, so every link resolves.
         """
@@ -271,8 +271,8 @@ class Network(NetworkState):
             flow=flow, path=path if isinstance(path, tuple) else tuple(path))
         idx = getattr(placement.path, "link_idx", None)
         if idx is None or placement.path.table is not self._table:
-            # Candidate paths are validated at interning time; anything
-            # else is checked here.
+            # Candidate paths are validated when the provider builds them;
+            # anything else is checked here.
             self._validate_path(placement.path)
             index = self._table.index
             idx = [index[link] for link in placement.links]

@@ -1,12 +1,14 @@
-"""Interned candidate paths over the link index.
+"""Candidate paths over the link index.
 
 Every LMTF/P-LMTF round probes the same ``(src, dst)`` candidate sets over
 and over, and background churn places one candidate per respawned flow. A
-:class:`CandidatePath` exists **once** per candidate of a host pair, built
-by :class:`~repro.network.routing.provider.PathProvider` the first time it
-is asked for — :meth:`CandidatePath.make` validates what the topology
-enumerates (once per switch pair), :meth:`CandidatePath.prevalidated` joins
-a validated middle to a host pair's access links — and carries:
+:class:`CandidatePath` is built by
+:class:`~repro.network.routing.provider.PathProvider` —
+:meth:`CandidatePath.make` validates what the topology enumerates (once per
+switch pair), :meth:`CandidatePath.prevalidated` joins a validated middle to
+a host pair's access links — and lives as long as what holds it: a host
+pair's cached candidate tuple, or the placement of the one flow it was
+built for. It carries:
 
 * ``link_idx`` — the links as dense integer indices into the topology
   graph's :class:`~repro.network.link.LinkTable`, the representation the

@@ -32,7 +32,7 @@ def paths_avoiding(paths: Iterable[Sequence[str]],
     Used when searching for an alternate path for a migrated flow: the new
     path must avoid the congested link it is being moved away from.
 
-    Paths that are already tuples (including interned
+    Paths that are already tuples (including
     :class:`~repro.network.routing.candidate.CandidatePath` objects) pass
     through unchanged so their precomputed link data survives the filter.
     """

@@ -4,8 +4,8 @@ on demand.
 Candidate paths depend only on the graph, never on current utilization, and
 on every shipped topology they depend on the *hosts* only through the two
 access links: all pairs of single-homed hosts under one ordered pair of
-switches share the same middles. The provider therefore keeps three levels,
-each filled the first time it is asked for:
+switches share the same middles. The provider keeps two levels, each filled
+the first time it is asked for, and builds host-pair paths from them:
 
 * **attachments** — per single-homed host, its switch and the table indices
   of its up and down access links; read off the graph once, with no
@@ -16,18 +16,22 @@ each filled the first time it is asked for:
   ``max_paths`` and validated through :meth:`CandidatePath.make` exactly as
   a host pair's enumeration is (fat-tree k=8: 1 024 templates stand in for
   16 256 enumerations).
-* **candidates** — candidate ``i`` of a host pair is ``(src, *mid_i, dst)``
-  with ``link_idx = (up, *mid_idx_i, down)``, built when first asked for and
-  interned per ``(src, dst, i)``. Background churn scans a pair's index rows
-  (:meth:`PathProvider.link_rows`) and materialises only the one candidate
-  it places (:meth:`PathProvider.candidate`); planning reads the full tuple
-  (:meth:`PathProvider.paths`), which is made of those same objects.
 
-Identity tests (``path is desired``) are sound because each candidate
-exists exactly once per provider, whichever accessor handed it out first. A
-pair the structure does not cover (a multi-homed, banned or unknown host,
-``src == dst``) is enumerated whole, as every pair used to be, and raises
-the enumeration's errors.
+Candidate ``i`` of a host pair is ``(src, *mid_i, dst)`` with
+``link_idx = (up, *mid_idx_i, down)``. :meth:`PathProvider.paths` builds a
+pair's full tuple and caches it per pair; that tuple is the only place the
+provider keeps a path. :meth:`PathProvider.candidate` hands out a cached
+pair's own object and otherwise builds the one candidate asked for without
+keeping it, so a path churn places or a flow's desired path lives exactly
+as long as the placement holding it. :meth:`PathProvider.candidate_count`
+and :meth:`PathProvider.link_rows` answer from the template without
+building any path.
+
+Identity between accessors therefore holds only inside one cached tuple:
+``candidate(s, d, i) is paths(s, d)[i]`` once the pair is cached, and
+equality (node tuple, ``link_idx``, ``table``) always. A pair the structure
+does not cover (a multi-homed, banned or unknown host, ``src == dst``) is
+enumerated whole and cached, and raises the enumeration's errors.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ class PathProvider:
         self._max_paths = max_paths
         self._banned = frozenset(banned_nodes)
         self._cache: dict[tuple[str, str], tuple[CandidatePath, ...]] = {}
-        self._interned: dict[tuple[str, str, int], CandidatePath] = {}
         self._templates: dict[tuple[str, str], Template] = {}
         self._attach: dict[str, tuple[str, int, int]] | None = None
         self._table: LinkTable | None = None
@@ -145,17 +148,15 @@ class PathProvider:
 
     def _join(self, src: str, dst: str, i: int,
               structure: tuple[int, int, Template]) -> CandidatePath:
-        """Build and intern candidate ``i`` of a templated pair; callers
-        have looked it up and found it missing."""
+        """Build candidate ``i`` of a templated pair; nothing keeps it."""
         up, down, (middles, rows) = structure
-        path = self._interned[src, dst, i] = CandidatePath.prevalidated(
+        return CandidatePath.prevalidated(
             (src, *middles[i], dst), (up, *rows[i], down), self.table)
-        return path
 
     # ----------------------------------------------------------------- reads
 
     def paths(self, src: str, dst: str) -> tuple[CandidatePath, ...]:
-        """All candidate paths from ``src`` to ``dst`` (cached, interned).
+        """All candidate paths from ``src`` to ``dst``, cached per pair.
 
         Raises:
             TopologyError: no path exists between the hosts.
@@ -167,23 +168,42 @@ class PathProvider:
             if structure is None:
                 cached = self._enumerate(src, dst)
             else:
-                interned, (middles, __) = self._interned, structure[2]
-                cached = tuple(interned.get((src, dst, i))
-                               or self._join(src, dst, i, structure)
-                               for i in range(len(middles)))
+                cached = tuple(self._join(src, dst, i, structure)
+                               for i in range(len(structure[2][0])))
             self._cache[key] = cached
         return cached
 
     def candidate(self, src: str, dst: str, i: int) -> CandidatePath:
-        """``paths(src, dst)[i]`` — the same object — without building the
-        pair's other candidates when the pair is templated."""
-        path = self._interned.get((src, dst, i))
-        if path is None:
-            structure = self._structure(src, dst)
-            if structure is None:
-                return self.paths(src, dst)[i]
-            path = self._join(src, dst, i, structure)
-        return path
+        """``paths(src, dst)[i]``: the cached tuple's own object when the
+        pair is cached, otherwise — for a templated pair — a new equal
+        path that the provider does not keep, built without the pair's
+        other candidates.
+
+        Raises:
+            TopologyError: no path exists between the hosts.
+        """
+        cached = self._cache.get((src, dst))
+        if cached is not None:
+            return cached[i]
+        structure = self._structure(src, dst)
+        if structure is None:
+            return self.paths(src, dst)[i]
+        return self._join(src, dst, i, structure)
+
+    def candidate_count(self, src: str, dst: str) -> int:
+        """``len(paths(src, dst))``, read off the template for a templated
+        pair, so no path is built.
+
+        Raises:
+            TopologyError: no path exists between the hosts.
+        """
+        cached = self._cache.get((src, dst))
+        if cached is not None:
+            return len(cached)
+        structure = self._structure(src, dst)
+        if structure is None:
+            return len(self.paths(src, dst))
+        return len(structure[2][0])
 
     def link_rows(self, src: str, dst: str) -> tuple[
             int, int, tuple[tuple[int, ...], ...]] | None:
@@ -212,9 +232,9 @@ class PathProvider:
         return shuffled
 
     def cache_size(self) -> int:
-        """Host pairs whose full candidate tuple :meth:`paths` has handed
-        out. Candidates materialised one at a time through
-        :meth:`candidate` do not count."""
+        """Host pairs whose full candidate tuple :meth:`paths` has built.
+        Candidates built one at a time through :meth:`candidate` do not
+        count, and are not kept."""
         return len(self._cache)
 
     def warm(self, pairs: Sequence[tuple[str, str]]) -> None:

@@ -57,7 +57,7 @@ class NetworkState(abc.ABC):
     # :class:`~repro.network.link.LinkTable`: ``link_table()`` returns the
     # table (or ``None`` when the state is not index-backed) and
     # ``used_idx``/``capacity_idx``/``flows_idx``/``link_version_idx`` read
-    # one link's column slot. Interned candidate paths carry their link
+    # one link's column slot. Candidate paths carry their link
     # indices precomputed, so the hot loops (``path_residual``,
     # ``path_residuals``, place/remove feasibility scans) iterate int tuples
     # instead of hashing string-pair link ids. A state that returns a table

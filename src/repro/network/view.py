@@ -336,7 +336,7 @@ class NetworkView(NetworkState):
         table = self._table
         idx = getattr(path_t, "link_idx", None)
         if idx is not None and table is not None and path_t.table is table:
-            # Interned path: feasibility over the chain in one flat loop.
+            # Indexed path: feasibility over the chain in one flat loop.
             keys: Sequence = idx
             used_maps = self._used_maps
             root_used, root_cap = self._root_used, self._root_cap

@@ -166,10 +166,12 @@ class FeatureExtractor:
             return entry
         self.misses += 1
         pairs = []
+        provider = self._provider
         for flow in queued.remaining:
-            paths = self._provider.paths(flow.src, flow.dst)
-            desired = EventPlanner.desired_path(flow, paths)
-            pairs.append((flow.demand, desired))
+            index = EventPlanner.desired_index(
+                flow, provider.candidate_count(flow.src, flow.dst))
+            pairs.append((flow.demand,
+                          provider.candidate(flow.src, flow.dst, index)))
         if len(self._static) >= self._maxsize:
             oldest = next(iter(self._static))
             del self._static[oldest]

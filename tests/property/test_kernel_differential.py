@@ -5,7 +5,7 @@ observationally identical to the seed-era dict-keyed semantics.
 string-keyed implementations the kernel replaced: per-link dicts on the
 network, copy-on-write overlay dicts plus an operation log on the view.
 The state machine drives one random operation sequence through both
-implementations — interned :class:`CandidatePath` objects on the kernel
+implementations — :class:`CandidatePath` objects on the kernel
 side, plain node tuples on the reference side — and asserts that every
 observable agrees exactly: residuals (bit-equal floats, same arithmetic
 order), per-link usage, flow sets, version counters, placements, and the

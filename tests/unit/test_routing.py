@@ -341,9 +341,23 @@ class TestStructureEqualsEnumeration:
         assert provider.cache_size() == len(hosts) * (len(hosts) - 1)
 
 
+def alive_candidates(table):
+    """``CandidatePath``s over ``table`` that something still holds."""
+    return sum(type(obj) is CandidatePath and obj.table is table
+               for obj in gc.get_objects())
+
+
+def assert_equal_candidate(path, reference):
+    assert type(path) is CandidatePath
+    assert tuple(path) == tuple(reference)
+    assert path.link_idx == reference.link_idx
+    assert path.table is reference.table
+
+
 class TestCandidateIdentity:
-    """``candidate(s, d, i)`` and ``paths(s, d)[i]`` are one object,
-    whichever is asked first."""
+    """``candidate(s, d, i)`` equals ``paths(s, d)[i]`` always, and is the
+    same object once the pair's tuple is cached; the provider keeps no
+    path outside that tuple."""
 
     @pytest.fixture()
     def provider(self):
@@ -351,17 +365,31 @@ class TestCandidateIdentity:
 
     def test_single_first(self, provider):
         single = provider.candidate("h0_0_0", "h1_0_0", 2)
+        assert provider.candidate_count("h0_0_0", "h1_0_0") == 4
         assert provider.cache_size() == 0
-        assert provider.paths("h0_0_0", "h1_0_0")[2] is single
-        assert provider.candidate("h0_0_0", "h1_0_0", 2) is single
+        full = provider.paths("h0_0_0", "h1_0_0")
+        assert_equal_candidate(single, full[2])
+        assert provider.candidate("h0_0_0", "h1_0_0", 2) is full[2]
 
     def test_full_tuple_first(self, provider):
         full = provider.paths("h0_0_0", "h1_0_0")
         for i, path in enumerate(full):
             assert provider.candidate("h0_0_0", "h1_0_0", i) is path
 
+    def test_single_reads_keep_nothing(self, provider):
+        table = provider.table
+        hosts = provider.topology.hosts()
+        gc.collect()
+        before = alive_candidates(table)
+        for src, dst in itertools.permutations(hosts, 2):
+            for i in range(provider.candidate_count(src, dst)):
+                provider.candidate(src, dst, i)
+        gc.collect()
+        assert alive_candidates(table) == before
+        assert provider.cache_size() == 0
+
     @pytest.mark.parametrize("best_path_first", [True, False])
-    def test_best_path_hands_out_the_interned_object(self, best_path_first):
+    def test_best_path_hands_out_an_equal_candidate(self, best_path_first):
         topo = FatTreeTopology(k=4)
         provider = PathProvider(topo)
         loader = BackgroundLoader(topo.network(), provider, trace=None,
@@ -371,10 +399,12 @@ class TestCandidateIdentity:
             chosen = loader.best_path(flow)
             assert provider.cache_size() == 0
             full = provider.paths(flow.src, flow.dst)
+            assert sum(chosen == path for path in full) == 1
+            assert_equal_candidate(chosen, full[full.index(chosen)])
         else:
             full = provider.paths(flow.src, flow.dst)
             chosen = loader.best_path(flow)
-        assert sum(chosen is path for path in full) == 1
+            assert sum(chosen is path for path in full) == 1
 
 
 class TestChurnStaysLazy:
@@ -407,11 +437,16 @@ class TestChurnStaysLazy:
             tracemalloc.stop()
         assert placed > 1500
         assert provider.cache_size() == 0
-        assert len(provider._interned) <= placed + 1
         assert len(provider._templates) == len(calls) <= 1024
-        # Measured 2 590 B per respawn: one interned path with its key
-        # (~700 B), the placement and the network's flow sets, and a share
-        # of the 873 templates these flows touched (~2.8 KB each). With
-        # every new pair interning its 16 candidates the same loop
-        # retained 7 015 B per respawn.
+        # Measured 2 494 B per respawn: the placed path, the placement and
+        # the network's flow sets, and a share of the 873 templates these
+        # flows touched (~2.8 KB each). Building all 16 candidates of every
+        # new pair retains 7 015 B.
         assert retained / placed <= 3500
+        # The placements are all that hold the paths churn placed; a
+        # provider that kept them would leave ~1 979 alive here.
+        del path
+        for flow_id in list(network.flow_ids()):
+            network.remove(flow_id)
+        gc.collect()
+        assert alive_candidates(provider.table) == 0
