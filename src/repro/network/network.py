@@ -20,9 +20,7 @@ building or string-pair hashing.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import (
     DuplicateFlowError,
@@ -44,6 +42,9 @@ from repro.network.link import (
 )
 from repro.network.state import NetworkState
 
+if TYPE_CHECKING:
+    from repro.network.topology.base import Graph
+
 
 class Network(NetworkState):
     """A directed-capacity network holding a table of placed flows.
@@ -62,7 +63,7 @@ class Network(NetworkState):
             bandwidth-only hot path unchanged.
     """
 
-    def __init__(self, graph: nx.DiGraph, default_capacity: float = 1000.0,
+    def __init__(self, graph: Graph, default_capacity: float = 1000.0,
                  default_rule_capacity: int | None = None):
         if graph.number_of_nodes() == 0:
             raise TopologyError("cannot build a network from an empty graph")
@@ -108,10 +109,11 @@ class Network(NetworkState):
         self._node_ver_col: list[int] = [0] * len(rule_caps)
         # Indices of the switch-switch links, in table order: the column
         # the utilization statistics sum over.
-        kinds: Mapping[str, str] = nx.get_node_attributes(graph, "kind")
+        hosts = {n for n, d in graph.nodes(data=True)
+                 if d.get("kind") == "host"}
         self._switch_idx: list[int] = [
             i for i, (u, v) in enumerate(self._table.ids)
-            if kinds.get(u) != "host" and kinds.get(v) != "host"]
+            if u not in hosts and v not in hosts]
         # Each switch link's position in that column.
         self._switch_pos: dict[int, int] = {
             i: p for p, i in enumerate(self._switch_idx)}
@@ -119,7 +121,7 @@ class Network(NetworkState):
     # ------------------------------------------------------------- structure
 
     @property
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> Graph:
         """The underlying topology graph (shared, do not mutate)."""
         return self._graph
 

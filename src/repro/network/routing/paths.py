@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.network.link import LinkId, path_links
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def k_shortest_paths(graph: nx.DiGraph, src: str, dst: str,
@@ -16,6 +17,8 @@ def k_shortest_paths(graph: nx.DiGraph, src: str, dst: str,
 
     Returns an empty list when ``dst`` is unreachable from ``src``.
     """
+    import networkx as nx
+
     if k <= 0:
         return []
     try:

@@ -2,18 +2,27 @@
 
 A topology builds the directed-capacity graph the :class:`Network` runs on and
 knows how to enumerate candidate paths between hosts. Structured datacenter
-topologies (Fat-Tree, leaf-spine) enumerate their equal-cost paths directly;
-unstructured ones fall back to shortest-path search on the graph.
+topologies (Fat-Tree, leaf-spine) build a :class:`~repro.network.graph.DiGraph`
+and enumerate their equal-cost paths directly; unstructured ones (jellyfish,
+user graphs) build networkx graphs and fall back to shortest-path search.
 """
 
 from __future__ import annotations
 
 import abc
 import itertools
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.exceptions import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.network.graph import DiGraph
+
+    #: What a topology builds: the in-repo container for structured
+    #: fabrics, a networkx graph for jellyfish and user-supplied graphs.
+    Graph = DiGraph | nx.DiGraph
 
 
 class Topology(abc.ABC):
@@ -23,15 +32,15 @@ class Topology(abc.ABC):
     name: str = "topology"
 
     def __init__(self):
-        self._graph: nx.DiGraph | None = None
+        self._graph: Graph | None = None
 
     # ---------------------------------------------------------------- builds
 
     @abc.abstractmethod
-    def _build(self) -> nx.DiGraph:
+    def _build(self) -> Graph:
         """Construct the topology graph. Called once and cached."""
 
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> Graph:
         """The topology graph; built lazily, cached, and shared."""
         if self._graph is None:
             self._graph = self._build()
@@ -70,7 +79,10 @@ class Topology(abc.ABC):
 
     def _search_paths(self, src: str, dst: str,
                       max_paths: int = 16) -> list[tuple[str, ...]]:
-        """Shortest-path fallback used by unstructured topologies."""
+        """Shortest-path fallback used by unstructured topologies, whose
+        graphs are networkx graphs."""
+        import networkx as nx
+
         self._require_host(src)
         self._require_host(dst)
         try:

@@ -7,10 +7,15 @@ attribute, and candidate paths come from shortest-path search.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.exceptions import TopologyError
 from repro.network.topology.base import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.network.graph import DiGraph
 
 
 class CustomTopology(Topology):
@@ -22,17 +27,27 @@ class CustomTopology(Topology):
         name: label for reports.
         max_paths: cap on enumerated candidate paths per host pair.
 
-    Undirected graphs are accepted and converted to bidirected form.
+    Undirected graphs are accepted and converted to bidirected form. A
+    :class:`~repro.network.graph.DiGraph` (a structured topology's graph)
+    is copied into a networkx graph in the same node and edge order, since
+    path search runs on networkx.
     """
 
-    def __init__(self, graph: nx.Graph | nx.DiGraph, name: str = "custom",
-                 max_paths: int = 16):
+    def __init__(self, graph: nx.Graph | nx.DiGraph | DiGraph,
+                 name: str = "custom", max_paths: int = 16):
+        import networkx as nx
+
         super().__init__()
         if graph.number_of_nodes() == 0:
             raise TopologyError("custom topology needs a non-empty graph")
         if max_paths < 1:
             raise TopologyError("max_paths must be >= 1")
-        if not graph.is_directed():
+        if not isinstance(graph, nx.Graph):
+            source = nx.DiGraph()
+            source.add_nodes_from(graph.nodes(data=True))
+            source.add_edges_from(graph.edges(data=True))
+            graph = source
+        elif not graph.is_directed():
             graph = graph.to_directed()
         self._source = graph
         self.name = name

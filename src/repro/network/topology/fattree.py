@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
 from repro.core.exceptions import TopologyError
+from repro.network.graph import DiGraph
 from repro.network.topology.base import Topology
 
 
@@ -85,9 +84,9 @@ class FatTreeTopology(Topology):
 
     # ------------------------------------------------------------- building
 
-    def _build(self) -> nx.DiGraph:
+    def _build(self) -> DiGraph:
         k, half, cap = self.k, self.k // 2, self.link_capacity
-        graph = nx.DiGraph()
+        graph = DiGraph()
 
         def add_duplex(u: str, v: str) -> None:
             graph.add_edge(u, v, capacity=cap)

@@ -10,11 +10,13 @@ Node naming: ``h{switch}_{i}`` (host), ``t{j}`` (switch).
 from __future__ import annotations
 
 import random
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.exceptions import TopologyError
 from repro.network.topology.base import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class JellyfishTopology(Topology):
@@ -57,6 +59,8 @@ class JellyfishTopology(Topology):
         return f"t{j}"
 
     def _build(self) -> nx.DiGraph:
+        import networkx as nx
+
         rng = random.Random(self.seed)
         base = nx.random_regular_graph(self.degree, self.switches_count,
                                        seed=rng.randrange(2 ** 31))

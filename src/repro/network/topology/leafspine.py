@@ -10,9 +10,8 @@ Node naming: ``h{leaf}_{i}`` (host), ``l{j}`` (leaf), ``s{m}`` (spine).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.exceptions import TopologyError
+from repro.network.graph import DiGraph
 from repro.network.topology.base import Topology
 
 
@@ -65,8 +64,8 @@ class LeafSpineTopology(Topology):
             raise TopologyError(f"{host!r} is outside {self.name}")
         return leaf, index
 
-    def _build(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
+    def _build(self) -> DiGraph:
+        graph = DiGraph()
         cap = self.link_capacity
 
         def add_duplex(u: str, v: str) -> None:

@@ -27,7 +27,10 @@ nothing to place, so ``tight_flows``/``deficit_total`` are direct drivers
 of migration volume — which *is* ``Cost(U)``. The last two are recency
 signals the scheduler maintains, letting the model shift its estimates
 when the fabric is churning (faults bump link versions, which surface as
-probe-cache invalidations).
+probe-cache invalidations). ``fault_pressure`` therefore exists only with
+the probe cache on: with ``probe_cache=False`` it stays 0, so L-LMTF —
+unlike exact LMTF — does not schedule bit-identically with the cache on
+or off.
 
 The per-flow desired paths and demands never change for a given
 ``(event_id, remaining flows)`` key, so they are memoized exactly like

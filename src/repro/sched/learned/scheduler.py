@@ -69,6 +69,9 @@ class LearnedLMTFScheduler(LMTFScheduler):
         alpha: LMTF sampling width (non-head candidates per round).
         seed: private sampling-RNG seed (same stream as exact LMTF).
         probe_cache: memoize exact probes by footprint (inherited).
+            Unlike exact LMTF, turning it off changes the schedule: the
+            ``fault_pressure`` feature is an EWMA of cache invalidations
+            and stays 0 without a cache.
         budget: exact probes per confident round (>= 1). The queue head
             is always one of them. ``budget >= alpha + 1`` disables
             skipping entirely.

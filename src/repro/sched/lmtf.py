@@ -40,7 +40,11 @@ class LMTFScheduler(Scheduler):
             plan read still reports the same version counter — are served
             from cache instead of replanned. Admissions, costs, and charged
             planning ops are bit-identical with the cache on or off; only
-            the scheduler's wall-clock time changes.
+            the scheduler's wall-clock time changes. The one exception is
+            ``l-lmtf``
+            (:class:`~repro.sched.learned.scheduler.LearnedLMTFScheduler`):
+            its ``fault_pressure`` feature is fed by cache invalidations,
+            so it reads 0 with the cache off and the ranking can differ.
     """
 
     name = "lmtf"

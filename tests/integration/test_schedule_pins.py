@@ -25,7 +25,7 @@ import pytest
 
 from repro.experiments import fig5, fig6
 from repro.experiments.common import DEFAULTS, Scenario
-from repro.experiments.robustness import failure_sweep
+from repro.experiments.robustness import failure_sweep, topology_sweep
 from repro.experiments.runner import GridRow, run_scheduler_grid
 from repro.sched import staged_scheduler_spec
 from repro.traces.events import EventGeneratorConfig
@@ -61,6 +61,14 @@ FAULTED_GRID_SHA256 = \
 STAGED_MINI_SHA256 = \
     "dba9c50587b7f692cb00ed828ab8e4e0726fe96b4f9e8319fbe54a02a0e1ea85"
 
+#: topology_sweep(seed=0, events=6) — FIFO/LMTF/P-LMTF on the leaf-spine
+#: and Jellyfish fabrics, the only schedules off Fat-Tree — captured while
+#: leaf-spine still built a networkx graph. Pins the graph container's
+#: iteration order (hence link indices) and Jellyfish's shortest-path
+#: order.
+TOPOLOGY_SWEEP_SHA256 = \
+    "531c9f6e10fdb49b82e0aa75a1067e169b0ab298eb3677168a8b3b59b59307b1"
+
 
 def _pinned_digest(run):
     """Digest of ``run()``'s JSON.
@@ -94,6 +102,10 @@ def _faulted_grid_digest():
     return _pinned_digest(
         lambda: failure_sweep(seed=1, events=4, utilization=0.5,
                               fault_rates=(0.0, 0.05), horizon=40.0))
+
+
+def _topology_sweep_digest():
+    return _pinned_digest(lambda: topology_sweep(seed=0, events=6))
 
 
 def _staged_digest():
@@ -152,3 +164,9 @@ class TestSchedulePins:
         assert digest == STAGED_MINI_SHA256, (
             f"staged/augmented compile mini-run JSON ({audit_mode}) "
             f"diverged from the pinned schedule: {digest}")
+
+    def test_topology_sweep_is_byte_identical(self, audit_mode):
+        digest = _topology_sweep_digest()
+        assert digest == TOPOLOGY_SWEEP_SHA256, (
+            f"leaf-spine/Jellyfish sweep JSON ({audit_mode}) diverged "
+            f"from the pinned schedule: {digest}")

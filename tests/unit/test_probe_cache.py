@@ -34,6 +34,7 @@ from repro.sched.base import QueuedEvent, SchedulingContext
 from repro.sched.cache import ProbeCache
 from repro.sched.lmtf import LMTFScheduler
 from repro.sched.plmtf import PLMTFScheduler
+from repro.sched.staged import StagedLMTFScheduler, StagedPLMTFScheduler
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.timing import TimingModel
 from repro.traces.background import BackgroundLoader
@@ -486,6 +487,10 @@ def _comparable(metrics):
         alpha=4, seed=0, probe_cache=cache), id="lmtf"),
     pytest.param(lambda cache: PLMTFScheduler(
         alpha=4, seed=0, probe_cache=cache), id="plmtf"),
+    pytest.param(lambda cache: StagedLMTFScheduler(
+        alpha=4, seed=0, probe_cache=cache), id="staged-lmtf"),
+    pytest.param(lambda cache: StagedPLMTFScheduler(
+        alpha=4, seed=0, probe_cache=cache), id="staged-plmtf"),
 ])
 def test_full_simulation_identical_with_and_without_cache(fattree_workload,
                                                           make_sched):
