@@ -84,7 +84,8 @@ class LifecycleAuditor:
     * ``events_remaining`` equals the live lifecycle population
       (``QUEUED`` + ``EXECUTING``),
     * the metrics collector has a record per registered event and its
-      completed/dropped/round counters match the lifecycle and round log,
+      completed/dropped/round counters match the lifecycle and the
+      pipeline's round index,
     * the engine's O(1) ``pending`` counter matches an O(n) heap recount
       (the tombstone-drift detector) and is non-negative.
 
@@ -159,8 +160,6 @@ class LifecycleAuditor:
         if round_index is not None:
             checks["metrics_rounds_vs_round_index"] = (
                 collector.round_count, round_index)
-            checks["round_log_vs_round_index"] = (
-                pipeline.round_count, round_index)
         if self._check_engine:
             engine = sim.engine
             checks["engine_pending_nonnegative"] = (

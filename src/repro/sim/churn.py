@@ -3,7 +3,7 @@
 Extracted from the simulator monolith into a hook-bus plugin: the driver
 subscribes to :class:`~repro.sim.hooks.RunStarted`, schedules an engine
 finish for every finite-duration background flow the network was loaded
-with, and — when respawn is enabled — replaces completed flows with fresh
+with, and — when it holds a trace — replaces completed flows with fresh
 trace flows so utilization stays roughly level (paper §IV-A's changing
 network state). The simulator core never references churn; it only emits
 ``RunStarted`` and exposes the :class:`~repro.sim.hooks.SimulatorPort`
@@ -106,9 +106,7 @@ class ChurnDriver:
         # has completed, respawning would only keep the engine alive
         # forever.
         respawned = 0
-        if (sim.events_remaining > 0
-                and sim.config.churn_respawn
-                and self._trace is not None):
+        if sim.events_remaining > 0 and self._trace is not None:
             respawned = self._respawn_background(sim)
         sim.hooks.emit(ChurnTick(
             now=sim.now, flow_id=flow_id, respawned=respawned))

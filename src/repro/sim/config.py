@@ -7,7 +7,6 @@ all name :class:`SimulationConfig` without importing the simulator itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.compile import PlanCompilerConfig
@@ -30,11 +29,10 @@ class SimulationConfig:
             pathological workloads.
         max_rounds: safety valve on scheduling rounds.
         background_churn: when True, finite-duration background flows
-            complete over simulated time and (optionally) respawn, so the
-            network state — and therefore queued events' costs — keeps
-            changing, as §IV-A of the paper describes.
-        churn_respawn: replace each completed background flow with a fresh
-            trace flow to hold utilization roughly constant.
+            complete over simulated time and respawn from the simulator's
+            ``churn_trace``, so the network state — and therefore queued
+            events' costs — keeps changing, as §IV-A of the paper
+            describes.
         round_barrier: when the next scheduling round may start.
             ``completion`` (default, matching the paper's Fig. 3 arithmetic
             and its "an update event cannot finish until such flows have
@@ -47,11 +45,9 @@ class SimulationConfig:
             subsequent rounds and contend with later events. Used by the
             model-sensitivity ablation.
         exec_max_retries: execution attempts after the first failure on an
-            unreliable control plane (ignored on the reliable default).
-        exec_backoff_s: backoff before the first execution retry; doubles
-            per retry.
-        exec_deadline_s: per-plan budget of simulated execution seconds;
-            ``inf`` disables the deadline.
+            unreliable control plane (ignored on the reliable default);
+            backoff and deadline keep
+            :class:`~repro.core.executor.RetryPolicy`'s defaults.
         max_deferrals: requeue budget per event. An admitted event whose
             execution fails is requeued (deferred); an event that can
             never be placed while the run is otherwise stalled is likewise
@@ -78,11 +74,8 @@ class SimulationConfig:
     stall_fallback: bool = True
     max_rounds: int = 1_000_000
     background_churn: bool = False
-    churn_respawn: bool = True
     round_barrier: str = "completion"
     exec_max_retries: int = 2
-    exec_backoff_s: float = 0.05
-    exec_deadline_s: float = math.inf
     max_deferrals: int | None = None
     repair_flow_duration: float = 30.0
     compile_mode: str = "atomic"

@@ -9,8 +9,8 @@ The service keeps two logs in this format, through the same
   the pipeline;
 * the **history log** (``history.wal``) — at each checkpoint, one frame
   holding what settled since the previous one (terminal events' records
-  and lifecycle entries, closed round logs), so the checkpoint itself
-  carries live state only.
+  and lifecycle entries), so the checkpoint itself carries live state
+  only.
 
 Together with the periodic checkpoint (:mod:`repro.sim.snapshot`) they make
 ``repro serve`` exactly resumable: restore = load the latest valid

@@ -3,11 +3,11 @@
 One scheduling round runs through six ordered stages::
 
     collect ──► schedule ──► admit ──► execute ──► settle ──► account
-    build the   consult       assert     apply       log and    verify
-    round's     scheduler,    lifecycle  plans,      announce   network
-    context     fall back     moves,     schedule    the round, invariants
-                on stalls     announce   flow        arm the
-                              the round  finishes    barrier
+    build the   consult       assert     apply       announce   verify
+    round's     scheduler,    lifecycle  plans,      the        network
+    context     fall back     moves,     schedule    settled    invariants
+                on stalls     announce   flow        round, arm
+                              the round  finishes    the barrier
 
 The pipeline owns all round state (queue, round counters, deferral
 budgets, per-event outstanding-flow counts) and every event's position in
@@ -26,7 +26,7 @@ records. The schedule-pin tests enforce this.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.exceptions import (
@@ -67,35 +67,6 @@ if TYPE_CHECKING:
     from repro.sim.timing import TimingModel
 
 
-@dataclass
-class RoundLog:
-    """Diagnostic record of one scheduling round.
-
-    The ``cache_*`` fields mirror the scheduler's probe-cache counters for
-    the round (all zero for schedulers without a probe cache); benchmarks
-    use them to report per-round hit rates. ``probes_skipped``/``fallback``
-    mirror the learned-ranking telemetry the same way (zero/False for
-    exact schedulers). ``total_stages``/``max_transient_overload`` mirror
-    the plan-compilation telemetry: summed compiled stages over the
-    round's successful admissions (one per admission under atomic mode)
-    and the worst fractional transient capacity overshoot among them.
-    """
-
-    index: int
-    start_time: float
-    plan_time: float
-    admitted_events: tuple[str, ...]
-    planning_ops: int
-    total_cost: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    probes_skipped: int = 0
-    fallback: bool = False
-    total_stages: int = 0
-    max_transient_overload: float = 0.0
-
-
 class RoundPipeline:
     """Owns the round state machine; the simulator merely drives it.
 
@@ -134,17 +105,11 @@ class RoundPipeline:
         self._round_index = 0
         self._event_outstanding: dict[str, int] = {}
         self._event_done_queueing: set[str] = set()
-        self._rounds: list[RoundLog] = []
         self._events_remaining = 0
         self._enqueue_seq = 0
         self._deferral_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------- queries
-
-    @property
-    def rounds(self) -> list[RoundLog]:
-        """Per-round diagnostic log (copy)."""
-        return list(self._rounds)
 
     @property
     def scheduler(self) -> Scheduler:
@@ -157,8 +122,8 @@ class RoundPipeline:
 
     @property
     def round_count(self) -> int:
-        """Rounds logged so far (no copy, unlike ``len(self.rounds)``)."""
-        return len(self._rounds)
+        """Rounds decided so far (each announced once as ``PreRound``)."""
+        return self._round_index
 
     def queued_event_ids(self) -> tuple[str, ...]:
         """Event ids currently waiting, in queue order."""
@@ -228,10 +193,7 @@ class RoundPipeline:
         plan_time = self._timing.plan_time(decision.planning_ops)
         if not self._admit(decision, plan_time):
             return
-        admitted, total_cost, round_end, stages, overload = \
-            self._execute(decision, plan_time)
-        self._settle(decision, plan_time, admitted, total_cost, round_end,
-                     total_stages=stages, max_transient_overload=overload)
+        self._settle(self._execute(decision, plan_time))
         self._account()
 
     def _collect(self) -> SchedulingContext:
@@ -308,35 +270,26 @@ class RoundPipeline:
         if decision.empty:
             # An empty decision still consumed a round — PreRound above
             # charged the round and its plan time — so the round must also
-            # settle: log it and emit PostRound. Returning early here used
-            # to leave ``RunMetrics.rounds`` ahead of ``len(rounds)`` and
-            # never charge waiting events the round they just waited
-            # through (the empty-round accounting drift the lifecycle
-            # auditor turns into a hard failure).
-            self._log_round(decision, plan_time, admitted_ids=(),
-                            total_cost=0.0)
+            # settle with a PostRound; otherwise waiting events are never
+            # charged the round they just waited through (the empty-round
+            # accounting drift the lifecycle auditor turns into a hard
+            # failure).
             self._hooks.emit(PostRound(now=now, index=self._round_index))
             self._round_active = False
             self._check_deadlock()
             return False
         return True
 
-    def _execute(self, decision: RoundDecision, plan_time: float,
-                 ) -> tuple[list[str], float, float, int, float]:
+    def _execute(self, decision: RoundDecision, plan_time: float) -> float:
         """Stage 4 — apply the admitted plans and schedule flow finishes.
 
-        Returns ``(admitted_ids, total_cost, round_end, total_stages,
-        max_transient_overload)`` for the settle stage; execution failures
-        defer their events in place.
+        Returns the round's end time for the settle stage; execution
+        failures defer their events in place.
         """
         setup_barrier = self._config.round_barrier == "setup"
         now = self._engine.now
         exec_start = now + plan_time
-        admitted_ids: list[str] = []
-        total_cost = 0.0
         round_end = exec_start
-        total_stages = 0
-        max_overload = 0.0
         for admission in decision.admissions:
             event_id = admission.queued.event.event_id
             self._advance(event_id, EventState.EXECUTING, now)
@@ -352,12 +305,7 @@ class RoundPipeline:
                                 exec_start + getattr(exc, "elapsed", 0.0))
                 self._exec_failed(admission, exc)
                 continue
-            admitted_ids.append(event_id)
-            total_cost += admission.plan.cost
             round_end = max(round_end, record.finish_setup_time)
-            total_stages += record.stage_count
-            max_overload = max(max_overload,
-                               record.max_transient_overload)
             self._hooks.emit(EventAdmitted(
                 exec_start=exec_start, event_id=event_id,
                 cost=admission.plan.cost,
@@ -397,23 +345,11 @@ class RoundPipeline:
                 # Partial admission (flow-level baseline): the event keeps
                 # queueing with its remaining flows.
                 self._advance(event_id, EventState.QUEUED, now)
-        return admitted_ids, total_cost, round_end, total_stages, max_overload
+        return round_end
 
-    def _settle(self, decision: RoundDecision, plan_time: float,
-                admitted_ids: list[str], total_cost: float,
-                round_end: float, total_stages: int = 0,
-                max_transient_overload: float = 0.0) -> None:
-        """Stage 5 — log the round, announce it, arm the barrier.
-
-        The round log is appended *before* PostRound goes out so that
-        PostRound subscribers (the lifecycle auditor above all) observe
-        ``len(rounds) == index`` — the round they are told about is already
-        on the books.
-        """
+    def _settle(self, round_end: float) -> None:
+        """Stage 5 — announce the settled round, arm the barrier."""
         setup_barrier = self._config.round_barrier == "setup"
-        self._log_round(decision, plan_time, admitted_ids=admitted_ids,
-                        total_cost=total_cost, total_stages=total_stages,
-                        max_transient_overload=max_transient_overload)
         self._hooks.emit(PostRound(now=self._engine.now,
                                    index=self._round_index))
         if setup_barrier:
@@ -425,28 +361,6 @@ class RoundPipeline:
             # elapsed (the deferred events are already back in the queue).
             self._engine.schedule_callback(round_end, self._end_round,
                                            tag="end-round")
-
-    def _log_round(self, decision: RoundDecision, plan_time: float,
-                   admitted_ids: tuple[str, ...] | list[str],
-                   total_cost: float, total_stages: int = 0,
-                   max_transient_overload: float = 0.0) -> None:
-        """Append the :class:`RoundLog` for the round just decided.
-
-        Every round that emitted PreRound must land here exactly once —
-        empty rounds included — so ``len(rounds)`` tracks the round index
-        and the metrics collector's round count.
-        """
-        self._rounds.append(RoundLog(
-            index=self._round_index, start_time=self._engine.now,
-            plan_time=plan_time, admitted_events=tuple(admitted_ids),
-            planning_ops=decision.planning_ops, total_cost=total_cost,
-            cache_hits=decision.cache_hits,
-            cache_misses=decision.cache_misses,
-            cache_invalidations=decision.cache_invalidations,
-            probes_skipped=decision.probes_skipped,
-            fallback=decision.fallback,
-            total_stages=total_stages,
-            max_transient_overload=max_transient_overload))
 
     def _account(self) -> None:
         """Stage 6 — verify network bookkeeping when configured."""
@@ -647,9 +561,8 @@ class RoundPipeline:
 
         Queue entries carry the full event payload plus the *ids* of the
         remaining flows (rebuilt by filtering ``event.flows``, preserving
-        order) and the enqueue seq. The round log is not part of it: a
-        closed :class:`RoundLog` never changes again, and
-        :meth:`export_rounds` hands it to the history log once.
+        order) and the enqueue seq. Closed rounds are not part of it: their
+        telemetry went out on the hook bus as ``PreRound``.
         """
         return {
             "queue": [{"event": q.event.to_payload(),
@@ -666,21 +579,15 @@ class RoundPipeline:
             "deferral_counts": dict(self._deferral_counts),
         }
 
-    def export_rounds(self, start: int) -> list[dict[str, Any]]:
-        """The round logs from the ``start``-th round on, JSON-ready."""
-        return [dict(vars(r)) for r in self._rounds[start:]]
-
-    def restore_state(self, state: dict[str, Any],
-                      rounds: list[dict[str, Any]]) -> None:
-        """Overwrite this pipeline's state from :meth:`export_state` plus
-        every :meth:`export_rounds` entry written before it.
+    def restore_state(self, state: dict[str, Any]) -> None:
+        """Overwrite this pipeline's state from :meth:`export_state`.
 
         Lifecycle registration and hook emission are *not* replayed — the
         lifecycle registry restores separately and the events were already
         announced in the original run.
         """
         from repro.core.event import UpdateEvent as _UpdateEvent
-        if len(self._queue) or self._rounds or self._round_index:
+        if len(self._queue) or self._round_index:
             raise SimulationError("restore_state requires a fresh pipeline")
         for entry in state["queue"]:
             event = _UpdateEvent.from_payload(entry["event"])
@@ -694,10 +601,6 @@ class RoundPipeline:
         self._event_outstanding = {
             eid: int(n) for eid, n in state["event_outstanding"].items()}
         self._event_done_queueing = set(state["event_done_queueing"])
-        self._rounds = [RoundLog(**{**payload,
-                                    "admitted_events":
-                                        tuple(payload["admitted_events"])})
-                        for payload in rounds]
         self._events_remaining = int(state["events_remaining"])
         self._enqueue_seq = int(state["enqueue_seq"])
         self._deferral_counts = {

@@ -248,7 +248,6 @@ class SimulationService:
         self._history: JournalWriter | None = None
         self._history_records = 0
         self._history_events = 0
-        self._history_rounds = 0
         self._digest = _DIGEST_SEED
         self._replay: deque[bytes] = deque()
         self._replayed = 0
@@ -575,13 +574,11 @@ class SimulationService:
         if (self._state_dir is None or self._journal is None
                 or self._history is None):
             return
-        frame = build_history_frame(self._sim, self._history_events,
-                                    self._history_rounds)
+        frame = build_history_frame(self._sim, self._history_events)
         if frame is not None:
             self._history.append(frame)
             self._history_records += 1
             self._history_events += len(frame["events"])
-            self._history_rounds += len(frame["rounds"])
         payload = build_checkpoint(
             self, origin, journal_offset=self._journal_offset,
             journal_records=self._journal_records,
@@ -704,10 +701,8 @@ class SimulationService:
         frames = checked_prefix(history_scan, HISTORY_FILE,
                                 checkpoint["history"])
         settled = [entry for frame in frames for entry in frame["events"]]
-        rounds = [entry for frame in frames for entry in frame["rounds"]]
         self._history_records = len(frames)
         self._history_events = len(settled)
-        self._history_rounds = len(rounds)
         svc = checkpoint["service"]
         # Service bookkeeping first: the engine tag resolver needs the
         # pending-arrival payload to re-bind its callback.
@@ -732,7 +727,7 @@ class SimulationService:
         sim.network.restore_state(checkpoint["network"])
         sim.lifecycle.restore_state(checkpoint["lifecycle"], settled)
         sim.metrics_collector.restore_state(checkpoint["metrics"], settled)
-        sim.pipeline.restore_state(checkpoint["pipeline"], rounds)
+        sim.pipeline.restore_state(checkpoint["pipeline"])
         # The checkpoint settled every queue stay at export; the restored
         # queue's stays reopen at the restored round count.
         sim.metrics_collector.restamp_waiting(

@@ -20,9 +20,11 @@ Timeline of one round::
 Every admitted flow's completion is an engine event; the round ends when
 the last admitted flow completes (paper Fig. 3), and an event completes
 when all its flows have (for the flow-level baseline that spans many
-rounds). ``SimulationConfig`` and ``RoundLog`` are re-exported here for
-backward compatibility; they live in :mod:`repro.sim.config` and
-:mod:`repro.sim.pipeline`.
+rounds). ``SimulationConfig`` is re-exported here for backward
+compatibility; it lives in :mod:`repro.sim.config`. Per-round telemetry
+is not kept here: each round goes out once on the hook bus as
+:class:`~repro.sim.hooks.PreRound`, where the metrics collector and an
+optional :class:`~repro.sim.tracelog.TraceLog` record it.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.hooks import HookBus, RunStarted
 from repro.sim.lifecycle import EventLifecycle
 from repro.sim.metrics import MetricsCollector, RunMetrics
-from repro.sim.pipeline import RoundLog, RoundPipeline
+from repro.sim.pipeline import RoundPipeline
 from repro.sim.timing import TimingModel
 from repro.sim.tracelog import TraceLog
 from repro.traces.base import TraceGenerator
 
-__all__ = ["RoundLog", "SimulationConfig", "UpdateSimulator"]
+__all__ = ["SimulationConfig", "UpdateSimulator"]
 
 
 class UpdateSimulator:
@@ -66,7 +68,7 @@ class UpdateSimulator:
         timing: timing model; defaults to :class:`TimingModel`.
         config: simulator knobs.
         churn_trace: generator for respawned background flows (required when
-            ``config.background_churn and config.churn_respawn``).
+            ``config.background_churn``).
         listener: optional :class:`~repro.sim.tracelog.TraceLog` (or any
             object with ``subscribe(bus)``) subscribed to the hook bus
             right after the metrics collector, capturing rounds,
@@ -75,9 +77,9 @@ class UpdateSimulator:
             ``reliable`` / ``migration_ok()`` / ``install_ok()`` /
             ``attempt_jitter_s()``, see :mod:`repro.sim.controlplane`)
             under which rule installs and migration drains can fail or
-            jitter; executions then retry with backoff (``config.exec_*``)
-            and requeue on exhaustion. ``None`` keeps the infallible
-            legacy model.
+            jitter; executions then retry with backoff (up to
+            ``config.exec_max_retries`` times) and requeue on exhaustion.
+            ``None`` keeps the infallible legacy model.
         faults: optional fault source — any plugin exposing
             ``attach(sim)``, e.g. a :class:`~repro.sim.faults.FaultSchedule`
             or seeded :class:`~repro.sim.faults.FaultProcess` — whose
@@ -112,16 +114,13 @@ class UpdateSimulator:
         self._lifecycle = EventLifecycle()
         self._executor = PlanExecutor(
             self._timing, control_plane=control_plane,
-            retry=RetryPolicy(max_retries=self._config.exec_max_retries,
-                              backoff_s=self._config.exec_backoff_s,
-                              deadline_s=self._config.exec_deadline_s),
+            retry=RetryPolicy(max_retries=self._config.exec_max_retries),
             hooks=self._hooks, compiler=PlanCompilerConfig(
                 mode=self._config.compile_mode,
                 epsilon=self._config.compile_epsilon))
-        if (self._config.background_churn and self._config.churn_respawn
-                and churn_trace is None):
-            raise ValueError("background_churn with churn_respawn requires "
-                             "a churn_trace generator")
+        if self._config.background_churn and churn_trace is None:
+            raise ValueError("background_churn requires a churn_trace "
+                             "generator")
         self._rng = random.Random(self._config.seed)
         self._engine = SimulationEngine()
         self._pipeline = RoundPipeline(
@@ -211,11 +210,6 @@ class UpdateSimulator:
     @property
     def now(self) -> float:
         return self._engine.now
-
-    @property
-    def rounds(self) -> list[RoundLog]:
-        """Diagnostic per-round log (available after :meth:`run`)."""
-        return self._pipeline.rounds
 
     @property
     def events_remaining(self) -> int:

@@ -17,11 +17,13 @@ change:
   :func:`repro.core.ioutil.atomic_write_text` so a crash mid-write leaves
   the previous checkpoint intact.
 * ``history.wal`` — the **settled** state, in the journal's frame format:
-  the record and lifecycle entry of every completed or dropped event and
-  every closed round log. None of it can change again, so each checkpoint
-  appends only what settled since the previous one
-  (:func:`build_history_frame`) and records how much of the log it covers
-  (``"history": {"offset", "records"}``). The frame is appended and
+  the record and lifecycle entry of every completed or dropped event. None
+  of it can change again, so each checkpoint appends only what settled
+  since the previous one (:func:`build_history_frame`) and records how
+  much of the log it covers (``"history": {"offset", "records"}``). A
+  closed round leaves nothing to persist: its telemetry went out on the
+  hook bus as ``PreRound``, and the live round index is part of the
+  pipeline's checkpoint state. The frame is appended and
   fsynced *before* the checkpoint replaces its predecessor: a crash in
   between leaves the old checkpoint with a log tail it does not cover,
   which the resume cuts off and the re-executed tick writes again.
@@ -63,10 +65,11 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: Version 3 keeps every run counter once, under ``metrics.totals``;
-#: version 2 moved settled history out of the checkpoint into
-#: ``history.wal``.
-CHECKPOINT_VERSION = 3
+#: Version 4 drops the per-round logs from ``history.wal`` (a frame holds
+#: only ``events``); version 3 keeps every run counter once, under
+#: ``metrics.totals``; version 2 moved settled history out of the
+#: checkpoint into ``history.wal``.
+CHECKPOINT_VERSION = 4
 
 #: Fixed state-dir layout. ``snapshots.jsonl``/``latest.json``/
 #: ``metrics.prom`` (the observability artifacts) may share the directory.
@@ -81,27 +84,24 @@ class RecoveryError(SimulationError):
     state). The message always says what to do about it."""
 
 
-def build_history_frame(sim: "UpdateSimulator", events_from: int,
-                        rounds_from: int) -> dict[str, Any] | None:
+def build_history_frame(sim: "UpdateSimulator",
+                        events_from: int) -> dict[str, Any] | None:
     """What settled since the history log last grew, as one log record.
 
     Args:
         sim: the simulator, at an engine-callback boundary.
         events_from: terminal events already in the log.
-        rounds_from: round logs already in the log.
 
-    Returns ``{"events": [...], "rounds": [...]}`` — the newly terminal
-    events in settlement order (each with its metrics record, terminal
-    state, origin and registration index) and the newly closed round
-    logs — or ``None`` when nothing settled.
+    Returns ``{"events": [...]}`` — the newly terminal events in
+    settlement order, each with its metrics record, terminal state, origin
+    and registration index — or ``None`` when no event settled.
     """
     events = sim.lifecycle.export_settled(events_from)
+    if not events:
+        return None
     for entry in events:
         entry["record"] = sim.metrics_collector.export_record(entry["event"])
-    rounds = sim.pipeline.export_rounds(rounds_from)
-    if not events and not rounds:
-        return None
-    return {"events": events, "rounds": rounds}
+    return {"events": events}
 
 
 def build_checkpoint(service: "SimulationService", origin: str,

@@ -10,6 +10,7 @@ import networkx as nx
 from repro.core.flow import Flow
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.custom import CustomTopology
+from repro.sim.hooks import PreRound
 
 #: a->b update-flow paths through the diamond
 TOP = ("a", "s1", "top", "s2", "b")
@@ -57,6 +58,17 @@ def ef_flow(fid: str, demand: float, duration: float | None = None) -> Flow:
     """An e->f flow (second background pair, independent host links)."""
     return Flow(flow_id=fid, src="e", dst="f", demand=demand,
                 duration=duration)
+
+
+def record_rounds(sim) -> list[PreRound]:
+    """Every ``PreRound`` ``sim`` emits from here on, in emission order.
+
+    The hook bus is where a round's telemetry lives; the simulator keeps
+    no per-round list of its own.
+    """
+    rounds: list[PreRound] = []
+    sim.hooks.subscribe(PreRound, rounds.append)
+    return rounds
 
 
 def schedule_digest(metrics) -> str:

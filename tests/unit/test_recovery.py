@@ -14,11 +14,12 @@ import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from helpers import diamond_setup  # noqa: E402
+from helpers import diamond_setup, record_rounds  # noqa: E402
 
 from repro.core.event import event_id_state, set_event_id_state
 from repro.core.flow import flow_id_state, set_flow_id_state
@@ -37,7 +38,7 @@ from repro.sim.journal import (
     scan_journal,
 )
 from repro.sim.lifecycle import TERMINAL_STATES
-from repro.sim.service import ServiceConfig, SimulationService
+from repro.sim.service import ServiceConfig, ServiceReport, SimulationService
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
@@ -102,25 +103,46 @@ def disarm(monkeypatch):
     crashpoint.reset_counts()
 
 
+class Served(NamedTuple):
+    """One :func:`serve_fresh` run."""
+
+    service: SimulationService
+    report: ServiceReport
+    #: every ``PreRound`` this run emitted (a resumed run: only the rounds
+    #: past its checkpoint)
+    rounds: list[PreRound]
+
+
 def serve_fresh(state_dir, **kwargs):
-    """One run from zeroed id counters; returns ``(service, report)``."""
+    """One run from zeroed id counters, its rounds recorded off the hook
+    bus."""
     set_flow_id_state(0)
     set_event_id_state(0)
     service = build_service(state_dir, **kwargs)
-    return service, service.serve()
+    rounds = record_rounds(service._sim)
+    return Served(service, service.serve(), rounds)
 
 
 def run_baseline(tmp_path):
-    return serve_fresh(tmp_path / "baseline")[1]
+    return serve_fresh(tmp_path / "baseline").report
 
 
 def lmtf():
     return LMTFScheduler(alpha=2, seed=5)
 
 
+def restored_round_index(state):
+    """The round index a resume of ``state`` restarts from: its
+    checkpoint's, or 0 when the run died before its first checkpoint."""
+    path = state / CHECKPOINT_FILE
+    if not path.exists():
+        return 0
+    return load_checkpoint(path)["pipeline"]["round_index"]
+
+
 def without_cache_telemetry(metrics, rounds):
-    """``RunMetrics.to_dict()`` and the round log minus the probe-cache
-    counters. The cache restarts cold after a resume by design
+    """``RunMetrics.to_dict()`` and the ``PreRound`` records minus the
+    probe-cache counters. The cache restarts cold after a resume by design
     (``LMTFScheduler.export_state``: entries never change decisions, only
     wall-clock), so a resumed run may count a would-be hit or invalidation
     as a plain miss. They are the one part of either ledger a resume does
@@ -131,19 +153,25 @@ def without_cache_telemetry(metrics, rounds):
                              cache_invalidations=0) for r in rounds]
 
 
-def assert_same_run(baseline, resumed):
+def assert_same_run(baseline, resumed, resumed_at):
     """Everything a restore touches, not only the digest: a checkpoint that
     restored the wrong ledger still chains the right digest from then on.
+
+    ``resumed_at`` is the round index the resume restored
+    (:func:`restored_round_index`, read before the resume ran): the
+    resumed run's rounds must be the baseline's from there on. Rounds
+    before it are not persisted, so there is nothing of them to compare.
 
     Record *order* is part of the contract: ``finalize()`` stable-sorts by
     arrival time and backpressure re-stamps held arrivals to equal times,
     so registration order breaks ties and fixes float summation order.
     """
-    (base_service, base), (res_service, res) = baseline, resumed
-    base_sim, res_sim = base_service._sim, res_service._sim
+    base, res = baseline.report, resumed.report
+    base_sim, res_sim = baseline.service._sim, resumed.service._sim
     assert res.digest == base.digest
-    assert (without_cache_telemetry(res.metrics, res_sim.rounds)
-            == without_cache_telemetry(base.metrics, base_sim.rounds))
+    assert (without_cache_telemetry(res.metrics, resumed.rounds)
+            == without_cache_telemetry(base.metrics,
+                                       baseline.rounds[resumed_at:]))
     assert (list(res_sim.metrics_collector.records.items())
             == list(base_sim.metrics_collector.records.items()))
     assert res_sim.lifecycle.counts() == base_sim.lifecycle.counts()
@@ -193,9 +221,10 @@ def crash_and_resume(tmp_path, monkeypatch, label, n, scheduler=None,
                         **kwargs)
     if audit:
         monkeypatch.setenv("REPRO_AUDIT", "1")
+    resumed_at = restored_round_index(state)
     resumed = serve_fresh(state, resume=True, scheduler=make(), **kwargs)
-    assert_same_run(baseline, resumed)
-    return baseline[1], resumed[1]
+    assert_same_run(baseline, resumed, resumed_at)
+    return baseline.report, resumed.report
 
 
 def history_frames(state):
@@ -230,8 +259,9 @@ class TestExactResume:
         assert waited and min(waited.values()) > 0
         monkeypatch.setenv("REPRO_AUDIT", "1")
         resumed = serve_fresh(state, resume=True)
-        assert_same_run(baseline, resumed)
-        assert resumed[0]._sim.auditor.audits > 0
+        assert_same_run(baseline, resumed,
+                        checkpoint["pipeline"]["round_index"])
+        assert resumed.service._sim.auditor.audits > 0
 
     def test_crash_mid_journal_append_leaves_torn_tail(self, tmp_path,
                                                        monkeypatch):
@@ -337,9 +367,10 @@ class TestExactResume:
             journaled = [r for r in scan_journal(state / JOURNAL_FILE).records
                          if r["kind"] != "ingest"]
             assert len(journaled) > sum(len(f["events"]) for f in frames)
+        resumed_at = restored_round_index(state)
         resumed = serve_fresh(state, resume=True, scheduler=scheduler())
-        assert_same_run(baseline, resumed)
-        assert resumed[1].restarts == 1
+        assert_same_run(baseline, resumed, resumed_at)
+        assert resumed.report.restarts == 1
 
     def test_resume_equals_uninterrupted_run_audited(self, tmp_path,
                                                      monkeypatch):
@@ -471,13 +502,14 @@ class TestTampering:
             build_service(state, resume=True).serve()
 
     def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
-        """Version 1 carried settled history inline and version 2 a second
-        copy of the counters; no reader is kept for either, the version
-        error tells the operator what to do."""
+        """Version 1 carried settled history inline, version 2 a second
+        copy of the counters and version 3 closed round logs in its history
+        frames; no reader is kept for any of them, the version error tells
+        the operator what to do."""
         state = self.crash_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2):
+        for version in (1, 2, 3):
             payload["version"] = version
             path.write_text(json.dumps(payload, sort_keys=True) + "\n",
                             encoding="utf-8")
@@ -563,6 +595,7 @@ class TestTampering:
         files = {path.name: path.read_bytes() for path in crashed.iterdir()}
         log = files[HISTORY_FILE]
         covered = load_checkpoint(crashed / CHECKPOINT_FILE)["history"]
+        resumed_at = restored_round_index(crashed)
         assert covered["records"] == 2 and covered["offset"] < len(log)
         ends, offset = [], 0
         for frame in history_frames(crashed):
@@ -584,7 +617,7 @@ class TestTampering:
                 outcomes["refused"] += 1
                 continue
             assert len(damaged) >= covered["offset"]
-            assert_same_run(baseline, resumed)
+            assert_same_run(baseline, resumed, resumed_at)
             outcomes["resumed"] += 1
         assert outcomes["refused"] == covered["offset"] + len(flips)
         assert outcomes["resumed"] == len(log) - covered["offset"]
@@ -679,15 +712,14 @@ class TestCheckpointPayload:
             (*metrics_mod.RUN_COUNTERS,
              metrics_mod.RunCounter("planning_ops", PreRound,
                                     "planning_ops")))
-        base_service, _ = serve_fresh(tmp_path / "baseline")
-        base_sim = base_service._sim
-        total = base_sim.metrics_collector.totals["planning_ops"]
-        assert total == sum(r.planning_ops for r in base_sim.rounds) > 0
+        baseline = serve_fresh(tmp_path / "baseline")
+        total = baseline.service._sim.metrics_collector.totals["planning_ops"]
+        assert total == sum(r.planning_ops for r in baseline.rounds) > 0
         state = crash_state(tmp_path, monkeypatch)
         carried = load_checkpoint(state / CHECKPOINT_FILE)["metrics"]
         assert 0 < carried["totals"]["planning_ops"] < total
-        resumed_service, _ = serve_fresh(state, resume=True)
-        assert (resumed_service._sim.metrics_collector.totals
+        resumed = serve_fresh(state, resume=True)
+        assert (resumed.service._sim.metrics_collector.totals
                 ["planning_ops"]) == total
 
     def test_checkpoint_size_does_not_grow_with_service_age(
@@ -725,6 +757,42 @@ class TestCheckpointPayload:
         short, long = (largest_tick_checkpoint(40),
                        largest_tick_checkpoint(160))
         assert long <= 1.5 * short
+
+    def test_history_frames_carry_only_settled_events(self, tmp_path):
+        report = run_baseline(tmp_path)
+        frames = history_frames(tmp_path / "baseline")
+        assert frames and all(list(frame) == ["events"] and frame["events"]
+                              for frame in frames)
+        assert (sum(len(frame["events"]) for frame in frames)
+                == report.completed + report.dropped)
+
+    def test_tick_with_only_closed_rounds_appends_no_frame(
+            self, tmp_path, monkeypatch):
+        """A closed round is not persisted: a tick where rounds were
+        decided but no event completed or dropped leaves ``history.wal``
+        as it was."""
+        service = build_service(tmp_path / "state", snapshot_every=0.5)
+        sim = service._sim
+        ticks = []  # (rounds decided, events settled, frames) per write
+
+        def recording(path, text, **kwargs):
+            if Path(path).name == CHECKPOINT_FILE:
+                counts = sim.lifecycle.counts()
+                ticks.append((sim.pipeline.round_count,
+                              sum(counts[s] for s in TERMINAL_STATES),
+                              json.loads(text)["history"]["records"]))
+            atomic_write_text(path, text, **kwargs)
+
+        atomic_write_text = service_mod.atomic_write_text
+        monkeypatch.setattr(service_mod, "atomic_write_text", recording)
+        set_flow_id_state(0)
+        set_event_id_state(0)
+        service.serve()
+        quiet = [(before[2], after[2])
+                 for before, after in zip(ticks, ticks[1:])
+                 if after[0] > before[0] and after[1] == before[1]]
+        assert quiet
+        assert all(after == before for before, after in quiet)
 
     def test_completed_run_leaves_final_checkpoint(self, tmp_path):
         report = run_baseline(tmp_path)

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import ab_flow, cd_flow, diamond_setup  # noqa: E402
 from helpers import BG_TOP  # noqa: E402
+from helpers import record_rounds  # noqa: E402
 
 from repro.core.event import make_event
 from repro.core.exceptions import SimulationError
@@ -38,6 +39,23 @@ def build_simulator(scheduler=None, events=None, config=None, timing=None):
                               verify_invariants=True))
     sim.submit(events if events is not None else simple_events())
     return sim
+
+
+def executed_per_round(log) -> list[list[str]]:
+    """Event ids a :class:`~repro.sim.tracelog.TraceLog` saw execute,
+    grouped by the round that decided them.
+
+    ``PreRound.admitted`` lists the *decided* admissions; an execution
+    failure turns one into a deferral, and only a successful execution
+    reaches the log as an ``admission`` record.
+    """
+    rounds: list[list[str]] = []
+    for record in log.records:
+        if record.kind == "round":
+            rounds.append([])
+        elif record.kind == "admission":
+            rounds[-1].append(record.data["event"])
+    return rounds
 
 
 class TestConfigValidation:
@@ -169,9 +187,10 @@ class TestQueueBehaviour:
 
     def test_round_log_records_admissions(self):
         sim = build_simulator()
+        rounds = record_rounds(sim)
         sim.run()
-        assert len(sim.rounds) == 3
-        assert all(len(r.admitted_events) == 1 for r in sim.rounds)
+        assert len(rounds) == 3
+        assert all(len(r.admitted) == 1 for r in rounds)
 
 
 class TestStallFallbackUnit:
@@ -360,10 +379,11 @@ class TestFaultPipeline:
         assert metrics.event_count == 1
         assert metrics.deferrals == 1
         assert metrics.dropped_events == 0
-        # Round 1 admitted nothing (execution failed and rolled back); a
+        # Round 1 executed nothing (execution failed and rolled back); a
         # later round re-planned and completed the event.
-        assert sim.rounds[0].admitted_events == ()
-        assert any(r.admitted_events for r in sim.rounds[1:])
+        executed = executed_per_round(log)
+        assert executed[0] == []
+        assert any(executed[1:])
         assert log.of_kind("exec_failure")
         assert sim.network.flow_count() == 0
 
@@ -473,13 +493,23 @@ class TestEmptyRoundAccounting:
                           label="late")
         sim = build_simulator(scheduler=HoldUntilScheduler(release=5.0),
                               events=[held, late])
+        self.rounds = record_rounds(sim)
         return sim, sim.run(), held, late
 
     def test_round_count_matches_round_log(self):
         sim, metrics, _, _ = self._run()
         # round 1 (t=0) is empty; rounds 2-3 admit the two events
-        assert metrics.rounds == len(sim.rounds) == 3
-        assert sim.rounds[0].admitted_events == ()
+        assert metrics.rounds == len(self.rounds) == 3
+        assert self.rounds[0].admitted == ()
+
+    def test_round_count_agrees_with_index_and_audits(self, monkeypatch):
+        """The pipeline's round index, the metrics' round count and the
+        auditor's per-round audits are three books on one quantity; the
+        empty round has to land in all three."""
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        sim, metrics, _, _ = self._run()
+        assert (sim.pipeline.round_count == metrics.rounds
+                == sim.auditor.audits == len(self.rounds) == 3)
 
     def test_empty_round_charges_waits_and_plan_time(self):
         sim, metrics, held, late = self._run()
@@ -489,7 +519,7 @@ class TestEmptyRoundAccounting:
         assert records[held.event_id].rounds_waited == 1
         assert records[late.event_id].rounds_waited == 1
         assert metrics.total_plan_time == pytest.approx(
-            sum(r.plan_time for r in sim.rounds))
+            sum(r.plan_time for r in self.rounds))
 
 
 class TestBookkeepingHygiene:

@@ -20,6 +20,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import ab_flow, cd_flow, diamond_setup  # noqa: E402
+from helpers import record_rounds  # noqa: E402
 
 from repro.core.event import make_event
 from repro.experiments.common import DEFAULTS, Scenario
@@ -191,8 +192,9 @@ class TestLazyEqualsEager:
                               config=SimulationConfig())
         held = make_event([ab_flow("h0", 10.0, 2.0)])
         late = make_event([ab_flow("l0", 10.0, 2.0)], arrival_time=5.0)
+        rounds = record_rounds(sim)
         eager, _, _ = drive(sim, [held, late])
-        assert sim.rounds[0].admitted_events == ()
+        assert rounds[0].admitted == ()
         assert eager.counts == {held.event_id: 1, late.event_id: 1}
 
 
