@@ -55,8 +55,8 @@ def main() -> None:
     # --- LMTF: how often did sampling actually reorder the queue? ---------
     log, metrics = run_logged(network, provider,
                               LMTFScheduler(alpha=4, seed=44), events)
-    executed = [r.data["admitted"][0] for r in log.of_kind("round")
-                if r.data["admitted"]]
+    executed = [r.data["decided"][0] for r in log.of_kind("round")
+                if r.data["decided"]]
     # a "jump" is a round that did NOT execute the current queue head
     done: set[str] = set()
     jumps = 0
@@ -71,8 +71,8 @@ def main() -> None:
     # --- P-LMTF: batch sizes and the per-round plan effort ----------------
     log, metrics = run_logged(network, provider,
                               PLMTFScheduler(alpha=4, seed=44), events)
-    batches = [len(r.data["admitted"]) for r in log.of_kind("round")
-               if r.data["admitted"]]
+    batches = [len(r.data["decided"]) for r in log.of_kind("round")
+               if r.data["decided"]]
     ops = [r.data["ops"] for r in log.of_kind("round")]
     print(f"P-LMTF: {metrics.rounds} rounds, batch sizes {batches} "
           f"(avg ECT {metrics.average_ect:.1f}s)")

@@ -20,6 +20,8 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
+from repro.network.link import path_links
+
 _flow_counter = itertools.count()
 
 
@@ -64,7 +66,7 @@ def next_flow_id() -> str:
     return f"f{next(_flow_counter)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     """An unsplittable flow with a fixed bandwidth demand.
 
@@ -143,9 +145,13 @@ class Flow:
                    kind=FlowKind(payload["kind"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
-    """A flow together with the path it occupies in the network."""
+    """A flow together with the path it occupies in the network.
+
+    Flows and placements are slotted: a loaded k=8 Fat-Tree holds thousands
+    of each, and neither carries a per-instance ``__dict__``.
+    """
 
     flow: Flow
     path: tuple[str, ...]
@@ -160,20 +166,10 @@ class Placement:
 
     @property
     def links(self) -> tuple[tuple[str, str], ...]:
-        """The directed links traversed by the path.
-
-        Candidate paths derive their links once and keep them;
-        for plain node tuples the zip is computed once and cached on the
-        instance — placements are read far more often than they are created.
-        """
-        links = getattr(self.path, "links", None)
-        if links is not None:
-            return links
-        links = self.__dict__.get("_links")
-        if links is None:
-            links = tuple(zip(self.path[:-1], self.path[1:]))
-            object.__setattr__(self, "_links", links)
-        return links
+        """The directed links traversed by the path, derived on each read;
+        the kernel's hot loops read a candidate path's ``link_idx``
+        instead."""
+        return path_links(self.path)
 
 
 @dataclass

@@ -109,7 +109,7 @@ class MigrationPlanner:
         """
         migrations: list[Migration] = []
         ops = 0
-        avoid = getattr(path, "link_set", None) or frozenset(path_links(path))
+        avoid = frozenset(self._link_indices(path))
         for _round in range(self._config.max_rounds):
             congested = self.congested_links(state, path, flow.demand)
             ops += len(path) - 1
@@ -135,7 +135,7 @@ class MigrationPlanner:
     # -------------------------------------------------------------- internals
 
     def _relieve_link(self, state: NetworkState, link: LinkId, demand: float,
-                      protected: frozenset[str], avoid: frozenset[LinkId],
+                      protected: frozenset[str], avoid: frozenset[int | None],
                       rng: random.Random,
                       budget: int) -> tuple[list[Migration] | None, int]:
         """Free enough bandwidth on one congested link (Eq. 3 for ``link``).
@@ -195,22 +195,32 @@ class MigrationPlanner:
                                         new_path=new_path))
         return migrations, ops
 
+    def _link_indices(self, path: Sequence[str]) -> Sequence[int | None]:
+        """``path``'s links as indices into the provider's link table:
+        baked on a candidate path, looked up for any other (None for a
+        link the table lacks). Crossing and overlap tests compare these
+        ints, so no path keeps a second encoding of its links."""
+        table = self._provider.table
+        idx = getattr(path, "link_idx", None)
+        if idx is not None and getattr(path, "table", None) is table:
+            return idx
+        return [table.index.get(link) for link in path_links(path)]
+
     def _movable(self, state: NetworkState, placement: Placement,
                  link: LinkId) -> bool:
         """True when the flow has at least one feasible path off ``link``."""
         own = frozenset((placement.flow.flow_id,))
+        crossed = self._provider.table.index.get(link)
         for path in self._provider.paths(placement.flow.src,
                                          placement.flow.dst):
-            # The pair's cached CandidatePaths: membership tests run on
-            # the link frozenset each path keeps after its first read.
-            if link in path.link_set:
+            if crossed in self._link_indices(path):
                 continue
             if state.path_feasible(path, placement.flow.demand, ignore=own):
                 return True
         return False
 
     def _pick_alternate_path(self, state: NetworkState, placement: Placement,
-                             link: LinkId, avoid: frozenset[LinkId],
+                             link: LinkId, avoid: frozenset[int | None],
                              rng: random.Random) -> tuple[str, ...] | None:
         """Choose the new path for a migrated flow.
 
@@ -219,12 +229,13 @@ class MigrationPlanner:
         bottleneck residual, with a random tiebreak.
         """
         own = frozenset((placement.flow.flow_id,))
+        crossed = self._provider.table.index.get(link)
         best: tuple[str, ...] | None = None
         best_key: tuple[bool, float, float] | None = None
         for path in self._provider.paths(placement.flow.src,
                                          placement.flow.dst):
-            links = path.link_set
-            if link in links:
+            links = self._link_indices(path)
+            if crossed in links:
                 continue
             residual = state.path_residual(path, ignore=own)
             if residual + EPS < placement.flow.demand:

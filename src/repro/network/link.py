@@ -66,8 +66,8 @@ def path_links(path: Sequence[str]) -> tuple[LinkId, ...]:
     """Return the directed links traversed by ``path`` in order.
 
     Candidate paths (:class:`repro.network.routing.candidate.
-    CandidatePath`) derive their links once and keep them; those are
-    returned as-is instead of re-zipping the node tuple.
+    CandidatePath`) derive theirs from the link table, so every path
+    shares the table's own 2-tuples instead of re-zipping node names.
     """
     links = getattr(path, "links", None)
     if links is not None:

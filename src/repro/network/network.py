@@ -9,7 +9,11 @@ simulator to assert the substrate never drifts.
 
 Link state lives in flat columns indexed by the graph's interned
 :class:`~repro.network.link.LinkTable`: ``capacity``/``used`` in
-``array('d')`` and versions in a ``list[int]``, one slot per directed link.
+``array('d')``, versions in a ``list[int]`` and the ids of the flows on
+each link in a ``list[str]`` (in placement order), one slot per directed
+link. The flow lists serve Definition 1 alone (the flows on a congested
+link) and hold a few dozen ids (at most 62 at k=4 under 85 % load), so
+``list.remove`` is cheap; a set would never shrink after churn's discards.
 The string-keyed API is a thin shim over the columns;
 :class:`~repro.network.routing.candidate.CandidatePath` objects carry their
 link indices precomputed, so the hot loops (feasibility checks, placement,
@@ -80,7 +84,7 @@ class Network(NetworkState):
         self._cap_col = array("d", caps)
         self._used_col = array("d", bytes(8 * n))
         self._ver_col: list[int] = [0] * n
-        self._flows_col: list[set[str]] = [set() for _ in range(n)]
+        self._flows_col: list[list[str]] = [[] for _ in range(n)]
         self._placements: dict[str, Placement] = {}
         # Rule-tracking nodes get their own dense index and columns.
         self._node_index: dict[str, int] = {}
@@ -170,8 +174,8 @@ class Network(NetworkState):
     def link_version_idx(self, i: int) -> int:
         return self._ver_col[i]
 
-    def flows_idx(self, i: int) -> set[str]:
-        """The live flow set of link ``i`` — callers must not mutate it."""
+    def flows_idx(self, i: int) -> list[str]:
+        """The live flow list of link ``i`` — callers must not mutate it."""
         return self._flows_col[i]
 
     def row_residuals(self,
@@ -238,8 +242,10 @@ class Network(NetworkState):
         flows_col, placements = self._flows_col, self._placements
         for i in idx:
             res = cap[i] - used[i]
-            for fid in flows_col[i] & ignore:
-                res += placements[fid].flow.demand
+            flows = flows_col[i]
+            for fid in ignore:
+                if fid in flows:
+                    res += placements[fid].flow.demand
             if res < best:
                 best = res
         return best
@@ -301,7 +307,7 @@ class Network(NetworkState):
         fid = flow.flow_id
         for i in idx:
             used[i] += demand
-            flows_col[i].add(fid)
+            flows_col[i].append(fid)
             ver[i] += 1
         if self._node_index:
             for node in placement.path:
@@ -321,7 +327,7 @@ class Network(NetworkState):
             if used[i] < 0:
                 # Guard against float drift; usage can never be negative.
                 used[i] = 0.0
-            flows_col[i].discard(flow_id)
+            flows_col[i].remove(flow_id)
             ver[i] += 1
         if self._node_index:
             for node in placement.path:
@@ -474,7 +480,9 @@ class Network(NetworkState):
             assert abs(derived_used[i] - self._used_col[i]) < 1e-3, (
                 f"link {format_link(link)}: tracked used {self._used_col[i]} "
                 f"!= derived {derived_used[i]}")
-            assert derived_flows[i] == self._flows_col[i], (
+            flows = self._flows_col[i]
+            assert len(set(flows)) == len(flows) \
+                and derived_flows[i] == set(flows), (
                 f"link {format_link(link)}: stale flow index")
             assert self._used_col[i] <= self._cap_col[i] + 1e-3, (
                 f"link {format_link(link)} oversubscribed: "
@@ -541,7 +549,7 @@ class Network(NetworkState):
             placement = Placement(flow=flow, path=tuple(entry["path"]))
             fid = flow.flow_id
             for link in placement.links:
-                self._flows_col[index[link]].add(fid)
+                self._flows_col[index[link]].append(fid)
             self._placements[fid] = placement
         self._cap_col = array("d", state["cap_col"])
         self._used_col = array("d", state["used_col"])
@@ -566,7 +574,7 @@ class Network(NetworkState):
         clone._cap_col = array("d", self._cap_col)
         clone._used_col = array("d", self._used_col)
         clone._ver_col = list(self._ver_col)
-        clone._flows_col = [set(flows) for flows in self._flows_col]
+        clone._flows_col = [list(flows) for flows in self._flows_col]
         clone._placements = dict(self._placements)
         clone._node_index = self._node_index
         clone._switch_idx = self._switch_idx

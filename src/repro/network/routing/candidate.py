@@ -15,11 +15,10 @@ built for. It carries:
   integer-indexed state kernel iterates. Baked eagerly: it is what every
   hot loop (residual scans, place/remove) reads.
 * ``links`` — the directed links, in order (what :func:`path_links`
-  returns). Derived on first read from the table's own link ids, then kept.
-* ``link_set`` — the same links as a frozenset, for overlap/membership
-  tests. Derived on first read, then kept; its only readers are the
-  migration planner's overlap tests on event flows, so the tens of
-  thousands of paths churn places never build one.
+  returns). Derived on every read from the table's own link ids and never
+  kept: its readers (plan compilation and ordering, error messages) are
+  off the churn and migration paths, which test link membership on
+  ``link_idx`` instead.
 
 A :class:`CandidatePath` *is* a tuple of node names, so every existing call
 site — ``path[0]``, ``len(path)``, equality against plain node tuples,
@@ -29,14 +28,13 @@ activate by recognizing the extra attributes.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 from repro.network.link import LinkId, LinkTable, is_simple_path
 
 
 class CandidatePath(tuple[str, ...]):
-    """A node tuple with baked ``link_idx`` and lazy ``links``/``link_set``.
+    """A node tuple with baked ``link_idx`` and derived ``links``.
 
     Attributes:
         link_idx: integer link indices into ``table``, or ``None`` when the
@@ -89,7 +87,7 @@ class CandidatePath(tuple[str, ...]):
         path.table = table
         return path
 
-    @cached_property
+    @property
     def links(self) -> tuple[LinkId, ...]:
         """Directed links traversed, in order — the table's own link ids
         when there is a table, so every path shares the same 2-tuples."""
@@ -97,8 +95,3 @@ class CandidatePath(tuple[str, ...]):
         if table is None or link_idx is None:
             return tuple(zip(self[:-1], self[1:]))
         return tuple(map(table.ids.__getitem__, link_idx))
-
-    @cached_property
-    def link_set(self) -> frozenset[LinkId]:
-        """``frozenset(links)`` for membership tests."""
-        return frozenset(self.links)

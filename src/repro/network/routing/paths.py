@@ -1,11 +1,9 @@
-"""Generic path utilities used by routing and the migration planner."""
+"""Generic path utilities: hop counts and k-shortest-path enumeration."""
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-from repro.network.link import LinkId, path_links
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -26,28 +24,6 @@ def k_shortest_paths(graph: nx.DiGraph, src: str, dst: str,
         return [tuple(p) for p in itertools.islice(gen, k)]
     except (nx.NetworkXNoPath, nx.NodeNotFound):
         return []
-
-
-def paths_avoiding(paths: Iterable[Sequence[str]],
-                   link: LinkId) -> list[tuple[str, ...]]:
-    """Filter ``paths`` down to those that do not traverse ``link``.
-
-    Used when searching for an alternate path for a migrated flow: the new
-    path must avoid the congested link it is being moved away from.
-
-    Paths that are already tuples (including
-    :class:`~repro.network.routing.candidate.CandidatePath` objects) pass
-    through unchanged so their precomputed link data survives the filter.
-    """
-    return [p if isinstance(p, tuple) else tuple(p)
-            for p in paths if link not in path_links(p)]
-
-
-def paths_through(paths: Iterable[Sequence[str]],
-                  link: LinkId) -> list[tuple[str, ...]]:
-    """Filter ``paths`` down to those that traverse ``link``."""
-    return [p if isinstance(p, tuple) else tuple(p)
-            for p in paths if link in path_links(p)]
 
 
 def path_hops(path: Sequence[str]) -> int:

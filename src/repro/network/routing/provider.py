@@ -15,7 +15,9 @@ the first time it is asked for, and builds host-pair paths from them:
   ``topology.equal_cost_paths`` call, filtered by ``banned_nodes`` and
   ``max_paths`` and validated through :meth:`CandidatePath.make` exactly as
   a host pair's enumeration is (fat-tree k=8: 1 024 templates stand in for
-  16 256 enumerations).
+  16 256 enumerations). A middle holds the graph's own node-name objects,
+  not the fresh strings the enumeration built, so a k=8 template set
+  shares its switch names with the graph instead of copying them.
 
 Candidate ``i`` of a host pair is ``(src, *mid_i, dst)`` with
 ``link_idx = (up, *mid_idx_i, down)``. :meth:`PathProvider.paths` builds a
@@ -36,7 +38,6 @@ enumerated whole and cached, and raises the enumeration's errors.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from repro.core.exceptions import TopologyError
@@ -72,6 +73,7 @@ class PathProvider:
         self._cache: dict[tuple[str, str], tuple[CandidatePath, ...]] = {}
         self._templates: dict[tuple[str, str], Template] = {}
         self._attach: dict[str, tuple[str, int, int]] | None = None
+        self._names: dict[str, str] | None = None
         self._table: LinkTable | None = None
 
     @property
@@ -137,10 +139,14 @@ class PathProvider:
             # The first pair asked for under a switch pair pays for the
             # enumeration; an empty one raises for this pair and is not
             # kept, so every such pair reports its own endpoints.
+            names = self._names
+            if names is None:
+                names = self._names = {
+                    n: n for n in self._topology.graph().nodes}
             middles, rows = [], []
             for path in self._enumerate(src, dst):
                 assert path.link_idx is not None  # made against the table
-                middles.append(path[1:-1])
+                middles.append(tuple(map(names.__getitem__, path[1:-1])))
                 rows.append(path.link_idx[1:-1])
             template = self._templates[switches] = (tuple(middles),
                                                     tuple(rows))
@@ -220,16 +226,6 @@ class PathProvider:
             return None
         up, down, (__, rows) = structure
         return up, down, rows
-
-    def shuffled_paths(self, src: str, dst: str,
-                       rng: random.Random) -> list[CandidatePath]:
-        """Candidate paths in a random order (ECMP-style tie breaking).
-
-        Shuffling the *copy* keeps the cache order stable.
-        """
-        shuffled = list(self.paths(src, dst))
-        rng.shuffle(shuffled)
-        return shuffled
 
     def cache_size(self) -> int:
         """Host pairs whose full candidate tuple :meth:`paths` has built.

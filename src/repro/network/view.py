@@ -22,7 +22,7 @@ recording semantics are unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import (
     DuplicateFlowError,
@@ -174,8 +174,10 @@ class NetworkView(NetworkState):
     def capacity_idx(self, i: int) -> float:
         return self._root_cap(i)
 
-    def flows_idx(self, i: int) -> set:
-        """Flow set of link ``i`` — callers must not mutate it."""
+    def flows_idx(self, i: int) -> Collection[str]:
+        """Flows on link ``i``: this chain's copy-on-write set, or the
+        root's list when no view touched the link — callers must not
+        mutate it."""
         for over in self._flows_maps:
             flows = over.get(i)
             if flows is not None:
@@ -226,8 +228,9 @@ class NetworkView(NetworkState):
                     break
             else:
                 flows = root_flows(i)
-            for fid in flows & ignore:
-                res += self.placement(fid).flow.demand
+            for fid in ignore:
+                if fid in flows:
+                    res += self.placement(fid).flow.demand
             if res < best:
                 best = res
         return best

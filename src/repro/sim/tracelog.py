@@ -69,8 +69,10 @@ class TraceLog:
         bus.subscribe(_hooks.EventDropped, self._on_dropped)
 
     def _on_pre_round(self, hook: "_hooks.PreRound") -> None:
+        # The round is decided, not yet executed: an event whose execution
+        # then fails is named here and gets no ``admission`` record.
         self._add(hook.now, "round", index=hook.index,
-                  admitted=list(hook.admitted), ops=hook.planning_ops,
+                  decided=list(hook.admitted), ops=hook.planning_ops,
                   plan_time=round(hook.plan_time, 6),
                   queue=hook.queue_depth)
 

@@ -423,6 +423,46 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
         path = candidates[path_index % len(candidates)]
         self._both("reroute", fid, kernel_path=path, ref_path=tuple(path))
 
+    def _live(self, scope):
+        return [fid for fid in self.ever_placed if scope.has_flow(fid)]
+
+    @rule(index=st.integers(min_value=0, max_value=300),
+          path_index=st.integers(min_value=0, max_value=3))
+    def remove_and_replace(self, index, path_index):
+        """The same id leaves and comes back: the root's per-link lists
+        must drop it and take it again, never holding it twice."""
+        kernel_top, __ = self.tops
+        live = self._live(kernel_top)
+        if not live:
+            return
+        fid = live[index % len(live)]
+        flow = kernel_top.placement(fid).flow
+        self._both("remove", fid)
+        candidates = PROVIDER.paths(flow.src, flow.dst)
+        path = candidates[path_index % len(candidates)]
+        self._both("place", flow, kernel_path=path, ref_path=tuple(path))
+        self.kernel.check_invariants()
+
+    @rule(index=st.integers(min_value=0, max_value=300))
+    def copy_then_diverge(self, index):
+        """A copy goes on as the live network and loses a flow; the
+        original's flow lists and usage must not move with it."""
+        live = self._live(self.kernel)
+        if self.stack or not live:
+            return
+        original = self.kernel
+
+        def observed(network):
+            return {link: (network.used(*link), network.flows_on_link(*link))
+                    for link in self.ref.links()}
+
+        before = observed(original)
+        self.kernel = original.copy()
+        self._both("remove", live[index % len(live)])
+        assert observed(original) == before
+        original.check_invariants()
+        self.kernel.check_invariants()
+
     @rule()
     def push_view(self):
         if len(self.stack) >= 3:

@@ -1,10 +1,14 @@
 """Unit tests for the Flow/Placement value objects."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
 from repro.core.flow import Flow, FlowKind, FlowStats, Placement, next_flow_id
+from repro.network.routing.provider import PathProvider
+from repro.network.topology.fattree import FatTreeTopology
 
 
 def flow(**overrides):
@@ -101,6 +105,38 @@ class TestPlacement:
     def test_src_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not match"):
             Placement(flow=flow(), path=("x", "s1", "b"))
+
+
+class TestSlots:
+    """Flows and placements carry no per-instance ``__dict__``, and still
+    pickle and copy (the parallel runner and checkpoint tests rely on
+    both)."""
+
+    def values(self):
+        update = flow(flow_id="f-u", src="h0_0_0", dst="h1_0_0", size=5.0,
+                      duration=2.5, event_id="U1", kind=FlowKind.UPDATE)
+        path = PathProvider(FatTreeTopology(k=4)).paths("h0_0_0",
+                                                        "h1_0_0")[1]
+        return [update, Placement(flow=update, path=path),
+                Placement(flow=update, path=tuple(path))]
+
+    def test_no_instance_dict(self):
+        for value in self.values():
+            assert not hasattr(value, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                value.extra = 1
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda value: pickle.loads(pickle.dumps(value))])
+    def test_round_trips(self, clone):
+        for value in self.values():
+            twin = clone(value)
+            assert type(twin) is type(value) and twin == value
+        placement = self.values()[1]
+        twin = clone(placement)
+        assert twin.path.link_idx == placement.path.link_idx
+        assert twin.links == placement.links
 
 
 class TestFlowStats:

@@ -12,14 +12,10 @@ import pytest
 
 from repro.core.exceptions import TopologyError
 from repro.core.flow import Flow
-from repro.network.link import link_table_for
+from repro.core.migration import MigrationPlanner
+from repro.network.link import link_table_for, path_links
 from repro.network.routing.candidate import CandidatePath
-from repro.network.routing.paths import (
-    k_shortest_paths,
-    path_hops,
-    paths_avoiding,
-    paths_through,
-)
+from repro.network.routing.paths import k_shortest_paths, path_hops
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.custom import CustomTopology
 from repro.network.topology.fattree import FatTreeTopology
@@ -59,16 +55,6 @@ class TestKShortestPaths:
 
 
 class TestPathFilters:
-    PATHS = [("a", "m1", "b"), ("a", "m2", "b")]
-
-    def test_paths_avoiding(self):
-        kept = paths_avoiding(self.PATHS, ("a", "m1"))
-        assert kept == [("a", "m2", "b")]
-
-    def test_paths_through(self):
-        kept = paths_through(self.PATHS, ("m2", "b"))
-        assert kept == [("a", "m2", "b")]
-
     def test_path_hops(self):
         assert path_hops(("a", "b", "c")) == 2
         assert path_hops(("a",)) == 0
@@ -104,20 +90,6 @@ class TestPathProvider:
         with pytest.raises(TopologyError, match="no path"):
             provider.paths("h0_0_0", "h1_0_0")
 
-    def test_shuffled_paths_preserve_cache_order(self, topo):
-        provider = PathProvider(topo)
-        original = provider.paths("h0_0_0", "h1_0_0")
-        snapshot = tuple(original)
-        provider.shuffled_paths("h0_0_0", "h1_0_0", random.Random(3))
-        assert provider.paths("h0_0_0", "h1_0_0") == snapshot
-
-    def test_shuffled_paths_same_set(self, topo):
-        provider = PathProvider(topo)
-        shuffled = provider.shuffled_paths("h0_0_0", "h1_0_0",
-                                           random.Random(3))
-        assert sorted(shuffled) == sorted(provider.paths("h0_0_0",
-                                                         "h1_0_0"))
-
     def test_warm(self, topo):
         provider = PathProvider(topo)
         provider.warm([("h0_0_0", "h1_0_0"), ("h0_0_0", "h2_0_0")])
@@ -125,7 +97,7 @@ class TestPathProvider:
 
 
 class TestCandidatePath:
-    """What is baked at interning time and what is derived on first read."""
+    """What is baked at interning time and what is derived on each read."""
 
     NODES = ("h0_0_0", "e0_0", "a0_0", "c0_0", "a1_0", "e1_0", "h1_0_0")
 
@@ -134,16 +106,27 @@ class TestCandidatePath:
         return link_table_for(FatTreeTopology(k=4).graph())
 
     @pytest.mark.parametrize("with_table", [True, False])
-    def test_links_and_link_set_derive_lazily(self, table, with_table):
+    def test_links_derive_on_each_read(self, table, with_table):
         path = CandidatePath.make(self.NODES, table if with_table else None)
-        assert "links" not in vars(path) and "link_set" not in vars(path)
         expected = tuple(zip(self.NODES[:-1], self.NODES[1:]))
-        for __ in range(2):  # first read derives, second reads the kept one
+        for __ in range(2):
             assert path.links == expected
-            assert path.link_set == frozenset(expected)
-        assert path.links is path.links
-        assert path.link_set is path.link_set
+        assert set(vars(path)) == {"link_idx", "table"}
         assert (path.link_idx is None) == (not with_table)
+
+    def test_crossing_by_index_agrees_with_links(self, table):
+        """The migration planner's "does this path cross that link" test,
+        on link indices, answers as ``link in path_links(path)`` for every
+        candidate of a pair against every link — baked candidates and the
+        plain node tuples that fall back to a table lookup alike."""
+        provider = PathProvider(FatTreeTopology(k=4))
+        planner = MigrationPlanner(provider)
+        candidates = provider.paths("h0_0_0", "h3_1_1")
+        assert len(candidates) == 4
+        for path in (*candidates, *map(tuple, candidates)):
+            indices = planner._link_indices(path)
+            for i, link in enumerate(provider.table.ids):
+                assert (i in indices) == (link in path_links(path))
 
     def test_links_are_the_tables_own_ids(self, table):
         path = CandidatePath.make(self.NODES, table)
@@ -168,17 +151,17 @@ class TestCandidatePath:
                                                 read_first):
         path = CandidatePath.make(self.NODES, table)
         if read_first:
-            assert path.links and path.link_set
+            assert path.links
         twin = clone(path)
         assert type(twin) is CandidatePath and twin == path
         assert twin.link_idx == path.link_idx
         assert twin.links == path.links
-        assert twin.link_set == path.link_set
 
     def test_interned_paths_stay_lean(self):
         """Interning retains the node tuple, the index tuple and the
         instance dict — no per-path link tuples or frozenset. (1 635 B per
-        path when ``links``/``link_set`` were built eagerly.)"""
+        path when ``links``/``link_set`` were built eagerly; 411 B
+        measured now, bound at +15 %.)"""
         topo = FatTreeTopology(k=8)
         hosts = topo.hosts()
         provider = PathProvider(topo)
@@ -194,7 +177,7 @@ class TestCandidatePath:
         finally:
             tracemalloc.stop()
         assert len(pairs) == 512 and paths == 512 * 16
-        assert retained / paths <= 600
+        assert retained / paths <= 470
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +199,9 @@ def multi_homed_graph():
     return graph
 
 
-#: name -> (topology, check ``links``/``link_set`` on every n-th pair).
-#: Fat-tree k=8 has 235 904 paths; deriving two more containers for each
-#: would cost ~200 MB for properties that are functions of ``link_idx``.
+#: name -> (topology, check ``links`` on every n-th pair). Fat-tree k=8
+#: has 235 904 paths; deriving every one's links costs time for a
+#: property that is a function of ``link_idx``.
 STRUCTURED = {
     "fat-tree-4": (FatTreeTopology(k=4), 1),
     "fat-tree-8": (FatTreeTopology(k=8), 97),
@@ -273,8 +256,6 @@ def assert_same_candidates(provider, topo, every=1, **filters):
         assert [p.link_idx for p in got] == [p.link_idx for p in expected]
         if number % every == 0:
             assert [p.links for p in got] == [p.links for p in expected]
-            assert ([p.link_set for p in got]
-                    == [p.link_set for p in expected])
 
 
 class TestStructureEqualsEnumeration:
@@ -438,11 +419,11 @@ class TestChurnStaysLazy:
         assert placed > 1500
         assert provider.cache_size() == 0
         assert len(provider._templates) == len(calls) <= 1024
-        # Measured 2 494 B per respawn: the placed path, the placement and
-        # the network's flow sets, and a share of the 873 templates these
-        # flows touched (~2.8 KB each). Building all 16 candidates of every
-        # new pair retains 7 015 B.
-        assert retained / placed <= 3500
+        # Measured 1 662 B per respawn: the placed path, the slotted
+        # placement, the flow's slots in the network's per-link lists, and
+        # a share of the 873 templates these flows touched, whose middles
+        # hold the graph's own switch names. Bound at +15 %.
+        assert retained / placed <= 1900
         # The placements are all that hold the paths churn placed; a
         # provider that kept them would leave ~1 979 alive here.
         del path

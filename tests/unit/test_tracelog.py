@@ -57,7 +57,7 @@ class TestTraceLog:
     def test_plmtf_batching_visible(self):
         log, __ = run_with_log(PLMTFScheduler(alpha=4))
         first_round = log.of_kind("round")[0]
-        assert len(first_round.data["admitted"]) == 3
+        assert len(first_round.data["decided"]) == 3
 
     def test_jsonl_round_trips(self):
         log, __ = run_with_log()
@@ -77,6 +77,37 @@ class TestTraceLog:
         log, __ = run_with_log()
         times = [record.time for record in log.records]
         assert times == sorted(times)
+
+
+class TestDecidedIsNotExecuted:
+    def test_failed_execution_is_decided_but_never_admitted(self):
+        """A ``round`` record names what the round *decided*: an event
+        whose execution then fails (rolled back and deferred) is listed
+        there, and no ``admission`` record follows until a later round
+        decides it again and executes it."""
+        from repro.sim.controlplane import ScriptedControlPlane
+        log = TraceLog()
+        net, provider = diamond_setup()
+        config = SimulationConfig(verify_invariants=True,
+                                  exec_max_retries=0, max_deferrals=5)
+        sim = UpdateSimulator(net, provider, FIFOScheduler(),
+                              config=config, listener=log,
+                              control_plane=ScriptedControlPlane([False]),
+                              faults=None)
+        event = make_event([ab_flow(f"e0f{j}", 10.0, 2.0)
+                            for j in range(2)], label="e0")
+        sim.submit([event])
+        assert sim.run().deferrals == 1
+        rounds = [i for i, r in enumerate(log.records) if r.kind == "round"]
+        first, second = (log.records[i] for i in rounds[:2])
+        assert first.data["decided"] == [event.event_id]
+        assert "admitted" not in first.data
+        between = [r.kind for r in log.records[rounds[0] + 1:rounds[1]]]
+        assert "exec_failure" in between and "admission" not in between
+        assert second.data["decided"] == [event.event_id]
+        admissions = log.of_kind("admission")
+        assert [a.data["event"] for a in admissions] == [event.event_id]
+        assert log.records.index(admissions[0]) > rounds[1]
 
 
 class TestListenerInterface:
