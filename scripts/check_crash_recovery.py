@@ -7,7 +7,7 @@ For every (scheduler x kill point) cell in the grid the harness:
    chained schedule digest out of its final checkpoint,
 2. re-runs the identical spec with ``REPRO_CRASH_AT=<label>:<n>`` armed —
    the service SIGKILLs *itself* at a deterministic point (mid-round,
-   mid-checkpoint-write — after the ``history.wal`` append, before the
+   mid-checkpoint-write — after the checkpoint is built, before the
    ``checkpoint.json`` replace — or halfway through a journal append,
    leaving a real torn frame on disk),
 3. restarts it with ``--resume`` (and ``REPRO_AUDIT=1``, so the restore
@@ -56,11 +56,14 @@ SCHEDULERS = {
 
 #: kill points: (label, fatal visit) — mid-round, mid-journal-append
 #: (leaves a flushed torn half-frame), mid-checkpoint-write. A ``snapshot``
-#: kill lands between the history-log append and the checkpoint replace;
-#: visit 4 does so with three covered frames already in ``history.wal``
-#: and a fourth no checkpoint covers (the 20 default events arrive over
-#: 40 simulated seconds, so the 10 s cadence below puts four ticks inside
-#: the busy part of the run; the cadence does not enter the digest).
+#: kill lands after the checkpoint is built and before it replaces the
+#: previous one; visit 4 does so after three checkpoints landed, with
+#: settled ``complete`` records in the journal suffix that no checkpoint
+#: covers, so the resume restores settled state from the covered prefix
+#: and re-checks the suffix's entries on replay (the 20 default events
+#: arrive over 40 simulated seconds, so the 10 s cadence below puts four
+#: ticks inside the busy part of the run; the cadence does not enter the
+#: digest).
 KILL_POINTS = [("post-round", 5), ("journal-append", 7), ("snapshot", 2),
                ("snapshot", 4)]
 

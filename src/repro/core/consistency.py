@@ -93,13 +93,3 @@ def sequential_order_is_safe(state: NetworkState, plan: EventPlan) -> bool:
         return False
     view = NetworkView(state)
     return all(try_step(view, step) for step in plan_steps(plan))
-
-
-def one_shot_safety_rate(state: NetworkState,
-                         plans: list[EventPlan]) -> float:
-    """Fraction of feasible plans that a one-shot flip could execute."""
-    feasible = [plan for plan in plans if plan.feasible]
-    if not feasible:
-        return 1.0
-    safe = sum(1 for plan in feasible if is_one_shot_safe(state, plan))
-    return safe / len(feasible)

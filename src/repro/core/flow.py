@@ -170,17 +170,3 @@ class Placement:
         the kernel's hot loops read a candidate path's ``link_idx``
         instead."""
         return path_links(self.path)
-
-
-@dataclass
-class FlowStats:
-    """Mutable per-flow runtime statistics collected by the simulator."""
-
-    start_time: float | None = None
-    finish_time: float | None = None
-    migrations: int = field(default=0)
-    """How many times the flow was rerouted to make room for update flows."""
-
-    @property
-    def completed(self) -> bool:
-        return self.finish_time is not None

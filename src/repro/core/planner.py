@@ -171,15 +171,6 @@ class EventPlanner:
             return plan, None
         return plan, recorder.footprint()
 
-    def probe_cost(self, state: NetworkState, event: UpdateEvent,
-                   rng: random.Random) -> float:
-        """``Cost(U)`` against the current state; ``inf`` when infeasible.
-
-        This is what LMTF/P-LMTF compare across their ``α+1`` candidates.
-        """
-        plan = self.plan_event(state, event, rng, commit=False)
-        return plan.cost if plan.feasible else float("inf")
-
     # -------------------------------------------------------------- internals
 
     def _ordered_flows(self, event: UpdateEvent) -> list[Flow]:

@@ -194,8 +194,3 @@ def reduction(baseline: float, value: float) -> float:
     if baseline == 0:
         return 0.0
     return (1.0 - value / baseline) * 100.0
-
-
-def average_over_seeds(make_scenario, seeds, run_one) -> list:
-    """Utility: run ``run_one(scenario)`` per seed and collect results."""
-    return [run_one(make_scenario(seed)) for seed in seeds]

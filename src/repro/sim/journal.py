@@ -1,21 +1,14 @@
-"""Append-only framed logs for the crash-tolerant service.
+"""The write-ahead journal of the crash-tolerant service.
 
-The service keeps two logs in this format, through the same
-:class:`JournalWriter`:
-
-* the **write-ahead journal** (``journal.wal``) — every externally visible
-  commitment (an ingested arrival entering the queue, a terminal
-  completion/drop) is journaled *before* it is acknowledged to the rest of
-  the pipeline;
-* the **history log** (``history.wal``) — at each checkpoint, one frame
-  holding what settled since the previous one (terminal events' records
-  and lifecycle entries), so the checkpoint itself carries live state
-  only.
-
-Together with the periodic checkpoint (:mod:`repro.sim.snapshot`) they make
-``repro serve`` exactly resumable: restore = load the latest valid
-checkpoint and the history prefix it names, then re-drive the
-deterministic simulator while cross-checking each re-produced journal
+The journal (``journal.wal``) records every externally visible commitment
+*before* it is acknowledged to the rest of the pipeline: an ingested
+arrival entering the queue, and a terminal completion/drop together with
+the event's settled entry (its metrics record, registration index and
+origin). It is the only place settled state is persisted, so the periodic
+checkpoint (:mod:`repro.sim.snapshot`) carries live state only and names
+how much of the journal it covers. Restore = load the latest valid
+checkpoint, rebuild settled state from the journal prefix it names, then
+re-drive the deterministic simulator while cross-checking each re-produced
 record against the journal suffix.
 
 Frame format (little-endian), one frame per record::
@@ -62,6 +55,9 @@ _HEADER = struct.Struct("<II")
 #: Upper bound on a single record's payload; a "length" beyond this in an
 #: otherwise complete header is treated as corruption, not an allocation.
 _MAX_RECORD_BYTES = 16 * 1024 * 1024
+
+#: The crash point every append hosts (``REPRO_CRASH_AT=journal-append:<n>``).
+_CRASH_LABEL = "journal-append"
 
 
 class JournalCorruptionError(RuntimeError):
@@ -145,19 +141,12 @@ class JournalWriter:
     every :meth:`append` is flushed + fsynced before returning — a record
     handed to the log is durable before the caller acknowledges the
     event it describes.
-
-    ``crash_label`` names the crash point :meth:`append` hosts, so each
-    log's appends are counted on their own (``REPRO_CRASH_AT=<label>:<n>``).
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True,
-                 crash_label: str = "journal-append"):
+    def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._fsync = fsync
-        self._crash_label = crash_label
         self._handle: BinaryIO | None = None
         self._size = 0
-        self.records_written = 0
 
     @property
     def path(self) -> Path:
@@ -186,23 +175,22 @@ class JournalWriter:
             except BaseException:
                 self.close()
                 raise
-        if not existed and self._fsync:
+        if not existed:
             fsync_dir(self._path.parent)
         return scan
 
     def append(self, record: dict) -> int:
         """Durably append one record; returns the offset past the frame.
 
-        Hosts this writer's crash point (``journal-append`` by default):
-        when armed for its fatal visit, only a prefix of the frame reaches
-        the file (flushed so the bytes are really on disk) before the
-        process dies — producing the torn tail the recovery path must
-        tolerate.
+        Hosts the ``journal-append`` crash point: when armed for its fatal
+        visit, only a prefix of the frame reaches the file (flushed so the
+        bytes are really on disk) before the process dies — producing the
+        torn tail the recovery path must tolerate.
         """
         if self._handle is None:
             raise RuntimeError("journal is not open")
         frame = encode_record(record)
-        if crash_imminent(self._crash_label):
+        if crash_imminent(_CRASH_LABEL):
             # Stage the realistic torn state *before* dying: half a frame,
             # flushed so the bytes truly reach the file.
             torn = frame[:max(1, len(frame) // 2)]
@@ -211,13 +199,11 @@ class JournalWriter:
             os.fsync(self._handle.fileno())
         # Counts every visit; does not return on the fatal one (SIGKILL
         # mode) or raises (REPRO_CRASH_MODE=raise).
-        crash_point(self._crash_label)
+        crash_point(_CRASH_LABEL)
         self._handle.write(frame)
         self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self._size += len(frame)
-        self.records_written += 1
         return self._size
 
     def truncate(self, size: int) -> None:
@@ -227,8 +213,7 @@ class JournalWriter:
             raise RuntimeError("journal is not open")
         self._handle.truncate(size)
         self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self._size = size
 
     def close(self) -> None:

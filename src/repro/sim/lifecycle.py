@@ -82,6 +82,10 @@ TERMINAL_STATES: frozenset[EventState] = frozenset(
     if not successors)
 
 
+#: The journal's terminal record kinds and the state each one settles.
+OUTCOME_STATES: dict[str, EventState] = {
+    "complete": EventState.COMPLETED, "drop": EventState.DROPPED}
+
 _T = TypeVar("_T")
 
 
@@ -89,10 +93,11 @@ def in_registration_order(settled: Iterable[tuple[int, _T]],
                           live: Iterable[_T]) -> list[_T]:
     """Rebuild a registration-ordered population from its two halves.
 
-    A checkpoint stores the live events in registration order; the history
-    log stores the terminal ones in *settlement* order, each with the
-    registration index it had. The terminal events take their recorded
-    slots and the live ones fill the gaps in the order they come.
+    A checkpoint stores the live events in registration order; the
+    journal's terminal records hold the settled ones in *settlement*
+    order, each with the registration index it had. The terminal events
+    take their recorded slots and the live ones fill the gaps in the order
+    they come.
 
     Raises:
         ValueError: the halves do not tile one sequence (an index out of
@@ -149,12 +154,12 @@ class EventLifecycle:
         self._history: dict[str, list[TransitionRecord]] = {}
         self._history_limit = history_limit
         self._transitions = 0
-        # Non-terminal events -> registration index, and the terminal ones
-        # as (event_id, registration index) in settlement order. Together
-        # they let a checkpoint export the live entries in O(live) and the
-        # newly settled ones in O(new), whatever the age of the registry.
+        # Non-terminal events -> registration index, so a checkpoint
+        # exports the live entries in O(live) whatever the age of the
+        # registry. An event leaves it when it settles; its index stays in
+        # ``_last_settled`` until the next one settles.
         self._live: dict[str, int] = {}
-        self._settled: list[tuple[str, int]] = []
+        self._last_settled: tuple[str, int] | None = None
         # State populations maintained incrementally so counts() stays O(1)
         # in the number of registered events — the lifecycle auditor reads
         # it on every round of an unbounded service run.
@@ -212,7 +217,7 @@ class EventLifecycle:
         self._counts[to] += 1
         self._states[event_id] = to
         if to in TERMINAL_STATES:
-            self._settled.append((event_id, self._live.pop(event_id)))
+            self._last_settled = (event_id, self._live.pop(event_id))
         history = self._history.setdefault(event_id, [])
         history.append(record)
         if len(history) > self._history_limit:
@@ -227,9 +232,9 @@ class EventLifecycle:
 
         Carries the non-terminal events (state, origin, bounded transition
         history), the per-state populations and the transition counter.
-        Terminal entries never change again; :meth:`export_settled` hands
-        them to the history log once, so a checkpoint costs O(live events)
-        however long the service has run.
+        Terminal entries never change again; the journal's terminal
+        record carries each one (:meth:`settled_entry`), so a checkpoint
+        costs O(live events) however long the service has run.
         """
         return {
             "states": {eid: self._states[eid].value for eid in self._live},
@@ -243,31 +248,37 @@ class EventLifecycle:
                 for eid in self._live},
         }
 
-    def export_settled(self, start: int) -> list[dict[str, Any]]:
-        """The terminal entries from the ``start``-th settlement on, in
-        settlement order: event id, registration index, terminal state,
-        origin. Per-event transition histories are diagnostics of live
-        events and are not carried."""
-        return [{"event": eid, "index": index,
-                 "state": self._states[eid].value,
-                 "origin": self._origins[eid]}
-                for eid, index in self._settled[start:]]
+    def settled_entry(self, event_id: str) -> dict[str, Any]:
+        """Registration index and origin of ``event_id``, the event that
+        settled last (read while its terminal hook is being handled).
+
+        Raises:
+            IllegalTransitionError: another event settled after it, or
+                none has.
+        """
+        if self._last_settled is None or self._last_settled[0] != event_id:
+            raise IllegalTransitionError(
+                f"event {event_id} is not the event that settled last "
+                f"({self._last_settled!r})")
+        return {"index": self._last_settled[1],
+                "origin": self._origins[event_id]}
 
     def restore_state(self, state: dict[str, Any],
                       settled: list[dict[str, Any]]) -> None:
         """Overwrite this registry from :meth:`export_state` output plus
-        every :meth:`export_settled` entry written before it."""
+        the terminal journal records (``kind``, ``event`` and the
+        :meth:`settled_entry` fields) of every event settled before it."""
         if self._states:
             raise IllegalTransitionError(
                 "restore_state requires an empty lifecycle registry")
         entries = in_registration_order(
-            ((e["index"], (e["event"], e["state"], e["origin"]))
+            ((e["index"], (e["event"], OUTCOME_STATES[e["kind"]],
+                           e["origin"]))
              for e in settled),
-            ((eid, value, state["origins"][eid])
+            ((eid, EventState(value), state["origins"][eid])
              for eid, value in state["states"].items()))
-        self._states = {eid: EventState(value) for eid, value, _ in entries}
+        self._states = {eid: to for eid, to, _ in entries}
         self._origins = {eid: origin for eid, _, origin in entries}
-        self._settled = [(e["event"], e["index"]) for e in settled]
         self._live = {eid: index for index, (eid, _, _) in enumerate(entries)
                       if eid in state["states"]}
         self._transitions = int(state["transitions"])

@@ -405,8 +405,8 @@ class MetricsCollector:
     def export_state(self) -> dict[str, Any]:
         """JSON-ready encoding of the open records and all counters.
 
-        A completed or dropped record never changes again;
-        :meth:`export_record` hands it to the history log once, so a
+        A completed or dropped record never changes again; the journal's
+        terminal record carries it (:meth:`export_record`), so a
         checkpoint costs O(open events) however long the service has run.
         Open queue stays are settled first, so ``rounds_waited`` counts
         every round settled so far.
@@ -421,15 +421,15 @@ class MetricsCollector:
         }
 
     def export_record(self, event_id: str) -> dict[str, Any]:
-        """The record fields of one event (a closed one, on its way to the
-        history log)."""
+        """The record fields of one event (a closed one, on its way into
+        its terminal journal record)."""
         return dict(vars(self._record(event_id)))
 
     def restore_state(self, state: dict[str, Any],
                       settled: list[dict[str, Any]]) -> None:
         """Overwrite this collector from :meth:`export_state` output plus
-        the history log's entries (``{"index": registration index,
-        "record": fields}``) for every record closed before it.
+        the terminal journal records (``{"index": registration index,
+        "record": fields, ...}``) of every record closed before it.
 
         ``state["totals"]`` must hold exactly the declared counters (the
         service checks that and refuses the checkpoint otherwise).

@@ -44,15 +44,14 @@ from repro.sim.crashpoint import crash_point
 from repro.sim.export import CounterExporter, StatsLine
 from repro.sim.hooks import EventCompleted, EventDropped, PostRound
 from repro.sim.journal import JournalScan, JournalWriter, encode_record
+from repro.sim.lifecycle import OUTCOME_STATES
 from repro.sim.metrics import RunMetrics
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
     HEARTBEAT_FILE,
-    HISTORY_FILE,
     JOURNAL_FILE,
     RecoveryError,
     build_checkpoint,
-    build_history_frame,
     checked_prefix,
     load_checkpoint,
 )
@@ -97,9 +96,9 @@ class ServiceConfig:
             :meth:`SimulationService.serve` call — the runaway backstop
             for unbounded streams.
         state_dir: directory for the crash-recovery state — the
-            write-ahead journal (``journal.wal``), the restorable
-            live-state checkpoint (``checkpoint.json``), the settled
-            history log (``history.wal``) and the supervisor heartbeat
+            write-ahead journal (``journal.wal``, settled events
+            included), the restorable live-state checkpoint
+            (``checkpoint.json``) and the supervisor heartbeat
             (``heartbeat.json``). ``None`` disables crash recovery.
         resume: continue the run recorded in ``state_dir`` instead of
             starting fresh. The caller must rebuild the *identical*
@@ -244,10 +243,6 @@ class SimulationService:
         self._journal: JournalWriter | None = None
         self._journal_records = 0
         self._journal_offset = 0
-        # The settled-history log and how much of the run it holds.
-        self._history: JournalWriter | None = None
-        self._history_records = 0
-        self._history_events = 0
         self._digest = _DIGEST_SEED
         self._replay: deque[bytes] = deque()
         self._replayed = 0
@@ -374,9 +369,8 @@ class SimulationService:
                 self._write_snapshot(final=True)
             self._write_checkpoint("final")
         finally:
-            for log in (self._journal, self._history):
-                if log is not None:
-                    log.close()
+            if self._journal is not None:
+                self._journal.close()
         collector = sim.metrics_collector
         return ServiceReport(
             stopped=self._stopped or "stream",
@@ -457,8 +451,15 @@ class SimulationService:
         self._digest = sha256(
             (self._digest + f"{hook.event_id}:{kind}:{hook.now!r}")
             .encode("utf-8")).hexdigest()
-        self._journal_append({"kind": kind, "event": hook.event_id,
-                              "time": hook.now})
+        record: dict[str, Any] = {"kind": kind, "event": hook.event_id,
+                                  "time": hook.now}
+        if self._journal is not None:
+            # The settled entry: what restore rebuilds this event from.
+            sim = self._sim
+            record.update(sim.lifecycle.settled_entry(hook.event_id))
+            record["record"] = sim.metrics_collector.export_record(
+                hook.event_id)
+        self._journal_append(record)
         # Once the stream is done and the last event settled, cancel the
         # snapshot timer so the engine drains at the real end time instead
         # of idling forward to the next snapshot tick. The handle cancel
@@ -561,29 +562,19 @@ class SimulationService:
         self._journal_offset = self._journal.size
 
     def _write_checkpoint(self, origin: str) -> None:
-        """Make what settled durable, then write the restorable live-state
-        checkpoint (atomic replace).
+        """Write the restorable live-state checkpoint (atomic replace).
 
-        The history frame goes first: once the checkpoint that stops
-        carrying those events is on disk, the log must already hold them.
-        Hosts the ``snapshot`` crash point: a kill here leaves the
-        *previous* checkpoint intact (the new one never replaces it), so
-        recovery restores the older state, cuts the history log back to
-        what that checkpoint covers, and replays a longer journal suffix.
+        Everything that settled is already durable in the journal's
+        terminal records, which the checkpoint covers by offset. Hosts the
+        ``snapshot`` crash point: a kill here leaves the *previous*
+        checkpoint intact (the new one never replaces it), so recovery
+        restores the older state and replays a longer journal suffix.
         """
-        if (self._state_dir is None or self._journal is None
-                or self._history is None):
+        if self._state_dir is None or self._journal is None:
             return
-        frame = build_history_frame(self._sim, self._history_events)
-        if frame is not None:
-            self._history.append(frame)
-            self._history_records += 1
-            self._history_events += len(frame["events"])
         payload = build_checkpoint(
             self, origin, journal_offset=self._journal_offset,
-            journal_records=self._journal_records,
-            history_offset=self._history.size,
-            history_records=self._history_records)
+            journal_records=self._journal_records)
         crash_point("snapshot")
         atomic_write_text(self._state_dir / CHECKPOINT_FILE,
                           fingerprinted_json(payload) + "\n")
@@ -608,65 +599,52 @@ class SimulationService:
         }
 
     def _open_state(self) -> None:
-        """Open the state dir: both logs, and (on resume) the checkpoint.
+        """Open the state dir: the journal, and (on resume) the checkpoint.
 
         Raises:
             RecoveryError: a fresh start would clobber an existing run, or
                 a resume has nothing usable to resume from.
-            JournalCorruptionError: the journal or the history log holds a
-                complete frame that fails its CRC (bit-rot or tampering —
-                torn tails are tolerated and truncated).
+            JournalCorruptionError: the journal holds a complete frame that
+                fails its CRC (bit-rot or tampering — torn tails are
+                tolerated and truncated).
         """
         if self._state_dir is None:
             return
         self._state_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_path = self._state_dir / CHECKPOINT_FILE
+        journal_path = self._state_dir / JOURNAL_FILE
         has_checkpoint = checkpoint_path.exists()
-        present = [CHECKPOINT_FILE] if has_checkpoint else []
-        for name in (JOURNAL_FILE, HISTORY_FILE):
-            path = self._state_dir / name
-            if path.exists() and path.stat().st_size > 0:
-                present.append(name)
-        if not self._config.resume and present:
+        has_journal = (journal_path.exists()
+                       and journal_path.stat().st_size > 0)
+        if not self._config.resume and (has_checkpoint or has_journal):
             raise RecoveryError(
                 f"state dir {self._state_dir} already holds a run "
-                f"({present[0]} present); pass --resume to continue it or "
-                f"--fresh to discard it")
-        if self._config.resume and not (
-                has_checkpoint or JOURNAL_FILE in present):
+                f"({CHECKPOINT_FILE if has_checkpoint else JOURNAL_FILE} "
+                f"present); pass --resume to continue it or --fresh to "
+                f"discard it")
+        if self._config.resume and not (has_checkpoint or has_journal):
             raise RecoveryError(
                 f"--resume requested but state dir {self._state_dir} "
                 f"holds no {CHECKPOINT_FILE} or {JOURNAL_FILE}; remove "
                 f"--resume to start fresh")
-        self._journal = JournalWriter(self._state_dir / JOURNAL_FILE)
-        journal_scan = self._journal.open()
-        history = self._history = JournalWriter(
-            self._state_dir / HISTORY_FILE, crash_label="history-append")
-        history_scan = history.open()
+        self._journal = JournalWriter(journal_path)
+        scan = self._journal.open()
         if self._config.resume:
-            checkpoint = (load_checkpoint(checkpoint_path)
-                          if has_checkpoint else None)
-            self._restore(checkpoint, journal_scan, history_scan)
-            # Frames past the restored checkpoint belong to a tick that
-            # died before its checkpoint landed (all of them, when no
-            # checkpoint ever did); the re-executed tick appends them
-            # again, byte for byte.
-            history.truncate(int(checkpoint["history"]["offset"])
-                             if checkpoint is not None else 0)
+            self._restore(load_checkpoint(checkpoint_path)
+                          if has_checkpoint else None, scan)
 
     def _restore(self, checkpoint: dict[str, Any] | None,
-                 scan: JournalScan, history_scan: JournalScan) -> None:
+                 scan: JournalScan) -> None:
         """Apply a checkpoint (or a bare journal) to the fresh simulator.
 
         With no checkpoint — the original run died before its first tick —
         the resume is a fresh deterministic re-run that treats the whole
         journal as its verification suffix. With a checkpoint, every
         component restores its live state from the checkpoint and its
-        settled state from the history frames the checkpoint covers
-        (``history_scan`` may hold more; the caller cuts them off), the
-        engine heap is re-bound through the tag resolver, the arrival
-        stream skips its consumed prefix, and the journal records past the
-        checkpoint become replay expectations.
+        settled state from the terminal records of the journal prefix the
+        checkpoint covers, the engine heap is re-bound through the tag
+        resolver, the arrival stream skips its consumed prefix, and the
+        journal records past the checkpoint become replay expectations.
         """
         from repro.core.event import UpdateEvent, set_event_id_state
         from repro.core.flow import set_flow_id_state
@@ -697,12 +675,8 @@ class SimulationService:
                 f"counter set (missing {sorted(declared - written)}, "
                 f"unknown {sorted(written - declared)}); resume with that "
                 f"build or start fresh with --fresh")
-        prefix = checked_prefix(scan, JOURNAL_FILE, checkpoint["journal"])
-        frames = checked_prefix(history_scan, HISTORY_FILE,
-                                checkpoint["history"])
-        settled = [entry for frame in frames for entry in frame["events"]]
-        self._history_records = len(frames)
-        self._history_events = len(settled)
+        prefix = checked_prefix(scan, checkpoint["journal"])
+        settled = [r for r in prefix if r["kind"] in OUTCOME_STATES]
         svc = checkpoint["service"]
         # Service bookkeeping first: the engine tag resolver needs the
         # pending-arrival payload to re-bind its callback.
@@ -761,7 +735,7 @@ class SimulationService:
         self._replay = deque(encode_record(r)
                              for r in scan.records[len(prefix):])
         if self._auditor is not None:
-            self._auditor.assert_restored(prefix, settled)
+            self._auditor.assert_restored(prefix)
         self._restored = True
 
     def _resolve_tag(self, tag: str) -> Callable[[], None]:

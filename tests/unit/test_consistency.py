@@ -11,12 +11,10 @@ from helpers import BG_BOT, BG_TOP, TOP, ab_flow, cd_flow, diamond_setup, ef_flo
 
 from repro.core.consistency import (
     is_one_shot_safe,
-    one_shot_safety_rate,
     sequential_order_is_safe,
     transient_overloads,
 )
 from repro.core.event import make_event
-from repro.core.plan import EventPlan
 from repro.core.planner import EventPlanner
 
 
@@ -99,27 +97,3 @@ class TestStepOrderUnderChurn:
         assert sequential_order_is_safe(net, plan)
         net.remove(plan.migrations[0].flow.flow_id)
         assert sequential_order_is_safe(net, plan) is False
-
-
-class TestSafetyRate:
-    def test_rate_over_mixed_plans(self):
-        net, provider = diamond_setup()
-        net.place(cd_flow("bg", 45.0), BG_TOP)
-        plans = [
-            plan_one(net, provider, [ab_flow("a", 5.0)], seed=1),
-            plan_one(net, provider, [ab_flow("b", 60.0)], seed=2),
-        ]
-        rate = one_shot_safety_rate(net, plans)
-        assert 0.0 <= rate <= 1.0
-
-    def test_rate_empty_is_one(self):
-        net, __ = diamond_setup()
-        assert one_shot_safety_rate(net, []) == 1.0
-
-    def test_rate_ignores_infeasible(self):
-        net, provider = diamond_setup()
-        bad = EventPlan(event=make_event([ab_flow("x", 1.0)]),
-                        flow_plans=(),
-                        blocked=(ab_flow("x2", 1.0),))
-        good = plan_one(net, provider, [ab_flow("g", 5.0)])
-        assert one_shot_safety_rate(net, [bad, good]) == 1.0

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.core.flow import Flow, FlowKind, FlowStats, Placement, next_flow_id
+from repro.core.flow import Flow, FlowKind, Placement, next_flow_id
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.fattree import FatTreeTopology
 
@@ -137,14 +137,3 @@ class TestSlots:
         twin = clone(placement)
         assert twin.path.link_idx == placement.path.link_idx
         assert twin.links == placement.links
-
-
-class TestFlowStats:
-    def test_initially_incomplete(self):
-        stats = FlowStats()
-        assert not stats.completed
-        assert stats.migrations == 0
-
-    def test_completed_after_finish(self):
-        stats = FlowStats(start_time=1.0, finish_time=2.0)
-        assert stats.completed

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.lifecycle import (
     LEGAL_TRANSITIONS,
+    OUTCOME_STATES,
     TERMINAL_STATES,
     EventLifecycle,
     EventState,
@@ -171,12 +172,16 @@ class TestQueriesAndHistory:
 
 
 def settle(lc, event_id, to=EventState.COMPLETED):
+    """Drive ``event_id`` to ``to``; returns its terminal journal record
+    (kind, event and :meth:`EventLifecycle.settled_entry`)."""
     for state in (EventState.PROBED, EventState.ADMITTED,
                   EventState.EXECUTING):
         lc.advance(event_id, state, 1.0)
     if to is EventState.DROPPED:
         lc.advance(event_id, EventState.DEFERRED, 2.0)
     lc.advance(event_id, to, 2.0)
+    kind = {state: kind for kind, state in OUTCOME_STATES.items()}[to]
+    return {"kind": kind, "event": event_id, **lc.settled_entry(event_id)}
 
 
 class TestCheckpointing:
@@ -197,8 +202,8 @@ class TestCheckpointing:
         for event_id, origin in (("U1", "stream"), ("U2", "repair"),
                                  ("U3", "stream"), ("U4", "stream")):
             lc.register(event_id, at=0.0, origin=origin)
-        settle(lc, "U3")
-        settle(lc, "U1", to=EventState.DROPPED)
+        self.settled = [settle(lc, "U3"),
+                        settle(lc, "U1", to=EventState.DROPPED)]
         lc.advance("U4", EventState.PROBED, 3.0)
         return lc
 
@@ -209,18 +214,20 @@ class TestCheckpointing:
         assert list(state["origins"]) == ["U2", "U4"]
         assert list(state["histories"]) == ["U2", "U4"]
         assert state["counts"]["completed"] == 1
-        assert lc.export_settled(0) == [
-            {"event": "U3", "index": 2, "state": "completed",
+        assert self.settled == [
+            {"kind": "complete", "event": "U3", "index": 2,
              "origin": "stream"},
-            {"event": "U1", "index": 0, "state": "dropped",
-             "origin": "stream"}]
-        assert lc.export_settled(1) == lc.export_settled(0)[1:]
-        assert lc.export_settled(2) == []
+            {"kind": "drop", "event": "U1", "index": 0, "origin": "stream"}]
+        # Only the event that settled last has its entry at hand.
+        assert lc.settled_entry("U1") == {"index": 0, "origin": "stream"}
+        for event_id in ("U3", "U2"):
+            with pytest.raises(IllegalTransitionError, match="settled last"):
+                lc.settled_entry(event_id)
 
     def test_restore_round_trips_order_counts_and_cursors(self):
         lc = self.build()
         restored = EventLifecycle()
-        restored.restore_state(lc.export_state(), lc.export_settled(0))
+        restored.restore_state(lc.export_state(), self.settled)
         assert restored.in_state(EventState.QUEUED) == ("U2",)
         assert [restored.state(e) for e in ("U1", "U2", "U3", "U4")] == \
             [lc.state(e) for e in ("U1", "U2", "U3", "U4")]
@@ -229,10 +236,11 @@ class TestCheckpointing:
         assert restored.transition_count == lc.transition_count
         assert restored.history("U4") == lc.history("U4")
         # The restored registry keeps exporting where the original would.
+        entries = []
         for registry in (lc, restored):
             registry.register("U5", at=4.0)
-            settle(registry, "U2")
+            entries.append(settle(registry, "U2"))
         assert restored.export_state() == lc.export_state()
-        assert restored.export_settled(2) == lc.export_settled(2) == [
-            {"event": "U2", "index": 1, "state": "completed",
-             "origin": "repair"}]
+        assert entries[0] == entries[1] == {
+            "kind": "complete", "event": "U2", "index": 1,
+            "origin": "repair"}

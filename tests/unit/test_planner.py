@@ -145,24 +145,6 @@ class TestPlanEvent:
                                   extra_protected=frozenset(["bgt", "bgb"]))
         assert not plan.feasible
 
-    def test_probe_cost_inf_when_infeasible(self, setup):
-        net, provider = setup
-        planner = EventPlanner(provider)
-        event = make_event([update_flow("f1", 60.0),
-                            update_flow("f2", 60.0)])
-        assert planner.probe_cost(net, event, random.Random(1)) == \
-            float("inf")
-
-    def test_probe_cost_matches_plan_cost(self, setup):
-        net, provider = setup
-        net.place(Flow(flow_id="bgt", src="c", dst="d", demand=45.0), BG_TOP)
-        net.place(Flow(flow_id="bgb", src="c", dst="d", demand=10.0), BG_BOT)
-        planner = EventPlanner(provider)
-        event = make_event([update_flow("f1", 60.0)])
-        cost = planner.probe_cost(net, event, random.Random(1))
-        plan = planner.plan_event(net, event, random.Random(2))
-        assert cost == pytest.approx(plan.cost)
-
 
 class TestNoMigrationMode:
     def test_blocked_without_migration(self, setup):

@@ -29,7 +29,6 @@ from repro.sched.lmtf import LMTFScheduler
 from repro.sim import crashpoint
 from repro.sim import metrics as metrics_mod
 from repro.sim import service as service_mod
-from repro.sim.audit import AuditError
 from repro.sim.crashpoint import CrashInjected
 from repro.sim.hooks import PreRound
 from repro.sim.journal import (
@@ -37,12 +36,12 @@ from repro.sim.journal import (
     encode_record,
     scan_journal,
 )
-from repro.sim.lifecycle import TERMINAL_STATES
+from repro.sim.lifecycle import OUTCOME_STATES, TERMINAL_STATES
 from repro.sim.service import ServiceConfig, ServiceReport, SimulationService
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
-    HISTORY_FILE,
+    HEARTBEAT_FILE,
     JOURNAL_FILE,
     RecoveryError,
     discard_state,
@@ -74,12 +73,14 @@ def _clean_crashpoints(monkeypatch):
 
 
 def build_service(state_dir, resume=False, scheduler=None, max_events=12,
-                  snapshot_every=2.0, compile_mode="atomic"):
+                  snapshot_every=2.0, compile_mode="atomic", capacity=100.0,
+                  max_deferrals=4):
     """A deterministic diamond-network service; rebuildable bit-identically."""
-    net, provider = diamond_setup()
+    net, provider = diamond_setup(capacity)
     sim = UpdateSimulator(
         net, provider, scheduler or FIFOScheduler(),
-        config=SimulationConfig(verify_invariants=True, max_deferrals=4,
+        config=SimulationConfig(verify_invariants=True,
+                                max_deferrals=max_deferrals,
                                 compile_mode=compile_mode))
     trace = SyntheticTrace(DIAMOND_HOSTS, seed=3, demand_range=(2.0, 10.0))
     generator = EventGenerator(
@@ -227,8 +228,9 @@ def crash_and_resume(tmp_path, monkeypatch, label, n, scheduler=None,
     return baseline.report, resumed.report
 
 
-def history_frames(state):
-    return scan_journal(state / HISTORY_FILE).records
+def settled_records(records):
+    """The ``complete``/``drop`` records among journal ``records``."""
+    return [r for r in records if r["kind"] in OUTCOME_STATES]
 
 
 class TestExactResume:
@@ -339,34 +341,45 @@ class TestExactResume:
 
     @pytest.mark.parametrize("scheduler", [FIFOScheduler, lmtf],
                              ids=["fifo", "lmtf"])
-    @pytest.mark.parametrize("label, n, frames_on_disk, frames_covered", [
-        # Died before the first checkpoint landed: its history frame is on
-        # disk, nothing covers it, the resume re-runs from the journal.
+    @pytest.mark.parametrize("label, n, ticks, checkpoints", [
+        # Died at the first tick, before its checkpoint landed: the
+        # resume re-runs from the journal alone.
         ("snapshot", 1, 1, 0),
-        # Died between the third history append and the third checkpoint
-        # replace: two covered frames plus an uncovered tail.
+        # Died at the third tick, between building its checkpoint and the
+        # replace: the second checkpoint covers part of the journal.
         ("snapshot", 3, 3, 2),
-        # Late in the run: several covered frames, and outcomes since the
+        # Late in the run: five checkpoints landed, and outcomes since the
         # last tick that only the journal suffix knows about.
         ("post-round", 10, 5, 5),
     ])
     def test_resume_equals_uninterrupted_run(
-            self, tmp_path, monkeypatch, scheduler, label, n,
-            frames_on_disk, frames_covered):
+            self, tmp_path, monkeypatch, scheduler, label, n, ticks,
+            checkpoints):
         baseline = serve_fresh(tmp_path / "baseline", scheduler=scheduler())
+        built = []
+        build = service_mod.build_checkpoint
+
+        def recording(*args, **kwargs):
+            built.append(kwargs["journal_offset"])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(service_mod, "build_checkpoint", recording)
         state = crash_state(tmp_path, monkeypatch, label, n,
                             scheduler=scheduler())
-        frames = history_frames(state)
-        assert len(frames) == frames_on_disk
-        if frames_covered:
-            checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-            assert checkpoint["history"]["records"] == frames_covered
+        monkeypatch.setattr(service_mod, "build_checkpoint", build)
+        assert len(built) == ticks
+        covered = 0
+        if checkpoints:
+            # The checkpoint on disk is the last one that landed.
+            journal = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
+            assert journal["offset"] == built[checkpoints - 1]
+            covered = journal["records"]
         else:
             assert not (state / CHECKPOINT_FILE).exists()
-        if label == "post-round":
-            journaled = [r for r in scan_journal(state / JOURNAL_FILE).records
-                         if r["kind"] != "ingest"]
-            assert len(journaled) > sum(len(f["events"]) for f in frames)
+        # Outcomes past the checkpoint: the replay re-checks their
+        # settled entries byte for byte.
+        journaled = scan_journal(state / JOURNAL_FILE).records
+        assert settled_records(journaled[covered:])
         resumed_at = restored_round_index(state)
         resumed = serve_fresh(state, resume=True, scheduler=scheduler())
         assert_same_run(baseline, resumed, resumed_at)
@@ -375,7 +388,8 @@ class TestExactResume:
     def test_resume_equals_uninterrupted_run_audited(self, tmp_path,
                                                      monkeypatch):
         """Same equalities with REPRO_AUDIT=1, so ``assert_restored``
-        cross-checks the journal's outcomes against the history log's."""
+        cross-checks the journal's outcomes against the restored lifecycle
+        and metrics counts."""
         _, resumed = crash_and_resume(tmp_path, monkeypatch, "post-round",
                                       10, audit=True)
         assert resumed.audits > 0
@@ -461,10 +475,25 @@ class TestTampering:
         offset = load_checkpoint(state / CHECKPOINT_FILE)["journal"]["offset"]
         assert scan.valid_size >= offset
         journal.write_bytes(journal.read_bytes()[:offset - 1])
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        with pytest.raises(RecoveryError, match="truncated below"):
-            build_service(state, resume=True).serve()
+        with pytest.raises(RecoveryError,
+                           match=f"{JOURNAL_FILE} is truncated below"):
+            serve_fresh(state, resume=True)
+
+    def test_truncated_history_below_checkpoint_rejected(self, tmp_path,
+                                                         monkeypatch):
+        """The journal is the settled history now. Dropping the last
+        covered record on a clean frame boundary leaves a valid log with
+        no torn tail; only the checkpoint's record count can notice."""
+        state = self.crash_state(tmp_path, monkeypatch, "post-round", 4)
+        journal = state / JOURNAL_FILE
+        covered = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
+        records = scan_journal(journal).records[:covered["records"] - 1]
+        assert records
+        journal.write_bytes(b"".join(encode_record(r) for r in records))
+        assert scan_journal(journal).valid_size == journal.stat().st_size
+        with pytest.raises(RecoveryError,
+                           match=f"{JOURNAL_FILE} is truncated below"):
+            serve_fresh(state, resume=True)
 
     def test_corrupted_journal_frame_rejected(self, tmp_path, monkeypatch):
         state = self.crash_state(tmp_path, monkeypatch)
@@ -503,13 +532,14 @@ class TestTampering:
 
     def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
         """Version 1 carried settled history inline, version 2 a second
-        copy of the counters and version 3 closed round logs in its history
-        frames; no reader is kept for any of them, the version error tells
-        the operator what to do."""
+        copy of the counters, version 3 closed round logs in its history
+        frames and version 4 settled events in a second log; no reader is
+        kept for any of them, the version error tells the operator what to
+        do."""
         state = self.crash_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             payload["version"] = version
             path.write_text(json.dumps(payload, sort_keys=True) + "\n",
                             encoding="utf-8")
@@ -547,80 +577,86 @@ class TestTampering:
         with pytest.raises(RecoveryError, match="unreadable.*--fresh"):
             serve_fresh(state, resume=True)
 
-    def test_truncated_history_below_checkpoint_rejected(self, tmp_path,
-                                                         monkeypatch):
-        state = self.crash_state(tmp_path, monkeypatch, "post-round", 4)
-        history = state / HISTORY_FILE
-        offset = load_checkpoint(state / CHECKPOINT_FILE)["history"]["offset"]
-        assert offset > 0
-        history.write_bytes(history.read_bytes()[:offset - 1])
-        with pytest.raises(RecoveryError,
-                           match=f"{HISTORY_FILE} is truncated below"):
-            serve_fresh(state, resume=True)
-
-    def test_history_of_another_run_rejected(self, tmp_path, monkeypatch):
+    def test_journal_of_another_run_rejected(self, tmp_path, monkeypatch):
         """Whole valid frames, enough of them, but not the ones the
         checkpoint was written over."""
         state = self.crash_state(tmp_path, monkeypatch, "post-round", 10)
-        frames = history_frames(state)
-        assert len(frames) >= 3
-        (state / HISTORY_FILE).write_bytes(
-            b"".join(encode_record(f) for f in frames[1:] + frames[1:]))
+        records = scan_journal(state / JOURNAL_FILE).records
+        covered = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
+        assert 3 <= covered["records"] < len(records)
+        (state / JOURNAL_FILE).write_bytes(
+            b"".join(encode_record(r) for r in records[1:] + records[1:]))
         with pytest.raises(RecoveryError,
-                           match=f"{HISTORY_FILE} does not line up"):
+                           match=f"{JOURNAL_FILE} does not line up"):
             serve_fresh(state, resume=True)
 
-    def test_reordered_history_fails_the_restore_audit(self, tmp_path,
-                                                       monkeypatch):
-        """Same frames, same bytes in total, different order: every size
-        check passes, and the auditor's journal-vs-history cross-check is
-        what notices."""
-        state = self.crash_state(tmp_path, monkeypatch, "post-round", 10)
-        frames = history_frames(state)
-        (state / HISTORY_FILE).write_bytes(
-            b"".join(encode_record(f) for f in reversed(frames)))
-        with pytest.raises(AuditError) as raised:
-            serve_fresh(state, resume=True)
-        assert "journal_outcomes_vs_history" in raised.value.diff
-
-    def test_hostile_history_log(self, tmp_path, monkeypatch):
-        """Cut ``history.wal`` at every offset and flip one byte in every
-        frame: a resume either equals the uninterrupted run (the damage
-        sat in the tail no checkpoint covers) or refuses with an
-        actionable error — never a third outcome."""
-        # Six events: ~a thousand of the attempts below run to the end.
+    def test_hostile_journal(self, tmp_path, monkeypatch):
+        """Cut ``journal.wal`` at every frame boundary, the bytes either
+        side of it and every header byte; flip every header byte and one
+        payload byte per frame: a resume either equals the uninterrupted
+        run (the damage sat in the suffix no checkpoint covers) or refuses
+        with an actionable error — never a third outcome."""
         baseline = serve_fresh(tmp_path / "baseline", max_events=6)
         crashed = crash_state(tmp_path, monkeypatch, "snapshot", 3,
                               max_events=6)
         files = {path.name: path.read_bytes() for path in crashed.iterdir()}
-        log = files[HISTORY_FILE]
-        covered = load_checkpoint(crashed / CHECKPOINT_FILE)["history"]
+        log = files[JOURNAL_FILE]
+        records = scan_journal(crashed / JOURNAL_FILE).records
+        covered = load_checkpoint(crashed / CHECKPOINT_FILE)["journal"]
+        offset = covered["offset"]
         resumed_at = restored_round_index(crashed)
-        assert covered["records"] == 2 and covered["offset"] < len(log)
-        ends, offset = [], 0
-        for frame in history_frames(crashed):
-            offset += len(encode_record(frame))
-            ends.append(offset)
-        flips = [bytes(log[:end - 5]) + bytes([log[end - 5] ^ 0x01])
-                 + bytes(log[end - 4:]) for end in ends]
-        outcomes = {"resumed": 0, "refused": 0}
-        for damaged in [log[:cut] for cut in range(len(log))] + flips:
+        # Settled entries on both sides of the checkpoint: restore reads
+        # some, the replay re-checks the others.
+        assert settled_records(records[:covered["records"]])
+        assert settled_records(records[covered["records"]:])
+        starts = [0]
+        for record in records:
+            starts.append(starts[-1] + len(encode_record(record)))
+        assert starts[-1] == len(log)
+        header = 8
+        cuts = sorted({cut for start in starts
+                       for cut in range(start - 1, start + header)
+                       if 0 <= cut < len(log)})
+
+        def flipped(at):
+            return log[:at] + bytes([log[at] ^ 0x01]) + log[at + 1:]
+
+        length_flips = [flipped(start + i) for start in starts[:-1]
+                        for i in range(4)]
+        crc_flips = [flipped(start + i) for start in starts[:-1]
+                     for i in range(4, header)]
+        payload_flips = [flipped(end - 5) for end in starts[1:]]
+        outcomes = {}
+        attempts = ([("cut", log[:cut]) for cut in cuts]
+                    + [("length", damaged) for damaged in length_flips]
+                    + [("refused", damaged)
+                       for damaged in crc_flips + payload_flips])
+        for kind, damaged in attempts:
             state = tmp_path / "attempt"
             shutil.rmtree(state, ignore_errors=True)
             state.mkdir()
             for name, data in files.items():
                 (state / name).write_bytes(data)
-            (state / HISTORY_FILE).write_bytes(damaged)
+            (state / JOURNAL_FILE).write_bytes(damaged)
             try:
                 resumed = serve_fresh(state, resume=True, max_events=6)
             except (RecoveryError, JournalCorruptionError):
-                outcomes["refused"] += 1
-                continue
-            assert len(damaged) >= covered["offset"]
-            assert_same_run(baseline, resumed, resumed_at)
-            outcomes["resumed"] += 1
-        assert outcomes["refused"] == covered["offset"] + len(flips)
-        assert outcomes["resumed"] == len(log) - covered["offset"]
+                outcome = "refused"
+            else:
+                assert_same_run(baseline, resumed, resumed_at)
+                outcome = "resumed"
+            if kind == "cut":
+                # A cut anywhere in the covered prefix refuses; one past
+                # it leaves a shorter suffix to replay.
+                assert outcome == ("resumed" if len(damaged) >= offset
+                                   else "refused")
+            elif kind == "refused":
+                assert outcome == "refused"
+            outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+        assert outcomes["cut", "refused"] and outcomes["cut", "resumed"]
+        # A longer length reads as a torn tail at that frame, a shorter
+        # one fails its CRC.
+        assert outcomes["length", "refused"]
 
     def test_scheduler_mismatch_rejected(self, tmp_path, monkeypatch):
         state = self.crash_state(tmp_path, monkeypatch)
@@ -664,19 +700,18 @@ class TestStateDirGuards:
             build_service(state).serve()
         disarm(monkeypatch)
         removed = discard_state(state)
-        assert {CHECKPOINT_FILE, JOURNAL_FILE, HISTORY_FILE} <= set(removed)
+        assert set(removed) == {CHECKPOINT_FILE, JOURNAL_FILE, HEARTBEAT_FILE}
         set_flow_id_state(0)
         set_event_id_state(0)
         report = build_service(state).serve()
         assert report.restarts == 0
 
-    def test_fresh_start_refuses_a_leftover_history_log(self, tmp_path,
-                                                        monkeypatch):
+    def test_fresh_start_refuses_a_leftover_journal(self, tmp_path,
+                                                    monkeypatch):
         state = crash_state(tmp_path, monkeypatch, "post-round", 3)
         (state / CHECKPOINT_FILE).unlink()
-        (state / JOURNAL_FILE).unlink()
         with pytest.raises(RecoveryError,
-                           match=f"already holds a run .{HISTORY_FILE}"):
+                           match=f"already holds a run .{JOURNAL_FILE}"):
             serve_fresh(state)
 
     def test_config_validation(self, tmp_path):
@@ -696,9 +731,11 @@ class TestCheckpointPayload:
         checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
         assert checkpoint["origin"] == "snapshot-tick"
         for key in ("engine", "pipeline", "lifecycle", "metrics", "network",
-                    "sched", "sim_rng", "ids", "journal",
-                    "history", "service", "fingerprint"):
+                    "sched", "sim_rng", "ids", "journal", "service",
+                    "fingerprint"):
             assert key in checkpoint
+        # Settled state lives in the journal's terminal records only.
+        assert "history" not in checkpoint
         # Every run counter is checkpointed once, in the metrics ledger.
         assert "counters" not in checkpoint
         assert set(checkpoint["metrics"]["totals"]) == {
@@ -758,41 +795,39 @@ class TestCheckpointPayload:
                        largest_tick_checkpoint(160))
         assert long <= 1.5 * short
 
-    def test_history_frames_carry_only_settled_events(self, tmp_path):
-        report = run_baseline(tmp_path)
-        frames = history_frames(tmp_path / "baseline")
-        assert frames and all(list(frame) == ["events"] and frame["events"]
-                              for frame in frames)
-        assert (sum(len(frame["events"]) for frame in frames)
-                == report.completed + report.dropped)
+    def test_durable_serve_keeps_one_log(self, tmp_path):
+        """The state dir holds the journal, the checkpoint and the
+        heartbeat, and nothing else."""
+        run_baseline(tmp_path)
+        assert sorted(path.name for path in
+                      (tmp_path / "baseline").iterdir()) == sorted(
+            [JOURNAL_FILE, CHECKPOINT_FILE, HEARTBEAT_FILE])
 
-    def test_tick_with_only_closed_rounds_appends_no_frame(
-            self, tmp_path, monkeypatch):
-        """A closed round is not persisted: a tick where rounds were
-        decided but no event completed or dropped leaves ``history.wal``
-        as it was."""
-        service = build_service(tmp_path / "state", snapshot_every=0.5)
-        sim = service._sim
-        ticks = []  # (rounds decided, events settled, frames) per write
-
-        def recording(path, text, **kwargs):
-            if Path(path).name == CHECKPOINT_FILE:
-                counts = sim.lifecycle.counts()
-                ticks.append((sim.pipeline.round_count,
-                              sum(counts[s] for s in TERMINAL_STATES),
-                              json.loads(text)["history"]["records"]))
-            atomic_write_text(path, text, **kwargs)
-
-        atomic_write_text = service_mod.atomic_write_text
-        monkeypatch.setattr(service_mod, "atomic_write_text", recording)
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        service.serve()
-        quiet = [(before[2], after[2])
-                 for before, after in zip(ticks, ticks[1:])
-                 if after[0] > before[0] and after[1] == before[1]]
-        assert quiet
-        assert all(after == before for before, after in quiet)
+    @pytest.mark.parametrize("spec", [
+        # Tight links and no deferral budget: some events drop.
+        {"capacity": 10.0, "max_deferrals": 0, "max_events": 24},
+        {"compile_mode": "staged"},
+    ], ids=["drops", "staged"])
+    def test_terminal_record_entry_is_final(self, tmp_path, spec):
+        """What a ``complete``/``drop`` record carries when the event
+        settles is what the ledgers hold at the end of the run."""
+        served = serve_fresh(tmp_path / "state", **spec)
+        sim = served.service._sim
+        records = sim.metrics_collector.records
+        order = list(records)
+        settled = settled_records(
+            scan_journal(tmp_path / "state" / JOURNAL_FILE).records)
+        assert len(settled) == len(records)
+        assert ([r["kind"] for r in settled].count("drop")
+                == served.report.dropped)
+        if "max_deferrals" in spec:
+            assert served.report.dropped > 0
+        for entry in settled:
+            eid = entry["event"]
+            assert entry["record"] == vars(records[eid])
+            assert OUTCOME_STATES[entry["kind"]] is sim.lifecycle.state(eid)
+            assert entry["index"] == order.index(eid)
+            assert entry["origin"] == sim.lifecycle.origin(eid)
 
     def test_completed_run_leaves_final_checkpoint(self, tmp_path):
         report = run_baseline(tmp_path)
