@@ -24,6 +24,7 @@ from repro.core.exceptions import InsufficientBandwidthError
 from repro.core.flow import Flow, Placement
 from repro.core.plan import Migration
 from repro.network.link import EPS, LinkId, path_links
+from repro.network.routing.candidate import CandidatePath
 from repro.network.routing.provider import PathProvider
 from repro.network.state import NetworkState
 
@@ -103,13 +104,16 @@ class MigrationPlanner:
         work they actually did.
 
         Args:
+            path: the new flow's desired path; a plain node sequence is
+                indexed against the provider's link table here, once.
             protected: flow ids that must not be migrated — the flows of the
                 event currently being planned, plus anything the caller wants
                 pinned.
         """
+        path = CandidatePath.of(path, self._provider.table)
         migrations: list[Migration] = []
         ops = 0
-        avoid = frozenset(self._link_indices(path))
+        avoid = frozenset(path.link_idx)
         for _round in range(self._config.max_rounds):
             congested = self.congested_links(state, path, flow.demand)
             ops += len(path) - 1
@@ -135,7 +139,7 @@ class MigrationPlanner:
     # -------------------------------------------------------------- internals
 
     def _relieve_link(self, state: NetworkState, link: LinkId, demand: float,
-                      protected: frozenset[str], avoid: frozenset[int | None],
+                      protected: frozenset[str], avoid: frozenset[int],
                       rng: random.Random,
                       budget: int) -> tuple[list[Migration] | None, int]:
         """Free enough bandwidth on one congested link (Eq. 3 for ``link``).
@@ -195,17 +199,6 @@ class MigrationPlanner:
                                         new_path=new_path))
         return migrations, ops
 
-    def _link_indices(self, path: Sequence[str]) -> Sequence[int | None]:
-        """``path``'s links as indices into the provider's link table:
-        baked on a candidate path, looked up for any other (None for a
-        link the table lacks). Crossing and overlap tests compare these
-        ints, so no path keeps a second encoding of its links."""
-        table = self._provider.table
-        idx = getattr(path, "link_idx", None)
-        if idx is not None and getattr(path, "table", None) is table:
-            return idx
-        return [table.index.get(link) for link in path_links(path)]
-
     def _movable(self, state: NetworkState, placement: Placement,
                  link: LinkId) -> bool:
         """True when the flow has at least one feasible path off ``link``."""
@@ -213,14 +206,14 @@ class MigrationPlanner:
         crossed = self._provider.table.index.get(link)
         for path in self._provider.paths(placement.flow.src,
                                          placement.flow.dst):
-            if crossed in self._link_indices(path):
+            if crossed in path.link_idx:
                 continue
             if state.path_feasible(path, placement.flow.demand, ignore=own):
                 return True
         return False
 
     def _pick_alternate_path(self, state: NetworkState, placement: Placement,
-                             link: LinkId, avoid: frozenset[int | None],
+                             link: LinkId, avoid: frozenset[int],
                              rng: random.Random) -> tuple[str, ...] | None:
         """Choose the new path for a migrated flow.
 
@@ -234,7 +227,7 @@ class MigrationPlanner:
         best_key: tuple[bool, float, float] | None = None
         for path in self._provider.paths(placement.flow.src,
                                          placement.flow.dst):
-            links = self._link_indices(path)
+            links = path.link_idx
             if crossed in links:
                 continue
             residual = state.path_residual(path, ignore=own)

@@ -25,7 +25,7 @@ from repro.network.footprint import (
     Footprint,
     FootprintRecorder,
 )
-from repro.network.link import EPS, path_links
+from repro.network.link import EPS
 from repro.network.routing.candidate import CandidatePath
 from repro.network.routing.provider import PathProvider
 from repro.network.state import NetworkState
@@ -264,7 +264,7 @@ class EventPlanner:
         return paths[EventPlanner.desired_index(flow, len(paths))]
 
     def _try_migration(self, state: NetworkView, flow: Flow,
-                       path: Sequence[str], protected: frozenset[str],
+                       path: CandidatePath, protected: frozenset[str],
                        rng: random.Random) -> tuple[FlowPlan | None, int]:
         """Attempt to make room for ``flow`` on ``path`` via migration."""
         attempt = NetworkView(state)
@@ -278,7 +278,7 @@ class EventPlanner:
         except InsufficientBandwidthError:
             return None, ops
         attempt.commit()
-        return FlowPlan(flow=flow, path=tuple(path),
+        return FlowPlan(flow=flow, path=path,
                         migrations=tuple(migrations)), ops
 
     def _select_feasible_path(

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.flow import Flow, Placement
-from repro.network.link import LinkId, path_links
+from repro.network.link import LinkId
+from repro.network.routing.candidate import CandidatePath
 from repro.network.state import NetworkState
 
 
@@ -40,27 +41,20 @@ from repro.network.state import NetworkState
 class Footprint:
     """The bounded read/write set of one planning run.
 
-    ``links`` is the canonical, serialization-friendly representation;
-    ``link_idx`` carries the same links as dense integer indices into the
-    probed network's link table when the recorder ran against an
-    index-backed state, which is what the probe cache validates against
-    (one flat column read per member instead of a string-pair hash). The
-    index field is excluded from equality so footprints compare by content
-    regardless of how they were recorded.
+    ``link_idx`` holds the links as dense integer indices into the probed
+    network's link table, which is what the probe cache validates against
+    (one flat column read per member); ``links`` carries the same links as
+    readable ids. The index field is excluded from equality so footprints
+    compare by content.
     """
 
     links: frozenset[LinkId]
     nodes: frozenset[str]
-    link_idx: frozenset[int] | None = field(default=None, compare=False)
+    link_idx: frozenset[int] = field(compare=False)
 
-    def link_versions(self, state: NetworkState) -> dict[LinkId, int]:
-        """Snapshot the current versions of every footprint link."""
-        return {link: state.link_version(*link) for link in self.links}
-
-    def link_versions_idx(self, state: NetworkState) -> dict[int, int] | None:
-        """Index-keyed version snapshot, or None when not index-recorded."""
-        if self.link_idx is None:
-            return None
+    def link_versions(self, state: NetworkState) -> dict[int, int]:
+        """Snapshot the current version of every footprint link, by
+        index."""
         version = state.link_version_idx
         return {i: version(i) for i in self.link_idx}
 
@@ -104,8 +98,7 @@ class FootprintRecorder(NetworkState):
     def __init__(self, base: NetworkState):
         self._base = base
         self._table = base.link_table()
-        self.read_links: set[LinkId] = set()
-        #: Links recorded by integer index (int-keyed fast-path reads).
+        #: Links read, by integer index.
         self.read_idx: set[int] = set()
         self.read_nodes: set[str] = set()
         #: False after a read whose dependencies span the whole state.
@@ -116,19 +109,10 @@ class FootprintRecorder(NetworkState):
         return self._base
 
     def footprint(self) -> Footprint | None:
-        """The recorded footprint, or None when it is unbounded.
-
-        String- and index-recorded reads are merged; with an index-backed
-        base the footprint carries both representations.
-        """
+        """The recorded footprint, or None when it is unbounded."""
         if not self.bounded:
             return None
-        if self._table is None:
-            return Footprint(links=frozenset(self.read_links),
-                             nodes=frozenset(self.read_nodes))
-        index, ids = self._table.index, self._table.ids
-        link_idx = self.read_idx.union(
-            index[link] for link in self.read_links)
+        ids, link_idx = self._table.ids, self.read_idx
         return Footprint(links=frozenset(ids[i] for i in link_idx),
                          nodes=frozenset(self.read_nodes),
                          link_idx=frozenset(link_idx))
@@ -140,12 +124,14 @@ class FootprintRecorder(NetworkState):
         return self._base.capacity(u, v)
 
     def used(self, u: str, v: str) -> float:
-        self.read_links.add((u, v))
-        return self._base.used(u, v)
+        used = self._base.used(u, v)
+        self.read_idx.add(self._table.index[u, v])
+        return used
 
     def flows_on_link(self, u: str, v: str) -> frozenset[str]:
-        self.read_links.add((u, v))
-        return self._base.flows_on_link(u, v)
+        flows = self._base.flows_on_link(u, v)
+        self.read_idx.add(self._table.index[u, v])
+        return flows
 
     def has_flow(self, flow_id: str) -> bool:
         present = self._base.has_flow(flow_id)
@@ -169,7 +155,7 @@ class FootprintRecorder(NetworkState):
     # ------------------------------------------------------- indexed kernel
     #
     # Views over the recorder resolve their chain through these, so
-    # int-keyed fast-path reads are recorded exactly like their string-keyed
+    # int-keyed reads are recorded exactly like their string-keyed
     # equivalents (capacity excepted — it is immutable, hence dependency-free).
 
     def link_table(self):
@@ -193,12 +179,7 @@ class FootprintRecorder(NetworkState):
         return self._base.link_version_idx(i)
 
     def _record_placement_links(self, placement: Placement) -> None:
-        path = placement.path
-        idx = getattr(path, "link_idx", None)
-        if idx is not None and path.table is self._table:
-            self.read_idx.update(idx)
-        else:
-            self.read_links.update(placement.links)
+        self.read_idx.update(placement.path.link_idx)
 
     # ------------------------------------------------------------ rule space
 
@@ -233,11 +214,8 @@ class FootprintRecorder(NetworkState):
     # so the recorder stays a faithful NetworkState regardless.
 
     def place(self, flow: Flow, path: Sequence[str]) -> Placement:
-        idx = getattr(path, "link_idx", None)
-        if idx is not None and path.table is self._table:
-            self.read_idx.update(idx)
-        else:
-            self.read_links.update(path_links(path))
+        path = CandidatePath.of(path, self._table)
+        self.read_idx.update(path.link_idx)
         return self._base.place(flow, path)
 
     def remove(self, flow_id: str) -> Placement:

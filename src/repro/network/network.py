@@ -14,11 +14,12 @@ each link in a ``list[str]`` (in placement order), one slot per directed
 link. The flow lists serve Definition 1 alone (the flows on a congested
 link) and hold a few dozen ids (at most 62 at k=4 under 85 % load), so
 ``list.remove`` is cheap; a set would never shrink after churn's discards.
-The string-keyed API is a thin shim over the columns;
-:class:`~repro.network.routing.candidate.CandidatePath` objects carry their
-link indices precomputed, so the hot loops (feasibility checks, placement,
-residual scans) iterate int tuples over the columns with no per-call tuple
-building or string-pair hashing.
+The string-keyed API is a thin shim over the columns. Every placed path is
+a :class:`~repro.network.routing.candidate.CandidatePath` of the network's
+table, carrying its link indices precomputed (a plain node sequence is
+converted once, at :meth:`Network.place`), so the hot loops (feasibility
+checks, placement, removal, residual scans) iterate int tuples over the
+columns with no per-call tuple building or string-pair hashing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from repro.core.exceptions import (
     DuplicateFlowError,
     InsufficientBandwidthError,
-    InvalidPathError,
     RuleSpaceError,
     TopologyError,
     UnknownFlowError,
@@ -40,10 +40,9 @@ from repro.network.link import (
     LinkId,
     LinkTable,
     format_link,
-    is_simple_path,
     link_table_for,
-    path_links,
 )
+from repro.network.routing.candidate import CandidatePath
 from repro.network.state import NetworkState
 
 if TYPE_CHECKING:
@@ -155,8 +154,7 @@ class Network(NetworkState):
     #
     # The int-keyed protocol the hot loops run on. Indices are positions in
     # ``link_table()``; only states rooted at the same table may exchange
-    # them (views and recorders check table identity before trusting baked
-    # ``CandidatePath.link_idx`` tuples).
+    # them (a path indexed against another table is re-indexed on entry).
 
     def link_table(self) -> LinkTable:
         return self._table
@@ -228,9 +226,9 @@ class Network(NetworkState):
 
     def path_residual(self, path: Sequence[str],
                       ignore: frozenset[str] = frozenset()) -> float:
-        idx = getattr(path, "link_idx", None)
-        if idx is None or path.table is not self._table:
-            return super().path_residual(path, ignore=ignore)
+        if type(path) is not CandidatePath or path.table is not self._table:
+            path = CandidatePath.of(path, self._table, TopologyError)
+        idx = path.link_idx
         cap, used = self._cap_col, self._used_col
         best = float("inf")
         if not ignore:
@@ -251,39 +249,21 @@ class Network(NetworkState):
         return best
 
     def path_residuals(self, path: Sequence[str]) -> list[float]:
-        idx = getattr(path, "link_idx", None)
-        if idx is None or path.table is not self._table:
-            return super().path_residuals(path)
+        if type(path) is not CandidatePath or path.table is not self._table:
+            path = CandidatePath.of(path, self._table, TopologyError)
+        idx = path.link_idx
         cap, used = self._cap_col, self._used_col
         return [max(0.0, cap[i] - used[i]) for i in idx]
 
     # ------------------------------------------------------------- mutations
 
-    def _path_indices(self, placement: Placement) -> Sequence[int]:
-        """The link indices of a placement's path.
-
-        Candidate paths carry them baked; anything else (a plain
-        node tuple from a test or trace) is mapped through the table. The
-        path was validated at ``place`` time, so every link resolves.
-        """
-        idx = getattr(placement.path, "link_idx", None)
-        if idx is not None and placement.path.table is self._table:
-            return idx
-        index = self._table.index
-        return [index[link] for link in placement.links]
-
     def place(self, flow: Flow, path: Sequence[str]) -> Placement:
         if flow.flow_id in self._placements:
             raise DuplicateFlowError(f"flow {flow.flow_id!r} already placed")
-        placement = Placement(
-            flow=flow, path=path if isinstance(path, tuple) else tuple(path))
-        idx = getattr(placement.path, "link_idx", None)
-        if idx is None or placement.path.table is not self._table:
-            # Candidate paths are validated when the provider builds them;
-            # anything else is checked here.
-            self._validate_path(placement.path)
-            index = self._table.index
-            idx = [index[link] for link in placement.links]
+        if type(path) is not CandidatePath or path.table is not self._table:
+            path = CandidatePath.of(path, self._table)
+        placement = Placement(flow=flow, path=path)
+        idx = path.link_idx
         cap, used, demand = self._cap_col, self._used_col, flow.demand
         for i in idx:
             free = cap[i] - used[i]
@@ -322,7 +302,7 @@ class Network(NetworkState):
         placement = self.placement(flow_id)
         used, flows_col, ver = self._used_col, self._flows_col, self._ver_col
         demand = placement.flow.demand
-        for i in self._path_indices(placement):
+        for i in placement.path.link_idx:
             used[i] -= demand
             if used[i] < 0:
                 # Guard against float drift; usage can never be negative.
@@ -351,15 +331,6 @@ class Network(NetworkState):
         i = self._link_index(u, v)
         self._cap_col[i] = value
         self._ver_col[i] += 1
-
-    def _validate_path(self, path: tuple[str, ...]) -> None:
-        if not is_simple_path(path):
-            raise InvalidPathError(f"path {path!r} is not a simple path")
-        index = self._table.index
-        for u, v in path_links(path):
-            if (u, v) not in index:
-                raise InvalidPathError(
-                    f"path uses nonexistent link {format_link((u, v))}")
 
     # ----------------------------------------------------------- versioning
 
@@ -447,7 +418,7 @@ class Network(NetworkState):
         ``placement``'s path, positions into :meth:`switch_utilizations`'
         list: the only entries placing or removing it can change."""
         pos = self._switch_pos
-        idx = [i for i in self._path_indices(placement) if i in pos]
+        idx = [i for i in placement.path.link_idx if i in pos]
         return list(zip([pos[i] for i in idx], self._switch_terms(idx)))
 
     def _switch_terms(self, idx: Iterable[int]) -> list[float]:
@@ -473,7 +444,7 @@ class Network(NetworkState):
         derived_used = [0.0] * n
         derived_flows: list[set[str]] = [set() for _ in range(n)]
         for fid, placement in self._placements.items():
-            for i in self._path_indices(placement):
+            for i in placement.path.link_idx:
                 derived_used[i] += placement.flow.demand
                 derived_flows[i].add(fid)
         for i, link in enumerate(self._table.ids):
@@ -532,8 +503,9 @@ class Network(NetworkState):
         """Overwrite this network's mutable state from :meth:`export_state`.
 
         Must be called on a network built from the *same* topology (same
-        link table layout); placements are rebuilt in export order and all
-        columns are overwritten bit-exactly.
+        link table layout); placements are rebuilt in export order, each on
+        a path indexed against this network's table, and all columns are
+        overwritten bit-exactly.
         """
         n = len(self._table)
         if len(state["used_col"]) != n or len(state["cap_col"]) != n:
@@ -543,13 +515,13 @@ class Network(NetworkState):
         self._placements.clear()
         for col in self._flows_col:
             col.clear()
-        index = self._table.index
         for entry in state["placements"]:
             flow = Flow.from_payload(entry["flow"])
-            placement = Placement(flow=flow, path=tuple(entry["path"]))
+            placement = Placement(
+                flow=flow, path=CandidatePath.of(entry["path"], self._table))
             fid = flow.flow_id
-            for link in placement.links:
-                self._flows_col[index[link]].append(fid)
+            for i in placement.path.link_idx:
+                self._flows_col[i].append(fid)
             self._placements[fid] = placement
         self._cap_col = array("d", state["cap_col"])
         self._used_col = array("d", state["used_col"])

@@ -6,9 +6,10 @@ and over, and background churn places one candidate per respawned flow. A
 :class:`~repro.network.routing.provider.PathProvider` —
 :meth:`CandidatePath.make` validates what the topology enumerates (once per
 switch pair), :meth:`CandidatePath.prevalidated` joins a validated middle to
-a host pair's access links — and lives as long as what holds it: a host
-pair's cached candidate tuple, or the placement of the one flow it was
-built for. It carries:
+a host pair's access links — or by the network kernel, which converts a
+plain node sequence once, where it enters (:meth:`CandidatePath.of`). It
+lives as long as what holds it: a host pair's cached candidate tuple, or
+the placement of the one flow it was built for. It carries:
 
 * ``link_idx`` — the links as dense integer indices into the topology
   graph's :class:`~repro.network.link.LinkTable`, the representation the
@@ -22,59 +23,70 @@ built for. It carries:
 
 A :class:`CandidatePath` *is* a tuple of node names, so every existing call
 site — ``path[0]``, ``len(path)``, equality against plain node tuples,
-``Placement(path=...)`` — keeps working unchanged; the kernel's fast paths
-activate by recognizing the extra attributes.
+``Placement(path=...)`` — keeps working unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.network.link import LinkId, LinkTable, is_simple_path
+from repro.core.exceptions import InvalidPathError, ReproError
+from repro.network.link import LinkId, LinkTable, format_link, is_simple_path
 
 
 class CandidatePath(tuple[str, ...]):
     """A node tuple with baked ``link_idx`` and derived ``links``.
 
     Attributes:
-        link_idx: integer link indices into ``table``, or ``None`` when the
-            path was built without a table (the kernel then falls back to
-            string-keyed reads).
-        table: the :class:`LinkTable` the indices are valid against; fast
-            paths check ``path.table is state's table`` before trusting
+        link_idx: integer link indices into ``table``.
+        table: the :class:`LinkTable` the indices are valid against; the
+            kernel checks ``path.table is`` its own table before trusting
             ``link_idx``, so a path is never silently misread against a
             network from a different graph.
     """
 
-    link_idx: tuple[int, ...] | None
-    table: LinkTable | None
+    link_idx: tuple[int, ...]
+    table: LinkTable
 
     @classmethod
-    def make(cls, nodes: Sequence[str],
-             table: LinkTable | None = None) -> "CandidatePath":
-        """Build a candidate path, baking indices when ``table`` is given.
+    def make(cls, nodes: Sequence[str], table: LinkTable) -> "CandidatePath":
+        """Build a candidate path from what the topology enumerates.
 
         Raises:
-            ValueError: ``nodes`` is not a simple path or, with a table,
-                uses a link absent from it — candidate paths come from the
+            ValueError: ``nodes`` is not a simple path or uses a link
+                absent from ``table`` — candidate paths come from the
                 topology's own enumeration, so either means a provider bug.
         """
-        path = cls(nodes)
-        if not is_simple_path(path):
-            raise ValueError(f"candidate path {tuple(nodes)!r} is not a "
-                             f"simple path")
-        if table is None:
-            path.link_idx = None
-        else:
-            try:
-                path.link_idx = tuple(map(table.index.__getitem__,
-                                          zip(path, path[1:])))
-            except KeyError as exc:
-                raise ValueError(f"candidate path {tuple(nodes)!r} uses "
-                                 f"link {exc.args[0]!r} absent from the "
-                                 f"link table") from None
-        path.table = table
-        return path
+        try:
+            return cls.of(nodes, table)
+        except InvalidPathError as exc:
+            raise ValueError(f"candidate {exc}") from None
+
+    @classmethod
+    def of(cls, path: Sequence[str], table: LinkTable,
+           unknown_link: type[ReproError] = InvalidPathError
+           ) -> "CandidatePath":
+        """``path`` as a candidate of ``table``: ``path`` itself when it
+        already is one, otherwise a new candidate indexed here — the one
+        place a plain node sequence becomes a kernel path.
+
+        Raises:
+            InvalidPathError: ``path`` is not a simple path.
+            unknown_link: ``path`` uses a link absent from ``table``.
+        """
+        if isinstance(path, cls) and path.table is table:
+            return path
+        nodes = tuple(path)
+        if not is_simple_path(nodes):
+            raise InvalidPathError(f"path {nodes!r} is not a simple path")
+        try:
+            link_idx = tuple(map(table.index.__getitem__,
+                                 zip(nodes, nodes[1:])))
+        except KeyError as exc:
+            raise unknown_link(f"path {nodes!r} uses link "
+                               f"{format_link(exc.args[0])} absent from the "
+                               f"link table") from None
+        return cls.prevalidated(nodes, link_idx, table)
 
     @classmethod
     def prevalidated(cls, nodes: Sequence[str], link_idx: tuple[int, ...],
@@ -89,9 +101,6 @@ class CandidatePath(tuple[str, ...]):
 
     @property
     def links(self) -> tuple[LinkId, ...]:
-        """Directed links traversed, in order — the table's own link ids
-        when there is a table, so every path shares the same 2-tuples."""
-        table, link_idx = self.table, self.link_idx
-        if table is None or link_idx is None:
-            return tuple(zip(self[:-1], self[1:]))
-        return tuple(map(table.ids.__getitem__, link_idx))
+        """Directed links traversed, in order — the table's own link ids,
+        so every path shares the same 2-tuples."""
+        return tuple(map(self.table.ids.__getitem__, self.link_idx))

@@ -145,7 +145,6 @@ class PathProvider:
                     n: n for n in self._topology.graph().nodes}
             middles, rows = [], []
             for path in self._enumerate(src, dst):
-                assert path.link_idx is not None  # made against the table
                 middles.append(tuple(map(names.__getitem__, path[1:-1])))
                 rows.append(path.link_idx[1:-1])
             template = self._templates[switches] = (tuple(middles),

@@ -5,6 +5,14 @@ Both the live :class:`~repro.network.network.Network` and the copy-on-write
 planner and schedulers can run identically against real state (to execute) or
 an overlay (to probe update costs without side effects — the heart of LMTF's
 cheap cost sampling).
+
+Those states — the network, its views and the probe cache's footprint
+recorder — also share an int-keyed read protocol over the network's one
+:class:`~repro.network.link.LinkTable` (``link_table()``, ``used_idx``,
+``capacity_idx``, ``flows_idx``, ``link_version_idx``), and every path they
+hold is a :class:`~repro.network.routing.candidate.CandidatePath` of that
+table: a plain node sequence is converted once, at ``place``. The
+string-keyed reads below are one index lookup each.
 """
 
 from __future__ import annotations
@@ -49,31 +57,6 @@ class NetworkState(abc.ABC):
     @abc.abstractmethod
     def links(self) -> Iterable[LinkId]:
         """Iterate over all directed links."""
-
-    # --------------------------------------------------------- indexed kernel
-    #
-    # States rooted at a :class:`~repro.network.network.Network` expose an
-    # int-keyed read protocol over the network's interned
-    # :class:`~repro.network.link.LinkTable`: ``link_table()`` returns the
-    # table (or ``None`` when the state is not index-backed) and
-    # ``used_idx``/``capacity_idx``/``flows_idx``/``link_version_idx`` read
-    # one link's column slot. Candidate paths carry their link
-    # indices precomputed, so the hot loops (``path_residual``,
-    # ``path_residuals``, place/remove feasibility scans) iterate int tuples
-    # instead of hashing string-pair link ids. A state that returns a table
-    # must implement the ``*_idx`` reads; the defaults here serve
-    # non-indexed states, for which the fast paths simply never activate.
-
-    def link_table(self):
-        """The dense link index this state is keyed by, or ``None``."""
-        return None
-
-    def link_version_idx(self, i: int) -> int:
-        """:meth:`link_version` of the link with table index ``i``."""
-        table = self.link_table()
-        if table is None:
-            raise TypeError(f"{type(self).__name__} is not index-backed")
-        return self.link_version(*table.ids[i])
 
     # ------------------------------------------------------------- versioning
     #
@@ -189,8 +172,9 @@ class NetworkState(abc.ABC):
         Each entry equals :meth:`residual` of that link (clamped at zero),
         so congestion scans (:meth:`~repro.core.migration.MigrationPlanner.
         congested_links`) and deficit estimates can consume one vectorized
-        read instead of a string-keyed call per link. Index-backed states
-        override this with a flat column loop.
+        read instead of a string-keyed call per link. The network and its
+        views override this (and :meth:`path_residual`) with a flat column
+        loop over the path's link indices.
         """
         return [max(0.0, self.capacity(u, v) - self.used(u, v))
                 for u, v in path_links(path)]

@@ -10,14 +10,13 @@ Views nest: P-LMTF builds a batch view on the live network, probes each
 candidate on a child view of the batch view, and commits the child when the
 candidate is admitted to the batch.
 
-When the base is rooted at an index-backed :class:`Network`, overlays are
-keyed by the dense integer link index and every view precomputes its *view
-chain* — the list of overlay dicts from itself down to the root — so a read
-resolves the whole chain in one flat loop (first overlay hit wins, else one
-root column access) instead of recursing a string-keyed call per level.
-Reads that must funnel through a non-view root (e.g. a
-:class:`~repro.network.footprint.FootprintRecorder`) still do, so footprint
-recording semantics are unchanged.
+Overlays are keyed by the root network's dense integer link index, and
+every view precomputes its *view chain* — the list of overlay dicts from
+itself down to the root — so a read resolves the whole chain in one flat
+loop (first overlay hit wins, else one root column access) instead of
+recursing a call per level. Reads that must funnel through a non-view root
+(a :class:`~repro.network.footprint.FootprintRecorder`) still do, so
+footprint recording semantics are unchanged.
 """
 
 from __future__ import annotations
@@ -27,13 +26,14 @@ from typing import Collection, Iterable, Iterator, Sequence
 from repro.core.exceptions import (
     DuplicateFlowError,
     InsufficientBandwidthError,
-    InvalidPathError,
     RuleSpaceError,
+    TopologyError,
     UnknownFlowError,
 )
 from repro.core.flow import Flow, Placement
-from repro.network.link import EPS, LinkId, format_link, is_simple_path, path_links
+from repro.network.link import EPS, LinkId, format_link
 from repro.network.network import Network
+from repro.network.routing.candidate import CandidatePath
 from repro.network.state import NetworkState
 
 
@@ -42,30 +42,25 @@ class NetworkView(NetworkState):
 
     Mutations are recorded locally and in an operation log; :meth:`commit`
     replays the log onto the base. Discarding the view discards the what-if.
-
-    Overlay dicts are keyed by the base's integer link index when one
-    exists (the common case), by ``LinkId`` otherwise; ``_key_of`` maps a
-    link to its overlay key either way.
     """
 
     def __init__(self, base: NetworkState):
         self._base = base
-        # Overlay dicts, keyed by int index (or LinkId without a table).
-        # They are cleared in place on reset — child views hold direct
-        # references to them in their chain lists.
-        self._used_over: dict = {}
-        self._flows_over: dict = {}
-        self._ver_over: dict = {}
+        # Overlay dicts, keyed by link index. They are cleared in place on
+        # reset — child views hold direct references to them in their
+        # chain lists.
+        self._used_over: dict[int, float] = {}
+        self._flows_over: dict[int, set[str]] = {}
+        self._ver_over: dict[int, int] = {}
         self._rules_over: dict[str, int] = {}
         # flow_id -> Placement, or None as a tombstone for a removed flow.
         self._placements_over: dict[str, Placement | None] = {}
         self._node_ver_over: dict[str, int] = {}
         self._log: list[tuple] = []
-        table = base.link_table()
-        self._table = table
+        self._table = base.link_table()
         # The view chain: this view, every NetworkView below it, then the
-        # root (a Network, a FootprintRecorder, or any other state). Bases
-        # are fixed at construction, so the chain never changes.
+        # root (a Network or a FootprintRecorder). Bases are fixed at
+        # construction, so the chain never changes.
         chain = [self]
         node = base
         while type(node) is NetworkView:
@@ -77,28 +72,20 @@ class NetworkView(NetworkState):
         self._ver_maps = [view._ver_over for view in chain]
         self._parent_used_maps = self._used_maps[1:]
         self._parent_flows_maps = self._flows_maps[1:]
-        if table is not None:
-            if type(node) is Network:
-                # Bind the root columns directly: a chain miss costs one
-                # flat array access, no method dispatch.
-                self._root_used = node._used_col.__getitem__
-                self._root_flows = node._flows_col.__getitem__
-                self._root_ver = node._ver_col.__getitem__
-                self._root_cap = node._cap_col.__getitem__
-            else:
-                # Root intercepts reads (footprint recorder); capacity is
-                # immutable and never recorded, so it may skip the root.
-                self._root_used = node.used_idx
-                self._root_flows = node.flows_idx
-                self._root_ver = node.link_version_idx
-                self._root_cap = node.capacity_col().__getitem__
-            self._key_of = table.index.get
+        if type(node) is Network:
+            # Bind the root columns directly: a chain miss costs one flat
+            # array access, no method dispatch.
+            self._root_used = node._used_col.__getitem__
+            self._root_flows = node._flows_col.__getitem__
+            self._root_ver = node._ver_col.__getitem__
+            self._root_cap = node._cap_col.__getitem__
         else:
-            self._root_used = lambda link, r=node: r.used(*link)
-            self._root_flows = lambda link, r=node: r.flows_on_link(*link)
-            self._root_ver = lambda link, r=node: r.link_version(*link)
-            self._root_cap = lambda link, r=node: r.capacity(*link)
-            self._key_of = lambda link: link
+            # Root intercepts reads (footprint recorder); capacity is
+            # immutable and never recorded, so it may skip the root.
+            self._root_used = node.used_idx
+            self._root_flows = node.flows_idx
+            self._root_ver = node.link_version_idx
+            self._root_cap = node.capacity_col().__getitem__
 
     # ------------------------------------------------------------- structure
 
@@ -122,32 +109,20 @@ class NetworkView(NetworkState):
 
     # ----------------------------------------------------------------- reads
 
+    def _link_index(self, u: str, v: str) -> int:
+        i = self._table.index.get((u, v))
+        if i is None:
+            raise TopologyError(f"no link {format_link((u, v))}")
+        return i
+
     def capacity(self, u: str, v: str) -> float:
-        if self._table is not None:
-            i = self._table.index.get((u, v))
-            if i is not None:
-                return self._root_cap(i)
-        return self._base.capacity(u, v)
+        return self._root_cap(self._link_index(u, v))
 
     def used(self, u: str, v: str) -> float:
-        key = self._key_of((u, v))
-        if key is None:
-            return self._base.used(u, v)  # unknown link: consistent error
-        for over in self._used_maps:
-            value = over.get(key)
-            if value is not None:
-                return value
-        return self._root_used(key)
+        return self.used_idx(self._link_index(u, v))
 
     def flows_on_link(self, u: str, v: str) -> frozenset[str]:
-        key = self._key_of((u, v))
-        if key is None:
-            return self._base.flows_on_link(u, v)
-        for over in self._flows_maps:
-            flows = over.get(key)
-            if flows is not None:
-                return frozenset(flows)
-        return frozenset(self._root_flows(key))
+        return frozenset(self.flows_idx(self._link_index(u, v)))
 
     def has_flow(self, flow_id: str) -> bool:
         if flow_id in self._placements_over:
@@ -195,9 +170,9 @@ class NetworkView(NetworkState):
 
     def path_residual(self, path: Sequence[str],
                       ignore: frozenset[str] = frozenset()) -> float:
-        idx = getattr(path, "link_idx", None)
-        if idx is None or self._table is None or path.table is not self._table:
-            return super().path_residual(path, ignore=ignore)
+        if type(path) is not CandidatePath or path.table is not self._table:
+            path = CandidatePath.of(path, self._table, TopologyError)
+        idx = path.link_idx
         used_maps = self._used_maps
         root_used, root_cap = self._root_used, self._root_cap
         best = float("inf")
@@ -236,9 +211,9 @@ class NetworkView(NetworkState):
         return best
 
     def path_residuals(self, path: Sequence[str]) -> list[float]:
-        idx = getattr(path, "link_idx", None)
-        if idx is None or self._table is None or path.table is not self._table:
-            return super().path_residuals(path)
+        if type(path) is not CandidatePath or path.table is not self._table:
+            path = CandidatePath.of(path, self._table, TopologyError)
+        idx = path.link_idx
         used_maps = self._used_maps
         root_used, root_cap = self._root_used, self._root_cap
         residuals = []
@@ -260,13 +235,7 @@ class NetworkView(NetworkState):
         return self._base.supports_versions
 
     def link_version(self, u: str, v: str) -> int:
-        key = self._key_of((u, v))
-        if key is None:
-            return self._base.link_version(u, v)
-        version = self._root_ver(key)
-        for over in self._ver_maps:
-            version += over.get(key, 0)
-        return version
+        return self.link_version_idx(self._link_index(u, v))
 
     def node_version(self, node: str) -> int:
         return (self._base.node_version(node)
@@ -297,84 +266,55 @@ class NetworkView(NetworkState):
 
     # ------------------------------------------------------------- mutations
 
-    def _touch(self, key) -> None:
-        """Populate this view's overlay slot for ``key`` from the chain.
+    def _touch(self, i: int) -> None:
+        """Populate this view's overlay slot for link ``i`` from the chain.
 
         A parent view's overlay wins over the root, exactly as a recursive
         base read would resolve; a root read funnels through the root's
         accessors (recording, when the root is a footprint recorder).
         """
         for over in self._parent_used_maps:
-            value = over.get(key)
+            value = over.get(i)
             if value is not None:
                 break
         else:
-            value = self._root_used(key)
+            value = self._root_used(i)
         for over in self._parent_flows_maps:
-            flows = over.get(key)
+            flows = over.get(i)
             if flows is not None:
                 break
         else:
-            flows = self._root_flows(key)
-        self._used_over[key] = value
-        self._flows_over[key] = set(flows)
-
-    def _path_keys(self, placement: Placement) -> Sequence:
-        """Overlay keys of a placement's path links, in order."""
-        path = placement.path
-        idx = getattr(path, "link_idx", None)
-        if idx is not None and self._table is not None \
-                and path.table is self._table:
-            return idx
-        key_of = self._key_of
-        return [key_of(link) for link in placement.links]
+            flows = self._root_flows(i)
+        self._used_over[i] = value
+        self._flows_over[i] = set(flows)
 
     def place(self, flow: Flow, path: Sequence[str]) -> Placement:
         if self.has_flow(flow.flow_id):
             raise DuplicateFlowError(f"flow {flow.flow_id!r} already placed")
-        placement = Placement(
-            flow=flow, path=path if isinstance(path, tuple) else tuple(path))
-        path_t = placement.path
+        if type(path) is not CandidatePath or path.table is not self._table:
+            path = CandidatePath.of(path, self._table, TopologyError)
+        placement = Placement(flow=flow, path=path)
         demand = flow.demand
-        table = self._table
-        idx = getattr(path_t, "link_idx", None)
-        if idx is not None and table is not None and path_t.table is table:
-            # Indexed path: feasibility over the chain in one flat loop.
-            keys: Sequence = idx
-            used_maps = self._used_maps
-            root_used, root_cap = self._root_used, self._root_cap
-            for pos, i in enumerate(idx):
-                for over in used_maps:
-                    value = over.get(i)
-                    if value is not None:
-                        break
-                else:
-                    value = root_used(i)
-                free = root_cap(i) - value
-                if free + EPS < demand:
-                    u, v = path_t.links[pos]
-                    raise InsufficientBandwidthError(
-                        f"link {format_link((u, v))} has {free:.3f} Mbit/s "
-                        f"free in view, flow {flow.flow_id} needs "
-                        f"{flow.demand:.3f}",
-                        bottleneck=(u, v), deficit=flow.demand - free)
-        else:
-            if not is_simple_path(path_t):
-                raise InvalidPathError(f"path {path!r} is not a simple path")
-            keys = []
-            key_of = self._key_of
-            for u, v in path_links(path_t):
-                # capacity() raises TopologyError for nonexistent links.
-                free = self.capacity(u, v) - self.used(u, v)
-                if free + EPS < demand:
-                    raise InsufficientBandwidthError(
-                        f"link {format_link((u, v))} has {free:.3f} Mbit/s "
-                        f"free in view, flow {flow.flow_id} needs "
-                        f"{flow.demand:.3f}",
-                        bottleneck=(u, v), deficit=flow.demand - free)
-                keys.append(key_of((u, v)))
+        idx = path.link_idx
+        used_maps = self._used_maps
+        root_used, root_cap = self._root_used, self._root_cap
+        for pos, i in enumerate(idx):
+            for over in used_maps:
+                value = over.get(i)
+                if value is not None:
+                    break
+            else:
+                value = root_used(i)
+            free = root_cap(i) - value
+            if free + EPS < demand:
+                u, v = path.links[pos]
+                raise InsufficientBandwidthError(
+                    f"link {format_link((u, v))} has {free:.3f} Mbit/s "
+                    f"free in view, flow {flow.flow_id} needs "
+                    f"{flow.demand:.3f}",
+                    bottleneck=(u, v), deficit=flow.demand - free)
         if self.tracks_rules:
-            for node in path_t:
+            for node in path:
                 limit = self.rule_capacity(node)
                 if limit is not None and self.rules_used(node) >= limit:
                     raise RuleSpaceError(
@@ -384,20 +324,20 @@ class NetworkView(NetworkState):
         fid = flow.flow_id
         used_over, flows_over, ver_over = \
             self._used_over, self._flows_over, self._ver_over
-        for key in keys:
-            if key not in used_over:
-                self._touch(key)
-            used_over[key] += demand
-            flows_over[key].add(fid)
-            ver_over[key] = ver_over.get(key, 0) + 1
+        for i in idx:
+            if i not in used_over:
+                self._touch(i)
+            used_over[i] += demand
+            flows_over[i].add(fid)
+            ver_over[i] = ver_over.get(i, 0) + 1
         if self.tracks_rules:
-            for node in path_t:
+            for node in path:
                 if self.rule_capacity(node) is not None:
                     self._rules_over[node] = self.rules_used(node) + 1
                     self._node_ver_over[node] = \
                         self._node_ver_over.get(node, 0) + 1
         self._placements_over[fid] = placement
-        self._log.append(("place", flow, path_t))
+        self._log.append(("place", flow, path))
         return placement
 
     def remove(self, flow_id: str) -> Placement:
@@ -405,13 +345,13 @@ class NetworkView(NetworkState):
         demand = placement.flow.demand
         used_over, flows_over, ver_over = \
             self._used_over, self._flows_over, self._ver_over
-        for key in self._path_keys(placement):
-            if key not in used_over:
-                self._touch(key)
-            value = used_over[key] - demand
-            used_over[key] = value if value > 0.0 else 0.0
-            flows_over[key].discard(flow_id)
-            ver_over[key] = ver_over.get(key, 0) + 1
+        for i in placement.path.link_idx:
+            if i not in used_over:
+                self._touch(i)
+            value = used_over[i] - demand
+            used_over[i] = value if value > 0.0 else 0.0
+            flows_over[i].discard(flow_id)
+            ver_over[i] = ver_over.get(i, 0) + 1
         if self.tracks_rules:
             for node in placement.path:
                 if self.rule_capacity(node) is not None:

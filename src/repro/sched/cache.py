@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.core.plan import EventPlan
 from repro.network.footprint import Footprint
-from repro.network.link import LinkId
 from repro.network.state import NetworkState
 
 #: Cache key: (event id, ids of the event's not-yet-admitted flows). The
@@ -54,12 +53,10 @@ class CacheStats:
 class _Entry:
     state: NetworkState
     plan: EventPlan
-    #: Either ``{LinkId: version}`` or ``{int: version}`` depending on
-    #: ``by_index`` — index-keyed snapshots validate via one flat column
-    #: read per member instead of a string-pair lookup.
-    link_versions: dict[LinkId, int] | dict[int, int]
+    #: ``{link index: version}`` — validated by one flat column read per
+    #: member.
+    link_versions: dict[int, int]
     node_versions: dict[str, int]
-    by_index: bool = False
 
 
 class ProbeCache:
@@ -125,16 +122,10 @@ class ProbeCache:
         elif len(self._entries) >= self._maxsize:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
-        versions_idx = footprint.link_versions_idx(state)
-        if versions_idx is not None:
-            link_versions, by_index = versions_idx, True
-        else:
-            link_versions, by_index = footprint.link_versions(state), False
         self._entries[key] = _Entry(
             state=state, plan=plan,
-            link_versions=link_versions,
-            node_versions=footprint.node_versions(state),
-            by_index=by_index)
+            link_versions=footprint.link_versions(state),
+            node_versions=footprint.node_versions(state))
 
     def should_record(self, key: ProbeKey) -> bool:
         """Whether a miss for ``key`` is worth planning with a recorder.
@@ -193,13 +184,9 @@ class ProbeCache:
 
     @staticmethod
     def _fresh(entry: _Entry, state: NetworkState) -> bool:
-        if entry.by_index:
-            version_of = state.link_version_idx
-            links_ok = all(version_of(i) == version
-                           for i, version in entry.link_versions.items())
-        else:
-            links_ok = all(state.link_version(u, v) == version
-                           for (u, v), version in entry.link_versions.items())
+        version_of = state.link_version_idx
+        links_ok = all(version_of(i) == version
+                       for i, version in entry.link_versions.items())
         return links_ok and all(
             state.node_version(node) == version
             for node, version in entry.node_versions.items())

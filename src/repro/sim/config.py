@@ -27,7 +27,6 @@ class SimulationConfig:
             instead of deadlocking. A strict-FIFO purist can turn this off
             and accept :class:`~repro.core.exceptions.SimulationError` on
             pathological workloads.
-        max_rounds: safety valve on scheduling rounds.
         background_churn: when True, finite-duration background flows
             complete over simulated time and respawn from the simulator's
             ``churn_trace``, so the network state — and therefore queued
@@ -72,7 +71,6 @@ class SimulationConfig:
     seed: int = 0
     verify_invariants: bool = False
     stall_fallback: bool = True
-    max_rounds: int = 1_000_000
     background_churn: bool = False
     round_barrier: str = "completion"
     exec_max_retries: int = 2

@@ -66,6 +66,10 @@ if TYPE_CHECKING:
     from repro.sim.engine import SimulationEngine
     from repro.sim.timing import TimingModel
 
+#: Safety valve on scheduling rounds: a run that decides more rounds than
+#: this raises instead of spinning forever.
+MAX_ROUNDS = 1_000_000
+
 
 class RoundPipeline:
     """Owns the round state machine; the simulator merely drives it.
@@ -133,6 +137,11 @@ class RoundPipeline:
     def events_remaining(self) -> int:
         """Events enqueued but not yet completed or dropped."""
         return self._events_remaining
+
+    @property
+    def round_active(self) -> bool:
+        """True from a round's collect stage until the round ends."""
+        return self._round_active
 
     @property
     def round_outstanding(self) -> int:
@@ -264,9 +273,9 @@ class RoundPipeline:
             prediction_samples=decision.prediction_samples,
             prediction_error_sum=decision.prediction_error_sum,
             fallback=decision.fallback))
-        if self._round_index > self._config.max_rounds:
+        if self._round_index > MAX_ROUNDS:
             raise SimulationError(
-                f"exceeded {self._config.max_rounds} scheduling rounds")
+                f"exceeded {MAX_ROUNDS} scheduling rounds")
         if decision.empty:
             # An empty decision still consumed a round — PreRound above
             # charged the round and its plan time — so the round must also
@@ -419,7 +428,7 @@ class RoundPipeline:
         useless. Every stalled event is charged one deferral; events past
         ``max_deferrals`` are dropped with accounting. Each pass strictly
         increases deferral counts, so the stall resolves within
-        ``max_deferrals + 1`` passes instead of burning ``max_rounds`` —
+        ``max_deferrals + 1`` passes instead of burning ``MAX_ROUNDS`` —
         and without tripping the stall fallback, which already ran and
         found nothing feasible.
         """

@@ -14,11 +14,11 @@ Mechanically the service is an *open-loop* driver: exactly one pending
 arrival callback sits in the engine at any time, and firing it enqueues
 the event and schedules the next pull. Backpressure pauses that chain —
 when the scheduler queue reaches ``queue_cap``, the next event is held
-until ``PostRound`` observes the queue back at ``resume_depth`` (held
-arrivals are re-timestamped to the resume time: an open system cannot
-deliver in the past). Everything the service schedules is an ordinary
-engine event, so a service run is exactly as deterministic as a batch run
-of the same spec.
+until the queue is back at ``resume_depth``, seen by ``PostRound`` or by a
+drop outside any round (held arrivals are re-timestamped to the resume
+time: an open system cannot deliver in the past). Everything the service
+schedules is an ordinary engine event, so a service run is exactly as
+deterministic as a batch run of the same spec.
 """
 
 from __future__ import annotations
@@ -86,9 +86,8 @@ class ServiceConfig:
             ``metrics.prom`` (required when ``snapshot_every > 0``).
         stats_every: settled rounds between one-line stats digests
             (0 disables).
-        audit: attach a lifecycle auditor (crash on bookkeeping drift).
-        audit_every: audit every N-th round (see
-            :class:`~repro.sim.audit.LifecycleAuditor`).
+        audit: attach a lifecycle auditor (crash on bookkeeping drift),
+            auditing every round.
         install_signals: install SIGINT/SIGTERM handlers for graceful
             drain while serving (restored afterwards). Disable in tests
             and embedded callers.
@@ -115,7 +114,6 @@ class ServiceConfig:
     snapshot_dir: str | Path | None = None
     stats_every: int = 0
     audit: bool = True
-    audit_every: int = 1
     install_signals: bool = False
     engine_step_cap: int = 50_000_000
     state_dir: str | Path | None = None
@@ -140,8 +138,6 @@ class ServiceConfig:
             raise ValueError("resume requires a state_dir to resume from")
         if self.stats_every < 0:
             raise ValueError("stats_every must be >= 0")
-        if self.audit_every < 1:
-            raise ValueError("audit_every must be >= 1")
         if self.engine_step_cap < 1:
             raise ValueError("engine_step_cap must be >= 1")
 
@@ -221,7 +217,7 @@ class SimulationService:
         self._auditor = sim.auditor
         if self._config.audit and self._auditor is None:
             from repro.sim.audit import LifecycleAuditor
-            self._auditor = LifecycleAuditor(every=self._config.audit_every)
+            self._auditor = LifecycleAuditor()
             sim.attach(self._auditor)
         sim.hooks.subscribe(PostRound, self._on_post_round)
         sim.hooks.subscribe(EventCompleted, self._on_terminal)
@@ -407,7 +403,7 @@ class SimulationService:
             self.request_stop("horizon")
             return
         if self._sim.pipeline.queue_depth >= self._config.queue_cap:
-            # Backpressure: hold this arrival; _on_post_round releases it
+            # Backpressure: hold this arrival; _release_held schedules it
             # once the queue drains to resume_depth.
             self._held = event
             self._pauses += 1
@@ -437,12 +433,16 @@ class SimulationService:
 
     def _on_post_round(self, hook: PostRound) -> None:
         crash_point("post-round")
+        self._release_held()
+        self._write_heartbeat(round_index=hook.index)
+
+    def _release_held(self) -> None:
+        """Schedule the held arrival once the queue is at ``resume_depth``."""
         if (self._held is not None
                 and self._sim.pipeline.queue_depth
                 <= self._config.resume_depth):
             event, self._held = self._held, None
             self._schedule_arrival(event)
-        self._write_heartbeat(round_index=hook.index)
 
     def _on_terminal(self, hook: "EventCompleted | EventDropped") -> None:
         kind = "complete" if isinstance(hook, EventCompleted) else "drop"
@@ -460,6 +460,11 @@ class SimulationService:
             record["record"] = sim.metrics_collector.export_record(
                 hook.event_id)
         self._journal_append(record)
+        if kind == "drop" and not self._sim.pipeline.round_active:
+            # A stall pass drops outside any round and announces no
+            # PostRound: without this, a queue emptied by drops would
+            # never ingest again.
+            self._release_held()
         # Once the stream is done and the last event settled, cancel the
         # snapshot timer so the engine drains at the real end time instead
         # of idling forward to the next snapshot tick. The handle cancel

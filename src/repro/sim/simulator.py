@@ -283,7 +283,8 @@ class UpdateSimulator:
 
         Raises:
             SimulationError: the run deadlocked (some event can never be
-                placed) or exceeded ``max_rounds``.
+                placed) or exceeded
+                :data:`~repro.sim.pipeline.MAX_ROUNDS` rounds.
         """
         if self._ran:
             raise SimulationError("simulator already ran; build a new one")

@@ -5,12 +5,13 @@ observationally identical to the seed-era dict-keyed semantics.
 string-keyed implementations the kernel replaced: per-link dicts on the
 network, copy-on-write overlay dicts plus an operation log on the view.
 The state machine drives one random operation sequence through both
-implementations — :class:`CandidatePath` objects on the kernel
-side, plain node tuples on the reference side — and asserts that every
-observable agrees exactly: residuals (bit-equal floats, same arithmetic
-order), per-link usage, flow sets, version counters, placements, and the
-exception type of every rejected operation, across nested views with
-commits and discards interleaved.
+implementations — :class:`CandidatePath` objects (or, on some draws, plain
+node tuples the kernel must index on entry) on the kernel side, plain node
+tuples on the reference side — and asserts that every observable agrees
+exactly: residuals (bit-equal floats, same arithmetic order), per-link
+usage, flow sets, version counters, placements, and the exception type of
+every rejected operation, across nested views with commits and discards
+interleaved, and across rebuilds of the kernel from its exported state.
 """
 
 import sys
@@ -34,6 +35,7 @@ from repro.core.exceptions import (
 )
 from repro.core.flow import Flow, Placement
 from repro.network.link import EPS, format_link, is_simple_path
+from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
 from repro.network.state import NetworkState
 from repro.network.view import NetworkView
@@ -380,8 +382,11 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
 
     @rule(pair=st.sampled_from(HOST_PAIRS),
           demand=DEMANDS,
-          path_index=st.integers(min_value=0, max_value=3))
-    def place(self, pair, demand, path_index):
+          path_index=st.integers(min_value=0, max_value=3),
+          plain=st.booleans())
+    def place(self, pair, demand, path_index, plain):
+        """``plain`` hands the kernel a bare node tuple, which it must
+        index once on entry."""
         src, dst = pair
         candidates = PROVIDER.paths(src, dst)
         path = candidates[path_index % len(candidates)]
@@ -389,7 +394,8 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
         self.counter += 1
         flow = Flow(flow_id=fid, src=src, dst=dst, demand=demand)
         placed = self._both("place", flow,
-                            kernel_path=path, ref_path=tuple(path))
+                            kernel_path=tuple(path) if plain else path,
+                            ref_path=tuple(path))
         if placed is not None:
             self.ever_placed.append(fid)
 
@@ -462,6 +468,24 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
         assert observed(original) == before
         original.check_invariants()
         self.kernel.check_invariants()
+
+    @rule()
+    def rebuild_from_export(self):
+        """A fresh network restored from ``export_state()`` holds every
+        placement on a path indexed against its own table, and goes on
+        exactly like the network it was exported from."""
+        if self.stack:
+            return
+        restored = Network(self.kernel.graph)
+        restored.restore_state(self.kernel.export_state())
+        table = restored.link_table()
+        for fid in restored.flow_ids():
+            path = restored.placement(fid).path
+            assert path.table is table
+            assert path.link_idx == tuple(
+                table.index[link] for link in zip(path, path[1:]))
+        restored.check_invariants()
+        self.kernel = restored
 
     @rule()
     def push_view(self):

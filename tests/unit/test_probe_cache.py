@@ -138,9 +138,11 @@ class TestFootprintRecorder:
         rec.used("s1", "top")
         rec.flows_on_link("top", "s2")
         fp = rec.footprint()
-        assert fp == Footprint(links=frozenset({("s1", "top"),
-                                                ("top", "s2")}),
-                               nodes=frozenset())
+        links = frozenset({("s1", "top"), ("top", "s2")})
+        assert fp == Footprint(links=links, nodes=frozenset(),
+                               link_idx=frozenset())
+        assert fp.link_idx == {net.link_table().index[link]
+                               for link in links}
 
     def test_capacity_reads_are_free(self):
         net, _ = diamond_setup()
@@ -148,7 +150,8 @@ class TestFootprintRecorder:
         rec.capacity("s1", "top")
         rec.rule_capacity("top")
         assert rec.footprint() == Footprint(links=frozenset(),
-                                            nodes=frozenset())
+                                            nodes=frozenset(),
+                                            link_idx=frozenset())
 
     def test_placement_read_records_flow_links(self):
         net, _ = diamond_setup()
@@ -263,7 +266,8 @@ class TestProbeCache:
         plan = object()
         cache.store(key, net, plan,
                     Footprint(links=frozenset(),
-                              nodes=frozenset({"top"})))
+                              nodes=frozenset({"top"}),
+                              link_idx=frozenset()))
         assert cache.lookup(key, net) is plan
         from repro.core.flow import Flow
         net.place(Flow(flow_id="bg", src="c", dst="d", demand=1.0),
@@ -274,7 +278,8 @@ class TestProbeCache:
     def test_eviction_at_maxsize(self):
         net, _provider = diamond_setup()
         plan, footprint = object(), Footprint(links=frozenset(),
-                                              nodes=frozenset())
+                                              nodes=frozenset(),
+                                              link_idx=frozenset())
         cache = ProbeCache(maxsize=2)
         cache.store(("a", ()), net, plan, footprint)
         cache.store(("b", ()), net, plan, footprint)
@@ -585,7 +590,8 @@ class TestLearnedSchedulerPurges:
     def test_forget_event_counts_purges(self):
         net, _provider = diamond_setup()
         cache = ProbeCache()
-        fp = Footprint(links=frozenset(), nodes=frozenset())
+        fp = Footprint(links=frozenset(), nodes=frozenset(),
+                       link_idx=frozenset())
         cache.store(("ev", ("f1",)), net, object(), fp)
         cache.store(("ev", ("f1", "f2")), net, object(), fp)
         cache.store(("other", ()), net, object(), fp)

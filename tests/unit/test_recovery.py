@@ -74,7 +74,7 @@ def _clean_crashpoints(monkeypatch):
 
 def build_service(state_dir, resume=False, scheduler=None, max_events=12,
                   snapshot_every=2.0, compile_mode="atomic", capacity=100.0,
-                  max_deferrals=4):
+                  max_deferrals=4, engine_step_cap=50_000_000):
     """A deterministic diamond-network service; rebuildable bit-identically."""
     net, provider = diamond_setup(capacity)
     sim = UpdateSimulator(
@@ -89,7 +89,8 @@ def build_service(state_dir, resume=False, scheduler=None, max_events=12,
     config = ServiceConfig(queue_cap=8, resume_depth=4,
                            max_events=max_events,
                            snapshot_every=snapshot_every,
-                           state_dir=state_dir, resume=resume)
+                           state_dir=state_dir, resume=resume,
+                           engine_step_cap=engine_step_cap)
     return SimulationService(sim, generator.stream(1.0), config)
 
 
@@ -393,6 +394,34 @@ class TestExactResume:
         _, resumed = crash_and_resume(tmp_path, monkeypatch, "post-round",
                                       10, audit=True)
         assert resumed.audits > 0
+
+
+class TestHeldArrivalRelease:
+    """A stall pass that drops the queue empty announces no ``PostRound``;
+    the drop itself must release the backpressure-held arrival, or the
+    service never ingests the rest of its stream."""
+
+    def test_drops_release_the_held_arrival(self):
+        service = build_service(None, capacity=6.0, max_deferrals=0,
+                                max_events=24, snapshot_every=0)
+        report = service.serve()
+        assert report.ingested == 24
+        assert not service.paused
+        assert report.stopped == "max_events"
+        assert report.completed + report.dropped == 24
+
+    def test_snapshot_timer_does_not_keep_a_drained_service_alive(
+            self, tmp_path):
+        # Without the release the snapshot timer is the only pending
+        # engine event and fires forever; the step cap turns that into a
+        # fast failure instead of a hang.
+        service = build_service(tmp_path / "state", capacity=6.0,
+                                max_deferrals=0, max_events=24,
+                                snapshot_every=2.0, engine_step_cap=2_000)
+        report = service.serve()
+        assert report.ingested == 24
+        assert not service.paused
+        assert report.completed + report.dropped == 24
 
 
 class TestSignalStop:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.exceptions import TopologyError
 from repro.core.flow import Flow
-from repro.core.migration import MigrationPlanner
 from repro.network.link import link_table_for, path_links
 from repro.network.routing.candidate import CandidatePath
 from repro.network.routing.paths import k_shortest_paths, path_hops
@@ -105,28 +104,28 @@ class TestCandidatePath:
     def table(self):
         return link_table_for(FatTreeTopology(k=4).graph())
 
-    @pytest.mark.parametrize("with_table", [True, False])
-    def test_links_derive_on_each_read(self, table, with_table):
-        path = CandidatePath.make(self.NODES, table if with_table else None)
+    def test_links_derive_on_each_read(self, table):
+        path = CandidatePath.make(self.NODES, table)
         expected = tuple(zip(self.NODES[:-1], self.NODES[1:]))
         for __ in range(2):
             assert path.links == expected
         assert set(vars(path)) == {"link_idx", "table"}
-        assert (path.link_idx is None) == (not with_table)
 
     def test_crossing_by_index_agrees_with_links(self, table):
         """The migration planner's "does this path cross that link" test,
         on link indices, answers as ``link in path_links(path)`` for every
         candidate of a pair against every link — baked candidates and the
-        plain node tuples that fall back to a table lookup alike."""
+        plain node tuples indexed once on entry alike."""
         provider = PathProvider(FatTreeTopology(k=4))
-        planner = MigrationPlanner(provider)
         candidates = provider.paths("h0_0_0", "h3_1_1")
         assert len(candidates) == 4
         for path in (*candidates, *map(tuple, candidates)):
-            indices = planner._link_indices(path)
+            indexed = CandidatePath.of(path, provider.table)
+            assert indexed == path
+            if type(path) is CandidatePath:
+                assert indexed is path
             for i, link in enumerate(provider.table.ids):
-                assert (i in indices) == (link in path_links(path))
+                assert (i in indexed.link_idx) == (link in path_links(path))
 
     def test_links_are_the_tables_own_ids(self, table):
         path = CandidatePath.make(self.NODES, table)
@@ -138,7 +137,7 @@ class TestCandidatePath:
         with pytest.raises(ValueError, match="not a simple path"):
             CandidatePath.make(("h0_0_0", "e0_0", "h0_0_0"), table)
         with pytest.raises(ValueError, match="not a simple path"):
-            CandidatePath.make(("h0_0_0",))
+            CandidatePath.make(("h0_0_0",), table)
 
     def test_make_rejects_link_absent_from_table(self, table):
         with pytest.raises(ValueError, match="absent from the link table"):

@@ -91,8 +91,6 @@ class TestServiceConfig:
             ServiceConfig(max_events=-1)
         with pytest.raises(ValueError, match="horizon"):
             ServiceConfig(horizon=-1.0)
-        with pytest.raises(ValueError, match="audit_every"):
-            ServiceConfig(audit_every=0)
 
     def test_service_revalidates_duck_typed_watermarks(self):
         """Equal watermarks must be rejected at service construction.
