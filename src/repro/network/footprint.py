@@ -28,9 +28,10 @@ Two pieces make that proof sound:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from repro.core.exceptions import TopologyError
 from repro.core.flow import Flow, Placement
 from repro.network.link import LinkId
 from repro.network.routing.candidate import CandidatePath
@@ -43,14 +44,11 @@ class Footprint:
 
     ``link_idx`` holds the links as dense integer indices into the probed
     network's link table, which is what the probe cache validates against
-    (one flat column read per member); ``links`` carries the same links as
-    readable ids. The index field is excluded from equality so footprints
-    compare by content.
+    (one flat column read per member); ``nodes`` the rule-tracked nodes.
     """
 
-    links: frozenset[LinkId]
+    link_idx: frozenset[int]
     nodes: frozenset[str]
-    link_idx: frozenset[int] = field(compare=False)
 
     def link_versions(self, state: NetworkState) -> dict[int, int]:
         """Snapshot the current version of every footprint link, by
@@ -112,10 +110,8 @@ class FootprintRecorder(NetworkState):
         """The recorded footprint, or None when it is unbounded."""
         if not self.bounded:
             return None
-        ids, link_idx = self._table.ids, self.read_idx
-        return Footprint(links=frozenset(ids[i] for i in link_idx),
-                         nodes=frozenset(self.read_nodes),
-                         link_idx=frozenset(link_idx))
+        return Footprint(link_idx=frozenset(self.read_idx),
+                         nodes=frozenset(self.read_nodes))
 
     # ----------------------------------------------------------------- reads
 
@@ -180,6 +176,19 @@ class FootprintRecorder(NetworkState):
 
     def _record_placement_links(self, placement: Placement) -> None:
         self.read_idx.update(placement.path.link_idx)
+
+    def path_residual(self, path: Sequence[str],
+                      ignore: frozenset[str] = frozenset()) -> float:
+        # An ignored flow joins or leaves a link only by bumping its
+        # version, so the path's links cover the ``ignore`` term too.
+        path = CandidatePath.of(path, self._table, TopologyError)
+        self.read_idx.update(path.link_idx)
+        return self._base.path_residual(path, ignore)
+
+    def path_residuals(self, path: Sequence[str]) -> list[float]:
+        path = CandidatePath.of(path, self._table, TopologyError)
+        self.read_idx.update(path.link_idx)
+        return self._base.path_residuals(path)
 
     # ------------------------------------------------------------ rule space
 

@@ -9,11 +9,14 @@ simulator to assert the substrate never drifts.
 
 Link state lives in flat columns indexed by the graph's interned
 :class:`~repro.network.link.LinkTable`: ``capacity``/``used`` in
-``array('d')``, versions in a ``list[int]`` and the ids of the flows on
-each link in a ``list[str]`` (in placement order), one slot per directed
-link. The flow lists serve Definition 1 alone (the flows on a congested
-link) and hold a few dozen ids (at most 62 at k=4 under 85 % load), so
-``list.remove`` is cheap; a set would never shrink after churn's discards.
+``list[float]`` (a list hands out the float it holds, where an
+``array('d')`` boxes a new one on every read, and a k=8 fat-tree's 768
+links make the bytes moot), versions in a ``list[int]`` and the ids of the
+flows on each link in a ``list[str]`` (in placement order), one slot per
+directed link. The flow lists serve Definition 1 alone (the flows on a
+congested link) and hold a few dozen ids (at most 62 at k=4 under 85 %
+load), so ``list.remove`` is cheap; a set would never shrink after churn's
+discards.
 The string-keyed API is a thin shim over the columns. Every placed path is
 a :class:`~repro.network.routing.candidate.CandidatePath` of the network's
 table, carrying its link indices precomputed (a plain node sequence is
@@ -24,7 +27,6 @@ columns with no per-call tuple building or string-pair hashing.
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import (
@@ -80,8 +82,8 @@ class Network(NetworkState):
                                     f"capacity {cap}")
             caps.append(cap)
         n = len(self._table)
-        self._cap_col = array("d", caps)
-        self._used_col = array("d", bytes(8 * n))
+        self._cap_col: list[float] = caps
+        self._used_col: list[float] = [0.0] * n
         self._ver_col: list[int] = [0] * n
         self._flows_col: list[list[str]] = [[] for _ in range(n)]
         self._placements: dict[str, Placement] = {}
@@ -159,9 +161,13 @@ class Network(NetworkState):
     def link_table(self) -> LinkTable:
         return self._table
 
-    def capacity_col(self) -> array:
+    def capacity_col(self) -> list[float]:
         """The raw capacity column (immutable by convention)."""
         return self._cap_col
+
+    def used_col(self) -> list[float]:
+        """The raw used column — callers must not mutate it."""
+        return self._used_col
 
     def used_idx(self, i: int) -> float:
         return self._used_col[i]
@@ -175,22 +181,6 @@ class Network(NetworkState):
     def flows_idx(self, i: int) -> list[str]:
         """The live flow list of link ``i`` — callers must not mutate it."""
         return self._flows_col[i]
-
-    def row_residuals(self,
-                      rows: Iterable[Sequence[int]]) -> list[float]:
-        """The bottleneck residual of each row of link indices (``inf`` for
-        an empty row): :meth:`path_residual` for callers that hold a pair's
-        candidates as index rows instead of path objects."""
-        cap, used, inf = self._cap_col, self._used_col, float("inf")
-        residuals = []
-        for row in rows:
-            best = inf
-            for i in row:
-                res = cap[i] - used[i]
-                if res < best:
-                    best = res
-            residuals.append(best)
-        return residuals
 
     def _link_index(self, u: str, v: str) -> int:
         i = self._table.index.get((u, v))
@@ -262,7 +252,7 @@ class Network(NetworkState):
             raise DuplicateFlowError(f"flow {flow.flow_id!r} already placed")
         if type(path) is not CandidatePath or path.table is not self._table:
             path = CandidatePath.of(path, self._table)
-        placement = Placement(flow=flow, path=path)
+        placement = Placement(flow, path)
         idx = path.link_idx
         cap, used, demand = self._cap_col, self._used_col, flow.demand
         for i in idx:
@@ -299,14 +289,15 @@ class Network(NetworkState):
         return placement
 
     def remove(self, flow_id: str) -> Placement:
-        placement = self.placement(flow_id)
+        placement = self._placements.get(flow_id)
+        if placement is None:
+            raise UnknownFlowError(f"flow {flow_id!r} is not placed")
         used, flows_col, ver = self._used_col, self._flows_col, self._ver_col
         demand = placement.flow.demand
         for i in placement.path.link_idx:
-            used[i] -= demand
-            if used[i] < 0:
-                # Guard against float drift; usage can never be negative.
-                used[i] = 0.0
+            left = used[i] - demand
+            # Guard against float drift; usage can never be negative.
+            used[i] = left if left >= 0 else 0.0
             flows_col[i].remove(flow_id)
             ver[i] += 1
         if self._node_index:
@@ -329,7 +320,7 @@ class Network(NetworkState):
         before the failure is provably stale once the capacity changed.
         """
         i = self._link_index(u, v)
-        self._cap_col[i] = value
+        self._cap_col[i] = float(value)
         self._ver_col[i] += 1
 
     # ----------------------------------------------------------- versioning
@@ -523,8 +514,8 @@ class Network(NetworkState):
             for i in placement.path.link_idx:
                 self._flows_col[i].append(fid)
             self._placements[fid] = placement
-        self._cap_col = array("d", state["cap_col"])
-        self._used_col = array("d", state["used_col"])
+        self._cap_col = [float(v) for v in state["cap_col"]]
+        self._used_col = [float(v) for v in state["used_col"]]
         self._ver_col[:] = [int(v) for v in state["ver_col"]]
         self._rules_used_col[:] = [int(v) for v in state["rules_used_col"]]
         self._node_ver_col[:] = [int(v) for v in state["node_ver_col"]]
@@ -536,15 +527,15 @@ class Network(NetworkState):
 
         The topology graph, link table, and node index are shared (they are
         never mutated); the state columns are duplicated — a handful of
-        flat-array copies rather than per-entry dict rebuilds. Experiments
+        flat list copies rather than per-entry dict rebuilds. Experiments
         load background traffic once and hand each scheduler run its own
         copy, so all schedulers face an identical starting state.
         """
         clone = Network.__new__(Network)
         clone._graph = self._graph
         clone._table = self._table
-        clone._cap_col = array("d", self._cap_col)
-        clone._used_col = array("d", self._used_col)
+        clone._cap_col = list(self._cap_col)
+        clone._used_col = list(self._used_col)
         clone._ver_col = list(self._ver_col)
         clone._flows_col = [list(flows) for flows in self._flows_col]
         clone._placements = dict(self._placements)

@@ -27,7 +27,9 @@ pair's own object and otherwise builds the one candidate asked for without
 keeping it, so a path churn places or a flow's desired path lives exactly
 as long as the placement holding it. :meth:`PathProvider.candidate_count`
 and :meth:`PathProvider.link_rows` answer from the template without
-building any path.
+building any path; a caller that reads a pair's rows and then wants one of
+its candidates asks :meth:`PathProvider.template` once and
+:meth:`PathProvider.join` the candidate from it.
 
 Identity between accessors therefore holds only inside one cached tuple:
 ``candidate(s, d, i) is paths(s, d)[i]`` once the pair is cached, and
@@ -129,7 +131,9 @@ class PathProvider:
                    dst: str) -> tuple[int, int, Template] | None:
         """The pair's access-link indices and its switch pair's template,
         or None when the pair has to be enumerated whole."""
-        attach = self._attachments()
+        attach = self._attach
+        if attach is None:
+            attach = self._attachments()
         up, down = attach.get(src), attach.get(dst)
         if up is None or down is None or src == dst:
             return None
@@ -157,6 +161,26 @@ class PathProvider:
         up, down, (middles, rows) = structure
         return CandidatePath.prevalidated(
             (src, *middles[i], dst), (up, *rows[i], down), self.table)
+
+    def template(self, src: str,
+                 dst: str) -> tuple[int, int, Template] | None:
+        """The pair's up and down access-link indices and its switch pair's
+        template ``(middles, rows)``, or None when the pair is not
+        templated; :meth:`paths` then says why or serves it.
+
+        Raises:
+            TopologyError: no path exists between the hosts.
+        """
+        return self._structure(src, dst)
+
+    def join(self, src: str, dst: str, i: int,
+             structure: tuple[int, int, Template]) -> CandidatePath:
+        """``candidate(src, dst, i)`` of a pair whose :meth:`template` is
+        ``structure``, with no second template lookup."""
+        cached = self._cache.get((src, dst))
+        if cached is not None:
+            return cached[i]
+        return self._join(src, dst, i, structure)
 
     # ----------------------------------------------------------------- reads
 
@@ -187,13 +211,10 @@ class PathProvider:
         Raises:
             TopologyError: no path exists between the hosts.
         """
-        cached = self._cache.get((src, dst))
-        if cached is not None:
-            return cached[i]
         structure = self._structure(src, dst)
         if structure is None:
             return self.paths(src, dst)[i]
-        return self._join(src, dst, i, structure)
+        return self.join(src, dst, i, structure)
 
     def candidate_count(self, src: str, dst: str) -> int:
         """``len(paths(src, dst))``, read off the template for a templated

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.core.exceptions import PlacementError, TopologyError
 from repro.core.flow import Flow, Placement
-from repro.network.link import EPS, LinkId, path_links
+from repro.network.link import EPS, LinkId
 
 
 class NetworkState(abc.ABC):
@@ -149,35 +149,26 @@ class NetworkState(abc.ABC):
         """Free bandwidth on ``(u, v)`` in Mbit/s (never below zero)."""
         return max(0.0, self.capacity(u, v) - self.used(u, v))
 
+    @abc.abstractmethod
     def path_residual(self, path: Sequence[str],
                       ignore: frozenset[str] = frozenset()) -> float:
-        """Bottleneck residual bandwidth along ``path``.
+        """Bottleneck residual bandwidth along ``path``: the minimum of
+        ``capacity - used`` over its links, in link order.
 
         Args:
             ignore: flow ids whose consumption should be discounted — used to
                 ask "would this path fit if those flows were migrated away?".
         """
-        best = float("inf")
-        for u, v in path_links(path):
-            res = self.capacity(u, v) - self.used(u, v)
-            if ignore:
-                for fid in self.flows_on_link(u, v) & ignore:
-                    res += self.placement(fid).flow.demand
-            best = min(best, res)
-        return best
 
+    @abc.abstractmethod
     def path_residuals(self, path: Sequence[str]) -> list[float]:
         """Per-link residuals along ``path``, in link order.
 
         Each entry equals :meth:`residual` of that link (clamped at zero),
         so congestion scans (:meth:`~repro.core.migration.MigrationPlanner.
         congested_links`) and deficit estimates can consume one vectorized
-        read instead of a string-keyed call per link. The network and its
-        views override this (and :meth:`path_residual`) with a flat column
-        loop over the path's link indices.
+        read instead of a string-keyed call per link.
         """
-        return [max(0.0, self.capacity(u, v) - self.used(u, v))
-                for u, v in path_links(path)]
 
     def path_feasible(self, path: Sequence[str], demand: float,
                       ignore: frozenset[str] = frozenset()) -> bool:

@@ -74,7 +74,7 @@ class NetworkView(NetworkState):
         self._parent_flows_maps = self._flows_maps[1:]
         if type(node) is Network:
             # Bind the root columns directly: a chain miss costs one flat
-            # array access, no method dispatch.
+            # column access, no method dispatch.
             self._root_used = node._used_col.__getitem__
             self._root_flows = node._flows_col.__getitem__
             self._root_ver = node._ver_col.__getitem__

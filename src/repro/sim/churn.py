@@ -13,17 +13,28 @@ Determinism contract: the driver draws path tiebreaks from its own
 ``random.Random(config.seed + 1)`` (built by the simulator), and its
 engine scheduling order is identical to the old monolith's — initial
 finishes in network flow-id order at run start, respawn finishes at
-placement time.
+placement time. A respawn's draw sequence — the trace's ``Random`` calls
+in :meth:`TraceGenerator.sample_flow`, the flow ids it takes, then the
+loader's in :meth:`BackgroundLoader.best_path`, with their values and the
+path they choose — is the spec every schedule pin sits on;
+``tests/unit/test_respawn_differential.py`` holds it against a verbatim
+copy of the respawn before its fast path.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.exceptions import InsufficientBandwidthError, SimulationError
+from repro.core.exceptions import (
+    InsufficientBandwidthError,
+    SimulationError,
+    UnknownFlowError,
+)
 from repro.core.flow import Flow, FlowKind
+from repro.sim.engine import TaggedCallback
 from repro.sim.hooks import ChurnTick, RunStarted, SimulatorPort
 from repro.traces.background import BackgroundLoader
 
@@ -55,11 +66,15 @@ class ChurnDriver:
         self._loader = (BackgroundLoader(network, provider, trace, rng)
                         if trace is not None else None)
         self._deficit = 0
-        self._sim: SimulatorPort | None = None
 
     def attach(self, sim: SimulatorPort) -> None:
-        """Subscribe to the simulator's hook bus (called by the simulator)."""
-        self._sim = sim
+        """Subscribe to the simulator's hook bus (called by the simulator)
+        and bind what every tick reads: network, engine, pipeline and the
+        hook bus are the simulator's for its whole life."""
+        self._network = sim.network
+        self._engine = sim.engine
+        self._pipeline = sim.pipeline
+        self._emit = sim.hooks.emit
         sim.hooks.subscribe(RunStarted, self._on_run_started)
 
     @property
@@ -68,11 +83,6 @@ class ChurnDriver:
         return self._deficit
 
     # ------------------------------------------------------------ internals
-
-    def _require_sim(self) -> SimulatorPort:
-        if self._sim is None:
-            raise SimulationError("ChurnDriver used before attach()")
-        return self._sim
 
     def _on_run_started(self, hook: RunStarted) -> None:
         sim = hook.sim
@@ -83,13 +93,12 @@ class ChurnDriver:
             flow = network.placement(flow_id).flow
             if (flow.kind is FlowKind.BACKGROUND
                     and not math.isinf(flow.service_time)):
-                self._schedule_finish(sim, flow)
+                self._schedule_finish(flow)
 
-    def _schedule_finish(self, sim: SimulatorPort, flow: Flow) -> None:
-        sim.engine.schedule_callback(
-            sim.now + flow.service_time,
-            lambda f=flow.flow_id: self._on_background_finish(f),
-            tag=f"churn:{flow.flow_id}")
+    def _schedule_finish(self, flow: Flow) -> None:
+        engine, flow_id = self._engine, flow.flow_id
+        engine.schedule_at(engine.now + flow.service_time, TaggedCallback(
+            partial(self._on_background_finish, flow_id), "churn:" + flow_id))
 
     def _on_background_finish(self, flow_id: str) -> None:
         """A background flow's transmission ended (engine callback).
@@ -99,18 +108,18 @@ class ChurnDriver:
         restore rebuilds the heap entry from the tag without having to
         serialize the Flow object it closed over.
         """
-        sim = self._require_sim()
-        if sim.network.has_flow(flow_id):
-            sim.network.remove(flow_id)
+        try:
+            self._network.remove(flow_id)
+        except UnknownFlowError:
+            pass  # a link failure stranded it already
         # Churn exists to perturb queued events' costs; once every event
         # has completed, respawning would only keep the engine alive
         # forever.
         respawned = 0
-        if sim.events_remaining > 0 and self._trace is not None:
-            respawned = self._respawn_background(sim)
-        sim.hooks.emit(ChurnTick(
-            now=sim.now, flow_id=flow_id, respawned=respawned))
-        sim.maybe_round()
+        if self._pipeline.events_remaining > 0 and self._trace is not None:
+            respawned = self._respawn_background()
+        self._emit(ChurnTick(self._engine.now, flow_id, respawned))
+        self._pipeline.maybe_round()
 
     # -------------------------------------------------------- checkpointing
 
@@ -150,9 +159,9 @@ class ChurnDriver:
         flow_id = tag[len("churn:"):]
         if not flow_id:
             raise SimulationError(f"malformed churn tag {tag!r}")
-        return lambda f=flow_id: self._on_background_finish(f)
+        return partial(self._on_background_finish, flow_id)
 
-    def _respawn_background(self, sim: SimulatorPort) -> int:
+    def _respawn_background(self) -> int:
         """Replace a completed background flow, keeping utilization level;
         returns how many replacement flows this tick placed.
 
@@ -162,19 +171,20 @@ class ChurnDriver:
         utilization target.
         """
         assert self._trace is not None and self._loader is not None
+        sample, best_path = self._trace.sample_flow, self._loader.best_path
+        place = self._network.place
         self._deficit += 1
         spawned = 0
         while self._deficit > 0 and spawned < self.MAX_SPAWNS_PER_TICK:
-            replacement = self._trace.sample_flow(
-                kind=FlowKind.BACKGROUND, permanent=False)
-            path = self._loader.best_path(replacement)
+            replacement = sample(kind=FlowKind.BACKGROUND, permanent=False)
+            path = best_path(replacement)
             if path is None:
                 break
             try:
-                sim.network.place(replacement, path)
+                place(replacement, path)
             except InsufficientBandwidthError:
                 break  # rule-limited networks can refuse; repay later
-            self._schedule_finish(sim, replacement)
+            self._schedule_finish(replacement)
             self._deficit -= 1
             spawned += 1
         return spawned

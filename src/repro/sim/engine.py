@@ -6,6 +6,10 @@ classic calendar queue: a heap of timestamped callbacks with a monotone
 clock, FIFO tie-breaking via a sequence number, and O(log n) cancellation
 through tombstones.
 
+The heap holds ``(time, seq, handle)`` tuples. ``seq`` is unique, so
+tuple comparison never reaches the handle: ordering runs in C, with no
+Python-level comparison per sift step.
+
 Tombstones are bounded: the engine counts them, answers :attr:`pending`
 from the count in O(1) instead of rescanning the heap, and compacts the
 heap (dropping every tombstone in one pass) whenever cancelled entries
@@ -17,33 +21,12 @@ change simulation results, only keep the heap small.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.exceptions import SimulationError
 
 #: Never bother compacting heaps smaller than this; the rescan is free.
 _COMPACT_MIN_SIZE = 64
-
-
-@dataclass(slots=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-    #: Set once the entry has been popped off the heap (executed or
-    #: discarded as a tombstone). A handle kept past that point must not
-    #: be able to touch the engine's tombstone accounting.
-    popped: bool = False
-
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        """Heap order: by ``time``, then ``seq`` (unique, so the order is
-        total). Written out because the generated comparison builds two
-        tuples per call and the heap makes ~14 calls per push/pop pair."""
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 class TaggedCallback:
@@ -69,27 +52,35 @@ class TaggedCallback:
 
 
 class EventHandle:
-    """Opaque handle returned by :meth:`SimulationEngine.schedule`."""
+    """One scheduled callback: what :meth:`SimulationEngine.schedule`
+    returns, and the third member of its ``(time, seq, handle)`` heap
+    entry."""
 
-    __slots__ = ("_entry", "_engine")
+    __slots__ = ("_time", "_callback", "_cancelled", "_popped", "_engine")
 
-    def __init__(self, entry: _ScheduledEvent,
+    def __init__(self, time: float, callback: Callable[[], None],
                  engine: "SimulationEngine") -> None:
-        self._entry = entry
+        self._time = time
+        self._callback = callback
+        self._cancelled = False
+        #: Set once the entry has been popped off the heap (executed or
+        #: discarded as a tombstone). A handle kept past that point must
+        #: not be able to touch the engine's tombstone accounting.
+        self._popped = False
         self._engine = engine
 
     @property
     def time(self) -> float:
-        return self._entry.time
+        return self._time
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.cancelled
+        return self._cancelled
 
     @property
     def executed(self) -> bool:
         """True once the entry already ran (cancelling is then a no-op)."""
-        return self._entry.popped and not self._entry.cancelled
+        return self._popped and not self._cancelled
 
     def cancel(self) -> None:
         """Mark the event so it will be skipped when popped (idempotent).
@@ -100,8 +91,8 @@ class EventHandle:
         tombstone would make :attr:`SimulationEngine.pending` undercount
         (even go negative) and mis-trigger stall/deadlock logic downstream.
         """
-        if not self._entry.cancelled and not self._entry.popped:
-            self._entry.cancelled = True
+        if not self._cancelled and not self._popped:
+            self._cancelled = True
             self._engine._note_cancelled()
 
 
@@ -110,7 +101,7 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         # Plain int rather than itertools.count: the next value must be
         # exportable for checkpoint/restore, and (time, seq) order *is* the
         # schedule, so a restored engine has to keep allocating from the
@@ -142,7 +133,8 @@ class SimulationEngine:
         drift into an immediate failure instead of a misfired
         stall-fallback or deadlock diagnosis.
         """
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for __, __, entry in self._heap
+                   if not entry._cancelled)
 
     def schedule_at(self, time: float,
                     callback: Callable[[], None]) -> EventHandle:
@@ -155,11 +147,11 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, clock is at "
                 f"t={self._now:.6f}")
-        entry = _ScheduledEvent(time=time, seq=self._next_seq,
-                                callback=callback)
-        self._next_seq += 1
-        heapq.heappush(self._heap, entry)
-        return EventHandle(entry, self)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handle = EventHandle(time, callback, self)
+        heapq.heappush(self._heap, (time, seq, handle))
+        return handle
 
     def schedule_after(self, delay: float,
                        callback: Callable[[], None]) -> EventHandle:
@@ -185,22 +177,23 @@ class SimulationEngine:
         Untagged callbacks report as ``?<typename>``. Intended for stall
         and deadlock diagnostics, not for control flow.
         """
-        live = sorted((e.time, e.seq, e.callback) for e in self._heap
-                      if not e.cancelled)
+        live = [e._callback for __, __, e in sorted(self._heap)
+                if not e._cancelled]
         return [cb.tag if isinstance(cb, TaggedCallback)
-                else f"?{type(cb).__name__}" for _, _, cb in live]
+                else f"?{type(cb).__name__}" for cb in live]
 
     def step(self) -> bool:
         """Execute the earliest pending event; False when none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            entry.popped = True
-            if entry.cancelled:
+        heap = self._heap
+        while heap:
+            time, __, entry = heapq.heappop(heap)
+            entry._popped = True
+            if entry._cancelled:
                 self._cancelled -= 1
                 continue
-            self._now = entry.time
+            self._now = time
             self._processed += 1
-            entry.callback()
+            entry._callback()
             return True
         return False
 
@@ -221,7 +214,7 @@ class SimulationEngine:
         while self._heap:
             if until is not None:
                 head = self._peek()
-                if head is None or head.time > until:
+                if head is None or head._time > until:
                     return
             if not self.step():
                 return
@@ -246,17 +239,16 @@ class SimulationEngine:
                 therefore not reconstructible.
         """
         entries: list[dict[str, Any]] = []
-        for event in sorted(self._heap, key=lambda e: (e.time, e.seq)):
-            if event.cancelled:
+        for time, seq, event in sorted(self._heap):
+            if event._cancelled:
                 continue
-            callback = event.callback
+            callback = event._callback
             if not isinstance(callback, TaggedCallback):
                 raise SimulationError(
                     f"cannot export untagged pending callback {callback!r}; "
                     f"checkpointable runs must schedule via "
                     f"schedule_callback()")
-            entries.append({"time": event.time, "seq": event.seq,
-                            "tag": callback.tag})
+            entries.append({"time": time, "seq": seq, "tag": callback.tag})
         return {"now": self._now, "next_seq": self._next_seq,
                 "processed": self._processed, "entries": entries}
 
@@ -285,11 +277,10 @@ class SimulationEngine:
         handles: dict[str, EventHandle] = {}
         for entry in state["entries"]:
             tag = str(entry["tag"])
-            scheduled = _ScheduledEvent(
-                time=float(entry["time"]), seq=int(entry["seq"]),
-                callback=TaggedCallback(resolver(tag), tag))
-            heapq.heappush(self._heap, scheduled)
-            handles[tag] = EventHandle(scheduled, self)
+            time, seq = float(entry["time"]), int(entry["seq"])
+            handle = handles[tag] = EventHandle(
+                time, TaggedCallback(resolver(tag), tag), self)
+            heapq.heappush(self._heap, (time, seq, handle))
         return handles
 
     def _note_cancelled(self) -> None:
@@ -304,12 +295,13 @@ class SimulationEngine:
         ``(time, seq)`` totally orders entries, so re-heapifying the live
         subset pops in exactly the order the tombstoned heap would have.
         """
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [item for item in self._heap if not item[2]._cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
-    def _peek(self) -> _ScheduledEvent | None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).popped = True
+    def _peek(self) -> EventHandle | None:
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heapq.heappop(heap)[2]._popped = True
             self._cancelled -= 1
-        return self._heap[0] if self._heap else None
+        return heap[0][2] if heap else None

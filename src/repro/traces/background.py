@@ -8,12 +8,13 @@ the target (or no more flows fit).
 
 The same :meth:`BackgroundLoader.best_path` serves every churn respawn of a
 run, so it reads a host pair's candidates the cheapest way the provider
-offers: as rows of link indices (the two access links once, then each
-candidate's middle row) with only the chosen candidate built as a path
-object, or — for a provider that offers only ``paths()``, a pair it cannot
-put in rows, or a network over another link table — one path object at a
-time. Both readings keep candidate order, the feasibility comparison, the
-host-cap arithmetic and the RNG draws identical.
+offers: one template lookup, then one pass over the kernel's columns (the
+two access links once, then each candidate's middle row, stopping at its
+first link too full for the flow) with only the chosen candidate built as
+a path object; or — for a provider that offers only ``paths()``, a pair it
+cannot template, or a network over another link table — one path object
+at a time. Both readings keep candidate order, the feasibility comparison,
+the host-cap arithmetic and the RNG draws identical.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class BackgroundLoader:
         # Index rows are only meaningful against the table they were baked
         # for; a provider without them, or over another graph's table, is
         # read path by path.
-        self._link_rows = (
-            getattr(provider, "link_rows", None)
+        self._template = (
+            getattr(provider, "template", None)
             if getattr(provider, "table", None) is network.link_table()
             else None)
 
@@ -187,14 +188,20 @@ class BackgroundLoader:
         Paths whose host access links would exceed ``host_link_cap`` are
         rejected even when raw capacity remains (see :attr:`host_link_cap`).
         """
-        rows = (self._link_rows(flow.src, flow.dst)
-                if self._link_rows is not None else None)
-        if rows is None:
+        src, dst = flow.src, flow.dst
+        structure = (self._template(src, dst)
+                     if self._template is not None else None)
+        if structure is None:
             return self._choose(self._feasible_paths(flow))
-        chosen = self._choose(self._feasible_rows(flow.demand, *rows))
-        if chosen is None:
+        up, down, (__, rows) = structure
+        feasible = self._feasible_rows(flow.demand, up, down, rows)
+        if not feasible:
             return None
-        return self._provider.candidate(flow.src, flow.dst, chosen)
+        if self._path_policy == "random":
+            chosen = self._rng.choice(feasible)
+        else:
+            chosen = self._choose(feasible)
+        return self._provider.join(src, dst, chosen, structure)
 
     def _choose(self, feasible: list[tuple[float, _T]]) -> _T | None:
         """One of the ``(residual, candidate)`` entries by the path policy;
@@ -208,28 +215,44 @@ class BackgroundLoader:
         return self._rng.choice(choices)
 
     def _feasible_rows(self, demand: float, up: int, down: int,
-                       rows: tuple[tuple[int, ...], ...]
-                       ) -> list[tuple[float, int]]:
-        """``(residual, index)`` of a templated pair's feasible candidates.
+                       rows: tuple[tuple[int, ...], ...]) -> list:
+        """A templated pair's feasible candidates in one pass over the
+        columns: their indices under the ``random`` policy, whose draw
+        needs only their count, and ``(residual, index)`` under ``best``.
 
         Every candidate shares the two access links, so their residual and
         the host cap are asked once for the pair; a candidate then adds
-        only its row of middle links.
+        only its row of middle links. A candidate is infeasible when
+        ``min(access, row minimum) + EPS < demand``; float addition is
+        monotone, so that holds exactly when some link's
+        ``residual + EPS < demand``, and the ``random`` scan stops there.
         """
         network, limit = self._network, self._host_link_cap
-        cap_up, used_up = network.capacity_idx(up), network.used_idx(up)
-        cap_down = network.capacity_idx(down)
-        used_down = network.used_idx(down)
+        cap, used = network.capacity_col(), network.used_col()
+        cap_up, used_up = cap[up], used[up]
+        cap_down, used_down = cap[down], used[down]
         access = min(cap_up - used_up, cap_down - used_down)
         if (access + EPS < demand or used_up + demand > limit * cap_up
                 or used_down + demand > limit * cap_down):
             return []
-        feasible = []
-        for i, middle in enumerate(network.row_residuals(rows)):
-            residual = middle if middle < access else access
+        feasible: list = []
+        if self._path_policy == "random":
+            for n, row in enumerate(rows):
+                for i in row:
+                    if cap[i] - used[i] + EPS < demand:
+                        break
+                else:
+                    feasible.append(n)
+            return feasible
+        for n, row in enumerate(rows):
+            residual = access
+            for i in row:
+                res = cap[i] - used[i]
+                if res < residual:
+                    residual = res
             if residual + EPS < demand:
                 continue
-            feasible.append((residual, i))
+            feasible.append((residual, n))
         return feasible
 
     def _feasible_paths(self, flow: Flow

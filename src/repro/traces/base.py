@@ -11,9 +11,9 @@ DESIGN.md §4 for the substitution argument.
 from __future__ import annotations
 
 import abc
-import hashlib
 import math
 import random
+from hashlib import sha256
 from typing import Sequence
 
 from repro.core.flow import Flow, FlowKind, next_flow_id
@@ -45,17 +45,14 @@ def hash_endpoints(hosts: Sequence[str], src_key: str,
     The same keys always map to the same hosts; when both keys collide onto
     one host the destination is shifted to the next host.
     """
-    if len(hosts) < 2:
+    count = len(hosts)
+    if count < 2:
         raise ValueError("need at least two hosts to place a flow")
-
-    def bucket(key: str) -> int:
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % len(hosts)
-
-    si = bucket(src_key)
-    di = bucket(dst_key)
+    # A key's bucket: the first 8 bytes of its SHA-256, big-endian.
+    si = int.from_bytes(sha256(src_key.encode()).digest()[:8], "big") % count
+    di = int.from_bytes(sha256(dst_key.encode()).digest()[:8], "big") % count
     if si == di:
-        di = (di + 1) % len(hosts)
+        di = (di + 1) % count
     return hosts[si], hosts[di]
 
 
@@ -88,6 +85,9 @@ class TraceGenerator(abc.ABC):
         self._hosts = list(hosts)
         self._rng = random.Random(seed)
         self._serial = 0
+        # The prefixes of the synthetic keys ``sample_endpoints`` hashes.
+        self._src_prefix = f"{self.name}-src-"
+        self._dst_prefix = f"{self.name}-dst-"
         self.endpoint_skew = endpoint_skew
         if endpoint_skew > 0:
             ranked = list(self._hosts)
@@ -130,8 +130,9 @@ class TraceGenerator(abc.ABC):
                 dst = self._rng.choices(self._skewed_hosts,
                                         weights=self._skew_weights, k=1)[0]
             return src, dst
-        src_key = f"{self.name}-src-{self._rng.randrange(2 ** 32)}"
-        dst_key = f"{self.name}-dst-{self._rng.randrange(2 ** 32)}"
+        randrange = self._rng.randrange
+        src_key = f"{self._src_prefix}{randrange(2 ** 32)}"
+        dst_key = f"{self._dst_prefix}{randrange(2 ** 32)}"
         return hash_endpoints(self._hosts, src_key, dst_key)
 
     def sample_flow(self, kind: FlowKind = FlowKind.BACKGROUND,
@@ -147,8 +148,9 @@ class TraceGenerator(abc.ABC):
         demand = self.sample_demand()
         duration = None if permanent else self.sample_duration()
         size = demand * duration if duration is not None else 0.0
-        return Flow(flow_id=next_flow_id(), src=src, dst=dst, demand=demand,
-                    size=size, duration=duration, kind=kind)
+        # Positional: flow_id, src, dst, demand, size, duration, event_id.
+        return Flow(next_flow_id(), src, dst, demand, size, duration, None,
+                    kind)
 
     def flows(self, count: int, **kwargs) -> list[Flow]:
         """Draw ``count`` flows."""

@@ -69,14 +69,13 @@ class YahooLikeTrace(TraceGenerator):
         self.duration_sigma = duration_sigma
 
     def sample_demand(self) -> float:
-        if self.rng.random() < self.elephant_prob:
-            demand = pareto(self.rng, self.elephant_scale,
-                            self.elephant_alpha)
+        rng = self._rng
+        if rng.random() < self.elephant_prob:
+            demand = pareto(rng, self.elephant_scale, self.elephant_alpha)
         else:
-            demand = lognormal(self.rng, self.demand_median,
-                               self.demand_sigma)
+            demand = lognormal(rng, self.demand_median, self.demand_sigma)
         return clamp(demand, self.demand_min, self.demand_max)
 
     def sample_duration(self) -> float:
-        return max(0.05, lognormal(self.rng, self.duration_median,
+        return max(0.05, lognormal(self._rng, self.duration_median,
                                    self.duration_sigma))

@@ -1,7 +1,7 @@
 """Property-based tests for the DES engine and metric aggregation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationEngine
@@ -42,6 +42,87 @@ class TestEngineProperties:
         engine.run()
         assert len(fired) == len(times) - 1
         assert victim not in fired
+
+
+#: One engine operation: schedule at ``now + offset`` (small integer
+#: offsets, so equal times and the ``seq`` tie-break are common), cancel
+#: up to ``n`` live entries (every other one, from the oldest; enough of
+#: them trips compaction), step once, or round-trip the engine through
+#: ``export_state``/``restore_state``.
+ENGINE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 4)),
+    st.tuples(st.just("cancel"), st.integers(1, 60)),
+    st.tuples(st.just("step"), st.just(0)),
+    st.tuples(st.just("roundtrip"), st.just(0)),
+), max_size=200)
+
+
+class TestEngineHeapOrder:
+    """The ``(time, seq, handle)`` heap pops exactly in ``sorted((time,
+    seq))`` order of the live entries, through cancels, the compactions
+    they trigger, and checkpoint round trips; ``pending`` never drifts
+    from the heap recount."""
+
+    @given(prefill=st.integers(0, 20) | st.integers(64, 160), ops=ENGINE_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_pop_order_matches_sorted_reference(self, prefill, ops):
+        engine = SimulationEngine()
+        fired: list[int] = []
+        live: dict[int, tuple[float, int]] = {}  # serial -> (time, seq)
+        handles = {}
+        next_seq = 0
+
+        def callback(serial):
+            return lambda: fired.append(serial)
+
+        def schedule(offset):
+            nonlocal next_seq
+            serial = next_seq
+            time = engine.now + offset
+            handles[serial] = engine.schedule_callback(
+                time, callback(serial), tag=f"e:{serial}")
+            live[serial] = (time, next_seq)
+            next_seq += 1
+
+        def check():
+            assert engine.pending == engine.live_pending() == len(live)
+
+        for i in range(prefill):
+            schedule(i % 5)
+        check()
+        compacted = False
+        for op, arg in ops:
+            if op == "schedule":
+                schedule(arg)
+            elif op == "cancel":
+                for victim in sorted(live)[::2][:arg]:
+                    before = len(engine._heap)
+                    handles.pop(victim).cancel()
+                    del live[victim]
+                    compacted |= len(engine._heap) < before
+                    check()
+            elif op == "step":
+                expected = min(live, key=live.__getitem__) if live else None
+                assert engine.step() is (expected is not None)
+                if expected is not None:
+                    assert fired[-1] == expected
+                    assert engine.now == live.pop(expected)[0]
+                    del handles[expected]
+            elif op == "roundtrip":
+                state = engine.export_state()
+                engine = SimulationEngine()
+                restored = engine.restore_state(
+                    state, lambda tag: callback(int(tag.split(":")[1])))
+                handles = {int(tag.split(":")[1]): handle
+                           for tag, handle in restored.items()}
+                assert sorted(handles) == sorted(live)
+            check()
+        order = sorted(live, key=live.__getitem__)
+        del fired[:]
+        engine.run()
+        assert fired == order
+        assert engine.pending == engine.live_pending() == 0
+        event("compacted" if compacted else "not compacted")
 
 
 class TestPercentileProperties:

@@ -34,7 +34,7 @@ from repro.core.exceptions import (
     UnknownFlowError,
 )
 from repro.core.flow import Flow, Placement
-from repro.network.link import EPS, format_link, is_simple_path
+from repro.network.link import EPS, format_link, is_simple_path, path_links
 from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
 from repro.network.state import NetworkState
@@ -62,7 +62,25 @@ OP_ERRORS = (DuplicateFlowError, InsufficientBandwidthError,
 DEMANDS = st.integers(min_value=2, max_value=240).map(lambda n: n * 0.25)
 
 
-class RefNetwork(NetworkState):
+class RefState(NetworkState):
+    """The seed-era string-keyed residual reads both references share."""
+
+    def path_residual(self, path, ignore=frozenset()):
+        best = float("inf")
+        for u, v in path_links(path):
+            res = self.capacity(u, v) - self.used(u, v)
+            if ignore:
+                for fid in self.flows_on_link(u, v) & ignore:
+                    res += self.placement(fid).flow.demand
+            best = min(best, res)
+        return best
+
+    def path_residuals(self, path):
+        return [max(0.0, self.capacity(u, v) - self.used(u, v))
+                for u, v in path_links(path)]
+
+
+class RefNetwork(RefState):
     """The seed-era dict-keyed live network (reference semantics)."""
 
     def __init__(self, graph, default_capacity: float = 1000.0):
@@ -186,7 +204,7 @@ class RefNetwork(NetworkState):
         return placement
 
 
-class RefView(NetworkState):
+class RefView(RefState):
     """The seed-era copy-on-write overlay (reference semantics)."""
 
     def __init__(self, base):

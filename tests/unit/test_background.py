@@ -215,7 +215,7 @@ def foreign_network(topo):
 
 
 class NoRows(PathProvider):
-    def link_rows(self, src, dst):
+    def template(self, src, dst):
         raise AssertionError("index rows read against a foreign link table")
 
 

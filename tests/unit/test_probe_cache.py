@@ -139,32 +139,31 @@ class TestFootprintRecorder:
         rec.flows_on_link("top", "s2")
         fp = rec.footprint()
         links = frozenset({("s1", "top"), ("top", "s2")})
-        assert fp == Footprint(links=links, nodes=frozenset(),
-                               link_idx=frozenset())
-        assert fp.link_idx == {net.link_table().index[link]
-                               for link in links}
+        assert fp == Footprint(link_idx=frozenset(
+            net.link_table().index[link] for link in links),
+            nodes=frozenset())
 
     def test_capacity_reads_are_free(self):
         net, _ = diamond_setup()
         rec = FootprintRecorder(net)
         rec.capacity("s1", "top")
         rec.rule_capacity("top")
-        assert rec.footprint() == Footprint(links=frozenset(),
-                                            nodes=frozenset(),
-                                            link_idx=frozenset())
+        assert rec.footprint() == Footprint(link_idx=frozenset(),
+                                            nodes=frozenset())
 
     def test_placement_read_records_flow_links(self):
         net, _ = diamond_setup()
         net.place(ab_flow("f1", 10.0), TOP)
         rec = FootprintRecorder(net)
         assert rec.has_flow("f1")
-        assert ("s1", "top") in rec.footprint().links
+        assert net.link_table().index["s1", "top"] in \
+            rec.footprint().link_idx
 
     def test_has_flow_miss_records_nothing(self):
         net, _ = diamond_setup()
         rec = FootprintRecorder(net)
         assert not rec.has_flow("ghost")
-        assert rec.footprint().links == frozenset()
+        assert rec.footprint().link_idx == frozenset()
 
     def test_enumeration_is_unbounded(self):
         net, _ = diamond_setup()
@@ -265,9 +264,8 @@ class TestProbeCache:
         key = ("probe2", ("pf2",))
         plan = object()
         cache.store(key, net, plan,
-                    Footprint(links=frozenset(),
-                              nodes=frozenset({"top"}),
-                              link_idx=frozenset()))
+                    Footprint(link_idx=frozenset(),
+                              nodes=frozenset({"top"})))
         assert cache.lookup(key, net) is plan
         from repro.core.flow import Flow
         net.place(Flow(flow_id="bg", src="c", dst="d", demand=1.0),
@@ -277,9 +275,8 @@ class TestProbeCache:
 
     def test_eviction_at_maxsize(self):
         net, _provider = diamond_setup()
-        plan, footprint = object(), Footprint(links=frozenset(),
-                                              nodes=frozenset(),
-                                              link_idx=frozenset())
+        plan, footprint = object(), Footprint(link_idx=frozenset(),
+                                              nodes=frozenset())
         cache = ProbeCache(maxsize=2)
         cache.store(("a", ()), net, plan, footprint)
         cache.store(("b", ()), net, plan, footprint)
@@ -325,7 +322,7 @@ class TestPlanEventProbed:
         plan, footprint = _plan(net, provider, event)
         assert plan.feasible
         assert footprint is not None
-        assert footprint.links  # the probe read the candidate paths
+        assert footprint.link_idx  # the probe read the candidate paths
 
     def test_probe_records_rule_nodes(self):
         # On a rule-tracking network the chosen path's rule-limited
@@ -590,8 +587,7 @@ class TestLearnedSchedulerPurges:
     def test_forget_event_counts_purges(self):
         net, _provider = diamond_setup()
         cache = ProbeCache()
-        fp = Footprint(links=frozenset(), nodes=frozenset(),
-                       link_idx=frozenset())
+        fp = Footprint(link_idx=frozenset(), nodes=frozenset())
         cache.store(("ev", ("f1",)), net, object(), fp)
         cache.store(("ev", ("f1", "f2")), net, object(), fp)
         cache.store(("other", ()), net, object(), fp)
