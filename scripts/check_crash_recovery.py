@@ -6,17 +6,21 @@ For every (scheduler x kill point) cell in the grid the harness:
 1. runs an uninterrupted baseline serve to completion and reads the
    chained schedule digest out of its final checkpoint,
 2. re-runs the identical spec with ``REPRO_CRASH_AT=<label>:<n>`` armed —
-   the service SIGKILLs *itself* at a deterministic point (mid-round,
-   mid-checkpoint-write — after the checkpoint is built, before the
-   ``checkpoint.json`` replace — or halfway through a journal append,
-   leaving a real torn frame on disk),
-3. restarts it with ``--resume`` (and ``REPRO_AUDIT=1``, so the restore
-   audit and the per-round ledger audits both run) and lets it finish,
+   the service SIGKILLs *itself* at a deterministic point (mid-round, early
+   or in the last quarter of the run; mid-final-checkpoint-write — after
+   the checkpoint is built, before ``checkpoint.json`` lands; or halfway
+   through a journal append, leaving a real torn frame on disk),
+3. restarts it with ``--resume`` (and ``REPRO_AUDIT=1``, so the per-round
+   ledger audits run) and lets it finish; a crashed run wrote no
+   checkpoint, so every resume re-runs the spec against its journal,
 4. asserts the resumed run's digest is **byte-identical** to the
    uninterrupted baseline's — same events, same outcomes, same simulated
    times, same order.
 
-One extra cell exercises the supervisor end-to-end: the armed child is
+A mid-resume cell per scheduler kills the run late, kills its first
+resume again halfway through the journal replay, and requires the second
+resume to match. One extra cell exercises the supervisor end-to-end: the
+armed child is
 launched via ``--supervise``, dies by SIGKILL, and the supervisor (which
 strips the crash armament from restarted children) restarts it with
 ``--resume`` to the same digest. Another runs ``--compile-mode staged``
@@ -54,18 +58,18 @@ SCHEDULERS = {
     "l-lmtf": ["--scheduler", "l-lmtf"],
 }
 
+#: A round in the last quarter of both schedulers' runs.
+LATE_ROUND = 16
+
 #: kill points: (label, fatal visit) — mid-round, mid-journal-append
-#: (leaves a flushed torn half-frame), mid-checkpoint-write. A ``snapshot``
-#: kill lands after the checkpoint is built and before it replaces the
-#: previous one; visit 4 does so after three checkpoints landed, with
-#: settled ``complete`` records in the journal suffix that no checkpoint
-#: covers, so the resume restores settled state from the covered prefix
-#: and re-checks the suffix's entries on replay (the 20 default events
-#: arrive over 40 simulated seconds, so the 10 s cadence below puts four
-#: ticks inside the busy part of the run; the cadence does not enter the
-#: digest).
-KILL_POINTS = [("post-round", 5), ("journal-append", 7), ("snapshot", 2),
-               ("snapshot", 4)]
+#: (leaves a flushed torn half-frame), mid-final-checkpoint-write (the
+#: snapshot timer writes none, so ``snapshot:1`` is the final one: the
+#: kill lands after it is built and before it is written, leaving only
+#: the journal), and
+#: mid-round in the last quarter of the run (the 20 default events settle
+#: in 17 plmtf and 20 l-lmtf rounds).
+KILL_POINTS = [("post-round", 5), ("journal-append", 7), ("snapshot", 1),
+               ("post-round", LATE_ROUND)]
 
 
 def serve_argv(state_dir: Path, sched_flags: list[str], events: int,
@@ -113,6 +117,46 @@ def final_digest(state_dir: Path) -> str:
     return str(checkpoint["service"]["digest"])
 
 
+def crash_cell(cell: str, state: Path, flags: list[str], events: int,
+               kills: list[str], baseline: str,
+               failures: list[str]) -> None:
+    """Run the spec armed with the first of ``kills``, resume it armed with
+    each of the others, then resume it unarmed to the end; the final
+    digest must equal ``baseline``. A failure is appended to
+    ``failures``."""
+    shutil.rmtree(state, ignore_errors=True)
+    for attempt, kill in enumerate(kills):
+        killed = run(serve_argv(state, flags, events, resume=attempt > 0),
+                     extra_env={"REPRO_CRASH_AT": kill}, check=False)
+        if killed.returncode != -signal.SIGKILL:
+            failures.append(
+                f"{cell}: armed run ({kill}) exited {killed.returncode}, "
+                f"expected SIGKILL death")
+            print(killed.stdout[-2000:])
+            print(killed.stderr[-2000:], file=sys.stderr)
+            return
+    run(serve_argv(state, flags, events, resume=True),
+        extra_env={"REPRO_AUDIT": "1"})
+    resumed = final_digest(state)
+    ok = resumed == baseline
+    print(f"[{cell}] resumed digest {resumed[:16]}… "
+          f"{'MATCH' if ok else 'MISMATCH'}")
+    if not ok:
+        failures.append(
+            f"{cell}: digest mismatch\n"
+            f"  baseline {baseline}\n"
+            f"  resumed  {resumed}\n"
+            f"  state dir kept at {state}")
+
+
+def baseline_digest(work: Path, name: str, flags: list[str],
+                    events: int) -> str:
+    base_dir = work / f"{name}-baseline"
+    shutil.rmtree(base_dir, ignore_errors=True)
+    run(serve_argv(base_dir, flags, events))
+    return final_digest(base_dir)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=20,
@@ -126,80 +170,38 @@ def main() -> int:
     work.mkdir(parents=True, exist_ok=True)
     started = time.time()
     failures: list[str] = []
+    cells = 0
 
     for sched, flags in SCHEDULERS.items():
-        base_dir = work / f"{sched}-baseline"
-        shutil.rmtree(base_dir, ignore_errors=True)
-        run(serve_argv(base_dir, flags, args.events))
-        baseline = final_digest(base_dir)
+        baseline = baseline_digest(work, sched, flags, args.events)
         print(f"[{sched}] baseline digest {baseline[:16]}… "
               f"({time.time() - started:.0f}s)")
-
         for label, n in KILL_POINTS:
-            cell = f"{sched}/{label}:{n}"
-            state = work / f"{sched}-{label}-{n}"
-            shutil.rmtree(state, ignore_errors=True)
-            killed = run(serve_argv(state, flags, args.events),
-                         extra_env={"REPRO_CRASH_AT": f"{label}:{n}"},
-                         check=False)
-            if killed.returncode != -signal.SIGKILL:
-                failures.append(
-                    f"{cell}: armed run exited {killed.returncode}, "
-                    f"expected SIGKILL death")
-                print(killed.stdout[-2000:])
-                print(killed.stderr[-2000:], file=sys.stderr)
-                continue
-            run(serve_argv(state, flags, args.events, resume=True),
-                extra_env={"REPRO_AUDIT": "1"})
-            resumed = final_digest(state)
-            ok = resumed == baseline
-            print(f"[{cell}] resumed digest {resumed[:16]}… "
-                  f"{'MATCH' if ok else 'MISMATCH'}")
-            if not ok:
-                failures.append(
-                    f"{cell}: digest mismatch\n"
-                    f"  baseline {baseline}\n"
-                    f"  resumed  {resumed}\n"
-                    f"  state dir kept at {state}")
+            crash_cell(f"{sched}/{label}:{n}", work / f"{sched}-{label}-{n}",
+                       flags, args.events, [f"{label}:{n}"], baseline,
+                       failures)
+            cells += 1
+        # Mid-resume: the first resume dies halfway through re-checking
+        # the journal the late kill left; the second must still match.
+        kills = [f"post-round:{LATE_ROUND}", f"post-round:{LATE_ROUND // 2}"]
+        crash_cell(f"{sched}/mid-resume", work / f"{sched}-mid-resume",
+                   flags, args.events, kills, baseline, failures)
+        cells += 1
 
     # Mid-staged-execution kill: under --compile-mode staged a multi-stage
     # compiled plan visits the "stage" crash point between its stages, so
     # the service dies with an event's schedule half-applied in memory.
-    # Only checkpoint + journal survive; the resumed run must replay the
-    # round from its durable prefix to the staged baseline's exact digest.
+    # Only the journal survives; the resumed run must replay the round
+    # from its durable prefix to the staged baseline's exact digest.
     staged_flags = ["--scheduler", "plmtf", "--compile-mode", "staged",
                     "--min-flows", "4", "--max-flows", "8"]
-    staged_base = work / "staged-baseline"
-    shutil.rmtree(staged_base, ignore_errors=True)
-    run(serve_argv(staged_base, staged_flags, args.events))
-    staged_baseline = final_digest(staged_base)
+    staged_baseline = baseline_digest(work, "staged", staged_flags,
+                                      args.events)
     print(f"[staged-plmtf] baseline digest {staged_baseline[:16]}… "
           f"({time.time() - started:.0f}s)")
-    staged_state = work / "staged-stage"
-    shutil.rmtree(staged_state, ignore_errors=True)
-    killed = run(serve_argv(staged_state, staged_flags, args.events),
-                 extra_env={"REPRO_CRASH_AT": "stage:1"}, check=False)
-    if killed.returncode != -signal.SIGKILL:
-        failures.append(
-            f"staged-plmtf/stage:1: armed run exited {killed.returncode}, "
-            f"expected SIGKILL death mid-staged-execution (no multi-stage "
-            f"plan compiled?)")
-        print(killed.stdout[-2000:])
-        print(killed.stderr[-2000:], file=sys.stderr)
-    else:
-        run(serve_argv(staged_state, staged_flags, args.events,
-                       resume=True),
-            extra_env={"REPRO_AUDIT": "1"})
-        resumed = final_digest(staged_state)
-        ok = resumed == staged_baseline
-        print(f"[staged-plmtf/stage:1] resumed digest {resumed[:16]}… "
-              f"{'MATCH' if ok else 'MISMATCH'}")
-        if not ok:
-            failures.append(
-                f"staged-plmtf/stage:1: digest mismatch\n"
-                f"  baseline {staged_baseline}\n"
-                f"  resumed  {resumed}\n"
-                f"  state dir kept at {staged_state}")
+    crash_cell("staged-plmtf/stage:1", work / "staged-stage", staged_flags,
+               args.events, ["stage:1"], staged_baseline, failures)
+    cells += 1
 
     # Supervisor end-to-end: the armed child SIGKILLs itself; the
     # supervisor strips the armament and restarts with --resume.
@@ -217,6 +219,7 @@ def main() -> int:
         failures.append(
             f"supervised: digest mismatch\n  baseline {base_digest}\n"
             f"  resumed  {sup_digest}\n  state dir kept at {sup_state}")
+    cells += 1
 
     elapsed = time.time() - started
     if failures:
@@ -226,7 +229,6 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    cells = len(SCHEDULERS) * len(KILL_POINTS) + 2
     print(f"\nOK: {cells} crash/resume cells byte-identical to their "
           f"uninterrupted baselines ({elapsed:.0f}s)")
     if args.work_dir is None:

@@ -108,8 +108,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "queue-cap/2)")
     parser.add_argument("--snapshot-every", type=float, default=60.0,
                         metavar="T",
-                        help="simulated seconds between snapshots "
-                             "(default 60; 0 disables)")
+                        help="simulated seconds between live metric "
+                             "snapshots (default 60; 0 disables; writes "
+                             "no checkpoint)")
     parser.add_argument("--snapshot-dir", default="service-snapshots",
                         help="directory for snapshots.jsonl / latest.json "
                              "/ metrics.prom (default service-snapshots/)")
@@ -132,8 +133,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "link capacity (default 0.0)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
                         help="enable crash recovery: write-ahead journal, "
-                             "restorable checkpoint and supervisor "
-                             "heartbeat live here (default: disabled)")
+                             "supervisor heartbeat and a checkpoint written "
+                             "at a signalled stop and at the end live here; "
+                             "a crash resumes by replaying the journal "
+                             "(default: disabled)")
     parser.add_argument("--resume", action="store_true",
                         help="continue the run recorded in --state-dir "
                              "(requires the same spec flags as the "
@@ -179,7 +182,8 @@ def build_service(args, resume: bool = False):
     """Build the (simulator, stream, service) triple for ``repro serve``.
 
     ``resume`` rebuilds the *identical* spec and asks the service to
-    restore the checkpoint in ``--state-dir``; everything else about the
+    continue the run in ``--state-dir`` (replaying its journal, or
+    restoring its stop checkpoint); everything else about the
     construction must not depend on it.
     """
     from dataclasses import replace

@@ -4,12 +4,12 @@ The journal (``journal.wal``) records every externally visible commitment
 *before* it is acknowledged to the rest of the pipeline: an ingested
 arrival entering the queue, and a terminal completion/drop together with
 the event's settled entry (its metrics record, registration index and
-origin). It is the only place settled state is persisted, so the periodic
-checkpoint (:mod:`repro.sim.snapshot`) carries live state only and names
-how much of the journal it covers. Restore = load the latest valid
-checkpoint, rebuild settled state from the journal prefix it names, then
-re-drive the deterministic simulator while cross-checking each re-produced
-record against the journal suffix.
+origin). It is the only place settled state is persisted, so the
+checkpoint (:mod:`repro.sim.snapshot`), written only when the service
+stops, carries live state only and names how much of the journal it
+covers. A crash leaves no checkpoint: the resume re-drives the
+deterministic simulator from the start while cross-checking each
+re-produced record against the journal.
 
 Frame format (little-endian), one frame per record::
 

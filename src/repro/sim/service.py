@@ -81,9 +81,11 @@ class ServiceConfig:
             smoke run uses this.
         horizon: stop ingesting once an arrival would land past this
             simulated time (``None`` = no horizon).
-        snapshot_every: simulated seconds between snapshots (0 disables).
+        snapshot_every: simulated seconds between live metric snapshots
+            (0 disables). A tick writes no checkpoint.
         snapshot_dir: directory for ``snapshots.jsonl`` / ``latest.json`` /
-            ``metrics.prom`` (required when ``snapshot_every > 0``).
+            ``metrics.prom`` (``snapshot_every > 0`` needs it or a
+            ``state_dir``).
         stats_every: settled rounds between one-line stats digests
             (0 disables).
         audit: attach a lifecycle auditor (crash on bookkeeping drift),
@@ -96,14 +98,15 @@ class ServiceConfig:
             for unbounded streams.
         state_dir: directory for the crash-recovery state — the
             write-ahead journal (``journal.wal``, settled events
-            included), the restorable live-state checkpoint
-            (``checkpoint.json``) and the supervisor heartbeat
-            (``heartbeat.json``). ``None`` disables crash recovery.
+            included), the live-state checkpoint (``checkpoint.json``,
+            written only at a signalled stop and at the end) and the
+            supervisor heartbeat (``heartbeat.json``). ``None`` disables
+            crash recovery.
         resume: continue the run recorded in ``state_dir`` instead of
             starting fresh. The caller must rebuild the *identical*
             simulator and stream (same spec, same seeds); the service
-            restores the latest checkpoint and verifies re-execution
-            against the journal suffix.
+            re-runs it against the journal, after restoring the stop or
+            final checkpoint if there is one (a crash leaves none).
     """
 
     queue_cap: int = 64
@@ -167,7 +170,9 @@ class ServiceReport:
     #: Chained SHA-256 over terminal outcomes (the schedule digest the
     #: chaos harness compares across interrupted and uninterrupted runs).
     digest: str = _DIGEST_SEED
-    #: Checkpoints this run resumed through (0 for an uninterrupted run).
+    #: Resumes this run went through: 0 uninterrupted, 1 after a journal
+    #: replay (a re-run cannot count earlier ones), checkpoint's + 1 after
+    #: a restore.
     restarts: int = 0
 
 
@@ -244,7 +249,6 @@ class SimulationService:
         self._replayed = 0
         self._restarts = 0
         self._restored = False
-        self._resume_origin: str | None = None
         self._stop_checkpoint_due = False
 
     # ------------------------------------------------------------- queries
@@ -272,7 +276,8 @@ class SimulationService:
 
     @property
     def restarts(self) -> int:
-        """Checkpoint restores this run has been through."""
+        """Resumes this run has been through (see
+        :attr:`ServiceReport.restarts`)."""
         return self._restarts
 
     # ------------------------------------------------------------- control
@@ -293,7 +298,7 @@ class SimulationService:
             self._arrival_handle = None
         self._pending_arrival = None
         if reason == "signal" and self._state_dir is not None:
-            # Flag only — the serve loop writes the final checkpoint at
+            # Flag only — the serve loop writes the stop checkpoint at
             # the next engine-step boundary, where full state is
             # serializable (a signal may land mid-callback).
             self._stop_checkpoint_due = True
@@ -325,12 +330,6 @@ class SimulationService:
             self._write_heartbeat()
             previous = self._install_signals()
             try:
-                if self._restored and self._resume_origin == "snapshot-tick":
-                    # The checkpointing run died after the write but before
-                    # its post-snapshot continuation; running it now makes
-                    # the resumed run allocate the same engine seqs (timer
-                    # re-arm, stall round) the uninterrupted run did.
-                    self._after_snapshot()
                 steps = 0
                 while sim.engine.step():
                     steps += 1
@@ -481,15 +480,6 @@ class SimulationService:
         self._snapshot_handle = None
         if self._config.snapshot_dir is not None:
             self._write_snapshot()
-        self._write_checkpoint("snapshot-tick")
-        self._after_snapshot()
-
-    def _after_snapshot(self) -> None:
-        """The post-snapshot continuation: stall check, drain check, timer
-        re-arm. Split out of :meth:`_on_snapshot` because a resume from a
-        ``snapshot-tick`` checkpoint re-enters exactly here — the original
-        run wrote the checkpoint *before* this ran, so the restored run
-        must run it to allocate the same engine seqs."""
         if (self._sim.engine.pending == 0
                 and self._sim.pipeline.queue_depth > 0):
             # With the timer popped, nothing is pending: the queue is
@@ -569,11 +559,13 @@ class SimulationService:
     def _write_checkpoint(self, origin: str) -> None:
         """Write the restorable live-state checkpoint (atomic replace).
 
-        Everything that settled is already durable in the journal's
+        Called only at a signalled stop (``"stop"``) and at the end
+        (``"final"``); between them the journal alone makes a run
+        durable. Everything that settled is already in the journal's
         terminal records, which the checkpoint covers by offset. Hosts the
-        ``snapshot`` crash point: a kill here leaves the *previous*
-        checkpoint intact (the new one never replaces it), so recovery
-        restores the older state and replays a longer journal suffix.
+        ``snapshot`` crash point: a kill here leaves what was on disk —
+        nothing, so the resume replays the whole journal, or the stop
+        checkpoint when the final write dies after a signal.
         """
         if self._state_dir is None or self._journal is None:
             return
@@ -642,7 +634,7 @@ class SimulationService:
                  scan: JournalScan) -> None:
         """Apply a checkpoint (or a bare journal) to the fresh simulator.
 
-        With no checkpoint — the original run died before its first tick —
+        With no checkpoint — the original run crashed before any stop —
         the resume is a fresh deterministic re-run that treats the whole
         journal as its verification suffix. With a checkpoint, every
         component restores its live state from the checkpoint and its
@@ -701,7 +693,6 @@ class SimulationService:
         self._restarts = int(svc["restarts"]) + 1
         self._journal_records = len(prefix)
         self._journal_offset = int(checkpoint["journal"]["offset"])
-        self._resume_origin = str(checkpoint["origin"])
         # Component state.
         sim.network.restore_state(checkpoint["network"])
         sim.lifecycle.restore_state(checkpoint["lifecycle"], settled)

@@ -21,18 +21,19 @@ still change:
   (``"journal": {"offset", "records"}``). A closed round leaves nothing
   to persist: its telemetry went out on the hook bus as ``PreRound``, and
   the live round index is part of the pipeline's checkpoint state.
-  Versioned, fingerprinted, and written with
+  Written only when the service stops — at a signalled stop
+  (``"stop"``) and at the end (``"final"``) — never on the snapshot
+  timer. Versioned, fingerprinted, and written with
   :func:`repro.core.ioutil.atomic_write_text` so a crash mid-write leaves
-  the previous checkpoint intact.
+  what was on disk before.
 
-Restore = rebuild the identical simulator from its spec, apply the
-checkpoint together with the settled entries of the journal prefix it
-covers, skip the arrival stream's consumed prefix, then re-drive the
-engine while cross-checking every re-produced journal record against the
-journal suffix. Because the simulator is deterministic, re-execution past
-the checkpoint reproduces the original schedule exactly; the journal turns
-that assumption into a per-record assertion, settled metrics records
-included.
+Resume = rebuild the identical simulator from its spec. A crashed run
+left no checkpoint, so it re-runs from the start; from a stop or final
+checkpoint it applies the checkpoint together with the settled entries
+of the journal prefix it covers and skips the arrival stream's consumed
+prefix. Either way every re-produced journal record is cross-checked
+against the journal: the simulator is deterministic, and the journal
+turns that into a per-record assertion, settled metrics records included.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: Version 5 reads settled state from the journal's terminal records and
-#: drops the separate history log; version 4 dropped the per-round logs
-#: from that log; version 3 keeps every run counter once, under
-#: ``metrics.totals``; version 2 moved settled history out of the
-#: checkpoint.
-CHECKPOINT_VERSION = 5
+#: Version 6 is written only at a stop or the end, so no checkpoint
+#: re-enters a run at a snapshot tick; version 5 reads settled state from
+#: the journal's terminal records and drops the separate history log;
+#: version 4 dropped the per-round logs from that log; version 3 keeps
+#: every run counter once, under ``metrics.totals``; version 2 moved
+#: settled history out of the checkpoint.
+CHECKPOINT_VERSION = 6
 
 #: Fixed state-dir layout. ``snapshots.jsonl``/``latest.json``/
 #: ``metrics.prom`` (the observability artifacts) may share the directory.
@@ -87,11 +89,9 @@ def build_checkpoint(service: "SimulationService", origin: str,
     Args:
         service: the running service (must be at an engine-callback
             boundary — mid-stage scheduler state is not serializable).
-        origin: why the checkpoint was taken — ``"snapshot-tick"`` (the
-            periodic timer, *before* the post-snapshot continuation ran),
-            ``"stop"`` (a drain-triggering signal), or ``"final"`` (the
-            end-of-serve write). Restore uses it to decide whether the
-            post-snapshot continuation still has to run.
+        origin: why the checkpoint was taken — ``"stop"`` (a
+            drain-triggering signal) or ``"final"`` (the end-of-serve
+            write).
         journal_offset: byte size of the valid journal at this instant.
         journal_records: records in the journal at this instant; their
             terminal records hold everything that has settled.

@@ -14,8 +14,9 @@ heartbeat file the service refreshes every settled round, and:
   code.
 
 Every restart re-execs the original command line plus ``--resume``, so
-the child restores the latest checkpoint and re-verifies its journal
-suffix. The crash-injection environment (``REPRO_CRASH_AT`` /
+the child re-runs the spec against its journal (or restores the stop
+checkpoint a signalled run left) and re-verifies it record by record.
+The crash-injection environment (``REPRO_CRASH_AT`` /
 ``REPRO_CRASH_MODE``) is stripped from restarted children: a fresh
 process restarts the crash-point hit counters from zero, so inheriting
 the armament would kill every restart at the same point forever — the

@@ -1,4 +1,11 @@
-"""Tests for crash recovery: checkpoint/restore, journal replay, tampering.
+"""Tests for crash recovery: journal replay, stop-checkpoint restore,
+tampering.
+
+A run that crashes leaves no checkpoint: its resume re-runs the spec and
+checks it record by record against the whole journal. A checkpoint is
+written only at a signalled stop and at the end, so the restore path is
+exercised by runs that are signalled (:func:`signal_after`) and then die
+in their drain (:func:`stopped_state`).
 
 Every crash here is injected *in-process* (``REPRO_CRASH_MODE=raise``
 turns the SIGKILL crash points into a catchable exception) so the suite
@@ -30,7 +37,7 @@ from repro.sim import crashpoint
 from repro.sim import metrics as metrics_mod
 from repro.sim import service as service_mod
 from repro.sim.crashpoint import CrashInjected
-from repro.sim.hooks import PreRound
+from repro.sim.hooks import PostRound, PreRound
 from repro.sim.journal import (
     JournalCorruptionError,
     encode_record,
@@ -41,6 +48,7 @@ from repro.sim.service import ServiceConfig, ServiceReport, SimulationService
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
+    CHECKPOINT_VERSION,
     HEARTBEAT_FILE,
     JOURNAL_FILE,
     RecoveryError,
@@ -110,18 +118,33 @@ class Served(NamedTuple):
 
     service: SimulationService
     report: ServiceReport
-    #: every ``PreRound`` this run emitted (a resumed run: only the rounds
-    #: past its checkpoint)
+    #: every ``PreRound`` this run emitted (a restored run: only the
+    #: rounds past its checkpoint; a replay: all of them)
     rounds: list[PreRound]
 
 
-def serve_fresh(state_dir, **kwargs):
+def signal_after(service, rounds):
+    """Stop ``service`` the way SIGTERM does once its ``rounds``-th round
+    settles. A restored run has stopped already, so there it is a no-op."""
+    settled = []
+
+    def stopper(hook):
+        settled.append(hook.index)
+        if len(settled) == rounds:
+            service.request_stop("signal")
+
+    service._sim.hooks.subscribe(PostRound, stopper)
+
+
+def serve_fresh(state_dir, stop_after=None, **kwargs):
     """One run from zeroed id counters, its rounds recorded off the hook
-    bus."""
+    bus; ``stop_after`` signals a stop once that many rounds settled."""
     set_flow_id_state(0)
     set_event_id_state(0)
     service = build_service(state_dir, **kwargs)
     rounds = record_rounds(service._sim)
+    if stop_after is not None:
+        signal_after(service, stop_after)
     return Served(service, service.serve(), rounds)
 
 
@@ -134,8 +157,8 @@ def lmtf():
 
 
 def restored_round_index(state):
-    """The round index a resume of ``state`` restarts from: its
-    checkpoint's, or 0 when the run died before its first checkpoint."""
+    """The round index a resume of ``state`` restarts from: its stop
+    checkpoint's, or 0 when the run crashed without one (a replay)."""
     path = state / CHECKPOINT_FILE
     if not path.exists():
         return 0
@@ -211,6 +234,17 @@ def crash_state(tmp_path, monkeypatch, label="post-round", n=3, **kwargs):
     return state
 
 
+def stopped_state(tmp_path, monkeypatch, stop_after=5, crash_round=6,
+                  **kwargs):
+    """Signal a stop once round ``stop_after`` settles, then crash in the
+    drain at round ``crash_round``: the state dir holds the stop checkpoint
+    and journal records past it."""
+    state = crash_state(tmp_path, monkeypatch, "post-round", crash_round,
+                        stop_after=stop_after, **kwargs)
+    assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "stop"
+    return state
+
+
 def crash_and_resume(tmp_path, monkeypatch, label, n, scheduler=None,
                      audit=False, **kwargs):
     """Crash at ``label:n``, resume, require the resumed run to equal the
@@ -247,12 +281,13 @@ class TestExactResume:
         assert baseline.restarts == 0
 
     def test_restored_queue_keeps_its_waits(self, tmp_path, monkeypatch):
-        """The checkpoint holds queued events that have already waited
+        """The stop checkpoint holds queued events that have already waited
         rounds; the resume reopens their queue stays at the restored round
         count, so the records :func:`assert_same_run` compares still count
         the rounds waited on both sides of the crash."""
-        baseline = serve_fresh(tmp_path / "baseline")
-        state = crash_state(tmp_path, monkeypatch, "post-round", 6)
+        baseline = serve_fresh(tmp_path / "baseline", stop_after=6)
+        state = stopped_state(tmp_path, monkeypatch, stop_after=6,
+                              crash_round=7)
         checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
         queued = {entry["event"]["event_id"]
                   for entry in checkpoint["pipeline"]["queue"]}
@@ -261,7 +296,7 @@ class TestExactResume:
                   if r["event_id"] in queued}
         assert waited and min(waited.values()) > 0
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        resumed = serve_fresh(state, resume=True)
+        resumed = serve_fresh(state, resume=True, stop_after=6)
         assert_same_run(baseline, resumed,
                         checkpoint["pipeline"]["round_index"])
         assert resumed.service._sim.auditor.audits > 0
@@ -288,14 +323,24 @@ class TestExactResume:
 
     def test_crash_mid_checkpoint_write_keeps_previous(self, tmp_path,
                                                        monkeypatch):
-        baseline, resumed = crash_and_resume(tmp_path, monkeypatch,
-                                             "snapshot", 2)
-        assert resumed.digest == baseline.digest
+        """A signalled run dies writing its final checkpoint: the stop
+        checkpoint it wrote first stays on disk, and the resume restores
+        it."""
+        baseline = serve_fresh(tmp_path / "baseline", stop_after=5)
+        state = crash_state(tmp_path, monkeypatch, "snapshot", 2,
+                            stop_after=5)
+        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
+        assert checkpoint["origin"] == "stop"
+        resumed = serve_fresh(state, resume=True, stop_after=5)
+        assert_same_run(baseline, resumed,
+                        checkpoint["pipeline"]["round_index"])
+        assert resumed.report.digest == baseline.report.digest
 
     def test_crash_before_first_checkpoint_replays_whole_journal(
             self, tmp_path, monkeypatch):
-        """No checkpoint on disk yet: the resume is a fresh deterministic
-        re-run verified record-by-record against the full journal."""
+        """The run dies writing its only checkpoint, the final one: the
+        resume is a fresh deterministic re-run verified record-by-record
+        against the full journal."""
         baseline, resumed = crash_and_resume(tmp_path, monkeypatch,
                                              "snapshot", 1)
         assert resumed.digest == baseline.digest
@@ -342,21 +387,25 @@ class TestExactResume:
 
     @pytest.mark.parametrize("scheduler", [FIFOScheduler, lmtf],
                              ids=["fifo", "lmtf"])
-    @pytest.mark.parametrize("label, n, ticks, checkpoints", [
-        # Died at the first tick, before its checkpoint landed: the
-        # resume re-runs from the journal alone.
+    @pytest.mark.parametrize("label, n, builds, stop_after", [
+        # Died writing the final checkpoint, before it landed: the resume
+        # re-runs from the journal alone.
         ("snapshot", 1, 1, 0),
-        # Died at the third tick, between building its checkpoint and the
-        # replace: the second checkpoint covers part of the journal.
-        ("snapshot", 3, 3, 2),
-        # Late in the run: five checkpoints landed, and outcomes since the
-        # last tick that only the journal suffix knows about.
-        ("post-round", 10, 5, 5),
+        # Mid-run and late in the run: the snapshot timer fired but built
+        # no checkpoint, so the whole journal is the replay suffix.
+        ("post-round", 5, 0, 0),
+        ("post-round", 10, 0, 0),
+        # Signalled after round 5, killed in its drain: the stop
+        # checkpoint covers part of the journal, and outcomes since the
+        # stop are only in the suffix.
+        ("post-round", 7, 1, 5),
     ])
     def test_resume_equals_uninterrupted_run(
-            self, tmp_path, monkeypatch, scheduler, label, n, ticks,
-            checkpoints):
-        baseline = serve_fresh(tmp_path / "baseline", scheduler=scheduler())
+            self, tmp_path, monkeypatch, scheduler, label, n, builds,
+            stop_after):
+        stop = stop_after or None
+        baseline = serve_fresh(tmp_path / "baseline", scheduler=scheduler(),
+                               stop_after=stop)
         built = []
         build = service_mod.build_checkpoint
 
@@ -366,14 +415,14 @@ class TestExactResume:
 
         monkeypatch.setattr(service_mod, "build_checkpoint", recording)
         state = crash_state(tmp_path, monkeypatch, label, n,
-                            scheduler=scheduler())
+                            scheduler=scheduler(), stop_after=stop)
         monkeypatch.setattr(service_mod, "build_checkpoint", build)
-        assert len(built) == ticks
+        assert len(built) == builds
         covered = 0
-        if checkpoints:
-            # The checkpoint on disk is the last one that landed.
+        if stop:
+            # The stop checkpoint landed; the final one was never built.
             journal = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
-            assert journal["offset"] == built[checkpoints - 1]
+            assert journal["offset"] == built[0]
             covered = journal["records"]
         else:
             assert not (state / CHECKPOINT_FILE).exists()
@@ -382,7 +431,8 @@ class TestExactResume:
         journaled = scan_journal(state / JOURNAL_FILE).records
         assert settled_records(journaled[covered:])
         resumed_at = restored_round_index(state)
-        resumed = serve_fresh(state, resume=True, scheduler=scheduler())
+        resumed = serve_fresh(state, resume=True, scheduler=scheduler(),
+                              stop_after=stop)
         assert_same_run(baseline, resumed, resumed_at)
         assert resumed.report.restarts == 1
 
@@ -394,6 +444,37 @@ class TestExactResume:
         _, resumed = crash_and_resume(tmp_path, monkeypatch, "post-round",
                                       10, audit=True)
         assert resumed.audits > 0
+
+    @pytest.mark.parametrize("first, second, stop_after, grows", [
+        # The resume dies while it still re-checks the journal: nothing
+        # on disk changed, and the next resume replays the same journal.
+        (6, 3, None, False),
+        # It dies after it caught up and appended records of its own.
+        (6, 9, None, True),
+        # A restore from the stop checkpoint dies in the drain again.
+        (6, 2, 5, True),
+    ], ids=["mid-replay", "past-replay", "restored-drain"])
+    def test_crash_during_resume_resumes_again(self, tmp_path, monkeypatch,
+                                               first, second, stop_after,
+                                               grows):
+        """A resume killed part way through leaves a state dir the next
+        resume continues to the uninterrupted run."""
+        baseline = serve_fresh(tmp_path / "baseline", stop_after=stop_after)
+        state = crash_state(tmp_path, monkeypatch, "post-round", first,
+                            stop_after=stop_after)
+        resumed_at = restored_round_index(state)
+        journaled = (state / JOURNAL_FILE).read_bytes()
+        crash_at(monkeypatch, "post-round", second)
+        with pytest.raises(CrashInjected):
+            serve_fresh(state, resume=True, stop_after=stop_after)
+        disarm(monkeypatch)
+        after = (state / JOURNAL_FILE).read_bytes()
+        assert after.startswith(journaled)
+        assert (len(after) > len(journaled)) is grows
+        assert restored_round_index(state) == resumed_at
+        resumed = serve_fresh(state, resume=True, stop_after=stop_after)
+        assert_same_run(baseline, resumed, resumed_at)
+        assert resumed.report.restarts == 1
 
 
 class TestHeldArrivalRelease:
@@ -428,18 +509,9 @@ class TestSignalStop:
     def test_signal_stop_writes_resumable_state(self, tmp_path):
         """Satellite: SIGTERM-shaped stop = checkpoint + flushed journal
         before the drain; the state dir left behind must be resumable."""
-        from repro.sim.hooks import PostRound
-
         state = tmp_path / "state"
         service = build_service(state, max_events=None)
-        rounds = {"n": 0}
-
-        def stopper(_hook):
-            rounds["n"] += 1
-            if rounds["n"] == 3:
-                service.request_stop("signal")
-
-        service._sim.hooks.subscribe(PostRound, stopper)
+        signal_after(service, 3)
         report = service.serve()
         assert report.stopped == "signal"
         checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
@@ -459,29 +531,10 @@ class TestSignalStop:
     def test_stop_checkpoint_written_mid_drain(self, tmp_path, monkeypatch):
         """A crash *after* the signal stop but before the drain finishes
         resumes from the stop checkpoint and completes the drain."""
-        from repro.sim.hooks import PostRound
-
-        baseline = run_baseline(tmp_path)
-        state = tmp_path / "state"
-        # Round 4 settles before the next snapshot tick, so the "stop"
-        # checkpoint written right after round 3's signal is still the
-        # one on disk when the crash lands.
-        crash_at(monkeypatch, "post-round", 4)
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        service = build_service(state)
-        rounds = {"n": 0}
-
-        def stopper(_hook):
-            rounds["n"] += 1
-            if rounds["n"] == 3:
-                service.request_stop("signal")
-
-        service._sim.hooks.subscribe(PostRound, stopper)
-        with pytest.raises(CrashInjected):
-            service.serve()
-        assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "stop"
-        disarm(monkeypatch)
+        # The "stop" checkpoint written right after round 3's signal is
+        # the one on disk when the crash lands in round 4.
+        state = stopped_state(tmp_path, monkeypatch, stop_after=3,
+                              crash_round=4)
         set_flow_id_state(0)
         set_event_id_state(0)
         resumed = build_service(state, resume=True).serve()
@@ -493,11 +546,12 @@ class TestSignalStop:
 
 
 class TestTampering:
-    crash_state = staticmethod(crash_state)
+    """Damage a state dir that holds a stop checkpoint, or, where no
+    checkpoint is involved, a crashed run's journal."""
 
     def test_truncated_journal_below_checkpoint_rejected(self, tmp_path,
                                                          monkeypatch):
-        state = self.crash_state(tmp_path, monkeypatch, "post-round", 4)
+        state = stopped_state(tmp_path, monkeypatch)
         journal = state / JOURNAL_FILE
         scan = scan_journal(journal)
         # Chop whole frames until we are below the checkpoint's offset.
@@ -513,7 +567,7 @@ class TestTampering:
         """The journal is the settled history now. Dropping the last
         covered record on a clean frame boundary leaves a valid log with
         no torn tail; only the checkpoint's record count can notice."""
-        state = self.crash_state(tmp_path, monkeypatch, "post-round", 4)
+        state = stopped_state(tmp_path, monkeypatch)
         journal = state / JOURNAL_FILE
         covered = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
         records = scan_journal(journal).records[:covered["records"] - 1]
@@ -525,7 +579,7 @@ class TestTampering:
             serve_fresh(state, resume=True)
 
     def test_corrupted_journal_frame_rejected(self, tmp_path, monkeypatch):
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = crash_state(tmp_path, monkeypatch)
         journal = state / JOURNAL_FILE
         data = bytearray(journal.read_bytes())
         data[-1] ^= 0xFF
@@ -536,7 +590,7 @@ class TestTampering:
             build_service(state, resume=True).serve()
 
     def test_stale_fingerprint_rejected(self, tmp_path, monkeypatch):
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["service"]["ingested"] += 1  # tamper without re-signing
@@ -548,7 +602,7 @@ class TestTampering:
             build_service(state, resume=True).serve()
 
     def test_unknown_version_rejected(self, tmp_path, monkeypatch):
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["version"] = 99
@@ -562,13 +616,13 @@ class TestTampering:
     def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
         """Version 1 carried settled history inline, version 2 a second
         copy of the counters, version 3 closed round logs in its history
-        frames and version 4 settled events in a second log; no reader is
-        kept for any of them, the version error tells the operator what to
-        do."""
-        state = self.crash_state(tmp_path, monkeypatch)
+        frames, version 4 settled events in a second log and version 5 may
+        re-enter a run at a snapshot tick; no reader is kept for any of
+        them, the version error tells the operator what to do."""
+        state = stopped_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             payload["version"] = version
             path.write_text(json.dumps(payload, sort_keys=True) + "\n",
                             encoding="utf-8")
@@ -580,7 +634,7 @@ class TestTampering:
                                                     monkeypatch):
         """What a build with one counter more or fewer would meet: the
         operator gets the key names, not a KeyError or a zeroed series."""
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
 
         def edit(payload):
             totals = payload["metrics"]["totals"]
@@ -598,7 +652,7 @@ class TestTampering:
     def test_undecodable_checkpoint_rejected(self, tmp_path, monkeypatch):
         """A flipped byte that breaks UTF-8 is a damaged checkpoint like
         any other, not a UnicodeDecodeError traceback."""
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         path = state / CHECKPOINT_FILE
         data = bytearray(path.read_bytes())
         data[len(data) // 2] = 0xFF
@@ -609,7 +663,7 @@ class TestTampering:
     def test_journal_of_another_run_rejected(self, tmp_path, monkeypatch):
         """Whole valid frames, enough of them, but not the ones the
         checkpoint was written over."""
-        state = self.crash_state(tmp_path, monkeypatch, "post-round", 10)
+        state = stopped_state(tmp_path, monkeypatch)
         records = scan_journal(state / JOURNAL_FILE).records
         covered = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
         assert 3 <= covered["records"] < len(records)
@@ -625,9 +679,10 @@ class TestTampering:
         payload byte per frame: a resume either equals the uninterrupted
         run (the damage sat in the suffix no checkpoint covers) or refuses
         with an actionable error — never a third outcome."""
-        baseline = serve_fresh(tmp_path / "baseline", max_events=6)
-        crashed = crash_state(tmp_path, monkeypatch, "snapshot", 3,
-                              max_events=6)
+        baseline = serve_fresh(tmp_path / "baseline", max_events=6,
+                               stop_after=3)
+        crashed = stopped_state(tmp_path, monkeypatch, stop_after=3,
+                                crash_round=4, max_events=6)
         files = {path.name: path.read_bytes() for path in crashed.iterdir()}
         log = files[JOURNAL_FILE]
         records = scan_journal(crashed / JOURNAL_FILE).records
@@ -668,7 +723,8 @@ class TestTampering:
                 (state / name).write_bytes(data)
             (state / JOURNAL_FILE).write_bytes(damaged)
             try:
-                resumed = serve_fresh(state, resume=True, max_events=6)
+                resumed = serve_fresh(state, resume=True, max_events=6,
+                                      stop_after=3)
             except (RecoveryError, JournalCorruptionError):
                 outcome = "refused"
             else:
@@ -688,7 +744,7 @@ class TestTampering:
         assert outcomes["length", "refused"]
 
     def test_scheduler_mismatch_rejected(self, tmp_path, monkeypatch):
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         set_flow_id_state(0)
         set_event_id_state(0)
         with pytest.raises(RecoveryError, match="scheduler"):
@@ -698,7 +754,7 @@ class TestTampering:
     def test_compile_config_mismatch_rejected(self, tmp_path, monkeypatch):
         """A checkpoint written under atomic compilation refuses to resume
         staged: the schedule would diverge from the journaled prefix."""
-        state = self.crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         set_flow_id_state(0)
         set_event_id_state(0)
         with pytest.raises(RecoveryError, match="compile config"):
@@ -723,11 +779,7 @@ class TestStateDirGuards:
             build_service(state).serve()
 
     def test_discard_state_enables_fresh_start(self, tmp_path, monkeypatch):
-        state = tmp_path / "state"
-        crash_at(monkeypatch, "post-round", 3)
-        with pytest.raises(CrashInjected):
-            build_service(state).serve()
-        disarm(monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         removed = discard_state(state)
         assert set(removed) == {CHECKPOINT_FILE, JOURNAL_FILE, HEARTBEAT_FILE}
         set_flow_id_state(0)
@@ -738,7 +790,7 @@ class TestStateDirGuards:
     def test_fresh_start_refuses_a_leftover_journal(self, tmp_path,
                                                     monkeypatch):
         state = crash_state(tmp_path, monkeypatch, "post-round", 3)
-        (state / CHECKPOINT_FILE).unlink()
+        assert not (state / CHECKPOINT_FILE).exists()
         with pytest.raises(RecoveryError,
                            match=f"already holds a run .{JOURNAL_FILE}"):
             serve_fresh(state)
@@ -753,12 +805,10 @@ class TestStateDirGuards:
 class TestCheckpointPayload:
     def test_checkpoint_is_versioned_and_fingerprinted(self, tmp_path,
                                                        monkeypatch):
-        state = tmp_path / "state"
-        crash_at(monkeypatch, "post-round", 3)
-        with pytest.raises(CrashInjected):
-            build_service(state).serve()
+        state = stopped_state(tmp_path, monkeypatch)
         checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-        assert checkpoint["origin"] == "snapshot-tick"
+        assert checkpoint["origin"] == "stop"
+        assert checkpoint["version"] == CHECKPOINT_VERSION == 6
         for key in ("engine", "pipeline", "lifecycle", "metrics", "network",
                     "sched", "sim_rng", "ids", "journal", "service",
                     "fingerprint"):
@@ -778,25 +828,30 @@ class TestCheckpointPayload:
             (*metrics_mod.RUN_COUNTERS,
              metrics_mod.RunCounter("planning_ops", PreRound,
                                     "planning_ops")))
-        baseline = serve_fresh(tmp_path / "baseline")
+        baseline = serve_fresh(tmp_path / "baseline", stop_after=5)
         total = baseline.service._sim.metrics_collector.totals["planning_ops"]
         assert total == sum(r.planning_ops for r in baseline.rounds) > 0
-        state = crash_state(tmp_path, monkeypatch)
+        state = stopped_state(tmp_path, monkeypatch)
         carried = load_checkpoint(state / CHECKPOINT_FILE)["metrics"]
         assert 0 < carried["totals"]["planning_ops"] < total
-        resumed = serve_fresh(state, resume=True)
+        resumed = serve_fresh(state, resume=True, stop_after=5)
         assert (resumed.service._sim.metrics_collector.totals
                 ["planning_ops"]) == total
 
     def test_checkpoint_size_does_not_grow_with_service_age(
             self, tmp_path, monkeypatch):
-        """A checkpoint carries live state only, so four times the events
-        through the same queue cap leaves its size where it was."""
-        def largest_tick_checkpoint(events):
+        """A checkpoint carries live state only, so a stop after four
+        times the events through the same queue cap leaves its size where
+        it was."""
+        def stop_checkpoint(events):
             service = build_service(tmp_path / f"run-{events}",
-                                    max_events=events)
+                                    max_events=None)
             lifecycle = service._sim.lifecycle
-            sizes = []
+            sizes = {}
+
+            def stopper(_hook):
+                if service.ingested >= events:
+                    service.request_stop("signal")
 
             def recording(path, text, **kwargs):
                 if Path(path).name == CHECKPOINT_FILE:
@@ -807,22 +862,51 @@ class TestCheckpointPayload:
                     assert not [eid for eid in carried
                                 if lifecycle.state(eid) in TERMINAL_STATES]
                     assert "rounds" not in checkpoint["pipeline"]
-                    if checkpoint["origin"] == "snapshot-tick":
-                        sizes.append(len(text))
+                    sizes[checkpoint["origin"]] = len(text)
                 atomic_write_text(path, text, **kwargs)
 
+            service._sim.hooks.subscribe(PostRound, stopper)
             monkeypatch.setattr(service_mod, "atomic_write_text", recording)
             set_flow_id_state(0)
             set_event_id_state(0)
             report = service.serve()
-            assert report.completed + report.dropped == events
-            assert len(sizes) >= events // 4
-            return max(sizes)
+            assert report.stopped == "signal"
+            assert events <= report.ingested < events + 8
+            assert report.completed + report.dropped == report.ingested
+            assert list(sizes) == ["stop", "final"]
+            return sizes["stop"]
 
         atomic_write_text = service_mod.atomic_write_text
-        short, long = (largest_tick_checkpoint(40),
-                       largest_tick_checkpoint(160))
+        short, long = stop_checkpoint(40), stop_checkpoint(160)
         assert long <= 1.5 * short
+
+    def test_checkpoint_built_only_when_the_service_stops(
+            self, tmp_path, monkeypatch):
+        """The snapshot timer fires on its cadence and builds nothing: an
+        uninterrupted run builds its final checkpoint only, a signalled
+        one its stop checkpoint too."""
+        built = []
+        build = service_mod.build_checkpoint
+
+        def recording(service, origin, **kwargs):
+            built.append(origin)
+            return build(service, origin, **kwargs)
+
+        ticks = []
+        on_snapshot = SimulationService._on_snapshot
+
+        def counting(service):
+            ticks.append(service._sim.now)
+            on_snapshot(service)
+
+        monkeypatch.setattr(service_mod, "build_checkpoint", recording)
+        monkeypatch.setattr(SimulationService, "_on_snapshot", counting)
+        serve_fresh(tmp_path / "plain")
+        assert len(ticks) >= 5
+        assert built == ["final"]
+        built.clear()
+        serve_fresh(tmp_path / "stopped", stop_after=5)
+        assert built == ["stop", "final"]
 
     def test_durable_serve_keeps_one_log(self, tmp_path):
         """The state dir holds the journal, the checkpoint and the
