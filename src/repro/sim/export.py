@@ -111,11 +111,12 @@ _COUNTERS: tuple[tuple[str, str, _Source], ...] = (
      "Rounds the learned scheduler degraded to full probing.",
      "fallback_rounds"),
     # Crash-recovery health (zero on runs without a state dir).
-    ("restarts", "Times this service resumed from a checkpoint.", None),
+    ("restarts",
+     "Resumes this run went through (a journal replay counts 1).", None),
     ("journal_records", "Records appended to the write-ahead journal.",
      None),
     ("recovery_replayed_events",
-     "Journal-suffix records verified by re-execution after a restore.",
+     "Journal records verified by re-execution after a resume.",
      None),
     ("probe_cache_purges",
      "Probe-cache entries dropped by completion/drop purges.",

@@ -228,11 +228,9 @@ class SimulationService:
         sim.hooks.subscribe(EventCompleted, self._on_terminal)
         sim.hooks.subscribe(EventDropped, self._on_terminal)
         self._ingested = 0
-        self._pulled = 0
         self._pauses = 0
         self._snapshots = 0
         self._held: "UpdateEvent | None" = None
-        self._pending_arrival: "UpdateEvent | None" = None
         self._arrival_handle: "EventHandle | None" = None
         self._snapshot_handle: "EventHandle | None" = None
         self._stream_done = False
@@ -250,6 +248,7 @@ class SimulationService:
         self._restarts = 0
         self._restored = False
         self._stop_checkpoint_due = False
+        self._stop_deferred = False
 
     # ------------------------------------------------------------- queries
 
@@ -286,9 +285,15 @@ class SimulationService:
         """Stop ingesting; in-flight events drain, then serve() returns.
 
         Idempotent, safe to call from a signal handler: it only flips
-        flags and cancels the pending arrival callback.
+        flags and cancels the pending arrival callback. A signal that lands
+        while a resume still re-produces the journal takes effect once the
+        replay has caught up: stopped inside the replayed prefix, the run
+        would fork from the records the journal already holds.
         """
         if self._stream_done:
+            return
+        if reason == "signal" and self._replay:
+            self._stop_deferred = True
             return
         self._stream_done = True
         self._stopped = reason
@@ -296,7 +301,6 @@ class SimulationService:
         if self._arrival_handle is not None:
             self._arrival_handle.cancel()
             self._arrival_handle = None
-        self._pending_arrival = None
         if reason == "signal" and self._state_dir is not None:
             # Flag only — the serve loop writes the stop checkpoint at
             # the next engine-step boundary, where full state is
@@ -333,6 +337,11 @@ class SimulationService:
                 steps = 0
                 while sim.engine.step():
                     steps += 1
+                    if self._stop_deferred and not self._replay:
+                        # A signal held during the replay: every journaled
+                        # record has been re-produced, so stop now.
+                        self._stop_deferred = False
+                        self.request_stop("signal")
                     if self._stop_checkpoint_due:
                         # SIGTERM/SIGINT landed: persist a resumable state
                         # before the drain proceeds, at the first
@@ -396,7 +405,6 @@ class SimulationService:
         if event is None:
             self.request_stop("stream")
             return
-        self._pulled += 1
         if (self._config.horizon is not None
                 and event.arrival_time > self._config.horizon):
             self.request_stop("horizon")
@@ -411,14 +419,12 @@ class SimulationService:
 
     def _schedule_arrival(self, event: "UpdateEvent") -> None:
         when = max(self._sim.now, event.arrival_time)
-        self._pending_arrival = event
         self._arrival_handle = self._sim.engine.schedule_callback(
             when, lambda: self._ingest(event),
             tag=f"service:arrival:{event.event_id}")
 
     def _ingest(self, event: "UpdateEvent") -> None:
         self._arrival_handle = None
-        self._pending_arrival = None
         self._ingested += 1
         # Write-ahead: the arrival is journaled (and fsynced) before the
         # queue learns about it, so a crash can lose an arrival only
@@ -516,6 +522,12 @@ class SimulationService:
         }
 
     def _write_snapshot(self, final: bool = False) -> None:
+        if self._replay:
+            # The run being resumed wrote this tick's line before it
+            # journaled the records still to re-produce: count it only,
+            # so the file's seqs go on where it left off.
+            self._snapshots += 1
+            return
         directory = Path(self._config.snapshot_dir or ".")
         directory.mkdir(parents=True, exist_ok=True)
         payload = self.snapshot_payload()
@@ -580,14 +592,8 @@ class SimulationService:
         """The service's own slice of the checkpoint payload."""
         return {
             "ingested": self._ingested,
-            "pulled": self._pulled,
             "pauses": self._pauses,
             "snapshots": self._snapshots,
-            "held": (self._held.to_payload()
-                     if self._held is not None else None),
-            "pending_arrival": (self._pending_arrival.to_payload()
-                                if self._pending_arrival is not None
-                                else None),
             "stream_done": self._stream_done,
             "stopped": self._stopped,
             "digest": self._digest,
@@ -640,10 +646,11 @@ class SimulationService:
         component restores its live state from the checkpoint and its
         settled state from the terminal records of the journal prefix the
         checkpoint covers, the engine heap is re-bound through the tag
-        resolver, the arrival stream skips its consumed prefix, and the
-        journal records past the checkpoint become replay expectations.
+        resolver, and the journal records past the checkpoint become
+        replay expectations. A checkpoint is written only once ingestion
+        has ended, so the arrival stream is never read again.
         """
-        from repro.core.event import UpdateEvent, set_event_id_state
+        from repro.core.event import set_event_id_state
         from repro.core.flow import set_flow_id_state
 
         if checkpoint is None:
@@ -672,21 +679,19 @@ class SimulationService:
                 f"counter set (missing {sorted(declared - written)}, "
                 f"unknown {sorted(written - declared)}); resume with that "
                 f"build or start fresh with --fresh")
+        svc = checkpoint["service"]
+        if svc["stream_done"] is not True:
+            raise RecoveryError(
+                f"checkpoint ({checkpoint['origin']!r}) was written while "
+                f"the service still ingested; this build writes one only "
+                f"at a stop or the end — resume with the build that wrote "
+                f"it or start fresh with --fresh")
         prefix = checked_prefix(scan, checkpoint["journal"])
         settled = [r for r in prefix if r["kind"] in OUTCOME_STATES]
-        svc = checkpoint["service"]
-        # Service bookkeeping first: the engine tag resolver needs the
-        # pending-arrival payload to re-bind its callback.
         self._ingested = int(svc["ingested"])
-        self._pulled = int(svc["pulled"])
         self._pauses = int(svc["pauses"])
         self._snapshots = int(svc["snapshots"])
-        self._held = (UpdateEvent.from_payload(svc["held"])
-                      if svc["held"] is not None else None)
-        self._pending_arrival = (
-            UpdateEvent.from_payload(svc["pending_arrival"])
-            if svc["pending_arrival"] is not None else None)
-        self._stream_done = bool(svc["stream_done"])
+        self._stream_done = True
         self._stopped = svc["stopped"]
         self._digest = str(svc["digest"])
         self._replayed = int(svc["replayed"])
@@ -708,24 +713,9 @@ class SimulationService:
         set_rng_state(sim.rng, checkpoint["sim_rng"])
         handles = sim.engine.restore_state(checkpoint["engine"],
                                            self._resolve_tag)
-        if self._pending_arrival is not None:
-            tag = f"service:arrival:{self._pending_arrival.event_id}"
-            self._arrival_handle = handles.get(tag)
-            if self._arrival_handle is None:
-                raise RecoveryError(
-                    f"checkpoint carries pending arrival "
-                    f"{self._pending_arrival.event_id} but the engine "
-                    f"export holds no {tag!r} entry; the checkpoint is "
-                    f"internally inconsistent")
         self._snapshot_handle = handles.get("service:snapshot")
-        # Arrival stream: skip the consumed prefix (advancing its RNGs
-        # exactly as the original pulls did), then force the global id
-        # counters to the checkpoint values — churn respawns interleaved
-        # their own flow ids with the stream's in the original run, so
-        # the skip alone cannot realign the counters.
-        for _ in range(self._pulled):
-            if next(self._stream, None) is None:
-                break
+        # The drain goes on drawing ids (churn respawns take flow ids), so
+        # the global counters resume at the checkpoint's values.
         set_flow_id_state(int(checkpoint["ids"]["flow"]))
         set_event_id_state(int(checkpoint["ids"]["event"]))
         self._replay = deque(encode_record(r)
@@ -744,15 +734,6 @@ class SimulationService:
         """
         if tag == "service:snapshot":
             return self._on_snapshot
-        if tag.startswith("service:arrival:"):
-            event_id = tag[len("service:arrival:"):]
-            event = self._pending_arrival
-            if event is None or event.event_id != event_id:
-                raise RecoveryError(
-                    f"engine entry {tag!r} has no matching pending arrival "
-                    f"in the checkpoint; the checkpoint is internally "
-                    f"inconsistent")
-            return lambda e=event: self._ingest(e)
         resolved = self._sim.pipeline.resolve_tag(tag)
         if resolved is not None:
             return resolved

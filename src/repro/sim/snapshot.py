@@ -30,8 +30,8 @@ still change:
 Resume = rebuild the identical simulator from its spec. A crashed run
 left no checkpoint, so it re-runs from the start; from a stop or final
 checkpoint it applies the checkpoint together with the settled entries
-of the journal prefix it covers and skips the arrival stream's consumed
-prefix. Either way every re-produced journal record is cross-checked
+of the journal prefix it covers; ingestion has ended by then, so the
+arrival stream is not read again. Either way every re-produced journal record is cross-checked
 against the journal: the simulator is deterministic, and the journal
 turns that into a per-record assertion, settled metrics records included.
 """

@@ -82,7 +82,8 @@ def _clean_crashpoints(monkeypatch):
 
 def build_service(state_dir, resume=False, scheduler=None, max_events=12,
                   snapshot_every=2.0, compile_mode="atomic", capacity=100.0,
-                  max_deferrals=4, engine_step_cap=50_000_000):
+                  max_deferrals=4, engine_step_cap=50_000_000,
+                  snapshot_dir=None):
     """A deterministic diamond-network service; rebuildable bit-identically."""
     net, provider = diamond_setup(capacity)
     sim = UpdateSimulator(
@@ -97,6 +98,7 @@ def build_service(state_dir, resume=False, scheduler=None, max_events=12,
     config = ServiceConfig(queue_cap=8, resume_depth=4,
                            max_events=max_events,
                            snapshot_every=snapshot_every,
+                           snapshot_dir=snapshot_dir,
                            state_dir=state_dir, resume=resume,
                            engine_step_cap=engine_step_cap)
     return SimulationService(sim, generator.stream(1.0), config)
@@ -134,6 +136,22 @@ def signal_after(service, rounds):
             service.request_stop("signal")
 
     service._sim.hooks.subscribe(PostRound, stopper)
+
+
+def stop_at_records(service, records):
+    """Stop ``service`` at the first engine-step boundary at which it has
+    journaled ``records`` records: where a signal that landed during a
+    replay of a ``records``-record journal takes effect."""
+    engine = service._sim.engine
+    step = engine.step
+
+    def stepping():
+        more = step()
+        if service._journal_records >= records:
+            service.request_stop("signal")
+        return more
+
+    engine.step = stepping
 
 
 def serve_fresh(state_dir, stop_after=None, **kwargs):
@@ -476,6 +494,31 @@ class TestExactResume:
         assert_same_run(baseline, resumed, resumed_at)
         assert resumed.report.restarts == 1
 
+    @pytest.mark.parametrize("label, n", [("post-round", 6),
+                                          ("journal-append", 10)])
+    def test_replay_rewrites_no_snapshot_line(self, tmp_path, monkeypatch,
+                                              label, n):
+        """The ticks a replay re-runs wrote their lines before the crash:
+        the resume counts them without writing them again, so the file
+        keeps the crashed run's lines and its seqs never step back."""
+        baseline = serve_fresh(tmp_path / "baseline",
+                               snapshot_dir=tmp_path / "baseline")
+        state = crash_state(tmp_path, monkeypatch, label, n,
+                            snapshot_dir=tmp_path / "crashed")
+        written = (state / "snapshots.jsonl").read_text(encoding="utf-8")
+        assert written
+        resumed = serve_fresh(state, resume=True, snapshot_dir=state)
+        lines = (state / "snapshots.jsonl").read_text(encoding="utf-8")
+        assert lines.startswith(written)
+
+        def seqs(directory):
+            return [json.loads(line)["seq"] for line in (
+                directory / "snapshots.jsonl").read_text(
+                    encoding="utf-8").splitlines()]
+
+        assert seqs(state) == seqs(tmp_path / "baseline")
+        assert resumed.report.snapshots == baseline.report.snapshots
+
 
 class TestHeldArrivalRelease:
     """A stall pass that drops the queue empty announces no ``PostRound``;
@@ -543,6 +586,34 @@ class TestSignalStop:
         # its digest differs — but the resumed drain must terminate every
         # ingested event and satisfy the drain audit (serve asserts it).
         assert resumed.completed + resumed.dropped == resumed.ingested
+
+    def test_signal_during_replay_waits_for_the_journal(self, tmp_path,
+                                                         monkeypatch):
+        """A resume signalled while it still re-checks the journal stops
+        once it has re-produced the last journaled record. Its stop
+        checkpoint then covers the whole journal, so a crash in its drain
+        resumes again, to the run stopped at that record."""
+        state = crash_state(tmp_path, monkeypatch, "post-round", 6)
+        records = len(scan_journal(state / JOURNAL_FILE).records)
+        set_flow_id_state(0)
+        set_event_id_state(0)
+        service = build_service(tmp_path / "baseline")
+        rounds = record_rounds(service._sim)
+        stop_at_records(service, records)
+        baseline = Served(service, service.serve(), rounds)
+        assert baseline.report.stopped == "signal"
+        crash_at(monkeypatch, "post-round", 7)
+        with pytest.raises(CrashInjected):
+            serve_fresh(state, resume=True, stop_after=3)
+        disarm(monkeypatch)
+        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
+        assert checkpoint["origin"] == "stop"
+        assert checkpoint["journal"]["records"] >= records
+        resumed = serve_fresh(state, resume=True, stop_after=3)
+        assert_same_run(baseline, resumed,
+                        checkpoint["pipeline"]["round_index"])
+        assert resumed.report.stopped == "signal"
+        assert resumed.report.restarts == 2
 
 
 class TestTampering:
@@ -629,6 +700,20 @@ class TestTampering:
             with pytest.raises(RecoveryError,
                                match=f"version {version}.*--fresh"):
                 serve_fresh(state, resume=True)
+
+    def test_mid_stream_checkpoint_rejected(self, tmp_path, monkeypatch):
+        """A checkpoint is written only once ingestion ended; one that
+        says otherwise (resigned as a build with tick checkpoints would
+        have written it) is refused instead of restored without its
+        arrival stream."""
+        state = stopped_state(tmp_path, monkeypatch)
+
+        def edit(payload):
+            payload["service"]["stream_done"] = False
+
+        resign(state / CHECKPOINT_FILE, edit)
+        with pytest.raises(RecoveryError, match="still ingested.*--fresh"):
+            serve_fresh(state, resume=True)
 
     def test_different_counter_set_rejected_by_name(self, tmp_path,
                                                     monkeypatch):
