@@ -19,7 +19,9 @@ For every (scheduler x kill point) cell in the grid the harness:
 
 A mid-resume cell per scheduler kills the run late, kills its first
 resume again halfway through the journal replay, and requires the second
-resume to match. One extra cell exercises the supervisor end-to-end: the
+resume to match. A burst cell per scheduler runs a faster stream, where
+several records share one engine instant, and kills an append inside
+such a group, before the instant's fsync barrier. One extra cell exercises the supervisor end-to-end: the
 armed child is
 launched via ``--supervise``, dies by SIGKILL, and the supervisor (which
 strips the crash armament from restarted children) restarts it with
@@ -70,6 +72,16 @@ LATE_ROUND = 16
 #: in 17 plmtf and 20 l-lmtf rounds).
 KILL_POINTS = [("post-round", 5), ("journal-append", 7), ("snapshot", 1),
                ("post-round", LATE_ROUND)]
+
+#: The journal fsyncs once per engine instant, and at the grid's default
+#: rate no two records share one. At ``--rate 20`` (the later flag wins)
+#: the queue fills, so a settled round releases held arrivals at its own
+#: instant: a completion and three ingests share one. Each scheduler's
+#: kill is the append of that group's second record, half a frame after
+#: an unsynced first one.
+BURST_FLAGS = ["--rate", "20"]
+BURST_KILLS = {"plmtf": ("journal-append", 23),
+               "l-lmtf": ("journal-append", 26)}
 
 
 def serve_argv(state_dir: Path, sched_flags: list[str], events: int,
@@ -186,6 +198,16 @@ def main() -> int:
         kills = [f"post-round:{LATE_ROUND}", f"post-round:{LATE_ROUND // 2}"]
         crash_cell(f"{sched}/mid-resume", work / f"{sched}-mid-resume",
                    flags, args.events, kills, baseline, failures)
+        cells += 1
+        # Inside an open group commit: killed between two records of one
+        # engine instant, before its barrier.
+        burst = [*flags, *BURST_FLAGS]
+        label, n = BURST_KILLS[sched]
+        burst_baseline = baseline_digest(work, f"{sched}-burst", burst,
+                                         args.events)
+        crash_cell(f"{sched}/burst/{label}:{n}",
+                   work / f"{sched}-burst-{label}-{n}", burst, args.events,
+                   [f"{label}:{n}"], burst_baseline, failures)
         cells += 1
 
     # Mid-staged-execution kill: under --compile-mode staged a multi-stage

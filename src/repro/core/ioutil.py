@@ -1,14 +1,16 @@
 """Small filesystem and artifact-identity utilities shared across the
 library.
 
-Result artifacts (trace logs, experiment JSON, service checkpoints and
-snapshots) are what resume logic and downstream tooling trust, so they must
-never be observable half-written. :func:`atomic_write_text` provides the
-standard write-to-temp-then-rename pattern: a crash or interrupt mid-write
-leaves either the previous content or the complete new content, never a
-truncated file. :func:`payload_fingerprint` is the shared content hash
-those artifacts embed so loaders can reject entries written by a
-differently-parameterized producer.
+Result artifacts (trace logs, experiment JSON, service checkpoints) are
+what resume logic and downstream tooling trust, so they must never be
+observable half-written. :func:`atomic_write_text` provides the standard
+write-to-temp-then-rename pattern: a crash or interrupt mid-write leaves
+either the previous content or the complete new content, never a
+truncated file. :func:`replace_text` is the same rename without the
+fsyncs, for files no resume reads (live snapshots, the heartbeat).
+:func:`payload_fingerprint` is the shared content hash those artifacts
+embed so loaders can reject entries written by a differently-parameterized
+producer.
 """
 
 from __future__ import annotations
@@ -110,17 +112,34 @@ def atomic_write_text(path: str | Path, text: str,
     Readers concurrent with the write see the old content until the rename
     lands.
     """
-    target = Path(path)
+    _replace(Path(path), text, encoding, durable=True)
+
+
+def replace_text(path: str | Path, text: str,
+                 encoding: str = "utf-8") -> None:
+    """Write ``text`` to ``path`` atomically, without fsync.
+
+    For files nothing reads back after a crash (live metric snapshots, the
+    supervisor heartbeat): readers never see a torn file, but power loss
+    may leave the previous content, or none.
+    """
+    _replace(Path(path), text, encoding, durable=False)
+
+
+def _replace(target: Path, text: str, encoding: str,
+             durable: bool) -> None:
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     renamed = False
     try:
         with open(tmp, "w", encoding=encoding) as handle:
             handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, target)
         renamed = True
-        fsync_dir(target.parent)
+        if durable:
+            fsync_dir(target.parent)
     finally:
         # Only the failure path may unlink: after a successful rename the
         # tmp name is gone, and a third party recreating it (or a racing

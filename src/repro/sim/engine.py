@@ -121,6 +121,13 @@ class SimulationEngine:
         return len(self._heap) - self._cancelled
 
     @property
+    def next_time(self) -> float | None:
+        """Time of the earliest live pending event (``None`` when none
+        remain): the clock's next value."""
+        head = self._peek()
+        return head._time if head is not None else None
+
+    @property
     def processed(self) -> int:
         """How many events have executed so far."""
         return self._processed

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.core.ioutil import atomic_write_text
+from repro.core.ioutil import replace_text
 from repro.sim import hooks as _hooks
 
 if TYPE_CHECKING:
@@ -239,8 +239,9 @@ class CounterExporter:
 
     def write(self, path: "str | Path") -> None:
         """Atomically write :meth:`render` to ``path`` (textfile-collector
-        style: scrapers never observe a torn file)."""
-        atomic_write_text(path, self.render())
+        style: scrapers never observe a torn file). Not fsynced: no
+        resume reads it."""
+        replace_text(path, self.render())
 
     def __repr__(self) -> str:
         alive = {k: v for k, v in self.counters.items() if v}

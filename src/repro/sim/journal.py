@@ -11,6 +11,13 @@ covers. A crash leaves no checkpoint: the resume re-drives the
 deterministic simulator from the start while cross-checking each
 re-produced record against the journal.
 
+Durability is a group commit. Each append is written and flushed at once,
+so a killed process loses no acknowledged record (the bytes sit in the
+page cache); the fsync is a barrier the caller runs with
+:meth:`JournalWriter.sync` — the service runs it once per engine instant
+and before every checkpoint, so power loss can drop at most the records
+of the instant in progress, which a deterministic re-run re-produces.
+
 Frame format (little-endian), one frame per record::
 
     +----------+----------+------------------+
@@ -32,6 +39,7 @@ failure shapes:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -47,6 +55,7 @@ __all__ = [
     "JournalCorruptionError",
     "JournalScan",
     "JournalWriter",
+    "read_frames",
     "scan_journal",
 ]
 
@@ -70,12 +79,15 @@ class JournalScan:
 
     Attributes:
         records: every valid record, in append order.
+        ends: the byte offset just past each record's frame (parallel to
+            ``records``), so a frame's bytes are ``data[ends[i-1]:ends[i]]``.
         valid_size: byte offset just past the last complete valid frame —
             the position a writer should truncate to before appending.
         torn_bytes: size of the tolerated torn tail (0 for a clean file).
     """
 
     records: list[dict] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
     valid_size: int = 0
     torn_bytes: int = 0
 
@@ -119,8 +131,19 @@ def scan_journal(path: str | Path) -> JournalScan:
                 f"valid JSON: {exc}") from exc
         scan.records.append(record)
         offset = body_start + length
+        scan.ends.append(offset)
         scan.valid_size = offset
     return scan
+
+
+def read_frames(path: str | Path, scan: JournalScan,
+                first: int = 0) -> list[bytes]:
+    """The frames of ``scan``'s records from index ``first`` on, exactly
+    as on disk: sliced out of one read of ``path`` at the scan's offsets."""
+    data = Path(path).read_bytes()
+    bounds = [0, *scan.ends]
+    return [data[bounds[i]:bounds[i + 1]]
+            for i in range(first, len(scan.ends))]
 
 
 def encode_record(record: dict) -> bytes:
@@ -133,20 +156,25 @@ def encode_record(record: dict) -> bytes:
 
 
 class JournalWriter:
-    """Append-only, fsync-per-record log writer.
+    """Append-only log writer with a group-commit fsync.
 
     Opening scans the existing file (if any): corruption raises, a torn
     tail is truncated away, and appends continue after the last valid
-    frame. The file and its directory entry are fsynced on creation, and
-    every :meth:`append` is flushed + fsynced before returning — a record
-    handed to the log is durable before the caller acknowledges the
-    event it describes.
+    frame. The file's directory entry is fsynced on creation. Every
+    :meth:`append` is written and flushed before returning, so a killed
+    process keeps it; :meth:`sync` fsyncs whatever was appended since the
+    last barrier, and :meth:`close` runs it.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._handle: BinaryIO | None = None
         self._size = 0
+        self._dirty = False
+        #: The write or fsync error that made the log unusable. A second
+        #: fsync after a failed one can report success for pages the
+        #: kernel already dropped, so the writer never retries.
+        self._failed: OSError | None = None
 
     @property
     def path(self) -> Path:
@@ -156,6 +184,11 @@ class JournalWriter:
     def size(self) -> int:
         """Current byte offset at the end of the valid journal."""
         return self._size
+
+    @property
+    def dirty(self) -> bool:
+        """True while an appended record awaits the next :meth:`sync`."""
+        return self._dirty
 
     def open(self) -> JournalScan:
         """Open (creating if needed), truncate any torn tail, and return
@@ -180,31 +213,64 @@ class JournalWriter:
         return scan
 
     def append(self, record: dict) -> int:
-        """Durably append one record; returns the offset past the frame.
+        """Write and flush one record; returns the offset past the frame.
+
+        The record survives a process kill at once, and power loss after
+        the next :meth:`sync`.
 
         Hosts the ``journal-append`` crash point: when armed for its fatal
         visit, only a prefix of the frame reaches the file (flushed so the
         bytes are really on disk) before the process dies — producing the
         torn tail the recovery path must tolerate.
         """
-        if self._handle is None:
-            raise RuntimeError("journal is not open")
+        handle = self._usable()
         frame = encode_record(record)
         if crash_imminent(_CRASH_LABEL):
             # Stage the realistic torn state *before* dying: half a frame,
             # flushed so the bytes truly reach the file.
             torn = frame[:max(1, len(frame) // 2)]
-            self._handle.write(torn)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            handle.write(torn)
+            handle.flush()
+            os.fsync(handle.fileno())
         # Counts every visit; does not return on the fatal one (SIGKILL
         # mode) or raises (REPRO_CRASH_MODE=raise).
         crash_point(_CRASH_LABEL)
-        self._handle.write(frame)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        try:
+            handle.write(frame)
+            handle.flush()
+        except OSError as exc:
+            self._failed = exc
+            raise
+        self._dirty = True
         self._size += len(frame)
         return self._size
+
+    def sync(self) -> None:
+        """The group-commit barrier: fsync if anything was appended since
+        the last one.
+
+        Raises:
+            OSError: the fsync failed; the writer stays dirty, and every
+                later append or sync raises too.
+        """
+        handle = self._usable()
+        if self._dirty:
+            try:
+                os.fsync(handle.fileno())
+            except OSError as exc:
+                self._failed = exc
+                raise
+            self._dirty = False
+
+    def _usable(self) -> BinaryIO:
+        if self._handle is None:
+            raise RuntimeError("journal is not open")
+        if self._failed is not None:
+            raise RuntimeError(
+                f"{self._path}: an earlier write or fsync failed "
+                f"({self._failed}); records since the last barrier may "
+                f"not be on disk") from self._failed
+        return self._handle
 
     def truncate(self, size: int) -> None:
         """Durably cut the open log back to ``size`` bytes (a frame
@@ -217,9 +283,21 @@ class JournalWriter:
         self._size = size
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Run the last barrier and close; the handle closes even if the
+        fsync fails, and that failure propagates. A writer that failed
+        earlier closes without a barrier: that error is already raised."""
+        if self._handle is None:
+            return
+        try:
+            if self._failed is None:
+                self.sync()
+        finally:
+            handle, self._handle = self._handle, None
+            if self._failed is None:
+                handle.close()
+            else:
+                with contextlib.suppress(OSError):
+                    handle.close()
 
     def __enter__(self) -> "JournalWriter":
         if self._handle is None:

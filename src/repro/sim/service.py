@@ -38,12 +38,18 @@ from repro.core.exceptions import SimulationError
 from repro.core.ioutil import (
     atomic_write_text,
     fingerprinted_json,
+    replace_text,
     set_rng_state,
 )
 from repro.sim.crashpoint import crash_point
 from repro.sim.export import CounterExporter, StatsLine
 from repro.sim.hooks import EventCompleted, EventDropped, PostRound
-from repro.sim.journal import JournalScan, JournalWriter, encode_record
+from repro.sim.journal import (
+    JournalScan,
+    JournalWriter,
+    encode_record,
+    read_frames,
+)
 from repro.sim.lifecycle import OUTCOME_STATES
 from repro.sim.metrics import RunMetrics
 from repro.sim.snapshot import (
@@ -245,6 +251,9 @@ class SimulationService:
         self._digest = _DIGEST_SEED
         self._replay: deque[bytes] = deque()
         self._replayed = 0
+        #: Snapshot seqs the resumed run already wrote to
+        #: ``snapshots.jsonl``; the ticks that re-reach them write nothing.
+        self._snapshots_on_disk = 0
         self._restarts = 0
         self._restored = False
         self._stop_checkpoint_due = False
@@ -335,8 +344,16 @@ class SimulationService:
             previous = self._install_signals()
             try:
                 steps = 0
-                while sim.engine.step():
+                engine, journal = sim.engine, self._journal
+                while engine.step():
                     steps += 1
+                    if journal is not None and journal.dirty:
+                        after = engine.next_time
+                        if after is None or after > engine.now:
+                            # Group commit: the instant's last step is
+                            # done, so fsync its records before the clock
+                            # moves on.
+                            journal.sync()
                     if self._stop_deferred and not self._replay:
                         # A signal held during the replay: every journaled
                         # record has been re-produced, so stop now.
@@ -426,9 +443,9 @@ class SimulationService:
     def _ingest(self, event: "UpdateEvent") -> None:
         self._arrival_handle = None
         self._ingested += 1
-        # Write-ahead: the arrival is journaled (and fsynced) before the
-        # queue learns about it, so a crash can lose an arrival only
-        # before the rest of the pipeline ever observed it.
+        # Write-ahead: the arrival is journaled before the queue learns
+        # about it, so a crash can lose an arrival only before the rest
+        # of the pipeline ever observed it.
         self._journal_append({"kind": "ingest", "n": self._ingested,
                               "event": event.to_payload()})
         self._sim.enqueue(event, origin="stream")
@@ -522,10 +539,12 @@ class SimulationService:
         }
 
     def _write_snapshot(self, final: bool = False) -> None:
-        if self._replay:
-            # The run being resumed wrote this tick's line before it
-            # journaled the records still to re-produce: count it only,
-            # so the file's seqs go on where it left off.
+        """Append this tick's line and refresh ``latest.json`` and
+        ``metrics.prom``. None of the three is fsynced: no resume reads
+        them back except for the last seq."""
+        if self._snapshots < self._snapshots_on_disk:
+            # The run being resumed wrote this seq's line already: count
+            # it only, so the file's seqs go on where it left off.
             self._snapshots += 1
             return
         directory = Path(self._config.snapshot_dir or ".")
@@ -536,7 +555,7 @@ class SimulationService:
         with open(directory / "snapshots.jsonl", "a",
                   encoding="utf-8") as handle:
             handle.write(line + "\n")
-        atomic_write_text(directory / "latest.json", line + "\n")
+        replace_text(directory / "latest.json", line + "\n")
         self._exporter.write(directory / "metrics.prom")
         self._snapshots += 1
 
@@ -581,6 +600,9 @@ class SimulationService:
         """
         if self._state_dir is None or self._journal is None:
             return
+        # The checkpoint names a journal offset: everything up to it must
+        # be on disk before the checkpoint can be.
+        self._journal.sync()
         payload = build_checkpoint(
             self, origin, journal_offset=self._journal_offset,
             journal_records=self._journal_records)
@@ -635,6 +657,9 @@ class SimulationService:
         if self._config.resume:
             self._restore(load_checkpoint(checkpoint_path)
                           if has_checkpoint else None, scan)
+            if self._config.snapshot_dir is not None:
+                self._snapshots_on_disk = _snapshot_seqs_written(
+                    Path(self._config.snapshot_dir) / "snapshots.jsonl")
 
     def _restore(self, checkpoint: dict[str, Any] | None,
                  scan: JournalScan) -> None:
@@ -653,8 +678,9 @@ class SimulationService:
         from repro.core.event import set_event_id_state
         from repro.core.flow import set_flow_id_state
 
+        journal_path = self._journal.path
         if checkpoint is None:
-            self._replay = deque(encode_record(r) for r in scan.records)
+            self._replay = deque(read_frames(journal_path, scan))
             self._restarts = 1
             return
         sim = self._sim
@@ -718,8 +744,7 @@ class SimulationService:
         # the global counters resume at the checkpoint's values.
         set_flow_id_state(int(checkpoint["ids"]["flow"]))
         set_event_id_state(int(checkpoint["ids"]["event"]))
-        self._replay = deque(encode_record(r)
-                             for r in scan.records[len(prefix):])
+        self._replay = deque(read_frames(journal_path, scan, len(prefix)))
         if self._auditor is not None:
             self._auditor.assert_restored(prefix)
         self._restored = True
@@ -750,9 +775,9 @@ class SimulationService:
     def _write_heartbeat(self, round_index: int | None = None) -> None:
         """Refresh the supervisor's liveness/progress file.
 
-        Plain write + rename, no fsync: the heartbeat signals liveness,
-        not durability, and an fsync per settled round would tax long
-        soaks for nothing.
+        Atomic but not fsynced: the heartbeat signals liveness, not
+        durability, and an fsync per settled round would tax long soaks
+        for nothing.
         """
         if self._state_dir is None:
             return
@@ -760,9 +785,7 @@ class SimulationService:
                    "round": (round_index if round_index is not None
                              else self._sim.metrics_collector.round_count),
                    "sim_time": self._sim.now}
-        tmp = self._state_dir / f".{HEARTBEAT_FILE}.tmp"
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, self._state_dir / HEARTBEAT_FILE)
+        replace_text(self._state_dir / HEARTBEAT_FILE, json.dumps(payload))
 
     # ------------------------------------------------------------- signals
 
@@ -781,3 +804,18 @@ class SimulationService:
     def _restore_signals(self, previous: list[tuple[int, Any]]) -> None:
         for signum, handler in previous:
             signal.signal(signum, handler)
+
+
+def _snapshot_seqs_written(path: Path) -> int:
+    """How many snapshot seqs ``path`` already holds: one past the seq of
+    its last complete, readable line (0 when there is none)."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        return 0
+    for line in reversed(text.split("\n")[:-1]):
+        try:
+            return int(json.loads(line)["seq"]) + 1
+        except (ValueError, KeyError, TypeError):
+            continue
+    return 0

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.exceptions import SimulationError
 from repro.core.ioutil import payload_fingerprint, rng_state_payload
-from repro.sim.journal import JournalScan, encode_record
+from repro.sim.journal import JournalScan
 
 if TYPE_CHECKING:
     from repro.sim.service import SimulationService
@@ -146,15 +146,14 @@ def checked_prefix(scan: JournalScan, covered: dict[str, Any],
             f"checkpoint expects {offset} bytes / {count} records); the "
             f"state dir is damaged — restore it from a backup or start "
             f"fresh with --fresh")
-    prefix = scan.records[:count]
-    prefix_bytes = sum(len(encode_record(r)) for r in prefix)
+    prefix_bytes = scan.ends[count - 1] if count else 0
     if prefix_bytes != offset:
         raise RecoveryError(
             f"{JOURNAL_FILE} does not line up with the checkpoint "
             f"({count} records span {prefix_bytes} bytes, checkpoint "
             f"recorded {offset}); the journal and the checkpoint come from "
             f"different runs — start fresh with --fresh")
-    return prefix
+    return scan.records[:count]
 
 
 def discard_state(state_dir: str | Path) -> list[str]:

@@ -1,6 +1,9 @@
-"""Tests for the write-ahead event journal: framing, torn tails, CRC."""
+"""Tests for the write-ahead event journal: framing, torn tails, CRC,
+the group-commit barrier."""
 
+import errno
 import json
+import os
 import struct
 
 import pytest
@@ -9,6 +12,7 @@ from repro.sim.journal import (
     JournalCorruptionError,
     JournalWriter,
     encode_record,
+    read_frames,
     scan_journal,
 )
 
@@ -31,6 +35,17 @@ class TestScan:
         assert scan.records == records
         assert scan.torn_bytes == 0
         assert scan.valid_size == path.stat().st_size
+
+    def test_ends_slice_out_the_frames_as_written(self, tmp_path):
+        records = [{"n": 1}, {"kind": "complete", "time": 0.1 + 0.2},
+                   {"n": 3}]
+        path = write_frames(tmp_path / "j.wal", records)
+        scan = scan_journal(path)
+        frames = [encode_record(r) for r in records]
+        assert scan.ends == [len(frames[0]), len(frames[0] + frames[1]),
+                             scan.valid_size]
+        assert read_frames(path, scan) == frames
+        assert read_frames(path, scan, 2) == frames[2:]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -160,3 +175,69 @@ class TestWriter:
             assert journal.size == keep
             journal.append({"n": 3})
         assert [r["n"] for r in scan_journal(path).records] == [1, 3]
+
+
+class CountingFsync:
+    """Stands in for ``os.fsync``: counts calls, raises EIO once armed."""
+
+    def __init__(self, real):
+        self.calls = 0
+        self.fail = False
+        self._real = real
+
+    def __call__(self, fd):
+        self.calls += 1
+        if self.fail:
+            raise OSError(errno.EIO, "injected")
+        self._real(fd)
+
+
+class TestGroupCommit:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        counter = CountingFsync(os.fsync)
+        monkeypatch.setattr(os, "fsync", counter)
+        return counter
+
+    def test_appends_wait_for_the_barrier(self, tmp_path, fsyncs):
+        journal = JournalWriter(tmp_path / "j.wal")
+        journal.open()
+        opened = fsyncs.calls
+        for n in range(3):
+            journal.append({"n": n})
+        assert journal.dirty and fsyncs.calls == opened
+        journal.sync()
+        journal.sync()
+        assert not journal.dirty and fsyncs.calls == opened + 1
+        journal.close()
+        assert fsyncs.calls == opened + 1
+
+    def test_close_runs_the_last_barrier(self, tmp_path, fsyncs):
+        journal = JournalWriter(tmp_path / "j.wal")
+        journal.open()
+        opened = fsyncs.calls
+        journal.append({"n": 1})
+        journal.close()
+        assert fsyncs.calls == opened + 1
+        assert not journal.dirty
+
+    def test_failed_fsync_is_never_retried(self, tmp_path, fsyncs):
+        """After a failed fsync the kernel may have dropped the dirty
+        pages, so a second fsync could report success for lost data: the
+        writer stays dirty and refuses every later append and barrier,
+        close() included."""
+        journal = JournalWriter(tmp_path / "j.wal")
+        journal.open()
+        journal.append({"n": 1})
+        fsyncs.fail = True
+        with pytest.raises(OSError, match="injected"):
+            journal.sync()
+        failed = fsyncs.calls
+        assert journal.dirty
+        with pytest.raises(RuntimeError, match="earlier write or fsync"):
+            journal.sync()
+        with pytest.raises(RuntimeError, match="earlier write or fsync"):
+            journal.append({"n": 2})
+        journal.close()
+        assert fsyncs.calls == failed
+        assert journal.dirty

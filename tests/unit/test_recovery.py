@@ -16,7 +16,9 @@ smoke job exercise the same kill points with real SIGKILLs through the
 Runs on the small diamond network like the rest of the service suite.
 """
 
+import errno
 import json
+import os
 import shutil
 import sys
 from dataclasses import replace
@@ -40,6 +42,7 @@ from repro.sim.crashpoint import CrashInjected
 from repro.sim.hooks import PostRound, PreRound
 from repro.sim.journal import (
     JournalCorruptionError,
+    JournalWriter,
     encode_record,
     scan_journal,
 )
@@ -494,13 +497,19 @@ class TestExactResume:
         assert_same_run(baseline, resumed, resumed_at)
         assert resumed.report.restarts == 1
 
-    @pytest.mark.parametrize("label, n", [("post-round", 6),
-                                          ("journal-append", 10)])
+    @pytest.mark.parametrize("label, n", [
+        ("post-round", 6), ("journal-append", 10),
+        # The last line was written after the last journal record: a
+        # tick fired after the 7th record, then the 8th append died; the
+        # final line landed, the final checkpoint did not. The replay has
+        # caught up before it re-reaches that seq.
+        ("journal-append", 8), ("snapshot", 1)])
     def test_replay_rewrites_no_snapshot_line(self, tmp_path, monkeypatch,
                                               label, n):
-        """The ticks a replay re-runs wrote their lines before the crash:
-        the resume counts them without writing them again, so the file
-        keeps the crashed run's lines and its seqs never step back."""
+        """The ticks a resume re-runs wrote their lines before the crash:
+        the resume counts every seq the file already holds without
+        writing it again, so the file keeps the crashed run's lines and
+        its seqs never step back or repeat."""
         baseline = serve_fresh(tmp_path / "baseline",
                                snapshot_dir=tmp_path / "baseline")
         state = crash_state(tmp_path, monkeypatch, label, n,
@@ -518,6 +527,196 @@ class TestExactResume:
 
         assert seqs(state) == seqs(tmp_path / "baseline")
         assert resumed.report.snapshots == baseline.report.snapshots
+
+
+#: Tight links and no deferral budget: backpressure and stall drops put
+#: up to nine records on one engine instant, written by more than one
+#: engine step.
+GROUPED = {"capacity": 6.0, "max_deferrals": 0, "max_events": 24}
+
+
+def is_journal_fd(service, fd):
+    journal = service._journal
+    return (journal is not None and journal._handle is not None
+            and fd == journal._handle.fileno())
+
+
+def watch_durable_io(monkeypatch, service, fail_sync=None):
+    """Log, with the clock, every journal append (``"append"``), every
+    fsync of the journal file (``"sync"``), every other fsync
+    (``"fsync"``) and every ``checkpoint.json`` write (``"checkpoint"``,
+    with whether the journal was dirty). ``fail_sync=k`` makes the k-th
+    journal fsync raise ``EIO``."""
+    log = []
+    engine = service._sim.engine
+    real_fsync, real_append = os.fsync, JournalWriter.append
+    real_write = service_mod.atomic_write_text
+
+    def fsync(fd):
+        if is_journal_fd(service, fd):
+            log.append(("sync", engine.now))
+            if sum(kind == "sync" for kind, *_ in log) == fail_sync:
+                raise OSError(errno.EIO, "injected fsync failure")
+        else:
+            log.append(("fsync", engine.now))
+        real_fsync(fd)
+
+    def append(journal, record):
+        log.append(("append", engine.now))
+        return real_append(journal, record)
+
+    def write(path, text):
+        if Path(path).name == CHECKPOINT_FILE:
+            log.append(("checkpoint", engine.now, service._journal.dirty))
+        real_write(path, text)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(JournalWriter, "append", append)
+    monkeypatch.setattr(service_mod, "atomic_write_text", write)
+    return log
+
+
+class TestGroupCommit:
+    """The journal fsyncs once per engine instant that holds records,
+    after the instant's last step, and before any checkpoint."""
+
+    def test_one_journal_fsync_per_instant(self, tmp_path, monkeypatch):
+        state = tmp_path / "state"
+        service = build_service(state, snapshot_dir=state, **GROUPED)
+        log = watch_durable_io(monkeypatch, service)
+        service.serve()
+        appended = [now for kind, now, *_ in log if kind == "append"]
+        instants = sorted(set(appended))
+        assert len(instants) < len(appended)
+        assert [now for kind, now, *_ in log if kind == "sync"] == instants
+        # The rest: the state dir's entry when the journal is created,
+        # then the final checkpoint's file and directory. The snapshot
+        # ticks fsync nothing.
+        assert [kind for kind, *_ in log if kind != "append"
+                and kind != "sync"] == ["fsync", "checkpoint", "fsync",
+                                        "fsync"]
+
+    def test_no_record_unsynced_past_its_instant(self, tmp_path,
+                                                 monkeypatch):
+        state = tmp_path / "state"
+        service = build_service(state, **GROUPED)
+        engine = service._sim.engine
+        step = engine.step
+        moves = {"clean": 0, "dirty": 0}
+
+        def stepping():
+            upcoming = engine.next_time
+            if upcoming is not None and upcoming > engine.now:
+                moves["dirty" if service._journal.dirty else "clean"] += 1
+            return step()
+
+        engine.step = stepping
+        service.serve()
+        assert moves["clean"] > 0 and moves["dirty"] == 0
+
+    def test_journal_clean_at_every_checkpoint(self, tmp_path,
+                                               monkeypatch):
+        """A stop lands between two steps of one instant, with the
+        instant's records not yet synced: the stop checkpoint syncs them
+        before it is written, and so does the final one."""
+        state = tmp_path / "state"
+        service = build_service(state, **GROUPED)
+        log = watch_durable_io(monkeypatch, service)
+        engine = service._sim.engine
+        step = engine.step
+        entered = []
+
+        def stepping():
+            more = step()
+            # Work at this instant that the stop does not cancel.
+            staying = [handle for time, _, handle in engine._heap
+                       if time == engine.now and not handle.cancelled
+                       and handle is not service._arrival_handle]
+            if (not entered and service._journal_records >= 10
+                    and service._journal.dirty and staying):
+                entered.append(engine.now)
+                service.request_stop("signal")
+            return more
+
+        engine.step = stepping
+        service.serve()
+        assert entered
+        checkpoints = [entry for entry in log if entry[0] == "checkpoint"]
+        assert [dirty for *_, dirty in checkpoints] == [False, False]
+        assert checkpoints[0][1] == entered[0]
+        assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "final"
+
+
+class TestHostileStorage:
+    """The disk fails under the group commit: ``serve()`` raises the
+    error, neither retries the fsync nor writes a checkpoint after it,
+    and a resume from what is on disk ends where the uninterrupted run
+    does."""
+
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_failed_barrier_fsync(self, tmp_path, monkeypatch, k):
+        baseline = serve_fresh(tmp_path / "baseline", **GROUPED)
+        state = tmp_path / "state"
+        set_flow_id_state(0)
+        set_event_id_state(0)
+        service = build_service(state, **GROUPED)
+        log = watch_durable_io(monkeypatch, service, fail_sync=k)
+        with pytest.raises(OSError) as failure:
+            service.serve()
+        assert failure.value.errno == errno.EIO
+        assert [kind for kind, *_ in log].count("sync") == k
+        assert log[-1][0] == "sync"  # nothing after the failed barrier
+        assert service._journal.dirty
+        assert not (state / CHECKPOINT_FILE).exists()
+        monkeypatch.undo()
+        disarm(monkeypatch)
+        resumed = serve_fresh(state, resume=True, **GROUPED)
+        assert_same_run(baseline, resumed, 0)
+
+    @pytest.mark.parametrize("n", [2, 9, 30])
+    def test_full_disk_on_a_frame_write(self, tmp_path, monkeypatch, n):
+        baseline = serve_fresh(tmp_path / "baseline", **GROUPED)
+        state = tmp_path / "state"
+        set_flow_id_state(0)
+        set_event_id_state(0)
+        service = build_service(state, **GROUPED)
+        log = watch_durable_io(monkeypatch, service)
+        real_open = JournalWriter.open
+
+        def opening(journal):
+            scan = real_open(journal)
+            journal._handle = FullDisk(journal._handle, n)
+            return scan
+
+        monkeypatch.setattr(JournalWriter, "open", opening)
+        with pytest.raises(OSError) as failure:
+            service.serve()
+        assert failure.value.errno == errno.ENOSPC
+        assert log[-1][0] == "append"  # nothing after the failed write
+        assert [kind for kind, *_ in log].count("append") == n
+        assert len(scan_journal(state / JOURNAL_FILE).records) == n - 1
+        assert not (state / CHECKPOINT_FILE).exists()
+        monkeypatch.undo()
+        disarm(monkeypatch)
+        resumed = serve_fresh(state, resume=True, **GROUPED)
+        assert_same_run(baseline, resumed, 0)
+
+
+class FullDisk:
+    """A journal file handle whose ``n``-th write fails with ENOSPC."""
+
+    def __init__(self, handle, n):
+        self._handle = handle
+        self._writes_left = n
+
+    def write(self, data):
+        self._writes_left -= 1
+        if self._writes_left == 0:
+            raise OSError(errno.ENOSPC, "injected: no space left")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
 
 
 class TestHeldArrivalRelease:
