@@ -43,7 +43,6 @@ if TYPE_CHECKING:
     from repro.network.topology.fattree import FatTreeTopology
     from repro.network.topology.jellyfish import JellyfishTopology
     from repro.network.topology.leafspine import LeafSpineTopology
-    from repro.network.view import NetworkView
     from repro.sched.base import Scheduler
     from repro.sched.fifo import FIFOScheduler
     from repro.sched.flowlevel import FlowLevelScheduler
@@ -85,7 +84,6 @@ _HOMES = {name: f"repro.{home}" for home, names in {
     "network.topology.fattree": "FatTreeTopology",
     "network.topology.jellyfish": "JellyfishTopology",
     "network.topology.leafspine": "LeafSpineTopology",
-    "network.view": "NetworkView",
     "sched.base": "Scheduler",
     "sched.fifo": "FIFOScheduler",
     "sched.flowlevel": "FlowLevelScheduler",
@@ -124,7 +122,7 @@ __all__ = [
     "Flow", "FlowKind", "FlowLevelScheduler", "FlowPlan",
     "InsufficientBandwidthError", "InvalidPathError", "JellyfishTopology",
     "LMTFScheduler", "LeafSpineTopology", "MetricsCollector", "Migration",
-    "MigrationConfig", "MigrationPlanner", "Network", "NetworkView",
+    "MigrationConfig", "MigrationPlanner", "Network",
     "OracleSJFScheduler", "PLMTFScheduler", "PathProvider", "Placement",
     "PlanExecutor", "PlannerConfig", "PlanningError", "ReproError",
     "RuleSpaceError", "RunMetrics", "Scheduler", "SimulationConfig",

@@ -152,7 +152,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="supervisor only: kill the child if its "
                              "heartbeat shows no round progress for S "
-                             "wall seconds (default 120)")
+                             "wall seconds (default 120); the heartbeat "
+                             "is rewritten at most once per wall second")
     return parser
 
 

@@ -59,7 +59,7 @@ COMPILE_MODES = ("atomic", "staged", "augmented")
 
 #: How far below ``capacity + EPS`` the one-stage certificate keeps every
 #: link's transient load. The certificate's ``used + Σ additions`` takes
-#: at most ``n + 1`` roundings over an ``n``-step plan; the view
+#: at most ``n + 1`` roundings over an ``n``-step plan; the trial
 #: :func:`~repro.core.ordering.find_safe_order` probes reaches each
 #: intermediate load in at most ``2n`` (a reroute's remove and place);
 #: the two capacity tests add four more, and ``_batch_stages`` compares
@@ -140,7 +140,7 @@ def compile_plan(state: NetworkState, plan: EventPlan,
                  config: PlanCompilerConfig | None = None) -> CompiledPlan:
     """Compile ``plan`` against ``state`` into a :class:`CompiledPlan`.
 
-    Read-only on ``state`` (safe ordering probes a throwaway view). The
+    Leaves ``state`` as it was (safe ordering probes a dropped trial). The
     compiled steps are a permutation of :func:`plan_steps`; when the plan's
     own sequential order is safe against ``state`` — always true when
     compiling against the state the plan was computed on — the permutation
@@ -256,7 +256,7 @@ def _batch_stages(state: NetworkState, sequence: list[Step],
     """Greedy longest-prefix batching of ``sequence`` into stages.
 
     ``delta`` shadows the settled load shift of the stages already closed
-    (a plain dict, not a capacity-enforcing view: augmented stages may
+    (a plain dict, not a capacity-enforcing trial: augmented stages may
     legally exceed capacity mid-schedule). A step joins the current batch
     iff every link it loads stays within ``(1 + ε) · capacity``; a step
     that does not fit even in an empty batch becomes its own stage with

@@ -31,7 +31,6 @@ from repro.core.ordering import plan_steps, transient_additions, try_step
 from repro.core.plan import EventPlan
 from repro.network.link import EPS, LinkId
 from repro.network.state import NetworkState
-from repro.network.view import NetworkView
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,9 @@ def is_one_shot_safe(state: NetworkState, plan: EventPlan) -> bool:
 def sequential_order_is_safe(state: NetworkState, plan: EventPlan) -> bool:
     """Independently verify the plan's own step order never oversubscribes.
 
-    Replays :func:`~repro.core.ordering.plan_steps` in order on a throwaway
-    view (whose ``place`` rejects oversubscription); the view is discarded,
-    so ``state`` is untouched.
+    Replays :func:`~repro.core.ordering.plan_steps` in order inside a trial
+    on ``state`` (whose ``place`` rejects oversubscription); the trial is
+    dropped, so ``state`` is left as it was.
 
     Returns False for infeasible plans or if any intermediate step fails:
     against the planned-on state that would indicate a planner bug (the
@@ -91,5 +90,5 @@ def sequential_order_is_safe(state: NetworkState, plan: EventPlan) -> bool:
     """
     if not plan.feasible:
         return False
-    view = NetworkView(state)
-    return all(try_step(view, step) for step in plan_steps(plan))
+    with state.trial():
+        return all(try_step(state, step) for step in plan_steps(plan))

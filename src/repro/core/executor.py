@@ -1,6 +1,6 @@
 """Replays an :class:`EventPlan` onto network state.
 
-Planning runs on throwaway views; execution is the moment the chosen event's
+Planning runs in dropped trials; execution is the moment the chosen event's
 migrations and placements hit real state. A plan is always executed as
 *stages of steps*: :func:`~repro.core.ordering.plan_steps` alone says what a
 plan's primitive operations are and in what order (make-before-break:
@@ -12,7 +12,7 @@ batched the same steps into. The :class:`~repro.sim.timing.TimingModel`
 converts the plan into simulated time.
 
 :func:`apply_plan` is the pure state-transition part, reused by P-LMTF to
-mirror an already-probed plan onto its cumulative batch view so that batch
+mirror an already-probed plan into its cumulative batch trial so that batch
 members are planned against exactly the state their predecessors will leave
 behind.
 

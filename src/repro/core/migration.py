@@ -9,9 +9,9 @@ the minimum-traffic ``F_a`` is NP-complete, so the paper — and this module —
 uses a greedy covering heuristic.
 
 The planner mutates the :class:`NetworkState` it is given (rerouting the
-migrated flows and leaving room for the new flow), so callers hand it a
-throwaway :class:`~repro.network.view.NetworkView` per attempt and commit
-only successful attempts.
+migrated flows and leaving room for the new flow), so callers run each
+attempt in a trial (:meth:`NetworkState.trial`) and keep only successful
+attempts.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class MigrationPlanner:
         ``(migrations, ops)`` — the applied migrations and the number of
         elementary planning operations performed. ``migrations`` is ``None``
         when no migration set exists within the configured budget (the
-        caller then discards its attempt view, so the mutations vanish);
+        caller then drops its attempt's trial, so the mutations vanish);
         the ops are still reported so failed attempts charge the planning
         work they actually did.
 

@@ -24,7 +24,6 @@ from repro.core.exceptions import PlacementError
 from repro.core.plan import EventPlan, FlowPlan, Migration
 from repro.network.link import LinkId, path_links
 from repro.network.state import NetworkState
-from repro.network.view import NetworkView
 
 
 class StepKind(enum.Enum):
@@ -96,13 +95,13 @@ def apply_step(state: NetworkState, step: Step) -> tuple[str, ...] | None:
     return None
 
 
-def try_step(view: NetworkView, step: Step) -> bool:
-    """Apply one step to the view if it fits; False when the view refuses
+def try_step(state: NetworkState, step: Step) -> bool:
+    """Apply one step to ``state`` if it fits; False when the state refuses
     it in any way — no room, a full rule table, the flow it migrates has
     left the network, the flow it places is already there, or an invalid
     path."""
     try:
-        apply_step(view, step)
+        apply_step(state, step)
     except PlacementError:
         return False
     return True
@@ -128,7 +127,7 @@ def find_safe_order(state: NetworkState, steps: list[Step],
     predecessors.
 
     Args:
-        state: the state to order against (probed on a throwaway view).
+        state: the state to order against (probed inside a trial).
         steps: primitive steps in any order (e.g. from :func:`plan_steps`,
             possibly from several plans).
         apply: when True and a complete order is found, commit it to
@@ -147,23 +146,23 @@ def find_safe_order(state: NetworkState, steps: list[Step],
     deadlock (mutually dependent migrations), which unsplittable flows
     cannot break. The test suite exercises both outcomes.
     """
-    view = NetworkView(state)
     pending = list(steps)
     order: list[Step] = []
-    progressed = True
-    while pending and progressed:
-        progressed = False
-        remaining: list[Step] = []
-        for step in pending:
-            if try_step(view, step):
-                order.append(step)
-                progressed = True
-            else:
-                remaining.append(step)
-        pending = remaining
-    result = OrderingResult(order=order, stuck=pending)
-    if apply and result.complete:
-        view.commit()
+    with state.trial() as trial:
+        progressed = True
+        while pending and progressed:
+            progressed = False
+            remaining: list[Step] = []
+            for step in pending:
+                if try_step(state, step):
+                    order.append(step)
+                    progressed = True
+                else:
+                    remaining.append(step)
+            pending = remaining
+        result = OrderingResult(order=order, stuck=pending)
+        if apply and result.complete:
+            trial.keep()
     return result
 
 

@@ -1,10 +1,10 @@
 """Plan objects produced by the event planner and consumed by the executor.
 
-Planning and execution are deliberately separated: the planner runs against a
-copy-on-write :class:`~repro.network.view.NetworkView` so that schedulers can
-*probe* the update cost of many candidate events per round (LMTF samples
-``α+1`` of them) without touching the real network, and the executor later
-replays the chosen plan against live state.
+Planning and execution are deliberately separated: the planner runs inside a
+trial on the network (:meth:`~repro.network.network.Network.trial`), dropped
+afterwards, so that schedulers can *probe* the update cost of many candidate
+events per round (LMTF samples ``α+1`` of them) without changing the real
+network, and the executor later replays the chosen plan against live state.
 """
 
 from __future__ import annotations

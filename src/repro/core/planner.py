@@ -5,7 +5,10 @@ The planner is the single component both *probed* (LMTF computes the cost of
 ``α+1`` candidate events per round) and *executed* (the chosen event's plan is
 replayed on the live network), so it works against any
 :class:`~repro.network.state.NetworkState` and only mutates it when asked to
-``commit``.
+``commit``. It plans on the state itself inside a trial
+(:meth:`~repro.network.network.Network.trial`): a migration attempt is a
+nested trial, kept when it succeeds and dropped when it fails, and the
+event's trial is dropped unless the plan is committed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.network.link import EPS
 from repro.network.routing.candidate import CandidatePath
 from repro.network.routing.provider import PathProvider
 from repro.network.state import NetworkState
-from repro.network.view import NetworkView
 
 #: How the planner picks among feasible candidate paths.
 PATH_SELECTION = ("desired", "best_residual", "random", "first")
@@ -112,7 +114,8 @@ class EventPlanner:
         """Plan all flows of ``event`` against ``state``.
 
         Args:
-            state: network state to plan against; mutated only on commit.
+            state: network state to plan against; it is planned on in a
+                trial and left as it was unless the plan is committed.
             rng: randomness source (path tiebreaks) — pass a seeded
                 ``random.Random`` for reproducible plans.
             commit: when True and the plan is feasible, apply it to
@@ -125,23 +128,23 @@ class EventPlanner:
             one flow found no placement even with migration, in which case
             ``state`` is left untouched regardless of ``commit``.
         """
-        working = NetworkView(state)
         protected = frozenset(f.flow_id for f in event.flows) | extra_protected
         flow_plans: list[FlowPlan] = []
         blocked: list[Flow] = []
         total_ops = 0
-        for flow in self._ordered_flows(event):
-            plan, ops = self._plan_flow(working, flow, protected, rng)
-            total_ops += ops
-            if plan is None:
-                blocked.append(flow)
-            else:
-                flow_plans.append(plan)
-        event_plan = EventPlan(event=event, flow_plans=tuple(flow_plans),
-                               blocked=tuple(blocked),
-                               planning_ops=total_ops)
-        if commit and event_plan.feasible:
-            working.commit()
+        with state.trial() as trial:
+            for flow in self._ordered_flows(event):
+                plan, ops = self._plan_flow(state, flow, protected, rng)
+                total_ops += ops
+                if plan is None:
+                    blocked.append(flow)
+                else:
+                    flow_plans.append(plan)
+            event_plan = EventPlan(event=event, flow_plans=tuple(flow_plans),
+                                   blocked=tuple(blocked),
+                                   planning_ops=total_ops)
+            if commit and event_plan.feasible:
+                trial.keep()
         return event_plan
 
     def plan_event_probed(
@@ -181,7 +184,7 @@ class EventPlanner:
             flows.sort(key=lambda f: (f.demand, f.flow_id))
         return flows
 
-    def _plan_flow(self, state: NetworkView, flow: Flow,
+    def _plan_flow(self, state: NetworkState, flow: Flow,
                    protected: frozenset[str],
                    rng: random.Random) -> tuple[FlowPlan | None, int]:
         """Place one flow, migrating existing flows if necessary.
@@ -263,21 +266,22 @@ class EventPlanner:
         """The flow's hash-designated (ECMP-style) desired path."""
         return paths[EventPlanner.desired_index(flow, len(paths))]
 
-    def _try_migration(self, state: NetworkView, flow: Flow,
+    def _try_migration(self, state: NetworkState, flow: Flow,
                        path: CandidatePath, protected: frozenset[str],
                        rng: random.Random) -> tuple[FlowPlan | None, int]:
-        """Attempt to make room for ``flow`` on ``path`` via migration."""
-        attempt = NetworkView(state)
-        migrations, ops = self._migration.make_room(attempt, flow, path,
-                                                    protected, rng)
-        if migrations is None:
-            # Failed attempts still charge the planning work they did.
-            return None, ops
-        try:
-            attempt.place(flow, path)
-        except InsufficientBandwidthError:
-            return None, ops
-        attempt.commit()
+        """Attempt to make room for ``flow`` on ``path`` via migration, in
+        a nested trial kept only when the flow is placed."""
+        with state.trial() as attempt:
+            migrations, ops = self._migration.make_room(state, flow, path,
+                                                        protected, rng)
+            if migrations is None:
+                # Failed attempts still charge the planning work they did.
+                return None, ops
+            try:
+                state.place(flow, path)
+            except InsufficientBandwidthError:
+                return None, ops
+            attempt.keep()
         return FlowPlan(flow=flow, path=path,
                         migrations=tuple(migrations)), ops
 

@@ -267,14 +267,13 @@ def rule_budget_sweep(seed: int = 0,
 def _placeable(network, provider, flow) -> bool:
     """True when some candidate path fits both bandwidth and rule space."""
     from repro.core.exceptions import InsufficientBandwidthError
-    from repro.network.view import NetworkView
-    view = NetworkView(network)
-    for path in provider.paths(flow.src, flow.dst):
-        try:
-            view.place(flow, path)
-        except InsufficientBandwidthError:
-            continue
-        return True
+    with network.trial():
+        for path in provider.paths(flow.src, flow.dst):
+            try:
+                network.place(flow, path)
+            except InsufficientBandwidthError:
+                continue
+            return True
     return False
 
 

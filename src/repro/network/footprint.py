@@ -11,9 +11,10 @@ unchanged on everything the plan depends on, so the cached
 Two pieces make that proof sound:
 
 * :class:`FootprintRecorder` wraps the probed base state and records every
-  primitive read. The planner plans on a ``NetworkView`` over the recorder,
-  so every base access funnels through it; overlay-served reads were first
-  populated from a recorded base read. Reads whose dependency set cannot be
+  primitive read and write. The planner plans on the recorder, inside a
+  trial it drops afterwards, so every access funnels through it: a write
+  records the links (and rule-tracked nodes) it changes, and a later read
+  of those is recorded again. Reads whose dependency set cannot be
   bounded to specific links (``flow_ids``/``links`` enumeration) mark the
   footprint *unbounded*, which vetoes caching.
 * :class:`DrawCountingRandom` counts RNG draws. A plan that consumed
@@ -31,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.exceptions import TopologyError
+from repro.core.exceptions import RuleSpaceError, TopologyError
 from repro.core.flow import Flow, Placement
 from repro.network.link import LinkId
 from repro.network.routing.candidate import CandidatePath
@@ -70,7 +71,10 @@ class DrawCountingRandom(random.Random):
     """
 
     def __init__(self, base: random.Random):
-        super().__init__()
+        # random.Random.__init__ would seed this wrapper's own generator
+        # state from OS entropy, a state nothing here draws from; gauss()
+        # needs only its spare-value slot.
+        self.gauss_next = None
         self._base = base
         self.draws = 0
 
@@ -148,31 +152,8 @@ class FootprintRecorder(NetworkState):
         self.bounded = False
         return self._base.links()
 
-    # ------------------------------------------------------- indexed kernel
-    #
-    # Views over the recorder resolve their chain through these, so
-    # int-keyed reads are recorded exactly like their string-keyed
-    # equivalents (capacity excepted — it is immutable, hence dependency-free).
-
     def link_table(self):
         return self._table
-
-    def capacity_col(self):
-        return self._base.capacity_col()
-
-    def capacity_idx(self, i: int) -> float:
-        return self._base.capacity_idx(i)
-
-    def used_idx(self, i: int) -> float:
-        self.read_idx.add(i)
-        return self._base.used_idx(i)
-
-    def flows_idx(self, i: int):
-        self.read_idx.add(i)
-        return self._base.flows_idx(i)
-
-    def link_version_idx(self, i: int) -> int:
-        return self._base.link_version_idx(i)
 
     def _record_placement_links(self, placement: Placement) -> None:
         self.read_idx.update(placement.path.link_idx)
@@ -218,16 +199,38 @@ class FootprintRecorder(NetworkState):
 
     # ------------------------------------------------------------- mutations
     #
-    # Probing plans on a NetworkView over the recorder, so these are never
-    # reached with commit=False; they delegate (recording the touched links)
-    # so the recorder stays a faithful NetworkState regardless.
+    # A probe's writes land on the base inside the base's trial, which the
+    # planner drops afterwards. Each write records the links it changes and
+    # the rule-tracked nodes whose occupancy it read: a failed placement
+    # read them up to the switch that refused it.
+
+    def trial(self):
+        return self._base.trial()
 
     def place(self, flow: Flow, path: Sequence[str]) -> Placement:
         path = CandidatePath.of(path, self._table)
         self.read_idx.update(path.link_idx)
-        return self._base.place(flow, path)
+        try:
+            placement = self._base.place(flow, path)
+        except RuleSpaceError as exc:
+            self._record_rule_nodes(path, until=exc.switch)
+            raise
+        self._record_rule_nodes(path)
+        return placement
 
     def remove(self, flow_id: str) -> Placement:
         placement = self._base.remove(flow_id)
         self._record_placement_links(placement)
+        self._record_rule_nodes(placement.path)
         return placement
+
+    def _record_rule_nodes(self, path: Sequence[str],
+                           until: str | None = None) -> None:
+        base = self._base
+        if not base.tracks_rules:
+            return
+        for node in path:
+            if base.rule_capacity(node) is not None:
+                self.read_nodes.add(node)
+                if node == until:
+                    return

@@ -1,4 +1,4 @@
-"""Link-level helpers shared by the network and its what-if views.
+"""Link-level helpers shared by the network and the footprint recorder.
 
 Links are directed: a Fat-Tree cable between switches ``u`` and ``v`` is two
 independent directed links ``(u, v)`` and ``(v, u)``, each with its own

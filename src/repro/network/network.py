@@ -23,6 +23,17 @@ table, carrying its link indices precomputed (a plain node sequence is
 converted once, at :meth:`Network.place`), so the hot loops (feasibility
 checks, placement, removal, residual scans) iterate int tuples over the
 columns with no per-call tuple building or string-pair hashing.
+
+What-if work (cost probes, migration attempts, P-LMTF's batch, the safe
+ordering search) runs on the columns themselves inside a :meth:`Network.trial`:
+a nested, stack-shaped savepoint. While a trial is open each
+``place``/``remove`` appends one entry to a trail (the ``used`` floats it
+overwrote, and for a removal the position the id held in each link's flow
+list); keeping a trial is O(1), and dropping it undoes the trail newest
+first, restoring every column bit for bit. A flow removed inside a trial
+keeps its slot in the flow table as a ``None`` tombstone, so a drop puts
+it back where it was and the table's order (which :meth:`export_state`
+writes) never moves.
 """
 
 from __future__ import annotations
@@ -49,6 +60,49 @@ from repro.network.state import NetworkState
 
 if TYPE_CHECKING:
     from repro.network.topology.base import Graph
+
+#: Trail entry kinds: the first field of every trail tuple.
+_PLACE, _REMOVE = 0, 1
+
+
+class Trial:
+    """One open savepoint of a :class:`Network` (see :meth:`Network.trial`).
+
+    Resolve it with :meth:`keep` or :meth:`drop`; leaving a ``with`` block
+    drops it unless it was kept, so an exception never leaks a half-tried
+    change. Trials nest like a stack: only the innermost open one may be
+    resolved.
+    """
+
+    __slots__ = ("_network", "_depth")
+
+    def __init__(self, network: "Network", depth: int) -> None:
+        self._network = network
+        self._depth = depth
+
+    def __enter__(self) -> "Trial":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._depth:
+            self.drop()
+
+    def keep(self) -> None:
+        """Keep the trial's changes: they become the enclosing trial's
+        (or, for the outermost trial, the network's)."""
+        self._network._keep_trial(self._resolve())
+
+    def drop(self) -> None:
+        """Undo every change made since the trial opened."""
+        self._network._drop_trial(self._resolve())
+
+    def _resolve(self) -> int:
+        depth = self._depth
+        if not depth or depth != len(self._network._marks):
+            raise RuntimeError("only the innermost open trial can be "
+                               "resolved, once")
+        self._depth = 0
+        return depth
 
 
 class Network(NetworkState):
@@ -86,7 +140,12 @@ class Network(NetworkState):
         self._used_col: list[float] = [0.0] * n
         self._ver_col: list[int] = [0] * n
         self._flows_col: list[list[str]] = [[] for _ in range(n)]
-        self._placements: dict[str, Placement] = {}
+        # flow id -> placement; None is a trial's tombstone (see trial()).
+        self._placements: dict[str, Placement | None] = {}
+        # The open trials' shared trail (None when no trial is open), and
+        # the trail length at each open trial's start, outermost first.
+        self._trail: list[tuple] | None = None
+        self._marks: list[int] = []
         # Rule-tracking nodes get their own dense index and columns.
         self._node_index: dict[str, int] = {}
         rule_caps: list[int] = []
@@ -200,19 +259,22 @@ class Network(NetworkState):
         return frozenset(self._flows_col[self._link_index(u, v)])
 
     def has_flow(self, flow_id: str) -> bool:
-        return flow_id in self._placements
+        return self._placements.get(flow_id) is not None
 
     def placement(self, flow_id: str) -> Placement:
-        try:
-            return self._placements[flow_id]
-        except KeyError:
-            raise UnknownFlowError(f"flow {flow_id!r} is not placed") from None
+        placement = self._placements.get(flow_id)
+        if placement is None:
+            raise UnknownFlowError(f"flow {flow_id!r} is not placed")
+        return placement
 
     def flow_ids(self) -> Iterator[str]:
-        return iter(list(self._placements))
+        return iter([fid for fid, placement in self._placements.items()
+                     if placement is not None])
 
     def flow_count(self) -> int:
-        return len(self._placements)
+        if self._trail is None:
+            return len(self._placements)
+        return sum(p is not None for p in self._placements.values())
 
     def path_residual(self, path: Sequence[str],
                       ignore: frozenset[str] = frozenset()) -> float:
@@ -248,7 +310,7 @@ class Network(NetworkState):
     # ------------------------------------------------------------- mutations
 
     def place(self, flow: Flow, path: Sequence[str]) -> Placement:
-        if flow.flow_id in self._placements:
+        if self._placements.get(flow.flow_id) is not None:
             raise DuplicateFlowError(f"flow {flow.flow_id!r} already placed")
         if type(path) is not CandidatePath or path.table is not self._table:
             path = CandidatePath.of(path, self._table)
@@ -275,6 +337,12 @@ class Network(NetworkState):
                         f"{flow.flow_id}", switch=node)
         flows_col, ver = self._flows_col, self._ver_col
         fid = flow.flow_id
+        if self._trail is not None:
+            # A tombstone in the slot means the id was removed earlier in
+            # this trial: the placement takes the slot back.
+            self._trail.append((_PLACE, fid, placement,
+                                [used[i] for i in idx],
+                                fid in self._placements))
         for i in idx:
             used[i] += demand
             flows_col[i].append(fid)
@@ -294,27 +362,118 @@ class Network(NetworkState):
             raise UnknownFlowError(f"flow {flow_id!r} is not placed")
         used, flows_col, ver = self._used_col, self._flows_col, self._ver_col
         demand = placement.flow.demand
-        for i in placement.path.link_idx:
-            left = used[i] - demand
-            # Guard against float drift; usage can never be negative.
-            used[i] = left if left >= 0 else 0.0
-            flows_col[i].remove(flow_id)
-            ver[i] += 1
+        if self._trail is None:
+            for i in placement.path.link_idx:
+                left = used[i] - demand
+                # Guard against float drift; usage can never be negative.
+                used[i] = left if left >= 0 else 0.0
+                flows_col[i].remove(flow_id)
+                ver[i] += 1
+            del self._placements[flow_id]
+        else:
+            saved, positions = [], []
+            for i in placement.path.link_idx:
+                saved.append(used[i])
+                left = used[i] - demand
+                used[i] = left if left >= 0 else 0.0
+                flows = flows_col[i]
+                pos = flows.index(flow_id)
+                del flows[pos]
+                positions.append(pos)
+                ver[i] += 1
+            self._trail.append((_REMOVE, flow_id, placement, saved,
+                                positions))
+            self._placements[flow_id] = None
         if self._node_index:
             for node in placement.path:
                 ni = self._node_index.get(node)
                 if ni is not None:
                     self._rules_used_col[ni] -= 1
                     self._node_ver_col[ni] += 1
-        del self._placements[flow_id]
         return placement
+
+    # ---------------------------------------------------------------- trials
+
+    def trial(self) -> Trial:
+        """Open a savepoint: every later ``place``/``remove`` can be undone.
+
+        Use it as ``with network.trial() as trial: ...; trial.keep()``.
+        Inside, reads are the live columns; leaving the block without
+        :meth:`Trial.keep` drops the trial, which restores the ``used``
+        floats, each flow id's position in the per-link flow lists, the
+        version counters, the rule columns and the flow table's order
+        exactly. Trials nest; a kept inner trial's changes belong to the
+        enclosing one until that one is resolved.
+        """
+        if self._trail is None:
+            self._trail = []
+        self._marks.append(len(self._trail))
+        return Trial(self, len(self._marks))
+
+    @property
+    def trial_open(self) -> bool:
+        """True while some trial is open."""
+        return self._trail is not None
+
+    def _keep_trial(self, depth: int) -> None:
+        self._marks.pop()
+        if depth > 1:
+            return
+        # The outermost trial is kept: order the flow table as the same
+        # operations made outside a trial would have (each live placement
+        # made in the trial at the end, in the order it was made) and
+        # clear the tombstones.
+        placements = self._placements
+        for kind, fid, placement, __, ___ in self._trail:
+            if kind == _PLACE:
+                if placements.get(fid) is placement:
+                    placements[fid] = placements.pop(fid)
+            elif fid in placements and placements[fid] is None:
+                del placements[fid]
+        self._trail = None
+
+    def _drop_trial(self, depth: int) -> None:
+        mark = self._marks.pop()
+        trail = self._trail
+        used, flows_col, ver = self._used_col, self._flows_col, self._ver_col
+        placements, node_index = self._placements, self._node_index
+        for k in range(len(trail) - 1, mark - 1, -1):
+            kind, fid, placement, saved, extra = trail[k]
+            idx = placement.path.link_idx
+            if kind == _PLACE:
+                # Every later entry is already undone, so the id is last
+                # in each of its links' lists.
+                for i, value in zip(idx, saved):
+                    used[i] = value
+                    flows_col[i].pop()
+                    ver[i] -= 1
+                if extra:
+                    placements[fid] = None
+                else:
+                    del placements[fid]
+                step = -1
+            else:
+                for i, value, pos in zip(idx, saved, extra):
+                    used[i] = value
+                    flows_col[i].insert(pos, fid)
+                    ver[i] -= 1
+                placements[fid] = placement
+                step = 1
+            if node_index:
+                for node in placement.path:
+                    ni = node_index.get(node)
+                    if ni is not None:
+                        self._rules_used_col[ni] += step
+                        self._node_ver_col[ni] -= 1
+        del trail[mark:]
+        if depth == 1:
+            self._trail = None
 
     def _set_capacity(self, u: str, v: str, value: float) -> None:
         """Overwrite one link's capacity (failure injection only).
 
         Capacities are otherwise immutable; ``FailureInjector`` zeroes them
-        to take links down and restores them on heal. Views pick the change
-        up immediately — they read the shared capacity column. The link's
+        to take links down and restores them on heal. The link's
         version counter is bumped so every probe-cache entry whose
         footprint touches the link is invalidated: a cached plan computed
         before the failure is provably stale once the capacity changed.
@@ -428,9 +587,12 @@ class Network(NetworkState):
         """Re-derive link usage from the flow table and assert consistency.
 
         Raises:
-            AssertionError: usage bookkeeping drifted from the flow table, a
-                link is oversubscribed, or a link-flow index is stale.
+            AssertionError: a trial is open, usage bookkeeping drifted from
+                the flow table, a link is oversubscribed, or a link-flow
+                index is stale.
         """
+        assert self._trail is None, (
+            f"{len(self._marks)} trial(s) still open")
         n = len(self._table)
         derived_used = [0.0] * n
         derived_flows: list[set[str]] = [set() for _ in range(n)]
@@ -476,8 +638,9 @@ class Network(NetworkState):
         placements) because the original values embed this run's exact
         addition/subtraction history — re-summing demands in a different
         order rounds differently, and residual comparisons sit on those
-        last bits.
+        last bits. No trial may be open.
         """
+        assert self._trail is None, "export_state inside an open trial"
         placements = [
             {"flow": p.flow.to_payload(), "path": list(p.path)}
             for p in self._placements.values()]
@@ -496,8 +659,9 @@ class Network(NetworkState):
         Must be called on a network built from the *same* topology (same
         link table layout); placements are rebuilt in export order, each on
         a path indexed against this network's table, and all columns are
-        overwritten bit-exactly.
+        overwritten bit-exactly. No trial may be open.
         """
+        assert self._trail is None, "restore_state inside an open trial"
         n = len(self._table)
         if len(state["used_col"]) != n or len(state["cap_col"]) != n:
             raise TopologyError(
@@ -529,8 +693,10 @@ class Network(NetworkState):
         never mutated); the state columns are duplicated — a handful of
         flat list copies rather than per-entry dict rebuilds. Experiments
         load background traffic once and hand each scheduler run its own
-        copy, so all schedulers face an identical starting state.
+        copy, so all schedulers face an identical starting state. No trial
+        may be open; the copy has none.
         """
+        assert self._trail is None, "copy inside an open trial"
         clone = Network.__new__(Network)
         clone._graph = self._graph
         clone._table = self._table
@@ -539,6 +705,8 @@ class Network(NetworkState):
         clone._ver_col = list(self._ver_col)
         clone._flows_col = [list(flows) for flows in self._flows_col]
         clone._placements = dict(self._placements)
+        clone._trail = None
+        clone._marks = []
         clone._node_index = self._node_index
         clone._switch_idx = self._switch_idx
         clone._switch_pos = self._switch_pos
@@ -546,10 +714,3 @@ class Network(NetworkState):
         clone._rules_used_col = list(self._rules_used_col)
         clone._node_ver_col = list(self._node_ver_col)
         return clone
-
-    # ----------------------------------------------------------------- views
-
-    def view(self):
-        """Return a copy-on-write overlay for what-if planning."""
-        from repro.network.view import NetworkView
-        return NetworkView(self)

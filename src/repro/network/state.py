@@ -1,18 +1,17 @@
 """The abstract network-state interface.
 
-Both the live :class:`~repro.network.network.Network` and the copy-on-write
-:class:`~repro.network.view.NetworkView` implement this interface, so the
-planner and schedulers can run identically against real state (to execute) or
-an overlay (to probe update costs without side effects — the heart of LMTF's
-cheap cost sampling).
+The live :class:`~repro.network.network.Network` and the probe cache's
+:class:`~repro.network.footprint.FootprintRecorder` implement this
+interface. The planner and schedulers try changes on the state itself, in a
+:meth:`NetworkState.trial` they drop afterwards, so probing an update's cost
+leaves no side effect — the heart of LMTF's cheap cost sampling.
 
-Those states — the network, its views and the probe cache's footprint
-recorder — also share an int-keyed read protocol over the network's one
-:class:`~repro.network.link.LinkTable` (``link_table()``, ``used_idx``,
-``capacity_idx``, ``flows_idx``, ``link_version_idx``), and every path they
-hold is a :class:`~repro.network.routing.candidate.CandidatePath` of that
-table: a plain node sequence is converted once, at ``place``. The
-string-keyed reads below are one index lookup each.
+Both share the network's one :class:`~repro.network.link.LinkTable`
+(``link_table()``; the network adds int-keyed reads over it, ``used_idx``,
+``flows_idx``, ``link_version_idx``), and every path they hold is a
+:class:`~repro.network.routing.candidate.CandidatePath` of that table: a
+plain node sequence is converted once, at ``place``. The string-keyed
+reads below are one index lookup each.
 """
 
 from __future__ import annotations
@@ -101,6 +100,12 @@ class NetworkState(abc.ABC):
     def remove(self, flow_id: str) -> Placement:
         """Remove a placed flow, releasing its bandwidth; returns the old
         placement. Raises ``UnknownFlowError`` if absent."""
+
+    @abc.abstractmethod
+    def trial(self):
+        """Open a nested savepoint (a
+        :class:`~repro.network.network.Trial`): changes made until it is
+        dropped are undone exactly, and a kept trial's changes stay."""
 
     def reroute(self, flow_id: str, new_path: Sequence[str]) -> Placement:
         """Atomically move a placed flow onto ``new_path``.

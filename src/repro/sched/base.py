@@ -2,7 +2,7 @@
 
 A scheduler is consulted once per *round*: it inspects the queue of pending
 update events, probes update costs against the live network through the
-planner (on throwaway views — probing never mutates state), and returns the
+planner (inside dropped trials — probing leaves no trace), and returns the
 set of admissions to execute this round. The simulator then charges the
 planning time, applies the admitted plans, and starts the next round when the
 admitted events complete.
@@ -163,9 +163,10 @@ class Scheduler(abc.ABC):
         """Decide what to execute this round.
 
         Implementations must plan via ``ctx.planner`` with ``commit=False``
-        (or on views) so the live network is untouched; the simulator applies
-        the returned plans itself. An empty decision means "nothing feasible
-        right now — wake me when the network state changes".
+        (or inside a trial they drop) so the live network is left as it
+        was; the simulator applies the returned plans itself. An empty
+        decision means "nothing feasible right now — wake me when the
+        network state changes".
         """
 
     def reset(self) -> None:

@@ -4,8 +4,8 @@ An exact ``Cost(U)`` probe plans every remaining flow of a candidate —
 migration search included — at ~ms per miss (``planner.plan_self_ms`` over
 ``planner.plan_calls`` in ``bench/``). The features here
 are the *readable* fraction of that work: what the indexed kernel answers
-in O(flows × path-length) flat-column reads with no planning, no view
-stack, and no RNG draw. Per candidate:
+in O(flows × path-length) flat-column reads with no planning, no trial,
+and no RNG draw. Per candidate:
 
 ========================= ==============================================
 feature                   meaning

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.core.exceptions import PlacementError, PlanningError
 from repro.core.executor import apply_plan
 from repro.core.plan import EventPlan
-from repro.network.view import NetworkView
+from repro.network.state import NetworkState
 from repro.sched.base import (
     Admission,
     QueuedEvent,
@@ -84,8 +84,8 @@ class PLMTFScheduler(LMTFScheduler):
 
         Step 1 — the LMTF step: pick the cheapest feasible probe as the
         round's head. (The probes themselves were planned by ``select``
-        and went through the footprint cache; step-2 replans run on the
-        transient batch view and are never cached.)
+        and went through the footprint cache; step-2 replans run inside
+        the transient batch trial and are never cached.)
         """
         best = self.pick_cheapest(probes)
         if best is None:
@@ -100,35 +100,39 @@ class PLMTFScheduler(LMTFScheduler):
         global ``(time, seq)`` order and admit those that can run alongside
         the batch.
 
-        The batch view accumulates admitted plans, and a candidate whose
-        footprint conflicts with the batch (bandwidth contention or a
-        migration touching a batch-pinned flow) is demoted — left queued
-        for a later round — rather than reordered. When the simulator
-        replays the admissions in admission order against the live network,
-        each applies to exactly the state it was planned against.
+        The batch is a trial on the network that accumulates admitted
+        plans, and a candidate whose footprint conflicts with the batch
+        (bandwidth contention or a migration touching a batch-pinned flow)
+        is demoted — left queued for a later round — rather than
+        reordered. The trial is dropped before this returns; when the
+        simulator replays the admissions in admission order against the
+        live network, each applies to exactly the state it was planned
+        against.
         """
         head_queued, head_plan = best
-        batch_view = NetworkView(ctx.network)
-        apply_plan(batch_view, head_plan)
+        batch = ctx.network
         admissions = [Admission(queued=head_queued, plan=head_plan)]
         # Flows already admitted to the batch are pinned: a later candidate
         # may not "make room" by migrating a batch-mate's new flow.
         batch_flow_ids = {fp.flow.flow_id for fp in head_plan.flow_plans}
-        for queued, probe in probes:
-            if queued is head_queued:
-                continue
-            plan, extra_ops = self._admit(ctx, batch_view, queued, probe,
-                                          batch_flow_ids)
-            ops += extra_ops
-            if plan is None:
-                continue
-            admissions.append(Admission(queued=queued, plan=plan))
-            batch_flow_ids.update(fp.flow.flow_id for fp in plan.flow_plans)
+        with batch.trial():
+            apply_plan(batch, head_plan)
+            for queued, probe in probes:
+                if queued is head_queued:
+                    continue
+                plan, extra_ops = self._admit(ctx, batch, queued, probe,
+                                              batch_flow_ids)
+                ops += extra_ops
+                if plan is None:
+                    continue
+                admissions.append(Admission(queued=queued, plan=plan))
+                batch_flow_ids.update(fp.flow.flow_id
+                                      for fp in plan.flow_plans)
         return RoundDecision(admissions=admissions, planning_ops=ops)
 
     # ------------------------------------------------------------- internals
 
-    def _admit(self, ctx: SchedulingContext, batch_view: NetworkView,
+    def _admit(self, ctx: SchedulingContext, batch: NetworkState,
                queued: QueuedEvent, probe: EventPlan,
                batch_flow_ids: set[str]) -> tuple[EventPlan | None, int]:
         """Test one candidate against the batch.
@@ -136,14 +140,14 @@ class PLMTFScheduler(LMTFScheduler):
         Returns ``(plan, extra_planning_ops)``; ``plan`` is None when the
         candidate is rejected. ``shared`` applies the probe plan directly
         and costs no extra planning; the other modes replan on the batch
-        view (paying ops whether or not the candidate is admitted).
+        (paying ops whether or not the candidate is admitted).
         """
         if self.admit in ("shared", "hybrid"):
             if probe.feasible and not any(
                     m.flow.flow_id in batch_flow_ids
                     for m in probe.migrations):
                 try:
-                    apply_plan(batch_view, probe)
+                    apply_plan(batch, probe)
                 except (PlacementError, PlanningError):
                     pass
                 else:
@@ -152,7 +156,7 @@ class PLMTFScheduler(LMTFScheduler):
                 return None, 0
 
         plan = ctx.planner.plan_event(
-            batch_view, queued.subevent(queued.remaining), ctx.rng,
+            batch, queued.subevent(queued.remaining), ctx.rng,
             commit=False, extra_protected=frozenset(batch_flow_ids))
         if not plan.feasible:
             return None, plan.planning_ops
@@ -161,5 +165,5 @@ class PLMTFScheduler(LMTFScheduler):
         if (self.admit in ("nocontention", "hybrid")
                 and (not probe.feasible or plan.cost > probe.cost)):
             return None, plan.planning_ops
-        apply_plan(batch_view, plan)
+        apply_plan(batch, plan)
         return plan, plan.planning_ops

@@ -87,7 +87,9 @@ class LifecycleAuditor:
       completed/dropped/round counters match the lifecycle and the
       pipeline's round index,
     * the engine's O(1) ``pending`` counter matches an O(n) heap recount
-      (the tombstone-drift detector) and is non-negative.
+      (the tombstone-drift detector) and is non-negative,
+    * no network trial is open: every what-if a round tried was kept or
+      dropped before the round settled.
 
     Args:
         every: audit every ``every``-th round (1 audits all of them);
@@ -156,6 +158,7 @@ class LifecycleAuditor:
             "waiting_ledger_vs_queue": _first_difference(
                 sorted(collector.waiting_ids),
                 sorted(pipeline.queued_event_ids())),
+            "network_trial_open": (sim.network.trial_open, False),
         }
         if round_index is not None:
             checks["metrics_rounds_vs_round_index"] = (

@@ -72,6 +72,11 @@ __all__ = ["ServiceConfig", "ServiceReport", "SimulationService"]
 #: Starting value of the chained completed-event schedule digest.
 _DIGEST_SEED = "0" * 64
 
+#: Fewest wall seconds between two heartbeat writes (the first and the
+#: final write excepted): the supervisor reads round progress at this
+#: granularity, far below its stall timeout.
+HEARTBEAT_INTERVAL_S = 1.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -248,6 +253,8 @@ class SimulationService:
         self._journal: JournalWriter | None = None
         self._journal_records = 0
         self._journal_offset = 0
+        # time.monotonic() of the last heartbeat write.
+        self._heartbeat_at: float | None = None
         self._digest = _DIGEST_SEED
         self._replay: deque[bytes] = deque()
         self._replayed = 0
@@ -388,6 +395,7 @@ class SimulationService:
             if (self._config.snapshot_every > 0
                     and self._config.snapshot_dir is not None):
                 self._write_snapshot(final=True)
+            self._write_heartbeat(final=True)
             self._write_checkpoint("final")
         finally:
             if self._journal is not None:
@@ -772,8 +780,11 @@ class SimulationService:
             f"service rebuilt with a different plugin set than the run "
             f"that wrote the checkpoint?")
 
-    def _write_heartbeat(self, round_index: int | None = None) -> None:
-        """Refresh the supervisor's liveness/progress file.
+    def _write_heartbeat(self, round_index: int | None = None,
+                         final: bool = False) -> None:
+        """Refresh the supervisor's liveness/progress file, at most once
+        per :data:`HEARTBEAT_INTERVAL_S` of wall time; the first write and
+        the ``final`` one always land.
 
         Atomic but not fsynced: the heartbeat signals liveness, not
         durability, and an fsync per settled round would tax long soaks
@@ -781,6 +792,11 @@ class SimulationService:
         """
         if self._state_dir is None:
             return
+        now = time.monotonic()
+        if (not final and self._heartbeat_at is not None
+                and now - self._heartbeat_at < HEARTBEAT_INTERVAL_S):
+            return
+        self._heartbeat_at = now
         payload = {"wall": time.time(), "pid": os.getpid(),
                    "round": (round_index if round_index is not None
                              else self._sim.metrics_collector.round_count),

@@ -3,7 +3,8 @@
 The service itself (:mod:`repro.sim.service`) makes a single process
 exactly resumable; the supervisor closes the loop by actually restarting
 it. It launches the serve command as a child process, watches the
-heartbeat file the service refreshes every settled round, and:
+heartbeat file the service refreshes as rounds settle (at most once per
+wall second), and:
 
 * restarts a **crashed** child (non-zero exit / signal death) with
   bounded exponential backoff,

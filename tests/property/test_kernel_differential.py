@@ -10,8 +10,13 @@ node tuples the kernel must index on entry) on the kernel side, plain node
 tuples on the reference side — and asserts that every observable agrees
 exactly: residuals (bit-equal floats, same arithmetic order), per-link
 usage, flow sets, version counters, placements, and the exception type of
-every rejected operation, across nested views with commits and discards
-interleaved, and across rebuilds of the kernel from its exported state.
+every rejected operation. The kernel's nested trials (``Network.trial``)
+run against nested reference views: opening a trial pushes a view, keeping
+it commits the view, dropping it discards the view, interleaved at random,
+and across rebuilds of the kernel from its exported state. A dropped trial
+must also leave the kernel's raw columns exactly as they were when it
+opened, down to each id's position in the per-link flow lists and the
+flow table's order.
 """
 
 import sys
@@ -38,7 +43,6 @@ from repro.network.link import EPS, format_link, is_simple_path, path_links
 from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
 from repro.network.state import NetworkState
-from repro.network.view import NetworkView
 
 TOPO = diamond_topology()
 PROVIDER = PathProvider(TOPO)
@@ -64,6 +68,9 @@ DEMANDS = st.integers(min_value=2, max_value=240).map(lambda n: n * 0.25)
 
 class RefState(NetworkState):
     """The seed-era string-keyed residual reads both references share."""
+
+    def trial(self):
+        raise NotImplementedError("the reference nests RefView overlays")
 
     def path_residual(self, path, ignore=frozenset()):
         best = float("inf")
@@ -291,6 +298,14 @@ class RefView(RefState):
         placement = Placement(flow=flow, path=tuple(path))
         if not is_simple_path(placement.path):
             raise InvalidPathError(f"path {path!r} is not a simple path")
+        # A trial places on the kernel itself, which refuses a path over a
+        # nonexistent link as invalid (the overlay it replaced raised
+        # TopologyError from the link lookup).
+        links = set(self.links())
+        for link in placement.links:
+            if link not in links:
+                raise InvalidPathError(
+                    f"path uses nonexistent link {format_link(link)}")
         for u, v in placement.links:
             free = self.capacity(u, v) - self.used(u, v)
             if free + EPS < flow.demand:
@@ -354,6 +369,20 @@ class RefView(RefState):
         self._log.clear()
 
 
+def raw_columns(network):
+    """Every raw column of the kernel a dropped trial must restore: the
+    ``used`` floats, each link's flow list (order included), the version
+    and rule columns, and the flow table with its order."""
+    return (list(network._used_col),
+            [list(flows) for flows in network._flows_col],
+            list(network._ver_col), list(network._rules_used_col),
+            list(network._node_ver_col), list(network._placements.items()))
+
+
+class ProbeAborted(Exception):
+    """Raised inside an open trial, as a failing probe would."""
+
+
 class KernelDifferentialMachine(RuleBasedStateMachine):
     """One random op sequence through both implementations, compared."""
 
@@ -361,7 +390,8 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
         super().__init__()
         self.kernel = TOPO.network()
         self.ref = RefNetwork(TOPO.graph())
-        #: Parallel view stacks; ops apply to the innermost scope.
+        #: Open kernel trials beside the parallel reference views, with
+        #: the kernel's raw columns when each trial opened.
         self.stack: list[tuple] = []
         self.counter = 0
         self.ever_placed: list[str] = []
@@ -371,7 +401,7 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
     @property
     def tops(self):
         if self.stack:
-            return self.stack[-1]
+            return self.kernel, self.stack[-1][1]
         return self.kernel, self.ref
 
     def _both(self, op_name, *args, kernel_path=None, ref_path=None):
@@ -465,7 +495,11 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
         candidates = PROVIDER.paths(flow.src, flow.dst)
         path = candidates[path_index % len(candidates)]
         self._both("place", flow, kernel_path=path, ref_path=tuple(path))
-        self.kernel.check_invariants()
+        if self.stack:  # check_invariants refuses an open trial
+            assert all(len(set(flows)) == len(flows)
+                       for flows in self.kernel._flows_col)
+        else:
+            self.kernel.check_invariants()
 
     @rule(index=st.integers(min_value=0, max_value=300))
     def copy_then_diverge(self, index):
@@ -507,24 +541,65 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
 
     @rule()
     def push_view(self):
+        """Open a trial on the kernel, a view on the reference."""
         if len(self.stack) >= 3:
             return
-        kernel_top, ref_top = self.tops
-        self.stack.append((NetworkView(kernel_top), RefView(ref_top)))
+        __, ref_top = self.tops
+        self.stack.append((self.kernel.trial(), RefView(ref_top),
+                           raw_columns(self.kernel)))
 
     @rule()
     def commit_top(self):
+        """Keep the innermost trial, commit the innermost view."""
         if not self.stack:
             return
-        kernel_view, ref_view = self.stack.pop()
-        kernel_view.commit()
+        trial, ref_view, __ = self.stack.pop()
+        trial.keep()
         ref_view.commit()
 
     @rule()
     def discard_top(self):
+        """Drop the innermost trial: every raw column is back exactly."""
         if not self.stack:
             return
-        self.stack.pop()
+        trial, __, opened = self.stack.pop()
+        trial.drop()
+        assert raw_columns(self.kernel) == opened
+
+    @rule(pair=st.sampled_from(HOST_PAIRS), demand=DEMANDS,
+          index=st.integers(min_value=0, max_value=300),
+          path_index=st.integers(min_value=0, max_value=3))
+    def raise_inside_trial(self, pair, demand, index, path_index):
+        """A probe raises with its trial open: the ``with`` block drops
+        the trial, and the raw columns are exactly what they were — a
+        removed flow back in its slot of every list and of the flow
+        table, a rerouted one on its old path, a placed one gone."""
+        before = raw_columns(self.kernel)
+        src, dst = pair
+        candidates = PROVIDER.paths(src, dst)
+        with pytest.raises(ProbeAborted):
+            with self.kernel.trial():
+                live = self._live(self.kernel)
+                if live:
+                    self.kernel.remove(live[index % len(live)])
+                if len(live) > 1:
+                    fid = live[(index + 1) % len(live)]
+                    flow = self.kernel.placement(fid).flow
+                    paths = PROVIDER.paths(flow.src, flow.dst)
+                    try:
+                        self.kernel.reroute(fid,
+                                            paths[path_index % len(paths)])
+                    except OP_ERRORS:
+                        pass
+                try:
+                    self.kernel.place(
+                        Flow(flow_id=f"probe{self.counter}", src=src,
+                             dst=dst, demand=demand),
+                        candidates[path_index % len(candidates)])
+                except OP_ERRORS:
+                    pass
+                raise ProbeAborted
+        assert raw_columns(self.kernel) == before
 
     # -------------------------------------------------------------- oracles
 
@@ -566,9 +641,14 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
     def utilization_agrees(self):
         """The switch-link index column reproduces the per-link reference
         sum bit for bit (same links, same order, same arithmetic) — on the
-        live network and on a copy, which shares the column."""
-        terms = [self.ref.utilization(u, v) for u, v in SWITCH_LINKS]
-        for network in (self.kernel, self.kernel.copy()):
+        live network (inside any open trial) and, with no trial open, on a
+        copy, which shares the column."""
+        __, ref_top = self.tops
+        terms = [ref_top.utilization(u, v) for u, v in SWITCH_LINKS]
+        networks = [self.kernel]
+        if not self.stack:
+            networks.append(self.kernel.copy())
+        for network in networks:
             assert network.switch_links() == SWITCH_LINKS
             assert network.average_utilization() == sum(terms) / len(terms)
             assert network.max_utilization() == max(terms)
@@ -579,9 +659,10 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
 
     def teardown(self):
         while self.stack:
-            kernel_view, ref_view = self.stack.pop()
-            kernel_view.commit()
+            trial, ref_view, __ = self.stack.pop()
+            trial.keep()
             ref_view.commit()
+        assert not self.kernel.trial_open
         for u, v in self.ref.links():
             assert self.kernel.used(u, v) == self.ref.used(u, v)
             assert self.kernel.link_version(u, v) == \

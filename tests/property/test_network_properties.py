@@ -24,7 +24,6 @@ from repro.core.exceptions import (
 from repro.core.flow import Flow
 from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
-from repro.network.view import NetworkView
 
 TOPO = diamond_topology()
 PROVIDER = PathProvider(TOPO)
@@ -96,13 +95,14 @@ TestNetworkMachine = NetworkMachine.TestCase
 
 
 class ViewMachine(RuleBasedStateMachine):
-    """A view's committed state always equals direct application."""
+    """A kept trial's state always equals direct application, and a
+    dropped nested trial leaves no trace."""
 
     def __init__(self):
         super().__init__()
         self.base = TOPO.network()
         self.mirror = TOPO.network()
-        self.view = NetworkView(self.base)
+        self.trial = self.base.trial()
         self.counter = 0
         self.live: dict[str, tuple[str, str]] = {}
 
@@ -117,7 +117,7 @@ class ViewMachine(RuleBasedStateMachine):
         self.counter += 1
         flow = Flow(flow_id=fid, src=src, dst=dst, demand=demand)
         try:
-            self.view.place(flow, path)
+            self.base.place(flow, path)
         except InsufficientBandwidthError:
             with pytest.raises(InsufficientBandwidthError):
                 self.mirror.place(flow, path)
@@ -130,21 +130,49 @@ class ViewMachine(RuleBasedStateMachine):
         if not self.live:
             return
         fid = sorted(self.live)[index % len(self.live)]
-        self.view.remove(fid)
+        self.base.remove(fid)
         self.mirror.remove(fid)
         del self.live[fid]
+
+    @rule(index=st.integers(min_value=0, max_value=100),
+          path_index=st.integers(min_value=0, max_value=3))
+    def tried_and_dropped(self, index, path_index):
+        """A nested trial reroutes a flow and places another; dropping it
+        restores every column exactly."""
+        before = (list(self.base._used_col),
+                  [list(f) for f in self.base._flows_col],
+                  list(self.base._ver_col), list(self.base.flow_ids()))
+        with self.base.trial():
+            if self.live:
+                fid = sorted(self.live)[index % len(self.live)]
+                src, dst = self.live[fid]
+                paths = all_paths(src, dst)
+                try:
+                    self.base.reroute(fid, paths[path_index % len(paths)])
+                except InsufficientBandwidthError:
+                    pass
+            try:
+                self.base.place(Flow(flow_id="tried", src="a", dst="b",
+                                     demand=1.0), all_paths("a", "b")[0])
+            except InsufficientBandwidthError:
+                pass
+        assert (list(self.base._used_col),
+                [list(f) for f in self.base._flows_col],
+                list(self.base._ver_col), list(self.base.flow_ids())) \
+            == before
 
     @invariant()
     def view_matches_mirror(self):
         for link in self.mirror.links():
-            assert abs(self.view.used(*link)
-                       - self.mirror.used(*link)) < 1e-6
+            assert self.base.used(*link) == self.mirror.used(*link)
 
     def teardown(self):
-        self.view.commit()
+        self.trial.keep()
         for link in self.mirror.links():
-            assert abs(self.base.used(*link)
-                       - self.mirror.used(*link)) < 1e-6
+            assert self.base.used(*link) == self.mirror.used(*link)
+            assert self.base.link_version(*link) == \
+                self.mirror.link_version(*link)
+        assert list(self.base.flow_ids()) == list(self.mirror.flow_ids())
         self.base.check_invariants()
 
 

@@ -200,6 +200,24 @@ class TestDesyncDetection:
             rounds=sim.metrics_collector.round_count + 1))
         assert "metrics_rounds_vs_round_index" in err.diff
 
+    def test_round_settling_inside_open_trial(self, monkeypatch):
+        """A scheduler that opens a network trial and never resolves it
+        fails the first audited round under ``REPRO_AUDIT=1``."""
+        class LeakyTrialFIFO(FIFOScheduler):
+            def select(self, ctx):
+                ctx.network.trial()
+                return super().select(ctx)
+
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        net, provider = diamond_setup()
+        sim = UpdateSimulator(net, provider, LeakyTrialFIFO(),
+                              config=SimulationConfig())
+        sim.submit(simple_events())
+        with pytest.raises(AuditError) as excinfo:
+            sim.run()
+        assert excinfo.value.diff == {"network_trial_open": (True, False)}
+        assert "round 1" in str(excinfo.value)
+
     def test_error_message_names_all_failures(self):
         def corrupt(sim):
             sim.pipeline._events_remaining += 1

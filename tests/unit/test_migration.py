@@ -16,7 +16,6 @@ from repro.core.flow import Flow
 from repro.core.migration import MigrationConfig, MigrationPlanner
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.custom import CustomTopology
-from repro.network.view import NetworkView
 
 
 def diamond_topology(capacity=100.0) -> CustomTopology:
@@ -87,8 +86,7 @@ class TestCongestedLinks:
 class TestMakeRoom:
     def test_no_congestion_returns_empty(self, setup):
         net, __, planner = setup
-        view = NetworkView(net)
-        migrations, ops = planner.make_room(view, probe("new", 10.0), TOP,
+        migrations, ops = planner.make_room(net, probe("new", 10.0), TOP,
                                              frozenset(), random.Random(1))
         assert migrations == []
         assert ops > 0
@@ -96,21 +94,20 @@ class TestMakeRoom:
     def test_migrates_blocking_flow(self, setup):
         net, __, planner = setup
         net.place(background("bg", 45.0), BG_TOP)
-        view = NetworkView(net)
-        migrations, __ops = planner.make_room(view, probe("new", 60.0), TOP,
-                                               frozenset(), random.Random(1))
-        assert migrations is not None
-        assert [m.flow.flow_id for m in migrations] == ["bg"]
-        assert migrations[0].new_path == BG_BOT
-        assert view.path_feasible(TOP, 60.0)
-        # base untouched until commit
+        with net.trial():
+            migrations, __ops = planner.make_room(
+                net, probe("new", 60.0), TOP, frozenset(), random.Random(1))
+            assert migrations is not None
+            assert [m.flow.flow_id for m in migrations] == ["bg"]
+            assert migrations[0].new_path == BG_BOT
+            assert net.path_feasible(TOP, 60.0)
+        # the dropped trial leaves the network as it was
         assert net.placement("bg").path == BG_TOP
 
     def test_protected_flows_not_migrated(self, setup):
         net, __, planner = setup
         net.place(background("bg", 45.0), BG_TOP)
-        view = NetworkView(net)
-        migrations, ops = planner.make_room(view, probe("new", 60.0), TOP,
+        migrations, ops = planner.make_room(net, probe("new", 60.0), TOP,
                                              frozenset(["bg"]),
                                              random.Random(1))
         assert migrations is None  # bg was the only migratable flow
@@ -121,10 +118,9 @@ class TestMakeRoom:
         net.place(background("bg1", 45.0), BG_TOP)
         net.place(Flow(flow_id="bg2", src="e", dst="f", demand=60.0),
                   ("e", "s1", "bot", "s2", "f"))
-        view = NetworkView(net)
         # moving bg1 to bot needs 45+60 <= 100 there: impossible, and bg2
         # on bot cannot help the top path; no migration set exists.
-        migrations, __ops = planner.make_room(view, probe("new", 60.0), TOP,
+        migrations, __ops = planner.make_room(net, probe("new", 60.0), TOP,
                                                frozenset(), random.Random(1))
         assert migrations is None
 
@@ -133,8 +129,7 @@ class TestMakeRoom:
         # a's own uplink is exhausted by another a-flow: no migration of
         # c/d traffic can ever free it.
         net.place(Flow(flow_id="mine", src="a", dst="b", demand=90.0), TOP)
-        view = NetworkView(net)
-        migrations, __ops = planner.make_room(view, probe("new", 60.0), TOP,
+        migrations, __ops = planner.make_room(net, probe("new", 60.0), TOP,
                                                frozenset(), random.Random(1))
         assert migrations is None
 
@@ -142,8 +137,7 @@ class TestMakeRoom:
         net, __, planner = setup
         net.place(background("bg1", 20.0), BG_TOP)
         net.place(background("bg2", 25.0), BG_TOP)
-        view = NetworkView(net)
-        migrations, __ops = planner.make_room(view, probe("new", 80.0), TOP,
+        migrations, __ops = planner.make_room(net, probe("new", 80.0), TOP,
                                                frozenset(), random.Random(1))
         assert migrations is not None
         # residual was 55, need 80 -> deficit 25; best_fit moves bg2 alone
@@ -165,10 +159,9 @@ class TestStrategies:
         net, provider = self._net_with_two_blockers()
         planner = MigrationPlanner(provider,
                                    MigrationConfig(strategy="best_fit"))
-        view = NetworkView(net)
         # middle residual 50, need 75 -> deficit 25: small(20) alone cannot
         # cover, large(30) can; best_fit moves exactly the large flow.
-        migrations, __ = planner.make_room(view, probe("new", 75.0), TOP,
+        migrations, __ = planner.make_room(net, probe("new", 75.0), TOP,
                                             frozenset(), random.Random(1))
         assert migrations is not None
         assert [m.flow.flow_id for m in migrations] == ["large"]
@@ -177,8 +170,7 @@ class TestStrategies:
         net, provider = self._net_with_two_blockers()
         planner = MigrationPlanner(
             provider, MigrationConfig(strategy="smallest_first"))
-        view = NetworkView(net)
-        migrations, __ = planner.make_room(view, probe("new", 75.0), TOP,
+        migrations, __ = planner.make_room(net, probe("new", 75.0), TOP,
                                             frozenset(), random.Random(1))
         assert migrations is not None
         moved = [m.flow.flow_id for m in migrations]
@@ -189,8 +181,7 @@ class TestStrategies:
         net, provider = self._net_with_two_blockers()
         planner = MigrationPlanner(
             provider, MigrationConfig(strategy="largest_first"))
-        view = NetworkView(net)
-        migrations, __ = planner.make_room(view, probe("new", 75.0), TOP,
+        migrations, __ = planner.make_room(net, probe("new", 75.0), TOP,
                                             frozenset(), random.Random(1))
         assert migrations is not None
         assert [m.flow.flow_id for m in migrations] == ["large"]
@@ -206,10 +197,9 @@ class TestBudgets:
         planner = MigrationPlanner(
             provider, MigrationConfig(strategy="smallest_first",
                                       max_migrations_per_flow=2))
-        view = NetworkView(net)
         # middle residual 50, need 80 -> deficit 30 needs 3 flows of 10,
         # but the budget allows only 2.
-        migrations, ops = planner.make_room(view, probe("new", 80.0), TOP,
+        migrations, ops = planner.make_room(net, probe("new", 80.0), TOP,
                                              frozenset(), random.Random(1))
         assert migrations is None
         assert ops > 0

@@ -29,7 +29,6 @@ from repro.network.footprint import (
 )
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.fattree import FatTreeTopology
-from repro.network.view import NetworkView
 from repro.sched.base import QueuedEvent, SchedulingContext
 from repro.sched.cache import ProbeCache
 from repro.sched.lmtf import LMTFScheduler
@@ -103,29 +102,34 @@ class TestLinkVersions:
 
 
 class TestViewVersions:
+    """Version counters inside a trial: bumped by its writes, restored
+    by a drop."""
+
     def test_view_overlays_versions(self):
         net, _ = diamond_setup()
         net.place(ab_flow("f1", 10.0), TOP)
-        view = NetworkView(net)
-        assert view.supports_versions
-        assert view.link_version("s1", "top") == 1  # passes through
-        view.place(ab_flow("f2", 10.0), TOP)
-        assert view.link_version("s1", "top") == 2  # base + overlay
-        assert net.link_version("s1", "top") == 1  # base untouched
+        with net.trial():
+            assert net.link_version("s1", "top") == 1
+            net.place(ab_flow("f2", 10.0), TOP)
+            assert net.link_version("s1", "top") == 2
+        assert net.link_version("s1", "top") == 1  # dropped
 
     def test_view_remove_bumps(self):
         net, _ = diamond_setup()
         net.place(ab_flow("f1", 10.0), TOP)
-        view = NetworkView(net)
-        view.remove("f1")
-        assert view.link_version("s1", "top") == 2
+        with net.trial() as trial:
+            net.remove("f1")
+            assert net.link_version("s1", "top") == 2
+            trial.keep()
+        assert net.link_version("s1", "top") == 2  # kept
 
     def test_reset_clears_overlay(self):
         net, _ = diamond_setup()
-        view = NetworkView(net)
-        view.place(ab_flow("f1", 10.0), TOP)
-        view.reset()
-        assert view.link_version("s1", "top") == 0
+        with net.trial():
+            net.place(ab_flow("f1", 10.0), TOP)
+            net.remove("f1")
+            assert net.link_version("s1", "top") == 2
+        assert net.link_version("s1", "top") == 0
 
 
 # ---------------------------------------------------------- footprint recorder
@@ -183,6 +187,41 @@ class TestFootprintRecorder:
         rec.rules_used("top")
         assert rec.footprint().nodes == frozenset({"top"})
 
+    def test_writes_record_links_and_rule_nodes(self):
+        """A probe writes through the recorder inside the base's trial:
+        each write records its links and its rule-tracked nodes, and the
+        drop leaves the base as it was."""
+        g = diamond_topology().graph()
+        g.nodes["top"]["rule_capacity"] = 5
+        from repro.network.topology.custom import CustomTopology
+        net = CustomTopology(g, name="d", max_paths=4).network()
+        net.place(ab_flow("old", 10.0), BOT)
+        rec = FootprintRecorder(net)
+        with rec.trial():
+            assert net.trial_open
+            rec.place(ab_flow("new", 10.0), TOP)
+            rec.remove("old")
+        assert not net.trial_open and not net.has_flow("new")
+        index = net.link_table().index
+        assert rec.footprint().link_idx == frozenset(
+            index[link] for path in (TOP, BOT)
+            for link in zip(path, path[1:]))
+        assert rec.footprint().nodes == frozenset({"top"})
+
+    def test_rule_refusal_records_nodes_up_to_the_full_switch(self):
+        g = diamond_topology().graph()
+        g.nodes["s1"]["rule_capacity"] = 5
+        g.nodes["top"]["rule_capacity"] = 0
+        g.nodes["s2"]["rule_capacity"] = 5
+        from repro.core.exceptions import RuleSpaceError
+        from repro.network.topology.custom import CustomTopology
+        net = CustomTopology(g, name="d", max_paths=4).network()
+        rec = FootprintRecorder(net)
+        with rec.trial():
+            with pytest.raises(RuleSpaceError):
+                rec.place(ab_flow("new", 10.0), TOP)
+        assert rec.footprint().nodes == frozenset({"s1", "top"})
+
 
 class TestDrawCountingRandom:
     def test_counts_and_preserves_stream(self):
@@ -198,6 +237,41 @@ class TestDrawCountingRandom:
     def test_zero_draws_when_unused(self):
         counting = DrawCountingRandom(random.Random(1))
         assert counting.draws == 0
+
+    def test_unseeded_wrapper_gauss_delegates(self):
+        """The wrapper seeds no generator of its own, yet ``gauss`` works:
+        both of its draws come from the base, and its spare value is
+        handed out on the next call as a plain Random's is."""
+        base, direct = random.Random(9), random.Random(9)
+        counting = DrawCountingRandom(base)
+        assert counting.getstate()[1][:3] == (0, 0, 0)  # never seeded
+        assert [counting.gauss(0, 1) for _ in range(3)] == \
+            [direct.gauss(0, 1) for _ in range(3)]
+        assert counting.draws == 4
+        # The spare lives on the wrapper, so compare the generator states.
+        assert base.getstate()[1] == direct.getstate()[1]
+
+    def test_probed_plan_draws_like_plain_plan(self):
+        """A probed plan and a plain ``plan_event`` make the same draws:
+        the same plan, the same count, and the same base RNG state after."""
+        from repro.core.flow import Flow
+        net, provider = diamond_setup()
+        net.place(Flow(flow_id="bgt", src="c", dst="d", demand=45.0),
+                  ("c", "s1", "top", "s2", "d"))
+        net.place(Flow(flow_id="bgb", src="c", dst="d", demand=50.0),
+                  ("c", "s1", "bot", "s2", "d"))
+        event = make_event([ab_flow("dr1", 60.0), ab_flow("dr2", 5.0)])
+        planner = EventPlanner(provider)
+        plain_rng, probed_rng = random.Random(11), random.Random(11)
+        counted = DrawCountingRandom(plain_rng)
+        plain = planner.plan_event(net, event, counted)
+        before = net.export_state()
+        probed, footprint = planner.plan_event_probed(net, event, probed_rng)
+        assert counted.draws > 0 and footprint is None
+        assert probed.flow_plans == plain.flow_plans
+        assert probed.planning_ops == plain.planning_ops
+        assert probed_rng.getstate() == plain_rng.getstate()
+        assert net.export_state() == before
 
 
 # ------------------------------------------------------------------ ProbeCache

@@ -1200,6 +1200,37 @@ class TestCheckpointPayload:
                       (tmp_path / "baseline").iterdir()) == sorted(
             [JOURNAL_FILE, CHECKPOINT_FILE, HEARTBEAT_FILE])
 
+    def test_heartbeat_at_most_once_per_wall_second(self, tmp_path,
+                                                    monkeypatch):
+        """The heartbeat is rewritten only once ``HEARTBEAT_INTERVAL_S``
+        of wall time passed since the last write; the first and the final
+        write always land, and the final one names the last round."""
+        writes = []
+        replace = service_mod.replace_text
+
+        def recording(path, text):
+            if path.name == HEARTBEAT_FILE:
+                writes.append(json.loads(text)["round"])
+            replace(path, text)
+
+        clock = [0.0]
+        monkeypatch.setattr(service_mod, "replace_text", recording)
+        monkeypatch.setattr(service_mod.time, "monotonic", lambda: clock[0])
+        set_flow_id_state(0)
+        set_event_id_state(0)
+        service = build_service(tmp_path / "state")
+
+        def tick(hook):  # 0.4 s of wall time per settled round
+            clock[0] += 0.4
+
+        service._sim.hooks.subscribe(PostRound, tick)
+        report = service.serve()
+        assert report.rounds >= 8
+        # Round r's write sees 0.4 * (r - 1) s: rounds 4, 7, 10, ...
+        assert writes == [0, *range(4, report.rounds + 1, 3), report.rounds]
+        assert json.loads((tmp_path / "state" / HEARTBEAT_FILE)
+                          .read_text())["round"] == report.rounds
+
     @pytest.mark.parametrize("spec", [
         # Tight links and no deferral budget: some events drop.
         {"capacity": 10.0, "max_deferrals": 0, "max_events": 24},

@@ -12,7 +12,6 @@ from repro.core.planner import EventPlanner
 from repro.network.network import Network
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.custom import CustomTopology
-from repro.network.view import NetworkView
 
 
 def rules_diamond(top_rules=None, bot_rules=None, capacity=100.0):
@@ -117,36 +116,43 @@ class TestNetworkRules:
 
 
 class TestViewRules:
+    """Rule accounting inside a trial (``Network.trial``)."""
+
     def test_view_overlay_isolated(self):
         net = rules_diamond(top_rules=2).network()
-        view = NetworkView(net)
-        view.place(flow("v1"), TOP)
-        assert view.rules_used("top") == 1
+        with net.trial():
+            net.place(flow("v1"), TOP)
+            assert net.rules_used("top") == 1
+            assert net.node_version("top") == 1
         assert net.rules_used("top") == 0
+        assert net.node_version("top") == 0
 
     def test_view_enforces_limits(self):
         net = rules_diamond(top_rules=1).network()
-        view = NetworkView(net)
-        view.place(flow("v1"), TOP)
-        with pytest.raises(RuleSpaceError):
-            view.place(flow("v2"), TOP)
+        with net.trial():
+            net.place(flow("v1"), TOP)
+            with pytest.raises(RuleSpaceError):
+                net.place(flow("v2"), TOP)
 
     def test_commit_lands_rules_in_base(self):
         net = rules_diamond(top_rules=2).network()
-        view = NetworkView(net)
-        view.place(flow("v1"), TOP)
-        view.commit()
+        with net.trial() as trial:
+            net.place(flow("v1"), TOP)
+            trial.keep()
         assert net.rules_used("top") == 1
         net.check_invariants()
 
     def test_remove_in_view_frees_rules(self):
         net = rules_diamond(top_rules=1).network()
         net.place(flow("f1"), TOP)
-        view = NetworkView(net)
-        view.remove("f1")
-        assert view.rules_used("top") == 0
-        view.place(flow("v1"), TOP)  # slot freed in the view
-        assert net.rules_used("top") == 1  # base untouched
+        with net.trial():
+            net.remove("f1")
+            assert net.rules_used("top") == 0
+            net.place(flow("v1"), TOP)  # slot freed in the trial
+        assert net.rules_used("top") == 1  # dropped: f1 holds it again
+        assert net.node_version("top") == 1
+        assert net.placement("f1").path == TOP
+        net.check_invariants()
 
 
 class TestPlannerWithRules:
