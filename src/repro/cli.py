@@ -109,8 +109,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshot-every", type=float, default=60.0,
                         metavar="T",
                         help="simulated seconds between live metric "
-                             "snapshots (default 60; 0 disables; writes "
-                             "no checkpoint)")
+                             "snapshots (default 60; 0 disables)")
     parser.add_argument("--snapshot-dir", default="service-snapshots",
                         help="directory for snapshots.jsonl / latest.json "
                              "/ metrics.prom (default service-snapshots/)")
@@ -132,13 +131,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "over-subscription bound as a fraction of "
                              "link capacity (default 0.0)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="enable crash recovery: write-ahead journal, "
-                             "supervisor heartbeat and a checkpoint written "
-                             "at a signalled stop and at the end live here; "
-                             "a crash resumes by replaying the journal "
-                             "(default: disabled)")
+                        help="enable crash recovery: the write-ahead "
+                             "journal, the supervisor heartbeat and the "
+                             "final report live here (default: disabled)")
     parser.add_argument("--resume", action="store_true",
-                        help="continue the run recorded in --state-dir "
+                        help="continue the run recorded in --state-dir: "
+                             "re-run the spec from its start, checking it "
+                             "against the journal record by record "
                              "(requires the same spec flags as the "
                              "original run)")
     parser.add_argument("--fresh", action="store_true",
@@ -183,9 +182,9 @@ def build_service(args, resume: bool = False):
     """Build the (simulator, stream, service) triple for ``repro serve``.
 
     ``resume`` rebuilds the *identical* spec and asks the service to
-    continue the run in ``--state-dir`` (replaying its journal, or
-    restoring its stop checkpoint); everything else about the
-    construction must not depend on it.
+    continue the run in ``--state-dir`` (re-running it against its
+    journal); everything else about the construction must not depend on
+    it.
     """
     from dataclasses import replace
 
@@ -259,7 +258,7 @@ def _serve(argv: list[str]) -> int:
     except RecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"stopped ({report.stopped}): ingested={report.ingested} "
+    print(f"stopped={report.stopped} ingested={report.ingested} "
           f"completed={report.completed} dropped={report.dropped} "
           f"rounds={report.rounds} audits={report.audits} "
           f"pauses={report.backpressure_pauses} "

@@ -94,19 +94,11 @@ class UpdateEvent:
         return max(f.service_time for f in self.flows)
 
     def to_payload(self) -> dict:
-        """JSON-ready encoding; exact inverse of :meth:`from_payload`."""
+        """JSON-ready encoding, as the journal's ``ingest`` record holds
+        it."""
         return {"event_id": self.event_id,
                 "flows": [f.to_payload() for f in self.flows],
                 "arrival_time": self.arrival_time, "label": self.label}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "UpdateEvent":
-        """Rebuild an event from :meth:`to_payload` output."""
-        return cls(event_id=payload["event_id"],
-                   flows=tuple(Flow.from_payload(f)
-                               for f in payload["flows"]),
-                   arrival_time=payload["arrival_time"],
-                   label=payload["label"])
 
 
 def make_event(flows, arrival_time: float = 0.0, label: str = "",

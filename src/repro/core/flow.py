@@ -124,25 +124,12 @@ class Flow:
         return _replace(self, **changes)
 
     def to_payload(self) -> dict:
-        """JSON-ready encoding; exact inverse of :meth:`from_payload`.
-
-        Floats survive the JSON round-trip bit-exactly (repr-based), which
-        the crash-recovery checkpoints rely on: a restored flow must have
-        the identical demand, or residual arithmetic diverges.
-        """
+        """JSON-ready encoding (floats in repr form, so the journal's
+        byte-for-byte replay check sees every bit of a demand)."""
         return {"flow_id": self.flow_id, "src": self.src, "dst": self.dst,
                 "demand": self.demand, "size": self.size,
                 "duration": self.duration, "event_id": self.event_id,
                 "kind": self.kind.value}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Flow":
-        """Rebuild a flow from :meth:`to_payload` output."""
-        return cls(flow_id=payload["flow_id"], src=payload["src"],
-                   dst=payload["dst"], demand=payload["demand"],
-                   size=payload["size"], duration=payload["duration"],
-                   event_id=payload["event_id"],
-                   kind=FlowKind(payload["kind"]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,11 +1,11 @@
 """Small filesystem and artifact-identity utilities shared across the
 library.
 
-Result artifacts (trace logs, experiment JSON, service checkpoints) are
-what resume logic and downstream tooling trust, so they must never be
-observable half-written. :func:`atomic_write_text` provides the standard
-write-to-temp-then-rename pattern: a crash or interrupt mid-write leaves
-either the previous content or the complete new content, never a
+Result artifacts (trace logs, experiment JSON, the service's final
+report) are what resume logic and downstream tooling trust, so they must
+never be observable half-written. :func:`atomic_write_text` provides the
+standard write-to-temp-then-rename pattern: a crash or interrupt mid-write
+leaves either the previous content or the complete new content, never a
 truncated file. :func:`replace_text` is the same rename without the
 fsyncs, for files no resume reads (live snapshots, the heartbeat).
 :func:`payload_fingerprint` is the shared content hash those artifacts
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 from hashlib import sha256
 from pathlib import Path
 from typing import Any
@@ -41,7 +40,7 @@ def payload_fingerprint(payload: Any, length: int = 16) -> str:
 
     Canonicalizes with sorted keys (and ``str()`` for stray non-JSON
     leaves), so the fingerprint depends only on content, not dict insertion
-    order. The service's snapshot and checkpoint loaders use it to verify
+    order. The service's snapshot and final-report loaders use it to verify
     what :func:`fingerprinted_json` wrote.
     """
     return _digest(_canonical_json(payload), length)
@@ -60,24 +59,6 @@ def fingerprinted_json(payload: dict[str, Any]) -> str:
                          "without a 'fingerprint' member")
     blob = _canonical_json(payload)
     return f'{blob[:-1]}, "fingerprint": "{_digest(blob)}"}}'
-
-
-def rng_state_payload(rng: random.Random) -> list:
-    """JSON-ready encoding of a ``random.Random`` state.
-
-    ``getstate()`` returns ``(version, tuple_of_ints, gauss_next)``; JSON
-    has no tuples, so the shape is normalized to nested lists. Exact
-    round-trip: ints are ints and ``gauss_next`` (a float or None) survives
-    JSON's repr-based float encoding bit-for-bit.
-    """
-    version, internal, gauss_next = rng.getstate()
-    return [version, list(internal), gauss_next]
-
-
-def set_rng_state(rng: random.Random, payload: list) -> None:
-    """Restore a ``random.Random`` from :func:`rng_state_payload` output."""
-    version, internal, gauss_next = payload
-    rng.setstate((version, tuple(internal), gauss_next))
 
 
 def fsync_dir(path: str | Path) -> None:

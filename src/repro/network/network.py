@@ -32,8 +32,7 @@ overwrote, and for a removal the position the id held in each link's flow
 list); keeping a trial is O(1), and dropping it undoes the trail newest
 first, restoring every column bit for bit. A flow removed inside a trial
 keeps its slot in the flow table as a ``None`` tombstone, so a drop puts
-it back where it was and the table's order (which :meth:`export_state`
-writes) never moves.
+it back where it was and the table's order never moves.
 """
 
 from __future__ import annotations
@@ -228,18 +227,8 @@ class Network(NetworkState):
         """The raw used column — callers must not mutate it."""
         return self._used_col
 
-    def used_idx(self, i: int) -> float:
-        return self._used_col[i]
-
-    def capacity_idx(self, i: int) -> float:
-        return self._cap_col[i]
-
     def link_version_idx(self, i: int) -> int:
         return self._ver_col[i]
-
-    def flows_idx(self, i: int) -> list[str]:
-        """The live flow list of link ``i`` — callers must not mutate it."""
-        return self._flows_col[i]
 
     def _link_index(self, u: str, v: str) -> int:
         i = self._table.index.get((u, v))
@@ -626,63 +615,6 @@ class Network(NetworkState):
                 assert self._rules_used_col[ni] <= self._rule_cap_col[ni], (
                     f"switch {node} rule table over budget: "
                     f"{self._rules_used_col[ni]} > {self._rule_cap_col[ni]}")
-
-    # -------------------------------------------------------- checkpointing
-
-    def export_state(self) -> dict:
-        """JSON-ready encoding of the mutable network state.
-
-        The topology graph and link table are rebuildable from the scenario
-        spec, so only the state columns and the flow table are exported.
-        The float columns are carried verbatim (not re-derived from the
-        placements) because the original values embed this run's exact
-        addition/subtraction history — re-summing demands in a different
-        order rounds differently, and residual comparisons sit on those
-        last bits. No trial may be open.
-        """
-        assert self._trail is None, "export_state inside an open trial"
-        placements = [
-            {"flow": p.flow.to_payload(), "path": list(p.path)}
-            for p in self._placements.values()]
-        return {
-            "placements": placements,
-            "cap_col": list(self._cap_col),
-            "used_col": list(self._used_col),
-            "ver_col": list(self._ver_col),
-            "rules_used_col": list(self._rules_used_col),
-            "node_ver_col": list(self._node_ver_col),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite this network's mutable state from :meth:`export_state`.
-
-        Must be called on a network built from the *same* topology (same
-        link table layout); placements are rebuilt in export order, each on
-        a path indexed against this network's table, and all columns are
-        overwritten bit-exactly. No trial may be open.
-        """
-        assert self._trail is None, "restore_state inside an open trial"
-        n = len(self._table)
-        if len(state["used_col"]) != n or len(state["cap_col"]) != n:
-            raise TopologyError(
-                f"checkpointed network has {len(state['used_col'])} links, "
-                f"this topology has {n}; wrong scenario for this state")
-        self._placements.clear()
-        for col in self._flows_col:
-            col.clear()
-        for entry in state["placements"]:
-            flow = Flow.from_payload(entry["flow"])
-            placement = Placement(
-                flow=flow, path=CandidatePath.of(entry["path"], self._table))
-            fid = flow.flow_id
-            for i in placement.path.link_idx:
-                self._flows_col[i].append(fid)
-            self._placements[fid] = placement
-        self._cap_col = [float(v) for v in state["cap_col"]]
-        self._used_col = [float(v) for v in state["used_col"]]
-        self._ver_col[:] = [int(v) for v in state["ver_col"]]
-        self._rules_used_col[:] = [int(v) for v in state["rules_used_col"]]
-        self._node_ver_col[:] = [int(v) for v in state["node_ver_col"]]
 
     # ----------------------------------------------------------------- copies
 

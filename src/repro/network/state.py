@@ -7,11 +7,11 @@ interface. The planner and schedulers try changes on the state itself, in a
 leaves no side effect — the heart of LMTF's cheap cost sampling.
 
 Both share the network's one :class:`~repro.network.link.LinkTable`
-(``link_table()``; the network adds int-keyed reads over it, ``used_idx``,
-``flows_idx``, ``link_version_idx``), and every path they hold is a
-:class:`~repro.network.routing.candidate.CandidatePath` of that table: a
-plain node sequence is converted once, at ``place``. The string-keyed
-reads below are one index lookup each.
+(``link_table()``; the network adds reads indexed by it: the raw
+``capacity_col``/``used_col`` columns and ``link_version_idx``), and every
+path they hold is a :class:`~repro.network.routing.candidate.CandidatePath`
+of that table: a plain node sequence is converted once, at ``place``. The
+string-keyed reads below are one index lookup each.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.event import UpdateEvent
 from repro.core.flow import Flow
@@ -171,22 +171,6 @@ class Scheduler(abc.ABC):
 
     def reset(self) -> None:
         """Clear any per-run internal state (round-robin pointers etc.)."""
-
-    # ------------------------------------------------------- checkpointing
-    #
-    # Crash-recovery checkpoints must capture whatever scheduler state
-    # affects future decisions (sampling RNGs, online models, EWMAs) so a
-    # restored run draws the exact same candidate samples. Stateless
-    # policies inherit the empty default; caches/memos that only change
-    # wall-clock behavior (never decisions) are deliberately excluded and
-    # restart cold.
-
-    def export_state(self) -> dict[str, Any]:
-        """JSON-ready encoding of decision-affecting mutable state."""
-        return {}
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Restore from :meth:`export_state` output."""
 
     # --------------------------------------------------------------- helpers
 

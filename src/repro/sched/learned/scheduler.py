@@ -159,32 +159,6 @@ class LearnedLMTFScheduler(LMTFScheduler):
         self._round_fallback = False
         self._round_skipped = 0
 
-    def export_state(self) -> dict:
-        """Checkpoint the RNG (inherited), model, and recency EWMAs.
-
-        The feature-memo extractor restarts cold: its entries are pure
-        memoizations of static (demand, desired-path) pairs, so a cold
-        extractor recomputes identical vectors — only wall clock differs.
-        Per-round handoff state is empty at checkpoint time (checkpoints
-        are engine-callback boundaries, never mid-``select``).
-        """
-        state = super().export_state()
-        state["model"] = self._model.to_dict()
-        state["congestion"] = self._congestion
-        state["fault_pressure"] = self._fault_pressure
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._model = OnlineRidge.from_dict(state["model"])
-        self._congestion = state["congestion"]
-        self._fault_pressure = state["fault_pressure"]
-        if self._extractor is not None:
-            self._extractor.clear()
-        self._round_features = {}
-        self._round_fallback = False
-        self._round_skipped = 0
-
     # ------------------------------------------------------------------ API
 
     def probe_targets(self, ctx: SchedulingContext) -> list[QueuedEvent]:

@@ -68,20 +68,6 @@ class LMTFScheduler(Scheduler):
         if self._cache is not None:
             self._cache.clear()
 
-    def export_state(self) -> dict:
-        """Checkpoint the sampling RNG; the probe cache restarts cold.
-
-        Cache entries never change decisions (a hit returns the identical
-        plan a fresh probe would produce), so dropping them costs only
-        warm-up misses — while serializing them would mean encoding plans.
-        """
-        from repro.core.ioutil import rng_state_payload
-        return {"sample_rng": rng_state_payload(self._sample_rng)}
-
-    def restore_state(self, state: dict) -> None:
-        from repro.core.ioutil import set_rng_state
-        set_rng_state(self._sample_rng, state["sample_rng"])
-
     # ------------------------------------------------------------------ API
 
     def select(self, ctx: SchedulingContext) -> RoundDecision:

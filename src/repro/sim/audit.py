@@ -207,53 +207,6 @@ class LifecycleAuditor:
                 f"drain audit failed (t={sim.now:.6f}): {detail}",
                 diff=failed)
 
-    def assert_restored(self, journal_records: list[dict]) -> None:
-        """Cross-check a checkpoint-restored simulator against its journal.
-
-        ``journal_records`` must be the journal *prefix* the checkpoint
-        covers (every record appended up to the checkpoint's recorded
-        offset). Journal and checkpoint were written by independent code
-        paths — the journal per-record at commit time, the checkpoint at
-        the tick, from the ledgers' own counters — so agreement here means
-        a torn/stale/mixed state dir could not have slipped through:
-
-        * ``ingest`` records match the restored lifecycle's registered
-          population (every journaled arrival is known, none invented),
-        * ``complete``/``drop`` records match both the lifecycle's
-          terminal counts and the metrics collector's counters,
-        * the standard ad-hoc ledger audit passes on the restored state.
-
-        Raises :class:`AuditError` with the usual machine-readable diff.
-        """
-        sim = self._require_sim()
-        counts = sim.lifecycle.counts()
-        collector = sim.metrics_collector
-        by_kind: dict[str, int] = {}
-        for record in journal_records:
-            kind = str(record.get("kind"))
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-        checks: dict[str, tuple[Any, Any]] = {
-            "journal_ingests_vs_lifecycle_registered": (
-                by_kind.get("ingest", 0), len(sim.lifecycle)),
-            "journal_completes_vs_lifecycle": (
-                by_kind.get("complete", 0), counts[EventState.COMPLETED]),
-            "journal_completes_vs_metrics": (
-                by_kind.get("complete", 0), collector.completed_count),
-            "journal_drops_vs_lifecycle": (
-                by_kind.get("drop", 0), counts[EventState.DROPPED]),
-            "journal_drops_vs_metrics": (
-                by_kind.get("drop", 0), collector.dropped_count),
-        }
-        failed = {name: pair for name, pair in checks.items()
-                  if pair[0] != pair[1]}
-        if failed:
-            detail = "; ".join(f"{name}: observed {obs!r}, expected {exp!r}"
-                               for name, (obs, exp) in failed.items())
-            raise AuditError(
-                f"restore audit failed (t={sim.now:.6f}): {detail}",
-                diff=failed)
-        self.audit()
-
     def _require_sim(self) -> SimulatorPort:
         if self._sim is None:
             raise SimulationError("auditor not attached to a simulator")

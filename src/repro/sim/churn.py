@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.exceptions import (
     InsufficientBandwidthError,
-    SimulationError,
     UnknownFlowError,
 )
 from repro.core.flow import Flow, FlowKind
@@ -101,13 +100,7 @@ class ChurnDriver:
             partial(self._on_background_finish, flow_id), "churn:" + flow_id))
 
     def _on_background_finish(self, flow_id: str) -> None:
-        """A background flow's transmission ended (engine callback).
-
-        Keyed by ``flow_id`` alone so the pending callback is fully
-        described by its ``churn:<flow_id>`` engine tag — checkpoint
-        restore rebuilds the heap entry from the tag without having to
-        serialize the Flow object it closed over.
-        """
+        """A background flow's transmission ended (engine callback)."""
         try:
             self._network.remove(flow_id)
         except UnknownFlowError:
@@ -120,46 +113,6 @@ class ChurnDriver:
             respawned = self._respawn_background()
         self._emit(ChurnTick(self._engine.now, flow_id, respawned))
         self._pipeline.maybe_round()
-
-    # -------------------------------------------------------- checkpointing
-
-    def export_state(self) -> dict:
-        """JSON-ready encoding of the driver's mutable state.
-
-        Covers the respawn deficit plus the two RNG streams respawns draw
-        from: the trace generator's own RNG (flow shapes/endpoints) and
-        the loader's path-tiebreak RNG. Pending ``churn:<flow_id>`` engine
-        entries are *not* exported here — they live in the engine heap
-        export and are re-bound via :meth:`resolve_tag`.
-        """
-        from repro.core.ioutil import rng_state_payload
-        state: dict = {"deficit": self._deficit}
-        if self._trace is not None:
-            state["trace_rng"] = rng_state_payload(self._trace.rng)
-            state["trace_serial"] = self._trace._serial
-        if self._loader is not None:
-            state["loader_rng"] = rng_state_payload(self._loader.rng)
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite the driver's state from :meth:`export_state` output."""
-        from repro.core.ioutil import set_rng_state
-        self._deficit = int(state["deficit"])
-        if self._trace is not None and "trace_rng" in state:
-            set_rng_state(self._trace.rng, state["trace_rng"])
-            self._trace._serial = int(state["trace_serial"])
-        if self._loader is not None and "loader_rng" in state:
-            set_rng_state(self._loader.rng, state["loader_rng"])
-
-    def resolve_tag(self, tag: str):
-        """Rebuild the engine callback a ``churn:<flow_id>`` tag denotes,
-        or None for tags the driver does not own."""
-        if not tag.startswith("churn:"):
-            return None
-        flow_id = tag[len("churn:"):]
-        if not flow_id:
-            raise SimulationError(f"malformed churn tag {tag!r}")
-        return partial(self._on_background_finish, flow_id)
 
     def _respawn_background(self) -> int:
         """Replace a completed background flow, keeping utilization level;

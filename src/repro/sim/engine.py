@@ -21,7 +21,7 @@ change simulation results, only keep the heap small.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.exceptions import SimulationError
 
@@ -102,10 +102,6 @@ class SimulationEngine:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
         self._heap: list[tuple[float, int, EventHandle]] = []
-        # Plain int rather than itertools.count: the next value must be
-        # exportable for checkpoint/restore, and (time, seq) order *is* the
-        # schedule, so a restored engine has to keep allocating from the
-        # exact point the original stopped at.
         self._next_seq = 0
         self._processed = 0
         self._cancelled = 0
@@ -230,65 +226,6 @@ class SimulationEngine:
                 raise SimulationError(
                     f"engine executed {executed} events without draining; "
                     f"likely a scheduling livelock")
-
-    # ------------------------------------------------------ checkpointing
-
-    def export_state(self) -> dict[str, Any]:
-        """Serializable engine state for a checkpoint.
-
-        Live heap entries export as ``(time, seq, tag)`` triples — the
-        callback itself is reconstructed at restore time from the tag, so
-        every pending callback must be a :class:`TaggedCallback`. Tombstones
-        are dropped: they cannot affect pop order, only heap size.
-
-        Raises:
-            SimulationError: a live pending callback is untagged and
-                therefore not reconstructible.
-        """
-        entries: list[dict[str, Any]] = []
-        for time, seq, event in sorted(self._heap):
-            if event._cancelled:
-                continue
-            callback = event._callback
-            if not isinstance(callback, TaggedCallback):
-                raise SimulationError(
-                    f"cannot export untagged pending callback {callback!r}; "
-                    f"checkpointable runs must schedule via "
-                    f"schedule_callback()")
-            entries.append({"time": time, "seq": seq, "tag": callback.tag})
-        return {"now": self._now, "next_seq": self._next_seq,
-                "processed": self._processed, "entries": entries}
-
-    def restore_state(self, state: dict[str, Any],
-                      resolver: Callable[[str], Callable[[], None]],
-                      ) -> dict[str, EventHandle]:
-        """Rebuild clock, seq counter, and pending heap from a checkpoint.
-
-        ``resolver`` maps a callback tag back to the callable to run —
-        closures cannot be serialized, so the owning components re-bind
-        them from the tag's embedded identifiers. Entries keep their
-        original ``(time, seq)`` so pop order is byte-identical to the
-        run that wrote the checkpoint.
-
-        Returns a tag → :class:`EventHandle` map so owners that kept a
-        cancellable handle (the service's pending arrival and snapshot
-        timer) can re-acquire it. Duplicate tags keep the last handle —
-        none of the handle-holding tags can legally repeat.
-        """
-        if self._heap or self._processed or self._next_seq:
-            raise SimulationError("restore_state requires a fresh engine")
-        self._now = float(state["now"])
-        self._next_seq = int(state["next_seq"])
-        self._processed = int(state["processed"])
-        self._cancelled = 0
-        handles: dict[str, EventHandle] = {}
-        for entry in state["entries"]:
-            tag = str(entry["tag"])
-            time, seq = float(entry["time"]), int(entry["seq"])
-            handle = handles[tag] = EventHandle(
-                time, TaggedCallback(resolver(tag), tag), self)
-            heapq.heappush(self._heap, (time, seq, handle))
-        return handles
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1

@@ -112,7 +112,8 @@ _COUNTERS: tuple[tuple[str, str, _Source], ...] = (
      "fallback_rounds"),
     # Crash-recovery health (zero on runs without a state dir).
     ("restarts",
-     "Resumes this run went through (a journal replay counts 1).", None),
+     "1 when this run is a resume (a re-run of its journal), else 0.",
+     None),
     ("journal_records", "Records appended to the write-ahead journal.",
      None),
     ("recovery_replayed_events",
@@ -122,11 +123,6 @@ _COUNTERS: tuple[tuple[str, str, _Source], ...] = (
      "Probe-cache entries dropped by completion/drop purges.",
      _probe_cache_purges),
 )
-
-#: Rendered, but left out of :attr:`CounterExporter.counters` (and so of
-#: snapshots and ``ServiceReport``): the probe cache restarts cold on a
-#: resume, so its own purge count does not describe the run.
-_RENDER_ONLY = frozenset({"probe_cache_purges"})
 
 #: (gauge name, help text, reader) in render order.
 _GAUGES: tuple[tuple[str, str, Callable[[SimulatorPort], int | float]],
@@ -214,8 +210,7 @@ class CounterExporter:
     def counters(self) -> dict[str, int]:
         """Current counter values (a fresh dict)."""
         return {name: self._read(name, source)
-                for name, _, source in _COUNTERS
-                if name not in _RENDER_ONLY}
+                for name, _, source in _COUNTERS}
 
     def render(self) -> str:
         """The Prometheus text exposition (counters, then gauges)."""

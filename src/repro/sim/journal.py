@@ -2,20 +2,19 @@
 
 The journal (``journal.wal``) records every externally visible commitment
 *before* it is acknowledged to the rest of the pipeline: an ingested
-arrival entering the queue, and a terminal completion/drop together with
+arrival entering the queue, a terminal completion/drop together with
 the event's settled entry (its metrics record, registration index and
-origin). It is the only place settled state is persisted, so the
-checkpoint (:mod:`repro.sim.snapshot`), written only when the service
-stops, carries live state only and names how much of the journal it
-covers. A crash leaves no checkpoint: the resume re-drives the
-deterministic simulator from the start while cross-checking each
-re-produced record against the journal.
+origin), and the serve-loop step at which a signal ended ingestion. A
+resume re-drives the deterministic simulator from the start while
+cross-checking each re-produced record against the journal; the final
+report (:mod:`repro.sim.snapshot`) only names how much of the journal
+the finished run covered.
 
 Durability is a group commit. Each append is written and flushed at once,
 so a killed process loses no acknowledged record (the bytes sit in the
 page cache); the fsync is a barrier the caller runs with
 :meth:`JournalWriter.sync` — the service runs it once per engine instant
-and before every checkpoint, so power loss can drop at most the records
+and before the final report, so power loss can drop at most the records
 of the instant in progress, which a deterministic re-run re-produces.
 
 Frame format (little-endian), one frame per record::

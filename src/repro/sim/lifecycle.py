@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, TypeVar
+from typing import Any
 
 from repro.core.exceptions import SimulationError
 
@@ -82,39 +82,6 @@ TERMINAL_STATES: frozenset[EventState] = frozenset(
     if not successors)
 
 
-#: The journal's terminal record kinds and the state each one settles.
-OUTCOME_STATES: dict[str, EventState] = {
-    "complete": EventState.COMPLETED, "drop": EventState.DROPPED}
-
-_T = TypeVar("_T")
-
-
-def in_registration_order(settled: Iterable[tuple[int, _T]],
-                          live: Iterable[_T]) -> list[_T]:
-    """Rebuild a registration-ordered population from its two halves.
-
-    A checkpoint stores the live events in registration order; the
-    journal's terminal records hold the settled ones in *settlement*
-    order, each with the registration index it had. The terminal events
-    take their recorded slots and the live ones fill the gaps in the order
-    they come.
-
-    Raises:
-        ValueError: the halves do not tile one sequence (an index out of
-            range or taken twice) — they come from different runs.
-    """
-    settled = list(settled)
-    placed = dict(settled)
-    rest = list(live)
-    total = len(settled) + len(rest)
-    if (len(placed) != len(settled)
-            or any(not 0 <= index < total for index in placed)):
-        raise ValueError(
-            f"settled registration indices do not tile {total} events")
-    gaps = iter(rest)
-    return [placed[index] if index in placed else next(gaps)
-            for index in range(total)]
-
 
 class IllegalTransitionError(SimulationError):
     """An event attempted a move the lifecycle does not allow."""
@@ -154,10 +121,9 @@ class EventLifecycle:
         self._history: dict[str, list[TransitionRecord]] = {}
         self._history_limit = history_limit
         self._transitions = 0
-        # Non-terminal events -> registration index, so a checkpoint
-        # exports the live entries in O(live) whatever the age of the
-        # registry. An event leaves it when it settles; its index stays in
-        # ``_last_settled`` until the next one settles.
+        # Non-terminal events -> registration index. An event leaves it
+        # when it settles; its index stays in ``_last_settled`` (what its
+        # terminal journal record carries) until the next one settles.
         self._live: dict[str, int] = {}
         self._last_settled: tuple[str, int] | None = None
         # State populations maintained incrementally so counts() stays O(1)
@@ -225,28 +191,7 @@ class EventLifecycle:
         self._transitions += 1
         return record
 
-    # -------------------------------------------------------- checkpointing
-
-    def export_state(self) -> dict[str, Any]:
-        """JSON-ready encoding of the *live* part of the registry.
-
-        Carries the non-terminal events (state, origin, bounded transition
-        history), the per-state populations and the transition counter.
-        Terminal entries never change again; the journal's terminal
-        record carries each one (:meth:`settled_entry`), so a checkpoint
-        costs O(live events) however long the service has run.
-        """
-        return {
-            "states": {eid: self._states[eid].value for eid in self._live},
-            "origins": {eid: self._origins[eid] for eid in self._live},
-            "counts": {s.value: n for s, n in self._counts.items()},
-            "transitions": self._transitions,
-            "histories": {
-                eid: [{"frm": r.frm.value if r.frm is not None else None,
-                       "to": r.to.value, "at": r.at}
-                      for r in self._history.get(eid, ())]
-                for eid in self._live},
-        }
+    # ------------------------------------------------------- settled entry
 
     def settled_entry(self, event_id: str) -> dict[str, Any]:
         """Registration index and origin of ``event_id``, the event that
@@ -262,34 +207,6 @@ class EventLifecycle:
                 f"({self._last_settled!r})")
         return {"index": self._last_settled[1],
                 "origin": self._origins[event_id]}
-
-    def restore_state(self, state: dict[str, Any],
-                      settled: list[dict[str, Any]]) -> None:
-        """Overwrite this registry from :meth:`export_state` output plus
-        the terminal journal records (``kind``, ``event`` and the
-        :meth:`settled_entry` fields) of every event settled before it."""
-        if self._states:
-            raise IllegalTransitionError(
-                "restore_state requires an empty lifecycle registry")
-        entries = in_registration_order(
-            ((e["index"], (e["event"], OUTCOME_STATES[e["kind"]],
-                           e["origin"]))
-             for e in settled),
-            ((eid, EventState(value), state["origins"][eid])
-             for eid, value in state["states"].items()))
-        self._states = {eid: to for eid, to, _ in entries}
-        self._origins = {eid: origin for eid, _, origin in entries}
-        self._live = {eid: index for index, (eid, _, _) in enumerate(entries)
-                      if eid in state["states"]}
-        self._transitions = int(state["transitions"])
-        self._counts = {s: int(state["counts"][s.value]) for s in EventState}
-        self._history = {
-            eid: [TransitionRecord(
-                event_id=eid,
-                frm=EventState(r["frm"]) if r["frm"] is not None else None,
-                to=EventState(r["to"]), at=r["at"])
-                for r in records]
-            for eid, records in state["histories"].items()}
 
     # -------------------------------------------------------------- queries
 

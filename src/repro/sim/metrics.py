@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Iterable, KeysView
+from typing import Any, Callable, KeysView
 
 from repro.sim import hooks as _hooks
-from repro.sim.lifecycle import EventState, in_registration_order
+from repro.sim.lifecycle import EventState
 
 #: The lifecycle states of an event that sits in the scheduler queue.
 _QUEUE_STATES = frozenset({EventState.QUEUED, EventState.PROBED})
@@ -226,9 +226,10 @@ class RunCounter:
 
 
 #: Every run-level total, declared once. :class:`MetricsCollector` folds
-#: them, checkpoints them and hands :class:`RunMetrics` the ones that are
-#: fields of it; the Prometheus exporter (:mod:`repro.sim.export`) reads
-#: the same totals. ``rounds`` counts decided rounds (``RunMetrics.rounds``)
+#: them, writes them into the service's final report and hands
+#: :class:`RunMetrics` the ones that are fields of it; the Prometheus
+#: exporter (:mod:`repro.sim.export`) reads the same totals. ``rounds``
+#: counts decided rounds (``RunMetrics.rounds``)
 #: and ``rounds_settled`` settled ones (``repro_rounds_total``): a
 #: snapshot tick can land between a round's ``PreRound`` and ``PostRound``.
 #: ``rounds_settled`` is also the clock ``EventRecord.rounds_waited`` is
@@ -282,8 +283,8 @@ class MetricsCollector:
     def __init__(self, scheduler_name: str, bus: _hooks.HookBus):
         self._scheduler = scheduler_name
         self._records: dict[str, EventRecord] = {}
-        # The records no completion or drop has closed yet: what a
-        # checkpoint still has to carry (registration order, like _records).
+        # The records no completion or drop has closed yet (registration
+        # order, like _records).
         self._open: dict[str, EventRecord] = {}
         # Queued events -> ``rounds_settled`` when their current stay in
         # the queue began (or was last settled); the stay is charged to
@@ -400,59 +401,18 @@ class MetricsCollector:
         except KeyError:
             raise ValueError(f"unknown event {event_id}") from None
 
-    # -------------------------------------------------------- checkpointing
+    # ---------------------------------------------------------- final report
 
     def export_state(self) -> dict[str, Any]:
-        """JSON-ready encoding of the open records and all counters.
-
-        A completed or dropped record never changes again; the journal's
-        terminal record carries it (:meth:`export_record`), so a
-        checkpoint costs O(open events) however long the service has run.
-        Open queue stays are settled first, so ``rounds_waited`` counts
-        every round settled so far.
-        """
-        self._settle_waiting()
-        return {
-            "records": [dict(vars(r)) for r in self._open.values()],
-            "completed": self._completed,
-            "dropped": self._dropped,
-            "makespan": self._makespan,
-            "totals": dict(self.totals),
-        }
+        """The run counters, for the service's final report: a resume
+        checks their names against this build's (every record is in the
+        journal, each in its terminal record via :meth:`export_record`)."""
+        return {"totals": dict(self.totals)}
 
     def export_record(self, event_id: str) -> dict[str, Any]:
         """The record fields of one event (a closed one, on its way into
         its terminal journal record)."""
         return dict(vars(self._record(event_id)))
-
-    def restore_state(self, state: dict[str, Any],
-                      settled: list[dict[str, Any]]) -> None:
-        """Overwrite this collector from :meth:`export_state` output plus
-        the terminal journal records (``{"index": registration index,
-        "record": fields, ...}``) of every record closed before it.
-
-        ``state["totals"]`` must hold exactly the declared counters (the
-        service checks that and refuses the checkpoint otherwise).
-        """
-        if self._records:
-            raise ValueError("restore_state requires an empty collector")
-        self._open = {payload["event_id"]: EventRecord(**payload)
-                      for payload in state["records"]}
-        for record in in_registration_order(
-                ((e["index"], EventRecord(**e["record"])) for e in settled),
-                self._open.values()):
-            self._records[record.event_id] = record
-        self._completed = int(state["completed"])
-        self._dropped = int(state["dropped"])
-        self._makespan = state["makespan"]
-        for name, initial in self.totals.items():
-            self.totals[name] = type(initial)(state["totals"][name])
-
-    def restamp_waiting(self, event_ids: Iterable[str]) -> None:
-        """Open a queue stay for each of ``event_ids`` now — the queue of a
-        checkpoint-restored run, whose stays were settled at export."""
-        now = int(self.totals["rounds_settled"])
-        self._waiting_since = dict.fromkeys(event_ids, now)
 
     # ------------------------------------------------------------- finalize
 

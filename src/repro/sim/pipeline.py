@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.exceptions import (
     ControlPlaneError,
@@ -512,10 +512,7 @@ class RoundPipeline:
 
         A mid-round fault may have stranded (removed) the flow; its
         replacement travels in a repair event, but the admission barrier
-        still releases here at the nominal finish time. Identified by
-        ``flow_id`` alone (not the Flow object) so the pending callback is
-        fully described by its engine tag — the property checkpoint
-        restore uses to rebuild the heap.
+        still releases here at the nominal finish time.
         """
         setup_barrier = self._config.round_barrier == "setup"
         if self._network.has_flow(flow_id):
@@ -562,76 +559,6 @@ class RoundPipeline:
         self._event_done_queueing.discard(event_id)
         self._deferral_counts.pop(event_id, None)
         self._forget_scheduler_state(event_id)
-
-    # -------------------------------------------------------- checkpointing
-
-    def export_state(self) -> dict[str, Any]:
-        """JSON-ready encoding of all round/queue state for a checkpoint.
-
-        Queue entries carry the full event payload plus the *ids* of the
-        remaining flows (rebuilt by filtering ``event.flows``, preserving
-        order) and the enqueue seq. Closed rounds are not part of it: their
-        telemetry went out on the hook bus as ``PreRound``.
-        """
-        return {
-            "queue": [{"event": q.event.to_payload(),
-                       "remaining": [f.flow_id for f in q.remaining],
-                       "seq": q.seq}
-                      for q in self._queue],
-            "round_active": self._round_active,
-            "round_outstanding": self._round_outstanding,
-            "round_index": self._round_index,
-            "event_outstanding": dict(self._event_outstanding),
-            "event_done_queueing": sorted(self._event_done_queueing),
-            "events_remaining": self._events_remaining,
-            "enqueue_seq": self._enqueue_seq,
-            "deferral_counts": dict(self._deferral_counts),
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Overwrite this pipeline's state from :meth:`export_state`.
-
-        Lifecycle registration and hook emission are *not* replayed — the
-        lifecycle registry restores separately and the events were already
-        announced in the original run.
-        """
-        from repro.core.event import UpdateEvent as _UpdateEvent
-        if len(self._queue) or self._round_index:
-            raise SimulationError("restore_state requires a fresh pipeline")
-        for entry in state["queue"]:
-            event = _UpdateEvent.from_payload(entry["event"])
-            keep = set(entry["remaining"])
-            remaining = [f for f in event.flows if f.flow_id in keep]
-            self._queue.append(QueuedEvent(event, remaining=remaining,
-                                           seq=int(entry["seq"])))
-        self._round_active = bool(state["round_active"])
-        self._round_outstanding = int(state["round_outstanding"])
-        self._round_index = int(state["round_index"])
-        self._event_outstanding = {
-            eid: int(n) for eid, n in state["event_outstanding"].items()}
-        self._event_done_queueing = set(state["event_done_queueing"])
-        self._events_remaining = int(state["events_remaining"])
-        self._enqueue_seq = int(state["enqueue_seq"])
-        self._deferral_counts = {
-            eid: int(n) for eid, n in state["deferral_counts"].items()}
-
-    def resolve_tag(self, tag: str) -> Callable[[], None] | None:
-        """Rebuild the engine callback a pipeline-owned tag denotes.
-
-        Returns None for tags the pipeline does not own. Covers the three
-        pipeline tags: ``round``, ``end-round``, and
-        ``flow-finish:<event_id>/<flow_id>``.
-        """
-        if tag == "round":
-            return self.maybe_round
-        if tag == "end-round":
-            return self._end_round
-        if tag.startswith("flow-finish:"):
-            event_id, _, flow_id = tag[len("flow-finish:"):].partition("/")
-            if not event_id or not flow_id:
-                raise SimulationError(f"malformed flow-finish tag {tag!r}")
-            return lambda f=flow_id, e=event_id: self._flow_finished(f, e)
-        return None
 
     # -------------------------------------------------------------- helpers
 

@@ -5,7 +5,9 @@ read the metrics. :class:`SimulationService` instead drives an
 :class:`~repro.sim.simulator.UpdateSimulator` as a *daemon*: it pulls
 update events lazily from an unbounded arrival stream (see
 :mod:`repro.traces.arrivals`), applies bounded-queue backpressure, writes
-periodic fingerprinted snapshots, and drains gracefully on SIGINT/SIGTERM.
+periodic fingerprinted snapshots, and drains gracefully on SIGINT/SIGTERM
+(a signalled stop is a ``stop`` journal record naming the serve-loop step
+at which ingestion ended, so a resume stops at that same step).
 The :class:`~repro.sim.audit.LifecycleAuditor` rides along by default so
 bookkeeping drift crashes the service instead of silently corrupting weeks
 of soak-test numbers.
@@ -32,14 +34,13 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from types import FrameType
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.exceptions import SimulationError
 from repro.core.ioutil import (
     atomic_write_text,
     fingerprinted_json,
     replace_text,
-    set_rng_state,
 )
 from repro.sim.crashpoint import crash_point
 from repro.sim.export import CounterExporter, StatsLine
@@ -50,7 +51,6 @@ from repro.sim.journal import (
     encode_record,
     read_frames,
 )
-from repro.sim.lifecycle import OUTCOME_STATES
 from repro.sim.metrics import RunMetrics
 from repro.sim.snapshot import (
     CHECKPOINT_FILE,
@@ -93,7 +93,7 @@ class ServiceConfig:
         horizon: stop ingesting once an arrival would land past this
             simulated time (``None`` = no horizon).
         snapshot_every: simulated seconds between live metric snapshots
-            (0 disables). A tick writes no checkpoint.
+            (0 disables).
         snapshot_dir: directory for ``snapshots.jsonl`` / ``latest.json`` /
             ``metrics.prom`` (``snapshot_every > 0`` needs it or a
             ``state_dir``).
@@ -108,16 +108,16 @@ class ServiceConfig:
             :meth:`SimulationService.serve` call — the runaway backstop
             for unbounded streams.
         state_dir: directory for the crash-recovery state — the
-            write-ahead journal (``journal.wal``, settled events
-            included), the live-state checkpoint (``checkpoint.json``,
-            written only at a signalled stop and at the end) and the
+            write-ahead journal (``journal.wal``), the final report
+            (``checkpoint.json``, written when a run ends) and the
             supervisor heartbeat (``heartbeat.json``). ``None`` disables
             crash recovery.
         resume: continue the run recorded in ``state_dir`` instead of
             starting fresh. The caller must rebuild the *identical*
             simulator and stream (same spec, same seeds); the service
-            re-runs it against the journal, after restoring the stop or
-            final checkpoint if there is one (a crash leaves none).
+            re-runs it from the start with the journal as its
+            verification suffix, after checking the final report if
+            there is one (a crash leaves none).
     """
 
     queue_cap: int = 64
@@ -181,9 +181,8 @@ class ServiceReport:
     #: Chained SHA-256 over terminal outcomes (the schedule digest the
     #: chaos harness compares across interrupted and uninterrupted runs).
     digest: str = _DIGEST_SEED
-    #: Resumes this run went through: 0 uninterrupted, 1 after a journal
-    #: replay (a re-run cannot count earlier ones), checkpoint's + 1 after
-    #: a restore.
+    #: 1 when this run is a resume (a re-run of its journal), else 0: a
+    #: re-run cannot count the resumes before it.
     restarts: int = 0
 
 
@@ -262,9 +261,11 @@ class SimulationService:
         #: ``snapshots.jsonl``; the ticks that re-reach them write nothing.
         self._snapshots_on_disk = 0
         self._restarts = 0
-        self._restored = False
-        self._stop_checkpoint_due = False
-        self._stop_deferred = False
+        #: Set by :meth:`request_stop`; the serve loop acts on it.
+        self._stop_requested = False
+        #: The serve-loop step of the journal's ``stop`` record, on a
+        #: resume of a signalled run: the re-run stops there too.
+        self._stop_step: int | None = None
 
     # ------------------------------------------------------------- queries
 
@@ -297,31 +298,18 @@ class SimulationService:
 
     # ------------------------------------------------------------- control
 
-    def request_stop(self, reason: str = "signal") -> None:
+    def request_stop(self) -> None:
         """Stop ingesting; in-flight events drain, then serve() returns.
 
-        Idempotent, safe to call from a signal handler: it only flips
-        flags and cancels the pending arrival callback. A signal that lands
-        while a resume still re-produces the journal takes effect once the
-        replay has caught up: stopped inside the replayed prefix, the run
-        would fork from the records the journal already holds.
+        Idempotent, safe to call from a signal handler: it only sets a
+        flag. The serve loop ends ingestion at the next engine-step
+        boundary and journals that step in a ``stop`` record. A request
+        that lands while a resume still re-produces the journal waits
+        until the replay has caught up: stopped inside the replayed
+        prefix, the run would fork from the records the journal already
+        holds.
         """
-        if self._stream_done:
-            return
-        if reason == "signal" and self._replay:
-            self._stop_deferred = True
-            return
-        self._stream_done = True
-        self._stopped = reason
-        self._held = None
-        if self._arrival_handle is not None:
-            self._arrival_handle.cancel()
-            self._arrival_handle = None
-        if reason == "signal" and self._state_dir is not None:
-            # Flag only — the serve loop writes the stop checkpoint at
-            # the next engine-step boundary, where full state is
-            # serializable (a signal may land mid-callback).
-            self._stop_checkpoint_due = True
+        self._stop_requested = True
 
     def serve(self) -> ServiceReport:
         """Run the service until the stream ends (or a stop) and the
@@ -338,20 +326,18 @@ class SimulationService:
         sim = self._sim
         try:
             self._open_state()
-            if self._restored:
-                sim.mark_restored()
-            else:
-                sim.start()
-                self._pull_next()
-                if self._config.snapshot_every > 0:
-                    self._snapshot_handle = sim.engine.schedule_callback(
-                        sim.now + self._config.snapshot_every,
-                        self._on_snapshot, tag="service:snapshot")
+            sim.start()
+            self._pull_next()
+            if self._config.snapshot_every > 0:
+                self._snapshot_handle = sim.engine.schedule_callback(
+                    sim.now + self._config.snapshot_every,
+                    self._on_snapshot, tag="service:snapshot")
             self._write_heartbeat()
             previous = self._install_signals()
             try:
                 steps = 0
                 engine, journal = sim.engine, self._journal
+                stop_step = self._stop_step
                 while engine.step():
                     steps += 1
                     if journal is not None and journal.dirty:
@@ -361,19 +347,9 @@ class SimulationService:
                             # done, so fsync its records before the clock
                             # moves on.
                             journal.sync()
-                    if self._stop_deferred and not self._replay:
-                        # A signal held during the replay: every journaled
-                        # record has been re-produced, so stop now.
-                        self._stop_deferred = False
-                        self.request_stop("signal")
-                    if self._stop_checkpoint_due:
-                        # SIGTERM/SIGINT landed: persist a resumable state
-                        # before the drain proceeds, at the first
-                        # engine-step boundary after the signal.
-                        self._stop_checkpoint_due = False
-                        if self._config.snapshot_dir is not None:
-                            self._write_snapshot()
-                        self._write_checkpoint("stop")
+                    if steps == stop_step or (
+                            self._stop_requested and not self._replay):
+                        self._stop(steps)
                     if steps >= self._config.engine_step_cap:
                         raise SimulationError(
                             f"service exceeded engine_step_cap="
@@ -396,7 +372,7 @@ class SimulationService:
                     and self._config.snapshot_dir is not None):
                 self._write_snapshot(final=True)
             self._write_heartbeat(final=True)
-            self._write_checkpoint("final")
+            self._write_checkpoint()
         finally:
             if self._journal is not None:
                 self._journal.close()
@@ -424,15 +400,15 @@ class SimulationService:
             return
         if (self._config.max_events is not None
                 and self._ingested >= self._config.max_events):
-            self.request_stop("max_events")
+            self._end_ingestion("max_events")
             return
         event = next(self._stream, None)
         if event is None:
-            self.request_stop("stream")
+            self._end_ingestion("stream")
             return
         if (self._config.horizon is not None
                 and event.arrival_time > self._config.horizon):
-            self.request_stop("horizon")
+            self._end_ingestion("horizon")
             return
         if self._sim.pipeline.queue_depth >= self._config.queue_cap:
             # Backpressure: hold this arrival; _release_held schedules it
@@ -441,6 +417,27 @@ class SimulationService:
             self._pauses += 1
             return
         self._schedule_arrival(event)
+
+    def _end_ingestion(self, reason: str) -> None:
+        self._stream_done = True
+        self._stopped = reason
+        self._held = None
+        if self._arrival_handle is not None:
+            self._arrival_handle.cancel()
+            self._arrival_handle = None
+
+    def _stop(self, step: int) -> None:
+        """Act on a stop request at the boundary after serve-loop step
+        ``step``: end ingestion and journal the step, synced before the
+        drain goes on. A replay re-produces the record here, at the step
+        its journal names, and checks it like any other."""
+        self._stop_requested = False
+        if self._stream_done:
+            return
+        self._end_ingestion("signal")
+        self._journal_append({"kind": "stop", "step": step})
+        if self._journal is not None:
+            self._journal.sync()
 
     def _schedule_arrival(self, event: "UpdateEvent") -> None:
         when = max(self._sim.now, event.arrival_time)
@@ -484,7 +481,7 @@ class SimulationService:
         record: dict[str, Any] = {"kind": kind, "event": hook.event_id,
                                   "time": hook.now}
         if self._journal is not None:
-            # The settled entry: what restore rebuilds this event from.
+            # The settled entry, which a replay verifies byte for byte.
             sim = self._sim
             record.update(sim.lifecycle.settled_entry(hook.event_id))
             record["record"] = sim.metrics_collector.export_record(
@@ -595,44 +592,38 @@ class SimulationService:
         self._journal_records += 1
         self._journal_offset = self._journal.size
 
-    def _write_checkpoint(self, origin: str) -> None:
-        """Write the restorable live-state checkpoint (atomic replace).
+    def _write_checkpoint(self) -> None:
+        """Write the final report (atomic replace) when the run ends.
 
-        Called only at a signalled stop (``"stop"``) and at the end
-        (``"final"``); between them the journal alone makes a run
-        durable. Everything that settled is already in the journal's
-        terminal records, which the checkpoint covers by offset. Hosts the
-        ``snapshot`` crash point: a kill here leaves what was on disk —
-        nothing, so the resume replays the whole journal, or the stop
-        checkpoint when the final write dies after a signal.
+        Between its start and its end the journal alone makes a run
+        durable; a resume only checks the report against its spec and its
+        journal. Hosts the ``snapshot`` crash point: a kill here leaves no
+        report, and the resume re-runs the whole journal.
         """
         if self._state_dir is None or self._journal is None:
             return
-        # The checkpoint names a journal offset: everything up to it must
-        # be on disk before the checkpoint can be.
+        # The report names a journal offset: everything up to it must be
+        # on disk before the report can be.
         self._journal.sync()
         payload = build_checkpoint(
-            self, origin, journal_offset=self._journal_offset,
+            self, journal_offset=self._journal_offset,
             journal_records=self._journal_records)
         crash_point("snapshot")
         atomic_write_text(self._state_dir / CHECKPOINT_FILE,
                           fingerprinted_json(payload) + "\n")
 
     def _service_state(self) -> dict[str, Any]:
-        """The service's own slice of the checkpoint payload."""
+        """The service's own slice of the final report."""
         return {
             "ingested": self._ingested,
             "pauses": self._pauses,
             "snapshots": self._snapshots,
-            "stream_done": self._stream_done,
             "stopped": self._stopped,
             "digest": self._digest,
-            "replayed": self._replayed,
-            "restarts": self._restarts,
         }
 
     def _open_state(self) -> None:
-        """Open the state dir: the journal, and (on resume) the checkpoint.
+        """Open the state dir: the journal, and (on resume) the report.
 
         Raises:
             RecoveryError: a fresh start would clobber an existing run, or
@@ -662,50 +653,39 @@ class SimulationService:
                 f"--resume to start fresh")
         self._journal = JournalWriter(journal_path)
         scan = self._journal.open()
-        if self._config.resume:
-            self._restore(load_checkpoint(checkpoint_path)
-                          if has_checkpoint else None, scan)
-            if self._config.snapshot_dir is not None:
-                self._snapshots_on_disk = _snapshot_seqs_written(
-                    Path(self._config.snapshot_dir) / "snapshots.jsonl")
-
-    def _restore(self, checkpoint: dict[str, Any] | None,
-                 scan: JournalScan) -> None:
-        """Apply a checkpoint (or a bare journal) to the fresh simulator.
-
-        With no checkpoint — the original run crashed before any stop —
-        the resume is a fresh deterministic re-run that treats the whole
-        journal as its verification suffix. With a checkpoint, every
-        component restores its live state from the checkpoint and its
-        settled state from the terminal records of the journal prefix the
-        checkpoint covers, the engine heap is re-bound through the tag
-        resolver, and the journal records past the checkpoint become
-        replay expectations. A checkpoint is written only once ingestion
-        has ended, so the arrival stream is never read again.
-        """
-        from repro.core.event import set_event_id_state
-        from repro.core.flow import set_flow_id_state
-
-        journal_path = self._journal.path
-        if checkpoint is None:
-            self._replay = deque(read_frames(journal_path, scan))
-            self._restarts = 1
+        if not self._config.resume:
             return
+        if has_checkpoint:
+            self._check_report(load_checkpoint(checkpoint_path), scan)
+        # The resume is a re-run of the spec from its start, and every
+        # record it re-produces is checked against the journal.
+        self._replay = deque(read_frames(journal_path, scan))
+        self._stop_step = next((int(r["step"]) for r in scan.records
+                                if r["kind"] == "stop"), None)
+        self._restarts = 1
+        if self._config.snapshot_dir is not None:
+            self._snapshots_on_disk = _snapshot_seqs_written(
+                Path(self._config.snapshot_dir) / "snapshots.jsonl")
+
+    def _check_report(self, report: dict[str, Any],
+                      scan: JournalScan) -> None:
+        """Refuse a resume whose final report was written by another spec
+        or build, or whose journal is shorter than the report covers."""
         sim = self._sim
-        if checkpoint["scheduler"] != sim.scheduler.name:
+        if report["scheduler"] != sim.scheduler.name:
             raise RecoveryError(
                 f"checkpoint was written by scheduler "
-                f"{checkpoint['scheduler']!r} but this service runs "
+                f"{report['scheduler']!r} but this service runs "
                 f"{sim.scheduler.name!r}; resume with the original spec")
         ours = {"mode": sim.config.compile_mode,
                 "epsilon": sim.config.compile_epsilon}
-        if checkpoint["compile"] != ours:
+        if report["compile"] != ours:
             raise RecoveryError(
                 f"checkpoint was written under compile config "
-                f"{checkpoint['compile']!r} but this service runs {ours!r}; "
+                f"{report['compile']!r} but this service runs {ours!r}; "
                 f"staged execution changes the schedule — resume with the "
                 f"original spec")
-        written = set(checkpoint["metrics"]["totals"])
+        written = set(report["metrics"]["totals"])
         declared = set(sim.metrics_collector.totals)
         if written != declared:
             raise RecoveryError(
@@ -713,72 +693,7 @@ class SimulationService:
                 f"counter set (missing {sorted(declared - written)}, "
                 f"unknown {sorted(written - declared)}); resume with that "
                 f"build or start fresh with --fresh")
-        svc = checkpoint["service"]
-        if svc["stream_done"] is not True:
-            raise RecoveryError(
-                f"checkpoint ({checkpoint['origin']!r}) was written while "
-                f"the service still ingested; this build writes one only "
-                f"at a stop or the end — resume with the build that wrote "
-                f"it or start fresh with --fresh")
-        prefix = checked_prefix(scan, checkpoint["journal"])
-        settled = [r for r in prefix if r["kind"] in OUTCOME_STATES]
-        self._ingested = int(svc["ingested"])
-        self._pauses = int(svc["pauses"])
-        self._snapshots = int(svc["snapshots"])
-        self._stream_done = True
-        self._stopped = svc["stopped"]
-        self._digest = str(svc["digest"])
-        self._replayed = int(svc["replayed"])
-        self._restarts = int(svc["restarts"]) + 1
-        self._journal_records = len(prefix)
-        self._journal_offset = int(checkpoint["journal"]["offset"])
-        # Component state.
-        sim.network.restore_state(checkpoint["network"])
-        sim.lifecycle.restore_state(checkpoint["lifecycle"], settled)
-        sim.metrics_collector.restore_state(checkpoint["metrics"], settled)
-        sim.pipeline.restore_state(checkpoint["pipeline"])
-        # The checkpoint settled every queue stay at export; the restored
-        # queue's stays reopen at the restored round count.
-        sim.metrics_collector.restamp_waiting(
-            sim.pipeline.queued_event_ids())
-        if sim.churn is not None and checkpoint["churn"] is not None:
-            sim.churn.restore_state(checkpoint["churn"])
-        sim.scheduler.restore_state(checkpoint["sched"])
-        set_rng_state(sim.rng, checkpoint["sim_rng"])
-        handles = sim.engine.restore_state(checkpoint["engine"],
-                                           self._resolve_tag)
-        self._snapshot_handle = handles.get("service:snapshot")
-        # The drain goes on drawing ids (churn respawns take flow ids), so
-        # the global counters resume at the checkpoint's values.
-        set_flow_id_state(int(checkpoint["ids"]["flow"]))
-        set_event_id_state(int(checkpoint["ids"]["event"]))
-        self._replay = deque(read_frames(journal_path, scan, len(prefix)))
-        if self._auditor is not None:
-            self._auditor.assert_restored(prefix)
-        self._restored = True
-
-    def _resolve_tag(self, tag: str) -> Callable[[], None]:
-        """Re-bind a checkpointed engine tag to its callback.
-
-        Service tags resolve here; pipeline and churn tags delegate to
-        their owners. An unowned tag means the service was rebuilt with a
-        different plugin set than the checkpointing run (e.g. a fault
-        schedule attached) and cannot be resumed safely.
-        """
-        if tag == "service:snapshot":
-            return self._on_snapshot
-        resolved = self._sim.pipeline.resolve_tag(tag)
-        if resolved is not None:
-            return resolved
-        churn = self._sim.churn
-        if churn is not None:
-            resolved = churn.resolve_tag(tag)
-            if resolved is not None:
-                return resolved
-        raise RecoveryError(
-            f"no component owns checkpointed engine tag {tag!r}; was the "
-            f"service rebuilt with a different plugin set than the run "
-            f"that wrote the checkpoint?")
+        checked_prefix(scan, report["journal"])
 
     def _write_heartbeat(self, round_index: int | None = None,
                          final: bool = False) -> None:
@@ -811,7 +726,7 @@ class SimulationService:
         previous: list[tuple[int, Any]] = []
 
         def on_signal(signum: int, _frame: FrameType | None) -> None:
-            self.request_stop("signal")
+            self.request_stop()
 
         for signum in (signal.SIGINT, signal.SIGTERM):
             previous.append((signum, signal.signal(signum, on_signal)))

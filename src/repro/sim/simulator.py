@@ -176,7 +176,7 @@ class UpdateSimulator:
 
     @property
     def rng(self) -> random.Random:
-        """The planner RNG (checkpointed for crash recovery)."""
+        """The planner RNG."""
         return self._rng
 
     @property
@@ -264,19 +264,6 @@ class UpdateSimulator:
         self._ran = True
         self._scheduler.reset()
         self._hooks.emit(RunStarted(self))
-
-    def mark_restored(self) -> None:
-        """Mark a checkpoint-restored streaming run as started.
-
-        Unlike :meth:`start`, this neither resets the scheduler (its
-        RNG/model state was just restored and a reset would wipe it) nor
-        emits ``RunStarted`` (plugins such as the churn driver schedule
-        their initial engine events on that hook — replaying them would
-        duplicate entries the restored engine heap already carries).
-        """
-        if self._ran:
-            raise SimulationError("simulator already ran; build a new one")
-        self._ran = True
 
     def run(self) -> RunMetrics:
         """Execute the simulation to completion and return run metrics.

@@ -1,39 +1,26 @@
-"""Restorable checkpoints for the crash-tolerant service.
+"""The final report of the crash-tolerant service, and the state-dir layout.
 
-The state dir holds three files. ``heartbeat.json`` is the supervisor's
-liveness file; the other two split the simulator's state by whether it can
-still change:
+The state dir holds three files:
 
-* ``journal.wal`` — the write-ahead journal (:mod:`repro.sim.journal`).
-  Besides every ingested arrival it holds the **settled** state: the
-  ``complete``/``drop`` record an event gets when it settles carries its
-  metrics record, registration index and origin, none of which can change
-  again.
-* ``checkpoint.json`` — one JSON document with the **live** state, what
-  the service-mode simulator needs to continue bit-for-bit: the engine's
-  pending heap (as ``(time, seq, tag)`` triples), the round pipeline's
-  queue and round state, the lifecycle entries and metrics records of
-  events still in flight, the network's placement table and residual
-  columns (verbatim floats — addition-order history defines the exact
-  bits), every decision-affecting RNG, the scheduler's mutable state
-  (sampling RNG, online model, EWMAs), the service's own ingest
-  bookkeeping, and how much of the journal it covers
-  (``"journal": {"offset", "records"}``). A closed round leaves nothing
-  to persist: its telemetry went out on the hook bus as ``PreRound``, and
-  the live round index is part of the pipeline's checkpoint state.
-  Written only when the service stops — at a signalled stop
-  (``"stop"``) and at the end (``"final"``) — never on the snapshot
-  timer. Versioned, fingerprinted, and written with
-  :func:`repro.core.ioutil.atomic_write_text` so a crash mid-write leaves
-  what was on disk before.
+* ``journal.wal`` — the write-ahead journal (:mod:`repro.sim.journal`):
+  every ingested arrival, every outcome with its settled entry (metrics
+  record, registration index, origin), and, when a signal stopped
+  ingestion, the ``stop`` record naming the serve-loop step it took
+  effect at.
+* ``checkpoint.json`` — the final report, written once when a run ends:
+  the scheduler, compile config and run counters it ran with, the chained
+  schedule digest, and how much of the journal it covers
+  (``"journal": {"offset", "records"}``). Versioned, fingerprinted, and
+  written with :func:`repro.core.ioutil.atomic_write_text`, so a crash
+  mid-write leaves no report.
+* ``heartbeat.json`` — the supervisor's liveness file.
 
-Resume = rebuild the identical simulator from its spec. A crashed run
-left no checkpoint, so it re-runs from the start; from a stop or final
-checkpoint it applies the checkpoint together with the settled entries
-of the journal prefix it covers; ingestion has ended by then, so the
-arrival stream is not read again. Either way every re-produced journal record is cross-checked
-against the journal: the simulator is deterministic, and the journal
-turns that into a per-record assertion, settled metrics records included.
+A resume is a re-run. It rebuilds the identical simulator from its spec
+and runs it from the start, and the journal is its verification suffix:
+the simulator is deterministic, and the journal turns that into a
+per-record assertion, settled entries and the stop step included. A
+report, when there is one, is only checked: a resume refuses one written
+by another spec or build, or a journal shorter than the report covers.
 """
 
 from __future__ import annotations
@@ -43,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.exceptions import SimulationError
-from repro.core.ioutil import payload_fingerprint, rng_state_payload
+from repro.core.ioutil import payload_fingerprint
 from repro.sim.journal import JournalScan
 
 if TYPE_CHECKING:
@@ -61,13 +48,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: Version 6 is written only at a stop or the end, so no checkpoint
-#: re-enters a run at a snapshot tick; version 5 reads settled state from
-#: the journal's terminal records and drops the separate history log;
-#: version 4 dropped the per-round logs from that log; version 3 keeps
-#: every run counter once, under ``metrics.totals``; version 2 moved
-#: settled history out of the checkpoint.
-CHECKPOINT_VERSION = 6
+#: Version 7 is a final report a resume checks, not live state it
+#: restores.
+CHECKPOINT_VERSION = 7
 
 #: Fixed state-dir layout. ``snapshots.jsonl``/``latest.json``/
 #: ``metrics.prom`` (the observability artifacts) may share the directory.
@@ -81,60 +64,40 @@ class RecoveryError(SimulationError):
     state). The message always says what to do about it."""
 
 
-def build_checkpoint(service: "SimulationService", origin: str,
-                     journal_offset: int,
+def build_checkpoint(service: "SimulationService", journal_offset: int,
                      journal_records: int) -> dict[str, Any]:
-    """Assemble the live-state checkpoint payload for ``service`` right now.
+    """Assemble the final report of ``service``, whose run has ended.
 
     Args:
-        service: the running service (must be at an engine-callback
-            boundary — mid-stage scheduler state is not serializable).
-        origin: why the checkpoint was taken — ``"stop"`` (a
-            drain-triggering signal) or ``"final"`` (the end-of-serve
-            write).
-        journal_offset: byte size of the valid journal at this instant.
-        journal_records: records in the journal at this instant; their
-            terminal records hold everything that has settled.
+        service: the service, drained.
+        journal_offset: byte size of the valid journal.
+        journal_records: records in the journal.
 
     The writer fingerprints the payload as it encodes it
     (:func:`repro.core.ioutil.fingerprinted_json`).
     """
-    from repro.core.event import event_id_state
-    from repro.core.flow import flow_id_state
-
     sim = service._sim
-    churn = sim.churn
     return {
         "version": CHECKPOINT_VERSION,
-        "origin": origin,
+        "origin": "final",
         "scheduler": sim.scheduler.name,
         "compile": {"mode": sim.config.compile_mode,
                     "epsilon": sim.config.compile_epsilon},
-        "engine": sim.engine.export_state(),
-        "pipeline": sim.pipeline.export_state(),
-        "lifecycle": sim.lifecycle.export_state(),
         "metrics": sim.metrics_collector.export_state(),
-        "network": sim.network.export_state(),
-        "churn": churn.export_state() if churn is not None else None,
-        "sched": sim.scheduler.export_state(),
-        "sim_rng": rng_state_payload(sim.rng),
-        "ids": {"flow": flow_id_state(), "event": event_id_state()},
         "journal": {"offset": journal_offset, "records": journal_records},
         "service": service._service_state(),
     }
 
 
-def checked_prefix(scan: JournalScan, covered: dict[str, Any],
-                   ) -> list[dict]:
-    """The leading journal records of ``scan`` a checkpoint covers,
-    verified.
+def checked_prefix(scan: JournalScan, covered: dict[str, Any]) -> None:
+    """Verify that ``scan`` starts with the journal prefix a report covers.
 
-    ``covered`` is the checkpoint's ``"journal": {"offset", "records"}``
+    ``covered`` is the report's ``"journal": {"offset", "records"}``
     entry: that many records must be on disk and must span exactly that
     many bytes.
 
     Raises:
-        RecoveryError: the journal is shorter than the checkpoint says, or
+        RecoveryError: the journal is shorter than the report says, or
             its leading records do not end at the recorded offset.
     """
     count = int(covered["records"])
@@ -153,7 +116,6 @@ def checked_prefix(scan: JournalScan, covered: dict[str, Any],
             f"({count} records span {prefix_bytes} bytes, checkpoint "
             f"recorded {offset}); the journal and the checkpoint come from "
             f"different runs — start fresh with --fresh")
-    return scan.records[:count]
 
 
 def discard_state(state_dir: str | Path) -> list[str]:

@@ -15,8 +15,8 @@ wall second), and:
   code.
 
 Every restart re-execs the original command line plus ``--resume``, so
-the child re-runs the spec against its journal (or restores the stop
-checkpoint a signalled run left) and re-verifies it record by record.
+the child re-runs the spec from its start and re-verifies it against its
+journal record by record.
 The crash-injection environment (``REPRO_CRASH_AT`` /
 ``REPRO_CRASH_MODE``) is stripped from restarted children: a fresh
 process restarts the crash-point hit counters from zero, so inheriting
@@ -168,7 +168,7 @@ class Supervisor:
                 return -signal.SIGKILL
 
     def _resumable(self) -> bool:
-        """Mirror the service's own has-a-run test: a checkpoint, or a
+        """Mirror the service's own has-a-run test: a final report, or a
         journal with at least one byte (a 0-byte journal is a run that
         died before committing anything — restart it fresh)."""
         journal = self._state_dir / JOURNAL_FILE

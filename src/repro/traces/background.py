@@ -93,8 +93,7 @@ class BackgroundLoader:
 
     @property
     def rng(self) -> random.Random:
-        """The loader's path-tiebreak RNG (checkpointed by the crash-
-        recovery snapshots so respawn placement resumes exactly)."""
+        """The loader's path-tiebreak RNG."""
         return self._rng
 
     @property

@@ -60,6 +60,16 @@ def ef_flow(fid: str, demand: float, duration: float | None = None) -> Flow:
                 duration=duration)
 
 
+def network_columns(net):
+    """Every raw column of a network, flow table order included: two
+    networks that compare equal here took the same placements in the same
+    order, to the last bit of every residual."""
+    return (list(net._cap_col), list(net._used_col),
+            [list(f) for f in net._flows_col], list(net._ver_col),
+            list(net._rules_used_col), list(net._node_ver_col),
+            list(net._placements.items()))
+
+
 def record_rounds(sim) -> list[PreRound]:
     """Every ``PreRound`` ``sim`` emits from here on, in emission order.
 

@@ -47,21 +47,19 @@ class TestEngineProperties:
 #: One engine operation: schedule at ``now + offset`` (small integer
 #: offsets, so equal times and the ``seq`` tie-break are common), cancel
 #: up to ``n`` live entries (every other one, from the oldest; enough of
-#: them trips compaction), step once, or round-trip the engine through
-#: ``export_state``/``restore_state``.
+#: them trips compaction) or step once.
 ENGINE_OPS = st.lists(st.one_of(
     st.tuples(st.just("schedule"), st.integers(0, 4)),
     st.tuples(st.just("cancel"), st.integers(1, 60)),
     st.tuples(st.just("step"), st.just(0)),
-    st.tuples(st.just("roundtrip"), st.just(0)),
 ), max_size=200)
 
 
 class TestEngineHeapOrder:
     """The ``(time, seq, handle)`` heap pops exactly in ``sorted((time,
-    seq))`` order of the live entries, through cancels, the compactions
-    they trigger, and checkpoint round trips; ``pending`` never drifts
-    from the heap recount."""
+    seq))`` order of the live entries, through cancels and the
+    compactions they trigger; ``pending`` never drifts from the heap
+    recount."""
 
     @given(prefill=st.integers(0, 20) | st.integers(64, 160), ops=ENGINE_OPS)
     @settings(max_examples=150, deadline=None)
@@ -108,14 +106,6 @@ class TestEngineHeapOrder:
                     assert fired[-1] == expected
                     assert engine.now == live.pop(expected)[0]
                     del handles[expected]
-            elif op == "roundtrip":
-                state = engine.export_state()
-                engine = SimulationEngine()
-                restored = engine.restore_state(
-                    state, lambda tag: callback(int(tag.split(":")[1])))
-                handles = {int(tag.split(":")[1]): handle
-                           for tag, handle in restored.items()}
-                assert sorted(handles) == sorted(live)
             check()
         order = sorted(live, key=live.__getitem__)
         del fired[:]

@@ -12,8 +12,8 @@ exactly: residuals (bit-equal floats, same arithmetic order), per-link
 usage, flow sets, version counters, placements, and the exception type of
 every rejected operation. The kernel's nested trials (``Network.trial``)
 run against nested reference views: opening a trial pushes a view, keeping
-it commits the view, dropping it discards the view, interleaved at random,
-and across rebuilds of the kernel from its exported state. A dropped trial
+it commits the view, dropping it discards the view, interleaved at random
+with copies of the kernel. A dropped trial
 must also leave the kernel's raw columns exactly as they were when it
 opened, down to each id's position in the per-link flow lists and the
 flow table's order.
@@ -520,24 +520,6 @@ class KernelDifferentialMachine(RuleBasedStateMachine):
         assert observed(original) == before
         original.check_invariants()
         self.kernel.check_invariants()
-
-    @rule()
-    def rebuild_from_export(self):
-        """A fresh network restored from ``export_state()`` holds every
-        placement on a path indexed against its own table, and goes on
-        exactly like the network it was exported from."""
-        if self.stack:
-            return
-        restored = Network(self.kernel.graph)
-        restored.restore_state(self.kernel.export_state())
-        table = restored.link_table()
-        for fid in restored.flow_ids():
-            path = restored.placement(fid).path
-            assert path.table is table
-            assert path.link_idx == tuple(
-                table.index[link] for link in zip(path, path[1:]))
-        restored.check_invariants()
-        self.kernel = restored
 
     @rule()
     def push_view(self):

@@ -345,7 +345,7 @@ def load_outcome(topology, target, policy, permanent, reference,
     else:
         report = loader.load_to_utilization(target, permanent)
     return (flow_keys(report), report.rejected, report.utilization,
-            [network.used_idx(i) for i in range(len(network.link_table()))],
+            list(network.used_col()),
             [tuple(network.placement(f.flow_id).path) for f in report.placed],
             loader.rng.getstate())
 

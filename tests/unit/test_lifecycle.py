@@ -4,13 +4,11 @@ import pytest
 
 from repro.sim.lifecycle import (
     LEGAL_TRANSITIONS,
-    OUTCOME_STATES,
     TERMINAL_STATES,
     EventLifecycle,
     EventState,
     IllegalTransitionError,
     TransitionRecord,
-    in_registration_order,
 )
 
 
@@ -180,22 +178,15 @@ def settle(lc, event_id, to=EventState.COMPLETED):
     if to is EventState.DROPPED:
         lc.advance(event_id, EventState.DEFERRED, 2.0)
     lc.advance(event_id, to, 2.0)
-    kind = {state: kind for kind, state in OUTCOME_STATES.items()}[to]
+    kind = {EventState.COMPLETED: "complete",
+            EventState.DROPPED: "drop"}[to]
     return {"kind": kind, "event": event_id, **lc.settled_entry(event_id)}
 
 
 class TestCheckpointing:
-    def test_in_registration_order_fills_the_gaps(self):
-        assert in_registration_order([(2, "c"), (0, "a")], ["b", "d"]) \
-            == ["a", "b", "c", "d"]
-        assert in_registration_order([], ["x"]) == ["x"]
-
-    @pytest.mark.parametrize("settled", [[(2, "c")], [(0, "a"), (0, "b")],
-                                         [(-1, "a")]])
-    def test_in_registration_order_rejects_halves_that_do_not_tile(
-            self, settled):
-        with pytest.raises(ValueError, match="do not tile"):
-            in_registration_order(settled, ["x"])
+    """A settled event's entry goes out in its terminal journal record
+    (:meth:`EventLifecycle.settled_entry`); live events stay in the
+    registry."""
 
     def build(self):
         lc = EventLifecycle()
@@ -209,11 +200,9 @@ class TestCheckpointing:
 
     def test_export_splits_live_from_settled(self):
         lc = self.build()
-        state = lc.export_state()
-        assert list(state["states"]) == ["U2", "U4"]
-        assert list(state["origins"]) == ["U2", "U4"]
-        assert list(state["histories"]) == ["U2", "U4"]
-        assert state["counts"]["completed"] == 1
+        assert lc.in_state(EventState.QUEUED) == ("U2",)
+        assert lc.in_state(EventState.PROBED) == ("U4",)
+        assert lc.counts()[EventState.COMPLETED] == 1
         assert self.settled == [
             {"kind": "complete", "event": "U3", "index": 2,
              "origin": "stream"},
@@ -223,24 +212,3 @@ class TestCheckpointing:
         for event_id in ("U3", "U2"):
             with pytest.raises(IllegalTransitionError, match="settled last"):
                 lc.settled_entry(event_id)
-
-    def test_restore_round_trips_order_counts_and_cursors(self):
-        lc = self.build()
-        restored = EventLifecycle()
-        restored.restore_state(lc.export_state(), self.settled)
-        assert restored.in_state(EventState.QUEUED) == ("U2",)
-        assert [restored.state(e) for e in ("U1", "U2", "U3", "U4")] == \
-            [lc.state(e) for e in ("U1", "U2", "U3", "U4")]
-        assert restored.origin("U2") == "repair"
-        assert restored.counts() == lc.counts()
-        assert restored.transition_count == lc.transition_count
-        assert restored.history("U4") == lc.history("U4")
-        # The restored registry keeps exporting where the original would.
-        entries = []
-        for registry in (lc, restored):
-            registry.register("U5", at=4.0)
-            entries.append(settle(registry, "U2"))
-        assert restored.export_state() == lc.export_state()
-        assert entries[0] == entries[1] == {
-            "kind": "complete", "event": "U2", "index": 1,
-            "origin": "repair"}

@@ -202,44 +202,15 @@ class TestCollectorCheckpointing:
         return bus, collector
 
     def test_export_carries_open_records_only(self):
+        """Records never reach the export: a closed one leaves through
+        ``export_record`` into its terminal journal record, the open ones
+        stay in the collector, and the export carries only the counters."""
         _, collector = self.build()
-        state = collector.export_state()
-        assert [r["event_id"] for r in state["records"]] == ["U2", "U4"]
-        assert state["records"][1]["rounds_waited"] == 1
-        assert state["completed"] == 1 and state["dropped"] == 1
+        assert collector.export_state() == {"totals": collector.totals}
+        assert collector.records["U4"].rounds_waited == 1
         assert collector.incomplete_events() == ["U2", "U4"]
         assert collector.export_record("U3")["cost"] == 7.0
         assert collector.export_record("U1")["dropped"] is True
-
-    def test_restore_rebuilds_registration_order(self):
-        bus, collector = self.build()
-        settled = [{"index": index, "record": collector.export_record(eid)}
-                   for index, eid in ((2, "U3"), (0, "U1"))]
-        restored_bus, restored = feed()
-        restored.restore_state(collector.export_state(), settled)
-        assert (list(restored.records.items())
-                == list(collector.records.items()))
-        assert restored.incomplete_events() == ["U2", "U4"]
-
-    def test_restamped_queue_keeps_charging(self):
-        bus, collector = self.build()
-        restored_bus, restored = feed()
-        restored.restore_state(collector.export_state(), [
-            {"index": index, "record": collector.export_record(eid)}
-            for index, eid in ((2, "U3"), (0, "U1"))])
-        restored.restamp_waiting(["U4"])
-        for tap, ledger in ((bus, collector), (restored_bus, restored)):
-            tap.emit(PostRound(6.0, 2))
-            moves(tap, "U4", QUEUED, PROBED, ADMITTED)
-            tap.emit(PostRound(7.0, 3))
-        assert list(restored.waiting_ids) == list(collector.waiting_ids) == []
-        assert (restored.records["U4"].rounds_waited
-                == collector.records["U4"].rounds_waited == 2)
-        for each in (bus, restored_bus):
-            for eid in ("U2", "U4"):
-                admit(each, eid, 2.0)
-                complete(each, eid, 6.0)
-        assert restored.finalize() == collector.finalize()
 
 
 class TestRunCounterDeclarations:

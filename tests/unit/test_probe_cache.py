@@ -17,7 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import BOT, TOP, ab_flow, diamond_setup  # noqa: E402
-from helpers import diamond_topology  # noqa: E402
+from helpers import diamond_topology, network_columns  # noqa: E402
 
 from repro.core.event import make_event
 from repro.core.exceptions import TopologyError
@@ -265,13 +265,13 @@ class TestDrawCountingRandom:
         plain_rng, probed_rng = random.Random(11), random.Random(11)
         counted = DrawCountingRandom(plain_rng)
         plain = planner.plan_event(net, event, counted)
-        before = net.export_state()
+        before = network_columns(net)
         probed, footprint = planner.plan_event_probed(net, event, probed_rng)
         assert counted.draws > 0 and footprint is None
         assert probed.flow_plans == plain.flow_plans
         assert probed.planning_ops == plain.planning_ops
         assert probed_rng.getstate() == plain_rng.getstate()
-        assert net.export_state() == before
+        assert network_columns(net) == before
 
 
 # ------------------------------------------------------------------ ProbeCache

@@ -1,11 +1,10 @@
-"""Tests for crash recovery: journal replay, stop-checkpoint restore,
-tampering.
+"""Tests for crash recovery: resume by re-run, the stop record, tampering.
 
-A run that crashes leaves no checkpoint: its resume re-runs the spec and
-checks it record by record against the whole journal. A checkpoint is
-written only at a signalled stop and at the end, so the restore path is
-exercised by runs that are signalled (:func:`signal_after`) and then die
-in their drain (:func:`stopped_state`).
+Every resume re-runs the spec from its start and checks it record by
+record against the whole journal. A signalled stop is a journal record
+too: runs that are signalled (:func:`signal_after`) and then die in their
+drain (:func:`stopped_state`) resume to the same stop. The final report
+(``checkpoint.json``) a finished run leaves is only checked.
 
 Every crash here is injected *in-process* (``REPRO_CRASH_MODE=raise``
 turns the SIGKILL crash points into a catchable exception) so the suite
@@ -21,7 +20,6 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,7 +44,7 @@ from repro.sim.journal import (
     encode_record,
     scan_journal,
 )
-from repro.sim.lifecycle import OUTCOME_STATES, TERMINAL_STATES
+from repro.sim.lifecycle import EventState
 from repro.sim.service import ServiceConfig, ServiceReport, SimulationService
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.snapshot import (
@@ -62,6 +60,10 @@ from repro.traces.arrivals import SyntheticTrace
 from repro.traces.events import EventGenerator, EventGeneratorConfig
 
 DIAMOND_HOSTS = ("a", "b", "c", "d", "e", "f")
+
+#: The journal's terminal record kinds and the state each one settles.
+OUTCOME_STATES = {"complete": EventState.COMPLETED,
+                  "drop": EventState.DROPPED}
 
 
 @pytest.fixture(autouse=True)
@@ -123,20 +125,20 @@ class Served(NamedTuple):
 
     service: SimulationService
     report: ServiceReport
-    #: every ``PreRound`` this run emitted (a restored run: only the
-    #: rounds past its checkpoint; a replay: all of them)
+    #: every ``PreRound`` this run emitted (a resume re-runs them all)
     rounds: list[PreRound]
 
 
 def signal_after(service, rounds):
     """Stop ``service`` the way SIGTERM does once its ``rounds``-th round
-    settles. A restored run has stopped already, so there it is a no-op."""
+    settles. In a resume the journal's stop record has already ended
+    ingestion by then (or will, once the replay reaches it)."""
     settled = []
 
     def stopper(hook):
         settled.append(hook.index)
         if len(settled) == rounds:
-            service.request_stop("signal")
+            service.request_stop()
 
     service._sim.hooks.subscribe(PostRound, stopper)
 
@@ -151,7 +153,7 @@ def stop_at_records(service, records):
     def stepping():
         more = step()
         if service._journal_records >= records:
-            service.request_stop("signal")
+            service.request_stop()
         return more
 
     engine.step = stepping
@@ -177,36 +179,11 @@ def lmtf():
     return LMTFScheduler(alpha=2, seed=5)
 
 
-def restored_round_index(state):
-    """The round index a resume of ``state`` restarts from: its stop
-    checkpoint's, or 0 when the run crashed without one (a replay)."""
-    path = state / CHECKPOINT_FILE
-    if not path.exists():
-        return 0
-    return load_checkpoint(path)["pipeline"]["round_index"]
-
-
-def without_cache_telemetry(metrics, rounds):
-    """``RunMetrics.to_dict()`` and the ``PreRound`` records minus the
-    probe-cache counters. The cache restarts cold after a resume by design
-    (``LMTFScheduler.export_state``: entries never change decisions, only
-    wall-clock), so a resumed run may count a would-be hit or invalidation
-    as a plain miss. They are the one part of either ledger a resume does
-    not reproduce — at the parent commit as well."""
-    summary = {key: value for key, value in metrics.to_dict().items()
-               if not key.startswith("probe_cache_")}
-    return summary, [replace(r, cache_hits=0, cache_misses=0,
-                             cache_invalidations=0) for r in rounds]
-
-
-def assert_same_run(baseline, resumed, resumed_at):
-    """Everything a restore touches, not only the digest: a checkpoint that
-    restored the wrong ledger still chains the right digest from then on.
-
-    ``resumed_at`` is the round index the resume restored
-    (:func:`restored_round_index`, read before the resume ran): the
-    resumed run's rounds must be the baseline's from there on. Rounds
-    before it are not persisted, so there is nothing of them to compare.
+def assert_same_run(baseline, resumed):
+    """Everything a resume re-runs, not only the digest: the same rounds
+    from the first, the same ``RunMetrics`` (probe-cache counts included),
+    the same records in the same order, the same lifecycle counts and
+    every counter but the two only a resume counts.
 
     Record *order* is part of the contract: ``finalize()`` stable-sorts by
     arrival time and backpressure re-stamps held arrivals to equal times,
@@ -215,19 +192,17 @@ def assert_same_run(baseline, resumed, resumed_at):
     base, res = baseline.report, resumed.report
     base_sim, res_sim = baseline.service._sim, resumed.service._sim
     assert res.digest == base.digest
-    assert (without_cache_telemetry(res.metrics, resumed.rounds)
-            == without_cache_telemetry(base.metrics,
-                                       baseline.rounds[resumed_at:]))
+    assert (res.ingested, res.stopped) == (base.ingested, base.stopped)
+    assert resumed.rounds == baseline.rounds
+    assert res.metrics.to_dict() == base.metrics.to_dict()
     assert (list(res_sim.metrics_collector.records.items())
             == list(base_sim.metrics_collector.records.items()))
     assert res_sim.lifecycle.counts() == base_sim.lifecycle.counts()
     assert scrapeable(res.counters) == scrapeable(base.counters)
 
 
-#: What only a resumed run counts, plus the cold-cache telemetry
-#: :func:`without_cache_telemetry` masks.
-RESUME_ONLY = ("restarts", "recovery_replayed_events", "probe_cache_hits",
-               "probe_cache_misses", "probe_cache_invalidations")
+#: What only a resumed run counts.
+RESUME_ONLY = ("restarts", "recovery_replayed_events")
 
 
 def scrapeable(counters):
@@ -237,7 +212,7 @@ def scrapeable(counters):
 
 
 def resign(path, edit):
-    """Apply ``edit`` to the checkpoint at ``path`` and fingerprint the
+    """Apply ``edit`` to the report at ``path`` and fingerprint the
     result, as a build with a different payload shape would have."""
     payload = json.loads(path.read_text(encoding="utf-8"))
     del payload["fingerprint"]
@@ -255,14 +230,30 @@ def crash_state(tmp_path, monkeypatch, label="post-round", n=3, **kwargs):
     return state
 
 
+def stop_records(state):
+    """The ``stop`` records of the journal in ``state``."""
+    return [r for r in scan_journal(state / JOURNAL_FILE).records
+            if r["kind"] == "stop"]
+
+
 def stopped_state(tmp_path, monkeypatch, stop_after=5, crash_round=6,
                   **kwargs):
     """Signal a stop once round ``stop_after`` settles, then crash in the
-    drain at round ``crash_round``: the state dir holds the stop checkpoint
-    and journal records past it."""
+    drain at round ``crash_round``: the journal holds the stop record and
+    outcomes past it, and there is no report."""
     state = crash_state(tmp_path, monkeypatch, "post-round", crash_round,
                         stop_after=stop_after, **kwargs)
-    assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "stop"
+    assert len(stop_records(state)) == 1
+    assert not (state / CHECKPOINT_FILE).exists()
+    return state
+
+
+def finished_state(tmp_path, **kwargs):
+    """A signalled run that drained: the state dir holds its journal,
+    stop record included, and its final report."""
+    state = tmp_path / "finished"
+    serve_fresh(state, stop_after=5, **kwargs)
+    assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "final"
     return state
 
 
@@ -278,9 +269,8 @@ def crash_and_resume(tmp_path, monkeypatch, label, n, scheduler=None,
                         **kwargs)
     if audit:
         monkeypatch.setenv("REPRO_AUDIT", "1")
-    resumed_at = restored_round_index(state)
     resumed = serve_fresh(state, resume=True, scheduler=make(), **kwargs)
-    assert_same_run(baseline, resumed, resumed_at)
+    assert_same_run(baseline, resumed)
     return baseline.report, resumed.report
 
 
@@ -302,24 +292,19 @@ class TestExactResume:
         assert baseline.restarts == 0
 
     def test_restored_queue_keeps_its_waits(self, tmp_path, monkeypatch):
-        """The stop checkpoint holds queued events that have already waited
-        rounds; the resume reopens their queue stays at the restored round
-        count, so the records :func:`assert_same_run` compares still count
-        the rounds waited on both sides of the crash."""
+        """Killed in its drain after a stop, with queued events that have
+        waited rounds: the re-run charges every queue stay again, so the
+        records :func:`assert_same_run` compares count the rounds waited
+        on both sides of the crash, under the per-round audit."""
         baseline = serve_fresh(tmp_path / "baseline", stop_after=6)
+        waited = [r.rounds_waited for r in
+                  baseline.service._sim.metrics_collector.records.values()]
+        assert max(waited) > 0
         state = stopped_state(tmp_path, monkeypatch, stop_after=6,
                               crash_round=7)
-        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-        queued = {entry["event"]["event_id"]
-                  for entry in checkpoint["pipeline"]["queue"]}
-        waited = {r["event_id"]: r["rounds_waited"]
-                  for r in checkpoint["metrics"]["records"]
-                  if r["event_id"] in queued}
-        assert waited and min(waited.values()) > 0
         monkeypatch.setenv("REPRO_AUDIT", "1")
         resumed = serve_fresh(state, resume=True, stop_after=6)
-        assert_same_run(baseline, resumed,
-                        checkpoint["pipeline"]["round_index"])
+        assert_same_run(baseline, resumed)
         assert resumed.service._sim.auditor.audits > 0
 
     def test_crash_mid_journal_append_leaves_torn_tail(self, tmp_path,
@@ -344,18 +329,16 @@ class TestExactResume:
 
     def test_crash_mid_checkpoint_write_keeps_previous(self, tmp_path,
                                                        monkeypatch):
-        """A signalled run dies writing its final checkpoint: the stop
-        checkpoint it wrote first stays on disk, and the resume restores
-        it."""
+        """A signalled run dies writing its final report: what was on disk
+        before stays — the journal, stop record included, and no report —
+        and the resume re-runs it to the signalled run."""
         baseline = serve_fresh(tmp_path / "baseline", stop_after=5)
-        state = crash_state(tmp_path, monkeypatch, "snapshot", 2,
+        state = crash_state(tmp_path, monkeypatch, "snapshot", 1,
                             stop_after=5)
-        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-        assert checkpoint["origin"] == "stop"
+        assert not (state / CHECKPOINT_FILE).exists()
+        assert len(stop_records(state)) == 1
         resumed = serve_fresh(state, resume=True, stop_after=5)
-        assert_same_run(baseline, resumed,
-                        checkpoint["pipeline"]["round_index"])
-        assert resumed.report.digest == baseline.report.digest
+        assert_same_run(baseline, resumed)
 
     def test_crash_before_first_checkpoint_replays_whole_journal(
             self, tmp_path, monkeypatch):
@@ -366,10 +349,10 @@ class TestExactResume:
                                              "snapshot", 1)
         assert resumed.digest == baseline.digest
         assert resumed.restarts == 1
-        # Everything journaled before the crash is replay-verified; the
-        # suffix after the crash point is freshly appended on top.
-        assert (0 < resumed.counters["recovery_replayed_events"]
-                <= resumed.counters["journal_records"])
+        # The run had drained: the whole journal is replay-verified, and
+        # the resume appends nothing.
+        assert (resumed.counters["recovery_replayed_events"]
+                == resumed.counters["journal_records"] > 0)
 
     def test_resume_counters_surface_recovery_metrics(self, tmp_path,
                                                       monkeypatch):
@@ -384,8 +367,8 @@ class TestExactResume:
                                     / JOURNAL_FILE).records))
 
     def test_resume_passes_restore_audit(self, tmp_path, monkeypatch):
-        """REPRO_AUDIT=1 runs assert_restored + per-round audits on the
-        resumed service (the chaos-grid configuration)."""
+        """REPRO_AUDIT=1 runs the per-round audits on the resumed service
+        (the chaos-grid configuration)."""
         baseline = run_baseline(tmp_path)
         state = tmp_path / "crashed"
         crash_at(monkeypatch, "post-round", 3)
@@ -409,17 +392,16 @@ class TestExactResume:
     @pytest.mark.parametrize("scheduler", [FIFOScheduler, lmtf],
                              ids=["fifo", "lmtf"])
     @pytest.mark.parametrize("label, n, builds, stop_after", [
-        # Died writing the final checkpoint, before it landed: the resume
+        # Died writing the final report, before it landed: the resume
         # re-runs from the journal alone.
         ("snapshot", 1, 1, 0),
         # Mid-run and late in the run: the snapshot timer fired but built
-        # no checkpoint, so the whole journal is the replay suffix.
+        # no report.
         ("post-round", 5, 0, 0),
         ("post-round", 10, 0, 0),
-        # Signalled after round 5, killed in its drain: the stop
-        # checkpoint covers part of the journal, and outcomes since the
-        # stop are only in the suffix.
-        ("post-round", 7, 1, 5),
+        # Signalled after round 5, killed in its drain: the journal's
+        # stop record ends the re-run's ingestion at the same step.
+        ("post-round", 7, 0, 5),
     ])
     def test_resume_equals_uninterrupted_run(
             self, tmp_path, monkeypatch, scheduler, label, n, builds,
@@ -439,29 +421,20 @@ class TestExactResume:
                             scheduler=scheduler(), stop_after=stop)
         monkeypatch.setattr(service_mod, "build_checkpoint", build)
         assert len(built) == builds
-        covered = 0
-        if stop:
-            # The stop checkpoint landed; the final one was never built.
-            journal = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
-            assert journal["offset"] == built[0]
-            covered = journal["records"]
-        else:
-            assert not (state / CHECKPOINT_FILE).exists()
-        # Outcomes past the checkpoint: the replay re-checks their
-        # settled entries byte for byte.
-        journaled = scan_journal(state / JOURNAL_FILE).records
-        assert settled_records(journaled[covered:])
-        resumed_at = restored_round_index(state)
+        assert not (state / CHECKPOINT_FILE).exists()
+        assert len(stop_records(state)) == (1 if stop else 0)
+        # Outcomes the replay re-checks byte for byte, settled entries
+        # included.
+        assert settled_records(scan_journal(state / JOURNAL_FILE).records)
         resumed = serve_fresh(state, resume=True, scheduler=scheduler(),
                               stop_after=stop)
-        assert_same_run(baseline, resumed, resumed_at)
+        assert_same_run(baseline, resumed)
         assert resumed.report.restarts == 1
 
     def test_resume_equals_uninterrupted_run_audited(self, tmp_path,
                                                      monkeypatch):
-        """Same equalities with REPRO_AUDIT=1, so ``assert_restored``
-        cross-checks the journal's outcomes against the restored lifecycle
-        and metrics counts."""
+        """Same equalities with REPRO_AUDIT=1, so the auditor checks the
+        re-run's ledgers every round."""
         _, resumed = crash_and_resume(tmp_path, monkeypatch, "post-round",
                                       10, audit=True)
         assert resumed.audits > 0
@@ -472,9 +445,10 @@ class TestExactResume:
         (6, 3, None, False),
         # It dies after it caught up and appended records of its own.
         (6, 9, None, True),
-        # A restore from the stop checkpoint dies in the drain again.
-        (6, 2, 5, True),
-    ], ids=["mid-replay", "past-replay", "restored-drain"])
+        # A resume of a signalled run dies in its drain again, past the
+        # journal's stop record.
+        (6, 7, 5, True),
+    ], ids=["mid-replay", "past-replay", "stopped-drain"])
     def test_crash_during_resume_resumes_again(self, tmp_path, monkeypatch,
                                                first, second, stop_after,
                                                grows):
@@ -483,7 +457,6 @@ class TestExactResume:
         baseline = serve_fresh(tmp_path / "baseline", stop_after=stop_after)
         state = crash_state(tmp_path, monkeypatch, "post-round", first,
                             stop_after=stop_after)
-        resumed_at = restored_round_index(state)
         journaled = (state / JOURNAL_FILE).read_bytes()
         crash_at(monkeypatch, "post-round", second)
         with pytest.raises(CrashInjected):
@@ -492,9 +465,9 @@ class TestExactResume:
         after = (state / JOURNAL_FILE).read_bytes()
         assert after.startswith(journaled)
         assert (len(after) > len(journaled)) is grows
-        assert restored_round_index(state) == resumed_at
+        assert not (state / CHECKPOINT_FILE).exists()
         resumed = serve_fresh(state, resume=True, stop_after=stop_after)
-        assert_same_run(baseline, resumed, resumed_at)
+        assert_same_run(baseline, resumed)
         assert resumed.report.restarts == 1
 
     @pytest.mark.parametrize("label, n", [
@@ -617,8 +590,9 @@ class TestGroupCommit:
     def test_journal_clean_at_every_checkpoint(self, tmp_path,
                                                monkeypatch):
         """A stop lands between two steps of one instant, with the
-        instant's records not yet synced: the stop checkpoint syncs them
-        before it is written, and so does the final one."""
+        instant's records not yet synced: the stop record is synced with
+        them before the drain goes on, and the final report syncs
+        first too."""
         state = tmp_path / "state"
         service = build_service(state, **GROUPED)
         log = watch_durable_io(monkeypatch, service)
@@ -635,16 +609,24 @@ class TestGroupCommit:
             if (not entered and service._journal_records >= 10
                     and service._journal.dirty and staying):
                 entered.append(engine.now)
-                service.request_stop("signal")
+                service.request_stop()
             return more
 
+        stop = service._stop
+        clean = []
+
+        def stopping(steps):
+            stop(steps)
+            clean.append((engine.now, service._journal.dirty))
+
         engine.step = stepping
+        service._stop = stopping
         service.serve()
-        assert entered
+        assert entered and clean == [(entered[0], False)]
         checkpoints = [entry for entry in log if entry[0] == "checkpoint"]
-        assert [dirty for *_, dirty in checkpoints] == [False, False]
-        assert checkpoints[0][1] == entered[0]
+        assert [dirty for *_, dirty in checkpoints] == [False]
         assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "final"
+        assert len(stop_records(state)) == 1
 
 
 class TestHostileStorage:
@@ -671,7 +653,7 @@ class TestHostileStorage:
         monkeypatch.undo()
         disarm(monkeypatch)
         resumed = serve_fresh(state, resume=True, **GROUPED)
-        assert_same_run(baseline, resumed, 0)
+        assert_same_run(baseline, resumed)
 
     @pytest.mark.parametrize("n", [2, 9, 30])
     def test_full_disk_on_a_frame_write(self, tmp_path, monkeypatch, n):
@@ -699,7 +681,7 @@ class TestHostileStorage:
         monkeypatch.undo()
         disarm(monkeypatch)
         resumed = serve_fresh(state, resume=True, **GROUPED)
-        assert_same_run(baseline, resumed, 0)
+        assert_same_run(baseline, resumed)
 
 
 class FullDisk:
@@ -749,49 +731,43 @@ class TestHeldArrivalRelease:
 
 class TestSignalStop:
     def test_signal_stop_writes_resumable_state(self, tmp_path):
-        """Satellite: SIGTERM-shaped stop = checkpoint + flushed journal
-        before the drain; the state dir left behind must be resumable."""
+        """A SIGTERM-shaped stop is a synced ``stop`` record before the
+        drain. A resume with no signal of its own re-runs to the same
+        stop: the record alone ends its ingestion."""
         state = tmp_path / "state"
-        service = build_service(state, max_events=None)
-        signal_after(service, 3)
-        report = service.serve()
+        original = serve_fresh(state, stop_after=3, max_events=None)
+        report = original.report
         assert report.stopped == "signal"
-        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-        assert checkpoint["origin"] == "final"  # drain completed cleanly
-        # Journal is complete and consistent with the report.
+        assert load_checkpoint(state / CHECKPOINT_FILE)["origin"] == "final"
         scan = scan_journal(state / JOURNAL_FILE)
-        ingests = [r for r in scan.records if r["kind"] == "ingest"]
-        assert len(ingests) == report.ingested
-        # And the dir resumes (a drained run resumes to an immediate,
-        # digest-preserving no-op).
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        resumed = build_service(state, resume=True, max_events=None).serve()
-        assert resumed.digest == report.digest
-        assert resumed.stopped == "signal"
+        kinds = [r["kind"] for r in scan.records]
+        assert kinds.count("ingest") == report.ingested
+        # One stop, and no arrival after it.
+        assert kinds.count("stop") == 1
+        assert "ingest" not in kinds[kinds.index("stop"):]
+        resumed = serve_fresh(state, resume=True, max_events=None)
+        assert_same_run(original, resumed)
+        assert resumed.report.counters["recovery_replayed_events"] == len(
+            scan.records)
 
-    def test_stop_checkpoint_written_mid_drain(self, tmp_path, monkeypatch):
-        """A crash *after* the signal stop but before the drain finishes
-        resumes from the stop checkpoint and completes the drain."""
-        # The "stop" checkpoint written right after round 3's signal is
-        # the one on disk when the crash lands in round 4.
-        state = stopped_state(tmp_path, monkeypatch, stop_after=3,
-                              crash_round=4)
-        set_flow_id_state(0)
-        set_event_id_state(0)
-        resumed = build_service(state, resume=True).serve()
-        assert resumed.stopped == "signal"
-        # The stopped run ingested a prefix of the baseline's events, so
-        # its digest differs — but the resumed drain must terminate every
-        # ingested event and satisfy the drain audit (serve asserts it).
-        assert resumed.completed + resumed.dropped == resumed.ingested
+    @pytest.mark.parametrize("stop_after", [3, 5])
+    def test_stop_record_written_before_the_drain(self, tmp_path,
+                                                  monkeypatch, stop_after):
+        """Killed in its drain, a signalled run resumes to the
+        uninterrupted signalled run, with no signal of its own."""
+        baseline = serve_fresh(tmp_path / "baseline", stop_after=stop_after)
+        assert baseline.report.stopped == "signal"
+        state = stopped_state(tmp_path, monkeypatch, stop_after=stop_after,
+                              crash_round=stop_after + 1)
+        resumed = serve_fresh(state, resume=True)
+        assert_same_run(baseline, resumed)
 
     def test_signal_during_replay_waits_for_the_journal(self, tmp_path,
                                                          monkeypatch):
         """A resume signalled while it still re-checks the journal stops
-        once it has re-produced the last journaled record. Its stop
-        checkpoint then covers the whole journal, so a crash in its drain
-        resumes again, to the run stopped at that record."""
+        once it has re-produced the last journaled record, and journals
+        its stop there. A crash in its drain resumes again, to the run
+        stopped at that record."""
         state = crash_state(tmp_path, monkeypatch, "post-round", 6)
         records = len(scan_journal(state / JOURNAL_FILE).records)
         set_flow_id_state(0)
@@ -805,39 +781,50 @@ class TestSignalStop:
         with pytest.raises(CrashInjected):
             serve_fresh(state, resume=True, stop_after=3)
         disarm(monkeypatch)
-        checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-        assert checkpoint["origin"] == "stop"
-        assert checkpoint["journal"]["records"] >= records
+        journaled = scan_journal(state / JOURNAL_FILE).records
+        assert [r["kind"] for r in journaled].index("stop") == records
         resumed = serve_fresh(state, resume=True, stop_after=3)
-        assert_same_run(baseline, resumed,
-                        checkpoint["pipeline"]["round_index"])
-        assert resumed.report.stopped == "signal"
-        assert resumed.report.restarts == 2
+        assert_same_run(baseline, resumed)
+        assert resumed.report.restarts == 1
+
+    @pytest.mark.parametrize("step", [1, 10 ** 9], ids=["early", "never"])
+    def test_stop_record_the_rerun_does_not_reach_rejected(
+            self, tmp_path, monkeypatch, step):
+        """A stop record that names another step than the one the re-run
+        stops at is refused: stopped early, the re-run journals a stop
+        where the journal holds an arrival; never stopped, an arrival
+        where it holds the stop."""
+        state = stopped_state(tmp_path, monkeypatch)
+        records = scan_journal(state / JOURNAL_FILE).records
+        for record in records:
+            if record["kind"] == "stop":
+                record["step"] = step
+        (state / JOURNAL_FILE).write_bytes(
+            b"".join(encode_record(r) for r in records))
+        with pytest.raises(RecoveryError, match="diverged"):
+            serve_fresh(state, resume=True)
 
 
 class TestTampering:
-    """Damage a state dir that holds a stop checkpoint, or, where no
-    checkpoint is involved, a crashed run's journal."""
+    """Damage a finished run's state dir (journal and final report), or,
+    where no report is involved, a crashed run's journal."""
 
-    def test_truncated_journal_below_checkpoint_rejected(self, tmp_path,
-                                                         monkeypatch):
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_truncated_journal_below_checkpoint_rejected(self, tmp_path):
+        state = finished_state(tmp_path)
         journal = state / JOURNAL_FILE
         scan = scan_journal(journal)
-        # Chop whole frames until we are below the checkpoint's offset.
         offset = load_checkpoint(state / CHECKPOINT_FILE)["journal"]["offset"]
-        assert scan.valid_size >= offset
+        assert scan.valid_size == offset
         journal.write_bytes(journal.read_bytes()[:offset - 1])
         with pytest.raises(RecoveryError,
                            match=f"{JOURNAL_FILE} is truncated below"):
             serve_fresh(state, resume=True)
 
-    def test_truncated_history_below_checkpoint_rejected(self, tmp_path,
-                                                         monkeypatch):
-        """The journal is the settled history now. Dropping the last
-        covered record on a clean frame boundary leaves a valid log with
-        no torn tail; only the checkpoint's record count can notice."""
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_truncated_history_below_checkpoint_rejected(self, tmp_path):
+        """Dropping the last covered record on a clean frame boundary
+        leaves a valid log with no torn tail; only the report's record
+        count can notice."""
+        state = finished_state(tmp_path)
         journal = state / JOURNAL_FILE
         covered = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
         records = scan_journal(journal).records[:covered["records"] - 1]
@@ -859,8 +846,8 @@ class TestTampering:
         with pytest.raises(JournalCorruptionError, match="CRC mismatch"):
             build_service(state, resume=True).serve()
 
-    def test_stale_fingerprint_rejected(self, tmp_path, monkeypatch):
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_stale_fingerprint_rejected(self, tmp_path):
+        state = finished_state(tmp_path)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["service"]["ingested"] += 1  # tamper without re-signing
@@ -871,8 +858,8 @@ class TestTampering:
         with pytest.raises(RecoveryError, match="fingerprint"):
             build_service(state, resume=True).serve()
 
-    def test_unknown_version_rejected(self, tmp_path, monkeypatch):
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_unknown_version_rejected(self, tmp_path):
+        state = finished_state(tmp_path)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["version"] = 99
@@ -883,16 +870,14 @@ class TestTampering:
         with pytest.raises(RecoveryError, match="version"):
             build_service(state, resume=True).serve()
 
-    def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
-        """Version 1 carried settled history inline, version 2 a second
-        copy of the counters, version 3 closed round logs in its history
-        frames, version 4 settled events in a second log and version 5 may
-        re-enter a run at a snapshot tick; no reader is kept for any of
-        them, the version error tells the operator what to do."""
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        """Versions 1 to 6 carried live state for a restore (version 6
+        from a signalled stop); no reader is kept for any of them, the
+        version error tells the operator what to do."""
+        state = finished_state(tmp_path)
         path = state / CHECKPOINT_FILE
         payload = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 4, 5):
+        for version in (1, 2, 3, 4, 5, 6):
             payload["version"] = version
             path.write_text(json.dumps(payload, sort_keys=True) + "\n",
                             encoding="utf-8")
@@ -900,25 +885,10 @@ class TestTampering:
                                match=f"version {version}.*--fresh"):
                 serve_fresh(state, resume=True)
 
-    def test_mid_stream_checkpoint_rejected(self, tmp_path, monkeypatch):
-        """A checkpoint is written only once ingestion ended; one that
-        says otherwise (resigned as a build with tick checkpoints would
-        have written it) is refused instead of restored without its
-        arrival stream."""
-        state = stopped_state(tmp_path, monkeypatch)
-
-        def edit(payload):
-            payload["service"]["stream_done"] = False
-
-        resign(state / CHECKPOINT_FILE, edit)
-        with pytest.raises(RecoveryError, match="still ingested.*--fresh"):
-            serve_fresh(state, resume=True)
-
-    def test_different_counter_set_rejected_by_name(self, tmp_path,
-                                                    monkeypatch):
+    def test_different_counter_set_rejected_by_name(self, tmp_path):
         """What a build with one counter more or fewer would meet: the
         operator gets the key names, not a KeyError or a zeroed series."""
-        state = stopped_state(tmp_path, monkeypatch)
+        state = finished_state(tmp_path)
 
         def edit(payload):
             totals = payload["metrics"]["totals"]
@@ -933,10 +903,10 @@ class TestTampering:
         assert "unknown ['spans_recorded']" in message
         assert "--fresh" in message
 
-    def test_undecodable_checkpoint_rejected(self, tmp_path, monkeypatch):
-        """A flipped byte that breaks UTF-8 is a damaged checkpoint like
-        any other, not a UnicodeDecodeError traceback."""
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_undecodable_checkpoint_rejected(self, tmp_path):
+        """A flipped byte that breaks UTF-8 is a damaged report like any
+        other, not a UnicodeDecodeError traceback."""
+        state = finished_state(tmp_path)
         path = state / CHECKPOINT_FILE
         data = bytearray(path.read_bytes())
         data[len(data) // 2] = 0xFF
@@ -944,39 +914,39 @@ class TestTampering:
         with pytest.raises(RecoveryError, match="unreadable.*--fresh"):
             serve_fresh(state, resume=True)
 
-    def test_journal_of_another_run_rejected(self, tmp_path, monkeypatch):
+    def test_journal_of_another_run_rejected(self, tmp_path):
         """Whole valid frames, enough of them, but not the ones the
-        checkpoint was written over."""
-        state = stopped_state(tmp_path, monkeypatch)
+        report was written over."""
+        state = finished_state(tmp_path)
         records = scan_journal(state / JOURNAL_FILE).records
         covered = load_checkpoint(state / CHECKPOINT_FILE)["journal"]
-        assert 3 <= covered["records"] < len(records)
+        assert covered["records"] == len(records) >= 3
         (state / JOURNAL_FILE).write_bytes(
             b"".join(encode_record(r) for r in records[1:] + records[1:]))
         with pytest.raises(RecoveryError,
                            match=f"{JOURNAL_FILE} does not line up"):
             serve_fresh(state, resume=True)
 
-    def test_hostile_journal(self, tmp_path, monkeypatch):
-        """Cut ``journal.wal`` at every frame boundary, the bytes either
-        side of it and every header byte; flip every header byte and one
-        payload byte per frame: a resume either equals the uninterrupted
-        run (the damage sat in the suffix no checkpoint covers) or refuses
-        with an actionable error — never a third outcome."""
+    def test_hostile_journal(self, tmp_path):
+        """Cut ``journal.wal`` of a signalled run at every frame boundary,
+        the bytes either side of it and every header byte; flip every
+        header byte and one payload byte per frame. The journal holds a
+        stop record, and each damage is tried with and without the final
+        report beside it. A resume either equals the uninterrupted run (no
+        report: the re-run re-produces what was cut) or refuses with an
+        actionable error (the report covers every byte) — never a third
+        outcome."""
         baseline = serve_fresh(tmp_path / "baseline", max_events=6,
                                stop_after=3)
-        crashed = stopped_state(tmp_path, monkeypatch, stop_after=3,
-                                crash_round=4, max_events=6)
-        files = {path.name: path.read_bytes() for path in crashed.iterdir()}
+        files = {path.name: path.read_bytes()
+                 for path in (tmp_path / "baseline").iterdir()}
         log = files[JOURNAL_FILE]
-        records = scan_journal(crashed / JOURNAL_FILE).records
-        covered = load_checkpoint(crashed / CHECKPOINT_FILE)["journal"]
-        offset = covered["offset"]
-        resumed_at = restored_round_index(crashed)
-        # Settled entries on both sides of the checkpoint: restore reads
-        # some, the replay re-checks the others.
-        assert settled_records(records[:covered["records"]])
-        assert settled_records(records[covered["records"]:])
+        records = scan_journal(tmp_path / "baseline" / JOURNAL_FILE).records
+        kinds = [r["kind"] for r in records]
+        # Outcomes on both sides of the stop.
+        assert "stop" in kinds
+        assert settled_records(records[:kinds.index("stop")])
+        assert settled_records(records[kinds.index("stop"):])
         starts = [0]
         for record in records:
             starts.append(starts[-1] + len(encode_record(record)))
@@ -999,46 +969,49 @@ class TestTampering:
                     + [("length", damaged) for damaged in length_flips]
                     + [("refused", damaged)
                        for damaged in crc_flips + payload_flips])
-        for kind, damaged in attempts:
-            state = tmp_path / "attempt"
-            shutil.rmtree(state, ignore_errors=True)
-            state.mkdir()
-            for name, data in files.items():
-                (state / name).write_bytes(data)
-            (state / JOURNAL_FILE).write_bytes(damaged)
-            try:
-                resumed = serve_fresh(state, resume=True, max_events=6,
-                                      stop_after=3)
-            except (RecoveryError, JournalCorruptionError):
-                outcome = "refused"
-            else:
-                assert_same_run(baseline, resumed, resumed_at)
-                outcome = "resumed"
-            if kind == "cut":
-                # A cut anywhere in the covered prefix refuses; one past
-                # it leaves a shorter suffix to replay.
-                assert outcome == ("resumed" if len(damaged) >= offset
-                                   else "refused")
-            elif kind == "refused":
-                assert outcome == "refused"
-            outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
-        assert outcomes["cut", "refused"] and outcomes["cut", "resumed"]
+        for with_report in (False, True):
+            for kind, damaged in attempts:
+                state = tmp_path / "attempt"
+                shutil.rmtree(state, ignore_errors=True)
+                state.mkdir()
+                for name, data in files.items():
+                    if with_report or name != CHECKPOINT_FILE:
+                        (state / name).write_bytes(data)
+                (state / JOURNAL_FILE).write_bytes(damaged)
+                try:
+                    resumed = serve_fresh(state, resume=True, max_events=6,
+                                          stop_after=3)
+                except (RecoveryError, JournalCorruptionError):
+                    outcome = "refused"
+                else:
+                    assert_same_run(baseline, resumed)
+                    outcome = "resumed"
+                if kind == "cut":
+                    # An empty journal and no report: nothing to resume.
+                    assert outcome == ("refused" if with_report
+                                       or not damaged else "resumed")
+                elif kind == "refused":
+                    assert outcome == "refused"
+                key = (with_report, kind, outcome)
+                outcomes[key] = outcomes.get(key, 0) + 1
         # A longer length reads as a torn tail at that frame, a shorter
         # one fails its CRC.
-        assert outcomes["length", "refused"]
+        assert outcomes[False, "length", "refused"]
+        assert outcomes[False, "length", "resumed"]
+        assert not outcomes.get((True, "length", "resumed"))
 
-    def test_scheduler_mismatch_rejected(self, tmp_path, monkeypatch):
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_scheduler_mismatch_rejected(self, tmp_path):
+        state = finished_state(tmp_path)
         set_flow_id_state(0)
         set_event_id_state(0)
         with pytest.raises(RecoveryError, match="scheduler"):
             build_service(state, resume=True,
                           scheduler=LMTFScheduler(alpha=2, seed=5)).serve()
 
-    def test_compile_config_mismatch_rejected(self, tmp_path, monkeypatch):
-        """A checkpoint written under atomic compilation refuses to resume
-        staged: the schedule would diverge from the journaled prefix."""
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_compile_config_mismatch_rejected(self, tmp_path):
+        """A report written under atomic compilation refuses to resume
+        staged: the schedule would diverge from the journal."""
+        state = finished_state(tmp_path)
         set_flow_id_state(0)
         set_event_id_state(0)
         with pytest.raises(RecoveryError, match="compile config"):
@@ -1062,8 +1035,8 @@ class TestStateDirGuards:
         with pytest.raises(RecoveryError, match="already holds a run"):
             build_service(state).serve()
 
-    def test_discard_state_enables_fresh_start(self, tmp_path, monkeypatch):
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_discard_state_enables_fresh_start(self, tmp_path):
+        state = finished_state(tmp_path)
         removed = discard_state(state)
         assert set(removed) == {CHECKPOINT_FILE, JOURNAL_FILE, HEARTBEAT_FILE}
         set_flow_id_state(0)
@@ -1087,26 +1060,28 @@ class TestStateDirGuards:
 
 
 class TestCheckpointPayload:
-    def test_checkpoint_is_versioned_and_fingerprinted(self, tmp_path,
-                                                       monkeypatch):
-        state = stopped_state(tmp_path, monkeypatch)
+    def test_checkpoint_is_versioned_and_fingerprinted(self, tmp_path):
+        """The final report names the spec, the counters and the journal
+        it covers; it carries no live state."""
+        state = finished_state(tmp_path)
         checkpoint = load_checkpoint(state / CHECKPOINT_FILE)
-        assert checkpoint["origin"] == "stop"
-        assert checkpoint["version"] == CHECKPOINT_VERSION == 6
-        for key in ("engine", "pipeline", "lifecycle", "metrics", "network",
-                    "sched", "sim_rng", "ids", "journal", "service",
-                    "fingerprint"):
-            assert key in checkpoint
-        # Settled state lives in the journal's terminal records only.
-        assert "history" not in checkpoint
-        # Every run counter is checkpointed once, in the metrics ledger.
-        assert "counters" not in checkpoint
+        assert checkpoint["origin"] == "final"
+        assert checkpoint["version"] == CHECKPOINT_VERSION == 7
+        assert set(checkpoint) == {
+            "version", "origin", "scheduler", "compile", "metrics",
+            "journal", "service", "fingerprint"}
+        assert set(checkpoint["metrics"]) == {"totals"}
+        assert set(checkpoint["service"]) == {
+            "ingested", "pauses", "snapshots", "stopped", "digest"}
+        # Every run counter is reported once, in the metrics ledger.
         assert set(checkpoint["metrics"]["totals"]) == {
             counter.name for counter in metrics_mod.RUN_COUNTERS}
+        assert checkpoint["journal"]["records"] == len(
+            scan_journal(state / JOURNAL_FILE).records)
 
     def test_a_new_counter_is_one_declaration(self, tmp_path, monkeypatch):
         """Appending to ``RUN_COUNTERS`` is the whole edit: the total is
-        folded, checkpointed and restored with no other change."""
+        folded, reported and re-run with no other change."""
         monkeypatch.setattr(
             metrics_mod, "RUN_COUNTERS",
             (*metrics_mod.RUN_COUNTERS,
@@ -1115,38 +1090,30 @@ class TestCheckpointPayload:
         baseline = serve_fresh(tmp_path / "baseline", stop_after=5)
         total = baseline.service._sim.metrics_collector.totals["planning_ops"]
         assert total == sum(r.planning_ops for r in baseline.rounds) > 0
+        reported = load_checkpoint(tmp_path / "baseline" / CHECKPOINT_FILE)
+        assert reported["metrics"]["totals"]["planning_ops"] == total
         state = stopped_state(tmp_path, monkeypatch)
-        carried = load_checkpoint(state / CHECKPOINT_FILE)["metrics"]
-        assert 0 < carried["totals"]["planning_ops"] < total
         resumed = serve_fresh(state, resume=True, stop_after=5)
         assert (resumed.service._sim.metrics_collector.totals
                 ["planning_ops"]) == total
 
     def test_checkpoint_size_does_not_grow_with_service_age(
             self, tmp_path, monkeypatch):
-        """A checkpoint carries live state only, so a stop after four
-        times the events through the same queue cap leaves its size where
-        it was."""
-        def stop_checkpoint(events):
+        """The report carries counters and the journal's extent, no
+        records: a stop after four times the events through the same
+        queue cap leaves its size where it was."""
+        def report_size(events):
             service = build_service(tmp_path / f"run-{events}",
                                     max_events=None)
-            lifecycle = service._sim.lifecycle
-            sizes = {}
+            sizes = []
 
             def stopper(_hook):
                 if service.ingested >= events:
-                    service.request_stop("signal")
+                    service.request_stop()
 
             def recording(path, text, **kwargs):
                 if Path(path).name == CHECKPOINT_FILE:
-                    checkpoint = json.loads(text)
-                    carried = ([r["event_id"] for r
-                                in checkpoint["metrics"]["records"]]
-                               + list(checkpoint["lifecycle"]["states"]))
-                    assert not [eid for eid in carried
-                                if lifecycle.state(eid) in TERMINAL_STATES]
-                    assert "rounds" not in checkpoint["pipeline"]
-                    sizes[checkpoint["origin"]] = len(text)
+                    sizes.append(len(text))
                 atomic_write_text(path, text, **kwargs)
 
             service._sim.hooks.subscribe(PostRound, stopper)
@@ -1157,24 +1124,23 @@ class TestCheckpointPayload:
             assert report.stopped == "signal"
             assert events <= report.ingested < events + 8
             assert report.completed + report.dropped == report.ingested
-            assert list(sizes) == ["stop", "final"]
-            return sizes["stop"]
+            [size] = sizes
+            return size
 
         atomic_write_text = service_mod.atomic_write_text
-        short, long = stop_checkpoint(40), stop_checkpoint(160)
+        short, long = report_size(40), report_size(160)
         assert long <= 1.5 * short
 
     def test_checkpoint_built_only_when_the_service_stops(
             self, tmp_path, monkeypatch):
-        """The snapshot timer fires on its cadence and builds nothing: an
-        uninterrupted run builds its final checkpoint only, a signalled
-        one its stop checkpoint too."""
+        """The snapshot timer fires on its cadence and builds nothing, and
+        neither does a signal: a run builds its final report only."""
         built = []
         build = service_mod.build_checkpoint
 
-        def recording(service, origin, **kwargs):
-            built.append(origin)
-            return build(service, origin, **kwargs)
+        def recording(*args, **kwargs):
+            built.append(kwargs["journal_records"])
+            return build(*args, **kwargs)
 
         ticks = []
         on_snapshot = SimulationService._on_snapshot
@@ -1187,10 +1153,12 @@ class TestCheckpointPayload:
         monkeypatch.setattr(SimulationService, "_on_snapshot", counting)
         serve_fresh(tmp_path / "plain")
         assert len(ticks) >= 5
-        assert built == ["final"]
+        assert built == [len(scan_journal(
+            tmp_path / "plain" / JOURNAL_FILE).records)]
         built.clear()
         serve_fresh(tmp_path / "stopped", stop_after=5)
-        assert built == ["stop", "final"]
+        assert built == [len(scan_journal(
+            tmp_path / "stopped" / JOURNAL_FILE).records)]
 
     def test_durable_serve_keeps_one_log(self, tmp_path):
         """The state dir holds the journal, the checkpoint and the

@@ -180,13 +180,14 @@ class ReferenceYahooTrace(TraceGenerator):
 
 
 def row_residuals(network, rows):
-    """``Network.row_residuals`` over the public index accessors."""
+    """``Network.row_residuals`` over the raw columns."""
     inf = float("inf")
+    cap, used = network.capacity_col(), network.used_col()
     residuals = []
     for row in rows:
         best = inf
         for i in row:
-            res = network.capacity_idx(i) - network.used_idx(i)
+            res = cap[i] - used[i]
             if res < best:
                 best = res
         residuals.append(best)
@@ -232,9 +233,9 @@ class ReferenceLoader:
                        rows: tuple[tuple[int, ...], ...]
                        ) -> list[tuple[float, int]]:
         network, limit = self._network, self._host_link_cap
-        cap_up, used_up = network.capacity_idx(up), network.used_idx(up)
-        cap_down = network.capacity_idx(down)
-        used_down = network.used_idx(down)
+        cap, used = network.capacity_col(), network.used_col()
+        cap_up, used_up = cap[up], used[up]
+        cap_down, used_down = cap[down], used[down]
         access = min(cap_up - used_up, cap_down - used_down)
         if (access + EPS < demand or used_up + demand > limit * cap_up
                 or used_down + demand > limit * cap_down):
@@ -368,9 +369,7 @@ class TestRespawnDifferential:
                 live.append(flow.flow_id)
                 placed += 1
         assert placed > RESPAWNS // 2
-        links = range(len(network.link_table()))
-        assert [network.used_idx(i) for i in links] \
-            == [ref_network.used_idx(i) for i in links]
+        assert network.used_col() == ref_network.used_col()
         network.check_invariants()
 
     def test_skewed_endpoints_match_reference(self):
@@ -404,7 +403,7 @@ class TestFeasibilityBoundary:
             up, down, rows = provider.link_rows(src, dst)
             links = {up, down, *(i for row in rows[:3] for i in row)}
             for i in sorted(links):
-                cap, used = network.capacity_idx(i), network.used_idx(i)
+                cap, used = network.capacity_col()[i], network.used_col()[i]
                 for edge in (cap - used + EPS, 0.9 * cap - used):
                     for demand in (edge, math.nextafter(edge, math.inf),
                                    math.nextafter(edge, -math.inf)):

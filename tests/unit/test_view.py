@@ -153,7 +153,6 @@ class TestCommit:
         direct.place(flow("v1"), TOP)
         direct.remove("v0")
         assert columns(base) == columns(direct)
-        assert base.export_state() == direct.export_state()
 
     def test_reroute_commit_matches_direct(self, base):
         direct = base.copy()
