@@ -260,11 +260,6 @@ class Network(NetworkState):
         return iter([fid for fid, placement in self._placements.items()
                      if placement is not None])
 
-    def flow_count(self) -> int:
-        if self._trail is None:
-            return len(self._placements)
-        return sum(p is not None for p in self._placements.values())
-
     def path_residual(self, path: Sequence[str],
                       ignore: frozenset[str] = frozenset()) -> float:
         if type(path) is not CandidatePath or path.table is not self._table:

@@ -24,7 +24,6 @@ from repro.core.flow import Flow
 from repro.core.plan import EventPlan
 from repro.core.planner import EventPlanner
 from repro.network.state import NetworkState
-from repro.sim.lifecycle import TransitionRecord
 
 
 @dataclass
@@ -89,10 +88,6 @@ class RoundDecision:
     and uncached runs bit-identical. The ``cache_*`` counters report how
     many of the round's cost probes hit, missed, or were invalidated.
 
-    ``transitions`` is filled by the round pipeline, not by schedulers: it
-    records the PROBED→ADMITTED lifecycle moves this decision caused (one
-    per admission), timestamped at decision time.
-
     The ``probes_skipped`` / ``prediction_*`` / ``fallback`` fields are the
     learned-ranking telemetry (:mod:`repro.sched.learned`): how many
     sampled candidates went unprobed under the ranking budget, how many
@@ -127,7 +122,6 @@ class RoundDecision:
     prediction_samples: int = 0
     prediction_error_sum: float = 0.0
     fallback: bool = False
-    transitions: list[TransitionRecord] = field(default_factory=list)
     predicted_stages: dict[str, int] = field(default_factory=dict)
     probed: Sequence[QueuedEvent] | None = None
 

@@ -1,20 +1,24 @@
 """Lifecycle-invariant auditor: turns silent bookkeeping drift into a crash.
 
-The simulator keeps the same population in four independent ledgers — the
-:class:`~repro.sim.lifecycle.EventLifecycle` state machine, the
-:class:`~repro.sim.pipeline.RoundPipeline` queue and ``events_remaining``
-counter, the :class:`~repro.sim.metrics.MetricsCollector` records, and the
-engine's pending-event counter. Each is updated on its own code path, so a
-missed emit or a double decrement desynchronizes them *silently*: the run
-still drains and produces numbers, just subtly wrong ones (this is exactly
-how the tombstone-cancel and empty-round bugs survived several releases).
+Every event has one row, owned by the
+:class:`~repro.sim.lifecycle.EventLifecycle`; the per-state counts, the
+metrics records and ``events_remaining`` are all read off those rows, so
+they cannot disagree with each other. What can still drift is state kept
+*outside* the rows, on its own code path: the
+:class:`~repro.sim.pipeline.RoundPipeline` queue, the decided-round index,
+the engine's O(1) pending counter and the network's trial stack. A missed
+queue removal or a double decrement there desynchronizes them *silently*:
+the run still drains and produces numbers, just subtly wrong ones (this is
+exactly how the tombstone-cancel and empty-round bugs survived several
+releases).
 
-:class:`LifecycleAuditor` is a plain hook-bus subscriber that cross-checks
-all four ledgers at every settled round boundary — the one instant where no
-event may legitimately sit in a mid-round state — and raises
+:class:`LifecycleAuditor` is a plain hook-bus subscriber that checks that
+state against the rows at every settled round boundary — the one instant
+where no event may legitimately sit in a mid-round state — and raises
 :class:`AuditError` carrying a machine-readable diff on the first mismatch.
-Every check is O(queue depth), not O(total events), so the auditor is cheap
-enough to leave enabled on unbounded service runs.
+Every check but the engine heap recount is O(queue depth), not O(total
+events), so the auditor is cheap enough to leave enabled on unbounded
+service runs.
 
 Enable it per-simulator (``UpdateSimulator(..., audit=True)``), globally via
 the ``REPRO_AUDIT=1`` environment variable (how the schedule-pin tests
@@ -57,35 +61,41 @@ class AuditError(SimulationError):
         self.diff = diff
 
 
-def _first_difference(observed: list, expected: list) -> tuple[Any, Any]:
-    """``(None, None)`` for equal sequences, else the first position where
-    they part as ``((index, observed item), (index, expected item))`` — an
-    item is ``None`` past the end of the shorter one. Keeps the diff of two
-    run-long sequences one entry long."""
-    if observed == expected:
-        return None, None
-    index = next((i for i, pair in enumerate(zip(observed, expected))
-                  if pair[0] != pair[1]),
-                 min(len(observed), len(expected)))
-    return ((index, observed[index] if index < len(observed) else None),
-            (index, expected[index] if index < len(expected) else None))
+def _first_unqueued_row(sim: SimulatorPort) -> tuple[str, str] | None:
+    """The first queued event whose row is not ``QUEUED``, with its state
+    (``None`` when every row is)."""
+    queued = sim.pipeline.queued_event_ids()
+    states = sim.lifecycle.states(queued)
+    if states.count(EventState.QUEUED) == len(states):
+        return None
+    index = next(i for i, state in enumerate(states)
+                 if state is not EventState.QUEUED)
+    return queued[index], states[index].value
+
+
+def _raise_on_failures(checks: dict[str, tuple[Any, Any]],
+                       heading: str) -> None:
+    """Raise :class:`AuditError` naming every ``(observed, expected)``
+    pair of ``checks`` that differs."""
+    failed = {name: pair for name, pair in checks.items()
+              if pair[0] != pair[1]}
+    if failed:
+        detail = "; ".join(f"{name}: observed {obs!r}, expected {exp!r}"
+                           for name, (obs, exp) in failed.items())
+        raise AuditError(f"{heading}: {detail}", diff=failed)
 
 
 class LifecycleAuditor:
-    """Hook-bus subscriber cross-checking the simulator's ledgers.
+    """Hook-bus subscriber checking the state kept outside the event rows.
 
     At every ``PostRound`` (the settled round boundary) the auditor asserts:
 
     * no event occupies a mid-round state (``PROBED``/``ADMITTED``/
       ``DEFERRED`` populations are zero),
-    * the pipeline queue mirrors the lifecycle's ``QUEUED`` population and
-      the metrics collector's waiting ledger (the events it has an open
-      queue stay for, which ``rounds_waited`` is charged from),
-    * ``events_remaining`` equals the live lifecycle population
-      (``QUEUED`` + ``EXECUTING``),
-    * the metrics collector has a record per registered event and its
-      completed/dropped/round counters match the lifecycle and the
-      pipeline's round index,
+    * the pipeline queue holds exactly the ``QUEUED`` rows: its depth
+      equals their count and every queued event's row is ``QUEUED``
+      (together, set equality without a sort),
+    * the decided rounds counted so far equal the settled round's index,
     * the engine's O(1) ``pending`` counter matches an O(n) heap recount
       (the tombstone-drift detector) and is non-negative,
     * no network trial is open: every what-if a round tried was kept or
@@ -94,15 +104,12 @@ class LifecycleAuditor:
     Args:
         every: audit every ``every``-th round (1 audits all of them);
             service deployments may dilute the ``live_pending`` heap scan.
-        check_engine: include the engine heap recount (the only check that
-            is O(pending events) rather than O(queue depth)).
     """
 
-    def __init__(self, every: int = 1, check_engine: bool = True) -> None:
+    def __init__(self, every: int = 1) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         self._every = every
-        self._check_engine = check_engine
         self._sim: SimulatorPort | None = None
         self._audits = 0
 
@@ -133,9 +140,6 @@ class LifecycleAuditor:
         """
         sim = self._require_sim()
         counts = sim.lifecycle.counts()
-        pipeline = sim.pipeline
-        collector = sim.metrics_collector
-        live = counts[EventState.QUEUED] + counts[EventState.EXECUTING]
 
         # name -> (observed, expected); insertion order is report order.
         checks: dict[str, tuple[Any, Any]] = {
@@ -145,67 +149,38 @@ class LifecycleAuditor:
                                               EventState.DEFERRED)
                  if counts[s]},
                 {}),
-            "queue_depth_vs_lifecycle_queued": (
-                pipeline.queue_depth, counts[EventState.QUEUED]),
-            "events_remaining_vs_lifecycle_live": (
-                pipeline.events_remaining, live),
-            "metrics_records_vs_lifecycle_registered": (
-                collector.record_count, len(sim.lifecycle)),
-            "metrics_completed_vs_lifecycle": (
-                collector.completed_count, counts[EventState.COMPLETED]),
-            "metrics_dropped_vs_lifecycle": (
-                collector.dropped_count, counts[EventState.DROPPED]),
-            "waiting_ledger_vs_queue": _first_difference(
-                sorted(collector.waiting_ids),
-                sorted(pipeline.queued_event_ids())),
+            "queue_depth_vs_queued_rows": (
+                sim.pipeline.queue_depth, counts[EventState.QUEUED]),
+            "queued_event_row_state": (_first_unqueued_row(sim), None),
             "network_trial_open": (sim.network.trial_open, False),
         }
         if round_index is not None:
             checks["metrics_rounds_vs_round_index"] = (
-                collector.round_count, round_index)
-        if self._check_engine:
-            engine = sim.engine
-            checks["engine_pending_nonnegative"] = (
-                engine.pending >= 0, True)
-            checks["engine_pending_vs_heap_recount"] = (
-                engine.pending, engine.live_pending())
-
-        failed = {name: pair for name, pair in checks.items()
-                  if pair[0] != pair[1]}
-        if failed:
-            where = (f"round {round_index}" if round_index is not None
-                     else "ad-hoc audit")
-            detail = "; ".join(f"{name}: observed {obs!r}, expected {exp!r}"
-                               for name, (obs, exp) in failed.items())
-            raise AuditError(
-                f"lifecycle audit failed at {where} (t={sim.now:.6f}): "
-                f"{detail}", diff=failed)
+                sim.metrics_collector.round_count, round_index)
+        checks["engine_pending_nonnegative"] = (sim.engine.pending >= 0, True)
+        checks["engine_pending_vs_heap_recount"] = (
+            sim.engine.pending, sim.engine.live_pending())
+        where = (f"round {round_index}" if round_index is not None
+                 else "ad-hoc audit")
+        _raise_on_failures(checks, f"lifecycle audit failed at {where} "
+                                   f"(t={sim.now:.6f})")
         self._audits += 1
 
     def assert_drained(self) -> None:
-        """Assert the post-run terminal picture: everything completed or
+        """Assert the post-run terminal picture: every row completed or
         dropped, nothing queued, nothing pending in the engine.
 
         Call after ``run()`` returns (or after a service drain); raises
         :class:`AuditError` if any event is still live.
         """
         sim = self._require_sim()
-        counts = sim.lifecycle.counts()
-        terminal = counts[EventState.COMPLETED] + counts[EventState.DROPPED]
         checks: dict[str, tuple[Any, Any]] = {
-            "terminal_events_vs_registered": (terminal, len(sim.lifecycle)),
+            "events_remaining_zero": (sim.lifecycle.remaining, 0),
+            "live_rows": (sim.metrics_collector.incomplete_events(), []),
             "queue_empty": (sim.pipeline.queue_depth, 0),
-            "events_remaining_zero": (sim.pipeline.events_remaining, 0),
             "engine_drained": (sim.engine.pending, 0),
         }
-        failed = {name: pair for name, pair in checks.items()
-                  if pair[0] != pair[1]}
-        if failed:
-            detail = "; ".join(f"{name}: observed {obs!r}, expected {exp!r}"
-                               for name, (obs, exp) in failed.items())
-            raise AuditError(
-                f"drain audit failed (t={sim.now:.6f}): {detail}",
-                diff=failed)
+        _raise_on_failures(checks, f"drain audit failed (t={sim.now:.6f})")
 
     def _require_sim(self) -> SimulatorPort:
         if self._sim is None:

@@ -16,7 +16,6 @@ hook                emitted when
 =================== ========================================================
 RunStarted          ``run()`` begins, after arrivals are scheduled; plugins
                     (fault driver, churn driver) schedule their timelines
-StateTransition     every :class:`~repro.sim.lifecycle.EventLifecycle` move
 EventArrived        an event enters the queue (arrival or repair)
 PreRound            a round was decided, before its admissions execute
                     (fires for empty rounds too)
@@ -32,6 +31,11 @@ FaultInjected       a link/switch failure fired mid-run
 FaultHealed         a previously injected failure healed
 ChurnTick           a background flow completed (and maybe respawned)
 =================== ========================================================
+
+Lifecycle moves are not hooks: the pipeline writes each move, and the
+times and cost a hook reports, into the event's row on the
+:class:`~repro.sim.lifecycle.EventLifecycle` before it emits the hook, so
+a handler reads the row through ``sim.lifecycle``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ if TYPE_CHECKING:
     from repro.network.network import Network
     from repro.sim.config import SimulationConfig
     from repro.sim.engine import SimulationEngine
-    from repro.sim.lifecycle import EventLifecycle, TransitionRecord
+    from repro.sim.lifecycle import EventLifecycle
     from repro.sim.metrics import MetricsCollector
     from repro.sim.pipeline import RoundPipeline
 
@@ -105,13 +109,6 @@ class RunStarted(Hook):
 
 
 @dataclass(frozen=True, slots=True)
-class StateTransition(Hook):
-    """One applied lifecycle move (registrations included)."""
-
-    record: TransitionRecord
-
-
-@dataclass(frozen=True, slots=True)
 class EventArrived(Hook):
     """An update event entered the queue."""
 
@@ -156,9 +153,8 @@ class PreRound(Hook):
 class PostRound(Hook):
     """Round ``index`` settled (empty rounds included).
 
-    The payload is O(1): the metrics collector charges
-    ``EventRecord.rounds_waited`` per queue stay from ``StateTransition``
-    moves, counting the ``PostRound`` emissions that fell inside it.
+    The payload is O(1): each event row charges ``rounds_waited`` per
+    queue stay, counting the rounds settled inside it.
     """
 
     now: float

@@ -32,15 +32,18 @@ recovery is represented by the repair event reaching ``COMPLETED``.
 
 The registry (:class:`EventLifecycle`) asserts legality on every move —
 an illegal transition raises :class:`IllegalTransitionError` immediately,
-turning silent bookkeeping bugs into loud ones — and keeps a bounded
-per-event transition history for diagnostics.
+turning silent bookkeeping bugs into loud ones — and owns the one
+:class:`EventRecord` row each event has. The pipeline writes a row before
+it announces the matching hook, so a listener reads the row as the hook
+describes it.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.exceptions import SimulationError
 
@@ -82,81 +85,127 @@ TERMINAL_STATES: frozenset[EventState] = frozenset(
     if not successors)
 
 
-
 class IllegalTransitionError(SimulationError):
     """An event attempted a move the lifecycle does not allow."""
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
-    """One applied lifecycle move, timestamped in simulated seconds.
+#: The states of an event that sits in the scheduler queue.
+_QUEUE_STATES = frozenset({EventState.QUEUED, EventState.PROBED})
 
-    ``frm`` is ``None`` for the registration move into ``QUEUED``.
+_STATE_OF = operator.attrgetter("state")
+
+#: The row fields a terminal journal record carries, in record order.
+RECORD_FIELDS: tuple[str, ...] = (
+    "event_id", "arrival_time", "flow_count", "exec_start_time",
+    "setup_done_time", "completion_time", "cost", "migrations",
+    "rounds_waited", "deferrals", "dropped", "stage_count",
+    "max_transient_overload")
+
+
+@dataclass(slots=True)
+class EventRecord:
+    """The one row of an update event: lifecycle position, metric inputs
+    and the pipeline's per-event counters.
+
+    ``stage_count`` sums the compiled schedule lengths of the event's
+    admissions; ``max_transient_overload`` is the worst fractional
+    capacity overshoot any of its stages caused. ``rounds_waited`` counts
+    the rounds settled while the event sat in the queue; while it sits
+    there, ``waiting_since`` is the settled-round count its stay was
+    charged up to. ``outstanding`` counts its admitted flows still
+    transmitting; ``done_queueing`` marks every flow admitted.
     """
 
     event_id: str
-    frm: EventState | None
-    to: EventState
-    at: float
+    arrival_time: float
+    flow_count: int
+    exec_start_time: float | None = None
+    setup_done_time: float | None = None
+    completion_time: float | None = None
+    cost: float = 0.0
+    migrations: int = 0
+    rounds_waited: int = 0
+    deferrals: int = 0
+    stage_count: int = 0
+    max_transient_overload: float = 0.0
+    state: EventState = EventState.QUEUED
+    origin: str = "submitted"
+    index: int = 0
+    waiting_since: int = 0
+    outstanding: int = 0
+    done_queueing: bool = False
 
-    def __str__(self) -> str:
-        frm = self.frm.value if self.frm is not None else "∅"
-        return f"{self.event_id}: {frm}→{self.to.value} @t={self.at:.6f}"
+    @property
+    def dropped(self) -> bool:
+        return self.state is EventState.DROPPED
+
+    @property
+    def completed(self) -> bool:
+        return self.completion_time is not None
+
+    @property
+    def ect(self) -> float:
+        """Event completion time (paper's ECT)."""
+        if self.completion_time is None:
+            raise ValueError(f"event {self.event_id} has not completed")
+        return self.completion_time - self.arrival_time
+
+    @property
+    def queuing_delay(self) -> float:
+        """Time spent queued before execution began."""
+        if self.exec_start_time is None:
+            raise ValueError(f"event {self.event_id} never started")
+        return self.exec_start_time - self.arrival_time
 
 
 class EventLifecycle:
-    """Per-event state registry enforcing the lifecycle state machine.
-
-    Args:
-        history_limit: transition records kept per event (oldest evicted
-            first). Probe/requeue churn is bounded per round, so a small
-            window is enough to reconstruct how an event reached a state.
+    """One :class:`EventRecord` per registered event, moved only through
+    the state machine. The per-state populations are kept in the same
+    call, so :meth:`counts` is O(1) in the number of events; the
+    queue-stay clock is the number of settled rounds (:meth:`settle_round`).
     """
 
-    def __init__(self, history_limit: int = 32):
-        if history_limit < 1:
-            raise ValueError("history_limit must be >= 1")
-        self._states: dict[str, EventState] = {}
-        self._origins: dict[str, str] = {}
-        self._history: dict[str, list[TransitionRecord]] = {}
-        self._history_limit = history_limit
-        self._transitions = 0
-        # Non-terminal events -> registration index. An event leaves it
-        # when it settles; its index stays in ``_last_settled`` (what its
-        # terminal journal record carries) until the next one settles.
-        self._live: dict[str, int] = {}
-        self._last_settled: tuple[str, int] | None = None
-        # State populations maintained incrementally so counts() stays O(1)
-        # in the number of registered events — the lifecycle auditor reads
-        # it on every round of an unbounded service run.
+    def __init__(self) -> None:
+        self._rows: dict[str, EventRecord] = {}
         self._counts: dict[EventState, int] = {s: 0 for s in EventState}
+        self._rounds_settled = 0
+        #: The latest completion or drop time so far.
+        self.makespan = 0.0
 
     # ------------------------------------------------------------- mutation
 
-    def register(self, event_id: str, at: float,
-                 origin: str = "submitted") -> TransitionRecord:
+    def register(self, event_id: str, at: float, origin: str = "submitted",
+                 flow_count: int = 0) -> EventRecord:
         """Enter a new event into the lifecycle in ``QUEUED``.
 
         Args:
             event_id: the event's unique id.
-            at: simulated registration time.
+            at: simulated registration (arrival) time.
             origin: provenance label (``"submitted"`` for user events,
                 ``"repair"`` for failure-generated repair events).
+            flow_count: the event's flows.
 
         Raises:
             IllegalTransitionError: the id is already registered.
         """
-        if event_id in self._states:
+        if event_id in self._rows:
             raise IllegalTransitionError(
                 f"event {event_id} registered twice (currently "
-                f"{self._states[event_id].value})")
-        self._origins[event_id] = origin
-        self._live[event_id] = len(self._states)
-        return self._apply(event_id, None, EventState.QUEUED, at)
+                f"{self._rows[event_id].state.value})")
+        row = self._rows[event_id] = EventRecord(
+            event_id=event_id, arrival_time=at, flow_count=flow_count,
+            origin=origin, index=len(self._rows),
+            waiting_since=self._rounds_settled)
+        self._counts[EventState.QUEUED] += 1
+        return row
 
     def advance(self, event_id: str, to: EventState,
-                at: float) -> TransitionRecord:
+                at: float) -> EventRecord:
         """Move ``event_id`` to state ``to``, asserting legality.
+
+        Entering the queue opens a stay, leaving it charges the rounds
+        settled during the stay; a terminal move stamps ``at`` (the
+        completion time of a completed event).
 
         Raises:
             IllegalTransitionError: the event is unknown, the target state
@@ -164,82 +213,84 @@ class EventLifecycle:
                 already in a terminal state.
         """
         try:
-            current = self._states[event_id]
+            row = self._rows[event_id]
         except KeyError:
             raise IllegalTransitionError(
                 f"unknown event {event_id}; register() it first") from None
+        current = row.state
         if to not in LEGAL_TRANSITIONS[current]:
             raise IllegalTransitionError(
                 f"illegal transition for event {event_id}: "
                 f"{current.value} → {to.value} (legal: "
                 f"{sorted(s.value for s in LEGAL_TRANSITIONS[current])})")
-        return self._apply(event_id, current, to, at)
-
-    def _apply(self, event_id: str, frm: EventState | None,
-               to: EventState, at: float) -> TransitionRecord:
-        record = TransitionRecord(event_id=event_id, frm=frm, to=to, at=at)
-        if frm is not None:
-            self._counts[frm] -= 1
+        self._counts[current] -= 1
         self._counts[to] += 1
-        self._states[event_id] = to
+        row.state = to
+        queued = to in _QUEUE_STATES
+        if queued != (current in _QUEUE_STATES):
+            if queued:
+                row.waiting_since = self._rounds_settled
+            else:
+                row.rounds_waited += self._rounds_settled - row.waiting_since
         if to in TERMINAL_STATES:
-            self._last_settled = (event_id, self._live.pop(event_id))
-        history = self._history.setdefault(event_id, [])
-        history.append(record)
-        if len(history) > self._history_limit:
-            del history[0]
-        self._transitions += 1
-        return record
+            if to is EventState.COMPLETED:
+                row.completion_time = at
+            self.makespan = max(self.makespan, at)
+        return row
 
-    # ------------------------------------------------------- settled entry
-
-    def settled_entry(self, event_id: str) -> dict[str, Any]:
-        """Registration index and origin of ``event_id``, the event that
-        settled last (read while its terminal hook is being handled).
-
-        Raises:
-            IllegalTransitionError: another event settled after it, or
-                none has.
-        """
-        if self._last_settled is None or self._last_settled[0] != event_id:
-            raise IllegalTransitionError(
-                f"event {event_id} is not the event that settled last "
-                f"({self._last_settled!r})")
-        return {"index": self._last_settled[1],
-                "origin": self._origins[event_id]}
+    def settle_round(self) -> None:
+        """A round settled: every open queue stay waited one more."""
+        self._rounds_settled += 1
 
     # -------------------------------------------------------------- queries
 
+    def row(self, event_id: str) -> EventRecord:
+        """The row of ``event_id`` (raises ``KeyError`` if unknown)."""
+        return self._rows[event_id]
+
     def state(self, event_id: str) -> EventState:
         """Current state of ``event_id`` (raises ``KeyError`` if unknown)."""
-        return self._states[event_id]
+        return self._rows[event_id].state
 
-    def knows(self, event_id: str) -> bool:
-        return event_id in self._states
+    def states(self, event_ids: Iterable[str]) -> list[EventState]:
+        """The current state of each of ``event_ids``, in order."""
+        return list(map(_STATE_OF, map(self._rows.__getitem__, event_ids)))
 
-    def origin(self, event_id: str) -> str:
-        """Provenance label given at registration."""
-        return self._origins[event_id]
+    def records(self) -> dict[str, EventRecord]:
+        """Every row in registration order, open queue stays charged up to
+        the last settled round."""
+        now = self._rounds_settled
+        for row in self._rows.values():
+            if row.state in _QUEUE_STATES:
+                row.rounds_waited += now - row.waiting_since
+                row.waiting_since = now
+        return dict(self._rows)
 
-    def history(self, event_id: str) -> tuple[TransitionRecord, ...]:
-        """Recent transition records of one event, oldest first."""
-        return tuple(self._history.get(event_id, ()))
+    def settled_entry(self, event_id: str) -> dict[str, Any]:
+        """Registration index and origin of a completed or dropped event
+        (what its terminal journal record carries).
 
-    def in_state(self, state: EventState) -> tuple[str, ...]:
-        """Ids of all events currently in ``state``, registration order."""
-        return tuple(eid for eid, s in self._states.items() if s is state)
-
-    @property
-    def transition_count(self) -> int:
-        """Total transitions applied (registrations included)."""
-        return self._transitions
+        Raises:
+            IllegalTransitionError: the event has not settled.
+        """
+        row = self._rows[event_id]
+        if row.state not in TERMINAL_STATES:
+            raise IllegalTransitionError(
+                f"event {event_id} has not settled ({row.state.value})")
+        return {"index": row.index, "origin": row.origin}
 
     def counts(self) -> dict[EventState, int]:
         """Current population of every state (zero entries included)."""
         return dict(self._counts)
 
+    @property
+    def remaining(self) -> int:
+        """Events registered but neither completed nor dropped."""
+        return (len(self._rows) - self._counts[EventState.COMPLETED]
+                - self._counts[EventState.DROPPED])
+
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._rows)
 
     def __repr__(self) -> str:
         alive = {state.value: count for state, count in self.counts().items()

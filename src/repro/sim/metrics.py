@@ -9,6 +9,11 @@ them are exactly what the paper plots:
 * **tail ECT** — the slowest event's ECT (p95/p99 also reported),
 * **total plan time** — simulated seconds the controller spent planning,
 * **event queuing delay** — execution start − arrival, average and worst.
+
+The per-event inputs are the event rows the
+:class:`~repro.sim.lifecycle.EventLifecycle` owns, written by the round
+pipeline; :class:`MetricsCollector` keeps only the run-level
+:data:`RUN_COUNTERS` totals and reads the rows when asked.
 """
 
 from __future__ import annotations
@@ -16,56 +21,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, KeysView
+from typing import Any, Callable
 
 from repro.sim import hooks as _hooks
-from repro.sim.lifecycle import EventState
-
-#: The lifecycle states of an event that sits in the scheduler queue.
-_QUEUE_STATES = frozenset({EventState.QUEUED, EventState.PROBED})
-
-
-@dataclass
-class EventRecord:
-    """Lifecycle timestamps and realized cost of one update event.
-
-    ``stage_count`` sums the compiled schedule lengths of the event's
-    admissions (one admission, hence the plan's stage count, for
-    event-level schedulers); ``max_transient_overload`` is the worst
-    fractional capacity overshoot any of its stages caused.
-    """
-
-    event_id: str
-    arrival_time: float
-    flow_count: int
-    exec_start_time: float | None = None
-    setup_done_time: float | None = None
-    completion_time: float | None = None
-    cost: float = 0.0
-    migrations: int = 0
-    rounds_waited: int = 0
-    deferrals: int = 0
-    dropped: bool = False
-    stage_count: int = 0
-    max_transient_overload: float = 0.0
-
-    @property
-    def completed(self) -> bool:
-        return self.completion_time is not None
-
-    @property
-    def ect(self) -> float:
-        """Event completion time (paper's ECT)."""
-        if self.completion_time is None:
-            raise ValueError(f"event {self.event_id} has not completed")
-        return self.completion_time - self.arrival_time
-
-    @property
-    def queuing_delay(self) -> float:
-        """Time spent queued before execution began."""
-        if self.exec_start_time is None:
-            raise ValueError(f"event {self.event_id} never started")
-        return self.exec_start_time - self.arrival_time
+from repro.sim.lifecycle import (
+    RECORD_FIELDS,
+    TERMINAL_STATES,
+    EventLifecycle,
+    EventRecord,
+    EventState,
+)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -232,8 +197,8 @@ class RunCounter:
 #: counts decided rounds (``RunMetrics.rounds``)
 #: and ``rounds_settled`` settled ones (``repro_rounds_total``): a
 #: snapshot tick can land between a round's ``PreRound`` and ``PostRound``.
-#: ``rounds_settled`` is also the clock ``EventRecord.rounds_waited`` is
-#: charged by: a stay in the queue costs the rounds settled during it.
+#: ``EventRecord.rounds_waited`` is charged by the same settled rounds,
+#: counted on the lifecycle (:meth:`EventLifecycle.settle_round`).
 RUN_COUNTERS: tuple[RunCounter, ...] = (
     RunCounter("rounds", _hooks.PreRound),
     RunCounter("total_plan_time", _hooks.PreRound, "plan_time", zero=0.0),
@@ -271,37 +236,23 @@ _SUMMARY_FIELDS = frozenset(f.name for f in fields(RunMetrics))
 
 
 class MetricsCollector:
-    """The run ledger: per-event records plus the :data:`RUN_COUNTERS`
-    totals, fed by the hook bus and finalized into :class:`RunMetrics`.
+    """The run ledger: the :data:`RUN_COUNTERS` totals, fed by the hook
+    bus, and the event rows of ``lifecycle`` read as metrics records;
+    finalized into :class:`RunMetrics`.
 
-    Subscribes its own handlers on ``bus``. The simulator builds it
-    *before* the trace-log adapter, so for every shared hook type the
-    ledger is charged first and the listener sees it second (the record
-    order the schedule pins hash).
+    Subscribes only the counter folders on ``bus``. The simulator builds
+    it *before* the trace-log adapter, so for every shared hook type the
+    totals are charged first and the listener sees them second (the
+    record order the schedule pins hash).
     """
 
-    def __init__(self, scheduler_name: str, bus: _hooks.HookBus):
+    def __init__(self, scheduler_name: str, bus: _hooks.HookBus,
+                 lifecycle: EventLifecycle):
         self._scheduler = scheduler_name
-        self._records: dict[str, EventRecord] = {}
-        # The records no completion or drop has closed yet (registration
-        # order, like _records).
-        self._open: dict[str, EventRecord] = {}
-        # Queued events -> ``rounds_settled`` when their current stay in
-        # the queue began (or was last settled); the stay is charged to
-        # ``rounds_waited`` when the event leaves the queue.
-        self._waiting_since: dict[str, int] = {}
-        self._completed = 0
-        self._dropped = 0
-        self._makespan = 0.0
+        self._lifecycle = lifecycle
         #: Current value of every declared run counter, by name.
         self.totals: dict[str, int | float] = {
             counter.name: counter.zero for counter in RUN_COUNTERS}
-        bus.subscribe(_hooks.StateTransition, self._on_transition)
-        bus.subscribe(_hooks.EventArrived, self._on_arrived)
-        bus.subscribe(_hooks.EventAdmitted, self._on_admitted)
-        bus.subscribe(_hooks.EventCompleted, self._on_completed)
-        bus.subscribe(_hooks.EventDeferred, self._on_deferred)
-        bus.subscribe(_hooks.EventDropped, self._on_dropped)
         for counter in RUN_COUNTERS:
             bus.subscribe(counter.hook, self._folder(counter))
 
@@ -317,90 +268,6 @@ class MetricsCollector:
                 totals[name] = fold(totals[name], getattr(hook, read))
         return handle
 
-    # --------------------------------------------------------------- record
-
-    def _on_arrived(self, hook: _hooks.EventArrived) -> None:
-        if hook.event_id in self._records:
-            raise ValueError(f"event {hook.event_id} enqueued twice")
-        self._records[hook.event_id] = self._open[hook.event_id] = (
-            EventRecord(event_id=hook.event_id, arrival_time=hook.now,
-                        flow_count=hook.flow_count))
-
-    def _on_transition(self, hook: _hooks.StateTransition) -> None:
-        """Open a queue stay on entry, charge it on exit.
-
-        A round settled while an event sits in the queue costs it one
-        ``rounds_waited``; charging the whole stay when it ends keeps a
-        settled round O(1) in the queue depth.
-        """
-        move = hook.record
-        queued = move.to in _QUEUE_STATES
-        if queued == (move.frm in _QUEUE_STATES):
-            return
-        if queued:
-            self._waiting_since[move.event_id] = int(
-                self.totals["rounds_settled"])
-        else:
-            since = self._waiting_since.pop(move.event_id)
-            self._record(move.event_id).rounds_waited += int(
-                self.totals["rounds_settled"]) - since
-
-    def _settle_waiting(self) -> None:
-        """Charge every open queue stay up to now (before a read)."""
-        now = int(self.totals["rounds_settled"])
-        for event_id, since in self._waiting_since.items():
-            self._records[event_id].rounds_waited += now - since
-            self._waiting_since[event_id] = now
-
-    def _on_admitted(self, hook: _hooks.EventAdmitted) -> None:
-        """Accumulate one admission's realized plan cost.
-
-        Only the first admission defines the queuing delay: for the
-        flow-level baseline an event executes across many rounds.
-        """
-        record = self._record(hook.event_id)
-        if record.exec_start_time is None:
-            record.exec_start_time = hook.exec_start
-        record.cost += hook.cost
-        record.migrations += hook.migrations
-        record.stage_count += hook.stage_count
-        record.max_transient_overload = max(record.max_transient_overload,
-                                            hook.max_transient_overload)
-        record.setup_done_time = hook.setup_done_time
-
-    def _on_completed(self, hook: _hooks.EventCompleted) -> None:
-        record = self._record(hook.event_id)
-        if record.completion_time is None:
-            self._completed += 1
-        record.completion_time = hook.now
-        self._open.pop(hook.event_id, None)
-        self._makespan = max(self._makespan, hook.now)
-
-    def _on_deferred(self, hook: _hooks.EventDeferred) -> None:
-        """The event was requeued (execution failure or placement stall)."""
-        self._record(hook.event_id).deferrals += 1
-
-    def _on_dropped(self, hook: _hooks.EventDropped) -> None:
-        """The event was evicted after exhausting its deferrals.
-
-        Dropped events are excluded from completion aggregates but keep
-        any cost they realized before stalling; the demand of their
-        never-placed flows is the ``stranded_traffic`` total.
-        """
-        record = self._record(hook.event_id)
-        if record.dropped:
-            raise ValueError(f"event {hook.event_id} dropped twice")
-        record.dropped = True
-        self._open.pop(hook.event_id, None)
-        self._dropped += 1
-        self._makespan = max(self._makespan, hook.now)
-
-    def _record(self, event_id: str) -> EventRecord:
-        try:
-            return self._records[event_id]
-        except KeyError:
-            raise ValueError(f"unknown event {event_id}") from None
-
     # ---------------------------------------------------------- final report
 
     def export_state(self) -> dict[str, Any]:
@@ -410,41 +277,32 @@ class MetricsCollector:
         return {"totals": dict(self.totals)}
 
     def export_record(self, event_id: str) -> dict[str, Any]:
-        """The record fields of one event (a closed one, on its way into
-        its terminal journal record)."""
-        return dict(vars(self._record(event_id)))
+        """The record fields of one event's row (a settled one, on its way
+        into its terminal journal record)."""
+        row = self._lifecycle.row(event_id)
+        return {name: getattr(row, name) for name in RECORD_FIELDS}
 
     # ------------------------------------------------------------- finalize
 
     @property
     def records(self) -> dict[str, EventRecord]:
-        self._settle_waiting()
-        return dict(self._records)
-
-    # O(1) counters the lifecycle auditor cross-checks on every PostRound;
-    # recomputing them from ``records`` would be O(events) per round, which
-    # the unbounded service mode cannot afford.
+        """Every event's row, registration order."""
+        return self._lifecycle.records()
 
     @property
     def record_count(self) -> int:
         """Events ever enqueued (terminal ones included)."""
-        return len(self._records)
+        return len(self._lifecycle)
 
     @property
     def completed_count(self) -> int:
         """Events whose completion has been recorded."""
-        return self._completed
+        return self._lifecycle.counts()[EventState.COMPLETED]
 
     @property
     def dropped_count(self) -> int:
         """Events evicted after exhausting their deferrals."""
-        return self._dropped
-
-    @property
-    def waiting_ids(self) -> KeysView[str]:
-        """The events with an open queue stay (the auditor checks them
-        against the pipeline queue)."""
-        return self._waiting_since.keys()
+        return self._lifecycle.counts()[EventState.DROPPED]
 
     @property
     def round_count(self) -> int:
@@ -454,7 +312,8 @@ class MetricsCollector:
     def incomplete_events(self) -> list[str]:
         """Events neither completed nor dropped — a drained run must have
         none; dropped events are accounted, not incomplete."""
-        return list(self._open)
+        return [event_id for event_id, row in self.records.items()
+                if row.state not in TERMINAL_STATES]
 
     def finalize(self) -> RunMetrics:
         """Build the aggregate metrics; every event must have completed or
@@ -465,7 +324,7 @@ class MetricsCollector:
         if incomplete:
             raise ValueError(f"{len(incomplete)} events never completed: "
                              f"{incomplete[:5]}")
-        everything = sorted(self._records.values(),
+        everything = sorted(self.records.values(),
                             key=lambda r: r.arrival_time)
         records = [r for r in everything if not r.dropped]
         dropped = [r for r in everything if r.dropped]
@@ -487,7 +346,7 @@ class MetricsCollector:
             p99_ect=percentile(ects, 99) if ects else 0.0,
             average_queuing_delay=sum(delays) / count if count else 0.0,
             worst_queuing_delay=max(delays) if delays else 0.0,
-            makespan=self._makespan,
+            makespan=self._lifecycle.makespan,
             per_event_ect=tuple(ects),
             per_event_delay=tuple(delays),
             per_event_cost=tuple(costs),

@@ -9,13 +9,13 @@ One scheduling round runs through six ordered stages::
                 on stalls     announce   flow        round, arm
                               the round  finishes    the barrier
 
-The pipeline owns all round state (queue, round counters, deferral
-budgets, per-event outstanding-flow counts) and every event's position in
-the :class:`~repro.sim.lifecycle.EventLifecycle` state machine — each move
-is asserted legal and announced on the hook bus as a
-:class:`~repro.sim.hooks.StateTransition`. Cross-cutting concerns never
-appear here: metrics, trace logging, faults and churn all observe the
-round through :mod:`repro.sim.hooks` subscriptions.
+The pipeline owns the round state (queue, round counters) and drives every
+event's row through the :class:`~repro.sim.lifecycle.EventLifecycle` state
+machine — each move is asserted legal, and the row (times, cost,
+deferrals, outstanding flows) is written before the matching hook is
+announced. Cross-cutting concerns never appear here: metrics, trace
+logging, faults and churn all observe the round through
+:mod:`repro.sim.hooks` subscriptions.
 
 Behavior contract: the staged pipeline is byte-identical to the
 pre-refactor monolithic ``UpdateSimulator`` — same engine scheduling
@@ -53,9 +53,8 @@ from repro.sim.hooks import (
     HookBus,
     PostRound,
     PreRound,
-    StateTransition,
 )
-from repro.sim.lifecycle import EventLifecycle, EventState, TransitionRecord
+from repro.sim.lifecycle import EventLifecycle, EventRecord, EventState
 from repro.sim.queue import IndexedQueue
 
 if TYPE_CHECKING:
@@ -107,11 +106,7 @@ class RoundPipeline:
         self._round_active = False
         self._round_outstanding = 0
         self._round_index = 0
-        self._event_outstanding: dict[str, int] = {}
-        self._event_done_queueing: set[str] = set()
-        self._events_remaining = 0
         self._enqueue_seq = 0
-        self._deferral_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------- queries
 
@@ -136,7 +131,7 @@ class RoundPipeline:
     @property
     def events_remaining(self) -> int:
         """Events enqueued but not yet completed or dropped."""
-        return self._events_remaining
+        return self._lifecycle.remaining
 
     @property
     def round_active(self) -> bool:
@@ -153,10 +148,6 @@ class RoundPipeline:
         # Tests pin this to simulate a mid-round state.
         self._round_outstanding = value
 
-    @property
-    def lifecycle(self) -> EventLifecycle:
-        return self._lifecycle
-
     # ----------------------------------------------------- queue admission
 
     def enqueue(self, event: UpdateEvent, origin: str = "submitted",
@@ -171,16 +162,14 @@ class RoundPipeline:
         and call :meth:`schedule_round` once after the batch, avoiding one
         engine event per enqueued event.
         """
-        record = self._lifecycle.register(event.event_id, self._engine.now,
-                                          origin=origin)
-        self._hooks.emit(StateTransition(record))
+        now = self._engine.now
+        self._lifecycle.register(event.event_id, now, origin=origin,
+                                 flow_count=len(event.flows))
         self._queue.append(QueuedEvent(event, seq=self._enqueue_seq))
         self._enqueue_seq += 1
-        self._hooks.emit(EventArrived(now=self._engine.now,
-                                      event_id=event.event_id,
+        self._hooks.emit(EventArrived(now=now, event_id=event.event_id,
                                       flow_count=len(event.flows),
                                       origin=origin))
-        self._events_remaining += 1
         if kick:
             self.schedule_round()
 
@@ -221,7 +210,7 @@ class RoundPipeline:
         The scheduler decides first and reports what it probed
         (``decision.probed``; ``None`` means the whole queue). Those events
         then move QUEUED→PROBED — the planner emits no hooks, so the
-        round's transition order is unchanged — and the admit stage
+        round's hook order is unchanged — and the admit stage
         settles each into ADMITTED or back to QUEUED. A sampling policy's
         round therefore costs O(α) lifecycle traffic, not O(queue).
         """
@@ -230,7 +219,8 @@ class RoundPipeline:
             decision = self.fallback_decision(ctx, decision)
         now = self._engine.now
         for queued in self._probed(decision):
-            self._advance(queued.event.event_id, EventState.PROBED, now)
+            self._lifecycle.advance(queued.event.event_id, EventState.PROBED,
+                                    now)
         return decision
 
     def _probed(self, decision: RoundDecision) -> Iterable[QueuedEvent]:
@@ -244,21 +234,18 @@ class RoundPipeline:
         (after deadlock/stall checks) and nothing executes.
         """
         now = self._engine.now
-        admitted_ids = set()
         for admission in decision.admissions:
             event_id = admission.queued.event.event_id
             if self._lifecycle.state(event_id) is EventState.QUEUED:
                 # The stall fallback may admit an event the scheduler
                 # never probed; route it through PROBED so the lifecycle
                 # assertion holds.
-                self._advance(event_id, EventState.PROBED, now)
-            decision.transitions.append(
-                self._advance(event_id, EventState.ADMITTED, now))
-            admitted_ids.add(event_id)
+                self._lifecycle.advance(event_id, EventState.PROBED, now)
+            self._lifecycle.advance(event_id, EventState.ADMITTED, now)
         for queued in self._probed(decision):
             event_id = queued.event.event_id
-            if event_id not in admitted_ids:
-                self._advance(event_id, EventState.QUEUED, now)
+            if self._lifecycle.state(event_id) is EventState.PROBED:
+                self._lifecycle.advance(event_id, EventState.QUEUED, now)
         self._round_index += 1
         self._hooks.emit(PreRound(
             now=now, index=self._round_index,
@@ -280,9 +267,8 @@ class RoundPipeline:
             # An empty decision still consumed a round — PreRound above
             # charged the round and its plan time — so the round must also
             # settle with a PostRound; otherwise waiting events are never
-            # charged the round they just waited through (the empty-round
-            # accounting drift the lifecycle auditor turns into a hard
-            # failure).
+            # charged the round they just waited through.
+            self._lifecycle.settle_round()
             self._hooks.emit(PostRound(now=now, index=self._round_index))
             self._round_active = False
             self._check_deadlock()
@@ -301,7 +287,7 @@ class RoundPipeline:
         round_end = exec_start
         for admission in decision.admissions:
             event_id = admission.queued.event.event_id
-            self._advance(event_id, EventState.EXECUTING, now)
+            row = self._lifecycle.advance(event_id, EventState.EXECUTING, now)
             try:
                 record = self._executor.execute(self._network, admission.plan,
                                                 exec_start)
@@ -315,6 +301,16 @@ class RoundPipeline:
                 self._exec_failed(admission, exc)
                 continue
             round_end = max(round_end, record.finish_setup_time)
+            # Only the first admission defines the queuing delay: for the
+            # flow-level baseline an event executes across many rounds.
+            if row.exec_start_time is None:
+                row.exec_start_time = exec_start
+            row.cost += admission.plan.cost
+            row.migrations += admission.plan.migration_count
+            row.stage_count += record.stage_count
+            row.max_transient_overload = max(row.max_transient_overload,
+                                             record.max_transient_overload)
+            row.setup_done_time = record.finish_setup_time
             self._hooks.emit(EventAdmitted(
                 exec_start=exec_start, event_id=event_id,
                 cost=admission.plan.cost,
@@ -331,12 +327,10 @@ class RoundPipeline:
                 finish = record.finish_setup_time + flow.service_time
                 if not setup_barrier:
                     self._round_outstanding += 1
-                self._event_outstanding[event_id] = \
-                    self._event_outstanding.get(event_id, 0) + 1
+                row.outstanding += 1
                 self._engine.schedule_callback(
                     finish,
-                    lambda f=flow.flow_id, e=event_id:
-                        self._flow_finished(f, e),
+                    lambda f=flow.flow_id, r=row: self._flow_finished(f, r),
                     tag=f"flow-finish:{event_id}/{flow.flow_id}")
             # Queue bookkeeping: drop admitted flows; drop drained events.
             admission.queued.remaining = [
@@ -344,7 +338,7 @@ class RoundPipeline:
                 if f.flow_id not in admitted_flow_ids]
             if admission.queued.done:
                 self._queue.remove(admission.queued)
-                self._event_done_queueing.add(event_id)
+                row.done_queueing = True
                 if setup_barrier:
                     # Under the pipelined reading the event is "complete"
                     # once its update is fully applied; its flows keep
@@ -353,12 +347,14 @@ class RoundPipeline:
             else:
                 # Partial admission (flow-level baseline): the event keeps
                 # queueing with its remaining flows.
-                self._advance(event_id, EventState.QUEUED, now)
+                self._lifecycle.advance(event_id, EventState.QUEUED, now)
         return round_end
 
     def _settle(self, round_end: float) -> None:
-        """Stage 5 — announce the settled round, arm the barrier."""
+        """Stage 5 — settle the round on the lifecycle's queue-stay clock,
+        announce it, arm the barrier."""
         setup_barrier = self._config.round_barrier == "setup"
+        self._lifecycle.settle_round()
         self._hooks.emit(PostRound(now=self._engine.now,
                                    index=self._round_index))
         if setup_barrier:
@@ -464,17 +460,16 @@ class RoundPipeline:
         relative order carries no information.
         """
         event_id = queued.event.event_id
-        count = self._deferral_counts.get(event_id, 0) + 1
-        self._deferral_counts[event_id] = count
         now = self._engine.now
-        self._advance(event_id, EventState.DEFERRED, now)
+        row = self._lifecycle.advance(event_id, EventState.DEFERRED, now)
+        row.deferrals += 1
         self._hooks.emit(EventDeferred(now=now, event_id=event_id,
-                                       count=count))
+                                       count=row.deferrals))
         limit = self._config.max_deferrals
-        if limit is not None and count > limit:
+        if limit is not None and row.deferrals > limit:
             self._drop_event(queued)
             return
-        self._advance(event_id, EventState.QUEUED, now)
+        self._lifecycle.advance(event_id, EventState.QUEUED, now)
         if requeue:
             self._queue.remove(queued)
             queued.seq = self._enqueue_seq
@@ -492,22 +487,16 @@ class RoundPipeline:
         event_id = queued.event.event_id
         self._queue.remove(queued)
         stranded = sum(flow.demand for flow in queued.remaining)
-        self._advance(event_id, EventState.DROPPED, self._engine.now)
+        self._lifecycle.advance(event_id, EventState.DROPPED,
+                                self._engine.now)
         self._hooks.emit(EventDropped(now=self._engine.now,
                                       event_id=event_id,
                                       stranded_demand=stranded))
-        self._events_remaining -= 1
-        # DROPPED is terminal: release the per-event bookkeeping, exactly
-        # as _complete does. (The outstanding-flow count, if an earlier
-        # partial admission left flows in flight, removes itself when the
-        # last of them finishes.)
-        self._deferral_counts.pop(event_id, None)
-        self._event_done_queueing.discard(event_id)
         self._forget_scheduler_state(event_id)
 
     # ----------------------------------------------------------- completion
 
-    def _flow_finished(self, flow_id: str, event_id: str) -> None:
+    def _flow_finished(self, flow_id: str, row: EventRecord) -> None:
         """An admitted flow's transmission ended (engine callback).
 
         A mid-round fault may have stranded (removed) the flow; its
@@ -517,24 +506,17 @@ class RoundPipeline:
         setup_barrier = self._config.round_barrier == "setup"
         if self._network.has_flow(flow_id):
             self._network.remove(flow_id)
-        # Drop the outstanding-count entry at zero instead of parking a
-        # zero forever: the dict must not grow one entry per event over an
-        # unbounded (service-mode) run.
-        remaining = self._event_outstanding[event_id] - 1
-        if remaining:
-            self._event_outstanding[event_id] = remaining
-        else:
-            del self._event_outstanding[event_id]
+        row.outstanding -= 1
         self._hooks.emit(FlowFinished(now=self._engine.now,
                                       flow_id=flow_id,
-                                      event_id=event_id))
+                                      event_id=row.event_id))
         if setup_barrier:
             # Completion was recorded at setup time; flow drain only
             # frees bandwidth (and may unblock a waiting round).
             self.maybe_round()
             return
-        if remaining == 0 and event_id in self._event_done_queueing:
-            self._complete(event_id, self._engine.now)
+        if row.outstanding == 0 and row.done_queueing:
+            self._complete(row.event_id, self._engine.now)
         self._round_outstanding -= 1
         if self._round_outstanding == 0:
             self._round_active = False
@@ -543,21 +525,14 @@ class RoundPipeline:
     def _complete(self, event_id: str, time: float) -> None:
         """Mark an event complete (lifecycle terminal + hook).
 
-        Terminal states release the event's per-event bookkeeping
-        (deferral count, done-queueing membership; the outstanding-flow
-        count removes itself when it hits zero) — otherwise every event
-        ever processed leaves a dict entry behind, which an unbounded
-        service-mode run turns into a leak. The probe cache is purged
-        here exactly as on drop: a completed event's keys can never hit
-        again (its id has left the queue for good), yet before this purge
-        they lingered until LRU eviction — on long service runs the cache
-        was effectively ``maxsize`` stale entries slowing every store.
+        The probe cache is purged here exactly as on drop: a completed
+        event's keys can never hit again (its id has left the queue for
+        good), yet before this purge they lingered until LRU eviction —
+        on long service runs the cache was effectively ``maxsize`` stale
+        entries slowing every store.
         """
-        self._advance(event_id, EventState.COMPLETED, time)
+        self._lifecycle.advance(event_id, EventState.COMPLETED, time)
         self._hooks.emit(EventCompleted(now=time, event_id=event_id))
-        self._events_remaining -= 1
-        self._event_done_queueing.discard(event_id)
-        self._deferral_counts.pop(event_id, None)
         self._forget_scheduler_state(event_id)
 
     # -------------------------------------------------------------- helpers
@@ -577,9 +552,3 @@ class RoundPipeline:
         extractor = getattr(self._scheduler, "extractor", None)
         if extractor is not None:
             extractor.forget_event(event_id)
-
-    def _advance(self, event_id: str, to: EventState,
-                 at: float) -> TransitionRecord:
-        record = self._lifecycle.advance(event_id, to, at)
-        self._hooks.emit(StateTransition(record))
-        return record

@@ -242,7 +242,6 @@ class SimulationService:
         self._snapshots = 0
         self._held: "UpdateEvent | None" = None
         self._arrival_handle: "EventHandle | None" = None
-        self._snapshot_handle: "EventHandle | None" = None
         self._stream_done = False
         self._stopped: str | None = None
         self._served = False
@@ -329,7 +328,7 @@ class SimulationService:
             sim.start()
             self._pull_next()
             if self._config.snapshot_every > 0:
-                self._snapshot_handle = sim.engine.schedule_callback(
+                sim.engine.schedule_callback(
                     sim.now + self._config.snapshot_every,
                     self._on_snapshot, tag="service:snapshot")
             self._write_heartbeat()
@@ -492,20 +491,10 @@ class SimulationService:
             # PostRound: without this, a queue emptied by drops would
             # never ingest again.
             self._release_held()
-        # Once the stream is done and the last event settled, cancel the
-        # snapshot timer so the engine drains at the real end time instead
-        # of idling forward to the next snapshot tick. The handle cancel
-        # is idempotent even if the timer already fired.
-        if (self._stream_done and self._held is None
-                and self._sim.pipeline.events_remaining == 0
-                and self._snapshot_handle is not None):
-            self._snapshot_handle.cancel()
-            self._snapshot_handle = None
 
     # ----------------------------------------------------------- snapshots
 
     def _on_snapshot(self) -> None:
-        self._snapshot_handle = None
         if self._config.snapshot_dir is not None:
             self._write_snapshot()
         if (self._sim.engine.pending == 0
@@ -519,7 +508,7 @@ class SimulationService:
         if (self._stream_done and self._held is None
                 and self._sim.pipeline.events_remaining == 0):
             return  # drained: let the engine stop at the real end time
-        self._snapshot_handle = self._sim.engine.schedule_callback(
+        self._sim.engine.schedule_callback(
             self._sim.now + self._config.snapshot_every, self._on_snapshot,
             tag="service:snapshot")
 

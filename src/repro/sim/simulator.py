@@ -3,10 +3,9 @@
 The simulator is now a thin driver around three collaborators:
 
 * :class:`~repro.sim.pipeline.RoundPipeline` — the staged round machinery
-  (collect → schedule → admit → execute → settle → account) and all queue
-  / lifecycle state,
+  (collect → schedule → admit → execute → settle → account) and the queue,
 * :class:`~repro.sim.lifecycle.EventLifecycle` — the explicit event state
-  machine, asserted on every move,
+  machine, asserted on every move, and the one row each event has,
 * :class:`~repro.sim.hooks.HookBus` — where every cross-cutting concern
   (metrics, trace log, fault injection, background churn, control-plane
   retry accounting) subscribes; the core imports none of them.
@@ -87,8 +86,8 @@ class UpdateSimulator:
             Stranded flows are auto-packaged into repair events and
             enqueued at the failure's simulated time.
         audit: attach a :class:`~repro.sim.audit.LifecycleAuditor` that
-            cross-checks lifecycle / pipeline / metrics / engine
-            bookkeeping at every settled round, raising
+            checks the queue against the event rows, the round count and
+            the engine heap at every settled round, raising
             :class:`~repro.sim.audit.AuditError` on drift. Also enabled
             globally by setting the ``REPRO_AUDIT`` environment variable
             to anything but ``0`` / empty (how CI re-runs the schedule
@@ -131,7 +130,8 @@ class UpdateSimulator:
         # Subscription order is the observable record order: metrics first,
         # listener second (matching the monolith's call order), plugins
         # last (they only consume RunStarted).
-        self._metrics = MetricsCollector(scheduler.name, self._hooks)
+        self._metrics = MetricsCollector(scheduler.name, self._hooks,
+                                         self._lifecycle)
         if listener is not None:
             listener.subscribe(self._hooks)
         if faults is not None:
@@ -199,7 +199,7 @@ class UpdateSimulator:
 
     @property
     def metrics_collector(self) -> MetricsCollector:
-        """The live metrics ledger (the auditor cross-checks it)."""
+        """The run counters, and the event rows read as metrics."""
         return self._metrics
 
     @property

@@ -81,6 +81,22 @@ def record_rounds(sim) -> list[PreRound]:
     return rounds
 
 
+def spy_moves(sim, on_move) -> None:
+    """Call ``on_move(event_id, frm, to)`` after every lifecycle move of
+    ``sim`` (registrations are not moves), by wrapping the instance's
+    ``lifecycle.advance``."""
+    lifecycle = sim.lifecycle
+    advance = lifecycle.advance
+
+    def spying(event_id, to, at):
+        frm = lifecycle.state(event_id)
+        row = advance(event_id, to, at)
+        on_move(event_id, frm, to)
+        return row
+
+    lifecycle.advance = spying
+
+
 def schedule_digest(metrics) -> str:
     """A stable fingerprint of one run's realized schedule.
 

@@ -5,12 +5,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.hooks import (
-    EventAdmitted,
-    EventArrived,
-    EventCompleted,
-    HookBus,
-)
+from repro.sim.hooks import HookBus
+from repro.sim.lifecycle import EventLifecycle, EventState
 from repro.sim.metrics import MetricsCollector, percentile
 
 
@@ -139,14 +135,16 @@ class TestCollectorProperties:
                          min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_aggregates_bound_each_other(self, ects):
-        bus = HookBus()
-        collector = MetricsCollector("prop", bus)
+        lifecycle = EventLifecycle()
+        collector = MetricsCollector("prop", HookBus(), lifecycle)
         for index, ect in enumerate(ects):
             eid = f"E{index}"
-            bus.emit(EventArrived(0.0, eid, 1, "submitted"))
-            bus.emit(EventAdmitted(0.0, eid, cost=0.0, migrations=0,
-                                   flows=1, setup_done_time=0.0))
-            bus.emit(EventCompleted(ect, eid))
+            lifecycle.register(eid, 0.0, flow_count=1)
+            for state in (EventState.PROBED, EventState.ADMITTED,
+                          EventState.EXECUTING):
+                row = lifecycle.advance(eid, state, 0.0)
+            row.exec_start_time = row.setup_done_time = 0.0
+            lifecycle.advance(eid, EventState.COMPLETED, ect)
         metrics = collector.finalize()
         assert metrics.average_ect <= metrics.tail_ect + 1e-9
         assert metrics.p95_ect <= metrics.p99_ect + 1e-9

@@ -1,10 +1,11 @@
 """Tests for the lifecycle-invariant auditor (:mod:`repro.sim.audit`).
 
 The positive cases prove the auditor stays silent on healthy runs (fault
-pipeline included); the desync cases tamper one ledger mid-run — through a
-hook subscriber wired *before* the auditor — and assert the very next
-``PostRound`` audit raises :class:`AuditError` naming the drifted invariant
-in its machine-readable diff.
+pipeline included); the desync cases tamper the queue, the event rows, the
+round count or the engine mid-run — through a hook subscriber wired
+*before* the auditor — and assert the very next ``PostRound`` audit raises
+:class:`AuditError` naming the drifted invariant in its machine-readable
+diff.
 """
 
 import sys
@@ -41,7 +42,7 @@ def build_simulator(events=None, audit=None, config=None):
 
 
 class _Tamper:
-    """Hook plugin corrupting one ledger on the ``at_round``-th PostRound.
+    """Hook plugin corrupting state on the ``at_round``-th PostRound.
 
     Attached *before* the auditor so the corruption is visible to the
     audit of the same round.
@@ -130,22 +131,50 @@ class TestCleanRuns:
 
 
 class TestDesyncDetection:
-    def test_events_remaining_drift(self):
-        err = run_tampered(lambda sim: setattr(
-            sim.pipeline, "_events_remaining",
-            sim.pipeline.events_remaining + 1))
-        assert "events_remaining_vs_lifecycle_live" in err.diff
-        observed, expected = err.diff["events_remaining_vs_lifecycle_live"]
-        assert observed == expected + 1
+    def test_waiting_ledger_missing_a_queued_event(self):
+        # A lost requeue move: the event is back in the queue, its row
+        # still says EXECUTING (the per-state counts still agree).
+        seen = []
+
+        def corrupt(sim):
+            queued = sim.pipeline.queued_event_ids()
+            seen.append(queued[-1])
+            sim.lifecycle.row(queued[-1]).state = EventState.EXECUTING
+        err = run_tampered(corrupt)
+        assert err.diff == {"queued_event_row_state": (
+            (seen[0], "executing"), None)}
+
+    def test_waiting_ledger_holding_a_completed_event(self):
+        # A completed event's row moved back to QUEUED (counts included):
+        # a QUEUED row the queue does not hold.
+        def corrupt(sim):
+            (done,) = [event_id for event_id, row
+                       in sim.metrics_collector.records.items()
+                       if row.state is EventState.COMPLETED]
+            sim.lifecycle.row(done).state = EventState.QUEUED
+            sim.lifecycle._counts[EventState.COMPLETED] -= 1
+            sim.lifecycle._counts[EventState.QUEUED] += 1
+        err = run_tampered(corrupt, at_round=2)
+        assert err.diff == {"queue_depth_vs_queued_rows": (1, 2)}
+
+    def test_queued_row_missing_from_queue(self):
+        # A lost queue entry: the row is QUEUED, the queue no longer
+        # holds the event.
+        def corrupt(sim):
+            pipeline = sim.pipeline
+            assert pipeline.queue_depth == 2
+            pipeline._queue.remove(pipeline._queue[-1])
+        err = run_tampered(corrupt)
+        assert err.diff == {"queue_depth_vs_queued_rows": (1, 2)}
 
     def test_lifecycle_count_drift(self):
-        # A lost transition: the lifecycle thinks one more event is queued
-        # than the pipeline's queue holds.
+        # A lost count update: the lifecycle thinks one more event is
+        # queued than the pipeline's queue holds.
         def corrupt(sim):
             sim.lifecycle._counts[EventState.QUEUED] += 1
             sim.lifecycle._counts[EventState.EXECUTING] -= 1
         err = run_tampered(corrupt)
-        assert "queue_depth_vs_lifecycle_queued" in err.diff
+        assert "queue_depth_vs_queued_rows" in err.diff
 
     def test_mid_round_state_leak(self):
         def corrupt(sim):
@@ -161,39 +190,6 @@ class TestDesyncDetection:
         err = run_tampered(lambda sim: setattr(
             sim.engine, "_cancelled", sim.engine._cancelled + 1))
         assert "engine_pending_vs_heap_recount" in err.diff
-
-    def test_metrics_record_drift(self):
-        err = run_tampered(
-            lambda sim: sim.metrics_collector._records.pop(
-                next(iter(sim.metrics_collector._records))))
-        assert "metrics_records_vs_lifecycle_registered" in err.diff
-
-    def test_waiting_ledger_missing_a_queued_event(self):
-        dropped = []
-
-        def corrupt(sim):
-            queued = sim.pipeline.queued_event_ids()
-            assert len(queued) == 2
-            dropped.append(queued[-1])
-            del sim.metrics_collector._waiting_since[queued[-1]]
-        err = run_tampered(corrupt)
-        assert set(err.diff) == {"waiting_ledger_vs_queue"}
-        (_, observed), (_, expected) = err.diff["waiting_ledger_vs_queue"]
-        assert expected == dropped[0] and observed != expected
-
-    def test_waiting_ledger_holding_a_completed_event(self):
-        added = []
-
-        def corrupt(sim):
-            (done,) = sim.lifecycle.in_state(EventState.COMPLETED)
-            added.append(done)
-            collector = sim.metrics_collector
-            collector._waiting_since[done] = collector.totals[
-                "rounds_settled"]
-        err = run_tampered(corrupt, at_round=2)
-        assert set(err.diff) == {"waiting_ledger_vs_queue"}
-        (_, observed), (_, expected) = err.diff["waiting_ledger_vs_queue"]
-        assert observed == added[0] and observed != expected
 
     def test_round_count_drift(self):
         err = run_tampered(lambda sim: sim.metrics_collector.totals.update(
@@ -220,22 +216,40 @@ class TestDesyncDetection:
 
     def test_error_message_names_all_failures(self):
         def corrupt(sim):
-            sim.pipeline._events_remaining += 1
+            sim.lifecycle._counts[EventState.QUEUED] += 1
+            sim.lifecycle._counts[EventState.EXECUTING] -= 1
             sim.metrics_collector.totals["rounds"] += 1
         err = run_tampered(corrupt)
-        assert set(err.diff) == {"events_remaining_vs_lifecycle_live",
+        assert set(err.diff) == {"queue_depth_vs_queued_rows",
                                  "metrics_rounds_vs_round_index"}
         message = str(err)
-        assert "events_remaining_vs_lifecycle_live" in message
+        assert "queue_depth_vs_queued_rows" in message
         assert "metrics_rounds_vs_round_index" in message
         assert "round 1" in message
 
-    def test_assert_drained_catches_leftovers(self):
+    def drained(self):
         sim = build_simulator()
         auditor = LifecycleAuditor()
         sim.attach(auditor)
         sim.run()
-        sim.pipeline._events_remaining = 5
+        auditor.assert_drained()
+        return sim, auditor
+
+    def test_events_remaining_drift(self):
+        # The rows are all terminal, but a lost count update leaves one
+        # event "remaining": the drain audit names the count, not a row.
+        sim, auditor = self.drained()
+        sim.lifecycle._counts[EventState.COMPLETED] -= 1
+        with pytest.raises(AuditError) as excinfo:
+            auditor.assert_drained()
+        assert excinfo.value.diff == {"events_remaining_zero": (1, 0)}
+
+    def test_assert_drained_catches_leftovers(self):
+        sim, auditor = self.drained()
+        for i in range(5):
+            sim.lifecycle.register(f"left{i}", at=sim.now)
         with pytest.raises(AuditError) as excinfo:
             auditor.assert_drained()
         assert excinfo.value.diff["events_remaining_zero"] == (5, 0)
+        assert excinfo.value.diff["live_rows"] == (
+            [f"left{i}" for i in range(5)], [])

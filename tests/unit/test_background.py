@@ -126,7 +126,7 @@ class TestWouldFit:
         trace = YahooLikeTrace(topo.hosts(), seed=99)
         flow = trace.sample_flow()
         assert loader.would_fit(flow)
-        assert net.flow_count() == 0
+        assert list(net.flow_ids()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,7 @@ ALLOWED = {
     "has_edge": "networkx-compatible graph query the topology tests read",
     "heal_all": "failure-injector reset the failure tests use",
     "hit_rate": "probe-cache hit ratio the cache tests read",
-    "in_state": "lifecycle query the lifecycle and audit tests read",
     "is_active": "failure-injector query the failure tests read",
-    "knows": "lifecycle membership query",
     "link_rows": "templated pair's link indices, which the respawn "
                  "reference reads",
     "link_version": "string-keyed version read; the program reads "
@@ -65,7 +63,6 @@ ALLOWED = {
     "schedule_after": "relative-time form of schedule_at",
     "total_capacity": "network summary the network tests read",
     "total_used": "network summary the network and scenario tests read",
-    "transition_count": "lifecycle counter the lifecycle tests read",
     "warm": "pre-builds a provider's candidate cache for known pairs",
     "with_": "Scenario copy with fields replaced",
 }

@@ -1,4 +1,5 @@
-"""Unit tests for the event-lifecycle state machine (sim/lifecycle.py)."""
+"""Unit tests for the event-lifecycle state machine and its event rows
+(sim/lifecycle.py)."""
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.sim.lifecycle import (
     EventLifecycle,
     EventState,
     IllegalTransitionError,
-    TransitionRecord,
 )
 
 
@@ -39,10 +39,12 @@ class TestStateMachineShape:
 class TestRegister:
     def test_register_enters_queued(self):
         lc = EventLifecycle()
-        record = lc.register("U1", at=0.0)
+        row = lc.register("U1", at=2.5, flow_count=3)
         assert lc.state("U1") is EventState.QUEUED
-        assert record == TransitionRecord("U1", None, EventState.QUEUED, 0.0)
-        assert lc.origin("U1") == "submitted"
+        assert lc.row("U1") is row
+        assert (row.event_id, row.arrival_time, row.flow_count, row.index,
+                row.origin) == ("U1", 2.5, 3, 0, "submitted")
+        assert lc.register("U2", at=3.0).index == 1
 
     def test_register_twice_raises(self):
         lc = EventLifecycle()
@@ -53,7 +55,7 @@ class TestRegister:
     def test_repair_origin_is_kept(self):
         lc = EventLifecycle()
         lc.register("repair-1", at=3.0, origin="repair")
-        assert lc.origin("repair-1") == "repair"
+        assert lc.row("repair-1").origin == "repair"
 
 
 class TestAdvance:
@@ -126,26 +128,8 @@ class TestAdvance:
             lc.advance("U1", EventState.QUEUED, 1.0)
 
 
-class TestQueriesAndHistory:
-    def test_history_records_moves_in_order(self):
-        lc = EventLifecycle()
-        lc.register("U1", at=0.0)
-        lc.advance("U1", EventState.PROBED, 1.5)
-        history = lc.history("U1")
-        assert [r.to for r in history] == [EventState.QUEUED,
-                                           EventState.PROBED]
-        assert history[1].at == 1.5
-        assert "queued→probed" in str(history[1])
-
-    def test_history_is_bounded(self):
-        lc = EventLifecycle(history_limit=3)
-        lc.register("U1", at=0.0)
-        for tick in range(5):
-            lc.advance("U1", EventState.PROBED, float(tick))
-            lc.advance("U1", EventState.QUEUED, float(tick))
-        assert len(lc.history("U1")) == 3
-
-    def test_counts_and_in_state(self):
+class TestQueries:
+    def test_counts_and_remaining(self):
         lc = EventLifecycle()
         lc.register("U1", at=0.0)
         lc.register("U2", at=0.0)
@@ -154,19 +138,46 @@ class TestQueriesAndHistory:
         assert counts[EventState.QUEUED] == 1
         assert counts[EventState.PROBED] == 1
         assert counts[EventState.COMPLETED] == 0
-        assert lc.in_state(EventState.QUEUED) == ("U2",)
         assert len(lc) == 2
-        assert lc.transition_count == 3  # two registrations + one advance
+        assert lc.remaining == 2
+        settle(lc, "U2")
+        assert lc.remaining == 1
+        assert lc.counts()[EventState.COMPLETED] == 1
 
-    def test_knows(self):
+
+class TestRow:
+    def test_terminal_move_stamps_completion_and_makespan(self):
         lc = EventLifecycle()
-        assert not lc.knows("U1")
-        lc.register("U1", at=0.0)
-        assert lc.knows("U1")
+        for event_id in ("U1", "U2"):
+            lc.register(event_id, at=0.0)
+        settle(lc, "U1")
+        settle(lc, "U2", to=EventState.DROPPED)
+        done, dropped = lc.row("U1"), lc.row("U2")
+        assert done.completion_time == 2.0 and done.completed
+        assert not done.dropped
+        assert dropped.dropped and dropped.completion_time is None
+        assert lc.makespan == 2.0
 
-    def test_history_limit_validation(self):
-        with pytest.raises(ValueError):
-            EventLifecycle(history_limit=0)
+    def test_queue_stay_charges_the_rounds_settled_inside_it(self):
+        lc = EventLifecycle()
+        lc.settle_round()
+        lc.register("U1", at=0.0)
+        lc.settle_round()
+        lc.advance("U1", EventState.PROBED, 1.0)
+        lc.advance("U1", EventState.QUEUED, 1.0)   # still in the queue
+        lc.settle_round()
+        lc.advance("U1", EventState.PROBED, 2.0)
+        lc.advance("U1", EventState.ADMITTED, 2.0)   # the stay ends
+        lc.settle_round()
+        assert lc.row("U1").rounds_waited == 2
+        lc.advance("U1", EventState.EXECUTING, 2.0)
+        lc.advance("U1", EventState.QUEUED, 2.0)   # a second stay
+        lc.settle_round()
+        # an open stay is charged when the rows are read
+        assert lc.row("U1").rounds_waited == 2
+        assert lc.records()["U1"].rounds_waited == 3
+        lc.settle_round()
+        assert lc.records()["U1"].rounds_waited == 4
 
 
 def settle(lc, event_id, to=EventState.COMPLETED):
@@ -185,8 +196,7 @@ def settle(lc, event_id, to=EventState.COMPLETED):
 
 class TestCheckpointing:
     """A settled event's entry goes out in its terminal journal record
-    (:meth:`EventLifecycle.settled_entry`); live events stay in the
-    registry."""
+    (:meth:`EventLifecycle.settled_entry`); a live event has none yet."""
 
     def build(self):
         lc = EventLifecycle()
@@ -200,15 +210,15 @@ class TestCheckpointing:
 
     def test_export_splits_live_from_settled(self):
         lc = self.build()
-        assert lc.in_state(EventState.QUEUED) == ("U2",)
-        assert lc.in_state(EventState.PROBED) == ("U4",)
+        assert [lc.state(event_id) for event_id in ("U2", "U4")] == [
+            EventState.QUEUED, EventState.PROBED]
         assert lc.counts()[EventState.COMPLETED] == 1
         assert self.settled == [
             {"kind": "complete", "event": "U3", "index": 2,
              "origin": "stream"},
             {"kind": "drop", "event": "U1", "index": 0, "origin": "stream"}]
-        # Only the event that settled last has its entry at hand.
-        assert lc.settled_entry("U1") == {"index": 0, "origin": "stream"}
-        for event_id in ("U3", "U2"):
-            with pytest.raises(IllegalTransitionError, match="settled last"):
+        # Every settled row keeps its entry; a live one has none.
+        assert lc.settled_entry("U3") == {"index": 2, "origin": "stream"}
+        for event_id in ("U2", "U4"):
+            with pytest.raises(IllegalTransitionError, match="not settled"):
                 lc.settled_entry(event_id)

@@ -1,23 +1,26 @@
 """Unit tests for metric collection and aggregation."""
 
 import operator
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
+from repro.experiments.common import DEFAULTS, Scenario
+from repro.experiments.runner import hermetic_ids
+from repro.sched import build_scheduler
 from repro.sim import export as export_mod
 from repro.sim.hooks import (
     EventAdmitted,
     EventArrived,
     EventCompleted,
-    EventDeferred,
-    EventDropped,
     HookBus,
-    PostRound,
     PreRound,
-    StateTransition,
 )
-from repro.sim.lifecycle import EventState, TransitionRecord
+from repro.sim.lifecycle import (
+    EventLifecycle,
+    EventState,
+    IllegalTransitionError,
+)
 from repro.sim.metrics import (
     EventRecord,
     RUN_COUNTERS,
@@ -25,6 +28,7 @@ from repro.sim.metrics import (
     RunMetrics,
     percentile,
 )
+from repro.traces.events import EventGeneratorConfig
 
 
 class TestPercentile:
@@ -62,58 +66,77 @@ class TestEventRecord:
             __ = record.queuing_delay
 
 
-def feed(name="s"):
-    """A collector on its own bus, fed the way the pipeline feeds it."""
-    bus = HookBus()
-    return bus, MetricsCollector(name, bus)
+PROBED, ADMITTED, EXECUTING = (
+    EventState.PROBED, EventState.ADMITTED, EventState.EXECUTING)
 
 
-def arrive(bus, event_id, now, flow_count):
-    bus.emit(EventArrived(now, event_id, flow_count, "submitted"))
+class Feed:
+    """A collector over its own bus and lifecycle, fed the way the
+    pipeline feeds them: each row is written before its hook goes out."""
+
+    def __init__(self, name="s"):
+        self.bus = HookBus()
+        self.lifecycle = EventLifecycle()
+        self.collector = MetricsCollector(name, self.bus, self.lifecycle)
+
+    def arrive(self, event_id, now, flow_count):
+        self.lifecycle.register(event_id, now, flow_count=flow_count)
+        self.bus.emit(EventArrived(now, event_id, flow_count, "submitted"))
+
+    def round_(self, plan_time, hits=0, misses=0, invalidations=0):
+        self.bus.emit(PreRound(
+            now=0.0, index=0, admitted=(), planning_ops=0,
+            plan_time=plan_time, queue_depth=0, cache_hits=hits,
+            cache_misses=misses, cache_invalidations=invalidations))
+
+    def admit(self, event_id, exec_start, cost=0.0, migrations=0,
+              setup_done=None):
+        """Admit the whole event and charge its one admission."""
+        for state in (PROBED, ADMITTED, EXECUTING):
+            row = self.lifecycle.advance(event_id, state, exec_start)
+        row.exec_start_time = exec_start
+        row.cost, row.migrations = cost, migrations
+        row.setup_done_time = (exec_start if setup_done is None
+                               else setup_done)
+        self.bus.emit(EventAdmitted(exec_start, event_id, cost, migrations,
+                                    flows=1,
+                                    setup_done_time=row.setup_done_time))
+
+    def complete(self, event_id, now):
+        self.lifecycle.advance(event_id, EventState.COMPLETED, now)
+        self.bus.emit(EventCompleted(now, event_id))
 
 
-def round_(bus, plan_time, hits=0, misses=0, invalidations=0):
-    bus.emit(PreRound(now=0.0, index=0, admitted=(), planning_ops=0,
-                      plan_time=plan_time, queue_depth=0, cache_hits=hits,
-                      cache_misses=misses,
-                      cache_invalidations=invalidations))
-
-
-def admit(bus, event_id, exec_start, cost=0.0, migrations=0,
-          setup_done=None):
-    bus.emit(EventAdmitted(
-        exec_start, event_id, cost, migrations, flows=1,
-        setup_done_time=exec_start if setup_done is None else setup_done))
-
-
-def complete(bus, event_id, now):
-    bus.emit(EventCompleted(now, event_id))
-
-
-def moves(bus, event_id, *path, at=0.0):
-    """Announce ``event_id``'s lifecycle moves along ``path`` (``None``
-    first for the registration), as the pipeline does."""
-    for frm, to in zip(path, path[1:]):
-        bus.emit(StateTransition(TransitionRecord(event_id, frm, to, at)))
-
-
-QUEUED, PROBED, ADMITTED, EXECUTING = (
-    EventState.QUEUED, EventState.PROBED, EventState.ADMITTED,
-    EventState.EXECUTING)
+def flow_level_run():
+    """A drained flow-level run on a loaded k=4 fat-tree, whose events are
+    admitted across several rounds; returns ``(records, admissions)``
+    with every event's ``EventAdmitted`` hooks in emission order."""
+    with hermetic_ids():
+        scenario = Scenario(
+            utilization=0.5, seed=1, events=20, churn=False,
+            event_config=EventGeneratorConfig(min_flows=2, max_flows=4),
+            defaults=replace(DEFAULTS, k=4))
+        sim = scenario.simulator(build_scheduler({"kind": "flow-level"}))
+        admissions = {}
+        sim.hooks.subscribe(EventAdmitted, lambda hook: admissions.setdefault(
+            hook.event_id, []).append(hook))
+        sim.submit(scenario.generate_events())
+        sim.run()
+    return sim.metrics_collector.records, admissions
 
 
 class TestCollector:
     def _collect_two_events(self) -> MetricsCollector:
-        bus, collector = feed("test-sched")
-        arrive(bus, "U1", 0.0, flow_count=2)
-        arrive(bus, "U2", 0.0, flow_count=3)
-        round_(bus, plan_time=0.1)
-        admit(bus, "U1", 1.0, cost=50.0, migrations=2, setup_done=2.0)
-        complete(bus, "U1", 5.0)
-        round_(bus, plan_time=0.2)
-        admit(bus, "U2", 6.0, cost=10.0, migrations=1)
-        complete(bus, "U2", 11.0)
-        return collector
+        feed = Feed("test-sched")
+        feed.arrive("U1", 0.0, flow_count=2)
+        feed.arrive("U2", 0.0, flow_count=3)
+        feed.round_(plan_time=0.1)
+        feed.admit("U1", 1.0, cost=50.0, migrations=2, setup_done=2.0)
+        feed.complete("U1", 5.0)
+        feed.round_(plan_time=0.2)
+        feed.admit("U2", 6.0, cost=10.0, migrations=1)
+        feed.complete("U2", 11.0)
+        return feed.collector
 
     def test_finalize_aggregates(self):
         metrics = self._collect_two_events().finalize()
@@ -130,37 +153,42 @@ class TestCollector:
         assert metrics.scheduler == "test-sched"
 
     def test_exec_start_idempotent(self):
-        bus, collector = feed()
-        arrive(bus, "U1", 0.0, 1)
-        admit(bus, "U1", 3.0)
-        admit(bus, "U1", 9.0)  # later rounds don't move it
-        assert collector.records["U1"].exec_start_time == 3.0
+        """Only an event's first admission sets its execution start."""
+        records, admissions = flow_level_run()
+        assert max(len(hooks) for hooks in admissions.values()) > 1
+        for event_id, hooks in admissions.items():
+            assert records[event_id].exec_start_time == hooks[0].exec_start
 
     def test_admission_accumulates(self):
-        bus, collector = feed()
-        arrive(bus, "U1", 0.0, 1)
-        admit(bus, "U1", 1.0, cost=5.0, migrations=1)
-        admit(bus, "U1", 2.0, cost=7.0, migrations=2)
-        record = collector.records["U1"]
-        assert record.cost == pytest.approx(12.0)
-        assert record.migrations == 3
+        """Cost, migrations and stages sum over an event's admissions;
+        the setup-done time is the last one's."""
+        records, admissions = flow_level_run()
+        for event_id, hooks in admissions.items():
+            record, cost = records[event_id], 0.0
+            for hook in hooks:
+                cost += hook.cost
+            assert record.cost == cost
+            assert record.migrations == sum(h.migrations for h in hooks)
+            assert record.stage_count == sum(h.stage_count for h in hooks)
+            assert record.setup_done_time == hooks[-1].setup_done_time
+        assert sum(r.migrations for r in records.values()) > 0
 
     def test_double_enqueue_rejected(self):
-        bus, _ = feed()
-        arrive(bus, "U1", 0.0, 1)
-        with pytest.raises(ValueError):
-            arrive(bus, "U1", 1.0, 1)
+        feed = Feed()
+        feed.arrive("U1", 0.0, 1)
+        with pytest.raises(IllegalTransitionError, match="twice"):
+            feed.arrive("U1", 1.0, 1)
 
     def test_unknown_event_rejected(self):
-        with pytest.raises(ValueError):
-            complete(feed()[0], "ghost", 1.0)
+        with pytest.raises(IllegalTransitionError, match="unknown"):
+            Feed().complete("ghost", 1.0)
 
     def test_finalize_requires_completion(self):
-        bus, collector = feed()
-        arrive(bus, "U1", 0.0, 1)
-        assert collector.incomplete_events() == ["U1"]
+        feed = Feed()
+        feed.arrive("U1", 0.0, 1)
+        assert feed.collector.incomplete_events() == ["U1"]
         with pytest.raises(ValueError, match="never completed"):
-            collector.finalize()
+            feed.collector.finalize()
 
     def test_summary_is_one_line(self):
         metrics = self._collect_two_events().finalize()
@@ -168,13 +196,13 @@ class TestCollector:
         assert "test-sched" in metrics.summary()
 
     def test_per_event_series_in_arrival_order(self):
-        bus, collector = feed()
-        arrive(bus, "late", 5.0, 1)
-        arrive(bus, "early", 1.0, 1)
+        feed = Feed()
+        feed.arrive("late", 5.0, 1)
+        feed.arrive("early", 1.0, 1)
         for eid, start, done in (("late", 6.0, 8.0), ("early", 2.0, 3.0)):
-            admit(bus, eid, start)
-            complete(bus, eid, done)
-        metrics = collector.finalize()
+            feed.admit(eid, start)
+            feed.complete(eid, done)
+        metrics = feed.collector.finalize()
         # "early" arrived first, so it leads the per-event series
         assert metrics.per_event_ect[0] == pytest.approx(2.0)
         assert metrics.per_event_ect[1] == pytest.approx(3.0)
@@ -184,33 +212,38 @@ class TestCollectorCheckpointing:
     def build(self):
         """U1 dropped, U2 executing, U3 completed and U4 still queued when
         the one round settles."""
-        bus, collector = feed()
+        feed = Feed()
+        lifecycle = feed.lifecycle
         for eid in ("U1", "U2", "U3", "U4"):
-            moves(bus, eid, None, QUEUED)
-            arrive(bus, eid, 1.0, 2)   # equal arrivals: order ties
-        round_(bus, 0.5)
-        moves(bus, "U2", QUEUED, PROBED, ADMITTED, EXECUTING)
-        moves(bus, "U3", QUEUED, PROBED, ADMITTED, EXECUTING)
-        admit(bus, "U3", 1.5, cost=7.0, migrations=1)
-        moves(bus, "U3", EXECUTING, EventState.COMPLETED)
-        complete(bus, "U3", 4.0)
-        moves(bus, "U1", QUEUED, EventState.DEFERRED)
-        bus.emit(EventDeferred(4.5, "U1", 1))
-        moves(bus, "U1", EventState.DEFERRED, EventState.DROPPED)
-        bus.emit(EventDropped(5.0, "U1", stranded_demand=3.0))
-        bus.emit(PostRound(5.0, 1))
-        return bus, collector
+            feed.arrive(eid, 1.0, 2)   # equal arrivals: order ties
+        feed.round_(0.5)
+        for state in (PROBED, ADMITTED, EXECUTING):
+            lifecycle.advance("U2", state, 1.5)
+        feed.admit("U3", 1.5, cost=7.0, migrations=1)
+        feed.complete("U3", 4.0)
+        lifecycle.advance("U1", EventState.DEFERRED, 4.5).deferrals += 1
+        lifecycle.advance("U1", EventState.DROPPED, 5.0)
+        lifecycle.settle_round()
+        return feed.collector
 
     def test_export_carries_open_records_only(self):
         """Records never reach the export: a closed one leaves through
         ``export_record`` into its terminal journal record, the open ones
-        stay in the collector, and the export carries only the counters."""
-        _, collector = self.build()
+        stay on the lifecycle, and the export carries only the counters."""
+        collector = self.build()
         assert collector.export_state() == {"totals": collector.totals}
         assert collector.records["U4"].rounds_waited == 1
         assert collector.incomplete_events() == ["U2", "U4"]
         assert collector.export_record("U3")["cost"] == 7.0
-        assert collector.export_record("U1")["dropped"] is True
+        dropped = collector.export_record("U1")
+        assert dropped["dropped"] is True and dropped["deferrals"] == 1
+        assert list(dropped) == [
+            "event_id", "arrival_time", "flow_count", "exec_start_time",
+            "setup_done_time", "completion_time", "cost", "migrations",
+            "rounds_waited", "deferrals", "dropped", "stage_count",
+            "max_transient_overload"]
+        assert (collector.completed_count, collector.dropped_count,
+                collector.record_count) == (1, 1, 4)
 
 
 class TestRunCounterDeclarations:
@@ -253,15 +286,15 @@ class TestRunCounterDeclarations:
 
 class TestRunMetricsSerialization:
     def _metrics(self):
-        bus, collector = feed("test-sched")
-        arrive(bus, "U1", 0.0, 2)
-        arrive(bus, "U2", 0.1, 3)
-        round_(bus, 0.25, hits=3, misses=1, invalidations=1)
-        admit(bus, "U1", 1.0, cost=12.5, migrations=2)
-        complete(bus, "U1", 2.5)
-        admit(bus, "U2", 2.5, cost=0.125, migrations=0)
-        complete(bus, "U2", 4.0)
-        return collector.finalize()
+        feed = Feed("test-sched")
+        feed.arrive("U1", 0.0, 2)
+        feed.arrive("U2", 0.1, 3)
+        feed.round_(0.25, hits=3, misses=1, invalidations=1)
+        feed.admit("U1", 1.0, cost=12.5, migrations=2)
+        feed.complete("U1", 2.5)
+        feed.admit("U2", 2.5, cost=0.125, migrations=0)
+        feed.complete("U2", 4.0)
+        return feed.collector.finalize()
 
     def test_summary_reports_cost_as_volume(self):
         summary = self._metrics().summary()

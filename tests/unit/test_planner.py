@@ -88,7 +88,7 @@ class TestPlanEvent:
         planner = EventPlanner(provider)
         event = make_event([update_flow("f1", 10.0)])
         planner.plan_event(net, event, random.Random(1), commit=False)
-        assert net.flow_count() == 0
+        assert list(net.flow_ids()) == []
 
     def test_commit_applies(self, setup):
         net, provider = setup
@@ -123,7 +123,7 @@ class TestPlanEvent:
         assert not plan.feasible
         assert len(plan.blocked) == 1
         # infeasible plans never commit
-        assert net.flow_count() == 0
+        assert list(net.flow_ids()) == []
 
     def test_event_flows_not_migrated_for_each_other(self, setup):
         net, provider = setup

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from helpers import ab_flow, cd_flow, diamond_setup  # noqa: E402
+from helpers import ab_flow, cd_flow, diamond_setup, spy_moves  # noqa: E402
 
 from repro.core.event import make_event
 from repro.sched import build_scheduler
-from repro.sim.hooks import PreRound, StateTransition
+from repro.sim.hooks import PreRound
 from repro.sim.lifecycle import EventState
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 
@@ -30,18 +30,21 @@ BLOCKED = 6
 
 
 class ProbeCounter:
-    """Counts moves into PROBED per round (PreRound closes a round)."""
+    """Counts moves into PROBED per round (PreRound closes a round) and
+    keeps every event's moves."""
 
     def __init__(self, sim):
         self.per_round: list[int] = []
         self.admitted: list[tuple[str, ...]] = []
         self.skipped: list[int] = []
         self._open = 0
-        sim.hooks.subscribe(StateTransition, self._on_transition)
+        self.moves: dict[str, list] = {}
+        spy_moves(sim, self._on_move)
         sim.hooks.subscribe(PreRound, self._on_pre_round)
 
-    def _on_transition(self, hook):
-        if hook.record.to is EventState.PROBED:
+    def _on_move(self, event_id, frm, to):
+        self.moves.setdefault(event_id, []).append((frm, to))
+        if to is EventState.PROBED:
             self._open += 1
 
     def _on_pre_round(self, hook):
@@ -122,9 +125,7 @@ class TestFallbackOutsideProbedSet:
         index = counter.admitted.index((small.event_id,))
         # the alpha+1 sampled candidates, plus the repaired admission
         assert counter.per_round[index] == 1 + 1 + 1
-        history = [(r.frm, r.to)
-                   for r in sim.lifecycle.history(small.event_id)]
-        assert history[-4:] == [
+        assert counter.moves[small.event_id][-4:] == [
             (EventState.QUEUED, EventState.PROBED),
             (EventState.PROBED, EventState.ADMITTED),
             (EventState.ADMITTED, EventState.EXECUTING),

@@ -1220,10 +1220,11 @@ class TestCheckpointPayload:
             assert served.report.dropped > 0
         for entry in settled:
             eid = entry["event"]
-            assert entry["record"] == vars(records[eid])
+            assert entry["record"] == sim.metrics_collector.export_record(
+                eid)
             assert OUTCOME_STATES[entry["kind"]] is sim.lifecycle.state(eid)
             assert entry["index"] == order.index(eid)
-            assert entry["origin"] == sim.lifecycle.origin(eid)
+            assert entry["origin"] == sim.lifecycle.row(eid).origin
 
     def test_completed_run_leaves_final_checkpoint(self, tmp_path):
         report = run_baseline(tmp_path)

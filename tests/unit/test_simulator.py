@@ -20,6 +20,7 @@ from repro.sched.flowlevel import FlowLevelScheduler
 from repro.sched.lmtf import LMTFScheduler
 from repro.sched.plmtf import PLMTFScheduler
 from repro.sim.hooks import ChurnTick
+from repro.sim.lifecycle import EventState
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
 from repro.sim.timing import TimingModel
 from repro.traces.yahoo import YahooLikeTrace
@@ -91,7 +92,7 @@ class TestBasicRuns:
         sim = build_simulator()
         sim.run()
         # only (permanent) background remains; events' flows are gone
-        assert sim.network.flow_count() == 0
+        assert list(sim.network.flow_ids()) == []
 
     def test_empty_submit_rejected(self):
         net, provider = diamond_setup()
@@ -295,7 +296,7 @@ class TestSetupBarrier:
         config = SimulationConfig(round_barrier="setup")
         sim = build_simulator(config=config)
         sim.run()
-        assert sim.network.flow_count() == 0
+        assert list(sim.network.flow_ids()) == []
 
 
 class TestFaultPipeline:
@@ -334,7 +335,7 @@ class TestFaultPipeline:
         assert metrics.faults_healed == 2
         assert metrics.dropped_events == 0
         assert metrics.stranded_traffic == 0.0
-        assert sim.network.flow_count() == 0
+        assert list(sim.network.flow_ids()) == []
         kinds = {r.kind for r in log.records}
         assert {"fault", "heal"} <= kinds
         # The repair could not start until the heal restored capacity.
@@ -385,7 +386,7 @@ class TestFaultPipeline:
         assert executed[0] == []
         assert any(executed[1:])
         assert log.of_kind("exec_failure")
-        assert sim.network.flow_count() == 0
+        assert list(sim.network.flow_ids()) == []
 
     def test_zero_fault_wiring_is_byte_identical(self):
         from repro.sim.controlplane import ReliableControlPlane
@@ -523,14 +524,16 @@ class TestEmptyRoundAccounting:
 
 
 class TestBookkeepingHygiene:
-    """Per-event pipeline state must not outlive the event (the dicts
-    would otherwise grow without bound in service mode)."""
+    """A drained run leaves no per-event pipeline state open: every row is
+    terminal, has no flow still transmitting, and left the queue with all
+    its flows admitted unless it was dropped."""
 
     def _assert_purged(self, sim):
-        pipe = sim.pipeline
-        assert pipe._event_outstanding == {}
-        assert pipe._event_done_queueing == set()
-        assert pipe._deferral_counts == {}
+        assert sim.pipeline.queue_depth == 0
+        for row in sim.metrics_collector.records.values():
+            assert row.state in (EventState.COMPLETED, EventState.DROPPED)
+            assert row.outstanding == 0
+            assert row.done_queueing is not row.dropped
 
     def test_purged_after_clean_run(self):
         sim = build_simulator()

@@ -86,7 +86,7 @@ class TestMutationIsolation:
         with base.trial():
             base.remove("base1")
             assert not base.has_flow("base1")
-            assert base.flow_count() == 0
+            assert list(base.flow_ids()) == []
             with pytest.raises(UnknownFlowError):
                 base.placement("base1")
         assert base.has_flow("base1")

@@ -1,6 +1,6 @@
 """``EventRecord.rounds_waited`` is charged per queue stay, not per round.
 
-The metrics collector opens a stay when an event enters the queue
+An event's row opens a stay when the event enters the queue
 (``QUEUED``/``PROBED``) and charges the rounds settled during it when the
 event leaves, so a settled round does no O(queue) work. The differential
 tests run the per-round reference alongside — a subscriber adding one to
@@ -20,7 +20,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import ab_flow, cd_flow, diamond_setup  # noqa: E402
-from helpers import record_rounds  # noqa: E402
+from helpers import record_rounds, spy_moves  # noqa: E402
 
 from repro.core.event import make_event
 from repro.experiments.common import DEFAULTS, Scenario
@@ -30,7 +30,7 @@ from repro.sched.base import RoundDecision
 from repro.sched.fifo import FIFOScheduler
 from repro.sim.controlplane import UnreliableControlPlane
 from repro.sim.faults import FaultProcess
-from repro.sim.hooks import PostRound, PreRound, StateTransition
+from repro.sim.hooks import PostRound, PreRound
 from repro.sim.lifecycle import EventState
 from repro.sim.queue import IndexedQueue
 from repro.sim.simulator import SimulationConfig, UpdateSimulator
@@ -65,10 +65,10 @@ class MoveCounter:
 
     def __init__(self, sim):
         self.moves = Counter()
-        sim.hooks.subscribe(StateTransition, self._on_transition)
+        spy_moves(sim, self._on_move)
 
-    def _on_transition(self, hook):
-        self.moves[hook.record.frm, hook.record.to] += 1
+    def _on_move(self, event_id, frm, to):
+        self.moves[frm, to] += 1
 
 
 def assert_ledgers_agree(sim, eager):
@@ -162,15 +162,15 @@ class TestLazyEqualsEager:
         small = make_event([cd_flow("tiny", 2.0, 1.0)])
         probes, admitting_round = [0], []
 
-        def on_transition(hook):
-            probes[0] += hook.record.to is EventState.PROBED
+        def on_move(event_id, frm, to):
+            probes[0] += to is EventState.PROBED
 
         def on_pre_round(hook):
             if hook.admitted == (small.event_id,):
                 admitting_round.append(probes[0])
             probes[0] = 0
 
-        sim.hooks.subscribe(StateTransition, on_transition)
+        spy_moves(sim, on_move)
         sim.hooks.subscribe(PreRound, on_pre_round)
         eager, _, _ = drive(sim, blocked + [small])
         # the alpha+1 sampled candidates, plus the fallback's pick
